@@ -269,12 +269,20 @@ impl<K: RealKernel> RealKernel for FaultyKernel<K> {
         self.inner.prefetch_iter(i)
     }
 
+    fn prefetch_range(&self, range: Range<u64>) {
+        self.inner.prefetch_range(range)
+    }
+
     fn prefetch_bytes_per_iter(&self) -> u64 {
         self.inner.prefetch_bytes_per_iter()
     }
 
     fn pack_iter(&self, i: u64, buf: &mut Vec<u8>) -> bool {
         self.inner.pack_iter(i, buf)
+    }
+
+    fn pack_range(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
+        self.inner.pack_range(range, buf)
     }
 
     unsafe fn execute_packed(&self, range: Range<u64>, buf: &[u8]) {
@@ -531,6 +539,52 @@ mod tests {
                 .all(|(i, &c)| i == 3 || c == 2),
             "every other element executed twice, uncorrupted: {counts:?}"
         );
+    }
+
+    #[test]
+    fn range_helpers_reach_the_inner_kernel_as_ranges() {
+        /// Logs which helper entry points were called.
+        #[derive(Default)]
+        struct Batched(Mutex<Vec<String>>);
+        impl Batched {
+            fn log(&self, call: String) {
+                self.0.lock().unwrap().push(call);
+            }
+        }
+        impl RealKernel for Batched {
+            fn iters(&self) -> u64 {
+                64
+            }
+            unsafe fn execute(&self, _: Range<u64>) {}
+            fn prefetch_iter(&self, i: u64) {
+                self.log(format!("prefetch_iter {i}"));
+            }
+            fn prefetch_range(&self, range: Range<u64>) {
+                self.log(format!("prefetch_range {range:?}"));
+            }
+            fn pack_iter(&self, i: u64, _: &mut Vec<u8>) -> bool {
+                self.log(format!("pack_iter {i}"));
+                true
+            }
+            fn pack_range(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
+                self.log(format!("pack_range {range:?}"));
+                buf.extend(range.map(|i| i as u8));
+                true
+            }
+        }
+
+        // A plan on the very chunk being helped: helpers never trip faults.
+        let plan = FaultPlan::new(16).inject(0, FaultKind::Panic);
+        let k = FaultyKernel::new(Batched::default(), plan);
+        let mut buf = Vec::new();
+        assert!(k.pack_range(3..9, &mut buf));
+        k.prefetch_range(3..9);
+        assert_eq!(buf, [3, 4, 5, 6, 7, 8], "the inner batch packer's bytes");
+        assert!(k.fired().is_empty());
+        // One range call each: the wrapper did not fall back to the
+        // trait's per-iteration defaults.
+        let log = k.into_inner().0.into_inner().unwrap();
+        assert_eq!(log, ["pack_range 3..9", "prefetch_range 3..9"]);
     }
 
     #[test]

@@ -20,36 +20,54 @@
 //! with a sequential run is therefore a strong correctness check of the
 //! token protocol.
 //!
+//! ## Compiled form
+//!
+//! [`SpecProgram::new`] resolves every ref of every loop once into an op
+//! table: mode, address as arena byte arithmetic, and field offset inside
+//! one packed iteration record. There is one loop body, generic over the
+//! element type (`Elem`) and over where operands come from (`Operands`:
+//! the arena, a packed record, or the replay overlay); `execute`,
+//! `execute_packed` and `replay_footprint` are its three instantiations.
+//!
 //! ## Safety model
 //!
 //! The arena lives in an `UnsafeCell`. Mutation happens only inside
 //! [`RealKernel::execute`]/[`RealKernel::execute_packed`], whose contract
 //! (enforced by [`crate::runner`]'s token protocol) guarantees exclusivity
-//! and happens-before edges. Helper-phase reads (`pack_iter`) are proven
+//! and happens-before edges. Helper-phase reads (`pack_range`) are proven
 //! safe at construction by the `cascade-analyze` dependence analysis:
 //! either the operand is never written by the loop (`Packable`), or every
 //! aliasing write precedes the read by at least `lag` iterations
 //! (`HorizonSafe`) and the runner keeps helpers behind the committed
-//! horizon via [`RealKernel::helper_horizon`]. `prefetch_iter` issues
+//! horizon via [`RealKernel::helper_horizon`]. `prefetch_range` issues
 //! only architectural hints (plus index-array demand reads, which the
 //! analysis proves are never written).
+//!
+//! Affine addresses are proven in bounds at construction (AN008) and never
+//! re-checked. An indirect ref's address depends on index *contents*, which
+//! can change afterwards (a bit flip), so every index is checked against
+//! the array length in every build before it is dereferenced; a failure
+//! panics into the runner's `catch_unwind` ladder (`WorkerPanicked`).
 
 use std::cell::UnsafeCell;
+use std::mem::size_of;
 use std::ops::Range;
 
 use cascade_analyze::{analyze_workload, AnalysisError, Footprint, LoopReport, WorkloadReport};
 use cascade_core::fnv64;
 use cascade_trace::diag::{DiagCode, Diagnostic, Severity};
-use cascade_trace::{Arena, ArrayId, LoopSpec, Mode, Pattern, Workload};
+use cascade_trace::{AddressSpace, Arena, LoopSpec, Mode, Pattern, Workload};
 
 use crate::kernel::RealKernel;
-use crate::prefetch::prefetch_range;
+use crate::prefetch;
 
 /// A runnable program: workload description + real backing bytes.
 #[derive(Debug)]
 pub struct SpecProgram {
     workload: Workload,
     report: WorkloadReport,
+    /// One compiled op table per loop, in `workload.loops` order.
+    code: Vec<LoopCode>,
     arena: UnsafeCell<Arena>,
 }
 
@@ -83,9 +101,15 @@ impl SpecProgram {
             ));
         }
         let report = report.require_rt()?;
+        let code = workload
+            .loops
+            .iter()
+            .map(|spec| LoopCode::compile(&workload.space, spec))
+            .collect();
         Ok(SpecProgram {
             workload,
             report,
+            code,
             arena: UnsafeCell::new(arena),
         })
     }
@@ -111,6 +135,7 @@ impl SpecProgram {
             prog: self,
             spec: &self.workload.loops[idx],
             report: &self.report.loops[idx],
+            code: &self.code[idx],
         }
     }
 
@@ -143,20 +168,294 @@ impl SpecProgram {
     }
 }
 
-/// Decode the next `N`-byte operand at offset `cur` of the packed buffer,
-/// reporting underrun with offset/length context instead of a bare slice
-/// or `try_into` panic — a corrupted or truncated packed buffer then says
-/// exactly *where* it ran dry.
-fn take_bytes<const N: usize>(buf: &[u8], cur: usize) -> [u8; N] {
-    match buf
-        .get(cur..cur + N)
-        .and_then(|s| <[u8; N]>::try_from(s).ok())
-    {
-        Some(bytes) => bytes,
-        None => panic!(
-            "packed buffer underrun: need {N} bytes at offset {cur}, buffer holds {} bytes",
-            buf.len()
-        ),
+/// The element type of a loop: the body arithmetic of the module docs.
+/// Implemented for `f64` and `u32` only: every bit pattern is a value,
+/// which the raw reads below rely on.
+trait Elem: Copy {
+    /// The accumulator before the first operand.
+    const ZERO: Self;
+    /// Fold read operand `v` into accumulator `self`.
+    fn fold(self, v: Self) -> Self;
+    /// What a `Write` ref stores for accumulator `self`.
+    fn written(self) -> Self;
+    /// What a `Modify` ref stores over `old` for accumulator `self`.
+    fn modified(self, old: Self) -> Self;
+}
+
+impl Elem for f64 {
+    const ZERO: f64 = 0.0;
+    fn fold(self, v: f64) -> f64 {
+        self * 0.5 + v
+    }
+    fn written(self) -> f64 {
+        self * 0.9 + 0.1
+    }
+    fn modified(self, old: f64) -> f64 {
+        old * 0.25 + self * 0.5 + 0.0625
+    }
+}
+
+impl Elem for u32 {
+    const ZERO: u32 = 0;
+    fn fold(self, v: u32) -> u32 {
+        self.wrapping_mul(2_654_435_761).wrapping_add(v)
+    }
+    fn written(self) -> u32 {
+        self ^ 0x9E37_79B9
+    }
+    fn modified(self, old: u32) -> u32 {
+        old.wrapping_mul(3).wrapping_add(self)
+    }
+}
+
+/// The data side of an indirect ref: index word `idx` selects the element
+/// at arena byte `base + elem * idx`, valid for `idx < len`.
+#[derive(Debug, Clone, Copy)]
+struct Gather {
+    base: u64,
+    elem: u64,
+    len: u64,
+}
+
+impl Gather {
+    /// Checked in every build: index *contents* can change after
+    /// construction (a bit flip), and an unchecked one is a wild address.
+    #[inline(always)]
+    fn element(self, idx: u32) -> usize {
+        if idx as u64 >= self.len {
+            index_out_of_range(idx, self.len);
+        }
+        (self.base + self.elem * idx as u64) as usize
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn index_out_of_range(idx: u32, len: u64) -> ! {
+    panic!("indirect index {idx} out of range for an array of {len} elements")
+}
+
+/// # Safety: `p .. p + size_of::<T>()` is readable, not concurrently written.
+#[inline(always)]
+unsafe fn read<T: Elem>(p: *const u8) -> T {
+    p.cast::<T>().read_unaligned()
+}
+
+/// One compiled ref.
+#[derive(Debug, Clone, Copy)]
+struct Op {
+    mode: Mode,
+    /// Arena byte `off0 + step * i` holds iteration `i`'s element (affine
+    /// ref) or its `u32` index word (indirect ref). AN008 proves both in
+    /// bounds for every iteration, so neither is re-checked.
+    off0: i64,
+    step: i64,
+    /// Indirect only: the array the index word selects from.
+    gather: Option<Gather>,
+    /// Where this ref's field starts inside a packed iteration record: a
+    /// read's value, or an indirect write's 4-byte index (an affine write
+    /// has none). Fields tile the record in `refs` order.
+    field: usize,
+}
+
+impl Op {
+    #[inline(always)]
+    fn at(&self, i: u64) -> usize {
+        (self.off0 + self.step * i as i64) as usize
+    }
+}
+
+/// A loop compiled for the interpreter: what every [`RealKernel`] method
+/// of [`SpecKernel`] needs per iteration, resolved once and immutable.
+#[derive(Debug)]
+struct LoopCode {
+    /// In `refs` order.
+    ops: Vec<Op>,
+    /// Operand width in bytes: 8 (an f64 loop) or 4 (a u32 loop).
+    width: usize,
+    /// Bytes one iteration occupies in the packed buffer.
+    record_len: usize,
+}
+
+impl LoopCode {
+    /// Compile `spec`, which the analysis has admitted: refs non-empty,
+    /// one operand width (4 or 8), every stream in bounds.
+    fn compile(space: &AddressSpace, spec: &LoopSpec) -> LoopCode {
+        let width = spec.refs[0].bytes as usize;
+        let (mut ops, mut record_len) = (Vec::with_capacity(spec.refs.len()), 0);
+        for r in &spec.refs {
+            let data = space.array(r.array);
+            let (array, first, stride, gather) = match r.pattern {
+                Pattern::Affine { base, stride } => (data, base, stride, None),
+                Pattern::Indirect {
+                    index,
+                    ibase,
+                    istride,
+                } => {
+                    let (base, elem) = (data.base, data.elem as u64);
+                    // The elements an operand-wide access fits inside: all
+                    // of them unless operands outsize elements.
+                    let len = (data.bytes() + elem).saturating_sub(width as u64) / elem;
+                    let gather = Gather { base, elem, len };
+                    (space.array(index), ibase, istride, Some(gather))
+                }
+            };
+            let (mode, field, elem) = (r.mode, record_len, array.elem as i64);
+            let (off0, step) = (array.base as i64 + first * elem, stride * elem);
+            record_len += match (mode, gather) {
+                (Mode::Read, _) => width,
+                (_, Some(_)) => size_of::<u32>(),
+                (_, None) => 0,
+            };
+            ops.push(Op {
+                mode,
+                off0,
+                step,
+                gather,
+                field,
+            });
+        }
+        LoopCode {
+            ops,
+            width,
+            record_len,
+        }
+    }
+}
+
+/// Where an iteration's operands come from and where its stores go, given
+/// the base of the program's arena. The defaults are plain arena access;
+/// each source overrides what differs and holds only what that takes.
+///
+/// # Safety (every method): the caller upholds the contract of the
+/// [`RealKernel`] method the source serves, and `at` is an offset
+/// [`Operands::target`] returned.
+trait Operands {
+    /// The index word of indirect ref `op` at iteration `i`, read from the
+    /// *arena* (real memory, like real generated code would). Index arrays
+    /// are validated to never be written by the loop, so it cannot race.
+    #[inline(always)]
+    unsafe fn index(&self, arena: *mut u8, op: &Op, i: u64) -> u32 {
+        read(arena.add(op.at(i)))
+    }
+
+    /// The arena byte offset ref `op` addresses at iteration `i`.
+    #[inline(always)]
+    unsafe fn target(&self, arena: *mut u8, op: &Op, i: u64) -> usize {
+        match op.gather {
+            None => op.at(i),
+            Some(g) => g.element(self.index(arena, op, i)),
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn load<T: Elem>(&self, arena: *mut u8, at: usize) -> T {
+        read(arena.add(at))
+    }
+
+    #[inline(always)]
+    unsafe fn store<T: Elem>(&mut self, arena: *mut u8, at: usize, v: T) {
+        arena.add(at).cast::<T>().write_unaligned(v)
+    }
+
+    /// The value of read ref `op` at iteration `i`.
+    #[inline(always)]
+    unsafe fn operand<T: Elem>(&self, arena: *mut u8, op: &Op, i: u64) -> T {
+        self.load(arena, self.target(arena, op, i))
+    }
+}
+
+/// `execute` and the pack side: everything straight from the arena.
+struct Direct;
+
+impl Operands for Direct {}
+
+/// `execute_packed`: read values and indirect write indices come from the
+/// iteration's packed record; stores (and `Modify` loads) hit the arena.
+struct Packed<'b> {
+    /// One record per iteration from `start` on.
+    buf: &'b [u8],
+    start: u64,
+    record_len: usize,
+}
+
+impl Packed<'_> {
+    #[inline(always)]
+    fn field<T: Elem>(&self, op: &Op, i: u64) -> T {
+        let at = (i - self.start) as usize * self.record_len + op.field;
+        // SAFETY: the slice is exactly `size_of::<T>()` readable bytes.
+        unsafe { read(self.buf[at..at + size_of::<T>()].as_ptr()) }
+    }
+}
+
+impl Operands for Packed<'_> {
+    #[inline(always)]
+    unsafe fn index(&self, _arena: *mut u8, op: &Op, i: u64) -> u32 {
+        self.field(op, i)
+    }
+
+    #[inline(always)]
+    unsafe fn operand<T: Elem>(&self, _arena: *mut u8, op: &Op, i: u64) -> T {
+        self.field(op, i)
+    }
+}
+
+/// `replay_footprint`: addresses as in `execute`, but every access inside
+/// the chunk's write footprint goes to the private overlay, so a verifier
+/// never writes shared memory.
+struct Replay<'o>(&'o mut Overlay);
+
+impl Operands for Replay<'_> {
+    /// Overlay first, shared arena for everything outside the footprint:
+    /// the replayed range is committed and no `execute` runs concurrently
+    /// (the verifier holds the downstream claim), so the fallback read
+    /// cannot race a writer.
+    unsafe fn load<T: Elem>(&self, arena: *mut u8, at: usize) -> T {
+        match self.0.get(at as u64, size_of::<T>() as u64) {
+            Some(bytes) => read(bytes.as_ptr()),
+            None => read(arena.add(at)),
+        }
+    }
+
+    /// Every write ref's elements lie inside its own footprint by
+    /// construction, so a miss is an interpreter bug, not a data condition.
+    unsafe fn store<T: Elem>(&mut self, _arena: *mut u8, at: usize, v: T) {
+        let bytes = self.0.get_mut(at as u64, size_of::<T>() as u64);
+        let bytes = bytes.expect("replay store inside the write footprint");
+        bytes.as_mut_ptr().cast::<T>().write_unaligned(v)
+    }
+}
+
+/// The loop body of the module docs over `range` — the only copy.
+/// `execute`, `execute_packed` and `replay_footprint` differ in `S` alone,
+/// so they cannot drift apart (a divergence between the first and the last
+/// *is* a false corruption alarm).
+///
+/// # Safety: as [`Operands`]; `arena` is the base of the program's arena.
+#[inline(always)]
+unsafe fn run_as<T: Elem, S: Operands>(ops: &[Op], arena: *mut u8, range: Range<u64>, src: &mut S) {
+    for i in range {
+        let mut acc = T::ZERO;
+        for op in ops {
+            if op.mode == Mode::Read {
+                acc = acc.fold(src.operand(arena, op, i));
+            }
+        }
+        for op in ops {
+            match op.mode {
+                Mode::Read => {}
+                Mode::Write => {
+                    let at = src.target(arena, op, i);
+                    src.store(arena, at, acc.written());
+                }
+                Mode::Modify => {
+                    let at = src.target(arena, op, i);
+                    let old = src.load(arena, at);
+                    src.store(arena, at, acc.modified(old));
+                }
+            }
+        }
+        std::hint::black_box(acc);
     }
 }
 
@@ -213,48 +512,41 @@ impl Overlay {
         Some(Overlay { segs })
     }
 
-    fn seg_idx(&self, addr: u64) -> Option<usize> {
+    /// Segment and offset within it of `[addr, addr + n)`, if covered. An
+    /// access is never split across a segment boundary: footprints cover
+    /// whole elements of the accessed array, and arrays are disjoint in
+    /// the address space.
+    fn locate(&self, addr: u64, n: u64) -> Option<(usize, Range<usize>)> {
         // `cmp` comparison result aliased so scripts/lint_atomics.sh
         // (which pins atomics-using files by pattern-matching the
         // memory-order path) does not mistake this pure binary search
         // for an atomics site.
         use std::cmp::Ordering as SegCmp;
-        self.segs
-            .binary_search_by(|(lo, hi, _)| {
-                if addr < *lo {
-                    SegCmp::Greater
-                } else if addr >= *hi {
-                    SegCmp::Less
-                } else {
-                    SegCmp::Equal
-                }
-            })
-            .ok()
+        let by_addr = |&(lo, hi, _): &(u64, u64, Vec<u8>)| {
+            if addr < lo {
+                SegCmp::Greater
+            } else if addr >= hi {
+                SegCmp::Less
+            } else {
+                SegCmp::Equal
+            }
+        };
+        let i = self.segs.binary_search_by(by_addr).ok()?;
+        let (lo, hi, _) = self.segs[i];
+        let off = (addr - lo) as usize;
+        (addr + n <= hi).then(|| (i, off..off + n as usize))
     }
 
-    /// The overlay bytes of `[addr, addr + n)`, if covered. An access is
-    /// never split across a segment boundary: footprints cover whole
-    /// elements of the accessed array, and arrays are disjoint in the
-    /// address space.
+    /// The overlay bytes of `[addr, addr + n)`, if covered.
     fn get(&self, addr: u64, n: u64) -> Option<&[u8]> {
-        let i = self.seg_idx(addr)?;
-        let (lo, hi, bytes) = &self.segs[i];
-        if addr + n > *hi {
-            return None;
-        }
-        let off = (addr - lo) as usize;
-        Some(&bytes[off..off + n as usize])
+        let (i, bytes) = self.locate(addr, n)?;
+        Some(&self.segs[i].2[bytes])
     }
 
     /// Mutable counterpart of [`Overlay::get`].
     fn get_mut(&mut self, addr: u64, n: u64) -> Option<&mut [u8]> {
-        let i = self.seg_idx(addr)?;
-        let (lo, hi, bytes) = &mut self.segs[i];
-        if addr + n > *hi {
-            return None;
-        }
-        let off = (addr - *lo) as usize;
-        Some(&mut bytes[off..off + n as usize])
+        let (i, bytes) = self.locate(addr, n)?;
+        Some(&mut self.segs[i].2[bytes])
     }
 }
 
@@ -263,6 +555,7 @@ pub struct SpecKernel<'p> {
     prog: &'p SpecProgram,
     spec: &'p LoopSpec,
     report: &'p LoopReport,
+    code: &'p LoopCode,
 }
 
 impl<'p> SpecKernel<'p> {
@@ -276,246 +569,41 @@ impl<'p> SpecKernel<'p> {
         self.report
     }
 
-    /// Resolve the element index of `r` at iteration `i`, reading indirect
-    /// indices from the *arena* (real memory, like real generated code
-    /// would).
+    /// Run `range` through the loop body, `src` supplying operands.
     ///
-    /// # Safety
-    ///
-    /// Index arrays are validated to never be written by this loop, so the
-    /// raw read cannot race with the executor.
-    #[inline]
-    unsafe fn elem_index(&self, pattern: &Pattern, i: u64) -> u64 {
-        match *pattern {
-            Pattern::Affine { base, stride } => (base + stride * i as i64) as u64,
-            Pattern::Indirect {
-                index,
-                ibase,
-                istride,
-            } => {
-                let pos = (ibase + istride * i as i64) as u64;
-                let addr = self.prog.workload.space.addr(index, pos);
-                // SAFETY: in-bounds (space layout) and never written by
-                // this loop (validated), so no data race.
-                unsafe { (self.prog.base().add(addr as usize) as *const u32).read() as u64 }
-            }
+    /// # Safety: as [`Operands`].
+    #[inline(always)]
+    unsafe fn run<S: Operands>(&self, range: Range<u64>, src: &mut S) {
+        let (ops, arena) = (self.code.ops.as_slice(), self.prog.base());
+        if self.code.width == size_of::<f64>() {
+            run_as::<f64, S>(ops, arena, range, src)
+        } else {
+            run_as::<u32, S>(ops, arena, range, src)
         }
     }
 
-    /// # Safety: in-bounds read of a location not concurrently written
-    /// (either we hold the token, or the array is loop-read-only).
-    #[inline]
-    unsafe fn load_f64(&self, array: ArrayId, elem: u64) -> f64 {
-        let addr = self.prog.workload.space.addr(array, elem);
-        unsafe { (self.prog.base().add(addr as usize) as *const f64).read() }
-    }
-
-    /// # Safety: exclusive in-bounds write (token held).
-    #[inline]
-    unsafe fn store_f64(&self, array: ArrayId, elem: u64, v: f64) {
-        let addr = self.prog.workload.space.addr(array, elem);
-        unsafe { (self.prog.base().add(addr as usize) as *mut f64).write(v) }
-    }
-
-    /// # Safety: as [`Self::load_f64`].
-    #[inline]
-    unsafe fn load_u32(&self, array: ArrayId, elem: u64) -> u32 {
-        let addr = self.prog.workload.space.addr(array, elem);
-        unsafe { (self.prog.base().add(addr as usize) as *const u32).read() }
-    }
-
-    /// # Safety: as [`Self::store_f64`].
-    #[inline]
-    unsafe fn store_u32(&self, array: ArrayId, elem: u64, v: u32) {
-        let addr = self.prog.workload.space.addr(array, elem);
-        unsafe { (self.prog.base().add(addr as usize) as *mut u32).write(v) }
-    }
-
-    fn is_f64(&self) -> bool {
-        self.spec.refs[0].bytes == 8
-    }
-
-    /// # Safety: token held (mutates through writes).
-    unsafe fn exec_iter_f64(&self, i: u64) {
-        let mut acc = 0.0f64;
-        for r in &self.spec.refs {
-            if r.mode.is_read_only() {
-                // SAFETY: loop-read-only array.
-                let v = unsafe { self.load_f64(r.array, self.elem_index(&r.pattern, i)) };
-                acc = acc * 0.5 + v;
+    /// The arena's byte intervals outside every write footprint of the
+    /// whole loop, ascending, or `None` when a footprint is unresolvable.
+    fn unwritten(&self) -> Option<Vec<(u64, u64)>> {
+        let fps = self.write_footprints(0..self.spec.iters)?;
+        let mut gaps = Vec::new();
+        let mut cursor = 0u64;
+        // A sentinel footprint at the arena's end closes the last gap.
+        let end = (self.prog.workload.space.extent(), u64::MAX);
+        for (lo, hi) in merge_intervals(&fps).into_iter().chain([end]) {
+            if cursor < lo {
+                gaps.push((cursor, lo));
             }
+            cursor = cursor.max(hi);
         }
-        for r in &self.spec.refs {
-            // SAFETY: exclusive writes under the token.
-            unsafe {
-                match r.mode {
-                    Mode::Read => {}
-                    Mode::Write => {
-                        let e = self.elem_index(&r.pattern, i);
-                        self.store_f64(r.array, e, acc * 0.9 + 0.1);
-                    }
-                    Mode::Modify => {
-                        let e = self.elem_index(&r.pattern, i);
-                        let old = self.load_f64(r.array, e);
-                        self.store_f64(r.array, e, old * 0.25 + acc * 0.5 + 0.0625);
-                    }
-                }
-            }
-        }
-        std::hint::black_box(acc);
+        Some(gaps)
     }
 
     /// The write-ref footprints of `range` in journal order (the byte
     /// layout of [`RealKernel::journal_capture`]), or `None` when any is
     /// unresolvable.
     fn write_footprints(&self, range: Range<u64>) -> Option<Vec<Footprint>> {
-        self.spec
-            .refs
-            .iter()
-            .filter(|r| r.mode.writes())
-            .map(|r| cascade_analyze::ref_footprint(&self.prog.workload, r, range.clone()))
-            .collect()
-    }
-
-    /// Replay load: overlay first, shared arena for everything outside
-    /// the chunk's write footprint.
-    ///
-    /// # Safety: the replayed range is committed and no `execute` runs
-    /// concurrently (the verifier holds the downstream claim), so the
-    /// arena fallback read cannot race a writer.
-    unsafe fn ov_load_f64(&self, ov: &Overlay, array: ArrayId, elem: u64) -> f64 {
-        let addr = self.prog.workload.space.addr(array, elem);
-        match ov.get(addr, 8) {
-            Some(b) => f64::from_ne_bytes(b.try_into().expect("8 overlay bytes")),
-            // SAFETY: per the method contract.
-            None => unsafe { self.load_f64(array, elem) },
-        }
-    }
-
-    /// # Safety: as [`Self::ov_load_f64`].
-    unsafe fn ov_load_u32(&self, ov: &Overlay, array: ArrayId, elem: u64) -> u32 {
-        let addr = self.prog.workload.space.addr(array, elem);
-        match ov.get(addr, 4) {
-            Some(b) => u32::from_ne_bytes(b.try_into().expect("4 overlay bytes")),
-            // SAFETY: per the method contract.
-            None => unsafe { self.load_u32(array, elem) },
-        }
-    }
-
-    /// Replay store: lands in the overlay, never in shared memory. Every
-    /// write ref's elements lie inside its own footprint by construction,
-    /// so a miss is an interpreter bug, not a data condition.
-    fn ov_store_f64(&self, ov: &mut Overlay, array: ArrayId, elem: u64, v: f64) {
-        let addr = self.prog.workload.space.addr(array, elem);
-        ov.get_mut(addr, 8)
-            .expect("replay store inside the write footprint")
-            .copy_from_slice(&v.to_ne_bytes());
-    }
-
-    /// u32 counterpart of [`Self::ov_store_f64`].
-    fn ov_store_u32(&self, ov: &mut Overlay, array: ArrayId, elem: u64, v: u32) {
-        let addr = self.prog.workload.space.addr(array, elem);
-        ov.get_mut(addr, 4)
-            .expect("replay store inside the write footprint")
-            .copy_from_slice(&v.to_ne_bytes());
-    }
-
-    /// One f64 iteration of the verification replay: the same body as
-    /// [`Self::exec_iter_f64`] with all footprint accesses routed through
-    /// the overlay. Keep the two in lockstep — a divergence here *is* a
-    /// false corruption alarm.
-    ///
-    /// # Safety: as [`Self::ov_load_f64`].
-    unsafe fn replay_iter_f64(&self, ov: &mut Overlay, i: u64) {
-        let mut acc = 0.0f64;
-        for r in &self.spec.refs {
-            if r.mode.is_read_only() {
-                // SAFETY: committed range, no concurrent writer.
-                let v = unsafe { self.ov_load_f64(ov, r.array, self.elem_index(&r.pattern, i)) };
-                acc = acc * 0.5 + v;
-            }
-        }
-        for r in &self.spec.refs {
-            // SAFETY: index/overlay reads only; stores land in the overlay.
-            unsafe {
-                match r.mode {
-                    Mode::Read => {}
-                    Mode::Write => {
-                        let e = self.elem_index(&r.pattern, i);
-                        self.ov_store_f64(ov, r.array, e, acc * 0.9 + 0.1);
-                    }
-                    Mode::Modify => {
-                        let e = self.elem_index(&r.pattern, i);
-                        let old = self.ov_load_f64(ov, r.array, e);
-                        self.ov_store_f64(ov, r.array, e, old * 0.25 + acc * 0.5 + 0.0625);
-                    }
-                }
-            }
-        }
-        std::hint::black_box(acc);
-    }
-
-    /// u32 counterpart of [`Self::replay_iter_f64`] (mirrors
-    /// [`Self::exec_iter_u32`]).
-    ///
-    /// # Safety: as [`Self::ov_load_f64`].
-    unsafe fn replay_iter_u32(&self, ov: &mut Overlay, i: u64) {
-        let mut acc = 0u32;
-        for r in &self.spec.refs {
-            if r.mode.is_read_only() {
-                // SAFETY: committed range, no concurrent writer.
-                let v = unsafe { self.ov_load_u32(ov, r.array, self.elem_index(&r.pattern, i)) };
-                acc = acc.wrapping_mul(2_654_435_761).wrapping_add(v);
-            }
-        }
-        for r in &self.spec.refs {
-            // SAFETY: index/overlay reads only; stores land in the overlay.
-            unsafe {
-                match r.mode {
-                    Mode::Read => {}
-                    Mode::Write => {
-                        let e = self.elem_index(&r.pattern, i);
-                        self.ov_store_u32(ov, r.array, e, acc ^ 0x9E37_79B9);
-                    }
-                    Mode::Modify => {
-                        let e = self.elem_index(&r.pattern, i);
-                        let old = self.ov_load_u32(ov, r.array, e);
-                        self.ov_store_u32(ov, r.array, e, old.wrapping_mul(3).wrapping_add(acc));
-                    }
-                }
-            }
-        }
-        std::hint::black_box(acc);
-    }
-
-    /// # Safety: token held.
-    unsafe fn exec_iter_u32(&self, i: u64) {
-        let mut acc = 0u32;
-        for r in &self.spec.refs {
-            if r.mode.is_read_only() {
-                // SAFETY: loop-read-only array.
-                let v = unsafe { self.load_u32(r.array, self.elem_index(&r.pattern, i)) };
-                acc = acc.wrapping_mul(2_654_435_761).wrapping_add(v);
-            }
-        }
-        for r in &self.spec.refs {
-            // SAFETY: exclusive writes under the token.
-            unsafe {
-                match r.mode {
-                    Mode::Read => {}
-                    Mode::Write => {
-                        let e = self.elem_index(&r.pattern, i);
-                        self.store_u32(r.array, e, acc ^ 0x9E37_79B9);
-                    }
-                    Mode::Modify => {
-                        let e = self.elem_index(&r.pattern, i);
-                        let old = self.load_u32(r.array, e);
-                        self.store_u32(r.array, e, old.wrapping_mul(3).wrapping_add(acc));
-                    }
-                }
-            }
-        }
-        std::hint::black_box(acc);
+        cascade_analyze::write_set(&self.prog.workload, self.spec, range)
     }
 }
 
@@ -525,37 +613,28 @@ impl<'p> RealKernel for SpecKernel<'p> {
     }
 
     unsafe fn execute(&self, range: Range<u64>) {
-        if self.is_f64() {
-            for i in range {
-                // SAFETY: forwarded contract.
-                unsafe { self.exec_iter_f64(i) };
-            }
-        } else {
-            for i in range {
-                // SAFETY: forwarded contract.
-                unsafe { self.exec_iter_u32(i) };
-            }
-        }
+        self.run(range, &mut Direct)
     }
 
     fn prefetch_iter(&self, i: u64) {
-        let base = self.prog.base() as *const u8;
-        for r in &self.spec.refs {
-            if let Pattern::Indirect {
-                index,
-                ibase,
-                istride,
-            } = r.pattern
-            {
-                let pos = (ibase + istride * i as i64) as u64;
-                let iaddr = self.prog.workload.space.addr(index, pos);
-                prefetch_range(base.wrapping_add(iaddr as usize), 4);
+        self.prefetch_range(i..i + 1)
+    }
+
+    fn prefetch_range(&self, range: Range<u64>) {
+        let arena = self.prog.base() as *const u8;
+        for op in &self.code.ops {
+            for i in range.clone() {
+                let mut at = op.at(i);
+                if let Some(g) = op.gather {
+                    let word = arena.wrapping_add(at);
+                    prefetch::prefetch_range(word, size_of::<u32>());
+                    // SAFETY: reading the index value only (never written
+                    // by this loop); the data target itself is merely
+                    // hinted, so it needs no bounds check.
+                    at = (g.base + g.elem * unsafe { read::<u32>(word) } as u64) as usize;
+                }
+                prefetch::prefetch_range(arena.wrapping_add(at), self.code.width);
             }
-            // SAFETY: reading the index value only (never written by this
-            // loop); the data target itself is merely hinted.
-            let e = unsafe { self.elem_index(&r.pattern, i) };
-            let addr = self.prog.workload.space.addr(r.array, e);
-            prefetch_range(base.wrapping_add(addr as usize), r.bytes as usize);
         }
     }
 
@@ -564,49 +643,37 @@ impl<'p> RealKernel for SpecKernel<'p> {
     }
 
     fn prefetch_bytes_per_iter(&self) -> u64 {
-        // Mirrors `prefetch_iter` exactly: 4 index bytes per indirect
+        // Mirrors `prefetch_range` exactly: 4 index bytes per indirect
         // stream, plus each stream's data footprint.
-        self.spec
-            .refs
-            .iter()
-            .map(|r| {
-                let index_bytes = match r.pattern {
-                    Pattern::Indirect { .. } => 4,
-                    _ => 0,
-                };
-                index_bytes + r.bytes as u64
-            })
-            .sum()
+        let indirect = |op: &&Op| op.gather.is_some();
+        let index_bytes = self.code.ops.iter().filter(indirect).count() * size_of::<u32>();
+        (index_bytes + self.code.ops.len() * self.code.width) as u64
     }
 
     fn pack_iter(&self, i: u64, buf: &mut Vec<u8>) -> bool {
-        for r in &self.spec.refs {
-            match r.mode {
-                Mode::Read => {
-                    // SAFETY: the analysis proved this read is either
-                    // never written by the loop (Packable) or only by
-                    // iterations the horizon gate has already committed
-                    // (HorizonSafe + runner-enforced `helper_horizon`).
-                    unsafe {
-                        let e = self.elem_index(&r.pattern, i);
-                        if r.bytes == 8 {
-                            buf.extend_from_slice(&self.load_f64(r.array, e).to_le_bytes());
-                        } else {
-                            buf.extend_from_slice(&self.load_u32(r.array, e).to_le_bytes());
+        self.pack_range(i..i + 1, buf)
+    }
+
+    fn pack_range(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
+        buf.reserve((range.end - range.start) as usize * self.code.record_len);
+        let (arena, wide) = (self.prog.base(), self.code.width == size_of::<f64>());
+        let mut push = |field: &[u8]| buf.extend_from_slice(field);
+        for i in range {
+            // Per iteration the fields in `refs` order, which tile the record.
+            for op in &self.code.ops {
+                // SAFETY: the analysis proved a packed read is either never
+                // written by the loop (Packable) or only by iterations the
+                // horizon gate has already committed (HorizonSafe +
+                // runner-enforced `helper_horizon`); index arrays are never
+                // written (validated).
+                unsafe {
+                    match (op.mode, op.gather) {
+                        (Mode::Read, _) if wide => {
+                            push(&Direct.operand::<f64>(arena, op, i).to_ne_bytes())
                         }
-                    }
-                }
-                Mode::Write | Mode::Modify => {
-                    if let Pattern::Indirect {
-                        index,
-                        ibase,
-                        istride,
-                    } = r.pattern
-                    {
-                        let pos = (ibase + istride * i as i64) as u64;
-                        // SAFETY: index arrays are never written (validated).
-                        let v = unsafe { self.load_u32(index, pos) };
-                        buf.extend_from_slice(&v.to_le_bytes());
+                        (Mode::Read, _) => push(&Direct.operand::<u32>(arena, op, i).to_ne_bytes()),
+                        (_, Some(_)) => push(&Direct.index(arena, op, i).to_ne_bytes()),
+                        (_, None) => {}
                     }
                 }
             }
@@ -615,78 +682,23 @@ impl<'p> RealKernel for SpecKernel<'p> {
     }
 
     unsafe fn execute_packed(&self, range: Range<u64>, buf: &[u8]) {
-        let mut cur = 0usize;
-        let f64_loop = self.is_f64();
-        for i in range {
-            // Recompute the accumulator from the packed operand stream.
-            let mut acc_f = 0.0f64;
-            let mut acc_u = 0u32;
-            let mut idx_cursor: Vec<u64> = Vec::with_capacity(2);
-            for r in &self.spec.refs {
-                match r.mode {
-                    Mode::Read => {
-                        if f64_loop {
-                            let v = f64::from_le_bytes(take_bytes::<8>(buf, cur));
-                            cur += 8;
-                            acc_f = acc_f * 0.5 + v;
-                        } else {
-                            let v = u32::from_le_bytes(take_bytes::<4>(buf, cur));
-                            cur += 4;
-                            acc_u = acc_u.wrapping_mul(2_654_435_761).wrapping_add(v);
-                        }
-                    }
-                    Mode::Write | Mode::Modify => {
-                        if matches!(r.pattern, Pattern::Indirect { .. }) {
-                            let v = u32::from_le_bytes(take_bytes::<4>(buf, cur));
-                            cur += 4;
-                            idx_cursor.push(v as u64);
-                        }
-                    }
-                }
-            }
-            let mut idx_used = 0usize;
-            for r in &self.spec.refs {
-                if !r.mode.writes() {
-                    continue;
-                }
-                let e = match r.pattern {
-                    Pattern::Affine { base, stride } => (base + stride * i as i64) as u64,
-                    Pattern::Indirect { .. } => {
-                        let e = idx_cursor[idx_used];
-                        idx_used += 1;
-                        e
-                    }
-                };
-                // SAFETY: exclusive writes under the token.
-                unsafe {
-                    if f64_loop {
-                        match r.mode {
-                            Mode::Write => self.store_f64(r.array, e, acc_f * 0.9 + 0.1),
-                            Mode::Modify => {
-                                let old = self.load_f64(r.array, e);
-                                self.store_f64(r.array, e, old * 0.25 + acc_f * 0.5 + 0.0625);
-                            }
-                            Mode::Read => unreachable!(),
-                        }
-                    } else {
-                        match r.mode {
-                            Mode::Write => self.store_u32(r.array, e, acc_u ^ 0x9E37_79B9),
-                            Mode::Modify => {
-                                let old = self.load_u32(r.array, e);
-                                self.store_u32(r.array, e, old.wrapping_mul(3).wrapping_add(acc_u));
-                            }
-                            Mode::Read => unreachable!(),
-                        }
-                    }
-                }
-            }
-            if f64_loop {
-                std::hint::black_box(acc_f);
-            } else {
-                std::hint::black_box(acc_u);
-            }
-        }
-        debug_assert_eq!(cur, buf.len(), "packed buffer fully consumed");
+        let record_len = self.code.record_len;
+        let (need, held) = ((range.end - range.start) as usize * record_len, buf.len());
+        assert!(
+            held <= need,
+            "packed buffer overrun: buffer holds {held} bytes, its iterations consume {need}"
+        );
+        assert!(
+            held == need,
+            "packed buffer underrun: need {record_len} bytes at offset {}, buffer holds {held} bytes",
+            held - held % record_len
+        );
+        let mut src = Packed {
+            buf,
+            start: range.start,
+            record_len,
+        };
+        self.run(range, &mut src)
     }
 
     fn journal_range_exact(&self) -> bool {
@@ -705,33 +717,35 @@ impl<'p> RealKernel for SpecKernel<'p> {
 
     unsafe fn journal_capture(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
         buf.clear();
-        for r in self.spec.refs.iter().filter(|r| r.mode.writes()) {
-            let Some(fp) = cascade_analyze::ref_footprint(&self.prog.workload, r, range.clone())
-            else {
-                // Unresolvable write footprint: no journal bound exists.
-                // Loops `SpecProgram::new` admits never hit this (rt_ok
-                // rejects unsafe write verdicts), but the contract allows
-                // it, so degrade to the fail-stop gate rather than panic.
-                buf.clear();
-                return false;
-            };
-            let len = (fp.hi - fp.lo) as usize;
+        // Unresolvable write footprint: no journal bound exists. Loops
+        // `SpecProgram::new` admits never hit this (rt_ok rejects unsafe
+        // write verdicts), but the contract allows it, so degrade to the
+        // fail-stop gate rather than panic.
+        let Some(fps) = self.write_footprints(range) else {
+            return false;
+        };
+        for fp in &fps {
             // SAFETY: the footprint is analyzer-bounded inside the arena
             // (past-the-end streams are rejected at construction), and we
             // hold the chunk's claim, so no concurrent writer exists while
             // these bytes are read.
-            let bytes =
-                unsafe { std::slice::from_raw_parts(self.prog.base().add(fp.lo as usize), len) };
+            let bytes = unsafe {
+                std::slice::from_raw_parts(
+                    self.prog.base().add(fp.lo as usize),
+                    (fp.hi - fp.lo) as usize,
+                )
+            };
             buf.extend_from_slice(bytes);
         }
         true
     }
 
     unsafe fn journal_rollback(&self, range: Range<u64>, buf: &[u8]) {
+        let fps = self
+            .write_footprints(range)
+            .expect("rollback follows a successful capture over the same range");
         let mut cur = 0usize;
-        for r in self.spec.refs.iter().filter(|r| r.mode.writes()) {
-            let fp = cascade_analyze::ref_footprint(&self.prog.workload, r, range.clone())
-                .expect("rollback follows a successful capture over the same range");
+        for fp in &fps {
             let len = (fp.hi - fp.lo) as usize;
             // Overlapping footprints restore safely: every captured byte
             // is pre-chunk state, so repeated restores are idempotent.
@@ -752,18 +766,7 @@ impl<'p> RealKernel for SpecKernel<'p> {
     unsafe fn replay_footprint(&self, range: Range<u64>, pre_image: &[u8]) -> Option<Vec<u8>> {
         let fps = self.write_footprints(range.clone())?;
         let mut ov = Overlay::seed(&fps, pre_image)?;
-        if self.is_f64() {
-            for i in range {
-                // SAFETY: committed range per the trait contract; stores
-                // land in the overlay only.
-                unsafe { self.replay_iter_f64(&mut ov, i) };
-            }
-        } else {
-            for i in range {
-                // SAFETY: as above.
-                unsafe { self.replay_iter_u32(&mut ov, i) };
-            }
-        }
+        self.run(range, &mut Replay(&mut ov));
         // Read the replayed bytes back out in journal layout, mirroring
         // what `journal_capture` over the committed state would return.
         let mut out = Vec::with_capacity(pre_image.len());
@@ -806,32 +809,18 @@ impl<'p> RealKernel for SpecKernel<'p> {
         } else {
             // Target a byte *outside* every write footprint of the whole
             // loop — corruption no per-chunk verifier can see.
-            let Some(fps) = self.write_footprints(0..self.spec.iters) else {
+            let Some(gaps) = self.unwritten() else {
                 return false;
             };
-            let merged = merge_intervals(&fps);
-            let len = self.prog.workload.space.extent();
-            let mut gaps: Vec<(u64, u64)> = Vec::new();
-            let mut cursor = 0u64;
-            for (lo, hi) in merged {
-                if cursor < lo {
-                    gaps.push((cursor, lo));
-                }
-                cursor = cursor.max(hi);
-            }
-            if cursor < len {
-                gaps.push((cursor, len));
-            }
-            if gaps.is_empty() {
+            let Some(&(first, _)) = gaps.first() else {
                 return false; // footprints cover the whole arena
-            }
-            let start = offset % len;
+            };
+            let start = offset % self.prog.workload.space.extent();
             let addr = gaps
                 .iter()
                 .find(|(_, hi)| *hi > start)
-                .map(|(lo, _)| start.max(*lo))
-                .unwrap_or(gaps[0].0); // wrap around
-                                       // SAFETY: `addr < len` (inside the arena), claim held.
+                .map_or(first, |(lo, _)| start.max(*lo)); // else wrap around
+                                                          // SAFETY: `addr` is inside a gap (hence the arena), claim held.
             unsafe {
                 let p = self.prog.base().add(addr as usize);
                 *p ^= xor;
@@ -841,28 +830,14 @@ impl<'p> RealKernel for SpecKernel<'p> {
     }
 
     unsafe fn scrub_digest(&self) -> Option<u64> {
-        let fps = self.write_footprints(0..self.spec.iters)?;
-        let merged = merge_intervals(&fps);
-        let len = self.prog.workload.space.extent();
         let mut outside = Vec::new();
-        let mut cursor = 0u64;
-        let digest_gap = |lo: u64, hi: u64, outside: &mut Vec<u8>| {
-            // SAFETY (of the enclosed read): `[lo, hi)` is inside the
-            // arena and outside every write footprint; the quiescence
-            // contract rules out concurrent writers anyway.
-            let bytes = unsafe {
+        for (lo, hi) in self.unwritten()? {
+            // SAFETY: `[lo, hi)` is inside the arena and outside every
+            // write footprint; the quiescence contract rules out
+            // concurrent writers anyway.
+            outside.extend_from_slice(unsafe {
                 std::slice::from_raw_parts(self.prog.base().add(lo as usize), (hi - lo) as usize)
-            };
-            outside.extend_from_slice(bytes);
-        };
-        for (lo, hi) in merged {
-            if cursor < lo {
-                digest_gap(cursor, lo, &mut outside);
-            }
-            cursor = cursor.max(hi);
-        }
-        if cursor < len {
-            digest_gap(cursor, len, &mut outside);
+            });
         }
         Some(fnv64(&outside))
     }
@@ -1222,9 +1197,9 @@ mod tests {
 
     #[test]
     fn past_the_end_stream_is_rejected() {
-        // The interpreter only debug-asserts addresses, so a stream whose
-        // elements run past its array would corrupt neighboring arrays in
-        // release builds — the analyzer must reject it up front (AN008).
+        // The interpreter never checks an affine address per iteration, so
+        // a stream whose elements run past its array would corrupt
+        // neighboring arrays — the analyzer must reject it up front (AN008).
         let mut space = AddressSpace::new();
         let a = space.alloc("a", 8, 48);
         let spec = LoopSpec {

@@ -30,6 +30,14 @@ pub trait RealKernel: Sync {
         let _ = i;
     }
 
+    /// Prefetch the operands of every iteration of `range`: what the
+    /// runner's helper calls, once per poll batch. The default loops over
+    /// [`RealKernel::prefetch_iter`]; override it when a batch can be
+    /// hinted cheaper than one iteration at a time.
+    fn prefetch_range(&self, range: Range<u64>) {
+        range.for_each(|i| self.prefetch_iter(i))
+    }
+
     /// Bytes of operand data one [`RealKernel::prefetch_iter`] call
     /// covers — the unit behind the prefetch-byte accounting in the
     /// observability report (`RunStats::metrics`). The default (0) means
@@ -47,6 +55,15 @@ pub trait RealKernel: Sync {
     fn pack_iter(&self, i: u64, buf: &mut Vec<u8>) -> bool {
         let _ = (i, buf);
         false
+    }
+
+    /// Append the packed form of every iteration of `range`, in order:
+    /// what the runner's helper calls, once per poll batch. Byte for byte
+    /// the concatenation of [`RealKernel::pack_iter`] over `range`, which
+    /// is what the default does. Returns `false` when the kernel cannot
+    /// pack; `buf` then holds no usable prefix and the caller discards it.
+    fn pack_range(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
+        range.into_iter().all(|i| self.pack_iter(i, buf))
     }
 
     /// Execute iterations `range` consuming `buf`, which holds exactly the
@@ -240,6 +257,47 @@ mod tests {
                 out[i as usize] = self.a[i as usize] + self.b[i as usize];
             }
         }
+    }
+
+    /// A kernel that implements only the per-iteration helpers: it packs
+    /// the byte `i` for `i < cap` and records its prefetch calls.
+    struct IterOnly {
+        cap: u64,
+        prefetched: std::sync::Mutex<Vec<u64>>,
+    }
+
+    impl RealKernel for IterOnly {
+        fn iters(&self) -> u64 {
+            8
+        }
+        unsafe fn execute(&self, _: Range<u64>) {}
+        fn prefetch_iter(&self, i: u64) {
+            self.prefetched.lock().unwrap().push(i);
+        }
+        fn pack_iter(&self, i: u64, buf: &mut Vec<u8>) -> bool {
+            if i < self.cap {
+                buf.push(i as u8);
+            }
+            i < self.cap
+        }
+    }
+
+    #[test]
+    fn default_range_helpers_loop_over_the_per_iteration_ones() {
+        let kernel = |cap| IterOnly {
+            cap,
+            prefetched: Default::default(),
+        };
+        let k = kernel(8);
+        let mut buf = Vec::new();
+        assert!(k.pack_range(2..7, &mut buf));
+        assert_eq!(buf, [2, 3, 4, 5, 6], "pack_iter per iteration, in order");
+        k.prefetch_range(1..6);
+        assert_eq!(k.prefetched.into_inner().unwrap(), [1, 2, 3, 4, 5]);
+        // A kernel that stops packing mid-range reports it; the caller
+        // discards whatever was appended.
+        assert!(!kernel(5).pack_range(2..7, &mut Vec::new()));
+        assert!(!kernel(0).pack_range(0..1, &mut Vec::new()));
     }
 
     #[test]

@@ -1947,9 +1947,7 @@ fn helper_phase<K: RealKernel>(
                     std::hint::spin_loop();
                     continue;
                 }
-                for ii in i..batch_end {
-                    kernel.prefetch_iter(ii);
-                }
+                kernel.prefetch_range(i..batch_end);
                 out.helped_iters += batch_end - i;
                 i = batch_end;
             }
@@ -1966,19 +1964,14 @@ fn helper_phase<K: RealKernel>(
                     std::hint::spin_loop();
                     continue;
                 }
-                for ii in i..batch_end {
-                    if !kernel.pack_iter(ii, buf) {
-                        supported = false;
-                        break;
-                    }
-                    out.packed_iters += 1;
-                }
-                i = range.start + out.packed_iters;
-                if !supported {
-                    // Kernel cannot pack: degrade to nothing packed.
-                    buf.clear();
-                    out.packed_iters = 0;
-                }
+                supported = kernel.pack_range(i..batch_end, buf);
+                i = batch_end;
+            }
+            if supported {
+                out.packed_iters = i - range.start;
+            } else {
+                // Kernel cannot pack: degrade to nothing packed.
+                buf.clear();
             }
             out.helped_iters = out.packed_iters;
             out.jumped_out = supported && i < range.end;
@@ -2998,6 +2991,113 @@ mod tests {
             assert!(stats.faults.is_empty());
             let got = k.into_data();
             assert_eq!(got, expected, "threads={threads}");
+        }
+    }
+
+    /// `acc(i + 1) = g(acc(i), a(i))` with the read-only `a(i)` packable.
+    /// It implements only `pack_iter` (for iterations below `cap`), so the
+    /// runner's batches reach it through the trait's default `pack_range`.
+    struct PackChain {
+        a: Vec<f64>,
+        acc: UnsafeCell<Vec<f64>>,
+        cap: u64,
+        /// Iterations `pack_iter` accepted.
+        packed: AtomicU64,
+        /// One past the highest iteration `execute_packed` was handed.
+        consumed_to: AtomicU64,
+    }
+    // SAFETY: `acc` is only mutated inside `execute*`, serialized by the
+    // runner's token protocol; everything else is read-only or atomic.
+    unsafe impl Sync for PackChain {}
+    impl PackChain {
+        fn new(n: usize, cap: u64) -> Self {
+            PackChain {
+                a: (0..n).map(|i| (i % 89) as f64 * 0.125 - 3.0).collect(),
+                acc: UnsafeCell::new(vec![0.25; n + 1]),
+                cap,
+                packed: AtomicU64::new(0),
+                consumed_to: AtomicU64::new(0),
+            }
+        }
+        /// # Safety: exclusive per the trait contract.
+        unsafe fn step(&self, i: u64, a: f64) {
+            let acc = unsafe { &mut *self.acc.get() };
+            acc[i as usize + 1] = (acc[i as usize] * 0.5 + a).sin();
+        }
+        /// Chunk 0 waits until chunk 1's helper has packed all of chunk 1
+        /// that is below `cap`, so what the helper reaches is forced, not
+        /// left to timing.
+        fn await_helper(&self, range: &Range<u64>) {
+            let want = self.cap.min(2 * range.end).saturating_sub(range.end);
+            while range.start == 0 && self.packed.load(Ordering::SeqCst) < want {
+                std::thread::yield_now();
+            }
+        }
+    }
+    impl RealKernel for PackChain {
+        fn iters(&self) -> u64 {
+            self.a.len() as u64
+        }
+        unsafe fn execute(&self, range: Range<u64>) {
+            self.await_helper(&range);
+            for i in range {
+                // SAFETY: forwarded contract.
+                unsafe { self.step(i, self.a[i as usize]) };
+            }
+        }
+        fn pack_iter(&self, i: u64, buf: &mut Vec<u8>) -> bool {
+            if i >= self.cap {
+                return false;
+            }
+            buf.extend_from_slice(&self.a[i as usize].to_le_bytes());
+            self.packed.fetch_add(1, Ordering::SeqCst);
+            true
+        }
+        unsafe fn execute_packed(&self, range: Range<u64>, buf: &[u8]) {
+            self.await_helper(&range);
+            assert_eq!(buf.len() as u64, 8 * (range.end - range.start));
+            self.consumed_to.fetch_max(range.end, Ordering::SeqCst);
+            for (i, a) in range.zip(buf.chunks_exact(8)) {
+                // SAFETY: forwarded contract.
+                unsafe { self.step(i, f64::from_le_bytes(a.try_into().unwrap())) };
+            }
+        }
+    }
+
+    #[test]
+    fn iter_only_packers_restructure_through_the_default_pack_range() {
+        let (n, ipc) = (4096usize, 256u64);
+        let expected = {
+            let k = PackChain::new(n, 0);
+            // SAFETY: single-threaded.
+            unsafe { k.execute(0..k.iters()) };
+            k.acc.into_inner()
+        };
+        // Packs everything / cannot pack from mid-chunk 1 on / never packs.
+        for cap in [u64::MAX, ipc + 40, 0] {
+            let k = PackChain::new(n, cap);
+            let stats = run_cascaded(
+                &k,
+                &RunnerConfig {
+                    nthreads: 2,
+                    iters_per_chunk: ipc,
+                    policy: RtPolicy::Restructure,
+                    poll_batch: 16,
+                },
+            );
+            let packed_bytes: u64 = stats.threads.iter().map(|t| t.packed_bytes).sum();
+            let consumed_to = k.consumed_to.load(Ordering::SeqCst);
+            if cap == u64::MAX {
+                assert!(packed_bytes >= 8 * ipc, "chunk 1 was packed whole");
+                assert!(consumed_to >= 2 * ipc);
+            } else {
+                // A chunk the kernel cannot pack to its end degrades to
+                // nothing packed: the 40 iterations it did accept are
+                // discarded, never handed to `execute_packed`.
+                assert_eq!(k.packed.load(Ordering::SeqCst), cap.saturating_sub(ipc));
+                assert_eq!((packed_bytes, consumed_to), (0, 0), "cap {cap}");
+            }
+            assert_eq!(k.acc.into_inner(), expected, "cap {cap}");
         }
     }
 

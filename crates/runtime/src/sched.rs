@@ -352,6 +352,7 @@ impl PlannedStats {
                     ts.verified_chunks += s.verified_chunks;
                     ts.verify_ns += s.verify_ns;
                     ts.events_dropped += s.events_dropped;
+                    ts.events.extend_from_slice(&s.events);
                     merge_ns(&mut ts.takeover, &s.takeover);
                     merge_ns(&mut ts.chunk_exec, &s.chunk_exec);
                 }
@@ -1100,7 +1101,7 @@ pub fn try_run_planned<K: RealKernel>(
                     deadline: None,
                     budget: cfg.budget.clone(),
                     cancel: cfg.cancel.clone(),
-                    observe: Default::default(),
+                    observe: cfg.observe.clone(),
                     ckpt: CkptPolicy::Off,
                     ckpt_sink: None,
                     // Verification rides the token cascade: the residue's
@@ -1108,6 +1109,7 @@ pub fn try_run_planned<K: RealKernel>(
                     // sequential handoff to checksum.
                     verify: cfg.verify,
                 };
+                let sub_start_ns = start.elapsed().as_nanos() as u64;
                 let res = try_run_governed(kernel, &sub_cfg);
                 if barrier.wait() == BarrierOutcome::Poisoned {
                     return Err(RunError::InvalidConfig("barrier poisoned".into()));
@@ -1117,7 +1119,13 @@ pub fn try_run_planned<K: RealKernel>(
                     lock_recover(s).take();
                 }
                 match res {
-                    Ok(stats) => {
+                    Ok(mut stats) => {
+                        // The residue stamps its events from its own start:
+                        // move them onto the planned run's clock.
+                        for e in stats.threads.iter_mut().flat_map(|t| &mut t.events) {
+                            e.start_ns += sub_start_ns;
+                            e.end_ns += sub_start_ns;
+                        }
                         degraded |= stats.degraded;
                         faults.extend(stats.faults.iter().cloned());
                         sub_stats.push(SubLoopStats {

@@ -22,7 +22,8 @@ use std::time::Duration;
 use cascade_analyze::plan::{plan_loop, Schedule};
 use cascade_rt::{
     doacross_order, fission_specs, try_run_planned, CancelToken, FaultKind, FaultPlan,
-    FaultyKernel, RealKernel, RtPolicy, RunConfig, RunError, RunnerConfig, SpecProgram, Tolerance,
+    FaultyKernel, Observe, RealKernel, RtPolicy, RunConfig, RunError, RunnerConfig, SpecProgram,
+    Tolerance,
 };
 use cascade_trace::{
     AddressSpace, Arena, IndexStore, LoopSpec, Mode, Pattern, StreamRef, Workload,
@@ -392,6 +393,47 @@ fn lag2_recurrence_plans_doacross_and_runs_bitwise() {
         "DOACROSS pipeline never crossed a chunk boundary: {stats:?}"
     );
     assert_eq!(prog.checksum(), expected, "DOACROSS execution diverged");
+}
+
+/// A caller's `Observe::with_events()` reaches the sequential residue: its
+/// worker lanes come back in the planned result on the planned run's
+/// clock, and the default (no events) stays empty.
+#[test]
+fn planned_residue_records_events_when_asked() {
+    let s = Scenario {
+        lag: Some(1),
+        threads: 2,
+        ..lag2_scenario()
+    };
+    let (w, arena) = build(&s);
+    for observe in [Observe::default(), Observe::with_events()] {
+        let (prog, plan) = fissioned_program(&w, arena.clone());
+        assert_eq!(plan.partition[0].schedule, Schedule::Sequential);
+        let kernels: Vec<_> = (0..plan.partition.len()).map(|g| prog.kernel(g)).collect();
+        let cfg = RunConfig {
+            runner: runner(&s),
+            observe: observe.clone(),
+            ..RunConfig::default()
+        };
+        let stats = try_run_planned(&kernels, &plan, &cfg).expect("planned run must succeed");
+        let residue = stats.sub_loops[0]
+            .run
+            .as_ref()
+            .expect("token-cascaded residue");
+        let lanes: Vec<_> = residue.threads.iter().map(|t| t.events.len()).collect();
+        let merged = stats.metrics().events;
+        if !observe.events {
+            assert_eq!((lanes.iter().sum::<usize>(), merged.len()), (0, 0));
+            continue;
+        }
+        assert!(
+            lanes.iter().all(|&n| n > 0),
+            "a worker lane is empty: {lanes:?}"
+        );
+        assert_eq!(merged.len(), lanes.iter().sum::<usize>());
+        let wall = stats.elapsed.as_nanos() as f64;
+        assert!(merged.iter().all(|e| e.start <= e.end && e.end <= wall));
+    }
 }
 
 /// Replay `doacross_order`'s adversarial greedy-max schedule through the
