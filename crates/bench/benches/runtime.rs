@@ -5,7 +5,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
-use cascade_rt::{run_cascaded, RealKernel, RtPolicy, RunnerConfig, SpecProgram, Token};
+use cascade_rt::{
+    try_run_governed, RealKernel, RtPolicy, RunConfig, RunnerConfig, SpecProgram, Token,
+};
 use cascade_synth::{Synth, Variant};
 use cascade_wave5::{Parmvr, ParmvrParams};
 
@@ -86,7 +88,11 @@ fn bench_cascade_end_to_end(c: &mut Criterion) {
                     policy,
                     poll_batch: 128,
                 };
-                black_box(run_cascaded(&k, &cfg).chunks)
+                black_box(
+                    try_run_governed(&k, &RunConfig::from(cfg))
+                        .expect("cascaded run failed")
+                        .chunks,
+                )
             })
         });
     }
@@ -114,7 +120,9 @@ fn bench_wave5_small(c: &mut Criterion) {
             let mut chunks = 0u64;
             for i in 0..prog.num_loops() {
                 let k = prog.kernel(i);
-                chunks += run_cascaded(&k, &cfg).chunks;
+                chunks += try_run_governed(&k, &RunConfig::from(cfg.clone()))
+                    .expect("cascaded run failed")
+                    .chunks;
             }
             black_box(chunks)
         })

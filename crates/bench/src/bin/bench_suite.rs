@@ -34,8 +34,8 @@ use cascade_core::metrics::fmt_f64;
 use cascade_core::{run_cascaded as sim_run_cascaded, HelperPolicy};
 use cascade_mem::machines::pentium_pro;
 use cascade_rt::{
-    fission_specs, try_run_cascaded_observed, try_run_governed, try_run_planned, Observe,
-    RealKernel, RtPolicy, RunConfig, RunnerConfig, SpecProgram, Token, Tolerance, VerifyPolicy,
+    fission_specs, try_run_governed, try_run_planned, RealKernel, RtPolicy, RunConfig,
+    RunnerConfig, SpecProgram, Token, VerifyPolicy,
 };
 use cascade_synth::{Synth, Variant};
 use cascade_trace::{
@@ -165,8 +165,8 @@ fn main() {
         policy: RtPolicy::Restructure,
         poll_batch: 64,
     };
-    let stats = try_run_cascaded_observed(&k, &cfg, &Tolerance::default(), &Observe::default())
-        .expect("fault-free run must succeed");
+    let stats =
+        try_run_governed(&k, &RunConfig::from(cfg.clone())).expect("fault-free run must succeed");
     let m = stats.metrics();
     suite.exact("rt_cascade.chunks", stats.chunks as f64);
     suite.exact("rt_cascade.iters", stats.iters as f64);
@@ -185,7 +185,7 @@ fn main() {
     let vprog = SpecProgram::new(vs.workload, vs.arena).unwrap();
     let vk = vprog.kernel(0);
     let vcfg = RunConfig {
-        runner: cfg.clone(),
+        runner: cfg,
         verify: VerifyPolicy::EveryChunk,
         ..RunConfig::default()
     };
@@ -215,9 +215,8 @@ fn main() {
     let (mut chunks, mut iters, mut handoffs) = (0u64, 0u64, 0u64);
     for l in 0..wprog.num_loops() {
         let k = wprog.kernel(l);
-        let stats =
-            try_run_cascaded_observed(&k, &wcfg, &Tolerance::default(), &Observe::default())
-                .expect("fault-free run must succeed");
+        let stats = try_run_governed(&k, &RunConfig::from(wcfg.clone()))
+            .expect("fault-free run must succeed");
         chunks += stats.chunks;
         iters += stats.iters;
         handoffs += stats.metrics().handoff.count;

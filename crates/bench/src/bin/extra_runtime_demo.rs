@@ -10,7 +10,9 @@
 //! simulator experiments.
 
 use cascade_bench::{header, row, scale_from_args};
-use cascade_rt::{run_cascaded, run_sequential, RtPolicy, RunnerConfig, SpecProgram};
+use cascade_rt::{
+    run_sequential, try_run_governed, RtPolicy, RunConfig, RunnerConfig, SpecProgram,
+};
 use cascade_synth::{Synth, Variant};
 use cascade_wave5::{Parmvr, ParmvrParams};
 
@@ -58,7 +60,8 @@ fn main() {
                 policy,
                 poll_batch: 128,
             };
-            let stats = run_cascaded(&k, &cfg);
+            let stats =
+                try_run_governed(&k, &RunConfig::from(cfg.clone())).expect("cascaded run failed");
             let ok = prog.checksum() == seq_sum.0;
             println!(
                 "{}",
@@ -106,7 +109,9 @@ fn main() {
     let mut chunks = 0;
     for i in 0..prog.num_loops() {
         let k = prog.kernel(i);
-        chunks += run_cascaded(&k, &cfg).chunks;
+        chunks += try_run_governed(&k, &RunConfig::from(cfg.clone()))
+            .expect("cascaded run failed")
+            .chunks;
     }
     let casc_dt = t0.elapsed();
     let ok = prog.checksum() == seq_sum.0;

@@ -12,10 +12,9 @@ use cascade_core::{
 };
 use cascade_mem::{machines, MachineConfig};
 use cascade_rt::{
-    ckpt, try_run_cascaded, try_run_cascaded_observed, try_run_governed, CancelToken, CkptMeta,
-    CkptPolicy, CkptSink, CkptWriter, FaultEvent, FaultKind, FaultPlan, FaultyKernel, Observe,
-    RealKernel, RetryPolicy, RtPolicy, RunConfig, RunError, RunnerConfig, SpecProgram, Tolerance,
-    VerifyPolicy,
+    ckpt, try_run_governed, CancelToken, CkptMeta, CkptPolicy, CkptSink, CkptWriter, FaultEvent,
+    FaultKind, FaultPlan, FaultyKernel, Observe, RealKernel, RetryPolicy, RtPolicy, RunConfig,
+    RunError, RunnerConfig, SpecProgram, Tolerance, VerifyPolicy,
 };
 use cascade_synth::{Synth, Variant};
 use cascade_trace::{from_text, to_text, Arena, Workload};
@@ -471,11 +470,17 @@ pub fn rt(args: &Args) -> Result<String, ArgError> {
 
     let mut prog = SpecProgram::new(workload, arena)
         .map_err(|e| ArgError::usage(format!("workload rejected by the analyzer: {e}")))?;
-    let cfg = RunnerConfig {
-        nthreads: threads,
-        iters_per_chunk: chunk_iters,
-        policy,
-        poll_batch: poll,
+    // An armed `verify` adds checksummed handoffs, claimant verification
+    // and the arena scrubber.
+    let cfg = RunConfig {
+        runner: RunnerConfig {
+            nthreads: threads,
+            iters_per_chunk: chunk_iters,
+            policy,
+            poll_batch: poll,
+        },
+        verify,
+        ..RunConfig::default()
     };
     let t0 = std::time::Instant::now();
     let mut chunks = 0u64;
@@ -485,19 +490,8 @@ pub fn rt(args: &Args) -> Result<String, ArgError> {
     let mut scrubs = 0u64;
     for i in 0..prog.num_loops() {
         let k = prog.kernel(i);
-        let stats = if verify.armed() {
-            // The armed policies ride the governed runner: checksummed
-            // handoffs, claimant verification, and the arena scrubber.
-            let run_cfg = RunConfig {
-                runner: cfg.clone(),
-                verify,
-                ..RunConfig::default()
-            };
-            try_run_governed(&k, &run_cfg)
-                .map_err(|e| ArgError::verification(format!("loop {i}: {e}")))?
-        } else {
-            cascade_rt::run_cascaded(&k, &cfg)
-        };
+        let stats = try_run_governed(&k, &cfg)
+            .map_err(|e| ArgError::verification(format!("loop {i}: {e}")))?;
         chunks += stats.chunks;
         iters += stats.iters;
         helped += stats.threads.iter().map(|t| t.helper_iters).sum::<u64>();
@@ -733,8 +727,15 @@ pub fn metrics(args: &Args) -> Result<String, ArgError> {
             } else {
                 Observe::default()
             };
-            let stats = try_run_cascaded_observed(&k, &cfg, &Tolerance::default(), &obs)
-                .map_err(|e| ArgError::verification(format!("cascaded run failed: {e}")))?;
+            let stats = try_run_governed(
+                &k,
+                &RunConfig {
+                    runner: cfg,
+                    observe: obs,
+                    ..Default::default()
+                },
+            )
+            .map_err(|e| ArgError::verification(format!("cascaded run failed: {e}")))?;
             let title = format!(
                 "real-thread cascade metrics of {wname}, loop {loop_idx} \
                  ({threads} threads, policy {})",
@@ -1029,7 +1030,17 @@ pub fn chaos(args: &Args) -> Result<String, ArgError> {
                 },
             )
         } else {
-            (try_run_cascaded(&faulty, &cfg, &tol), "")
+            (
+                try_run_governed(
+                    &faulty,
+                    &RunConfig {
+                        runner: cfg.clone(),
+                        tolerance: tol.clone(),
+                        ..Default::default()
+                    },
+                ),
+                "",
+            )
         };
         drop(faulty);
         let label = format!(
@@ -1867,7 +1878,14 @@ fn chaos_kill(args: &Args) -> Result<String, ArgError> {
     };
     let base_dir = match &kill_dir {
         Some(d) => PathBuf::from(d),
-        None => std::env::temp_dir().join(format!("cascade-kill-{}", std::process::id())),
+        None => {
+            // Unique per invocation, not just per process: storms running
+            // in one process (parallel tests) must not share — and on exit
+            // remove — each other's checkpoints.
+            static STORMS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+            let storm = STORMS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            std::env::temp_dir().join(format!("cascade-kill-{}-{storm}", std::process::id()))
+        }
     };
 
     let mut rng = seed ^ 0x0000_51C4_11ED_0009_u64; // 9 = SIGKILL

@@ -8,8 +8,8 @@ use cascade_core::{run_cascaded, run_sequential, CascadeConfig, HelperPolicy};
 use cascade_kernels::{histogram, pointer_chase, seq_spmv, suite, triangular_solve};
 use cascade_mem::machines::pentium_pro;
 use cascade_rt::{
-    try_run_cascaded, FaultEvent, FaultKind, FaultPlan, FaultyKernel, RtPolicy, RunnerConfig,
-    SpecProgram, Tolerance,
+    try_run_governed, FaultEvent, FaultKind, FaultPlan, FaultyKernel, RtPolicy, RunConfig,
+    RunnerConfig, SpecProgram, Tolerance,
 };
 
 #[test]
@@ -93,15 +93,16 @@ fn every_kernel_cascades_bitwise_on_threads() {
         };
         let mut prog = SpecProgram::new(k.workload, k.arena).unwrap();
         let kern = prog.kernel(0);
-        cascade_rt::run_cascaded(
+        try_run_governed(
             &kern,
-            &RunnerConfig {
+            &RunConfig::from(RunnerConfig {
                 nthreads: 3,
                 iters_per_chunk: 119,
                 policy: RtPolicy::Restructure,
                 poll_batch: 8,
-            },
-        );
+            }),
+        )
+        .unwrap();
         assert_eq!(prog.checksum(), expected, "{name} diverged under cascading");
     }
 }
@@ -133,8 +134,15 @@ fn tri_solve_survives_injected_panic_bitwise() {
         prog.kernel(0),
         FaultPlan::new(cfg.iters_per_chunk).inject(5, FaultKind::Panic),
     );
-    try_run_cascaded(&faulty, &cfg, &Tolerance::retrying(Duration::from_secs(5)))
-        .expect("retry ladder must absorb a fail-stop panic");
+    try_run_governed(
+        &faulty,
+        &RunConfig {
+            runner: cfg,
+            tolerance: Tolerance::retrying(Duration::from_secs(5)),
+            ..Default::default()
+        },
+    )
+    .expect("retry ladder must absorb a fail-stop panic");
     assert_eq!(faulty.fired(), vec![5], "the planned fault must have fired");
     drop(faulty);
     assert_eq!(
@@ -182,8 +190,15 @@ fn tri_solve_survives_mid_mutation_panic_bitwise() {
             FaultPlan::new(cfg.iters_per_chunk)
                 .inject(5, FaultKind::PanicMidMutation { after_iters: 40 }),
         );
-        let stats = try_run_cascaded(&faulty, &cfg, &tol)
-            .unwrap_or_else(|e| panic!("{label}: journaled recovery must absorb the fault: {e}"));
+        let stats = try_run_governed(
+            &faulty,
+            &RunConfig {
+                runner: cfg.clone(),
+                tolerance: tol.clone(),
+                ..Default::default()
+            },
+        )
+        .unwrap_or_else(|e| panic!("{label}: journaled recovery must absorb the fault: {e}"));
         assert_eq!(stats.degraded, want_degraded, "{label}");
         assert!(
             stats
@@ -220,15 +235,16 @@ fn spmv_scatter_order_is_preserved() {
         let k = build();
         let mut prog = SpecProgram::new(k.workload, k.arena).unwrap();
         let kern = prog.kernel(0);
-        cascade_rt::run_cascaded(
+        try_run_governed(
             &kern,
-            &RunnerConfig {
+            &RunConfig::from(RunnerConfig {
                 nthreads: 2,
                 iters_per_chunk: chunk,
                 policy: RtPolicy::Prefetch,
                 poll_batch: 16,
-            },
-        );
+            }),
+        )
+        .unwrap();
         assert_eq!(prog.checksum(), expected, "chunk {chunk} diverged");
     }
 }

@@ -2,7 +2,7 @@
 //! (or sequential) particle loops — the structure of a compiler-
 //! parallelized wave5 run, in miniature.
 
-use cascade_rt::{run_cascaded, RealKernel, RtPolicy, RunnerConfig};
+use cascade_rt::{try_run_governed, RealKernel, RtPolicy, RunConfig, RunnerConfig};
 
 use crate::grid::Grid;
 use crate::kernels::{DepositKernel, PushKernel, SimState};
@@ -83,15 +83,16 @@ impl Simulation {
                 chunk,
                 policy,
             } => {
-                run_cascaded(
+                try_run_governed(
                     kernel,
-                    &RunnerConfig {
+                    &RunConfig::from(RunnerConfig {
                         nthreads: threads,
                         iters_per_chunk: chunk,
                         policy,
                         poll_batch: 64,
-                    },
-                );
+                    }),
+                )
+                .expect("cascaded run failed");
             }
         }
     }

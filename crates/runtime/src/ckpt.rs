@@ -732,17 +732,6 @@ impl CkptSink {
     }
 }
 
-/// The checkpointing half of a governed run: policy plus sink, carried
-/// by `Govern` and consulted once per chunk commit (a single `Option`
-/// check when checkpointing is off).
-#[derive(Debug, Clone)]
-pub struct CkptRun {
-    /// When checkpoints are due.
-    pub policy: CkptPolicy,
-    /// Where they go.
-    pub sink: CkptSink,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

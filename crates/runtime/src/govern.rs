@@ -332,7 +332,7 @@ impl MemBudget {
 /// Everything governing one run: the runner geometry, the fault
 /// tolerance, and the governance primitives (cancel token, deadline,
 /// memory budget, observability options). Consumed by
-/// `try_run_governed[_sequence]`.
+/// `try_run_governed[_sequence]` and `try_run_planned`.
 #[derive(Debug, Clone, Default)]
 pub struct RunConfig {
     /// Thread count, chunk geometry, and helper policy.
@@ -415,6 +415,18 @@ impl RunConfig {
             ));
         }
         Ok(())
+    }
+}
+
+/// A bare runner geometry governed by the defaults: fail-fast tolerance,
+/// no deadline, unlimited budget, a fresh cancel token, nothing observed,
+/// checkpointed or verified.
+impl From<RunnerConfig> for RunConfig {
+    fn from(runner: RunnerConfig) -> Self {
+        RunConfig {
+            runner,
+            ..RunConfig::default()
+        }
     }
 }
 

@@ -129,7 +129,7 @@ impl SpecProgram {
         &self.report.loops[idx]
     }
 
-    /// A kernel for loop `idx`, runnable by [`crate::runner::run_cascaded`].
+    /// A kernel for loop `idx`, runnable by [`crate::runner::try_run_governed`].
     pub fn kernel(&self, idx: usize) -> SpecKernel<'_> {
         SpecKernel {
             prog: self,
@@ -847,9 +847,8 @@ impl<'p> RealKernel for SpecKernel<'p> {
 mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan, FaultyKernel};
-    use crate::runner::{
-        run_cascaded, try_run_cascaded, FaultEvent, RtPolicy, RunnerConfig, Tolerance,
-    };
+    use crate::govern::RunConfig;
+    use crate::runner::{try_run_governed, FaultEvent, RtPolicy, RunnerConfig, Tolerance};
     use cascade_trace::{AddressSpace, IndexStore, StreamRef};
     use std::time::Duration;
 
@@ -908,15 +907,16 @@ mod tests {
         let (w, arena) = scatter_workload(n);
         let mut prog = SpecProgram::new(w, arena).unwrap();
         let k = prog.kernel(0);
-        run_cascaded(
+        try_run_governed(
             &k,
-            &RunnerConfig {
+            &RunConfig::from(RunnerConfig {
                 nthreads: threads,
                 iters_per_chunk: 257,
                 policy,
                 poll_batch: 16,
-            },
-        );
+            }),
+        )
+        .unwrap();
         prog.checksum()
     }
 
@@ -1048,15 +1048,16 @@ mod tests {
         );
         assert_eq!(prog.kernel(0).helper_horizon(), None);
         let k = prog.kernel(0);
-        run_cascaded(
+        try_run_governed(
             &k,
-            &RunnerConfig {
+            &RunConfig::from(RunnerConfig {
                 nthreads: 2,
                 iters_per_chunk: 4,
                 policy: RtPolicy::Restructure,
                 poll_batch: 4,
-            },
-        );
+            }),
+        )
+        .unwrap();
         assert_eq!(prog.checksum(), expected);
     }
 
@@ -1125,15 +1126,16 @@ mod tests {
                 let mut prog = SpecProgram::new(w.clone(), arena.clone()).unwrap();
                 assert_eq!(prog.kernel(0).helper_horizon(), Some(1));
                 let k = prog.kernel(0);
-                run_cascaded(
+                try_run_governed(
                     &k,
-                    &RunnerConfig {
+                    &RunConfig::from(RunnerConfig {
                         nthreads: threads,
                         iters_per_chunk: 129,
                         policy,
                         poll_batch: 8,
-                    },
-                );
+                    }),
+                )
+                .unwrap();
                 assert_eq!(
                     prog.checksum(),
                     expected,
@@ -1250,7 +1252,7 @@ mod tests {
             let k = prog.kernel(0);
             // SAFETY: single-threaded; `jbuf` is the unmodified capture
             // over the same range.
-            unsafe { k.journal_rollback(range.clone(), &jbuf) };
+            unsafe { k.journal_rollback(range, &jbuf) };
         }
         assert_eq!(prog.checksum(), pristine, "rollback must restore bitwise");
     }
@@ -1269,15 +1271,18 @@ mod tests {
             let plan =
                 FaultPlan::new(257).inject(7, FaultKind::PanicMidMutation { after_iters: 100 });
             let k = FaultyKernel::new(prog.kernel(0), plan);
-            try_run_cascaded(
+            try_run_governed(
                 &k,
-                &RunnerConfig {
-                    nthreads: 3,
-                    iters_per_chunk: 257,
-                    policy: RtPolicy::None,
-                    poll_batch: 4,
+                &RunConfig {
+                    runner: RunnerConfig {
+                        nthreads: 3,
+                        iters_per_chunk: 257,
+                        policy: RtPolicy::None,
+                        poll_batch: 4,
+                    },
+                    tolerance: Tolerance::retrying(Duration::from_millis(50)),
+                    ..Default::default()
                 },
-                &Tolerance::retrying(Duration::from_millis(50)),
             )
             .expect("journaled retry must recover in-cascade")
         };
@@ -1351,7 +1356,7 @@ mod tests {
             }
             let mut now = Vec::new();
             // SAFETY: as above.
-            unsafe { assert!(k.journal_capture(range.clone(), &mut now)) };
+            unsafe { assert!(k.journal_capture(range, &mut now)) };
             assert_ne!(now, replayed, "the flip is visible in the footprint");
         }
     }
@@ -1392,15 +1397,18 @@ mod tests {
             let plan =
                 FaultPlan::new(257).inject(7, FaultKind::PanicMidMutation { after_iters: 100 });
             let k = FaultyKernel::new(prog.kernel(0), plan);
-            try_run_cascaded(
+            try_run_governed(
                 &k,
-                &RunnerConfig {
-                    nthreads: 3,
-                    iters_per_chunk: 257,
-                    policy: RtPolicy::None,
-                    poll_batch: 4,
+                &RunConfig {
+                    runner: RunnerConfig {
+                        nthreads: 3,
+                        iters_per_chunk: 257,
+                        policy: RtPolicy::None,
+                        poll_batch: 4,
+                    },
+                    tolerance: Tolerance::resilient(Duration::from_millis(50)),
+                    ..Default::default()
                 },
-                &Tolerance::resilient(Duration::from_millis(50)),
             )
             .expect("journaled salvage must recover")
         };

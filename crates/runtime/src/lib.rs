@@ -17,24 +17,39 @@
 //! Release/Acquire edges between consecutive chunks.
 //!
 //! ```
-//! use cascade_rt::{run_cascaded, run_sequential, RtPolicy, RunnerConfig, SpecProgram};
+//! use cascade_rt::{try_run_governed, RtPolicy, RunConfig, RunnerConfig, SpecProgram};
 //! use cascade_synth::{Synth, Variant};
 //!
 //! let s = Synth::build(1 << 14, Variant::Dense, 7);
 //! let mut prog = SpecProgram::new(s.workload, s.arena).unwrap();
 //! let kernel = prog.kernel(0);
-//! let stats = run_cascaded(&kernel, &RunnerConfig {
+//! let cfg = RunConfig::from(RunnerConfig {
 //!     nthreads: 2, iters_per_chunk: 1024, policy: RtPolicy::Restructure, poll_batch: 64,
 //! });
+//! let stats = try_run_governed(&kernel, &cfg).unwrap();
 //! assert_eq!(stats.chunks, 16);
 //! ```
-
+//!
+//! ## Entry points
+//!
+//! One configuration type, [`RunConfig`] (`RunConfig::from(RunnerConfig)`
+//! leaves everything but the geometry off), and four functions:
+//!
+//! | function | runs |
+//! |---|---|
+//! | [`run_sequential`] | one loop on the calling thread: the baseline and bitwise oracle |
+//! | [`try_run_governed`] | one loop, cascaded — the sequence of one |
+//! | [`try_run_governed_sequence`] | loops back to back on one persistent pool: the cascade engine |
+//! | [`try_run_planned`] | a fissioned loop per its plan: DOALL, DOACROSS, cascaded residue |
+//!
+//! The three cascading ones return a typed [`RunError`] and never panic
+//! on a worker fault.
+//!
 //! ## Fault tolerance
 //!
 //! The runtime also has a failure model (described in
 //! `docs/ROBUSTNESS.md`): bounded token waits with a progress watchdog,
-//! token poisoning with structured diagnostics, typed errors via
-//! [`try_run_cascaded`] / [`try_run_cascaded_sequence`], deterministic
+//! token poisoning with structured diagnostics, typed errors, deterministic
 //! fault injection ([`FaultyKernel`]), and a graceful sequential fallback
 //! that salvages a faulted run into a bitwise-correct result.
 //!
@@ -127,7 +142,7 @@ pub mod sched;
 pub mod token;
 
 pub use barrier::{BarrierOutcome, FtBarrier};
-pub use ckpt::{Checkpoint, CkptError, CkptMeta, CkptPolicy, CkptRun, CkptSink, CkptWriter};
+pub use ckpt::{Checkpoint, CkptError, CkptMeta, CkptPolicy, CkptSink, CkptWriter};
 pub use fault::{FaultKind, FaultPlan, FaultyKernel};
 pub use govern::{CancelKind, CancelState, CancelToken, MemBudget, RunConfig, VerifyPolicy};
 pub use health::{HealthConfig, HealthRegistry, StrikeVerdict};
@@ -136,10 +151,8 @@ pub use kernel::RealKernel;
 pub use metrics::{NsStats, Observe, PhaseEventNs};
 pub use prefetch::{prefetch_line, prefetch_range, PREFETCH_STRIDE};
 pub use runner::{
-    run_cascaded, run_cascaded_sequence, run_sequential, try_run_cascaded,
-    try_run_cascaded_observed, try_run_cascaded_sequence, try_run_cascaded_sequence_observed,
-    try_run_governed, try_run_governed_sequence, FaultEvent, RetryAbandon, RetryPolicy, RtPolicy,
-    RunError, RunStats, RunnerConfig, ThreadStats, Tolerance,
+    run_sequential, try_run_governed, try_run_governed_sequence, FaultEvent, RetryAbandon,
+    RetryPolicy, RtPolicy, RunError, RunStats, RunnerConfig, ThreadStats, Tolerance,
 };
 pub use sched::{
     doacross_order, fission_specs, try_run_planned, PlannedStats, PlannedThread, SubLoopStats,

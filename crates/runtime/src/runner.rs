@@ -1,6 +1,10 @@
 //! The cascade runner: real threads rotating execution of one sequential
 //! loop, exactly as in Figure 1(b) of the paper.
 //!
+//! There is one engine, [`try_run_governed_sequence`]: a persistent pool
+//! runs a sequence of loops back to back, and a single loop
+//! ([`try_run_governed`]) is the sequence of one.
+//!
 //! Thread `t` owns chunks `t, t+T, t+2T, ...`. While waiting for the token
 //! it runs its helper (prefetch or pack) for its next chunk, polling the
 //! token every `poll_batch` iterations — the paper's jump-out-of-helper
@@ -10,9 +14,8 @@
 //!
 //! ## Fault tolerance
 //!
-//! The fallible entry points [`try_run_cascaded`] /
-//! [`try_run_cascaded_sequence`] accept a [`Tolerance`] and return a typed
-//! [`RunError`] instead of panicking (see `docs/ROBUSTNESS.md`):
+//! Both entry points take a [`Tolerance`] (on [`RunConfig`]) and return
+//! a typed [`RunError`] instead of panicking (see `docs/ROBUSTNESS.md`):
 //!
 //! * every worker catches its own panics per chunk and poisons the token
 //!   with a [`PoisonCause::Panicked`] diagnostic (thread, chunk, message);
@@ -83,9 +86,6 @@
 //! The protocol state machine (token values, claims, poison, retry
 //! hand-backs, journal/rollback ordering) is modeled and exhaustively
 //! explored in [`crate::check`].
-//!
-//! The original panicking entry points remain as thin shims over the
-//! fallible ones with a default (non-salvaging) [`Tolerance`].
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -99,13 +99,11 @@ use cascade_core::{
 };
 
 use crate::barrier::{BarrierOutcome, FtBarrier};
-use crate::ckpt::{CkptPolicy, CkptRun};
-use crate::govern::{
-    CancelKind, CancelState, CancelToken, Governor, MemBudget, RunConfig, VerifyPolicy,
-};
+use crate::ckpt::CkptPolicy;
+use crate::govern::{CancelKind, CancelState, CancelToken, Governor, RunConfig};
 use crate::health::{HealthConfig, HealthRegistry, StrikeVerdict};
 use crate::kernel::RealKernel;
-use crate::metrics::{NsStats, Observe, PhaseEventNs, PhaseRecorder};
+use crate::metrics::{NsStats, PhaseEventNs, PhaseRecorder};
 use crate::token::{lock_recover, PoisonCause, Token, TokenView, EXEC_BIT, POISONED};
 
 /// Helper policy of the real-thread runtime.
@@ -297,9 +295,10 @@ pub enum RunError {
         /// Iterations committed before the run drained.
         committed_iters: u64,
     },
-    /// A metered allocation would have exceeded the run's [`MemBudget`];
-    /// the run was cancelled instead of allocating unboundedly. Same
-    /// clean-state guarantee as [`RunError::Cancelled`].
+    /// A metered allocation would have exceeded the run's
+    /// [`MemBudget`](crate::govern::MemBudget); the run was cancelled
+    /// instead of allocating unboundedly. Same clean-state guarantee as
+    /// [`RunError::Cancelled`].
     BudgetExceeded {
         /// Bytes the refused reservation asked for.
         needed: u64,
@@ -396,6 +395,30 @@ impl std::fmt::Display for RunError {
 }
 
 impl std::error::Error for RunError {}
+
+impl RunError {
+    /// Lift a loop-local resume point onto an enclosing sequence: add the
+    /// `prior` iterations of the loops that completed before this one to
+    /// `committed_iters`. Errors that carry no resume point pass through.
+    pub(crate) fn rebased(mut self, prior: u64) -> RunError {
+        if let RunError::Cancelled {
+            committed_iters, ..
+        }
+        | RunError::DeadlineExceeded {
+            committed_iters, ..
+        }
+        | RunError::BudgetExceeded {
+            committed_iters, ..
+        }
+        | RunError::Corrupted {
+            committed_iters, ..
+        } = &mut self
+        {
+            *committed_iters += prior;
+        }
+        self
+    }
+}
 
 /// Something abnormal that happened during a run, in observation order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -605,8 +628,10 @@ pub struct ThreadStats {
     /// Delta bytes written into durable checkpoints by this thread.
     pub ckpt_bytes: u64,
     /// Nanoseconds spent in checkpoint capture and publication. Like
-    /// `journal_ns`, a side counter riding inside the Other phase — the
-    /// exact phase partition is untouched.
+    /// `journal_ns`, a side counter riding inside the Other phase (the
+    /// end-of-loop leader's final installment under armed verification
+    /// lands after its phases closed) — the exact phase partition is
+    /// untouched.
     pub ckpt_ns: u128,
     /// Committed predecessor chunks this worker verified (digest check
     /// or full journaled replay, per [`crate::govern::VerifyPolicy`]).
@@ -618,23 +643,29 @@ pub struct ThreadStats {
     /// `helper + spin + exec + retry + other == wall` is untouched.
     pub verify_ns: u128,
     /// Timestamped phase events this worker *dropped* after its event
-    /// ring reached [`Observe::max_events`] (0 when the ring never
-    /// filled, or when events are off).
+    /// ring reached
+    /// [`Observe::max_events`](crate::metrics::Observe::max_events) (0
+    /// when the ring never filled, or when events are off).
     pub events_dropped: u64,
     /// Receive-side handoff latency: previous executor's release →
     /// this worker's winning claim.
     pub takeover: NsStats,
     /// Per-chunk execution-phase durations (count == `chunks`).
     pub chunk_exec: NsStats,
-    /// Timestamped phase intervals (empty unless [`Observe::events`]).
+    /// Timestamped phase intervals (empty unless
+    /// [`Observe::events`](crate::metrics::Observe::events)).
     pub events: Vec<PhaseEventNs>,
 }
 
 /// Whole-run statistics.
 #[derive(Debug, Clone)]
 pub struct RunStats {
-    /// Wall-clock duration of the cascaded loop (for a degraded run, of
-    /// the sequential salvage that completed it).
+    /// Wall-clock duration of the loop: from the moment the whole pool
+    /// has arrived at the loop's start barrier (the leader's stamp) to
+    /// the loop's completion — the leader's stamp at the end barrier for
+    /// a healthy loop, the end of the sequential salvage for a degraded
+    /// one. A loop the pool never reached (it follows the faulted loop
+    /// of a salvaged sequence) counts from the start of its salvage.
     pub elapsed: Duration,
     /// Total chunks executed.
     pub chunks: u64,
@@ -658,10 +689,11 @@ pub struct RunStats {
     /// worker acting on it. Zero for a run that was never cancelled (a
     /// too-late cancel can still stamp this on a clean run).
     pub cancel_latency_ns: u64,
-    /// Peak bytes reserved from the run's [`MemBudget`] (journal and
-    /// pack arenas). Zero when nothing was metered.
+    /// Peak bytes reserved from the run's
+    /// [`MemBudget`](crate::govern::MemBudget) (journal and pack arenas).
+    /// Zero when nothing was metered.
     pub budget_high_water: u64,
-    /// Arena scrubs performed by the supervisor (baseline + compare):
+    /// Arena scrubs performed around the loop (baseline + compare):
     /// digests over the bytes *outside* the loop's whole write
     /// footprint, bracketing out-of-footprint corruption. Zero unless
     /// verification is armed and the kernel can bound its footprint.
@@ -762,7 +794,7 @@ pub fn run_sequential<K: RealKernel>(kernel: &K) -> Duration {
     start.elapsed()
 }
 
-fn validate(cfg: &RunnerConfig) -> Result<(), RunError> {
+pub(crate) fn validate(cfg: &RunnerConfig) -> Result<(), RunError> {
     if cfg.nthreads < 1 {
         return Err(RunError::InvalidConfig("need at least one thread".into()));
     }
@@ -794,8 +826,8 @@ fn run_error_from(cause: &PoisonCause) -> RunError {
             reason: reason.clone(),
             committed_iters: 0,
         },
-        // `resume_at` is loop-local; the sequence supervisor rebases it
-        // onto the global iteration count before surfacing the error.
+        // `resume_at` is loop-local; the supervisor rebases it onto the
+        // sequence's global iteration count ([`RunError::rebased`]).
         PoisonCause::Corrupted {
             thread,
             chunk,
@@ -813,42 +845,13 @@ fn run_error_from(cause: &PoisonCause) -> RunError {
     }
 }
 
-/// The governance context threaded through a run's workers: the shared
-/// cancel flag and the memory budget. The ungoverned entry points use
-/// [`Govern::none`] — a fresh never-cancelled token and an unlimited
-/// budget — so every check site costs one never-true atomic load.
-pub(crate) struct Govern {
-    pub(crate) cancel: CancelToken,
-    pub(crate) budget: MemBudget,
-    /// Durable-checkpoint policy and sink; `None` (the ungoverned and
-    /// `CkptPolicy::Off` cases) costs one `Option` check per chunk
-    /// commit, so the fault-free overhead guard is unaffected.
-    pub(crate) ckpt: Option<CkptRun>,
-    /// Online-verification policy. The default `Off` costs one
-    /// never-true branch per chunk commit and per claim, so the
-    /// fault-free overhead guard is unaffected.
-    pub(crate) verify: VerifyPolicy,
-}
-
-impl Govern {
-    fn none() -> Self {
-        Govern {
-            cancel: CancelToken::new(),
-            budget: MemBudget::unlimited(),
-            ckpt: None,
-            verify: VerifyPolicy::Off,
-        }
-    }
-}
-
 /// Drain the run leader-ward with a `Cancelled` poison cause: called by
 /// the first worker (or waiter) that acts on the cancel flag. Stamps the
 /// cancel latency; the poison itself is first-cause-wins, so a cancel
 /// racing a real fault never masks it.
-fn poison_cancelled(run: &FtRun, gov: &Govern) {
-    gov.cancel.note_observed();
-    let reason = gov
-        .cancel
+fn poison_cancelled(run: &FtRun, cancel: &CancelToken) {
+    cancel.note_observed();
+    let reason = cancel
         .state()
         .map(|s| s.reason)
         .unwrap_or_else(|| "cancelled".to_string());
@@ -856,11 +859,10 @@ fn poison_cancelled(run: &FtRun, gov: &Govern) {
 }
 
 /// Map a cancelled run to its typed error, carrying the exact sequential
-/// resume point. The kind comes from the run's own [`CancelToken`]; a
-/// token poisoned `Cancelled` from outside (sequence propagation carries
-/// the cause string) falls back to [`RunError::Cancelled`].
-fn cancel_error(gov: &Govern, cause: &PoisonCause, committed_iters: u64) -> RunError {
-    match gov.cancel.state() {
+/// resume point. The kind comes from the run's [`CancelToken`], whose
+/// state is installed before its flag: every caller has seen the flag.
+pub(crate) fn cancel_error(cancel: &CancelToken, committed_iters: u64) -> RunError {
+    match cancel.state() {
         Some(CancelState {
             kind: CancelKind::Deadline { after },
             ..
@@ -883,16 +885,10 @@ fn cancel_error(gov: &Govern, cause: &PoisonCause, committed_iters: u64) -> RunE
             reason,
             committed_iters,
         },
-        None => {
-            let reason = match cause {
-                PoisonCause::Cancelled { reason } => reason.clone(),
-                _ => "cancelled".to_string(),
-            };
-            RunError::Cancelled {
-                reason,
-                committed_iters,
-            }
-        }
+        None => RunError::Cancelled {
+            reason: "cancelled".to_string(),
+            committed_iters,
+        },
     }
 }
 
@@ -1124,11 +1120,21 @@ struct FtRun {
     /// The full verification packet of the most recently committed chunk
     /// (digest + pre-image journal for replay). Published by the
     /// executor before its `try_advance`; taken by the downstream
-    /// claimant (or, for the final chunk, the supervisor after join).
+    /// claimant (or, for the final chunk, the end-of-loop leader).
     verify_slot: Mutex<Option<VerifyPacket>>,
     /// Arena scrubs performed against this run's kernel (baseline +
     /// compare); surfaced as [`RunStats::scrubs`].
     scrubs: AtomicU64,
+    /// Arena-scrub baseline: a digest over the bytes *outside* this
+    /// loop's whole write footprint, taken in a quiescent window before
+    /// the loop starts ([`FtRun::take_scrub_base`]). Drift against the
+    /// end-of-loop scrub brackets an out-of-footprint corruption no
+    /// chunk-level verification can attribute.
+    scrub_base: Mutex<Option<u64>>,
+    /// The leader's stamps at the loop's start and end barriers: the two
+    /// ends of a healthy loop's [`RunStats::elapsed`].
+    started: Mutex<Option<Instant>>,
+    ended: Mutex<Option<Instant>>,
 }
 
 /// Everything a verifier needs to re-check one committed chunk: the
@@ -1167,7 +1173,28 @@ impl FtRun {
             release_digest: AtomicU64::new(0),
             verify_slot: Mutex::new(None),
             scrubs: AtomicU64::new(0),
+            scrub_base: Mutex::new(None),
+            started: Mutex::new(None),
+            ended: Mutex::new(None),
         }
+    }
+
+    /// Take this loop's arena-scrub baseline. Other loops of a sequence
+    /// legitimately mutate bytes outside *this* loop's footprints, so the
+    /// baseline cannot be taken until every earlier loop has finished:
+    /// the first loop's before any worker spawns, each later loop's in
+    /// the end-of-loop leader window of its predecessor.
+    ///
+    /// # Safety
+    ///
+    /// No execute may overlap the call (the caller has quiescence).
+    unsafe fn take_scrub_base<K: RealKernel>(&self, kernel: &K) {
+        // SAFETY: forwarded under the caller's quiescence guarantee.
+        let d = unsafe { kernel.scrub_digest() };
+        if d.is_some() {
+            self.scrubs.fetch_add(1, Ordering::Relaxed);
+        }
+        *lock_recover(&self.scrub_base) = d;
     }
 
     fn record(&self, ev: FaultEvent) {
@@ -1192,326 +1219,47 @@ fn tally(faults: &[FaultEvent]) -> (u64, u64) {
     (retries, quarantined)
 }
 
-/// Execute `kernel` under cascaded execution with `cfg` (panicking shim;
-/// prefer [`try_run_cascaded`]).
+/// Execute `kernel` under cascaded execution with full run governance
+/// ([`RunConfig`]): the fault-recovery ladder of `cfg.tolerance`,
+/// cooperative cancellation via `cfg.cancel`, an optional whole-run
+/// deadline that arms a governor thread, a memory budget metering journal
+/// and pack arenas, durable checkpoints and online verification. A run
+/// that is cancelled drains with bitwise-clean state and returns
+/// [`RunError::Cancelled`] / [`RunError::DeadlineExceeded`] /
+/// [`RunError::BudgetExceeded`] carrying `committed_iters` — resuming
+/// `kernel` sequentially from that iteration reproduces the uncancelled
+/// result bitwise.
 ///
-/// # Panics
-///
-/// Panics on an invalid configuration, an empty kernel, or a worker fault
-/// — with the [`RunError`] display as the message.
-pub fn run_cascaded<K: RealKernel>(kernel: &K, cfg: &RunnerConfig) -> RunStats {
-    match try_run_cascaded(kernel, cfg, &Tolerance::default()) {
-        Ok(stats) => stats,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Execute `kernel` under cascaded execution with `cfg`, handling faults
-/// per `tol` and returning a typed [`RunError`] instead of panicking.
-pub fn try_run_cascaded<K: RealKernel>(
-    kernel: &K,
-    cfg: &RunnerConfig,
-    tol: &Tolerance,
-) -> Result<RunStats, RunError> {
-    try_run_cascaded_observed(kernel, cfg, tol, &Observe::default())
-}
-
-/// [`try_run_cascaded`] with explicit observability options (`obs`
-/// enables the timestamped event ring behind `RunStats::metrics`).
-pub fn try_run_cascaded_observed<K: RealKernel>(
-    kernel: &K,
-    cfg: &RunnerConfig,
-    tol: &Tolerance,
-    obs: &Observe,
-) -> Result<RunStats, RunError> {
-    run_cascaded_inner(kernel, cfg, tol, obs, &Govern::none())
-}
-
-/// Execute `kernel` under full run governance ([`RunConfig`]): cooperative
-/// cancellation via `cfg.cancel`, an optional whole-run deadline that arms
-/// a governor thread, and a memory budget metering journal and pack
-/// arenas. A governed run that is cancelled drains with bitwise-clean
-/// state and returns [`RunError::Cancelled`] /
-/// [`RunError::DeadlineExceeded`] / [`RunError::BudgetExceeded`] carrying
-/// `committed_iters` — resuming `kernel` sequentially from that iteration
-/// reproduces the uncancelled result bitwise.
+/// A single loop is a sequence of one: this is
+/// [`try_run_governed_sequence`] over `std::slice::from_ref(kernel)`.
 pub fn try_run_governed<K: RealKernel>(kernel: &K, cfg: &RunConfig) -> Result<RunStats, RunError> {
-    cfg.try_validate()?;
-    let gov = Govern {
-        cancel: cfg.cancel.clone(),
-        budget: cfg.budget.clone(),
-        ckpt: cfg.ckpt_sink.clone().map(|sink| CkptRun {
-            policy: cfg.ckpt,
-            sink,
-        }),
-        verify: cfg.verify,
-    };
-    let _governor = cfg.deadline.map(|d| Governor::arm(&cfg.cancel, d));
-    run_cascaded_inner(kernel, &cfg.runner, &cfg.tolerance, &cfg.observe, &gov)
-}
-
-fn run_cascaded_inner<K: RealKernel>(
-    kernel: &K,
-    cfg: &RunnerConfig,
-    tol: &Tolerance,
-    obs: &Observe,
-    gov: &Govern,
-) -> Result<RunStats, RunError> {
-    validate(cfg)?;
-    let iters = kernel.iters();
-    if iters == 0 {
-        return Err(RunError::InvalidConfig("empty kernel".into()));
-    }
-    let plan = ChunkPlan::by_iterations(iters, cfg.iters_per_chunk);
-    let m = plan.num_chunks();
-    let run = FtRun::new(cfg.nthreads);
-    let rec = Recovery::new(cfg.nthreads, tol);
-
-    // Arena-scrub baseline: a digest over the bytes *outside* the loop's
-    // whole write footprint, taken before any worker spawns (quiescent).
-    // Drift against the post-join scrub brackets an out-of-footprint
-    // corruption no chunk-level verification can attribute.
-    let scrub_base = if gov.verify.armed() {
-        // SAFETY: no worker spawned yet; trivially quiescent.
-        let d = unsafe { kernel.scrub_digest() };
-        if d.is_some() {
-            run.scrubs.fetch_add(1, Ordering::Relaxed);
-        }
-        d
-    } else {
-        None
-    };
-
-    let start = Instant::now();
-    let threads: Vec<ThreadStats> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.nthreads)
-            .map(|t| {
-                let (plan, run, rec) = (&plan, &run, &rec);
-                s.spawn(move || ft_worker(kernel, cfg, tol, obs, gov, plan, run, rec, t as u64))
-            })
-            .collect();
-        // Workers catch their own panics and report through the token, so
-        // join only fails if the panic machinery itself misbehaved.
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_default())
-            .collect()
-    });
-    let elapsed = start.elapsed();
-
-    // --- final-chunk verification + arena scrub (supervisor side) ---
-    // The last chunk has no downstream claimant; every worker has
-    // joined, so the supervisor holds both exclusivity and the
-    // happens-before edge and verifies it here — still before the run
-    // returns, so detection stays online.
-    if gov.verify.armed() && run.token.poison_cause().is_none() {
-        if let Some(p) = lock_recover(&run.verify_slot).take() {
-            if p.chunk + 1 == m {
-                let _ = verify_committed(kernel, &run, &rec, gov, tol, p.executor, p);
-            }
-        }
-        if run.token.poison_cause().is_none() {
-            if let Some(base) = scrub_base {
-                // SAFETY: every worker joined; quiescent.
-                if let Some(now_d) = unsafe { kernel.scrub_digest() } {
-                    run.scrubs.fetch_add(1, Ordering::Relaxed);
-                    if now_d != base {
-                        run.record(FaultEvent::CorruptionDetected {
-                            chunk: u64::MAX,
-                            expected: base,
-                            found: now_d,
-                            repaired: false,
-                        });
-                        run.token.poison_with(PoisonCause::Corrupted {
-                            thread: None,
-                            chunk: None,
-                            resume_at: iters,
-                        });
-                    }
-                }
-            }
-        }
-        // Deferred durable checkpoint, final installment: the whole run
-        // is now verified (and scrubbed), so the complete prefix may
-        // persist. Workers only published through their own claims, which
-        // stop one chunk short of the end.
-        if run.token.poison_cause().is_none() {
-            if let Some(ck) = &gov.ckpt {
-                let _ = catch_unwind(AssertUnwindSafe(|| {
-                    ck.sink.on_commit(
-                        ck.policy,
-                        m,
-                        iters,
-                        |c| plan.range(c).start,
-                        // SAFETY: every worker joined; quiescent, and
-                        // capture only reads.
-                        |r, buf| unsafe { kernel.journal_capture(r, buf) },
-                    )
-                }));
-            }
-        }
-    }
-
-    let mut faults = run.take_faults();
-    // First chunk not yet committed → its first iteration is the exact
-    // sequential resume point (completion is in token order).
-    let committed_at = |done: u64| {
-        if done >= m {
-            iters
-        } else {
-            plan.range(done).start
-        }
-    };
-
-    let Some(cause) = run.token.poison_cause() else {
-        debug_assert_eq!(
-            run.token.current(),
-            m,
-            "token must end one past the last chunk"
-        );
-        let (retries, quarantined) = tally(&faults);
-        return Ok(RunStats {
-            elapsed,
-            chunks: m,
-            iters,
-            threads,
-            degraded: false,
-            faults,
-            retries,
-            quarantined,
-            cancel_latency_ns: gov.cancel.latency().map_or(0, |d| d.as_nanos() as u64),
-            budget_high_water: gov.budget.high_water(),
-            scrubs: run.scrubs.load(Ordering::Relaxed),
-        });
-    };
-
-    // --- cancelled path: drained clean, never salvaged ---
-    if matches!(cause, PoisonCause::Cancelled { .. }) {
-        if run.salvage_unsound.load(Ordering::Acquire) {
-            // The in-flight chunk tore while the run drained: the resume
-            // guarantee is broken, report the tear instead.
-            return Err(torn_fallback(&faults));
-        }
-        let done = run.completed.load(Ordering::Acquire);
-        return Err(cancel_error(gov, &cause, committed_at(done)));
-    }
-
-    // --- degraded path: a worker panicked or the cascade stalled ---
-    let err = run_error_from(&cause);
-    if matches!(cause, PoisonCause::Corrupted { .. }) {
-        // Corruption is never salvaged: the chunk was rolled back to its
-        // pre-image (or the drift lies outside every footprint), and the
-        // typed error already carries the exact clean resume point —
-        // re-executing from `completed` could run on top of the
-        // rollback and double-apply writes.
-        return Err(err);
-    }
-    // `salvage_unsound` is only ever set for a *torn* chunk: interrupted
-    // mid-body with neither a fail-stop promise nor a rolled-back undo
-    // journal. Journaled chunks were restored bitwise by their faulting
-    // worker before it drained, so salvage re-executes pristine state.
-    if !tol.salvage || run.salvage_unsound.load(Ordering::Acquire) {
-        return Err(err);
-    }
-    let mut done = run.completed.load(Ordering::Acquire);
-    if done < m {
-        let salvage_from = done;
-        let resume = plan.range(salvage_from).start;
-        // Chunk at a time so a cancellation arriving mid-salvage still
-        // stops at an exact chunk boundary with an accurate resume point.
-        while done < m {
-            if gov.cancel.is_cancelled() {
-                gov.cancel.note_observed();
-                return Err(cancel_error(gov, &cause, committed_at(done)));
-            }
-            let r = plan.range(done);
-            // SAFETY: every worker has joined, so this thread has
-            // exclusive access and all completed chunks' writes
-            // happen-before it.
-            let salvage = catch_unwind(AssertUnwindSafe(|| unsafe { kernel.execute(r) }));
-            if salvage.is_err() {
-                // The kernel fails even sequentially: report the original
-                // fault.
-                return Err(err);
-            }
-            done += 1;
-        }
-        faults.push(FaultEvent::Salvaged {
-            from_chunk: salvage_from,
-            iters: iters - resume,
-        });
-    }
-    let (retries, quarantined) = tally(&faults);
-    Ok(RunStats {
-        elapsed: start.elapsed(),
-        chunks: m,
-        iters,
-        threads,
-        degraded: true,
-        faults,
-        retries,
-        quarantined,
-        cancel_latency_ns: gov.cancel.latency().map_or(0, |d| d.as_nanos() as u64),
-        budget_high_water: gov.budget.high_water(),
-        scrubs: run.scrubs.load(Ordering::Relaxed),
-    })
+    let mut all = try_run_governed_sequence(std::slice::from_ref(kernel), cfg)?;
+    Ok(all.pop().expect("one RunStats per kernel"))
 }
 
 /// Execute a whole loop *sequence* (e.g. PARMVR's fifteen loops) under
-/// cascaded execution with one persistent pool of worker threads
-/// (panicking shim; prefer [`try_run_cascaded_sequence`]).
+/// cascaded execution with one persistent pool of worker threads: one
+/// tolerance, one cancel token, one deadline, one budget across every
+/// loop. Loops are separated by a poisonable barrier ([`FtBarrier`]) — the
+/// analogue of the application code between unparallelized loops — which
+/// both orders the loops (helpers for loop `i+1` must not read operands
+/// loop `i` is still writing) and provides the happens-before edge between
+/// them. A fault in loop `l` poisons the tokens of loops `l..` and the
+/// barrier, so the pool drains promptly; with salvage enabled the calling
+/// thread then finishes loop `l` from its last completed chunk and runs
+/// every later loop sequentially. Returns one [`RunStats`] per kernel, in
+/// order.
 ///
-/// # Panics
-///
-/// Panics on an invalid configuration, an empty kernel sequence, or a
-/// worker fault — with the [`RunError`] display as the message.
-pub fn run_cascaded_sequence<K: RealKernel>(kernels: &[K], cfg: &RunnerConfig) -> Vec<RunStats> {
-    match try_run_cascaded_sequence(kernels, cfg, &Tolerance::default()) {
-        Ok(stats) => stats,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Execute a loop sequence under cascaded execution with one persistent
-/// pool of worker threads, handling faults per `tol`. Loops are separated
-/// by a poisonable barrier ([`FtBarrier`]) — the analogue of the
-/// application code between unparallelized loops — which both orders the
-/// loops (helpers for loop `i+1` must not read operands loop `i` is still
-/// writing) and provides the happens-before edge between them. A fault in
-/// loop `l` poisons the tokens of loops `l..` and the barrier, so the pool
-/// drains promptly; with salvage enabled the calling thread then finishes
-/// loop `l` from its last completed chunk and runs every later loop
-/// sequentially. Returns one [`RunStats`] per kernel, in order.
-pub fn try_run_cascaded_sequence<K: RealKernel>(
-    kernels: &[K],
-    cfg: &RunnerConfig,
-    tol: &Tolerance,
-) -> Result<Vec<RunStats>, RunError> {
-    try_run_cascaded_sequence_observed(kernels, cfg, tol, &Observe::default())
-}
-
-/// [`try_run_cascaded_sequence`] with explicit observability options.
-pub fn try_run_cascaded_sequence_observed<K: RealKernel>(
-    kernels: &[K],
-    cfg: &RunnerConfig,
-    tol: &Tolerance,
-    obs: &Observe,
-) -> Result<Vec<RunStats>, RunError> {
-    run_cascaded_sequence_inner(kernels, cfg, tol, obs, &Govern::none())
-}
-
-/// [`try_run_governed`] for a whole loop sequence: one governed pool, one
-/// cancel token, one deadline, one budget across every loop. The
-/// `committed_iters` of a cancellation error is **global**: the summed
-/// iteration counts of every fully completed loop plus the committed
-/// prefix of the loop the cancel landed in, so a caller can replay the
-/// remainder of the sequence from exactly that point.
+/// The `committed_iters` of a governance or corruption error is
+/// **global**: the summed iteration counts of every fully completed loop
+/// plus the committed prefix of the loop the error landed in, so a caller
+/// can replay the remainder of the sequence from exactly that point.
 pub fn try_run_governed_sequence<K: RealKernel>(
     kernels: &[K],
     cfg: &RunConfig,
 ) -> Result<Vec<RunStats>, RunError> {
     cfg.try_validate()?;
-    if cfg.ckpt != CkptPolicy::Off {
+    if kernels.len() > 1 && cfg.ckpt != CkptPolicy::Off {
         // A checkpoint manifest describes exactly one loop's committed
         // prefix; silently checkpointing only part of a sequence would
         // hand back a resume point that skips later loops. Refuse until
@@ -1523,214 +1271,134 @@ pub fn try_run_governed_sequence<K: RealKernel>(
                 .into(),
         ));
     }
-    let gov = Govern {
-        cancel: cfg.cancel.clone(),
-        budget: cfg.budget.clone(),
-        ckpt: None,
-        verify: cfg.verify,
-    };
-    let _governor = cfg.deadline.map(|d| Governor::arm(&cfg.cancel, d));
-    run_cascaded_sequence_inner(kernels, &cfg.runner, &cfg.tolerance, &cfg.observe, &gov)
-}
-
-fn run_cascaded_sequence_inner<K: RealKernel>(
-    kernels: &[K],
-    cfg: &RunnerConfig,
-    tol: &Tolerance,
-    obs: &Observe,
-    gov: &Govern,
-) -> Result<Vec<RunStats>, RunError> {
-    validate(cfg)?;
+    validate(&cfg.runner)?;
     if kernels.is_empty() {
         return Err(RunError::InvalidConfig("empty kernel sequence".into()));
     }
-    for k in kernels {
-        if k.iters() == 0 {
-            return Err(RunError::InvalidConfig("empty kernel".into()));
-        }
+    if kernels.iter().any(|k| k.iters() == 0) {
+        return Err(RunError::InvalidConfig("empty kernel".into()));
     }
+    let _governor = cfg.deadline.map(|d| Governor::arm(&cfg.cancel, d));
+    let nthreads = cfg.runner.nthreads;
     let plans: Vec<ChunkPlan> = kernels
         .iter()
-        .map(|k| ChunkPlan::by_iterations(k.iters(), cfg.iters_per_chunk))
+        .map(|k| ChunkPlan::by_iterations(k.iters(), cfg.runner.iters_per_chunk))
         .collect();
-    let runs: Vec<FtRun> = kernels.iter().map(|_| FtRun::new(cfg.nthreads)).collect();
+    let runs: Vec<FtRun> = kernels.iter().map(|_| FtRun::new(nthreads)).collect();
     // One recovery state for the whole sequence: a worker quarantined in
     // loop l stays out of every later loop's roster, and the retry budget
     // is shared.
-    let rec = Recovery::new(cfg.nthreads, tol);
-    let barrier = FtBarrier::new(cfg.nthreads);
-    let loop_starts: Vec<Mutex<Option<Instant>>> =
-        kernels.iter().map(|_| Mutex::new(None)).collect();
-    let loop_ends: Vec<Mutex<Option<Instant>>> = kernels.iter().map(|_| Mutex::new(None)).collect();
-
-    // Arena-scrub baselines, one per loop. Loop `l`'s baseline digests
-    // the bytes outside *loop l's* write footprints — bytes other loops
-    // of the sequence legitimately mutate — so it cannot be taken until
-    // every earlier loop has finished: loop 0's before any worker
-    // spawns, each later loop's in the end-of-loop leader's quiescent
-    // window, right after the previous loop's scrub comparison.
-    let scrub_bases: Vec<Mutex<Option<u64>>> = kernels.iter().map(|_| Mutex::new(None)).collect();
-    if gov.verify.armed() {
+    let rec = Recovery::new(nthreads, &cfg.tolerance);
+    let barrier = FtBarrier::new(nthreads);
+    if cfg.verify.armed() {
         // SAFETY: no worker spawned yet; trivially quiescent.
-        let d = unsafe { kernels[0].scrub_digest() };
-        if d.is_some() {
-            runs[0].scrubs.fetch_add(1, Ordering::Relaxed);
-        }
-        *lock_recover(&scrub_bases[0]) = d;
+        unsafe { runs[0].take_scrub_base(&kernels[0]) };
     }
 
     // per_thread[t][l] = stats of thread t on loop l (may stop short when
     // a fault drained the pool).
     let per_thread: Vec<Vec<ThreadStats>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..cfg.nthreads)
+        let handles: Vec<_> = (0..nthreads as u64)
             .map(|t| {
                 let (plans, runs, rec, barrier) = (&plans, &runs, &rec, &barrier);
-                let (loop_starts, loop_ends) = (&loop_starts, &loop_ends);
-                let scrub_bases = &scrub_bases;
                 s.spawn(move || {
                     let mut all = Vec::with_capacity(kernels.len());
-                    'seq: for (l, kernel) in kernels.iter().enumerate() {
+                    for (l, kernel) in kernels.iter().enumerate() {
                         match barrier.wait() {
-                            BarrierOutcome::Poisoned => break 'seq,
-                            out if out.is_leader() => {
-                                *lock_recover(&loop_starts[l]) = Some(Instant::now());
+                            BarrierOutcome::Poisoned => break,
+                            BarrierOutcome::Leader => {
+                                *lock_recover(&runs[l].started) = Some(Instant::now());
                             }
-                            _ => {}
+                            BarrierOutcome::Follower => {}
                         }
                         // A quarantined worker executes nothing (ft_worker
                         // drains immediately) but keeps pacing the
                         // barriers, so the surviving cascade stays in
                         // lockstep.
-                        all.push(ft_worker(
-                            kernel, cfg, tol, obs, gov, &plans[l], &runs[l], rec, t as u64,
-                        ));
-                        if let Some(cause) = runs[l].token.poison_cause() {
+                        let mut stats = ft_worker(kernel, cfg, &plans[l], &runs[l], rec, t);
+                        let mut poisoned = runs[l].token.poison_cause().is_some();
+                        if !poisoned {
+                            match barrier.wait() {
+                                BarrierOutcome::Poisoned => {
+                                    all.push(stats);
+                                    break;
+                                }
+                                BarrierOutcome::Leader => {
+                                    *lock_recover(&runs[l].ended) = Some(Instant::now());
+                                    if cfg.verify.armed() {
+                                        // SAFETY: every other worker is parked at
+                                        // the next loop's start barrier (or
+                                        // exiting after the last loop), so the
+                                        // leader has quiescence.
+                                        poisoned = !unsafe {
+                                            audit_loop(
+                                                kernels, cfg, plans, runs, rec, l, &mut stats,
+                                            )
+                                        };
+                                    }
+                                }
+                                BarrierOutcome::Follower => {}
+                            }
+                        }
+                        all.push(stats);
+                        if poisoned {
                             // Propagate the fault: no worker may block on a
                             // loop that will never start, and the poisoned
                             // barrier wakes everyone already waiting.
-                            for later in &runs[l + 1..] {
-                                later.token.poison_with(cause.clone());
-                            }
-                            barrier.poison();
-                            break 'seq;
-                        }
-                        let mut seq_corrupt = false;
-                        match barrier.wait() {
-                            BarrierOutcome::Poisoned => break 'seq,
-                            out if out.is_leader() => {
-                                *lock_recover(&loop_ends[l]) = Some(Instant::now());
-                                // Between sequence loops the leader
-                                // verifies the loop's final chunk and
-                                // runs the arena scrubber. Every other
-                                // worker is parked at the next loop's
-                                // start barrier (or exiting after the
-                                // last loop), so the leader has
-                                // quiescence on this loop's kernel.
-                                if gov.verify.armed() {
-                                    if let Some(p) = lock_recover(&runs[l].verify_slot).take() {
-                                        if p.chunk + 1 == plans[l].num_chunks()
-                                            && verify_committed(
-                                                kernel, &runs[l], rec, gov, tol, p.executor, p,
-                                            ) == VerifyVerdict::Failed
-                                        {
-                                            seq_corrupt = true;
-                                        }
-                                    }
-                                    if !seq_corrupt {
-                                        if let Some(base) = *lock_recover(&scrub_bases[l]) {
-                                            // SAFETY: quiescent (see above).
-                                            if let Some(now_d) = unsafe { kernel.scrub_digest() } {
-                                                let scrubs = &runs[l].scrubs;
-                                                scrubs.fetch_add(1, Ordering::Relaxed);
-                                                if now_d != base {
-                                                    runs[l].record(
-                                                        FaultEvent::CorruptionDetected {
-                                                            chunk: u64::MAX,
-                                                            expected: base,
-                                                            found: now_d,
-                                                            repaired: false,
-                                                        },
-                                                    );
-                                                    runs[l].token.poison_with(
-                                                        PoisonCause::Corrupted {
-                                                            thread: None,
-                                                            chunk: None,
-                                                            resume_at: kernels[l].iters(),
-                                                        },
-                                                    );
-                                                    seq_corrupt = true;
-                                                }
-                                            }
-                                        }
-                                    }
-                                    if !seq_corrupt && l + 1 < kernels.len() {
-                                        // Still quiescent: every earlier
-                                        // loop's writes are in, the next
-                                        // loop's have not begun — the
-                                        // only sound moment for the next
-                                        // loop's baseline.
-                                        // SAFETY: quiescent (see above).
-                                        let d = unsafe { kernels[l + 1].scrub_digest() };
-                                        if d.is_some() {
-                                            let scrubs = &runs[l + 1].scrubs;
-                                            scrubs.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                        *lock_recover(&scrub_bases[l + 1]) = d;
-                                    }
-                                }
-                            }
-                            _ => {}
-                        }
-                        if seq_corrupt {
-                            // Same propagation as a mid-loop fault: no
-                            // worker may block on a loop that will never
-                            // start.
                             if let Some(cause) = runs[l].token.poison_cause() {
                                 for later in &runs[l + 1..] {
                                     later.token.poison_with(cause.clone());
                                 }
                             }
                             barrier.poison();
-                            break 'seq;
+                            break;
                         }
                     }
                     all
                 })
             })
             .collect();
+        // Workers catch their own panics and report through the token, so
+        // join only fails if the panic machinery itself misbehaved.
         handles
             .into_iter()
             .map(|h| h.join().unwrap_or_default())
             .collect()
     });
 
-    let thread_stats_for = |l: usize| -> Vec<ThreadStats> {
-        per_thread
-            .iter()
-            .map(|tv| tv.get(l).cloned().unwrap_or_default())
-            .collect()
-    };
-    let healthy_stats = |l: usize| -> Result<RunStats, RunError> {
-        let (start, end) = loop_stamps(&loop_starts[l], &loop_ends[l])
-            .ok_or(RunError::LeaderLost { loop_idx: l as u64 })?;
-        let faults = runs[l].take_faults();
+    let stats_for = |l: usize, elapsed: Duration, degraded: bool, faults: Vec<FaultEvent>| {
         let (retries, quarantined) = tally(&faults);
-        Ok(RunStats {
-            elapsed: end.duration_since(start),
+        RunStats {
+            elapsed,
             chunks: plans[l].num_chunks(),
             iters: kernels[l].iters(),
-            threads: thread_stats_for(l),
-            degraded: false,
+            threads: per_thread
+                .iter()
+                .map(|tv| tv.get(l).cloned().unwrap_or_default())
+                .collect(),
+            degraded,
             faults,
             retries,
             quarantined,
-            cancel_latency_ns: gov.cancel.latency().map_or(0, |d| d.as_nanos() as u64),
-            budget_high_water: gov.budget.high_water(),
+            cancel_latency_ns: cfg.cancel.latency().map_or(0, |d| d.as_nanos() as u64),
+            budget_high_water: cfg.budget.high_water(),
             scrubs: runs[l].scrubs.load(Ordering::Relaxed),
-        })
+        }
+    };
+    let healthy_stats = |l: usize| -> Result<RunStats, RunError> {
+        let (start, end) = loop_stamps(&runs[l].started, &runs[l].ended)
+            .ok_or(RunError::LeaderLost { loop_idx: l as u64 })?;
+        let faults = runs[l].take_faults();
+        Ok(stats_for(l, end.duration_since(start), false, faults))
     };
 
     let Some(l0) = runs.iter().position(|r| r.token.poison_cause().is_some()) else {
+        debug_assert!(
+            runs.iter()
+                .zip(&plans)
+                .all(|(r, p)| r.token.current() == p.num_chunks()),
+            "every token must end one past its loop's last chunk"
+        );
         return (0..kernels.len()).map(healthy_stats).collect();
     };
 
@@ -1740,53 +1408,45 @@ fn run_cascaded_sequence_inner<K: RealKernel>(
         .poison_cause()
         .expect("position found a cause");
     // Global sequential resume point: every iteration of loops before `l`
-    // plus the committed prefix within `l` (completion is in token order).
+    // plus the committed prefix within `l` — the first iteration of its
+    // first uncommitted chunk (completion is in token order).
+    let iters_before = |l: usize| -> u64 { kernels[..l].iter().map(|k| k.iters()).sum() };
     let committed_global = |l: usize, done: u64| -> u64 {
-        let before: u64 = kernels[..l].iter().map(|k| k.iters()).sum();
         let within = if done < plans[l].num_chunks() {
             plans[l].range(done).start
         } else {
             kernels[l].iters()
         };
-        before + within
+        iters_before(l) + within
     };
+    let torn = runs
+        .iter()
+        .any(|r| r.salvage_unsound.load(Ordering::Acquire));
 
     // --- cancelled path: drained clean, never salvaged ---
     if matches!(cause, PoisonCause::Cancelled { .. }) {
-        if runs
-            .iter()
-            .any(|r| r.salvage_unsound.load(Ordering::Acquire))
-        {
+        if torn {
+            // The in-flight chunk tore while the run drained: the resume
+            // guarantee is broken, report the tear instead.
             let all: Vec<FaultEvent> = runs.iter().flat_map(|r| r.take_faults()).collect();
             return Err(torn_fallback(&all));
         }
         let done = runs[l0].completed.load(Ordering::Acquire);
-        return Err(cancel_error(gov, &cause, committed_global(l0, done)));
+        return Err(cancel_error(&cfg.cancel, committed_global(l0, done)));
     }
 
-    if let PoisonCause::Corrupted {
-        thread,
-        chunk,
-        resume_at,
-    } = &cause
-    {
-        // Corruption is never salvaged (the rollback already restored
-        // the exact clean prefix); rebase the loop-local resume point
-        // onto the global iteration count.
-        let before: u64 = kernels[..l0].iter().map(|k| k.iters()).sum();
-        return Err(RunError::Corrupted {
-            thread: *thread,
-            chunk: *chunk,
-            committed_iters: before + resume_at,
-        });
-    }
-
-    let err = run_error_from(&cause);
-    if !tol.salvage
-        || runs
-            .iter()
-            .any(|r| r.salvage_unsound.load(Ordering::Acquire))
-    {
+    // --- a worker panicked, the cascade stalled, or corruption ---
+    let err = run_error_from(&cause).rebased(iters_before(l0));
+    // Corruption is never salvaged: the chunk was rolled back to its
+    // pre-image (or the drift lies outside every footprint), and the typed
+    // error already carries the exact clean resume point — re-executing
+    // from `completed` could run on top of the rollback and double-apply
+    // writes. `salvage_unsound` is only ever set for a *torn* chunk:
+    // interrupted mid-body with neither a fail-stop promise nor a
+    // rolled-back undo journal. Journaled chunks were restored bitwise by
+    // their faulting worker before it drained, so salvage re-executes
+    // pristine state.
+    if matches!(cause, PoisonCause::Corrupted { .. }) || !cfg.tolerance.salvage || torn {
         return Err(err);
     }
     let mut out: Vec<RunStats> = (0..l0).map(healthy_stats).collect::<Result<_, _>>()?;
@@ -1798,7 +1458,7 @@ fn run_cascaded_sequence_inner<K: RealKernel>(
         let m = plans[l].num_chunks();
         let iters = kernels[l].iters();
         let mut done = runs[l].completed.load(Ordering::Acquire);
-        let t0 = Instant::now();
+        let began = (*lock_recover(&runs[l].started)).unwrap_or_else(Instant::now);
         if done < m {
             let salvage_from = done;
             let resume = plans[l].range(salvage_from).start;
@@ -1806,14 +1466,16 @@ fn run_cascaded_sequence_inner<K: RealKernel>(
             // still stops at an exact chunk boundary with an accurate
             // (global) resume point.
             while done < m {
-                if gov.cancel.is_cancelled() {
-                    gov.cancel.note_observed();
-                    return Err(cancel_error(gov, &cause, committed_global(l, done)));
+                if cfg.cancel.is_cancelled() {
+                    cfg.cancel.note_observed();
+                    return Err(cancel_error(&cfg.cancel, committed_global(l, done)));
                 }
                 let r = plans[l].range(done);
                 // SAFETY: all workers joined; single-threaded remainder.
                 let salvage = catch_unwind(AssertUnwindSafe(|| unsafe { kernels[l].execute(r) }));
                 if salvage.is_err() {
+                    // The kernel fails even sequentially: report the
+                    // original fault.
                     return Err(err);
                 }
                 done += 1;
@@ -1823,22 +1485,112 @@ fn run_cascaded_sequence_inner<K: RealKernel>(
                 iters: iters - resume,
             });
         }
-        let (retries, quarantined) = tally(&faults);
-        out.push(RunStats {
-            elapsed: t0.elapsed(),
-            chunks: m,
-            iters,
-            threads: thread_stats_for(l),
-            degraded: true,
-            faults,
-            retries,
-            quarantined,
-            cancel_latency_ns: gov.cancel.latency().map_or(0, |d| d.as_nanos() as u64),
-            budget_high_water: gov.budget.high_water(),
-            scrubs: runs[l].scrubs.load(Ordering::Relaxed),
-        });
+        out.push(stats_for(l, began.elapsed(), true, faults));
     }
     Ok(out)
+}
+
+/// The end-of-loop leader's window on loop `l`, under armed verification:
+/// verify the loop's final chunk (it has no downstream claimant), compare
+/// the arena scrub with the loop's baseline, publish the final deferred
+/// checkpoint installment (workers only publish through their own claims,
+/// which stop one chunk short of the end; the whole loop is verified and
+/// scrubbed only now), and take the next loop's scrub baseline — every
+/// earlier loop's writes are in and the next loop's have not begun, the
+/// only sound moment for it. Still before the run returns, so detection
+/// stays online. Returns `false` when corruption poisoned the loop.
+///
+/// # Safety
+///
+/// The caller has quiescence on every kernel of the sequence: loop `l`
+/// completed and no worker has started loop `l + 1`.
+unsafe fn audit_loop<K: RealKernel>(
+    kernels: &[K],
+    cfg: &RunConfig,
+    plans: &[ChunkPlan],
+    runs: &[FtRun],
+    rec: &Recovery,
+    l: usize,
+    stats: &mut ThreadStats,
+) -> bool {
+    let (kernel, plan, run) = (&kernels[l], &plans[l], &runs[l]);
+    if let Some(p) = lock_recover(&run.verify_slot).take() {
+        if p.chunk + 1 == plan.num_chunks()
+            && verify_committed(kernel, run, rec, cfg, p.executor, p) == VerifyVerdict::Failed
+        {
+            return false;
+        }
+    }
+    if let Some(base) = *lock_recover(&run.scrub_base) {
+        // SAFETY: quiescent (caller's guarantee).
+        if let Some(now_d) = unsafe { kernel.scrub_digest() } {
+            run.scrubs.fetch_add(1, Ordering::Relaxed);
+            if now_d != base {
+                run.record(FaultEvent::CorruptionDetected {
+                    chunk: u64::MAX,
+                    expected: base,
+                    found: now_d,
+                    repaired: false,
+                });
+                run.token.poison_with(PoisonCause::Corrupted {
+                    thread: None,
+                    chunk: None,
+                    resume_at: kernel.iters(),
+                });
+                return false;
+            }
+        }
+    }
+    // SAFETY: quiescent, and every chunk of the loop is committed.
+    unsafe { publish_ckpt(kernel, cfg, plan, plan.num_chunks(), kernel.iters(), stats) };
+    if let Some(next) = runs.get(l + 1) {
+        // SAFETY: quiescent (caller's guarantee).
+        unsafe { next.take_scrub_base(&kernels[l + 1]) };
+    }
+    true
+}
+
+/// Offer the committed prefix — the first `chunks` chunks, ending at
+/// iteration `iters` — to the run's checkpoint sink, if it has one. The
+/// sink decides whether a checkpoint is due and its contiguity tracking
+/// makes a repeated offer a no-op. Helpers never touch the sink, so
+/// nothing here blocks them; the cost is a side counter (`ckpt_ns` /
+/// `ckpt_bytes` / `ckpt_count`), leaving the exact phase partition
+/// untouched. A panic anywhere in the sink skips the checkpoint and lets
+/// the run continue.
+///
+/// # Safety
+///
+/// No execute may overlap the call and every chunk below `chunks` is
+/// committed: the caller holds a claim (capture then happens-before the
+/// token handoff, so a checkpoint can never observe an uncommitted write
+/// — model-checker invariant 8) or has quiescence.
+unsafe fn publish_ckpt<K: RealKernel>(
+    kernel: &K,
+    cfg: &RunConfig,
+    plan: &ChunkPlan,
+    chunks: u64,
+    iters: u64,
+    stats: &mut ThreadStats,
+) {
+    let Some(sink) = &cfg.ckpt_sink else { return };
+    let t0 = Instant::now();
+    let written = catch_unwind(AssertUnwindSafe(|| {
+        sink.on_commit(
+            cfg.ckpt,
+            chunks,
+            iters,
+            |c| plan.range(c).start,
+            // SAFETY: the caller's exclusivity, and capture only reads.
+            |r, buf| unsafe { kernel.journal_capture(r, buf) },
+        )
+    }))
+    .unwrap_or(None);
+    if let Some(bytes) = written {
+        stats.ckpt_count += 1;
+        stats.ckpt_bytes += bytes;
+    }
+    stats.ckpt_ns += t0.elapsed().as_nanos();
 }
 
 /// The leader's start/end stamps of a healthy sequence loop, or `None`
@@ -1863,12 +1615,12 @@ fn loop_stamps(
 /// the roster was remapped — in the last case `j` may no longer be ours
 /// to help for.
 #[inline]
-fn helper_jump_out(run: &FtRun, gov: &Govern, j: u64, epoch: u64) -> bool {
+fn helper_jump_out(run: &FtRun, cancel: &CancelToken, j: u64, epoch: u64) -> bool {
     let raw = run.token.raw();
     raw == POISONED
         || Token::chunk_index(raw) >= j
         || run.roster.epoch() != epoch
-        || gov.cancel.is_cancelled()
+        || cancel.is_cancelled()
 }
 
 /// What one helper phase accomplished.
@@ -1901,9 +1653,8 @@ struct HelperOut {
 #[allow(clippy::too_many_arguments)] // a phase is naturally parameterized by all of these
 fn helper_phase<K: RealKernel>(
     kernel: &K,
-    cfg: &RunnerConfig,
+    cfg: &RunConfig,
     run: &FtRun,
-    gov: &Govern,
     plan: &ChunkPlan,
     j: u64,
     epoch: u64,
@@ -1934,12 +1685,13 @@ fn helper_phase<K: RealKernel>(
             }
         }
     };
-    match cfg.policy {
+    let poll_batch = cfg.runner.poll_batch;
+    match cfg.runner.policy {
         RtPolicy::None => {}
         RtPolicy::Prefetch => {
             let mut i = range.start;
-            while !helper_jump_out(run, gov, j, epoch) && i < range.end {
-                let batch_end = horizon_cap((i + cfg.poll_batch).min(range.end));
+            while !helper_jump_out(run, &cfg.cancel, j, epoch) && i < range.end {
+                let batch_end = horizon_cap((i + poll_batch).min(range.end));
                 if batch_end <= i {
                     // Caught up with the horizon: wait for the token to
                     // commit more chunks (or arrive, via jump-out).
@@ -1957,8 +1709,8 @@ fn helper_phase<K: RealKernel>(
             buf.clear();
             let mut i = range.start;
             let mut supported = true;
-            while supported && !helper_jump_out(run, gov, j, epoch) && i < range.end {
-                let batch_end = horizon_cap((i + cfg.poll_batch).min(range.end));
+            while supported && !helper_jump_out(run, &cfg.cancel, j, epoch) && i < range.end {
+                let batch_end = horizon_cap((i + poll_batch).min(range.end));
                 if batch_end <= i {
                     out.horizon_stalls += 1;
                     std::hint::spin_loop();
@@ -2117,15 +1869,15 @@ fn declare_stall(
 fn wait_to_claim(
     run: &FtRun,
     rec: &Recovery,
-    tol: &Tolerance,
-    gov: &Govern,
+    watchdog: Option<Duration>,
+    cancel: &CancelToken,
     t: u64,
     j: u64,
     epoch: u64,
 ) -> ChunkClaim {
     let started = Instant::now();
     let mut observed = run.token.raw();
-    let mut deadline = tol.watchdog.map(|w| Instant::now() + w);
+    let mut deadline = watchdog.map(|w| Instant::now() + w);
     let mut spins = 0u64;
     loop {
         let raw = run.token.raw();
@@ -2151,15 +1903,15 @@ fn wait_to_claim(
             if rec.health.is_quarantined(t) {
                 return ChunkClaim::Quarantined;
             }
-            if gov.cancel.is_cancelled() {
+            if cancel.is_cancelled() {
                 // Poisoning while another executor holds a claim is safe:
                 // its `completed` bump precedes the advance the poison
                 // refuses, so the resume point stays exact
                 // (LateCompletion, like a watchdog poison).
-                poison_cancelled(run, gov);
+                poison_cancelled(run, cancel);
                 return ChunkClaim::Poisoned;
             }
-            if let (Some(window), Some(d)) = (tol.watchdog, deadline) {
+            if let (Some(window), Some(d)) = (watchdog, deadline) {
                 let now = Instant::now();
                 let raw_now = run.token.raw();
                 if raw_now != observed {
@@ -2280,22 +2032,21 @@ enum VerifyVerdict {
 /// chunk is rolled back to its pre-image and the token poisoned, so the
 /// typed error's committed prefix never contains a corrupted chunk.
 ///
-/// The caller must hold the downstream chunk's claim (or have joined all
-/// workers): verification happens-before the downstream chunk's
+/// The caller must hold the downstream chunk's claim (or, for a loop's
+/// final chunk, the end-of-loop quiescence): verification happens-before the downstream chunk's
 /// execution, so corruption is caught before the next handoff consumes
 /// it — never after the run.
 fn verify_committed<K: RealKernel>(
     kernel: &K,
     run: &FtRun,
     rec: &Recovery,
-    gov: &Govern,
-    tol: &Tolerance,
+    cfg: &RunConfig,
     verifier: u64,
     p: VerifyPacket,
 ) -> VerifyVerdict {
     let mut committed = Vec::new();
-    // SAFETY: the caller holds the downstream claim (or every worker has
-    // joined), so no execute overlaps `p.range`'s footprint, and capture
+    // SAFETY: the caller holds the downstream claim (or the end-of-loop
+    // quiescence), so no execute overlaps `p.range`'s footprint, and capture
     // only reads.
     let ok = catch_unwind(AssertUnwindSafe(|| unsafe {
         kernel.journal_capture(p.range.clone(), &mut committed)
@@ -2309,7 +2060,7 @@ fn verify_committed<K: RealKernel>(
     }
     let found = fnv64(&committed);
 
-    if gov.verify.replays(p.chunk) {
+    if cfg.verify.replays(p.chunk) {
         if let Some(pre) = p.pre_image.as_deref() {
             let replay = || -> Option<Vec<u8>> {
                 // SAFETY: same exclusivity as the capture above; replay
@@ -2347,6 +2098,7 @@ fn verify_committed<K: RealKernel>(
                 } else {
                     None
                 };
+                let tol = &cfg.tolerance;
                 return convict(kernel, run, rec, tol, verifier, &p, &r1, found, blamed);
             }
         }
@@ -2416,7 +2168,7 @@ fn convict<K: RealKernel>(
         // in one restore — bitwise what a clean execution left behind.
         let installed = catch_unwind(AssertUnwindSafe(|| unsafe {
             // SAFETY: caller's exclusivity (downstream claim or
-            // post-join); `verified` is in journal layout over `p.range`.
+            // end-of-loop quiescence); `verified` is in journal layout over `p.range`.
             kernel.journal_rollback(p.range.clone(), verified)
         }))
         .is_ok();
@@ -2481,22 +2233,56 @@ fn fail_rollback<K: RealKernel>(
     VerifyVerdict::Failed
 }
 
-#[allow(clippy::too_many_arguments)] // a worker is parameterized by the whole run context
+/// Roll chunk `j` back to its undo journal `jbuf` and record the rollback.
+/// `Err` carries the payload of a rollback that itself panicked: the chunk
+/// is then torn, which the ladder treats exactly like an unjournalable
+/// kernel.
+///
+/// # Safety
+///
+/// The caller still holds the claim on `j` — so the restore is exclusive
+/// and happens-before any survivor's re-execution claim, and no torn
+/// write-set is ever observable — and `jbuf` is the unmodified capture of
+/// `range`.
+unsafe fn rollback_chunk<K: RealKernel>(
+    kernel: &K,
+    run: &FtRun,
+    t: u64,
+    j: u64,
+    range: &Range<u64>,
+    jbuf: &[u8],
+    stats: &mut ThreadStats,
+) -> std::thread::Result<()> {
+    let t0 = Instant::now();
+    // SAFETY: forwarded under the caller's guarantee.
+    let rb = catch_unwind(AssertUnwindSafe(|| unsafe {
+        kernel.journal_rollback(range.clone(), jbuf)
+    }));
+    stats.journal_ns += t0.elapsed().as_nanos();
+    if rb.is_ok() {
+        stats.rollbacks += 1;
+        run.record(FaultEvent::ChunkRolledBack {
+            thread: t,
+            chunk: j,
+            bytes: jbuf.len() as u64,
+        });
+    }
+    rb
+}
+
 fn ft_worker<K: RealKernel>(
     kernel: &K,
-    cfg: &RunnerConfig,
-    tol: &Tolerance,
-    obs: &Observe,
-    gov: &Govern,
+    cfg: &RunConfig,
     plan: &ChunkPlan,
     run: &FtRun,
     rec: &Recovery,
     t: u64,
 ) -> ThreadStats {
+    let (tol, cancel, policy) = (&cfg.tolerance, &cfg.cancel, cfg.runner.policy);
     // The recorder's transitions replace ad-hoc `Instant` pairs: one
     // timestamp both closes the outgoing phase and opens the incoming
     // one, so the per-phase totals tile this worker's wall time exactly.
-    let mut phases = PhaseRecorder::new(run.origin, obs);
+    let mut phases = PhaseRecorder::new(run.origin, &cfg.observe);
     run.roster.sync_with(&rec.health);
     let mut stats = ThreadStats::default();
     let mut buf: Vec<u8> = Vec::new();
@@ -2510,11 +2296,11 @@ fn ft_worker<K: RealKernel>(
         if rec.health.is_quarantined(t) {
             return phases.finish(stats);
         }
-        if gov.cancel.is_cancelled() && run.completed.load(Ordering::Acquire) < m {
+        if cancel.is_cancelled() && run.completed.load(Ordering::Acquire) < m {
             // Cancelled with work still outstanding: drain leader-ward.
             // (When every chunk already committed the run is complete —
             // exactly one terminal outcome, so no poison.)
-            poison_cancelled(run, gov);
+            poison_cancelled(run, cancel);
             return phases.finish(stats);
         }
         // The token position is the lowest unexecuted chunk: never look
@@ -2548,7 +2334,7 @@ fn ft_worker<K: RealKernel>(
         phases.transition(PhaseKind::Helper, Some(j));
         let buf_cap0 = buf.capacity();
         let helper = catch_unwind(AssertUnwindSafe(|| {
-            helper_phase(kernel, cfg, run, gov, plan, j, epoch, &range, &mut buf)
+            helper_phase(kernel, cfg, run, plan, j, epoch, &range, &mut buf)
         }));
         let helper = match helper {
             Ok(out) => out,
@@ -2566,15 +2352,15 @@ fn ft_worker<K: RealKernel>(
         // and amortizes to a steady state, so `used` tracks the peak bytes
         // it pins). A refusal cancels the run instead of allocating on.
         let buf_growth = buf.capacity().saturating_sub(buf_cap0) as u64;
-        if !gov.budget.try_reserve(buf_growth) {
-            gov.cancel.cancel_with(
+        if !cfg.budget.try_reserve(buf_growth) {
+            cancel.cancel_with(
                 CancelKind::Budget {
                     needed: buf_growth,
-                    limit: gov.budget.limit().unwrap_or(0),
+                    limit: cfg.budget.limit().unwrap_or(0),
                 },
                 "helper pack-arena growth exceeds the memory budget",
             );
-            poison_cancelled(run, gov);
+            poison_cancelled(run, cancel);
             return phases.finish(stats);
         }
         stats.helper_iters += helper.helped_iters;
@@ -2585,27 +2371,27 @@ fn ft_worker<K: RealKernel>(
         if helper.packed_iters > 0 {
             stats.packed_bytes += buf.len() as u64;
         }
-        if matches!(cfg.policy, RtPolicy::Prefetch) {
+        if matches!(policy, RtPolicy::Prefetch) {
             stats.prefetched_bytes += helper.helped_iters * kernel.prefetch_bytes_per_iter();
         }
-        if helper.helped_iters >= range_len && !matches!(cfg.policy, RtPolicy::None) {
+        if helper.helped_iters >= range_len && !matches!(policy, RtPolicy::None) {
             stats.helper_complete += 1;
         }
 
         // --- wait for the token and claim the chunk ---
         phases.transition(PhaseKind::Spin, Some(j));
-        let claim = wait_to_claim(run, rec, tol, gov, t, j, epoch);
+        let claim = wait_to_claim(run, rec, tol.watchdog, cancel, t, j, epoch);
         let (claim_ns, _) = phases.transition(PhaseKind::Other, Some(j));
         match claim {
             ChunkClaim::Claimed => {}
             ChunkClaim::Superseded | ChunkClaim::Remapped => continue,
             ChunkClaim::Poisoned | ChunkClaim::Quarantined => return phases.finish(stats),
         }
-        if gov.cancel.is_cancelled() {
+        if cancel.is_cancelled() {
             // We hold the claim but the body never started: the chunk is
             // pristine, and poisoning the token discards the claim, so
             // `j` stays the first uncommitted chunk.
-            poison_cancelled(run, gov);
+            poison_cancelled(run, cancel);
             return phases.finish(stats);
         }
         // Handoff latency: the previous executor stamped the grant of `j`
@@ -2624,12 +2410,12 @@ fn ft_worker<K: RealKernel>(
         // computation — corruption is caught at the handoff, never after
         // the run. Cost rides inside the Other phase as a side counter
         // (`verify_ns`); with `VerifyPolicy::Off` this is one branch.
-        if gov.verify.armed() && j > 0 {
+        if cfg.verify.armed() && j > 0 {
             let t0 = Instant::now();
             if let Some(p) = lock_recover(&run.verify_slot).take() {
                 if p.chunk + 1 == j {
                     stats.verified_chunks += 1;
-                    let verdict = verify_committed(kernel, run, rec, gov, tol, t, p);
+                    let verdict = verify_committed(kernel, run, rec, cfg, t, p);
                     if verdict == VerifyVerdict::Failed {
                         stats.verify_ns += t0.elapsed().as_nanos();
                         return phases.finish(stats);
@@ -2645,29 +2431,10 @@ fn ft_worker<K: RealKernel>(
             // prefix through chunk j - 1 becomes persistable only now —
             // the predecessor's handoff was just checked (or repaired)
             // above, and every older chunk passed its own claimant's
-            // check. The sink's contiguity tracking makes repeated
-            // publication after retries a no-op.
-            if let Some(ck) = &gov.ckpt {
-                let t0 = Instant::now();
-                let written = catch_unwind(AssertUnwindSafe(|| {
-                    ck.sink.on_commit(
-                        ck.policy,
-                        j,
-                        range.start,
-                        |c| plan.range(c).start,
-                        // SAFETY: we hold the claim — no executor is
-                        // active anywhere, and every chunk below `j` is
-                        // committed — and capture only reads.
-                        |r, buf| unsafe { kernel.journal_capture(r, buf) },
-                    )
-                }))
-                .unwrap_or(None);
-                if let Some(bytes) = written {
-                    stats.ckpt_count += 1;
-                    stats.ckpt_bytes += bytes;
-                }
-                stats.ckpt_ns += t0.elapsed().as_nanos();
-            }
+            // check (publication repeated after a retry is a no-op).
+            // SAFETY: we hold the claim — no executor is active anywhere
+            // — and every chunk below `j` is committed.
+            unsafe { publish_ckpt(kernel, cfg, plan, j, range.start, &mut stats) };
         }
 
         // --- execution phase (we hold the claim: unique executor) ---
@@ -2679,7 +2446,7 @@ fn ft_worker<K: RealKernel>(
         // body runs. The timing rides inside the Execute phase as a side
         // counter (`journal_ns`), so the exact phase partition is
         // untouched.
-        let journaled = if rec.enabled() || tol.salvage || gov.verify.armed() {
+        let journaled = if rec.enabled() || tol.salvage || cfg.verify.armed() {
             let t0 = Instant::now();
             let jbuf_cap0 = jbuf.capacity();
             // SAFETY: we hold the claim — the same exclusivity contract
@@ -2694,15 +2461,15 @@ fn ft_worker<K: RealKernel>(
                     // The chunk body has not started, so a refusal drains
                     // with the chunk pristine and uncommitted.
                     let jbuf_growth = jbuf.capacity().saturating_sub(jbuf_cap0) as u64;
-                    if !gov.budget.try_reserve(jbuf_growth) {
-                        gov.cancel.cancel_with(
+                    if !cfg.budget.try_reserve(jbuf_growth) {
+                        cancel.cancel_with(
                             CancelKind::Budget {
                                 needed: jbuf_growth,
-                                limit: gov.budget.limit().unwrap_or(0),
+                                limit: cfg.budget.limit().unwrap_or(0),
                             },
                             "undo-journal capture exceeds the memory budget",
                         );
-                        poison_cancelled(run, gov);
+                        poison_cancelled(run, cancel);
                         return phases.finish(stats);
                     }
                     if captured {
@@ -2740,37 +2507,17 @@ fn ft_worker<K: RealKernel>(
         }));
         if let Err(payload) = exec {
             phases.transition(PhaseKind::Retry, Some(j));
-            // Roll the journal back *before* any recovery hand-back: we
-            // still hold the claim, so the restore is exclusive and
-            // happens-before any survivor's re-execution claim — no torn
-            // write-set is ever observable. A rollback that itself
-            // panics leaves the chunk torn, which the ladder treats
-            // exactly like an unjournalable kernel.
-            let rolled_back = journaled && {
-                let t0 = Instant::now();
-                // SAFETY: claim still held; `jbuf` is the unmodified
-                // capture of this same range.
-                let rb = catch_unwind(AssertUnwindSafe(|| unsafe {
-                    kernel.journal_rollback(range.clone(), &jbuf)
-                }))
-                .is_ok();
-                stats.journal_ns += t0.elapsed().as_nanos();
-                rb
-            };
-            if rolled_back {
-                stats.rollbacks += 1;
-                run.record(FaultEvent::ChunkRolledBack {
-                    thread: t,
-                    chunk: j,
-                    bytes: jbuf.len() as u64,
-                });
-            }
+            // Roll the journal back *before* any recovery hand-back.
+            // SAFETY: claim still held; `jbuf` is the unmodified capture
+            // of this same range.
+            let rolled_back = journaled
+                && unsafe { rollback_chunk(kernel, run, t, j, &range, &jbuf, &mut stats) }.is_ok();
             let pristine = rolled_back || kernel.panics_before_mutation();
             recover_from_panic(run, rec, t, j, true, pristine, payload);
             return phases.finish(stats);
         }
         let (_, exec_ns) = phases.transition(PhaseKind::Other, Some(j));
-        if gov.cancel.is_cancelled() {
+        if cancel.is_cancelled() {
             // Cancellation raced the chunk body. We still hold the claim,
             // so abort-must-be-unobservable can hold: roll the journal
             // back (the chunk reverts to uncommitted, bitwise) or, when
@@ -2780,38 +2527,24 @@ fn ft_worker<K: RealKernel>(
             // unclaim-before-cancel-rollback bug shows why the order
             // matters).
             if journaled {
-                let t0 = Instant::now();
                 // SAFETY: claim still held; `jbuf` is the unmodified
-                // capture of this same range.
-                let rb = catch_unwind(AssertUnwindSafe(|| unsafe {
-                    kernel.journal_rollback(range.clone(), &jbuf)
-                }));
-                stats.journal_ns += t0.elapsed().as_nanos();
-                match rb {
-                    Ok(()) => {
-                        stats.rollbacks += 1;
-                        run.record(FaultEvent::ChunkRolledBack {
-                            thread: t,
-                            chunk: j,
-                            bytes: jbuf.len() as u64,
-                        });
-                        // The chunk is uncommitted again: not counted.
-                    }
-                    Err(payload) => {
-                        // The rollback itself tore the chunk: resuming
-                        // from `completed` could double-apply writes, so
-                        // the supervisor must report the tear instead of
-                        // a clean cancel.
-                        run.record(FaultEvent::WorkerPanicked {
-                            thread: t,
-                            chunk: j,
-                            message: format!(
-                                "journal rollback panicked during cancellation abort: {}",
-                                panic_message(payload.as_ref())
-                            ),
-                        });
-                        run.salvage_unsound.store(true, Ordering::Release);
-                    }
+                // capture of this same range. Rolled back, the chunk is
+                // uncommitted again: not counted.
+                let rb = unsafe { rollback_chunk(kernel, run, t, j, &range, &jbuf, &mut stats) };
+                if let Err(payload) = rb {
+                    // The rollback itself tore the chunk: resuming from
+                    // `completed` could double-apply writes, so the
+                    // supervisor must report the tear instead of a clean
+                    // cancel.
+                    run.record(FaultEvent::WorkerPanicked {
+                        thread: t,
+                        chunk: j,
+                        message: format!(
+                            "journal rollback panicked during cancellation abort: {}",
+                            panic_message(payload.as_ref())
+                        ),
+                    });
+                    run.salvage_unsound.store(true, Ordering::Release);
                 }
             } else {
                 // Unjournalable: the finished chunk cannot be reverted,
@@ -2820,7 +2553,7 @@ fn ft_worker<K: RealKernel>(
                 stats.chunks += 1;
                 run.completed.fetch_max(j + 1, Ordering::AcqRel);
             }
-            poison_cancelled(run, gov);
+            poison_cancelled(run, cancel);
             return phases.finish(stats);
         }
         stats.chunk_exec.record(exec_ns);
@@ -2838,37 +2571,15 @@ fn ft_worker<K: RealKernel>(
         }
 
         // --- durable checkpoint (claim still held) ---
-        // Capture happens-before the token handoff to chunk j + 1, so a
-        // checkpoint can never observe an uncommitted write (model-checker
-        // invariant 8). Helpers never touch the sink, so nothing here
-        // blocks them; the cost rides inside the Other phase as side
-        // counters (`ckpt_ns`/`ckpt_bytes`/`ckpt_count`), leaving the
-        // exact phase partition untouched. A panic anywhere in the sink
-        // skips the checkpoint and lets the run continue. Under an armed
-        // VerifyPolicy publication is deferred to the downstream claimant
-        // (the supervisor, for the final chunk): this chunk enters the
-        // checkpoint only after its handoff is verified, so a kill landing
-        // between commit and verification can never persist bytes that
-        // verification would have rejected.
-        if let Some(ck) = gov.ckpt.as_ref().filter(|_| !gov.verify.armed()) {
-            let t0 = Instant::now();
-            let written = catch_unwind(AssertUnwindSafe(|| {
-                ck.sink.on_commit(
-                    ck.policy,
-                    j + 1,
-                    range.end,
-                    |c| plan.range(c).start,
-                    // SAFETY: we hold the claim — the same exclusivity
-                    // contract as `execute` — and capture only reads.
-                    |r, buf| unsafe { kernel.journal_capture(r, buf) },
-                )
-            }))
-            .unwrap_or(None);
-            if let Some(bytes) = written {
-                stats.ckpt_count += 1;
-                stats.ckpt_bytes += bytes;
-            }
-            stats.ckpt_ns += t0.elapsed().as_nanos();
+        // Under an armed VerifyPolicy publication is deferred to the
+        // downstream claimant (the end-of-loop leader, for the final
+        // chunk): this chunk enters the checkpoint only after its handoff
+        // is verified, so a kill landing between commit and verification
+        // can never persist bytes that verification would have rejected.
+        if !cfg.verify.armed() {
+            // SAFETY: we hold the claim — the same exclusivity contract
+            // as `execute` — and chunks `0..=j` are committed.
+            unsafe { publish_ckpt(kernel, cfg, plan, j + 1, range.end, &mut stats) };
         }
 
         // --- checksummed handoff (claim still held) ---
@@ -2879,7 +2590,7 @@ fn ft_worker<K: RealKernel>(
         // The pre-image journal rides along to seed the verifier's
         // replay overlay. Cost is a side counter (`verify_ns`) inside
         // the Other phase; with `VerifyPolicy::Off` this is one branch.
-        if gov.verify.armed() && journaled {
+        if cfg.verify.armed() && journaled {
             let t0 = Instant::now();
             let mut committed_bytes = Vec::new();
             // SAFETY: claim still held — the same exclusivity contract
@@ -2930,6 +2641,7 @@ fn ft_worker<K: RealKernel>(
 mod tests {
     use super::*;
     use crate::fault::{FaultKind, FaultPlan, FaultyKernel};
+    use crate::govern::MemBudget;
     use std::cell::UnsafeCell;
 
     /// prefix-sum-style kernel: order-sensitive across the whole loop.
@@ -2985,7 +2697,7 @@ mod tests {
                 policy: RtPolicy::None,
                 poll_batch: 16,
             };
-            let stats = run_cascaded(&k, &cfg);
+            let stats = try_run_governed(&k, &RunConfig::from(cfg.clone())).unwrap();
             assert_eq!(stats.chunks, (n as u64 - 1).div_ceil(700));
             assert!(!stats.degraded);
             assert!(stats.faults.is_empty());
@@ -3076,15 +2788,16 @@ mod tests {
         // Packs everything / cannot pack from mid-chunk 1 on / never packs.
         for cap in [u64::MAX, ipc + 40, 0] {
             let k = PackChain::new(n, cap);
-            let stats = run_cascaded(
+            let stats = try_run_governed(
                 &k,
-                &RunnerConfig {
+                &RunConfig::from(RunnerConfig {
                     nthreads: 2,
                     iters_per_chunk: ipc,
                     policy: RtPolicy::Restructure,
                     poll_batch: 16,
-                },
-            );
+                }),
+            )
+            .unwrap();
             let packed_bytes: u64 = stats.threads.iter().map(|t| t.packed_bytes).sum();
             let consumed_to = k.consumed_to.load(Ordering::SeqCst);
             if cap == u64::MAX {
@@ -3111,7 +2824,7 @@ mod tests {
             policy: RtPolicy::Prefetch,
             poll_batch: 32,
         };
-        let stats = run_cascaded(&k, &cfg);
+        let stats = try_run_governed(&k, &RunConfig::from(cfg)).unwrap();
         let total: u64 = stats.threads.iter().map(|t| t.chunks).sum();
         assert_eq!(total, stats.chunks);
         assert_eq!(stats.iters, n as u64 - 1);
@@ -3122,15 +2835,16 @@ mod tests {
         let n = 5_000;
         let expected = seq_result(n);
         let k = Chain::new(n);
-        let stats = run_cascaded(
+        let stats = try_run_governed(
             &k,
-            &RunnerConfig {
+            &RunConfig::from(RunnerConfig {
                 nthreads: 1,
                 iters_per_chunk: 100,
                 policy: RtPolicy::None,
                 poll_batch: 1,
-            },
-        );
+            }),
+        )
+        .unwrap();
         assert_eq!(stats.threads.len(), 1);
         assert_eq!(k.into_data(), expected);
     }
@@ -3138,24 +2852,27 @@ mod tests {
     #[test]
     fn oversized_chunk_yields_one_chunk() {
         let k = Chain::new(100);
-        let stats = run_cascaded(
+        let stats = try_run_governed(
             &k,
-            &RunnerConfig {
+            &RunConfig::from(RunnerConfig {
                 nthreads: 2,
                 iters_per_chunk: 1_000_000,
                 policy: RtPolicy::None,
                 poll_batch: 1,
-            },
-        );
+            }),
+        )
+        .unwrap();
         assert_eq!(stats.chunks, 1);
         assert_eq!(stats.threads[0].chunks + stats.threads[1].chunks, 1);
     }
 
     #[test]
-    #[should_panic(expected = "empty kernel")]
     fn empty_kernel_is_rejected() {
         let k = Chain::new(1); // iters() == 0
-        run_cascaded(&k, &RunnerConfig::default());
+        match try_run_governed(&k, &RunConfig::from(RunnerConfig::default())) {
+            Err(RunError::InvalidConfig(msg)) => assert_eq!(msg, "empty kernel"),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]
@@ -3175,7 +2892,7 @@ mod tests {
                 ..RunnerConfig::default()
             },
         ] {
-            match try_run_cascaded(&k, &bad, &Tolerance::default()) {
+            match try_run_governed(&k, &RunConfig::from(bad.clone())) {
                 Err(RunError::InvalidConfig(_)) => {}
                 other => panic!("expected InvalidConfig, got {other:?}"),
             }
@@ -3195,9 +2912,15 @@ mod tests {
                 policy: RtPolicy::None,
                 poll_batch: 4,
             };
-            let stats =
-                try_run_cascaded(&k, &cfg, &Tolerance::resilient(Duration::from_millis(50)))
-                    .expect("salvage must recover");
+            let stats = try_run_governed(
+                &k,
+                &RunConfig {
+                    runner: cfg.clone(),
+                    tolerance: Tolerance::resilient(Duration::from_millis(50)),
+                    ..Default::default()
+                },
+            )
+            .expect("salvage must recover");
             assert!(stats.degraded, "threads={threads}");
             assert!(
                 stats
@@ -3241,7 +2964,14 @@ mod tests {
             policy: RtPolicy::None,
             poll_batch: 4,
         };
-        match try_run_cascaded(&k, &cfg, &Tolerance::resilient(Duration::from_millis(50))) {
+        match try_run_governed(
+            &k,
+            &RunConfig {
+                runner: cfg,
+                tolerance: Tolerance::resilient(Duration::from_millis(50)),
+                ..Default::default()
+            },
+        ) {
             Err(RunError::WorkerPanicked { chunk: 5, .. }) => {}
             other => panic!("expected WorkerPanicked on chunk 5, got {other:?}"),
         }
@@ -3259,8 +2989,15 @@ mod tests {
             policy: RtPolicy::None,
             poll_batch: 4,
         };
-        let stats = try_run_cascaded(&k, &cfg, &Tolerance::resilient(Duration::from_millis(20)))
-            .expect("stall must salvage");
+        let stats = try_run_governed(
+            &k,
+            &RunConfig {
+                runner: cfg,
+                tolerance: Tolerance::resilient(Duration::from_millis(20)),
+                ..Default::default()
+            },
+        )
+        .expect("stall must salvage");
         assert!(stats.degraded);
         assert!(
             stats
@@ -3293,8 +3030,15 @@ mod tests {
             policy: RtPolicy::None,
             poll_batch: 4,
         };
-        let stats = try_run_cascaded(&k, &cfg, &Tolerance::resilient(Duration::from_millis(500)))
-            .expect("a slowdown is not a fault");
+        let stats = try_run_governed(
+            &k,
+            &RunConfig {
+                runner: cfg,
+                tolerance: Tolerance::resilient(Duration::from_millis(500)),
+                ..Default::default()
+            },
+        )
+        .expect("a slowdown is not a fault");
         assert!(!stats.degraded);
         assert!(stats.faults.is_empty());
         assert_eq!(k.into_inner().into_data(), expected);
@@ -3310,7 +3054,7 @@ mod tests {
             policy: RtPolicy::None,
             poll_batch: 4,
         };
-        match try_run_cascaded(&k, &cfg, &Tolerance::default()) {
+        match try_run_governed(&k, &RunConfig::from(cfg)) {
             Err(RunError::WorkerPanicked {
                 thread: 0,
                 chunk: 4,
@@ -3331,8 +3075,15 @@ mod tests {
             policy: RtPolicy::None,
             poll_batch: 4,
         };
-        let stats = try_run_cascaded(&k, &cfg, &Tolerance::retrying(Duration::from_millis(50)))
-            .expect("retry must recover");
+        let stats = try_run_governed(
+            &k,
+            &RunConfig {
+                runner: cfg,
+                tolerance: Tolerance::retrying(Duration::from_millis(50)),
+                ..Default::default()
+            },
+        )
+        .expect("retry must recover");
         assert!(
             !stats.degraded,
             "retry must stay cascaded, not salvage: {:?}",
@@ -3394,7 +3145,15 @@ mod tests {
             }),
             salvage: true,
         };
-        let stats = try_run_cascaded(&k, &cfg, &tol).expect("salvage must still recover");
+        let stats = try_run_governed(
+            &k,
+            &RunConfig {
+                runner: cfg,
+                tolerance: tol,
+                ..Default::default()
+            },
+        )
+        .expect("salvage must still recover");
         assert!(stats.degraded, "a dry budget must fall through");
         assert_eq!(stats.retries, 0);
         assert!(
@@ -3423,8 +3182,15 @@ mod tests {
             policy: RtPolicy::None,
             poll_batch: 4,
         };
-        let stats = try_run_cascaded(&k, &cfg, &Tolerance::retrying(Duration::from_millis(50)))
-            .expect("salvage must recover");
+        let stats = try_run_governed(
+            &k,
+            &RunConfig {
+                runner: cfg,
+                tolerance: Tolerance::retrying(Duration::from_millis(50)),
+                ..Default::default()
+            },
+        )
+        .expect("salvage must recover");
         assert!(stats.degraded);
         assert!(
             stats.faults.iter().any(|f| matches!(
@@ -3467,7 +3233,14 @@ mod tests {
             policy: RtPolicy::None,
             poll_batch: 4,
         };
-        match try_run_cascaded(&k, &cfg, &Tolerance::retrying(Duration::from_millis(50))) {
+        match try_run_governed(
+            &k,
+            &RunConfig {
+                runner: cfg,
+                tolerance: Tolerance::retrying(Duration::from_millis(50)),
+                ..Default::default()
+            },
+        ) {
             Err(RunError::WorkerPanicked { chunk: 5, .. }) => {}
             other => panic!("expected WorkerPanicked on chunk 5, got {other:?}"),
         }
@@ -3497,7 +3270,15 @@ mod tests {
             }),
             salvage: true,
         };
-        let stats = try_run_cascaded(&k, &cfg, &tol).expect("stall must salvage");
+        let stats = try_run_governed(
+            &k,
+            &RunConfig {
+                runner: cfg,
+                tolerance: tol,
+                ..Default::default()
+            },
+        )
+        .expect("stall must salvage");
         assert!(stats.degraded);
         assert_eq!(stats.retries, 0, "a claimed chunk must never be retried");
         assert!(
@@ -3543,10 +3324,13 @@ mod tests {
                 FaultyKernel::new(Chain::new(n), plan)
             })
             .collect();
-        let all = try_run_cascaded_sequence(
+        let all = try_run_governed_sequence(
             &kernels,
-            &cfg,
-            &Tolerance::retrying(Duration::from_millis(50)),
+            &RunConfig {
+                runner: cfg,
+                tolerance: Tolerance::retrying(Duration::from_millis(50)),
+                ..Default::default()
+            },
         )
         .expect("the sequence must recover in-cascade");
         assert_eq!(all.len(), 3);
@@ -3588,7 +3372,14 @@ mod tests {
                 policy: RtPolicy::None,
                 poll_batch: 4,
             };
-            match try_run_cascaded(&k, &cfg, &tol) {
+            match try_run_governed(
+                &k,
+                &RunConfig {
+                    runner: cfg.clone(),
+                    tolerance: tol.clone(),
+                    ..Default::default()
+                },
+            ) {
                 Err(RunError::WorkerPanicked { chunk: 5, .. }) => {}
                 other => panic!("expected WorkerPanicked on chunk 5, got {other:?}"),
             }
@@ -3614,7 +3405,7 @@ mod tests {
     fn leader_death_mid_sequence_is_a_typed_error_not_a_panic() {
         // Fail-fast tolerance, panic in loop 0 of a 3-loop sequence: the
         // workers break out before the end-of-loop barrier ever stamps
-        // loop_ends[0] (and never reach loops 1–2 at all). The supervisor
+        // loop 0's end (and never reach loops 1–2 at all). The supervisor
         // must return the worker's typed error — a regression that reads
         // the missing stamps used to panic the supervisor itself.
         let cfg = RunnerConfig {
@@ -3633,7 +3424,7 @@ mod tests {
                 FaultyKernel::new(Chain::new(2_000), plan)
             })
             .collect();
-        match try_run_cascaded_sequence(&kernels, &cfg, &Tolerance::default()) {
+        match try_run_governed_sequence(&kernels, &RunConfig::from(cfg)) {
             Err(RunError::WorkerPanicked { chunk: 2, .. }) => {}
             other => panic!("expected WorkerPanicked on chunk 2, got {other:?}"),
         }
@@ -3650,8 +3441,15 @@ mod tests {
             policy: RtPolicy::Restructure,
             poll_batch: 16,
         };
-        let stats = try_run_cascaded(&k, &cfg, &Tolerance::retrying(Duration::from_secs(5)))
-            .expect("fault-free run");
+        let stats = try_run_governed(
+            &k,
+            &RunConfig {
+                runner: cfg,
+                tolerance: Tolerance::retrying(Duration::from_secs(5)),
+                ..Default::default()
+            },
+        )
+        .expect("fault-free run");
         assert!(!stats.degraded);
         assert!(stats.faults.is_empty());
         assert_eq!(stats.retries, 0);
@@ -3923,8 +3721,15 @@ mod tests {
             policy: RtPolicy::None,
             poll_batch: 4,
         };
-        let stats = try_run_cascaded(&k, &cfg, &Tolerance::resilient(Duration::from_millis(50)))
-            .expect("journaled chunk must salvage");
+        let stats = try_run_governed(
+            &k,
+            &RunConfig {
+                runner: cfg,
+                tolerance: Tolerance::resilient(Duration::from_millis(50)),
+                ..Default::default()
+            },
+        )
+        .expect("journaled chunk must salvage");
         assert!(stats.degraded, "salvage marks the run degraded");
         let pos = |pred: &dyn Fn(&FaultEvent) -> bool| {
             stats

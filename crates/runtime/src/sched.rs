@@ -67,10 +67,12 @@ use cascade_trace::LoopSpec;
 
 use crate::barrier::{BarrierOutcome, FtBarrier};
 use crate::ckpt::CkptPolicy;
-use crate::govern::{CancelKind, CancelState, CancelToken, Governor, RunConfig};
+use crate::govern::{CancelKind, Governor, RunConfig};
 use crate::kernel::RealKernel;
 use crate::metrics::NsStats;
-use crate::runner::{try_run_governed, FaultEvent, RunError, RunStats, ThreadStats};
+use crate::runner::{
+    cancel_error, try_run_governed, validate, FaultEvent, RunError, RunStats, ThreadStats,
+};
 use crate::token::lock_recover;
 
 /// A committed-iteration frontier on its own cache line, so DOACROSS
@@ -869,68 +871,6 @@ fn uncommitted_gaps(committed: &mut [Range<u64>], iters: u64) -> Vec<Range<u64>>
     gaps
 }
 
-fn cancel_error_planned(cancel: &CancelToken, committed_iters: u64) -> RunError {
-    match cancel.state() {
-        Some(CancelState {
-            kind: CancelKind::Deadline { after },
-            ..
-        }) => RunError::DeadlineExceeded {
-            deadline: after,
-            committed_iters,
-        },
-        Some(CancelState {
-            kind: CancelKind::Budget { needed, limit },
-            ..
-        }) => RunError::BudgetExceeded {
-            needed,
-            limit,
-            committed_iters,
-        },
-        Some(CancelState {
-            kind: CancelKind::User,
-            reason,
-        }) => RunError::Cancelled {
-            reason,
-            committed_iters,
-        },
-        None => RunError::Cancelled {
-            reason: "cancelled".into(),
-            committed_iters,
-        },
-    }
-}
-
-/// Add the planned-run committed prefix to a sequential sub-run's
-/// governance error (its `committed_iters` is loop-local).
-fn offset_committed(e: RunError, prior: u64) -> RunError {
-    match e {
-        RunError::Cancelled {
-            reason,
-            committed_iters,
-        } => RunError::Cancelled {
-            reason,
-            committed_iters: committed_iters + prior,
-        },
-        RunError::DeadlineExceeded {
-            deadline,
-            committed_iters,
-        } => RunError::DeadlineExceeded {
-            deadline,
-            committed_iters: committed_iters + prior,
-        },
-        RunError::BudgetExceeded {
-            needed,
-            limit,
-            committed_iters,
-        } => RunError::BudgetExceeded {
-            needed,
-            limit,
-            committed_iters: committed_iters + prior,
-        },
-        other => other,
-    }
-}
-
 /// Execute a [`TransformPlan`]'s partition on real threads: one kernel
 /// per sub-loop (in partition order, e.g. from [`fission_specs`]
 /// materialized through [`crate::SpecProgram`]), with `Parallel`
@@ -940,7 +880,8 @@ fn offset_committed(e: RunError, prior: u64) -> RunError {
 /// the sub-loops sequentially in plan order — which the plan's replay
 /// oracle has already proved bitwise-identical to the original loop.
 ///
-/// Governance composes: the shared [`CancelToken`] and deadline drain
+/// Governance composes: the shared
+/// [`CancelToken`](crate::govern::CancelToken) and deadline drain
 /// the pool at post/wait and chunk boundaries with journaled rollback
 /// of the in-flight sub-loop, so governance errors carry a clean
 /// `committed_iters` prefix **of the fissioned sequence** (completed
@@ -960,17 +901,7 @@ pub fn try_run_planned<K: RealKernel>(
     cfg: &RunConfig,
 ) -> Result<PlannedStats, RunError> {
     cfg.try_validate()?;
-    if cfg.runner.nthreads < 1 {
-        return Err(RunError::InvalidConfig("need at least one thread".into()));
-    }
-    if cfg.runner.iters_per_chunk < 1 {
-        return Err(RunError::InvalidConfig("chunks must be non-empty".into()));
-    }
-    if cfg.runner.poll_batch < 1 {
-        return Err(RunError::InvalidConfig(
-            "poll batch must be positive".into(),
-        ));
-    }
+    validate(&cfg.runner)?;
     if !matches!(cfg.ckpt, CkptPolicy::Off) {
         return Err(RunError::InvalidConfig(
             "durable checkpoints are not supported in plan mode; use --mode cascade".into(),
@@ -1078,7 +1009,7 @@ pub fn try_run_planned<K: RealKernel>(
             // Governance check between sub-loops.
             if cfg.cancel.is_cancelled() {
                 cfg.cancel.note_observed();
-                return fail(cancel_error_planned(&cfg.cancel, prior_iters));
+                return fail(cancel_error(&cfg.cancel, prior_iters));
             }
             // Reset stage state; the start barrier publishes it.
             for p in &shared.posts {
@@ -1092,22 +1023,15 @@ pub fn try_run_planned<K: RealKernel>(
             }
 
             if matches!(sched, Schedule::Sequential) {
-                // Cascade the residue with the token runtime. The
-                // planned-level governor owns the deadline; checkpoints
-                // stay off (validated above).
+                // Cascade the residue with the token runtime, under this
+                // run's whole configuration but for the deadline, which
+                // the planned-level governor owns (checkpoints are off,
+                // validated above). Verification rides the token cascade:
+                // the residue's handoffs are verified; DOALL/DOACROSS
+                // stages have no sequential handoff to checksum.
                 let sub_cfg = RunConfig {
-                    runner: cfg.runner.clone(),
-                    tolerance: cfg.tolerance.clone(),
                     deadline: None,
-                    budget: cfg.budget.clone(),
-                    cancel: cfg.cancel.clone(),
-                    observe: cfg.observe.clone(),
-                    ckpt: CkptPolicy::Off,
-                    ckpt_sink: None,
-                    // Verification rides the token cascade: the residue's
-                    // handoffs are verified; DOALL/DOACROSS stages have no
-                    // sequential handoff to checksum.
-                    verify: cfg.verify,
+                    ..cfg.clone()
                 };
                 let sub_start_ns = start.elapsed().as_nanos() as u64;
                 let res = try_run_governed(kernel, &sub_cfg);
@@ -1142,7 +1066,7 @@ pub fn try_run_planned<K: RealKernel>(
                         prior_iters += iters;
                         continue;
                     }
-                    Err(e) => return fail(offset_committed(e, prior_iters)),
+                    Err(e) => return fail(e.rebased(prior_iters)),
                 }
             }
 
@@ -1248,7 +1172,7 @@ pub fn try_run_planned<K: RealKernel>(
                     for e in entries {
                         cfg.budget.release(e.reserved);
                     }
-                    return fail(cancel_error_planned(&cfg.cancel, prior_iters));
+                    return fail(cancel_error(&cfg.cancel, prior_iters));
                 }
                 // Unjournalable stage: complete it instead (the
                 // cascade's unjournalable-chunk rule, lifted to a
@@ -1266,7 +1190,7 @@ pub fn try_run_planned<K: RealKernel>(
                     return fail(e);
                 }
                 release_stage_journals(&mut stages);
-                return fail(cancel_error_planned(&cfg.cancel, prior_iters + iters));
+                return fail(cancel_error(&cfg.cancel, prior_iters + iters));
             }
 
             release_stage_journals(&mut stages);

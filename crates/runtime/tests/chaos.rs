@@ -10,8 +10,8 @@
 use std::time::Duration;
 
 use cascade_rt::{
-    try_run_cascaded, try_run_cascaded_sequence, FaultEvent, FaultKind, FaultPlan, FaultyKernel,
-    RealKernel, RtPolicy, RunError, RunnerConfig, SpecProgram, Tolerance,
+    try_run_governed, try_run_governed_sequence, FaultEvent, FaultKind, FaultPlan, FaultyKernel,
+    RealKernel, RtPolicy, RunConfig, RunError, RunnerConfig, SpecProgram, Tolerance,
 };
 use cascade_synth::{Synth, Variant};
 use cascade_wave5::{Parmvr, ParmvrParams};
@@ -87,7 +87,14 @@ fn randomized_fault_matrix_always_terminates_and_never_corrupts() {
             poll_batch: 8,
         };
         let faulty = FaultyKernel::new(prog.kernel(0), plan.clone());
-        let result = try_run_cascaded(&faulty, &cfg, &Tolerance::resilient(WATCHDOG));
+        let result = try_run_governed(
+            &faulty,
+            &RunConfig {
+                runner: cfg.clone(),
+                tolerance: Tolerance::resilient(WATCHDOG),
+                ..Default::default()
+            },
+        );
         drop(faulty);
         match result {
             Ok(stats) => {
@@ -152,7 +159,14 @@ fn randomized_retry_matrix_recovers_or_records_fallthrough() {
             poll_batch: 8,
         };
         let faulty = FaultyKernel::new(prog.kernel(0), plan.clone());
-        let result = try_run_cascaded(&faulty, &cfg, &Tolerance::retrying(WATCHDOG));
+        let result = try_run_governed(
+            &faulty,
+            &RunConfig {
+                runner: cfg.clone(),
+                tolerance: Tolerance::retrying(WATCHDOG),
+                ..Default::default()
+            },
+        );
         drop(faulty);
         match result {
             Ok(stats) => {
@@ -216,8 +230,19 @@ fn panic_only_plans_recover_in_cascade_across_thread_counts() {
             poll_batch: 8,
         };
         let faulty = FaultyKernel::new(prog.kernel(0), plan);
-        let stats = try_run_cascaded(&faulty, &cfg, &Tolerance::retrying(WATCHDOG))
-            .expect("retry tolerance must recover a fail-stop panic");
+        // No stall is injected here, so the watchdog is only a deadlock
+        // backstop: seconds wide, or an oversubscribed host (up to 4
+        // threads beside the other fault tests) can have a descheduled
+        // worker struck as stalled and break the exact counts below.
+        let stats = try_run_governed(
+            &faulty,
+            &RunConfig {
+                runner: cfg,
+                tolerance: Tolerance::retrying(Duration::from_secs(5)),
+                ..Default::default()
+            },
+        )
+        .expect("retry tolerance must recover a fail-stop panic");
         drop(faulty);
         assert!(
             !stats.degraded,
@@ -249,7 +274,7 @@ fn typed_error_names_the_injected_thread_and_chunk() {
         policy: RtPolicy::None,
         poll_batch: 8,
     };
-    match try_run_cascaded(&faulty, &cfg, &Tolerance::default()) {
+    match try_run_governed(&faulty, &RunConfig::from(cfg)) {
         Err(RunError::WorkerPanicked { thread: 2, chunk }) => assert_eq!(chunk, target_chunk),
         other => panic!("expected WorkerPanicked on thread 2, got {other:?}"),
     }
@@ -293,8 +318,15 @@ fn sequence_salvages_across_loops_bitwise() {
         policy: RtPolicy::Restructure,
         poll_batch: 8,
     };
-    let stats = try_run_cascaded_sequence(&kernels, &cfg, &Tolerance::resilient(WATCHDOG))
-        .expect("sequence salvage must recover");
+    let stats = try_run_governed_sequence(
+        &kernels,
+        &RunConfig {
+            runner: cfg,
+            tolerance: Tolerance::resilient(WATCHDOG),
+            ..Default::default()
+        },
+    )
+    .expect("sequence salvage must recover");
     drop(kernels);
     assert_eq!(stats.len(), 15);
     for (l, s) in stats.iter().enumerate() {
@@ -343,8 +375,15 @@ fn sequence_stall_is_salvaged_bitwise() {
         policy: RtPolicy::None,
         poll_batch: 8,
     };
-    let stats = try_run_cascaded_sequence(&kernels, &cfg, &Tolerance::resilient(WATCHDOG))
-        .expect("stalled sequence must salvage");
+    let stats = try_run_governed_sequence(
+        &kernels,
+        &RunConfig {
+            runner: cfg,
+            tolerance: Tolerance::resilient(WATCHDOG),
+            ..Default::default()
+        },
+    )
+    .expect("stalled sequence must salvage");
     drop(kernels);
     assert!(stats[2].degraded);
     assert_eq!(prog.checksum(), expected);

@@ -14,8 +14,8 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use cascade_rt::{
-    ckpt, CkptError, CkptMeta, CkptPolicy, CkptSink, CkptWriter, RealKernel, RtPolicy, RunConfig,
-    RunnerConfig, SpecProgram,
+    ckpt, try_run_governed_sequence, CkptError, CkptMeta, CkptPolicy, CkptSink, CkptWriter,
+    RealKernel, RtPolicy, RunConfig, RunError, RunnerConfig, SpecProgram,
 };
 use cascade_trace::{
     to_text, AddressSpace, Arena, IndexStore, LoopSpec, Mode, Pattern, StreamRef, Workload,
@@ -339,6 +339,57 @@ fn governed_checkpointed_run_restores_bitwise_from_disk() {
     let (mut restored, at) = ck.into_program().expect("restore");
     assert_eq!(at, s.iters);
     assert_eq!(restored.arena_mut().bytes(), want.as_slice());
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpoint manifest describes one loop, so a sequence of two is
+/// refused with a typed error before any worker spawns — while a sequence
+/// of one *is* a single loop and checkpoints like one.
+#[test]
+fn sequence_checkpoint_gate_admits_exactly_one_loop() {
+    let s = fixed_scenario();
+    let ckpt_cfg = |tag: &str, prog: &mut SpecProgram| {
+        let text = to_text(prog.workload());
+        let base = prog.arena_mut().bytes().to_vec();
+        let dir = tmpdir(tag);
+        let meta = CkptMeta {
+            loop_index: 0,
+            iters: s.iters,
+            iters_per_chunk: s.chunk_iters,
+        };
+        let sink = CkptSink::new(CkptWriter::create(&dir, &text, meta, &base).expect("writer"));
+        let cfg = RunConfig {
+            runner: RunnerConfig {
+                nthreads: 2,
+                iters_per_chunk: s.chunk_iters,
+                policy: RtPolicy::None,
+                poll_batch: 8,
+            },
+            ckpt: CkptPolicy::EveryChunks(1),
+            ckpt_sink: Some(sink.clone()),
+            ..RunConfig::default()
+        };
+        (dir, sink, cfg)
+    };
+
+    let mut prog = build(&s);
+    let before = prog.arena_mut().bytes().to_vec();
+    let (dir, sink, cfg) = ckpt_cfg("seq-gate-two", &mut prog);
+    match try_run_governed_sequence(&[prog.kernel(0), prog.kernel(0)], &cfg) {
+        Err(RunError::InvalidConfig(msg)) => assert!(msg.contains("single governed loop"), "{msg}"),
+        other => panic!("two checkpointed loops must be refused, got {other:?}"),
+    }
+    assert_eq!(sink.committed(), (0, 0), "nothing may be published");
+    assert_eq!(prog.arena_mut().bytes(), before, "no worker may have run");
+    fs::remove_dir_all(&dir).ok();
+
+    let mut prog = build(&s);
+    let (dir, sink, cfg) = ckpt_cfg("seq-gate-one", &mut prog);
+    let stats = try_run_governed_sequence(&[prog.kernel(0)], &cfg).expect("a sequence of one");
+    assert_eq!(stats.len(), 1);
+    assert_eq!(sink.error(), None);
+    assert_eq!(sink.committed(), (stats[0].chunks, s.iters));
+    assert_eq!(ckpt::load(&dir).expect("load").committed_iters(), s.iters);
     fs::remove_dir_all(&dir).ok();
 }
 

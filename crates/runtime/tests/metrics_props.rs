@@ -14,8 +14,7 @@ use std::time::Duration;
 
 use cascade_core::{CascadeMetrics, LatencyStats, MetricsSource, WorkerMetrics};
 use cascade_rt::{
-    try_run_cascaded, try_run_cascaded_observed, NsStats, Observe, RtPolicy, RunStats,
-    RunnerConfig, SpecProgram, Tolerance,
+    try_run_governed, NsStats, Observe, RtPolicy, RunConfig, RunStats, RunnerConfig, SpecProgram,
 };
 use cascade_synth::{Synth, Variant};
 use proptest::prelude::*;
@@ -30,8 +29,15 @@ fn run_observed(n: u64, policy: RtPolicy, nthreads: usize, obs: &Observe) -> Run
         policy,
         poll_batch: 32,
     };
-    try_run_cascaded_observed(&k, &cfg, &Tolerance::default(), obs)
-        .expect("fault-free run must succeed")
+    try_run_governed(
+        &k,
+        &RunConfig {
+            runner: cfg,
+            observe: obs.clone(),
+            ..Default::default()
+        },
+    )
+    .expect("fault-free run must succeed")
 }
 
 #[test]
@@ -170,9 +176,16 @@ fn recorder_overhead_stays_within_the_fault_free_guard() {
         let s = Synth::build(n, Variant::Dense, 1234);
         let prog = SpecProgram::new(s.workload, s.arena).unwrap();
         let k = prog.kernel(0);
-        try_run_cascaded_observed(&k, &cfg, &Tolerance::default(), obs)
-            .expect("fault-free run must succeed")
-            .elapsed
+        try_run_governed(
+            &k,
+            &RunConfig {
+                runner: cfg.clone(),
+                observe: obs.clone(),
+                ..Default::default()
+            },
+        )
+        .expect("fault-free run must succeed")
+        .elapsed
     };
     let ring = Observe::with_events();
     let counters = Observe::default();
@@ -202,7 +215,7 @@ fn counters_are_on_by_default() {
         policy: RtPolicy::Restructure,
         poll_batch: 16,
     };
-    let stats = try_run_cascaded(&k, &cfg, &Tolerance::default()).unwrap();
+    let stats = try_run_governed(&k, &RunConfig::from(cfg)).unwrap();
     let m = stats.metrics();
     assert_eq!(m.source, Some(MetricsSource::Real));
     assert!(m.events.is_empty(), "ring must be opt-in");

@@ -23,7 +23,7 @@ use cascade_analyze::plan::{plan_loop, Schedule};
 use cascade_rt::{
     doacross_order, fission_specs, try_run_planned, CancelToken, FaultKind, FaultPlan,
     FaultyKernel, Observe, RealKernel, RtPolicy, RunConfig, RunError, RunnerConfig, SpecProgram,
-    Tolerance,
+    Tolerance, VerifyPolicy,
 };
 use cascade_trace::{
     AddressSpace, Arena, IndexStore, LoopSpec, Mode, Pattern, StreamRef, Workload,
@@ -484,5 +484,83 @@ fn doacross_lag_violation_provably_diverges() {
         replay(lag + 1, arena),
         expected,
         "demanding one commit fewer than the lag must corrupt the recurrence"
+    );
+}
+
+/// A corruption caught in a sequential residue that *follows* completed
+/// sub-loops must report its resume point on the fissioned sequence, like
+/// the governance errors do: the first sub-loop's whole trip plus the
+/// residue's clean prefix. A sub-loop-local value would make the resume
+/// re-run the residue's committed chunks, double-applying its scatter —
+/// so the point is also checked the way that matters, by resuming from it.
+#[test]
+fn corrupted_residue_reports_a_sequence_global_resume_point() {
+    let s = Scenario {
+        lag: None,
+        xw: true,
+        scatter: Some(7),
+        threads: 2,
+        ..lag2_scenario()
+    };
+    let (w, arena) = build(&s);
+    let expected = sequential_checksum(&w, arena.clone());
+    let (mut prog, plan) = fissioned_program(&w, arena);
+    let schedules: Vec<_> = plan.partition.iter().map(|p| p.schedule).collect();
+    assert_eq!(schedules, [Schedule::Parallel, Schedule::Sequential]);
+    let first_trip = prog.kernel(0).iters();
+    let flipped_chunk = 3;
+    let result = {
+        // The flip lands after chunk 3's whole body, inside its write
+        // footprint, so it survives to commit and the next claimant's
+        // replay catches it.
+        let flip = FaultKind::SilentBitFlip {
+            after_iters: u64::MAX,
+            offset: 3,
+            xor: 0xFF,
+            in_footprint: true,
+        };
+        let kernels = [
+            FaultyKernel::new(prog.kernel(0), FaultPlan::new(s.chunk)),
+            FaultyKernel::new(
+                prog.kernel(1),
+                FaultPlan::new(s.chunk).inject(flipped_chunk, flip),
+            ),
+        ];
+        let cfg = RunConfig {
+            runner: runner(&s),
+            tolerance: Tolerance::fail_fast(),
+            verify: VerifyPolicy::EveryChunk,
+            ..RunConfig::default()
+        };
+        try_run_planned(&kernels, &plan, &cfg)
+    };
+    let committed_iters = match result {
+        Err(RunError::Corrupted {
+            chunk: Some(c),
+            committed_iters,
+            ..
+        }) if c == flipped_chunk => committed_iters,
+        other => panic!("expected Corrupted on chunk {flipped_chunk}, got {other:?}"),
+    };
+    assert_eq!(
+        committed_iters,
+        first_trip + flipped_chunk * s.chunk,
+        "the DOALL's whole trip plus the residue's clean prefix"
+    );
+    // Resume the fissioned sequence from the reported prefix.
+    let mut rem = committed_iters;
+    for g in 0..plan.partition.len() {
+        let k = prog.kernel(g);
+        let done = rem.min(k.iters());
+        rem -= done;
+        if done < k.iters() {
+            // SAFETY: the run drained before returning.
+            unsafe { k.execute(done..k.iters()) };
+        }
+    }
+    assert_eq!(
+        prog.checksum(),
+        expected,
+        "resume from the reported prefix is not bitwise"
     );
 }

@@ -3,7 +3,10 @@
 //! the same program — all must preserve bitwise equivalence with
 //! sequential execution.
 
-use cascade_rt::{run_cascaded, RealKernel, RtPolicy, RunnerConfig, SpecProgram};
+use cascade_rt::{
+    try_run_governed, try_run_governed_sequence, RealKernel, RtPolicy, RunConfig, RunnerConfig,
+    SpecProgram,
+};
 use cascade_synth::{Synth, Variant};
 use cascade_wave5::{Parmvr, ParmvrParams};
 
@@ -20,7 +23,7 @@ fn synth_checksum_cascaded(n: u64, variant: Variant, cfg: &RunnerConfig) -> u64 
     let s = Synth::build(n, variant, 1234);
     let mut prog = SpecProgram::new(s.workload, s.arena).unwrap();
     let k = prog.kernel(0);
-    run_cascaded(&k, cfg);
+    try_run_governed(&k, &RunConfig::from(cfg.clone())).unwrap();
     prog.checksum()
 }
 
@@ -123,7 +126,7 @@ fn sequencing_all_loops_twice_matches_two_sequential_calls() {
     for _ in 0..2 {
         for i in 0..prog.num_loops() {
             let k = prog.kernel(i);
-            run_cascaded(&k, &cfg);
+            try_run_governed(&k, &RunConfig::from(cfg.clone())).unwrap();
         }
     }
     assert_eq!(prog.checksum(), expected);
@@ -135,15 +138,16 @@ fn stats_account_every_iteration_under_contention() {
     let s = Synth::build(n, Variant::Dense, 5);
     let prog = SpecProgram::new(s.workload, s.arena).unwrap();
     let k = prog.kernel(0);
-    let stats = run_cascaded(
+    let stats = try_run_governed(
         &k,
-        &RunnerConfig {
+        &RunConfig::from(RunnerConfig {
             nthreads: 4,
             iters_per_chunk: 50,
             policy: RtPolicy::Restructure,
             poll_batch: 7,
-        },
-    );
+        }),
+    )
+    .unwrap();
     assert_eq!(stats.iters, n);
     assert_eq!(stats.chunks, n.div_ceil(50));
     let executed: u64 = stats.threads.iter().map(|t| t.chunks).sum();
@@ -153,7 +157,6 @@ fn stats_account_every_iteration_under_contention() {
 
 #[test]
 fn persistent_pool_sequence_matches_per_loop_runs() {
-    use cascade_rt::run_cascaded_sequence;
     let build = || {
         let p = Parmvr::build(ParmvrParams {
             scale: 0.005,
@@ -167,19 +170,19 @@ fn persistent_pool_sequence_matches_per_loop_runs() {
         policy: RtPolicy::Restructure,
         poll_batch: 9,
     };
-    // Reference: one run_cascaded per loop (threads respawned each loop).
+    // Reference: one try_run_governed per loop (threads respawned each loop).
     let expected = {
         let mut prog = build();
         for i in 0..prog.num_loops() {
             let k = prog.kernel(i);
-            run_cascaded(&k, &cfg);
+            try_run_governed(&k, &RunConfig::from(cfg.clone())).unwrap();
         }
         prog.checksum()
     };
     // Persistent pool over the whole sequence.
     let mut prog = build();
     let kernels: Vec<_> = (0..prog.num_loops()).map(|i| prog.kernel(i)).collect();
-    let stats = run_cascaded_sequence(&kernels, &cfg);
+    let stats = try_run_governed_sequence(&kernels, &RunConfig::from(cfg)).unwrap();
     drop(kernels);
     assert_eq!(stats.len(), 15);
     for (l, s) in stats.iter().enumerate() {
@@ -208,25 +211,27 @@ impl cascade_rt::RealKernel for PanickingKernel {
 #[test]
 fn a_panicking_kernel_propagates_instead_of_deadlocking() {
     // Without token poisoning the other workers would spin forever and
-    // this test would hang; with it, the panic propagates promptly.
+    // this test would hang; with it, the panic reaches the caller promptly
+    // as a typed error.
     let k = PanickingKernel {
         panic_at: 500,
         n: 10_000,
     };
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_cascaded(
-            &k,
-            &RunnerConfig {
-                nthreads: 3,
-                iters_per_chunk: 100,
-                policy: RtPolicy::None,
-                poll_batch: 4,
-            },
-        )
-    }));
+    let result = try_run_governed(
+        &k,
+        &RunConfig::from(RunnerConfig {
+            nthreads: 3,
+            iters_per_chunk: 100,
+            policy: RtPolicy::None,
+            poll_batch: 4,
+        }),
+    );
     assert!(
-        result.is_err(),
-        "the kernel panic must propagate to the caller"
+        matches!(
+            result,
+            Err(cascade_rt::RunError::WorkerPanicked { chunk: 5, .. })
+        ),
+        "the kernel panic must propagate to the caller, got {result:?}"
     );
 }
 
@@ -245,7 +250,7 @@ fn poisoned_token_panics_waiters() {
 /// all three workers drained, instead of hanging at a barrier or token.
 #[test]
 fn sequence_panic_poisons_later_loops_and_unblocks_workers() {
-    use cascade_rt::{try_run_cascaded_sequence, RunError, Tolerance};
+    use cascade_rt::RunError;
     let kernels = [
         PanickingKernel {
             panic_at: u64::MAX,
@@ -266,20 +271,16 @@ fn sequence_panic_poisons_later_loops_and_unblocks_workers() {
         policy: RtPolicy::None,
         poll_batch: 4,
     };
-    match try_run_cascaded_sequence(&kernels, &cfg, &Tolerance::default()) {
+    match try_run_governed_sequence(&kernels, &RunConfig::from(cfg)) {
         Err(RunError::WorkerPanicked { chunk: 5, .. }) => {}
         other => panic!("expected WorkerPanicked on chunk 5, got {other:?}"),
     }
-    // The panicking shim keeps the legacy behavior: it panics.
-    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        cascade_rt::run_cascaded_sequence(&kernels, &cfg)
-    }));
-    assert!(r.is_err(), "the sequence shim must propagate the failure");
 }
 
-/// Regression: `run_cascaded_sequence` used to skip the configuration
-/// validation `run_cascaded` performs, so a zero `poll_batch` hung the
-/// helpers and a zero `iters_per_chunk` div-by-zeroed the chunk plan.
+/// Regression: the sequence runner used to skip the configuration
+/// validation the single-loop runner performed, so a zero `poll_batch`
+/// hung the helpers and a zero `iters_per_chunk` div-by-zeroed the chunk
+/// plan.
 #[test]
 #[should_panic(expected = "poll batch must be positive")]
 fn sequence_rejects_zero_poll_batch() {
@@ -287,15 +288,16 @@ fn sequence_rejects_zero_poll_batch() {
         panic_at: u64::MAX,
         n: 1_000,
     }];
-    cascade_rt::run_cascaded_sequence(
+    try_run_governed_sequence(
         &kernels,
-        &RunnerConfig {
+        &RunConfig::from(RunnerConfig {
             nthreads: 2,
             iters_per_chunk: 100,
             policy: RtPolicy::Restructure,
             poll_batch: 0,
-        },
-    );
+        }),
+    )
+    .unwrap();
 }
 
 #[test]
@@ -305,15 +307,16 @@ fn sequence_rejects_zero_chunk_iters() {
         panic_at: u64::MAX,
         n: 1_000,
     }];
-    cascade_rt::run_cascaded_sequence(
+    try_run_governed_sequence(
         &kernels,
-        &RunnerConfig {
+        &RunConfig::from(RunnerConfig {
             nthreads: 2,
             iters_per_chunk: 0,
             policy: RtPolicy::None,
             poll_batch: 4,
-        },
-    );
+        }),
+    )
+    .unwrap();
 }
 
 /// Fault-free overhead guard: the full recovery ladder
@@ -325,7 +328,7 @@ fn sequence_rejects_zero_chunk_iters() {
 /// a shared box does not flake the suite.
 #[test]
 fn fault_free_retry_ladder_adds_no_measurable_overhead() {
-    use cascade_rt::{try_run_cascaded, Tolerance};
+    use cascade_rt::Tolerance;
     use std::time::Duration;
 
     let n = 1u64 << 14;
@@ -340,7 +343,15 @@ fn fault_free_retry_ladder_adds_no_measurable_overhead() {
         let s = Synth::build(n, Variant::Dense, 1234);
         let mut prog = SpecProgram::new(s.workload, s.arena).unwrap();
         let k = prog.kernel(0);
-        let stats = try_run_cascaded(&k, &cfg, tol).expect("fault-free run must succeed");
+        let stats = try_run_governed(
+            &k,
+            &RunConfig {
+                runner: cfg.clone(),
+                tolerance: tol.clone(),
+                ..Default::default()
+            },
+        )
+        .expect("fault-free run must succeed");
         assert_eq!(prog.checksum(), expected, "fault-free run diverged");
         stats
     };
@@ -388,13 +399,13 @@ fn fault_free_retry_ladder_adds_no_measurable_overhead() {
 /// `VerifyPolicy::Off` (the default) the entire verify apparatus — digest
 /// publication, packet handoff, journal capture for replay, and the
 /// supervisor's arena scrubber — must collapse to the single
-/// `gov.verify.armed()` branch per chunk. Every verify-side counter must
+/// `cfg.verify.armed()` branch per chunk. Every verify-side counter must
 /// read zero and the wall clock must match a governance-free run within
 /// scheduler noise; timing compares the min of several trials like the
 /// ladder guard above.
 #[test]
 fn verify_off_costs_one_branch() {
-    use cascade_rt::{try_run_cascaded, try_run_governed, RunConfig, Tolerance, VerifyPolicy};
+    use cascade_rt::{Tolerance, VerifyPolicy};
     use std::time::Duration;
 
     let n = 1u64 << 14;
@@ -424,7 +435,7 @@ fn verify_off_costs_one_branch() {
         let mut prog = SpecProgram::new(s.workload, s.arena).unwrap();
         let k = prog.kernel(0);
         let stats =
-            try_run_cascaded(&k, &runner, &Tolerance::fail_fast()).expect("bare run must succeed");
+            try_run_governed(&k, &RunConfig::from(runner.clone())).expect("bare run must succeed");
         assert_eq!(prog.checksum(), expected, "bare run diverged");
         stats
     };

@@ -66,15 +66,16 @@ fn main() {
             };
             let mut prog = SpecProgram::new(k.workload.clone(), k.arena.clone()).unwrap();
             let kern = prog.kernel(0);
-            cascaded_execution::rt::run_cascaded(
+            cascaded_execution::rt::try_run_governed(
                 &kern,
-                &RunnerConfig {
+                &cascaded_execution::rt::RunConfig::from(RunnerConfig {
                     nthreads: 2,
                     iters_per_chunk: 2048,
                     policy: RtPolicy::Restructure,
                     poll_batch: 64,
-                },
-            );
+                }),
+            )
+            .expect("cascaded run failed");
             if prog.checksum() == expected {
                 "bitwise"
             } else {

@@ -15,7 +15,7 @@
 //! ```
 
 use cascaded_execution::rt::{
-    run_cascaded as rt_cascaded, run_sequential as rt_sequential, RtPolicy, RunnerConfig,
+    run_sequential as rt_sequential, try_run_governed, RtPolicy, RunConfig, RunnerConfig,
     SpecProgram,
 };
 use cascaded_execution::{
@@ -126,15 +126,16 @@ fn main() {
     };
     let mut prog = SpecProgram::new(workload, arena).unwrap();
     let kernel = prog.kernel(0);
-    let stats = rt_cascaded(
+    let stats = try_run_governed(
         &kernel,
-        &RunnerConfig {
+        &RunConfig::from(RunnerConfig {
             nthreads: std::thread::available_parallelism().map_or(2, |c| c.get().clamp(2, 4)),
             iters_per_chunk: 8192,
             policy: RtPolicy::Restructure,
             poll_batch: 128,
-        },
-    );
+        }),
+    )
+    .expect("cascaded run failed");
     println!(
         "  cascaded ({} chunks):    {:>8.2} ms, helper coverage {:.0}%",
         stats.chunks,

@@ -21,7 +21,7 @@ use std::cell::UnsafeCell;
 use std::ops::Range;
 
 use cascaded_execution::rt::{
-    prefetch_range, run_cascaded, run_sequential, RealKernel, RtPolicy, RunnerConfig,
+    prefetch_range, run_sequential, try_run_governed, RealKernel, RtPolicy, RunConfig, RunnerConfig,
 };
 
 struct SmoothKernel {
@@ -94,15 +94,16 @@ fn main() {
 
     // Cascaded with prefetch helpers.
     let k = SmoothKernel::new(n);
-    let stats = run_cascaded(
+    let stats = try_run_governed(
         &k,
-        &RunnerConfig {
+        &RunConfig::from(RunnerConfig {
             nthreads: threads,
             iters_per_chunk: chunk,
             policy: RtPolicy::Prefetch,
             poll_batch: 256,
-        },
-    );
+        }),
+    )
+    .expect("cascaded run failed");
     println!(
         "cascaded ({} thr):    {:>8.2} ms   {} chunks, helper coverage {:.0}%",
         threads,

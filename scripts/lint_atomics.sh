@@ -42,10 +42,10 @@
 #     redundant verify, never a missed one.
 #
 #   scrubs (runner.rs): the arena-scrub pass counter. Bumped only by the
-#     supervisor (single-loop) or the end-of-loop barrier leader
-#     (sequence) and read into RunStats after `thread::scope` joins /
-#     the barrier's own AcqRel edge — every reader is already ordered
-#     after every writer, so the counter itself needs no ordering. Pure
+#     supervisor before any worker spawns (the first loop's baseline) or
+#     by an end-of-loop barrier leader, and read into RunStats after
+#     `thread::scope` joins — every reader is already ordered after
+#     every writer, so the counter itself needs no ordering. Pure
 #     statistics; no protocol decision reads it.
 set -euo pipefail
 cd "$(dirname "$0")/.."

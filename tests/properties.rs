@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use cascaded_execution::rt::{
-    run_cascaded as rt_cascaded, RealKernel, RtPolicy, RunnerConfig, SpecProgram,
+    try_run_governed, RealKernel, RtPolicy, RunConfig, RunnerConfig, SpecProgram,
 };
 use cascaded_execution::{
     machines, run_cascaded, run_sequential, AddressSpace, Arena, CascadeConfig, ChunkPlan,
@@ -196,12 +196,12 @@ proptest! {
         let (w, a) = build(&gw);
         let mut prog = SpecProgram::new(w, a).unwrap();
         let k = prog.kernel(0);
-        rt_cascaded(&k, &RunnerConfig {
+        try_run_governed(&k, &RunConfig::from(RunnerConfig {
             nthreads: threads,
             iters_per_chunk: chunk,
             policy,
             poll_batch: 16,
-        });
+        })).unwrap();
         prop_assert_eq!(prog.checksum(), expected);
     }
 

@@ -3,7 +3,7 @@
 //! real execution is bitwise identical to sequential real execution for
 //! every PARMVR loop and the synthetic loop.
 
-use cascaded_execution::rt::{run_cascaded, RtPolicy, RunnerConfig, SpecProgram};
+use cascaded_execution::rt::{try_run_governed, RtPolicy, RunConfig, RunnerConfig, SpecProgram};
 use cascaded_execution::synth::{Synth, Variant};
 use cascaded_execution::wave5::{Parmvr, ParmvrParams};
 use cascaded_execution::ChunkPlan;
@@ -38,15 +38,16 @@ fn all_fifteen_parmvr_loops_cascade_bitwise() {
             let mut prog = SpecProgram::new(p.workload, p.arena).unwrap();
             for i in 0..prog.num_loops() {
                 let k = prog.kernel(i);
-                run_cascaded(
+                try_run_governed(
                     &k,
-                    &RunnerConfig {
+                    &RunConfig::from(RunnerConfig {
                         nthreads: threads,
                         iters_per_chunk: 301, // deliberately ragged
                         policy,
                         poll_batch: 32,
-                    },
-                );
+                    }),
+                )
+                .unwrap();
             }
             assert_eq!(
                 prog.checksum(),
@@ -71,15 +72,16 @@ fn synthetic_loop_cascades_bitwise_in_both_variants() {
         let s = Synth::build(1 << 14, variant, 77);
         let mut prog = SpecProgram::new(s.workload, s.arena).unwrap();
         let k = prog.kernel(0);
-        run_cascaded(
+        try_run_governed(
             &k,
-            &RunnerConfig {
+            &RunConfig::from(RunnerConfig {
                 nthreads: 4,
                 iters_per_chunk: 123,
                 policy: RtPolicy::Restructure,
                 poll_batch: 16,
-            },
-        );
+            }),
+        )
+        .unwrap();
         assert_eq!(prog.checksum(), expected, "{variant:?} diverged");
     }
 }
@@ -107,15 +109,16 @@ fn runtime_helper_stats_are_consistent() {
     let p = parmvr();
     let prog = SpecProgram::new(p.workload, p.arena).unwrap();
     let k = prog.kernel(0);
-    let stats = run_cascaded(
+    let stats = try_run_governed(
         &k,
-        &RunnerConfig {
+        &RunConfig::from(RunnerConfig {
             nthreads: 2,
             iters_per_chunk: 256,
             policy: RtPolicy::Restructure,
             poll_batch: 16,
-        },
-    );
+        }),
+    )
+    .unwrap();
     let total_chunks: u64 = stats.threads.iter().map(|t| t.chunks).sum();
     assert_eq!(
         total_chunks, stats.chunks,
