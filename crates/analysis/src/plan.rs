@@ -617,9 +617,6 @@ pub struct ModeMatrix {
     pub doacross_lag: Option<u64>,
     /// The whole loop carries no cross-iteration dependence: DOALL.
     pub parallel: bool,
-    /// Sound to run speculatively: the loop is journalable (misspeculation
-    /// can be rolled back bitwise) and the interpreter accepts it.
-    pub speculation_ready: bool,
 }
 
 /// A typed, machine-checkable transformation plan for one loop.
@@ -825,7 +822,6 @@ pub fn plan_loop_with_report(w: &Workload, spec: &LoopSpec, report: &LoopReport)
         sub_loops: partition.len(),
         doacross_lag,
         parallel: !opaque && doacross_lag.is_none() && !graph.statements.is_empty(),
-        speculation_ready: journalable && cascade,
     };
 
     TransformPlan {

@@ -142,13 +142,6 @@ smoke!(
     "Extra H: reuse-distance profile"
 );
 smoke!(
-    extra_runtime_demo_smoke,
-    "extra_runtime_demo",
-    "0.005",
-    "Extra C: real-thread cascaded execution",
-    "bitwise identical"
-);
-smoke!(
     extra_tlb_smoke,
     "extra_tlb_effect",
     "0.005",

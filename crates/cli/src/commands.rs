@@ -1,6 +1,6 @@
 //! The `cascade` subcommands.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Duration;
 
 use cascade_analyze::oracle::{check_plan, Violation};
@@ -12,9 +12,8 @@ use cascade_core::{
 };
 use cascade_mem::{machines, MachineConfig};
 use cascade_rt::{
-    ckpt, try_run_governed, CancelToken, CkptMeta, CkptPolicy, CkptSink, CkptWriter, FaultEvent,
-    FaultKind, FaultPlan, FaultyKernel, Observe, RealKernel, RetryPolicy, RtPolicy, RunConfig,
-    RunError, RunnerConfig, SpecProgram, Tolerance, VerifyPolicy,
+    ckpt, try_run_governed, Observe, RealKernel, RtPolicy, RunConfig, RunnerConfig, SpecProgram,
+    VerifyPolicy,
 };
 use cascade_synth::{Synth, Variant};
 use cascade_trace::{from_text, to_text, Arena, Workload};
@@ -22,8 +21,7 @@ use cascade_wave5::{Parmvr, ParmvrParams};
 
 use cascade_core::ChunkPlan;
 use cascade_trace::{
-    reuse_distances, stride_histogram, AddressSpace, IndexStore, LoopSpec, Mode, Pattern, Resolver,
-    Severity, StreamRef, TraceRef,
+    reuse_distances, stride_histogram, Diagnostic, Mode, Resolver, Severity, TraceRef,
 };
 
 use crate::args::{ArgError, Args};
@@ -206,7 +204,7 @@ USAGE:
       Whole-loop transformation plans (cascade-analyze): statement-level
       dependence graph, SCC-condensed fission partition, per-sub-loop
       DOALL / DOACROSS / sequential schedules, and the per-kernel mode
-      matrix (cascade | fission | DOACROSS | speculation-ready). Every
+      matrix (cascade | fission | DOACROSS). Every
       plan is re-validated against the dynamic replay oracle; exits 1 if
       any plan is contradicted.
         --n N              kernel suite scale (default 4096)
@@ -254,13 +252,17 @@ fn machine_from(args: &Args) -> Result<MachineConfig, ArgError> {
     }
 }
 
+/// Read and parse a `--workload-file` dump.
+fn workload_file(path: &str) -> Result<Workload, ArgError> {
+    let bad = |e: &dyn std::fmt::Display| ArgError::usage(format!("--workload-file {path}: {e}"));
+    let text = std::fs::read_to_string(path).map_err(|e| bad(&e))?;
+    from_text(&text).map_err(|e| bad(&e))
+}
+
 fn workload_from(args: &Args) -> Result<(Workload, Arena, String), ArgError> {
     let seed = args.get_num("seed", 42u64)?;
     if let Some(path) = args.get_opt("workload-file") {
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| ArgError::usage(format!("--workload-file {path}: {e}")))?;
-        let workload = from_text(&text)
-            .map_err(|e| ArgError::usage(format!("--workload-file {path}: {e}")))?;
+        let workload = workload_file(&path)?;
         // Build real backing data: deterministic values for the non-index
         // arrays, index contents from the file.
         let mut arena = Arena::new(&workload.space);
@@ -443,45 +445,60 @@ pub fn sim(args: &Args) -> Result<String, ArgError> {
     Ok(out)
 }
 
-/// `cascade rt`
-pub fn rt(args: &Args) -> Result<String, ArgError> {
+/// Compile a workload for the real-thread runtime.
+fn compiled(workload: Workload, arena: Arena) -> Result<SpecProgram, ArgError> {
+    SpecProgram::new(workload, arena)
+        .map_err(|e| ArgError::usage(format!("workload rejected by the analyzer: {e}")))
+}
+
+/// What `rt` and `run` share: the workload, the run configuration their
+/// options describe, and the timed sequential reference.
+struct RtRun {
+    workload: Workload,
+    arena: Arena,
+    wname: String,
+    cfg: RunConfig,
+    expected: u64,
+    sequential: Duration,
+}
+
+fn rt_run_from(args: &Args) -> Result<RtRun, ArgError> {
     let (workload, arena, wname) = workload_from(args)?;
-    let threads = args.get_num(
-        "threads",
-        std::thread::available_parallelism().map_or(2, |n| n.get()),
-    )?;
-    let chunk_iters = args.get_num("chunk-iters", 4096u64)?;
-    let poll = args.get_num("poll", 64u64)?;
-    let policy = rt_policy_from(args)?;
-    let verify = verify_policy_from(&args.get("verify", "off"))?;
-    args.reject_unknown()?;
-
-    // Sequential reference.
-    let expected = {
-        let mut prog = SpecProgram::new(workload.clone(), arena.clone())
-            .map_err(|e| ArgError::usage(format!("workload rejected by the analyzer: {e}")))?;
-        let t0 = std::time::Instant::now();
-        for i in 0..prog.num_loops() {
-            let k = prog.kernel(i);
-            cascade_rt::run_sequential(&k);
-        }
-        (prog.checksum(), t0.elapsed())
-    };
-
-    let mut prog = SpecProgram::new(workload, arena)
-        .map_err(|e| ArgError::usage(format!("workload rejected by the analyzer: {e}")))?;
+    let threads = std::thread::available_parallelism().map_or(2, |n| n.get());
     // An armed `verify` adds checksummed handoffs, claimant verification
     // and the arena scrubber.
     let cfg = RunConfig {
         runner: RunnerConfig {
-            nthreads: threads,
-            iters_per_chunk: chunk_iters,
-            policy,
-            poll_batch: poll,
+            nthreads: args.get_num("threads", threads)?,
+            iters_per_chunk: args.get_num("chunk-iters", 4096u64)?,
+            policy: rt_policy_from(args)?,
+            poll_batch: args.get_num("poll", 64u64)?,
         },
-        verify,
+        verify: verify_policy_from(&args.get("verify", "off"))?,
         ..RunConfig::default()
     };
+    args.reject_unknown()?;
+
+    let mut prog = compiled(workload.clone(), arena.clone())?;
+    let t0 = std::time::Instant::now();
+    for i in 0..prog.num_loops() {
+        cascade_rt::run_sequential(&prog.kernel(i));
+    }
+    let sequential = t0.elapsed();
+    Ok(RtRun {
+        expected: prog.checksum(),
+        workload,
+        arena,
+        wname,
+        cfg,
+        sequential,
+    })
+}
+
+/// `cascade rt`
+pub fn rt(args: &Args) -> Result<String, ArgError> {
+    let r = rt_run_from(args)?;
+    let mut prog = compiled(r.workload, r.arena)?;
     let t0 = std::time::Instant::now();
     let mut chunks = 0u64;
     let mut helped = 0u64;
@@ -490,7 +507,7 @@ pub fn rt(args: &Args) -> Result<String, ArgError> {
     let mut scrubs = 0u64;
     for i in 0..prog.num_loops() {
         let k = prog.kernel(i);
-        let stats = try_run_governed(&k, &cfg)
+        let stats = try_run_governed(&k, &r.cfg)
             .map_err(|e| ArgError::verification(format!("loop {i}: {e}")))?;
         chunks += stats.chunks;
         iters += stats.iters;
@@ -499,27 +516,27 @@ pub fn rt(args: &Args) -> Result<String, ArgError> {
         scrubs += stats.scrubs;
     }
     let elapsed = t0.elapsed();
-    let ok = prog.checksum() == expected.0;
 
     let mut out = format!(
-        "real-thread cascaded execution of {wname}\n  threads {threads}, {chunks} chunks, policy {}\n  sequential {:.2} ms, cascaded {:.2} ms, helper coverage {:.0}%\n",
-        policy.label(),
-        expected.1.as_secs_f64() * 1e3,
+        "real-thread cascaded execution of {}\n  threads {}, {chunks} chunks, policy {}\n  sequential {:.2} ms, cascaded {:.2} ms, helper coverage {:.0}%\n",
+        r.wname,
+        r.cfg.runner.nthreads,
+        r.cfg.runner.policy.label(),
+        r.sequential.as_secs_f64() * 1e3,
         elapsed.as_secs_f64() * 1e3,
         100.0 * helped as f64 / iters.max(1) as f64,
     );
-    if verify.armed() {
+    if r.cfg.verify.armed() {
         out.push_str(&format!(
             "  verification: {verified} chunks replay-verified, {scrubs} arena scrubs, no corruption\n",
         ));
     }
-    if ok {
-        out.push_str("  result: bitwise identical to sequential execution\n");
-    } else {
+    if prog.checksum() != r.expected {
         return Err(ArgError::verification(
             "cascaded result DIVERGED from sequential execution",
         ));
     }
+    out.push_str("  result: bitwise identical to sequential execution\n");
     Ok(out)
 }
 
@@ -545,42 +562,18 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
             )))
         }
     }
-    let (workload, arena, wname) = workload_from(args)?;
-    let threads = args.get_num(
-        "threads",
-        std::thread::available_parallelism().map_or(2, |n| n.get()),
-    )?;
-    let chunk_iters = args.get_num("chunk-iters", 4096u64)?;
-    let poll = args.get_num("poll", 64u64)?;
-    let policy = rt_policy_from(args)?;
-    let verify = verify_policy_from(&args.get("verify", "off"))?;
-    args.reject_unknown()?;
-
-    // Sequential reference.
-    let (expected, seq_elapsed) = {
-        let mut prog = SpecProgram::new(workload.clone(), arena.clone())
-            .map_err(|e| ArgError::usage(format!("workload rejected by the analyzer: {e}")))?;
-        let t0 = std::time::Instant::now();
-        for i in 0..prog.num_loops() {
-            let k = prog.kernel(i);
-            cascade_rt::run_sequential(&k);
-        }
-        (prog.checksum(), t0.elapsed())
-    };
-
+    let r = rt_run_from(args)?;
+    let (workload, cfg) = (r.workload, r.cfg);
     let plans = plan_workload(&workload);
-    let runner = RunnerConfig {
-        nthreads: threads,
-        iters_per_chunk: chunk_iters,
-        policy,
-        poll_batch: poll,
-    };
     let mut out = format!(
-        "plan-driven execution of {wname}\n  threads {threads}, {chunk_iters} iters/chunk, policy {}\n",
-        policy.label()
+        "plan-driven execution of {}\n  threads {}, {} iters/chunk, policy {}\n",
+        r.wname,
+        cfg.runner.nthreads,
+        cfg.runner.iters_per_chunk,
+        cfg.runner.policy.label()
     );
     let t0 = std::time::Instant::now();
-    let mut arena = arena;
+    let mut arena = r.arena;
     let mut post_waits = 0u64;
     let mut stall_ns = 0u128;
     for (i, (spec, plan)) in workload.loops.iter().zip(&plans).enumerate() {
@@ -592,19 +585,9 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
                 index: workload.index.clone(),
                 loops: vec![spec.clone()],
             };
-            let prog = SpecProgram::new(lw, arena)
-                .map_err(|e| ArgError::usage(format!("workload rejected by the analyzer: {e}")))?;
-            {
-                let k = prog.kernel(0);
-                let run_cfg = RunConfig {
-                    runner: runner.clone(),
-                    verify,
-                    ..RunConfig::default()
-                };
-                try_run_governed(&k, &run_cfg).map_err(|e| {
-                    ArgError::verification(format!("loop '{}' failed: {e}", spec.name))
-                })?;
-            }
+            let prog = compiled(lw, arena)?;
+            try_run_governed(&prog.kernel(0), &cfg)
+                .map_err(|e| ArgError::verification(format!("loop '{}' failed: {e}", spec.name)))?;
             arena = prog.into_arena();
             out.push_str(&format!(
                 "  loop {i} ({}): opaque — cascaded, {} iters\n",
@@ -612,22 +595,16 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
             ));
             continue;
         }
-        let specs = cascade_rt::fission_specs(spec, plan);
         let fw = Workload {
             space: workload.space.clone(),
             index: workload.index.clone(),
-            loops: specs,
+            loops: cascade_rt::fission_specs(spec, plan),
         };
         let prog = SpecProgram::new(fw, arena).map_err(|e| {
             ArgError::usage(format!("fissioned workload rejected by the analyzer: {e}"))
         })?;
         let stats = {
             let kernels: Vec<_> = (0..plan.partition.len()).map(|g| prog.kernel(g)).collect();
-            let cfg = RunConfig {
-                runner: runner.clone(),
-                verify,
-                ..RunConfig::default()
-            };
             cascade_rt::try_run_planned(&kernels, plan, &cfg).map_err(|e| {
                 ArgError::verification(format!("planned run of loop '{}' failed: {e}", spec.name))
             })?
@@ -654,25 +631,19 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
     }
     let elapsed = t0.elapsed();
 
-    let got = {
-        let mut prog = SpecProgram::new(workload, arena)
-            .map_err(|e| ArgError::usage(format!("workload rejected by the analyzer: {e}")))?;
-        prog.checksum()
-    };
     out.push_str(&format!(
         "  sequential {:.2} ms, planned {:.2} ms, {post_waits} post/waits ({:.2} ms gate stall)\n",
-        seq_elapsed.as_secs_f64() * 1e3,
+        r.sequential.as_secs_f64() * 1e3,
         elapsed.as_secs_f64() * 1e3,
         stall_ns as f64 / 1e6,
     ));
-    if got == expected {
-        out.push_str("  result: bitwise identical to sequential execution\n");
-        Ok(out)
-    } else {
-        Err(ArgError::verification(
+    if compiled(workload, arena)?.checksum() != r.expected {
+        return Err(ArgError::verification(
             "planned result DIVERGED from sequential execution",
-        ))
+        ));
     }
+    out.push_str("  result: bitwise identical to sequential execution\n");
+    Ok(out)
 }
 
 /// The workload behind `cascade metrics` when none is named: the
@@ -713,8 +684,7 @@ pub fn metrics(args: &Args) -> Result<String, ArgError> {
             let poll = args.get_num("poll", 64u64)?;
             let policy = rt_policy_from(args)?;
             args.reject_unknown()?;
-            let prog = SpecProgram::new(workload, arena)
-                .map_err(|e| ArgError::usage(format!("workload rejected by the analyzer: {e}")))?;
+            let prog = compiled(workload, arena)?;
             let k = prog.kernel(loop_idx);
             let cfg = RunnerConfig {
                 nthreads: threads,
@@ -796,43 +766,8 @@ pub fn metrics(args: &Args) -> Result<String, ArgError> {
     }
 }
 
-/// The synthetic chaos workloads are generated by this tool, so an
-/// analyzer rejection is a bug in cascade, not in the invocation.
-fn synth_rejected(e: impl std::fmt::Display) -> ArgError {
-    ArgError::internal(format!("synthetic workload rejected by the analyzer: {e}"))
-}
-
-/// Map a `--tolerance` name onto the runtime's recovery ladder.
-fn tolerance_from(
-    name: &str,
-    window: Duration,
-    retry_budget: u64,
-    retry_backoff: Duration,
-) -> Result<Tolerance, ArgError> {
-    match name {
-        "salvage" => Ok(Tolerance::resilient(window)),
-        "retry" => Ok(Tolerance {
-            watchdog: Some(window),
-            retry: Some(RetryPolicy {
-                budget: retry_budget,
-                backoff: retry_backoff,
-                ..RetryPolicy::default()
-            }),
-            salvage: true,
-        }),
-        "fail-fast" => Ok(Tolerance {
-            watchdog: Some(window),
-            retry: None,
-            salvage: false,
-        }),
-        other => Err(ArgError::usage(format!(
-            "--tolerance: unknown policy '{other}' (retry|salvage|fail-fast)"
-        ))),
-    }
-}
-
 /// Parse `--verify off|checksum|every|sampled:K` into a [`VerifyPolicy`].
-fn verify_policy_from(name: &str) -> Result<VerifyPolicy, ArgError> {
+pub(crate) fn verify_policy_from(name: &str) -> Result<VerifyPolicy, ArgError> {
     match name {
         "off" => Ok(VerifyPolicy::Off),
         "checksum" => Ok(VerifyPolicy::Checksum),
@@ -854,1182 +789,6 @@ fn verify_policy_from(name: &str) -> Result<VerifyPolicy, ArgError> {
             )))
         }
     }
-}
-
-/// Deterministic splitmix64 step — the CLI avoids external RNG crates.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
-/// `cascade chaos`
-pub fn chaos(args: &Args) -> Result<String, ArgError> {
-    if args.flag("kill") {
-        return chaos_kill(args);
-    }
-    if args.flag("corrupt") {
-        return chaos_corrupt(args);
-    }
-    if args.get("mode", "cascade") == "plan" {
-        return chaos_plan(args);
-    }
-    let n = args.get_num("n", 16_384u64)?;
-    let seed = args.get_num("seed", 42u64)?;
-    let plans = args.get_num("plans", 20u64)?;
-    let max_threads = args.get_num("max-threads", 4usize)?;
-    let chunk_iters = args.get_num("chunk-iters", 128u64)?;
-    let watchdog_ms = args.get_num("watchdog-ms", 25u64)?;
-    let stall_ms = args.get_num("stall-ms", 80u64)?;
-    let tolerance = args.get("tolerance", "salvage");
-    let retry_budget = args.get_num("retry-budget", 4u64)?;
-    let retry_backoff_ms = args.get_num("retry-backoff-ms", 10u64)?;
-    let mid_mutation = args.flag("mid-mutation");
-    let cancel_storm = args.flag("cancel");
-    args.reject_unknown()?;
-    if plans == 0 {
-        return Err(ArgError::usage("--plans must be positive"));
-    }
-    if max_threads == 0 {
-        return Err(ArgError::usage("--max-threads must be positive"));
-    }
-    let window = Duration::from_millis(watchdog_ms);
-    let tol = tolerance_from(
-        &tolerance,
-        window,
-        retry_budget,
-        Duration::from_millis(retry_backoff_ms),
-    )?;
-    let retrying = tol.retry.is_some();
-
-    // Injected faults are ordinary panics; without this the default hook
-    // would spray a backtrace per fault over the report. Restored on drop
-    // (including the early-return error paths).
-    struct HookGuard;
-    impl Drop for HookGuard {
-        fn drop(&mut self) {
-            let _ = std::panic::take_hook();
-        }
-    }
-    std::panic::set_hook(Box::new(|_| {}));
-    let _hook = HookGuard;
-
-    // One sequential reference checksum per workload variant.
-    let expected = |variant: Variant| -> Result<u64, ArgError> {
-        let s = Synth::build(n, variant, seed);
-        let mut prog = SpecProgram::new(s.workload, s.arena).map_err(synth_rejected)?;
-        let k = prog.kernel(0);
-        cascade_rt::run_sequential(&k);
-        Ok(prog.checksum())
-    };
-    let reference = [expected(Variant::Dense)?, expected(Variant::Sparse)?];
-
-    let mut rng = seed ^ 0x000F_A170_FA17_C0DE_u64;
-    let mut clean = 0u64;
-    let mut recovered = 0u64;
-    let mut salvaged = 0u64;
-    let mut typed = 0u64;
-    let mut cancelled = 0u64;
-    let mut diverged = 0u64;
-    let mut unexplained = 0u64;
-    let mut out = format!(
-        "chaos matrix: {plans} fault plans, threads 1..={max_threads}, \
-         {chunk_iters} iters/chunk, watchdog {watchdog_ms} ms, tolerance {tolerance}{}{}\n",
-        if mid_mutation {
-            ", mid-mutation on"
-        } else {
-            ""
-        },
-        if cancel_storm {
-            ", cancel storm on"
-        } else {
-            ""
-        }
-    );
-    for case in 0..plans {
-        let variant = if case % 2 == 0 {
-            Variant::Dense
-        } else {
-            Variant::Sparse
-        };
-        let nthreads = 1 + (splitmix64(&mut rng) as usize) % max_threads;
-        let policy = match splitmix64(&mut rng) % 3 {
-            0 => RtPolicy::None,
-            1 => RtPolicy::Prefetch,
-            _ => RtPolicy::Restructure,
-        };
-        let s = Synth::build(n, variant, seed);
-        let mut prog = SpecProgram::new(s.workload, s.arena).map_err(synth_rejected)?;
-        let num_chunks = prog.workload().loops[0].iters.div_ceil(chunk_iters).max(1);
-        let mut plan = FaultPlan::new(chunk_iters);
-        let mut injected = Vec::new();
-        for _ in 0..=(splitmix64(&mut rng) % 3) {
-            let chunk = splitmix64(&mut rng) % num_chunks;
-            let kind = match splitmix64(&mut rng) % if mid_mutation { 4 } else { 3 } {
-                0 => FaultKind::Panic,
-                1 => FaultKind::Stall(Duration::from_millis(stall_ms)),
-                2 => FaultKind::Slowdown(Duration::from_millis(1 + splitmix64(&mut rng) % 3)),
-                // A panic with partial writes already landed: only the
-                // undo journal makes this recoverable.
-                _ => FaultKind::PanicMidMutation {
-                    after_iters: 1 + splitmix64(&mut rng) % (chunk_iters - 1).max(1),
-                },
-            };
-            injected.push(format!("{kind:?}@{chunk}"));
-            plan = plan.inject(chunk, kind);
-        }
-        let cfg = RunnerConfig {
-            nthreads,
-            iters_per_chunk: chunk_iters,
-            policy,
-            poll_batch: 8,
-        };
-        let faulty = FaultyKernel::new(prog.kernel(0), plan);
-        let (result, gov_note) = if cancel_storm {
-            // Every third plan exercises the deadline-armed governor; the
-            // rest get an external canceller thread firing at a random
-            // point inside (or occasionally after) the run.
-            let token = CancelToken::new();
-            let use_deadline = case % 3 == 2;
-            let deadline =
-                use_deadline.then(|| Duration::from_micros(200 + splitmix64(&mut rng) % 4_000));
-            // A watchdog longer than the deadline is a config error (it
-            // could never fire); clamp it so deadline plans stay valid —
-            // the jumpier watchdog is welcome storm coverage.
-            let mut tolerance = tol.clone();
-            if let (Some(d), Some(w)) = (deadline, tolerance.watchdog) {
-                tolerance.watchdog = Some(w.min(d));
-            }
-            let run_cfg = RunConfig {
-                runner: cfg.clone(),
-                tolerance,
-                deadline,
-                cancel: token.clone(),
-                ..RunConfig::default()
-            };
-            let canceller = (!use_deadline).then(|| {
-                let token = token.clone();
-                let delay = Duration::from_micros(splitmix64(&mut rng) % 5_000);
-                std::thread::spawn(move || {
-                    std::thread::sleep(delay);
-                    token.cancel("chaos canceller");
-                })
-            });
-            let result = try_run_governed(&faulty, &run_cfg);
-            if let Some(h) = canceller {
-                let _ = h.join();
-            }
-            (
-                result,
-                if use_deadline {
-                    " +deadline"
-                } else {
-                    " +cancel"
-                },
-            )
-        } else {
-            (
-                try_run_governed(
-                    &faulty,
-                    &RunConfig {
-                        runner: cfg.clone(),
-                        tolerance: tol.clone(),
-                        ..Default::default()
-                    },
-                ),
-                "",
-            )
-        };
-        drop(faulty);
-        let label = format!(
-            "  plan {case:>3}: {} threads, {:<11} [{}]{}",
-            nthreads,
-            policy.label(),
-            injected.join(", "),
-            gov_note,
-        );
-        let verdict = match result {
-            Ok(stats) => {
-                let bitwise = prog.checksum() == reference[(case % 2) as usize];
-                match (bitwise, stats.degraded) {
-                    (true, true) => {
-                        // With retry enabled, every fall-through to
-                        // salvage must leave its reason in the audit
-                        // trail; an unexplained salvage is a ladder bug.
-                        let explained = stats
-                            .faults
-                            .iter()
-                            .any(|f| matches!(f, FaultEvent::RetryAbandoned { .. }));
-                        if retrying && !explained {
-                            unexplained += 1;
-                            format!(
-                                "salvaged bitwise, but NO fall-through recorded ({} fault events)",
-                                stats.faults.len()
-                            )
-                        } else {
-                            salvaged += 1;
-                            format!("salvaged bitwise ({} fault events)", stats.faults.len())
-                        }
-                    }
-                    (true, false) if stats.retries > 0 => {
-                        recovered += 1;
-                        format!(
-                            "recovered in-cascade ({} retried, {} quarantined)",
-                            stats.retries, stats.quarantined
-                        )
-                    }
-                    (true, false) => {
-                        clean += 1;
-                        "clean bitwise".to_string()
-                    }
-                    (false, _) => {
-                        diverged += 1;
-                        "SILENT DIVERGENCE".to_string()
-                    }
-                }
-            }
-            Err(
-                ref e @ (RunError::Cancelled {
-                    committed_iters, ..
-                }
-                | RunError::DeadlineExceeded {
-                    committed_iters, ..
-                }),
-            ) => {
-                // The governed run promises a bitwise-clean committed
-                // prefix: finishing the loop sequentially from
-                // `committed_iters` must match straight sequential.
-                {
-                    let k = prog.kernel(0);
-                    // SAFETY: every worker drained before the error was
-                    // returned; this is the documented sequential resume.
-                    unsafe { k.execute(committed_iters..k.iters()) };
-                }
-                if prog.checksum() == reference[(case % 2) as usize] {
-                    cancelled += 1;
-                    format!("cancelled at iter {committed_iters}, resumed bitwise ({e})")
-                } else {
-                    diverged += 1;
-                    format!("CANCELLED RESUME DIVERGED from iter {committed_iters}")
-                }
-            }
-            Err(e @ (RunError::WorkerPanicked { .. } | RunError::Stalled { .. })) => {
-                typed += 1;
-                format!("typed error: {e}")
-            }
-            Err(e) => return Err(ArgError::verification(format!("chaos: plan {case}: {e}"))),
-        };
-        out.push_str(&format!("{label} -> {verdict}\n"));
-    }
-    out.push_str(&format!(
-        "summary: {clean} clean, {recovered} recovered in-cascade, {salvaged} salvaged, \
-         {typed} typed errors{}, {diverged} diverged\n",
-        if cancel_storm {
-            format!(", {cancelled} cancelled+resumed")
-        } else {
-            String::new()
-        }
-    ));
-    out.push_str(&format!(
-        "recovery ladder: fail-fast{}{}\n",
-        if retrying {
-            " -> retry -> quarantine"
-        } else {
-            ""
-        },
-        if tol.salvage { " -> salvage" } else { "" },
-    ));
-    if diverged > 0 {
-        return Err(ArgError::verification(format!(
-            "chaos: {diverged} of {plans} plans reported success with a corrupted result\n{out}"
-        )));
-    }
-    if unexplained > 0 {
-        return Err(ArgError::verification(format!(
-            "chaos: {unexplained} of {plans} plans fell through to salvage without a recorded \
-             RetryAbandoned reason\n{out}"
-        )));
-    }
-    out.push_str("recovery verdict: no hangs, no silent corruption\n");
-    Ok(out)
-}
-
-/// `cascade chaos --corrupt`: silent-data-corruption storm. Each plan
-/// injects [`FaultKind::SilentBitFlip`]s — in-footprint flips that the
-/// checksummed-handoff verifier must catch at the very next claim, plus
-/// out-of-footprint flips only the arena scrubber can see — and the run
-/// executes under an armed replaying [`VerifyPolicy`]. The exit gate is
-/// *online detection*: every injected flip must surface before the run
-/// returns (repaired bitwise, or a typed [`RunError::Corrupted`] whose
-/// committed prefix resumes bitwise); a single silent divergence or
-/// missed flip exits 1.
-fn chaos_corrupt(args: &Args) -> Result<String, ArgError> {
-    let n = args.get_num("n", 16_384u64)?;
-    let seed = args.get_num("seed", 42u64)?;
-    let plans = args.get_num("plans", 12u64)?;
-    let max_threads = args.get_num("max-threads", 4usize)?;
-    let chunk_iters = args.get_num("chunk-iters", 128u64)?;
-    let watchdog_ms = args.get_num("watchdog-ms", 200u64)?;
-    let tolerance = args.get("tolerance", "retry");
-    let retry_budget = args.get_num("retry-budget", 4u64)?;
-    let retry_backoff_ms = args.get_num("retry-backoff-ms", 10u64)?;
-    let verify = verify_policy_from(&args.get("verify", "every"))?;
-    let _ = args.flag("corrupt"); // consumed by the dispatcher
-    args.reject_unknown()?;
-    if plans == 0 {
-        return Err(ArgError::usage("--plans must be positive"));
-    }
-    if max_threads == 0 {
-        return Err(ArgError::usage("--max-threads must be positive"));
-    }
-    // Detection of an in-execution flip needs the replay compare; a
-    // digest-only policy would re-hash the executor's own (corrupted)
-    // bytes and agree with them.
-    let sample_k = match verify {
-        VerifyPolicy::EveryChunk => 1,
-        VerifyPolicy::Sampled(k) => k,
-        VerifyPolicy::Off | VerifyPolicy::Checksum => {
-            return Err(ArgError::usage(
-                "--corrupt needs a replaying --verify policy (every or sampled:K)",
-            ))
-        }
-    };
-    let tol = tolerance_from(
-        &tolerance,
-        Duration::from_millis(watchdog_ms),
-        retry_budget,
-        Duration::from_millis(retry_backoff_ms),
-    )?;
-    let recovers = tol.retry.is_some() || tol.salvage;
-
-    let expected = |variant: Variant| -> Result<u64, ArgError> {
-        let s = Synth::build(n, variant, seed);
-        let mut prog = SpecProgram::new(s.workload, s.arena).map_err(synth_rejected)?;
-        let k = prog.kernel(0);
-        cascade_rt::run_sequential(&k);
-        Ok(prog.checksum())
-    };
-    let reference = [expected(Variant::Dense)?, expected(Variant::Sparse)?];
-    // Out-of-footprint flips only make sense on workloads that *have*
-    // bytes outside their write footprints; probe with a no-op flip.
-    let has_gaps = |variant: Variant| -> Result<bool, ArgError> {
-        let s = Synth::build(n, variant, seed);
-        let prog = SpecProgram::new(s.workload, s.arena).map_err(synth_rejected)?;
-        let k = prog.kernel(0);
-        // SAFETY: single-threaded; xor 0 is a no-op on the probed byte.
-        Ok(unsafe { k.corrupt_byte(0..k.iters(), 0, 0, false) })
-    };
-    let gaps = [has_gaps(Variant::Dense)?, has_gaps(Variant::Sparse)?];
-
-    let mut rng = seed ^ 0x00C0_44FF_7ED0_57A7_u64;
-    let mut repaired = 0u64;
-    let mut failed_clean = 0u64;
-    let mut scrubbed = 0u64;
-    let mut missed = 0u64;
-    let mut diverged = 0u64;
-    let mut out = format!(
-        "corruption storm: {plans} flip plans, threads 1..={max_threads}, \
-         {chunk_iters} iters/chunk, verify {verify:?}, tolerance {tolerance}\n"
-    );
-    for case in 0..plans {
-        let vi = (case % 2) as usize;
-        let variant = if vi == 0 {
-            Variant::Dense
-        } else {
-            Variant::Sparse
-        };
-        let nthreads = 1 + (splitmix64(&mut rng) as usize) % max_threads;
-        let s = Synth::build(n, variant, seed);
-        let mut prog = SpecProgram::new(s.workload, s.arena).map_err(synth_rejected)?;
-        let iters = prog.workload().loops[0].iters;
-        let num_chunks = iters.div_ceil(chunk_iters).max(1);
-        // Every fourth plan aims outside the footprints (when the
-        // workload has such bytes) — the scrubber's jurisdiction.
-        let outside = case % 4 == 3 && gaps[vi];
-        let mut plan = FaultPlan::new(chunk_iters);
-        let mut flips: Vec<u64> = Vec::new();
-        for _ in 0..=(splitmix64(&mut rng) % 2) {
-            // Land on replay-sampled chunks so Sampled(K) storms still
-            // promise detection for every injected flip.
-            let sampled = num_chunks.div_ceil(sample_k);
-            let chunk = (splitmix64(&mut rng) % sampled) * sample_k;
-            if flips.contains(&chunk) {
-                continue;
-            }
-            flips.push(chunk);
-            plan = plan.inject(
-                chunk,
-                FaultKind::SilentBitFlip {
-                    // Flip after the whole chunk ran, so no later
-                    // iteration of the same chunk legitimately repairs it.
-                    after_iters: chunk_iters,
-                    offset: splitmix64(&mut rng),
-                    xor: 1 << (splitmix64(&mut rng) % 8),
-                    in_footprint: !outside,
-                },
-            );
-            if outside {
-                break; // one scrubber target is enough per plan
-            }
-        }
-        let run_cfg = RunConfig {
-            runner: RunnerConfig {
-                nthreads,
-                iters_per_chunk: chunk_iters,
-                policy: RtPolicy::None,
-                poll_batch: 8,
-            },
-            tolerance: tol.clone(),
-            verify,
-            ..RunConfig::default()
-        };
-        let faulty = FaultyKernel::new(prog.kernel(0), plan);
-        let result = try_run_governed(&faulty, &run_cfg);
-        drop(faulty);
-        let label = format!(
-            "  plan {case:>3}: {nthreads} threads, {} flip(s) {}footprint @{:?}",
-            flips.len(),
-            if outside { "out-of-" } else { "in-" },
-            flips,
-        );
-        let verdict = match result {
-            Ok(stats) => {
-                let detected = stats
-                    .faults
-                    .iter()
-                    .filter(|f| matches!(f, FaultEvent::CorruptionDetected { .. }))
-                    .count() as u64;
-                let bitwise = prog.checksum() == reference[vi];
-                if outside || detected < flips.len() as u64 {
-                    // An out-of-footprint flip must fail the run (there
-                    // is no journal to repair from), and an in-footprint
-                    // one must be caught — success with a missed flip is
-                    // exactly the silent corruption this gate exists for.
-                    missed += 1;
-                    format!("MISSED FLIP(S): {detected}/{} detected", flips.len())
-                } else if !bitwise {
-                    diverged += 1;
-                    "SILENT DIVERGENCE after repair".to_string()
-                } else {
-                    repaired += 1;
-                    format!(
-                        "detected {detected}/{} online, repaired bitwise ({} blamed)",
-                        flips.len(),
-                        stats
-                            .faults
-                            .iter()
-                            .filter(|f| matches!(f, FaultEvent::WorkerBlamed { .. }))
-                            .count()
-                    )
-                }
-            }
-            Err(RunError::Corrupted {
-                thread,
-                chunk,
-                committed_iters,
-            }) => {
-                if outside {
-                    // Scrubber verdict: unassignable blame, fully
-                    // committed prefix — the drift is outside every chunk.
-                    if thread.is_none() && chunk.is_none() {
-                        scrubbed += 1;
-                        format!("scrubber caught out-of-footprint drift ({committed_iters} clean)")
-                    } else {
-                        missed += 1;
-                        format!("out-of-footprint flip misattributed to {thread:?}/{chunk:?}")
-                    }
-                } else if recovers {
-                    // A repairing tolerance should not have failed.
-                    missed += 1;
-                    format!("failed despite a recovery path (chunk {chunk:?})")
-                } else {
-                    // Fail-fast: the typed error's prefix must resume
-                    // bitwise.
-                    {
-                        let k = prog.kernel(0);
-                        // SAFETY: the run drained before returning; this
-                        // is the documented sequential resume.
-                        unsafe { k.execute(committed_iters..k.iters()) };
-                    }
-                    if prog.checksum() == reference[vi] {
-                        failed_clean += 1;
-                        format!(
-                            "detected online, failed fast at chunk {chunk:?} \
-                             (blamed {thread:?}), resumed bitwise"
-                        )
-                    } else {
-                        diverged += 1;
-                        format!("CORRUPT PREFIX: resume from {committed_iters} diverged")
-                    }
-                }
-            }
-            Err(e) => return Err(ArgError::verification(format!("corrupt plan {case}: {e}"))),
-        };
-        out.push_str(&format!("{label} -> {verdict}\n"));
-    }
-    out.push_str(&format!(
-        "summary: {repaired} repaired bitwise, {failed_clean} failed fast with clean resume, \
-         {scrubbed} scrubber catches, {missed} missed, {diverged} diverged\n"
-    ));
-    if missed > 0 || diverged > 0 {
-        return Err(ArgError::verification(format!(
-            "chaos --corrupt: {missed} missed flips / {diverged} divergences — \
-             silent corruption escaped online verification\n{out}"
-        )));
-    }
-    out.push_str("corruption verdict: every flip detected online, zero silent divergence\n");
-    Ok(out)
-}
-
-/// One randomized planned-chaos workload: a single loop whose
-/// transformation plan exercises the named schedule mix. Shapes rotate
-/// per case so every chaos run covers DOALL fan-out, a DOACROSS
-/// post/wait pipeline, and a sequential residue. All writers are
-/// stride-1, so every sub-loop is range-exact journalable and
-/// mid-mutation panics must be recoverable.
-fn planned_chaos_workload(n: u64, shape: u64, rng: &mut u64) -> (Workload, Arena, &'static str) {
-    let mut space = AddressSpace::new();
-    let a = space.alloc("a", 8, n + 2);
-    let x = space.alloc("x", 8, n);
-    let y = space.alloc("y", 8, n);
-    let sref = |name: &'static str, array, base, mode| StreamRef {
-        name,
-        array,
-        pattern: Pattern::Affine { base, stride: 1 },
-        mode,
-        bytes: 8,
-        hoistable: false,
-    };
-    let (refs, desc) = match shape % 3 {
-        // Lag-1 recurrence + two independent consumers:
-        // [Sequential, Parallel, Parallel].
-        0 => (
-            vec![
-                sref("a(i)", a, 0, Mode::Read),
-                sref("a(i+1)", a, 1, Mode::Write),
-                sref("x(i)", x, 0, Mode::Write),
-                sref("y(i)", y, 0, Mode::Modify),
-            ],
-            "seq+doall",
-        ),
-        // Lag-2 recurrence + an independent consumer:
-        // [DoAcross(2), Parallel].
-        1 => (
-            vec![
-                sref("a(i)", a, 0, Mode::Read),
-                sref("a(i+2)", a, 2, Mode::Write),
-                sref("x(i)", x, 0, Mode::Write),
-            ],
-            "doacross+doall",
-        ),
-        // Two independent writers over a shared read set:
-        // [Parallel, Parallel].
-        _ => (
-            vec![
-                sref("a(i)", a, 0, Mode::Read),
-                sref("x(i)", x, 0, Mode::Write),
-                sref("y(i)", y, 0, Mode::Modify),
-            ],
-            "doall x2",
-        ),
-    };
-    let spec = LoopSpec {
-        name: "planned-chaos".into(),
-        iters: n,
-        refs,
-        compute: 4.0,
-        hoistable_compute: 0.0,
-        hoist_result_bytes: 0,
-    };
-    let w = Workload {
-        space,
-        index: IndexStore::new(),
-        loops: vec![spec],
-    };
-    let mut arena = Arena::new(&w.space);
-    let salt = splitmix64(rng);
-    for i in 0..n + 2 {
-        arena.set_f64(&w.space, a, i, ((i ^ salt) % 23) as f64 * 0.1875 + 0.25);
-    }
-    for i in 0..n {
-        arena.set_f64(&w.space, y, i, ((i.wrapping_add(salt)) % 7) as f64 - 2.5);
-    }
-    (w, arena, desc)
-}
-
-/// `cascade chaos --mode plan`: the fault-injection matrix pointed at
-/// the plan-driven executor. Each case fissions a randomized
-/// multi-writer loop under its transformation plan, injects
-/// panics/stalls/slowdowns (and, with `--mid-mutation`, torn panics)
-/// into random sub-loop chunks via per-sub-loop fault plans, and
-/// demands the planned run finish or salvage bitwise, report a typed
-/// error, or — under `--cancel` — drain to an exactly-resumable
-/// committed prefix of the fissioned sequence. Exits 1 on any silent
-/// corruption.
-fn chaos_plan(args: &Args) -> Result<String, ArgError> {
-    let n = args.get_num("n", 4096u64)?;
-    let seed = args.get_num("seed", 42u64)?;
-    let plans = args.get_num("plans", 12u64)?;
-    let max_threads = args.get_num("max-threads", 4usize)?;
-    let chunk_iters = args.get_num("chunk-iters", 128u64)?;
-    let watchdog_ms = args.get_num("watchdog-ms", 25u64)?;
-    let stall_ms = args.get_num("stall-ms", 80u64)?;
-    let tolerance = args.get("tolerance", "salvage");
-    let retry_budget = args.get_num("retry-budget", 4u64)?;
-    let retry_backoff_ms = args.get_num("retry-backoff-ms", 10u64)?;
-    let mid_mutation = args.flag("mid-mutation");
-    let cancel_storm = args.flag("cancel");
-    args.reject_unknown()?;
-    if plans == 0 {
-        return Err(ArgError::usage("--plans must be positive"));
-    }
-    if max_threads == 0 {
-        return Err(ArgError::usage("--max-threads must be positive"));
-    }
-    let window = Duration::from_millis(watchdog_ms);
-    let tol = tolerance_from(
-        &tolerance,
-        window,
-        retry_budget,
-        Duration::from_millis(retry_backoff_ms),
-    )?;
-
-    // Injected faults are ordinary panics; suppress the default hook's
-    // per-fault backtraces (restored on drop, including error paths).
-    struct HookGuard;
-    impl Drop for HookGuard {
-        fn drop(&mut self) {
-            let _ = std::panic::take_hook();
-        }
-    }
-    std::panic::set_hook(Box::new(|_| {}));
-    let _hook = HookGuard;
-
-    let mut rng = seed ^ 0x0000_F1A2_0000_C0DE_u64;
-    let mut clean = 0u64;
-    let mut salvaged = 0u64;
-    let mut typed = 0u64;
-    let mut cancelled = 0u64;
-    let mut diverged = 0u64;
-    let mut out = format!(
-        "planned chaos matrix: {plans} fault plans, threads 1..={max_threads}, \
-         {chunk_iters} iters/chunk, watchdog {watchdog_ms} ms, tolerance {tolerance}{}{}\n",
-        if mid_mutation {
-            ", mid-mutation on"
-        } else {
-            ""
-        },
-        if cancel_storm {
-            ", cancel storm on"
-        } else {
-            ""
-        }
-    );
-    for case in 0..plans {
-        let (w, arena, desc) = planned_chaos_workload(n, case, &mut rng);
-        let nthreads = 1 + (splitmix64(&mut rng) as usize) % max_threads;
-
-        // Straight sequential reference over this case's arena.
-        let expected = {
-            let mut prog = SpecProgram::new(w.clone(), arena.clone()).map_err(synth_rejected)?;
-            let k = prog.kernel(0);
-            cascade_rt::run_sequential(&k);
-            prog.checksum()
-        };
-
-        let plan = &plan_workload(&w)[0];
-        let groups = plan.partition.len() as u64;
-        let specs = cascade_rt::fission_specs(&w.loops[0], plan);
-        let fw = Workload {
-            space: w.space.clone(),
-            index: w.index.clone(),
-            loops: specs,
-        };
-        let mut prog = SpecProgram::new(fw, arena).map_err(synth_rejected)?;
-        let num_chunks = n.div_ceil(chunk_iters).max(1);
-
-        // One independent fault plan per sub-loop.
-        let mut fplans: Vec<FaultPlan> = (0..groups).map(|_| FaultPlan::new(chunk_iters)).collect();
-        let mut injected = Vec::new();
-        for _ in 0..=(splitmix64(&mut rng) % 2) {
-            let g = (splitmix64(&mut rng) % groups) as usize;
-            let chunk = splitmix64(&mut rng) % num_chunks;
-            let kind = match splitmix64(&mut rng) % if mid_mutation { 4 } else { 3 } {
-                0 => FaultKind::Panic,
-                1 => FaultKind::Stall(Duration::from_millis(stall_ms)),
-                2 => FaultKind::Slowdown(Duration::from_millis(1 + splitmix64(&mut rng) % 3)),
-                _ => FaultKind::PanicMidMutation {
-                    after_iters: 1 + splitmix64(&mut rng) % (chunk_iters - 1).max(1),
-                },
-            };
-            injected.push(format!("{kind:?}@{g}/{chunk}"));
-            fplans[g] = std::mem::take(&mut fplans[g]).inject(chunk, kind);
-        }
-
-        let runner = RunnerConfig {
-            nthreads,
-            iters_per_chunk: chunk_iters,
-            policy: RtPolicy::Restructure,
-            poll_batch: 8,
-        };
-        let faulty: Vec<FaultyKernel<_>> = fplans
-            .into_iter()
-            .enumerate()
-            .map(|(g, fp)| FaultyKernel::new(prog.kernel(g), fp))
-            .collect();
-        let (result, gov_note) = if cancel_storm {
-            // Every third case arms the deadline governor; the rest get
-            // an external canceller thread firing at a random point.
-            let token = CancelToken::new();
-            let use_deadline = case % 3 == 2;
-            let deadline =
-                use_deadline.then(|| Duration::from_micros(200 + splitmix64(&mut rng) % 4_000));
-            let mut tolerance = tol.clone();
-            if let (Some(d), Some(wd)) = (deadline, tolerance.watchdog) {
-                tolerance.watchdog = Some(wd.min(d));
-            }
-            let cfg = RunConfig {
-                runner,
-                tolerance,
-                deadline,
-                cancel: token.clone(),
-                ..RunConfig::default()
-            };
-            let canceller = (!use_deadline).then(|| {
-                let token = token.clone();
-                let delay = Duration::from_micros(splitmix64(&mut rng) % 5_000);
-                std::thread::spawn(move || {
-                    std::thread::sleep(delay);
-                    token.cancel("planned chaos canceller");
-                })
-            });
-            let result = cascade_rt::try_run_planned(&faulty, plan, &cfg);
-            if let Some(h) = canceller {
-                let _ = h.join();
-            }
-            (
-                result,
-                if use_deadline {
-                    " +deadline"
-                } else {
-                    " +cancel"
-                },
-            )
-        } else {
-            let cfg = RunConfig {
-                runner,
-                tolerance: tol.clone(),
-                ..RunConfig::default()
-            };
-            (cascade_rt::try_run_planned(&faulty, plan, &cfg), "")
-        };
-        drop(faulty);
-        let label = format!(
-            "  plan {case:>3}: {desc:<14} {nthreads} threads [{}]{gov_note}",
-            injected.join(", "),
-        );
-        let verdict = match result {
-            Ok(stats) => {
-                let bitwise = prog.checksum() == expected;
-                match (bitwise, stats.degraded) {
-                    (true, true) => {
-                        salvaged += 1;
-                        format!("salvaged bitwise ({} fault events)", stats.faults.len())
-                    }
-                    (true, false) => {
-                        clean += 1;
-                        "clean bitwise".to_string()
-                    }
-                    (false, _) => {
-                        diverged += 1;
-                        "SILENT DIVERGENCE".to_string()
-                    }
-                }
-            }
-            Err(
-                ref e @ (RunError::Cancelled {
-                    committed_iters, ..
-                }
-                | RunError::DeadlineExceeded {
-                    committed_iters, ..
-                }),
-            ) => {
-                // The planned run promises a bitwise-clean prefix of
-                // the *fissioned sequence*: finish the remaining
-                // sub-loops sequentially from the global committed
-                // count, in plan order, and gate on straight
-                // sequential.
-                let mut rem = committed_iters;
-                for g in 0..groups as usize {
-                    let k = prog.kernel(g);
-                    let done = rem.min(k.iters());
-                    rem -= done;
-                    if done < k.iters() {
-                        // SAFETY: every worker drained before the
-                        // error returned; documented sequential resume.
-                        unsafe { k.execute(done..k.iters()) };
-                    }
-                }
-                if prog.checksum() == expected {
-                    cancelled += 1;
-                    format!("cancelled at iter {committed_iters}, resumed bitwise ({e})")
-                } else {
-                    diverged += 1;
-                    format!("CANCELLED RESUME DIVERGED from iter {committed_iters}")
-                }
-            }
-            Err(e @ (RunError::WorkerPanicked { .. } | RunError::Stalled { .. })) => {
-                typed += 1;
-                format!("typed error: {e}")
-            }
-            Err(e) => {
-                return Err(ArgError::verification(format!(
-                    "planned chaos: plan {case}: {e}"
-                )))
-            }
-        };
-        out.push_str(&format!("{label} -> {verdict}\n"));
-    }
-    out.push_str(&format!(
-        "summary: {clean} clean, {salvaged} salvaged, {typed} typed errors{}, {diverged} diverged\n",
-        if cancel_storm {
-            format!(", {cancelled} cancelled+resumed")
-        } else {
-            String::new()
-        }
-    ));
-    if diverged > 0 {
-        return Err(ArgError::verification(format!(
-            "planned chaos: {diverged} of {plans} plans reported success with a corrupted \
-             result\n{out}"
-        )));
-    }
-    out.push_str("recovery verdict: no hangs, no silent corruption\n");
-    Ok(out)
-}
-
-/// Wraps a kernel so every chunk execution takes a bounded minimum wall
-/// time. `cascade chaos --kill` needs SIGKILL to land *mid-run* with
-/// useful probability, and the synthetic loops are otherwise too fast
-/// for the kill window to sample interesting commit boundaries.
-struct ThrottledKernel<K> {
-    inner: K,
-    delay: Duration,
-}
-
-impl<K: RealKernel> RealKernel for ThrottledKernel<K> {
-    fn iters(&self) -> u64 {
-        self.inner.iters()
-    }
-
-    unsafe fn execute(&self, range: std::ops::Range<u64>) {
-        std::thread::sleep(self.delay);
-        self.inner.execute(range)
-    }
-
-    fn prefetch_iter(&self, i: u64) {
-        self.inner.prefetch_iter(i)
-    }
-
-    fn prefetch_bytes_per_iter(&self) -> u64 {
-        self.inner.prefetch_bytes_per_iter()
-    }
-
-    fn pack_iter(&self, i: u64, buf: &mut Vec<u8>) -> bool {
-        self.inner.pack_iter(i, buf)
-    }
-
-    unsafe fn execute_packed(&self, range: std::ops::Range<u64>, buf: &[u8]) {
-        std::thread::sleep(self.delay);
-        self.inner.execute_packed(range, buf)
-    }
-
-    fn helper_horizon(&self) -> Option<u64> {
-        self.inner.helper_horizon()
-    }
-
-    fn panics_before_mutation(&self) -> bool {
-        self.inner.panics_before_mutation()
-    }
-
-    unsafe fn journal_capture(&self, range: std::ops::Range<u64>, buf: &mut Vec<u8>) -> bool {
-        self.inner.journal_capture(range, buf)
-    }
-
-    unsafe fn journal_rollback(&self, range: std::ops::Range<u64>, buf: &[u8]) {
-        self.inner.journal_rollback(range, buf)
-    }
-}
-
-/// Hidden subcommand: the child half of `cascade chaos --kill`. Runs one
-/// governed synthetic loop with checkpointing enabled and a throttled
-/// kernel, persisting checkpoints into `--dir` until the parent SIGKILLs
-/// the process (or the run finishes first). Not part of the public
-/// surface — the parent invokes it through its own executable.
-pub fn ckpt_run(args: &Args) -> Result<String, ArgError> {
-    let dir = args
-        .get_opt("dir")
-        .ok_or_else(|| ArgError::usage("ckpt-run: --dir is required"))?;
-    let n = args.get_num("n", 4096u64)?;
-    let seed = args.get_num("seed", 42u64)?;
-    let threads = args.get_num("threads", 2usize)?;
-    let chunk_iters = args.get_num("chunk-iters", 64u64)?;
-    let every = args.get_num("every", 1u64)?;
-    let throttle_us = args.get_num("throttle-us", 0u64)?;
-    let watchdog_ms = args.get_num("watchdog-ms", 25u64)?;
-    let retry_budget = args.get_num("retry-budget", 4u64)?;
-    let retry_backoff_ms = args.get_num("retry-backoff-ms", 10u64)?;
-    let tol = tolerance_from(
-        &args.get("tolerance", "salvage"),
-        Duration::from_millis(watchdog_ms),
-        retry_budget,
-        Duration::from_millis(retry_backoff_ms),
-    )?;
-    let variant = match args.get("variant", "dense").as_str() {
-        "dense" => Variant::Dense,
-        "sparse" => Variant::Sparse,
-        other => {
-            return Err(ArgError::usage(format!(
-                "ckpt-run: unknown variant '{other}' (dense|sparse)"
-            )))
-        }
-    };
-    args.reject_unknown()?;
-
-    let s = Synth::build(n, variant, seed);
-    let text = to_text(&s.workload);
-    let base = s.arena.bytes().to_vec();
-    let iters = s.workload.loops[0].iters;
-    let prog = SpecProgram::new(s.workload, s.arena).map_err(synth_rejected)?;
-    let writer = CkptWriter::create(
-        Path::new(&dir),
-        &text,
-        CkptMeta {
-            loop_index: 0,
-            iters,
-            iters_per_chunk: chunk_iters,
-        },
-        &base,
-    )
-    .map_err(|e| ArgError::usage(format!("ckpt-run: --dir {dir}: {e}")))?;
-    let kernel = ThrottledKernel {
-        inner: prog.kernel(0),
-        delay: Duration::from_micros(throttle_us),
-    };
-    let cfg = RunConfig {
-        runner: RunnerConfig {
-            nthreads: threads,
-            iters_per_chunk: chunk_iters,
-            policy: RtPolicy::Restructure,
-            poll_batch: 8,
-        },
-        tolerance: tol,
-        ckpt: CkptPolicy::EveryChunks(every),
-        ckpt_sink: Some(CkptSink::new(writer)),
-        ..RunConfig::default()
-    };
-    let stats = try_run_governed(&kernel, &cfg)
-        .map_err(|e| ArgError::verification(format!("ckpt-run: {e}")))?;
-    Ok(format!("ckpt-run complete: {} chunks\n", stats.chunks))
-}
-
-/// `cascade chaos --kill`: kill-restart recovery trials. Each trial forks
-/// this executable as a checkpointing child run, SIGKILLs it at a
-/// randomized point, resumes from whatever checkpoint survived, finishes
-/// the loop sequentially, and gates on bitwise equality with an
-/// uninterrupted sequential run.
-fn chaos_kill(args: &Args) -> Result<String, ArgError> {
-    let n = args.get_num("n", 4096u64)?;
-    let seed = args.get_num("seed", 42u64)?;
-    let plans = args.get_num("plans", 6u64)?;
-    let max_threads = args.get_num("max-threads", 3usize)?;
-    let chunk_iters = args.get_num("chunk-iters", 64u64)?;
-    let tolerance = args.get("tolerance", "salvage");
-    let watchdog_ms = args.get_num("watchdog-ms", 25u64)?;
-    let retry_budget = args.get_num("retry-budget", 4u64)?;
-    let retry_backoff_ms = args.get_num("retry-backoff-ms", 10u64)?;
-    let throttle_us = args.get_num("throttle-us", 300u64)?;
-    let kill_dir = args.get_opt("kill-dir");
-    let exe = args.get_opt("exe").map(PathBuf::from);
-    let _ = args.flag("kill");
-    args.reject_unknown()?;
-    if plans == 0 {
-        return Err(ArgError::usage("--plans must be positive"));
-    }
-    if max_threads == 0 {
-        return Err(ArgError::usage("--max-threads must be positive"));
-    }
-    if chunk_iters == 0 || chunk_iters >= n {
-        return Err(ArgError::usage("--chunk-iters must be in 1..n"));
-    }
-    // Validate the name up front; the child re-parses its own copy.
-    tolerance_from(
-        &tolerance,
-        Duration::from_millis(watchdog_ms),
-        retry_budget,
-        Duration::from_millis(retry_backoff_ms),
-    )?;
-    let exe = match exe {
-        Some(p) => p,
-        None => std::env::current_exe()
-            .map_err(|e| ArgError::internal(format!("chaos --kill: current_exe: {e}")))?,
-    };
-    let base_dir = match &kill_dir {
-        Some(d) => PathBuf::from(d),
-        None => {
-            // Unique per invocation, not just per process: storms running
-            // in one process (parallel tests) must not share — and on exit
-            // remove — each other's checkpoints.
-            static STORMS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-            let storm = STORMS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            std::env::temp_dir().join(format!("cascade-kill-{}-{storm}", std::process::id()))
-        }
-    };
-
-    let mut rng = seed ^ 0x0000_51C4_11ED_0009_u64; // 9 = SIGKILL
-    let mut out = format!(
-        "kill-restart storm: {plans} trials, threads 1..={max_threads}, \
-         {chunk_iters} iters/chunk, tolerance {tolerance}, checkpoints under {}\n",
-        base_dir.display()
-    );
-    let mut resumed = 0u64;
-    let mut cold = 0u64;
-    let mut diverged = 0u64;
-    for t in 0..plans {
-        let variant = if t % 2 == 0 {
-            Variant::Dense
-        } else {
-            Variant::Sparse
-        };
-        let child_seed = seed.wrapping_add(t);
-        let nthreads = 1 + (splitmix64(&mut rng) as usize) % max_threads;
-        let every = 1 + splitmix64(&mut rng) % 2;
-        let dir = base_dir.join(format!("trial-{t:02}"));
-
-        // Uninterrupted sequential reference: full arena bytes, not just
-        // a checksum — the acceptance bar is bitwise equality.
-        let want = {
-            let s = Synth::build(n, variant, child_seed);
-            let mut prog = SpecProgram::new(s.workload, s.arena).map_err(synth_rejected)?;
-            {
-                let k = prog.kernel(0);
-                cascade_rt::run_sequential(&k);
-            }
-            prog.arena_mut().bytes().to_vec()
-        };
-
-        let mut child = std::process::Command::new(&exe)
-            .args([
-                "ckpt-run",
-                "--dir",
-                &dir.display().to_string(),
-                "--n",
-                &n.to_string(),
-                "--seed",
-                &child_seed.to_string(),
-                "--variant",
-                if t % 2 == 0 { "dense" } else { "sparse" },
-                "--threads",
-                &nthreads.to_string(),
-                "--chunk-iters",
-                &chunk_iters.to_string(),
-                "--every",
-                &every.to_string(),
-                "--throttle-us",
-                &throttle_us.to_string(),
-                "--tolerance",
-                &tolerance,
-                "--watchdog-ms",
-                &watchdog_ms.to_string(),
-                "--retry-budget",
-                &retry_budget.to_string(),
-                "--retry-backoff-ms",
-                &retry_backoff_ms.to_string(),
-            ])
-            .stdout(std::process::Stdio::null())
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .map_err(|e| ArgError::internal(format!("chaos --kill: spawn {exe:?}: {e}")))?;
-        // Kill anywhere from before the manifest exists to after the run
-        // finished: every point must recover.
-        let chunks_total = n.div_ceil(chunk_iters);
-        let horizon_us = 2_000 + chunks_total * throttle_us * 2;
-        std::thread::sleep(Duration::from_micros(splitmix64(&mut rng) % horizon_us));
-        let _ = child.kill();
-        let _ = child.wait();
-
-        let (got, note) = if dir.join("MANIFEST").exists() {
-            // A published manifest must load, restore, and finish — any
-            // failure past this point is a durability bug, not bad luck.
-            let ck = ckpt::load(&dir).map_err(|e| {
-                ArgError::verification(format!(
-                    "chaos --kill: trial {t}: published checkpoint rejected: {e} \
-                     (dir kept at {})",
-                    dir.display()
-                ))
-            })?;
-            let committed = ck.committed_iters();
-            let (mut prog, at) = ck.into_program().map_err(|e| {
-                ArgError::verification(format!(
-                    "chaos --kill: trial {t}: restore failed: {e} (dir kept at {})",
-                    dir.display()
-                ))
-            })?;
-            {
-                let k = prog.kernel(0);
-                // SAFETY: the child is dead; this is the documented
-                // single-threaded sequential resume.
-                unsafe { k.execute(at..k.iters()) };
-            }
-            resumed += 1;
-            (
-                prog.arena_mut().bytes().to_vec(),
-                format!("resumed from iter {committed}"),
-            )
-        } else {
-            // Killed before the writer published anything: the contract
-            // degrades to a cold restart, which must still match.
-            let s = Synth::build(n, variant, child_seed);
-            let mut prog = SpecProgram::new(s.workload, s.arena).map_err(synth_rejected)?;
-            {
-                let k = prog.kernel(0);
-                cascade_rt::run_sequential(&k);
-            }
-            cold += 1;
-            (
-                prog.arena_mut().bytes().to_vec(),
-                "no checkpoint published; restarted from scratch".to_string(),
-            )
-        };
-        let ok = got == want;
-        if !ok {
-            diverged += 1;
-        }
-        out.push_str(&format!(
-            "  trial {t:>2}: {nthreads} threads, every {every} chunks, {note} -> {}\n",
-            if ok { "bitwise identical" } else { "DIVERGED" }
-        ));
-        if ok {
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-    out.push_str(&format!(
-        "summary: {resumed} resumed from checkpoint, {cold} cold restarts, {diverged} diverged\n"
-    ));
-    if diverged > 0 {
-        return Err(ArgError::verification(format!(
-            "chaos --kill: {diverged} of {plans} trials diverged after kill-restart \
-             (checkpoint dirs kept under {})\n{out}",
-            base_dir.display()
-        )));
-    }
-    if kill_dir.is_none() {
-        let _ = std::fs::remove_dir_all(&base_dir);
-    }
-    out.push_str("kill-restart verdict: every sampled SIGKILL point recovered bitwise\n");
-    Ok(out)
 }
 
 /// `cascade resume`
@@ -2244,31 +1003,42 @@ pub fn analyze(args: &Args) -> Result<String, ArgError> {
 /// lattice verdicts for the kernel suite plus wave5 (or one dumped
 /// workload), in text or JSON. Exits 1 (verification failure) when any
 /// target carries an `Unsafe` verdict or error diagnostic.
-fn analyze_all(args: &Args) -> Result<String, ArgError> {
+/// `(n, seed, scale, format, targets)` of `analyze --all` and `plan`: the
+/// targets are one dumped workload, or the kernel suite plus wave5; the
+/// JSON reports echo the parameters.
+type Suite = (u64, u64, f64, String, Vec<(String, Workload)>);
+
+fn suite_from(args: &Args) -> Result<Suite, ArgError> {
     let n = args.get_num("n", 4096u64)?;
     let seed = args.get_num("seed", 42u64)?;
     let scale = args.get_num("scale", 0.01f64)?;
     let format = args.get("format", "text");
     let file = args.get_opt("workload-file");
+    // `plan --all` is accepted for symmetry with `analyze --all`; without
+    // a --workload-file the full suite is the only target set anyway.
+    let _ = args.flag("all");
     args.reject_unknown()?;
 
-    let mut targets: Vec<(String, WorkloadReport)> = Vec::new();
-    match file {
-        Some(path) => {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| ArgError::usage(format!("--workload-file {path}: {e}")))?;
-            let w = from_text(&text)
-                .map_err(|e| ArgError::usage(format!("--workload-file {path}: {e}")))?;
-            targets.push((path, analyze_workload(&w)));
-        }
+    let targets = match file {
+        Some(path) => vec![(path.clone(), workload_file(&path)?)],
         None => {
-            for k in cascade_kernels::suite(n, seed) {
-                targets.push((k.name.to_string(), k.report().clone()));
-            }
             let p = Parmvr::build(ParmvrParams { scale, seed });
-            targets.push(("wave5-parmvr".to_string(), analyze_workload(&p.workload)));
+            let suite = cascade_kernels::suite(n, seed).into_iter();
+            suite
+                .map(|k| (k.name.to_string(), k.workload))
+                .chain([("wave5-parmvr".to_string(), p.workload)])
+                .collect()
         }
-    }
+    };
+    Ok((n, seed, scale, format, targets))
+}
+
+fn analyze_all(args: &Args) -> Result<String, ArgError> {
+    let (n, seed, scale, format, targets) = suite_from(args)?;
+    let targets: Vec<(String, WorkloadReport)> = targets
+        .into_iter()
+        .map(|(name, w)| (name, analyze_workload(&w)))
+        .collect();
 
     let out = match format.as_str() {
         "text" => render_analysis_text(&targets),
@@ -2367,6 +1137,25 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// The `"diagnostics": [` member of a loop object, up to (not including)
+/// its closing bracket, in both JSON reports.
+fn diagnostics_json(diagnostics: &[Diagnostic]) -> String {
+    let mut out = String::from("          \"diagnostics\": [\n");
+    for (j, d) in diagnostics.iter().enumerate() {
+        out.push_str(&format!(
+            "            {{\"code\": \"{}\", \"severity\": \"{}\", \"ref\": {}, \"message\": \"{}\"}}{}\n",
+            d.code.as_str(),
+            severity_str(d.severity),
+            d.ref_name
+                .as_ref()
+                .map_or("null".to_string(), |r| format!("\"{}\"", json_escape(r))),
+            json_escape(&d.message),
+            if j + 1 < diagnostics.len() { "," } else { "" }
+        ));
+    }
+    out
+}
+
 fn render_analysis_json(
     targets: &[(String, WorkloadReport)],
     n: u64,
@@ -2412,19 +1201,7 @@ fn render_analysis_json(
                 ));
             }
             out.push_str("          ],\n");
-            out.push_str("          \"diagnostics\": [\n");
-            for (j, d) in l.diagnostics.iter().enumerate() {
-                out.push_str(&format!(
-                    "            {{\"code\": \"{}\", \"severity\": \"{}\", \"ref\": {}, \"message\": \"{}\"}}{}\n",
-                    d.code.as_str(),
-                    severity_str(d.severity),
-                    d.ref_name
-                        .as_ref()
-                        .map_or("null".to_string(), |r| format!("\"{}\"", json_escape(r))),
-                    json_escape(&d.message),
-                    if j + 1 < l.diagnostics.len() { "," } else { "" }
-                ));
-            }
+            out.push_str(&diagnostics_json(&l.diagnostics));
             out.push_str("          ]\n");
             out.push_str(&format!(
                 "        }}{}\n",
@@ -2448,33 +1225,7 @@ fn render_analysis_json(
 /// re-validated against the dynamic replay oracle; exits 1 (verification
 /// failure) if any plan is contradicted.
 pub fn plan(args: &Args) -> Result<String, ArgError> {
-    let n = args.get_num("n", 4096u64)?;
-    let seed = args.get_num("seed", 42u64)?;
-    let scale = args.get_num("scale", 0.01f64)?;
-    let format = args.get("format", "text");
-    let file = args.get_opt("workload-file");
-    // `--all` is accepted for symmetry with `analyze --all`; without a
-    // --workload-file the full suite is the only target set anyway.
-    let _ = args.flag("all");
-    args.reject_unknown()?;
-
-    let mut targets: Vec<(String, Workload)> = Vec::new();
-    match file {
-        Some(path) => {
-            let text = std::fs::read_to_string(&path)
-                .map_err(|e| ArgError::usage(format!("--workload-file {path}: {e}")))?;
-            let w = from_text(&text)
-                .map_err(|e| ArgError::usage(format!("--workload-file {path}: {e}")))?;
-            targets.push((path, w));
-        }
-        None => {
-            for k in cascade_kernels::suite(n, seed) {
-                targets.push((k.name.to_string(), k.workload));
-            }
-            let p = Parmvr::build(ParmvrParams { scale, seed });
-            targets.push(("wave5-parmvr".to_string(), p.workload));
-        }
-    }
+    let (n, seed, scale, format, targets) = suite_from(args)?;
 
     // Plan every loop of every target, then replay-validate each plan.
     let mut planned: Vec<PlannedTarget> = Vec::new();
@@ -2562,15 +1313,14 @@ fn render_plan_text(planned: &[PlannedTarget]) -> String {
             }
             let opt = |v: Option<u64>| v.map_or("-".to_string(), |x| x.to_string());
             out.push_str(&format!(
-                "    modes: cascade={} helper_lag={} journalable={} fission={} ({} sub-loops) doacross={} parallel={} speculation_ready={}\n",
+                "    modes: cascade={} helper_lag={} journalable={} fission={} ({} sub-loops) doacross={} parallel={}\n",
                 m.cascade,
                 opt(m.helper_lag),
                 m.journalable,
                 m.fissionable,
                 m.sub_loops,
                 opt(m.doacross_lag),
-                m.parallel,
-                m.speculation_ready
+                m.parallel
             ));
             for d in &p.diagnostics {
                 out.push_str(&format!("    {d}\n"));
@@ -2651,29 +1401,16 @@ fn render_plan_json(planned: &[PlannedTarget], n: u64, seed: u64, scale: f64) ->
             }
             out.push_str("          ],\n");
             out.push_str(&format!(
-                "          \"modes\": {{\"cascade\": {}, \"helper_lag\": {}, \"journalable\": {}, \"fissionable\": {}, \"sub_loops\": {}, \"doacross_lag\": {}, \"parallel\": {}, \"speculation_ready\": {}}},\n",
+                "          \"modes\": {{\"cascade\": {}, \"helper_lag\": {}, \"journalable\": {}, \"fissionable\": {}, \"sub_loops\": {}, \"doacross_lag\": {}, \"parallel\": {}}},\n",
                 m.cascade,
                 opt(m.helper_lag),
                 m.journalable,
                 m.fissionable,
                 m.sub_loops,
                 opt(m.doacross_lag),
-                m.parallel,
-                m.speculation_ready
+                m.parallel
             ));
-            out.push_str("          \"diagnostics\": [\n");
-            for (j, d) in p.diagnostics.iter().enumerate() {
-                out.push_str(&format!(
-                    "            {{\"code\": \"{}\", \"severity\": \"{}\", \"ref\": {}, \"message\": \"{}\"}}{}\n",
-                    d.code.as_str(),
-                    severity_str(d.severity),
-                    d.ref_name
-                        .as_ref()
-                        .map_or("null".to_string(), |r| format!("\"{}\"", json_escape(r))),
-                    json_escape(&d.message),
-                    if j + 1 < p.diagnostics.len() { "," } else { "" }
-                ));
-            }
+            out.push_str(&diagnostics_json(&p.diagnostics));
             out.push_str("          ],\n");
             out.push_str(&format!("          \"oracle_violations\": {}\n", v.len()));
             out.push_str(&format!(
@@ -2710,45 +1447,32 @@ pub fn sweep(args: &Args) -> Result<String, ArgError> {
         policy.label()
     );
     for v in values {
-        let (label, cfg) = match param.as_str() {
+        // The fixed parameters, with the swept one overwritten below.
+        let mut cfg = CascadeConfig {
+            nprocs: procs,
+            chunk_bytes: chunk,
+            policy,
+            jump_out: true,
+            calls,
+            flush_between_calls: true,
+        };
+        match param.as_str() {
             "procs" => {
-                let np: usize = v.parse().map_err(|_| {
+                cfg.nprocs = v.parse().map_err(|_| {
                     ArgError::usage(format!("--values: '{v}' is not a processor count"))
-                })?;
-                (
-                    format!("procs={v}"),
-                    CascadeConfig {
-                        nprocs: np,
-                        chunk_bytes: chunk,
-                        policy,
-                        jump_out: true,
-                        calls,
-                        flush_between_calls: true,
-                    },
-                )
+                })?
             }
             "chunk" => {
-                let bytes = crate::args::parse_bytes(&v).ok_or_else(|| {
-                    ArgError::usage(format!("--values: '{v}' is not a byte size"))
-                })?;
-                (
-                    format!("chunk={v}"),
-                    CascadeConfig {
-                        nprocs: procs,
-                        chunk_bytes: bytes,
-                        policy,
-                        jump_out: true,
-                        calls,
-                        flush_between_calls: true,
-                    },
-                )
+                cfg.chunk_bytes = crate::args::parse_bytes(&v)
+                    .ok_or_else(|| ArgError::usage(format!("--values: '{v}' is not a byte size")))?
             }
             other => {
                 return Err(ArgError::usage(format!(
                     "unknown sweep parameter '{other}' (procs|chunk)"
                 )))
             }
-        };
+        }
+        let label = format!("{param}={v}");
         let r = run_cascaded(&machine, &workload, &cfg);
         out.push_str(&format!(
             "  {label:<14} speedup {:.3}\n",

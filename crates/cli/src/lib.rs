@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod args;
+pub mod chaos;
 pub mod commands;
 
 pub use args::{ArgError, Args, ErrorKind};
@@ -43,10 +44,10 @@ where
                 Some("rt") => commands::rt(&args),
                 Some("run") => commands::run(&args),
                 Some("metrics") => commands::metrics(&args),
-                Some("chaos") => commands::chaos(&args),
+                Some("chaos") => chaos::run(&args),
                 Some("resume") => commands::resume(&args),
                 // Hidden: the child half of `chaos --kill`.
-                Some("ckpt-run") => commands::ckpt_run(&args),
+                Some("ckpt-run") => chaos::ckpt_run(&args),
                 Some("sweep") => commands::sweep(&args),
                 Some("analyze") => commands::analyze(&args),
                 Some("plan") => commands::plan(&args),

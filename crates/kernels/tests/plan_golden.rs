@@ -1,6 +1,6 @@
 //! Golden transformation plans for the kernel suite: the full mode
 //! matrix (cascade × helper-lag × journalable × fissionable ×
-//! DOACROSS-lag × parallel × speculation-ready) plus the fission
+//! DOACROSS-lag × parallel) plus the fission
 //! partition shape, pinned per kernel so a regression in any analyzer
 //! layer — footprints, lag computation, dependence edges, SCC
 //! condensation, or mode threading — fails loudly in one table.
@@ -16,8 +16,7 @@ use cascade_trace::DiagCode;
 
 /// One row of the pinned mode matrix:
 /// (kernel, cascade, helper lag, journalable, [(sub-loop statements,
-/// schedule)], whole-loop min carried lag, parallel, speculation-ready,
-/// plan diag codes).
+/// schedule)], whole-loop min carried lag, parallel, plan diag codes).
 type GoldenRow = (
     &'static str,
     bool,
@@ -25,7 +24,6 @@ type GoldenRow = (
     bool,
     &'static [(&'static [usize], Schedule)],
     Option<u64>,
-    bool,
     bool,
     &'static [DiagCode],
 );
@@ -39,7 +37,6 @@ const GOLDEN: &[GoldenRow] = &[
         &[(&[0], Schedule::Sequential)],
         Some(1),
         false,
-        true,
         &[],
     ),
     (
@@ -49,7 +46,6 @@ const GOLDEN: &[GoldenRow] = &[
         true,
         &[(&[0], Schedule::Parallel)],
         None,
-        true,
         true,
         &[DiagCode::PlanParallel],
     ),
@@ -61,7 +57,6 @@ const GOLDEN: &[GoldenRow] = &[
         &[(&[0], Schedule::Sequential)],
         Some(1),
         false,
-        true,
         &[],
     ),
     (
@@ -74,7 +69,6 @@ const GOLDEN: &[GoldenRow] = &[
         &[(&[0], Schedule::Sequential), (&[1], Schedule::Parallel)],
         Some(1),
         false,
-        true,
         &[DiagCode::FissionLegal, DiagCode::PlanParallel],
     ),
     (
@@ -85,7 +79,6 @@ const GOLDEN: &[GoldenRow] = &[
         &[(&[0], Schedule::Sequential)],
         Some(1),
         false,
-        true,
         &[],
     ),
     (
@@ -96,7 +89,6 @@ const GOLDEN: &[GoldenRow] = &[
         &[(&[0], Schedule::Sequential)],
         Some(1),
         false,
-        true,
         &[],
     ),
 ];
@@ -105,8 +97,7 @@ const GOLDEN: &[GoldenRow] = &[
 fn kernel_mode_matrix_matches_golden() {
     let kernels = cascade_kernels::suite(4096, 42);
     assert_eq!(kernels.len(), GOLDEN.len());
-    for (k, (name, cascade, hlag, journ, partition, dlag, par, spec, codes)) in
-        kernels.iter().zip(GOLDEN)
+    for (k, (name, cascade, hlag, journ, partition, dlag, par, codes)) in kernels.iter().zip(GOLDEN)
     {
         assert_eq!(k.name, *name);
         let plans = plan_workload(&k.workload);
@@ -133,10 +124,6 @@ fn kernel_mode_matrix_matches_golden() {
             "{name}: whole-loop carried lag drifted"
         );
         assert_eq!(p.modes.parallel, *par, "{name}: DOALL verdict drifted");
-        assert_eq!(
-            p.modes.speculation_ready, *spec,
-            "{name}: speculation readiness drifted"
-        );
         assert_eq!(
             p.partition.len(),
             partition.len(),

@@ -17,26 +17,12 @@ use cascade_rt::{
     ckpt, try_run_governed_sequence, CkptError, CkptMeta, CkptPolicy, CkptSink, CkptWriter,
     RealKernel, RtPolicy, RunConfig, RunError, RunnerConfig, SpecProgram,
 };
-use cascade_trace::{
-    to_text, AddressSpace, Arena, IndexStore, LoopSpec, Mode, Pattern, StreamRef, Workload,
-};
+use cascade_trace::to_text;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// One randomized write stream (see `journal_props.rs` for the shape
-/// rationale): an affine write/modify, or an indirect scatter whose
-/// colliding index contents make order-sensitive RMW chains.
-#[derive(Debug, Clone)]
-enum RawShape {
-    Affine {
-        base: u64,
-        stride: u64,
-        modify: bool,
-    },
-    Scatter {
-        seed: u64,
-    },
-}
+mod common;
+use common::{raw_shape, RawShape};
 
 #[derive(Debug, Clone)]
 struct Scenario {
@@ -44,13 +30,6 @@ struct Scenario {
     shapes: Vec<RawShape>,
     /// Commit-boundary spacing: one delta per `chunk_iters` iterations.
     chunk_iters: u64,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
 }
 
 // FNV-1a 64 — the checkpoint manifest's checksum; the shared
@@ -70,19 +49,6 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-fn raw_shape() -> impl Strategy<Value = RawShape> {
-    prop_oneof![
-        (any::<u64>(), 1..=3u64, any::<bool>()).prop_map(|(base, stride, modify)| {
-            RawShape::Affine {
-                base,
-                stride,
-                modify,
-            }
-        }),
-        any::<u64>().prop_map(|seed| RawShape::Scatter { seed }),
-    ]
-}
-
 fn scenario() -> impl Strategy<Value = Scenario> {
     (64u64..200, vec(raw_shape(), 1..4), 16u64..48).prop_map(|(iters, shapes, chunk_iters)| {
         Scenario {
@@ -93,95 +59,8 @@ fn scenario() -> impl Strategy<Value = Scenario> {
     })
 }
 
-/// Build a runnable program from the scenario (the `journal_props.rs`
-/// construction): all scatters alias one shared array, affine writes may
-/// overlap within another, and a read stream keeps the accumulator
-/// data-dependent.
 fn build(s: &Scenario) -> SpecProgram {
-    let n = s.iters;
-    let sc_elems = (n / 2).max(4);
-    let mut space = AddressSpace::new();
-    let src = space.alloc("src", 8, n);
-    let af = space.alloc("af", 8, 4 * n);
-    let sc = space.alloc("sc", 8, sc_elems);
-    let mut index = IndexStore::new();
-    let mut refs = vec![StreamRef {
-        name: "src(i)",
-        array: src,
-        pattern: Pattern::Affine { base: 0, stride: 1 },
-        mode: Mode::Read,
-        bytes: 8,
-        hoistable: false,
-    }];
-    const IJ_NAMES: [&str; 3] = ["ij0", "ij1", "ij2"];
-    const AF_NAMES: [&str; 3] = ["af(a0+s0*i)", "af(a1+s1*i)", "af(a2+s2*i)"];
-    const SC_NAMES: [&str; 3] = ["sc(ij0(i))", "sc(ij1(i))", "sc(ij2(i))"];
-    for (slot, w) in s.shapes.iter().enumerate() {
-        match *w {
-            RawShape::Affine {
-                base,
-                stride,
-                modify,
-            } => refs.push(StreamRef {
-                name: AF_NAMES[slot],
-                array: af,
-                pattern: Pattern::Affine {
-                    base: (base % n) as i64,
-                    stride: stride as i64,
-                },
-                mode: if modify { Mode::Modify } else { Mode::Write },
-                bytes: 8,
-                hoistable: false,
-            }),
-            RawShape::Scatter { seed } => {
-                let ij = space.alloc(IJ_NAMES[slot], 4, n);
-                let bound = (sc_elems / 4).max(2) as u32;
-                index.set(
-                    ij,
-                    (0..n)
-                        .map(|i| (splitmix64(seed ^ i) % bound as u64) as u32)
-                        .collect(),
-                );
-                refs.push(StreamRef {
-                    name: SC_NAMES[slot],
-                    array: sc,
-                    pattern: Pattern::Indirect {
-                        index: ij,
-                        ibase: 0,
-                        istride: 1,
-                    },
-                    mode: Mode::Modify,
-                    bytes: 8,
-                    hoistable: false,
-                });
-            }
-        }
-    }
-    let spec = LoopSpec {
-        name: "ckpt-prop".into(),
-        iters: n,
-        refs,
-        compute: 2.0,
-        hoistable_compute: 0.0,
-        hoist_result_bytes: 0,
-    };
-    let w = Workload {
-        space,
-        index,
-        loops: vec![spec],
-    };
-    let mut arena = Arena::new(&w.space);
-    for i in 0..n {
-        arena.set_f64(&w.space, src, i, (i % 31) as f64 * 0.375 + 0.5);
-    }
-    for i in 0..4 * n {
-        arena.set_f64(&w.space, af, i, (i % 17) as f64 * 0.125 - 1.0);
-    }
-    for i in 0..sc_elems {
-        arena.set_f64(&w.space, sc, i, (i % 7) as f64 * 0.25 + 0.125);
-    }
-    arena.install_indices(&w.space, &w.index);
-    SpecProgram::new(w, arena).expect("generated workload must be runnable")
+    common::build("ckpt-prop", s.iters, &s.shapes)
 }
 
 /// Execute the scenario's loop to completion, chunk by chunk, publishing

@@ -23,6 +23,9 @@ use cascade_trace::{
 use proptest::collection::vec;
 use proptest::prelude::*;
 
+mod common;
+use common::splitmix64;
+
 // --- the oracle -------------------------------------------------------
 
 fn elem_index(w: &Workload, arena: &Arena, pattern: &Pattern, i: u64) -> u64 {
@@ -127,13 +130,6 @@ struct Scenario {
     recurrence: Option<u64>,
     chunk: u64,
     salt: u64,
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
 }
 
 fn stride() -> impl Strategy<Value = i64> {

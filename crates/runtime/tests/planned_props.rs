@@ -30,12 +30,8 @@ use cascade_trace::{
 };
 use proptest::prelude::*;
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
-    x ^ (x >> 31)
-}
+mod common;
+use common::splitmix64;
 
 /// One randomized planned-execution scenario. Writers live on distinct
 /// arrays so the planner fissions them into independent sub-loops; the

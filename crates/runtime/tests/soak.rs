@@ -24,19 +24,12 @@ use cascade_trace::to_text;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const N: u64 = 1 << 12;
+mod common;
+use common::{sequential_checksum, N};
+
 const CHUNK_ITERS: u64 = 64;
 const WATCHDOG: Duration = Duration::from_millis(25);
 const STALL: Duration = Duration::from_millis(40);
-
-fn sequential_checksum(variant: Variant) -> u64 {
-    let s = Synth::build(N, variant, 99);
-    let mut prog = SpecProgram::new(s.workload, s.arena).unwrap();
-    let k = prog.kernel(0);
-    // SAFETY: single-threaded.
-    unsafe { k.execute(0..k.iters()) };
-    prog.checksum()
-}
 
 fn random_plan(rng: &mut StdRng, num_chunks: u64) -> FaultPlan {
     let mut plan = FaultPlan::new(CHUNK_ITERS);

@@ -15,18 +15,11 @@ use cascade_rt::{
 use cascade_synth::{Synth, Variant};
 use cascade_wave5::{Parmvr, ParmvrParams};
 
-const N: u64 = 1 << 12;
+mod common;
+use common::{sequential_checksum, N};
+
 const CHUNK_ITERS: u64 = 64;
 const WATCHDOG: Duration = Duration::from_millis(200);
-
-fn sequential_checksum(variant: Variant) -> u64 {
-    let s = Synth::build(N, variant, 99);
-    let mut prog = SpecProgram::new(s.workload, s.arena).unwrap();
-    let k = prog.kernel(0);
-    // SAFETY: single-threaded.
-    unsafe { k.execute(0..k.iters()) };
-    prog.checksum()
-}
 
 /// A flip that lands after every iteration of the chunk has run, so the
 /// corruption survives to commit instead of being legitimately

@@ -23,18 +23,11 @@ use cascade_rt::{
 use cascade_synth::{Synth, Variant};
 use proptest::prelude::*;
 
-const N: u64 = 1 << 12;
+mod common;
+use common::{sequential_checksum, N};
+
 const CHUNK_ITERS: u64 = 64;
 const WATCHDOG: Duration = Duration::from_millis(200);
-
-fn sequential_checksum(variant: Variant) -> u64 {
-    let s = Synth::build(N, variant, 99);
-    let mut prog = SpecProgram::new(s.workload, s.arena).unwrap();
-    let k = prog.kernel(0);
-    // SAFETY: single-threaded.
-    unsafe { k.execute(0..k.iters()) };
-    prog.checksum()
-}
 
 fn tolerance_for(case: u8) -> Tolerance {
     match case % 3 {

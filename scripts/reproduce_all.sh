@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Regenerate every table/figure of the paper plus all extension
-# experiments into results/, then run the full test and bench suites.
+# experiments into results/, then run the full test suite.
 #
 # Usage: scripts/reproduce_all.sh [scale-override]
 #   The optional argument overrides each experiment's default workload
@@ -30,7 +30,6 @@ BINS=(
   extra_kernels
   extra_reuse_profile
   extra_modern
-  extra_runtime_demo
   overview
 )
 
@@ -48,7 +47,4 @@ done
 echo "== tests"
 cargo test --workspace --release 2>&1 | tee test_output.txt
 
-echo "== criterion benches"
-cargo bench --workspace 2>&1 | tee bench_output.txt
-
-echo "done — see results/, test_output.txt, bench_output.txt"
+echo "done — see results/, test_output.txt"
