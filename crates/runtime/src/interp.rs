@@ -24,10 +24,16 @@
 //!
 //! [`SpecProgram::new`] resolves every ref of every loop once into an op
 //! table: mode, address as arena byte arithmetic, and field offset inside
-//! one packed iteration record. There is one loop body, generic over the
-//! element type (`Elem`) and over where operands come from (`Operands`:
-//! the arena, a packed record, or the replay overlay); `execute`,
-//! `execute_packed` and `replay_footprint` are its three instantiations.
+//! one packed iteration record. The table is split once into its reads and
+//! its writes, each in `refs` order. There is one loop body, `run_split`,
+//! generic over the element type (`Elem`) and over where operands come
+//! from (`Operands`: the arena, a packed record, or the replay overlay);
+//! `execute`, `execute_packed` and `replay_footprint` differ in the operand
+//! source alone. A dispatch table over the loop's (reads, writes) counts
+//! (`for_shape!`) hands that body, and the pack and prefetch walks, the
+//! ops as fixed-length arrays for the counts the workloads have, so the
+//! per-op loops unroll, and as slices for any other count: the same code
+//! either way, not a second path.
 //!
 //! ## Safety model
 //!
@@ -52,6 +58,7 @@
 use std::cell::UnsafeCell;
 use std::mem::size_of;
 use std::ops::Range;
+use std::slice::ChunksExact;
 
 use cascade_analyze::{analyze_workload, AnalysisError, Footprint, LoopReport, WorkloadReport};
 use cascade_core::fnv64;
@@ -180,6 +187,10 @@ trait Elem: Copy {
     fn written(self) -> Self;
     /// What a `Modify` ref stores over `old` for accumulator `self`.
     fn modified(self, old: Self) -> Self;
+    /// The value a packed-record field holds (`size_of::<Self>()` bytes).
+    fn from_field(field: &[u8]) -> Self;
+    /// Write `self` into a packed-record field (`size_of::<Self>()` bytes).
+    fn to_field(self, field: &mut [u8]);
 }
 
 impl Elem for f64 {
@@ -193,6 +204,14 @@ impl Elem for f64 {
     fn modified(self, old: f64) -> f64 {
         old * 0.25 + self * 0.5 + 0.0625
     }
+    #[inline(always)]
+    fn from_field(field: &[u8]) -> f64 {
+        f64::from_ne_bytes(field.try_into().expect("an 8-byte field"))
+    }
+    #[inline(always)]
+    fn to_field(self, field: &mut [u8]) {
+        field.copy_from_slice(&self.to_ne_bytes())
+    }
 }
 
 impl Elem for u32 {
@@ -205,6 +224,14 @@ impl Elem for u32 {
     }
     fn modified(self, old: u32) -> u32 {
         old.wrapping_mul(3).wrapping_add(self)
+    }
+    #[inline(always)]
+    fn from_field(field: &[u8]) -> u32 {
+        u32::from_ne_bytes(field.try_into().expect("a 4-byte field"))
+    }
+    #[inline(always)]
+    fn to_field(self, field: &mut [u8]) {
+        field.copy_from_slice(&self.to_ne_bytes())
     }
 }
 
@@ -269,8 +296,11 @@ impl Op {
 /// of [`SpecKernel`] needs per iteration, resolved once and immutable.
 #[derive(Debug)]
 struct LoopCode {
-    /// In `refs` order.
-    ops: Vec<Op>,
+    /// The `Read` refs in `refs` order: they fold into the accumulator.
+    reads: Vec<Op>,
+    /// The `Write` and `Modify` refs in `refs` order: they store after
+    /// every read has folded.
+    writes: Vec<Op>,
     /// Operand width in bytes: 8 (an f64 loop) or 4 (a u32 loop).
     width: usize,
     /// Bytes one iteration occupies in the packed buffer.
@@ -282,7 +312,7 @@ impl LoopCode {
     /// one operand width (4 or 8), every stream in bounds.
     fn compile(space: &AddressSpace, spec: &LoopSpec) -> LoopCode {
         let width = spec.refs[0].bytes as usize;
-        let (mut ops, mut record_len) = (Vec::with_capacity(spec.refs.len()), 0);
+        let (mut reads, mut writes, mut record_len) = (Vec::new(), Vec::new(), 0);
         for r in &spec.refs {
             let data = space.array(r.array);
             let (array, first, stride, gather) = match r.pattern {
@@ -307,20 +337,64 @@ impl LoopCode {
                 (_, Some(_)) => size_of::<u32>(),
                 (_, None) => 0,
             };
-            ops.push(Op {
+            let op = Op {
                 mode,
                 off0,
                 step,
                 gather,
                 field,
-            });
+            };
+            match mode {
+                Mode::Read => reads.push(op),
+                Mode::Write | Mode::Modify => writes.push(op),
+            }
         }
         LoopCode {
-            ops,
+            reads,
+            writes,
             width,
             record_len,
         }
     }
+}
+
+/// Evaluate `$body` with `$reads` and `$writes` bound to the reads and
+/// writes of `$code`. For the operand counts the workloads have (Synth and
+/// spmv are (2, 1); the PARMVR loops and the fissioned sub-loops cover the
+/// rest) they are fixed-length arrays, so the per-op loops in `$body`
+/// unroll; for any other count they are the table's slices. `$body` is the
+/// same code in every arm, so every shape runs one body.
+///
+/// `ref` borrows the arrays from the table. `copy` copies them into locals,
+/// which no store through the arena or a buffer can alias, so the ops stay
+/// in registers across iterations; that pays off over a chunk, not over
+/// the single iteration `pack_iter` and `prefetch_iter` ask for.
+macro_rules! for_shape {
+    (@fixed ref, $s:ident, $n:literal) => {
+        <&[Op; $n]>::try_from($s).expect("the arm matched the count")
+    };
+    (@fixed copy, $s:ident, $n:literal) => {
+        &{ *<&[Op; $n]>::try_from($s).expect("the arm matched the count") }
+    };
+    (@arms $how:tt, $r:ident, $w:ident, $reads:ident, $writes:ident, $body:expr;
+        $(($nr:literal, $nw:literal)),*) => {
+        match ($r.len(), $w.len()) {
+            $(($nr, $nw) => {
+                let $reads = for_shape!(@fixed $how, $r, $nr);
+                let $writes = for_shape!(@fixed $how, $w, $nw);
+                $body
+            })*
+            _ => {
+                let ($reads, $writes) = ($r, $w);
+                $body
+            }
+        }
+    };
+    ($how:tt $code:expr, |$reads:ident, $writes:ident| $body:expr) => {{
+        let (reads, writes) = ($code.reads.as_slice(), $code.writes.as_slice());
+        for_shape!(@arms $how, reads, writes, $reads, $writes, $body;
+            (2, 1), (1, 1), (3, 1), (4, 1), (0, 1), (1, 2), (2, 2), (1, 0))
+    }};
 }
 
 /// Where an iteration's operands come from and where its stores go, given
@@ -331,6 +405,10 @@ impl LoopCode {
 /// [`RealKernel`] method the source serves, and `at` is an offset
 /// [`Operands::target`] returned.
 trait Operands {
+    /// Called once before each iteration's accesses, in iteration order.
+    #[inline(always)]
+    fn next_iteration(&mut self) {}
+
     /// The index word of indirect ref `op` at iteration `i`, read from the
     /// *arena* (real memory, like real generated code would). Index arrays
     /// are validated to never be written by the loop, so it cannot race.
@@ -373,30 +451,36 @@ impl Operands for Direct {}
 /// `execute_packed`: read values and indirect write indices come from the
 /// iteration's packed record; stores (and `Modify` loads) hit the arena.
 struct Packed<'b> {
-    /// One record per iteration from `start` on.
-    buf: &'b [u8],
-    start: u64,
-    record_len: usize,
+    /// The records of the iterations still to run, one per iteration.
+    records: ChunksExact<'b, u8>,
+    /// The current iteration's record.
+    record: &'b [u8],
 }
 
 impl Packed<'_> {
     #[inline(always)]
-    fn field<T: Elem>(&self, op: &Op, i: u64) -> T {
-        let at = (i - self.start) as usize * self.record_len + op.field;
-        // SAFETY: the slice is exactly `size_of::<T>()` readable bytes.
-        unsafe { read(self.buf[at..at + size_of::<T>()].as_ptr()) }
+    fn field<T: Elem>(&self, op: &Op) -> T {
+        T::from_field(&self.record[op.field..op.field + size_of::<T>()])
     }
 }
 
 impl Operands for Packed<'_> {
     #[inline(always)]
-    unsafe fn index(&self, _arena: *mut u8, op: &Op, i: u64) -> u32 {
-        self.field(op, i)
+    fn next_iteration(&mut self) {
+        self.record = self
+            .records
+            .next()
+            .expect("execute_packed checked one record per iteration");
     }
 
     #[inline(always)]
-    unsafe fn operand<T: Elem>(&self, _arena: *mut u8, op: &Op, i: u64) -> T {
-        self.field(op, i)
+    unsafe fn index(&self, _arena: *mut u8, op: &Op, _i: u64) -> u32 {
+        self.field(op)
+    }
+
+    #[inline(always)]
+    unsafe fn operand<T: Elem>(&self, _arena: *mut u8, op: &Op, _i: u64) -> T {
+        self.field(op)
     }
 }
 
@@ -426,36 +510,40 @@ impl Operands for Replay<'_> {
     }
 }
 
-/// The loop body of the module docs over `range` — the only copy.
+/// The loop body of the module docs over `range` — the only copy. Every
+/// read folds in `refs` order, then every write stores in `refs` order.
 /// `execute`, `execute_packed` and `replay_footprint` differ in `S` alone,
 /// so they cannot drift apart (a divergence between the first and the last
-/// *is* a false corruption alarm).
+/// *is* a false corruption alarm). [`for_shape!`] picks the lists.
 ///
 /// # Safety: as [`Operands`]; `arena` is the base of the program's arena.
 #[inline(always)]
-unsafe fn run_as<T: Elem, S: Operands>(ops: &[Op], arena: *mut u8, range: Range<u64>, src: &mut S) {
+unsafe fn run_split<T: Elem, S: Operands>(
+    reads: &[Op],
+    writes: &[Op],
+    arena: *mut u8,
+    range: Range<u64>,
+    src: &mut S,
+) {
     for i in range {
+        src.next_iteration();
         let mut acc = T::ZERO;
-        for op in ops {
-            if op.mode == Mode::Read {
-                acc = acc.fold(src.operand(arena, op, i));
-            }
+        for op in reads {
+            acc = acc.fold(src.operand(arena, op, i));
         }
-        for op in ops {
-            match op.mode {
-                Mode::Read => {}
-                Mode::Write => {
-                    let at = src.target(arena, op, i);
-                    src.store(arena, at, acc.written());
-                }
-                Mode::Modify => {
-                    let at = src.target(arena, op, i);
-                    let old = src.load(arena, at);
-                    src.store(arena, at, acc.modified(old));
-                }
-            }
+        for op in writes {
+            let at = src.target(arena, op, i);
+            let v = if op.mode == Mode::Modify {
+                acc.modified(src.load(arena, at))
+            } else {
+                acc.written()
+            };
+            src.store(arena, at, v);
         }
-        std::hint::black_box(acc);
+        // A loop that stores nothing must still compute its reads.
+        if writes.is_empty() {
+            std::hint::black_box(acc);
+        }
     }
 }
 
@@ -574,12 +662,37 @@ impl<'p> SpecKernel<'p> {
     /// # Safety: as [`Operands`].
     #[inline(always)]
     unsafe fn run<S: Operands>(&self, range: Range<u64>, src: &mut S) {
-        let (ops, arena) = (self.code.ops.as_slice(), self.prog.base());
+        let arena = self.prog.base();
         if self.code.width == size_of::<f64>() {
-            run_as::<f64, S>(ops, arena, range, src)
+            for_shape!(copy self.code, |reads, writes| {
+                run_split::<f64, S>(reads, writes, arena, range, src)
+            })
         } else {
-            run_as::<u32, S>(ops, arena, range, src)
+            for_shape!(copy self.code, |reads, writes| {
+                run_split::<u32, S>(reads, writes, arena, range, src)
+            })
         }
+    }
+
+    /// Pack `range` into `records`, which holds one record per iteration:
+    /// each read's value and each indirect write's index at the op's field.
+    ///
+    /// # Safety: as [`RealKernel::pack_range`]'s helper reads.
+    #[inline(always)]
+    unsafe fn pack_as<T: Elem>(&self, range: Range<u64>, records: &mut [u8]) {
+        let arena = self.prog.base();
+        for_shape!(ref self.code, |reads, writes| {
+            for (i, rec) in range.zip(records.chunks_exact_mut(self.code.record_len)) {
+                for op in reads.iter() {
+                    let v: T = Direct.operand(arena, op, i);
+                    v.to_field(&mut rec[op.field..op.field + size_of::<T>()]);
+                }
+                for op in writes.iter().filter(|op| op.gather.is_some()) {
+                    let idx = Direct.index(arena, op, i);
+                    idx.to_field(&mut rec[op.field..op.field + size_of::<u32>()]);
+                }
+            }
+        })
     }
 
     /// The arena's byte intervals outside every write footprint of the
@@ -616,26 +729,35 @@ impl<'p> RealKernel for SpecKernel<'p> {
         self.run(range, &mut Direct)
     }
 
+    #[inline]
     fn prefetch_iter(&self, i: u64) {
         self.prefetch_range(i..i + 1)
     }
 
     fn prefetch_range(&self, range: Range<u64>) {
-        let arena = self.prog.base() as *const u8;
-        for op in &self.code.ops {
-            for i in range.clone() {
-                let mut at = op.at(i);
-                if let Some(g) = op.gather {
-                    let word = arena.wrapping_add(at);
-                    prefetch::prefetch_range(word, size_of::<u32>());
-                    // SAFETY: reading the index value only (never written
-                    // by this loop); the data target itself is merely
-                    // hinted, so it needs no bounds check.
-                    at = (g.base + g.elem * unsafe { read::<u32>(word) } as u64) as usize;
-                }
-                prefetch::prefetch_range(arena.wrapping_add(at), self.code.width);
+        let (arena, width) = (self.prog.base() as *const u8, self.code.width);
+        let hint = |op: &Op, i: u64| {
+            let mut at = op.at(i);
+            if let Some(g) = op.gather {
+                // SAFETY: reading the index value only (never written by
+                // this loop); the read brings its line in, so it takes no
+                // hint. The data target itself is merely hinted, so it
+                // needs no bounds check.
+                let idx = unsafe { read::<u32>(arena.wrapping_add(at)) };
+                at = (g.base + g.elem * idx as u64) as usize;
             }
-        }
+            prefetch::prefetch_range(arena.wrapping_add(at), width);
+        };
+        for_shape!(ref self.code, |reads, writes| {
+            for i in range {
+                for op in reads.iter() {
+                    hint(op, i);
+                }
+                for op in writes.iter() {
+                    hint(op, i);
+                }
+            }
+        })
     }
 
     fn helper_horizon(&self) -> Option<u64> {
@@ -644,38 +766,43 @@ impl<'p> RealKernel for SpecKernel<'p> {
 
     fn prefetch_bytes_per_iter(&self) -> u64 {
         // Mirrors `prefetch_range` exactly: 4 index bytes per indirect
-        // stream, plus each stream's data footprint.
-        let indirect = |op: &&Op| op.gather.is_some();
-        let index_bytes = self.code.ops.iter().filter(indirect).count() * size_of::<u32>();
-        (index_bytes + self.code.ops.len() * self.code.width) as u64
+        // stream (read, not hinted), plus each stream's data footprint.
+        let ops = || self.code.reads.iter().chain(&self.code.writes);
+        let index_bytes = ops().filter(|op| op.gather.is_some()).count() * size_of::<u32>();
+        (index_bytes + ops().count() * self.code.width) as u64
     }
 
+    #[inline]
     fn pack_iter(&self, i: u64, buf: &mut Vec<u8>) -> bool {
         self.pack_range(i..i + 1, buf)
     }
 
     fn pack_range(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
-        buf.reserve((range.end - range.start) as usize * self.code.record_len);
-        let (arena, wide) = (self.prog.base(), self.code.width == size_of::<f64>());
-        let mut push = |field: &[u8]| buf.extend_from_slice(field);
-        for i in range {
-            // Per iteration the fields in `refs` order, which tile the record.
-            for op in &self.code.ops {
-                // SAFETY: the analysis proved a packed read is either never
-                // written by the loop (Packable) or only by iterations the
-                // horizon gate has already committed (HorizonSafe +
-                // runner-enforced `helper_horizon`); index arrays are never
-                // written (validated).
-                unsafe {
-                    match (op.mode, op.gather) {
-                        (Mode::Read, _) if wide => {
-                            push(&Direct.operand::<f64>(arena, op, i).to_ne_bytes())
-                        }
-                        (Mode::Read, _) => push(&Direct.operand::<u32>(arena, op, i).to_ne_bytes()),
-                        (_, Some(_)) => push(&Direct.index(arena, op, i).to_ne_bytes()),
-                        (_, None) => {}
-                    }
-                }
+        let record_len = self.code.record_len;
+        if record_len == 0 {
+            return true; // nothing to pack: no reads, no indirect writes
+        }
+        let from = buf.len();
+        let n = (range.end - range.start) as usize * record_len;
+        // Zero-fill the records the walk then overwrites in place. For the
+        // one record `pack_iter` appends, a fixed-size store and a truncate
+        // beat the `memset` call a variable-length `resize` makes.
+        if n <= 32 {
+            buf.extend_from_slice(&[0; 32]);
+            buf.truncate(from + n);
+        } else {
+            buf.resize(from + n, 0);
+        }
+        let records = &mut buf[from..];
+        // SAFETY: the analysis proved a packed read is either never written
+        // by the loop (Packable) or only by iterations the horizon gate has
+        // already committed (HorizonSafe + runner-enforced
+        // `helper_horizon`); index arrays are never written (validated).
+        unsafe {
+            if self.code.width == size_of::<f64>() {
+                self.pack_as::<f64>(range, records)
+            } else {
+                self.pack_as::<u32>(range, records)
             }
         }
         true
@@ -693,10 +820,13 @@ impl<'p> RealKernel for SpecKernel<'p> {
             "packed buffer underrun: need {record_len} bytes at offset {}, buffer holds {held} bytes",
             held - held % record_len
         );
+        if record_len == 0 {
+            // No field to take from a record: the iterations run as `execute`.
+            return self.run(range, &mut Direct);
+        }
         let mut src = Packed {
-            buf,
-            start: range.start,
-            record_len,
+            records: buf.chunks_exact(record_len),
+            record: &[],
         };
         self.run(range, &mut src)
     }

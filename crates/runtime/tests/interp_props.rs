@@ -11,7 +11,10 @@
 //! Specs are randomized and alias-heavy: both operand widths, negative and
 //! non-unit strides, gathers, several write refs into one array (`Write`
 //! and `Modify` mixed, affine and colliding scatters), and an optional
-//! carried recurrence that puts the loop under a helper horizon.
+//! carried recurrence that puts the loop under a helper horizon. The
+//! interpreter dispatches on a loop's (reads, writes) counts, so one
+//! deterministic spec per dispatched count and one past them pin every arm
+//! and the slice fallback, at both widths.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -22,6 +25,7 @@ use cascade_trace::{
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 mod common;
 use common::splitmix64;
@@ -162,7 +166,7 @@ fn scenario() -> impl Strategy<Value = Scenario> {
     (
         any::<bool>(),
         48u64..160,
-        vec(read_shape(), 0..4),
+        vec(read_shape(), 0..6),
         vec(write_shape(), 1..5),
         prop_oneof![Just(None), (1u64..=3).prop_map(Some)],
         5u64..40,
@@ -196,7 +200,7 @@ fn affine_in(n: u64, base: u64, stride: i64) -> Pattern {
 }
 
 // StreamRef names are `&'static str` (reports only): one per slot.
-const READ_NAMES: [&str; 3] = ["rd0", "rd1", "rd2"];
+const READ_NAMES: [&str; 5] = ["rd0", "rd1", "rd2", "rd3", "rd4"];
 const WRITE_NAMES: [&str; 4] = ["wr0", "wr1", "wr2", "wr3"];
 
 fn build(s: &Scenario) -> (Workload, Arena) {
@@ -317,24 +321,89 @@ fn chunks(iters: u64, chunk: u64) -> impl Iterator<Item = Range<u64>> {
     (0..iters.div_ceil(chunk)).map(move |c| c * chunk..((c + 1) * chunk).min(iters))
 }
 
+/// `execute`, whole or split at any point, equals the oracle bitwise.
+fn execute_matches_oracle(s: &Scenario) -> Result<(), TestCaseError> {
+    let (mut prog, w, mut expected) = program(s);
+    oracle(&w, &mut expected, 0..s.iters);
+    let split = s.salt % (s.iters + 1);
+    {
+        let k = prog.kernel(0);
+        // SAFETY: single-threaded.
+        unsafe {
+            k.execute(0..split);
+            k.execute(split..s.iters);
+        }
+    }
+    prop_assert!(
+        prog.arena_mut().bytes() == expected.bytes(),
+        "execute diverged"
+    );
+    Ok(())
+}
+
+/// The runner's chunk shape: pack a prefix (no further than the helper
+/// horizon allows), `execute_packed` it, `execute` the remainder.
+fn packed_prefix_matches_oracle(s: &Scenario) -> Result<(), TestCaseError> {
+    let (mut prog, w, mut expected) = program(s);
+    oracle(&w, &mut expected, 0..s.iters);
+    {
+        let k = prog.kernel(0);
+        prop_assert_eq!(k.helper_horizon().is_some(), s.recurrence.is_some());
+        let mut buf = Vec::new();
+        for (c, range) in chunks(s.iters, s.chunk).enumerate() {
+            let want = splitmix64(s.salt ^ c as u64) % (range.end - range.start + 1);
+            let packed_to = range.start + want.min(k.helper_horizon().unwrap_or(u64::MAX));
+            buf.clear();
+            prop_assert!(k.pack_range(range.start..packed_to, &mut buf));
+            // SAFETY: single-threaded; `buf` holds exactly the records
+            // of `range.start..packed_to`.
+            unsafe {
+                k.execute_packed(range.start..packed_to, &buf);
+                k.execute(packed_to..range.end);
+            }
+        }
+    }
+    prop_assert!(
+        prog.arena_mut().bytes() == expected.bytes(),
+        "packed execution diverged"
+    );
+    Ok(())
+}
+
+/// Replaying a committed chunk from its pre-image reproduces what
+/// `journal_capture` reads back after the commit, chunk after chunk, and
+/// the whole run still equals the oracle (a replay writes nothing).
+fn replay_matches_committed_footprint(s: &Scenario) -> Result<(), TestCaseError> {
+    let (mut prog, w, mut expected) = program(s);
+    oracle(&w, &mut expected, 0..s.iters);
+    {
+        let k = prog.kernel(0);
+        let (mut pre, mut post) = (Vec::new(), Vec::new());
+        for range in chunks(s.iters, s.chunk) {
+            // SAFETY: single-threaded, so every call is exclusive and
+            // `range` is committed once executed.
+            let replayed = unsafe {
+                prop_assert!(k.journal_capture(range.clone(), &mut pre));
+                k.execute(range.clone());
+                prop_assert!(k.journal_capture(range.clone(), &mut post));
+                k.replay_footprint(range, &pre)
+            };
+            prop_assert_eq!(replayed.as_ref(), Some(&post));
+        }
+    }
+    prop_assert!(
+        prog.arena_mut().bytes() == expected.bytes(),
+        "a replay wrote"
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// `execute`, whole or split at any point, equals the oracle bitwise.
     #[test]
     fn execute_matches_the_oracle(s in scenario()) {
-        let (mut prog, w, mut expected) = program(&s);
-        oracle(&w, &mut expected, 0..s.iters);
-        let split = s.salt % (s.iters + 1);
-        {
-            let k = prog.kernel(0);
-            // SAFETY: single-threaded.
-            unsafe {
-                k.execute(0..split);
-                k.execute(split..s.iters);
-            }
-        }
-        prop_assert!(prog.arena_mut().bytes() == expected.bytes(), "execute diverged");
+        execute_matches_oracle(&s)?;
     }
 
     /// `pack_range` is the concatenation of `pack_iter`, in the closed-form
@@ -359,55 +428,89 @@ proptest! {
         prop_assert!(prog.arena_mut().bytes() == before.bytes(), "a helper wrote");
     }
 
-    /// The runner's chunk shape: pack a prefix (no further than the helper
-    /// horizon allows), `execute_packed` it, `execute` the remainder.
     #[test]
     fn packed_prefix_then_execute_matches_the_oracle(s in scenario()) {
-        let (mut prog, w, mut expected) = program(&s);
-        oracle(&w, &mut expected, 0..s.iters);
-        {
-            let k = prog.kernel(0);
-            prop_assert_eq!(k.helper_horizon().is_some(), s.recurrence.is_some());
-            let mut buf = Vec::new();
-            for (c, range) in chunks(s.iters, s.chunk).enumerate() {
-                let want = splitmix64(s.salt ^ c as u64) % (range.end - range.start + 1);
-                let packed_to = range.start + want.min(k.helper_horizon().unwrap_or(u64::MAX));
-                buf.clear();
-                prop_assert!(k.pack_range(range.start..packed_to, &mut buf));
-                // SAFETY: single-threaded; `buf` holds exactly the records
-                // of `range.start..packed_to`.
-                unsafe {
-                    k.execute_packed(range.start..packed_to, &buf);
-                    k.execute(packed_to..range.end);
-                }
-            }
-        }
-        prop_assert!(prog.arena_mut().bytes() == expected.bytes(), "packed execution diverged");
+        packed_prefix_matches_oracle(&s)?;
     }
 
-    /// Replaying a committed chunk from its pre-image reproduces what
-    /// `journal_capture` reads back after the commit, chunk after chunk,
-    /// and the whole run still equals the oracle (a replay writes nothing).
     #[test]
     fn replay_matches_the_committed_footprint(s in scenario()) {
-        let (mut prog, w, mut expected) = program(&s);
-        oracle(&w, &mut expected, 0..s.iters);
-        {
-            let k = prog.kernel(0);
-            let (mut pre, mut post) = (Vec::new(), Vec::new());
-            for range in chunks(s.iters, s.chunk) {
-                // SAFETY: single-threaded, so every call is exclusive and
-                // `range` is committed once executed.
-                let replayed = unsafe {
-                    prop_assert!(k.journal_capture(range.clone(), &mut pre));
-                    k.execute(range.clone());
-                    prop_assert!(k.journal_capture(range.clone(), &mut post));
-                    k.replay_footprint(range, &pre)
-                };
-                prop_assert_eq!(replayed.as_ref(), Some(&post));
-            }
+        replay_matches_committed_footprint(&s)?;
+    }
+}
+
+// --- every dispatch arm -----------------------------------------------
+
+/// The (reads, writes) counts the interpreter runs as fixed-length arms,
+/// then one past them that it runs over slices.
+const SHAPES: [(usize, usize); 9] = [
+    (2, 1),
+    (1, 1),
+    (3, 1),
+    (4, 1),
+    (0, 1),
+    (1, 2),
+    (2, 2),
+    (1, 0),
+    (5, 3),
+];
+
+/// A spec with exactly `reads` reads and `writes` writes, alternating
+/// affine streams with gathers and scatters (which kind comes first flips
+/// with the width, so a one-ref side is each kind at one width).
+fn shaped(wide: bool, reads: usize, writes: usize) -> Scenario {
+    let gather = |k: usize| (k + wide as usize) % 2 == 1;
+    let stride = |k: usize| [1i64, -2, 3, -1][k % 4];
+    Scenario {
+        wide,
+        iters: 96,
+        reads: (0..reads)
+            .map(|k| match gather(k) {
+                true => ReadShape::Gather {
+                    seed: 17 + k as u64,
+                    istride: stride(k).signum(),
+                },
+                false => ReadShape::Affine {
+                    base: 5 * k as u64,
+                    stride: stride(k),
+                },
+            })
+            .collect(),
+        writes: (0..writes)
+            .map(|k| match gather(k) {
+                true => WriteShape::Scatter {
+                    seed: 29 + k as u64,
+                    modify: k % 2 == 0,
+                },
+                false => WriteShape::Affine {
+                    base: 7 * k as u64,
+                    stride: stride(k + 1),
+                    modify: k % 2 == 1,
+                },
+            })
+            .collect(),
+        recurrence: None,
+        chunk: 13,
+        salt: 41 + reads as u64 * 8 + writes as u64,
+    }
+}
+
+#[test]
+fn every_dispatch_arm_and_the_fallback_match_the_oracle() {
+    for (reads, writes) in SHAPES {
+        for wide in [true, false] {
+            let s = shaped(wide, reads, writes);
+            let (_, w, _) = program(&s);
+            let count = |read: bool| {
+                let refs = w.loops[0].refs.iter();
+                refs.filter(|r| (r.mode == Mode::Read) == read).count()
+            };
+            assert_eq!((count(true), count(false)), (reads, writes));
+            let shape = format!("{reads} reads, {writes} writes, wide {wide}");
+            execute_matches_oracle(&s).unwrap_or_else(|e| panic!("{shape}: {e:?}"));
+            packed_prefix_matches_oracle(&s).unwrap_or_else(|e| panic!("{shape}: {e:?}"));
+            replay_matches_committed_footprint(&s).unwrap_or_else(|e| panic!("{shape}: {e:?}"));
         }
-        prop_assert!(prog.arena_mut().bytes() == expected.bytes(), "a replay wrote");
     }
 }
 
@@ -473,10 +576,20 @@ fn a_short_or_long_packed_buffer_is_rejected_before_anything_runs() {
 
 /// An index that a bit flip pushed past its array must panic with the
 /// index and the length — in release builds too, where it used to be a
-/// wild dereference — on every path that turns an index into an address.
+/// wild dereference — on every path that turns an index into an address,
+/// under a fixed-length arm (1 read, 1 write) and under the slice fallback
+/// (5 reads, 3 writes) alike.
 #[test]
 fn an_out_of_range_index_panics_in_every_build() {
-    let s = gather_scatter();
+    for s in [gather_scatter(), shaped(true, 5, 3)] {
+        out_of_range_indices_panic(&s);
+    }
+}
+
+/// The checks of [`an_out_of_range_index_panics_in_every_build`] on `s`,
+/// whose first gather read indexes through `ir0` and first scatter
+/// through `iw0`.
+fn out_of_range_indices_panic(s: &Scenario) {
     let index_array = |w: &Workload, name: &str| -> ArrayId {
         let (id, _) = w.space.iter().find(|(_, d)| d.name == name).unwrap();
         id
@@ -489,7 +602,7 @@ fn an_out_of_range_index_panics_in_every_build() {
     };
 
     // The gather's index: `execute` and the pack side read through it.
-    let (mut prog, w, _) = program(&s);
+    let (mut prog, w, _) = program(s);
     let tab_len = w.space.iter().find(|(_, d)| d.name == "tab").unwrap().1.len;
     let ir = index_array(&w, "ir0");
     prog.arena_mut().set_u32(&w.space, ir, 5, tab_len as u32);
@@ -517,7 +630,7 @@ fn an_out_of_range_index_panics_in_every_build() {
 
     // The scatter's index: packing only copies it, so the check falls to
     // `execute_packed` (index taken from the record) and to the replay.
-    let (mut prog, w, _) = program(&s);
+    let (mut prog, w, _) = program(s);
     let sc_len = w.space.iter().find(|(_, d)| d.name == "sc").unwrap().1.len;
     let iw = index_array(&w, "iw0");
     let mut pre = Vec::new();
