@@ -79,7 +79,7 @@ pub mod walk;
 pub use amdahl::AmdahlModel;
 pub use cascade::run_cascaded;
 pub use chunk::ChunkPlan;
-pub use hash::fnv64;
+pub use hash::{fnv64, fnv64_words, FNV64_BASIS};
 pub use metrics::{
     CascadeMetrics, LatencyStats, MetricsSource, PhaseKind, PhaseSample, WorkerMetrics,
 };

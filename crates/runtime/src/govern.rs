@@ -35,9 +35,10 @@ use crate::token::lock_recover;
 /// When the runtime verifies committed chunk bytes — the silent-data-
 /// corruption defense (`docs/ROBUSTNESS.md`, "Silent data corruption").
 ///
-/// The executor of every chunk publishes an `fnv64` digest of its write
-/// footprint with the token handoff; what the *downstream* claimant does
-/// with that digest is this policy:
+/// The executor of every chunk publishes a digest of its write footprint
+/// (word-wise FNV-1a, [`cascade_core::fnv64_words`]) with the token
+/// handoff; what the *downstream* claimant does with that digest is this
+/// policy:
 ///
 /// * [`VerifyPolicy::Off`] — nothing is digested or checked. The default;
 ///   costs a single branch per chunk (the fault-free overhead guard pins

@@ -61,7 +61,7 @@ use std::ops::Range;
 use std::slice::ChunksExact;
 
 use cascade_analyze::{analyze_workload, AnalysisError, Footprint, LoopReport, WorkloadReport};
-use cascade_core::fnv64;
+use cascade_core::{fnv64_words, FNV64_BASIS};
 use cascade_trace::diag::{DiagCode, Diagnostic, Severity};
 use cascade_trace::{AddressSpace, Arena, LoopSpec, Mode, Pattern, Workload};
 
@@ -486,7 +486,9 @@ impl Operands for Packed<'_> {
 
 /// `replay_footprint`: addresses as in `execute`, but every access inside
 /// the chunk's write footprint goes to the private overlay, so a verifier
-/// never writes shared memory.
+/// never writes shared memory. Both accessors are inlined, like the
+/// defaults they replace: left as calls, they cost a dense replay about a
+/// quarter of its time.
 struct Replay<'o>(&'o mut Overlay);
 
 impl Operands for Replay<'_> {
@@ -494,6 +496,7 @@ impl Operands for Replay<'_> {
     /// the replayed range is committed and no `execute` runs concurrently
     /// (the verifier holds the downstream claim), so the fallback read
     /// cannot race a writer.
+    #[inline(always)]
     unsafe fn load<T: Elem>(&self, arena: *mut u8, at: usize) -> T {
         match self.0.get(at as u64, size_of::<T>() as u64) {
             Some(bytes) => read(bytes.as_ptr()),
@@ -503,6 +506,7 @@ impl Operands for Replay<'_> {
 
     /// Every write ref's elements lie inside its own footprint by
     /// construction, so a miss is an interpreter bug, not a data condition.
+    #[inline(always)]
     unsafe fn store<T: Elem>(&mut self, _arena: *mut u8, at: usize, v: T) {
         let bytes = self.0.get_mut(at as u64, size_of::<T>() as u64);
         let bytes = bytes.expect("replay store inside the write footprint");
@@ -960,16 +964,16 @@ impl<'p> RealKernel for SpecKernel<'p> {
     }
 
     unsafe fn scrub_digest(&self) -> Option<u64> {
-        let mut outside = Vec::new();
+        let mut h = FNV64_BASIS;
         for (lo, hi) in self.unwritten()? {
             // SAFETY: `[lo, hi)` is inside the arena and outside every
             // write footprint; the quiescence contract rules out
             // concurrent writers anyway.
-            outside.extend_from_slice(unsafe {
+            h = fnv64_words(h, unsafe {
                 std::slice::from_raw_parts(self.prog.base().add(lo as usize), (hi - lo) as usize)
             });
         }
-        Some(fnv64(&outside))
+        Some(h)
     }
 }
 
@@ -1493,7 +1497,16 @@ mod tests {
 
     #[test]
     fn out_of_footprint_flip_is_invisible_to_the_chunk_but_moves_the_scrub() {
-        let (w, arena) = scatter_workload(1_024);
+        let (mut w, mut arena) = scatter_workload(1_024);
+        // Confine the scatter to the middle of `rho` (elements 64..192 of
+        // 256), so the unwritten bytes form two gaps: `rho`'s head, and
+        // its tail with `pq` and `ij` behind it.
+        let Pattern::Indirect { index: ij, .. } = w.loops[0].refs[1].pattern else {
+            unreachable!("scatter_workload's second ref is the scatter")
+        };
+        w.index
+            .set(ij, (0..1_024).map(|i| 64 + (i * 7919) % 128).collect());
+        arena.install_indices(&w.space, &w.index);
         let prog = SpecProgram::new(w, arena).unwrap();
         let k = prog.kernel(0);
         // SAFETY: single-threaded throughout.
@@ -1510,6 +1523,19 @@ mod tests {
             // Flip it back: the scrub digest returns to its old value.
             assert!(k.corrupt_byte(0..256, 12345, 0x01, false));
             assert_eq!(k.scrub_digest().unwrap(), scrub0);
+            // Every gap's edges count too: the scrub hashes gaps in place,
+            // word by word from each gap's own start, so the first and the
+            // last byte of each are where a slicing mistake would show.
+            let gaps = k.unwritten().unwrap();
+            assert_eq!(gaps.len(), 2, "{gaps:?}");
+            for (lo, hi) in gaps {
+                for addr in [lo, hi - 1] {
+                    assert!(k.corrupt_byte(0..256, addr, 0x80, false));
+                    assert_ne!(k.scrub_digest().unwrap(), scrub0, "flip at {addr} unseen");
+                    assert!(k.corrupt_byte(0..256, addr, 0x80, false));
+                    assert_eq!(k.scrub_digest().unwrap(), scrub0, "restore at {addr}");
+                }
+            }
         }
     }
 

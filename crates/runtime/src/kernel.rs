@@ -214,12 +214,18 @@ pub trait RealKernel: Sync {
         false
     }
 
-    /// An `fnv64` digest over the bytes *outside* the loop's whole write
-    /// footprint — the arena scrubber of the silent-data-corruption
-    /// defense. Any drift between two scrubs brackets an out-of-footprint
-    /// corruption: no iteration of the loop may write there. `None` (the
-    /// default) when the kernel cannot bound its footprint; the scrubber
-    /// is then disabled.
+    /// A digest over the bytes *outside* the loop's whole write footprint
+    /// — the arena scrubber of the silent-data-corruption defense. Any
+    /// drift between two scrubs brackets an out-of-footprint corruption:
+    /// no iteration of the loop may write there. `None` (the default)
+    /// when the kernel cannot bound its footprint; the scrubber is then
+    /// disabled.
+    ///
+    /// Only two scrubs of one run are ever compared, so the digest is the
+    /// in-memory [`cascade_core::fnv64_words`]. [`crate::SpecKernel`]
+    /// chains it over the unwritten gaps in ascending address order,
+    /// hashing each gap in place: no copy of the arena, no allocation
+    /// beyond the gap list, and any single-byte drift changes the digest.
     ///
     /// # Safety
     ///

@@ -106,12 +106,13 @@
 //! ## Verified execution
 //!
 //! Crashes announce themselves; silent data corruption does not. Under a
-//! [`VerifyPolicy`] (on [`RunConfig`]) every chunk commit publishes an
-//! `fnv64` digest of the chunk's analyzer-computed write footprint with
-//! the token handoff, and the claimant of the next chunk *verifies* its
-//! predecessor — digest compare always, journaled private re-execution
-//! under `EveryChunk`/`Sampled` — before its own execution phase begins,
-//! so corruption is detected online, never after the run. A confirmed
+//! [`VerifyPolicy`] (on [`RunConfig`]) every chunk commit publishes a
+//! word-wise FNV-1a digest ([`cascade_core::fnv64_words`]) of the
+//! chunk's analyzer-computed write footprint with the token handoff, and
+//! the claimant of the next chunk *verifies* its predecessor — journaled
+//! private re-execution under `EveryChunk`/`Sampled`, digest compare
+//! otherwise — before its own execution phase begins, so corruption is
+//! detected online, never after the run. A confirmed
 //! mismatch triggers the blame-and-recover protocol: a sequential
 //! tiebreak re-execution convicts the guilty worker (corruption strikes
 //! in [`HealthRegistry`], roster quarantine on repeat), the chunk is

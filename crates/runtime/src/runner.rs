@@ -95,7 +95,8 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cascade_core::{
-    fnv64, CascadeMetrics, ChunkPlan, MetricsSource, PhaseKind, PhaseSample, WorkerMetrics,
+    fnv64_words, CascadeMetrics, ChunkPlan, MetricsSource, PhaseKind, PhaseSample, WorkerMetrics,
+    FNV64_BASIS,
 };
 
 use crate::barrier::{BarrierOutcome, FtBarrier};
@@ -1111,12 +1112,6 @@ struct FtRun {
     /// grant predates the run, so it produces no handoff sample and a
     /// fault-free cascade records exactly `chunks - 1` handoffs).
     release_chunk: AtomicU64,
-    /// Digest stamp of the checksummed handoff: the `fnv64` of the
-    /// released chunk's committed write footprint, stored (Relaxed)
-    /// before the `release_chunk` Release — the claimant's Acquire
-    /// through the claim CAS orders the pair, exactly like `release_ns`.
-    /// Zero when verification is off or no packet was published.
-    release_digest: AtomicU64,
     /// The full verification packet of the most recently committed chunk
     /// (digest + pre-image journal for replay). Published by the
     /// executor before its `try_advance`; taken by the downstream
@@ -1147,8 +1142,9 @@ struct VerifyPacket {
     range: Range<u64>,
     /// The worker that executed and committed it (blame target).
     executor: u64,
-    /// `fnv64` over the committed write-footprint bytes, captured by the
-    /// executor after the chunk body ran, while it still held the claim.
+    /// [`footprint_digest`] of the committed write-footprint bytes,
+    /// captured by the executor after the chunk body ran, while it still
+    /// held the claim.
     digest: u64,
     /// The undo journal captured *before* the chunk ran: seeds the
     /// replay's private overlay, and doubles as the rollback image when
@@ -1170,7 +1166,6 @@ impl FtRun {
             origin: Instant::now(),
             release_ns: AtomicU64::new(0),
             release_chunk: AtomicU64::new(u64::MAX),
-            release_digest: AtomicU64::new(0),
             verify_slot: Mutex::new(None),
             scrubs: AtomicU64::new(0),
             scrub_base: Mutex::new(None),
@@ -2002,6 +1997,14 @@ fn recover_from_panic(
     false
 }
 
+/// The checksummed handoff's digest of a chunk's write-footprint bytes
+/// (journal layout): one definition, so executor and verifier agree. An
+/// in-memory comparison within one run, hence the word-wise
+/// [`fnv64_words`], which sees every single-byte change for certain.
+fn footprint_digest(bytes: &[u8]) -> u64 {
+    fnv64_words(FNV64_BASIS, bytes)
+}
+
 /// Outcome of verifying one committed chunk against its handoff packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VerifyVerdict {
@@ -2017,15 +2020,19 @@ enum VerifyVerdict {
     Failed,
 }
 
-/// Verify committed chunk `p.chunk` against its handoff packet: recompute
-/// the write-footprint digest, and — under a replaying policy — re-execute
-/// the chunk against a journaled private view
-/// ([`RealKernel::replay_footprint`]) and compare bytes. On a replay
-/// mismatch a *second* replay is the sequential tiebreak: only when both
-/// replays agree against the committed bytes is the executor blamed (a
-/// lone mismatch could equally be the verifier's own fault — blame
-/// without the tiebreak is the seeded model-checker bug). A conviction is
-/// a corruption strike ([`HealthRegistry::corruption_strike`]): the first
+/// Verify committed chunk `p.chunk` against its handoff packet: under a
+/// replaying policy, re-execute the chunk against a journaled private
+/// view ([`RealKernel::replay_footprint`]) and compare bytes; otherwise
+/// recompute the write-footprint digest and compare it with the
+/// published one. The digest of the committed bytes is computed only
+/// where it decides something — that comparison, and the blame decision
+/// after a confirmed tiebreak — so a matching replay costs no hash.
+///
+/// On a replay mismatch a *second* replay is the sequential tiebreak:
+/// only when both replays agree against the committed bytes is the
+/// executor blamed (a lone mismatch could equally be the verifier's own
+/// fault — blame without the tiebreak is the seeded model-checker bug).
+/// A conviction is a corruption strike ([`HealthRegistry::corruption_strike`]): the first
 /// offense is repaired in place, the second quarantines the executor via
 /// the roster remap. Recovery installs the verified replay bytes whenever
 /// the tolerance has any recovery path (retry or salvage); otherwise the
@@ -2058,7 +2065,6 @@ fn verify_committed<K: RealKernel>(
         // unless this is transient; be conservative, not wrong).
         return VerifyVerdict::Verified;
     }
-    let found = fnv64(&committed);
 
     if cfg.verify.replays(p.chunk) {
         if let Some(pre) = p.pre_image.as_deref() {
@@ -2093,6 +2099,7 @@ fn verify_committed<K: RealKernel>(
                 // flip), and blaming the executor would convict an
                 // innocent worker — the single-fault attribution the
                 // model checker proves.
+                let found = footprint_digest(&committed);
                 let blamed = if found == p.digest {
                     Some(p.executor)
                 } else {
@@ -2109,6 +2116,7 @@ fn verify_committed<K: RealKernel>(
     // executor's own post-execution capture. No replay means no
     // tiebreak, so no blame — and no verified bytes to install, so
     // detection always fails the run.
+    let found = footprint_digest(&committed);
     if found == p.digest {
         return VerifyVerdict::Verified;
     }
@@ -2139,7 +2147,7 @@ fn convict<K: RealKernel>(
     found: u64,
     blamed: Option<u64>,
 ) -> VerifyVerdict {
-    let expected = fnv64(verified);
+    let expected = footprint_digest(verified);
     if let Some(guilty) = blamed {
         let quarantine_now = rec.health.corruption_strike(guilty);
         run.record(FaultEvent::WorkerBlamed {
@@ -2585,11 +2593,13 @@ fn ft_worker<K: RealKernel>(
         // --- checksummed handoff (claim still held) ---
         // Digest the chunk's *committed* write footprint and publish the
         // verification packet before the advance: the downstream
-        // claimant's Acquire through its claim CAS sees the packet (and
-        // the `release_digest` stamp) before chunk j + 1 can execute.
-        // The pre-image journal rides along to seed the verifier's
-        // replay overlay. Cost is a side counter (`verify_ns`) inside
-        // the Other phase; with `VerifyPolicy::Off` this is one branch.
+        // claimant's Acquire through its claim CAS sees the packet before
+        // chunk j + 1 can execute. A copy of the pre-image journal rides
+        // along to seed the verifier's replay overlay; `jbuf` itself stays
+        // here, so its metered capacity is reused by the next capture
+        // instead of being reserved again. Cost is a side counter
+        // (`verify_ns`) inside the Other phase; with `VerifyPolicy::Off`
+        // this is one branch.
         if cfg.verify.armed() && journaled {
             let t0 = Instant::now();
             let mut committed_bytes = Vec::new();
@@ -2600,14 +2610,12 @@ fn ft_worker<K: RealKernel>(
             }))
             .unwrap_or(false);
             if ok {
-                let digest = fnv64(&committed_bytes);
-                run.release_digest.store(digest, Ordering::Relaxed);
                 *lock_recover(&run.verify_slot) = Some(VerifyPacket {
                     chunk: j,
                     range: range.clone(),
                     executor: t,
-                    digest,
-                    pre_image: Some(std::mem::take(&mut jbuf)),
+                    digest: footprint_digest(&committed_bytes),
+                    pre_image: Some(jbuf.clone()),
                 });
             }
             stats.verify_ns += t0.elapsed().as_nanos();

@@ -40,13 +40,13 @@
 //! ## Checksummed handoffs
 //!
 //! When online verification is armed (`VerifyPolicy` in
-//! `cascade_rt::govern`), the executor publishes an `fnv64` digest of its
-//! chunk's committed write footprint *before* the `try_advance` Release —
-//! alongside the existing release-timestamp stamp — so the downstream
-//! claimant's Acquire through the claim CAS makes the digest (and the
-//! full verification packet) visible before the next chunk executes. The
-//! digest itself rides a Relaxed store: the token's Release/Acquire edge
-//! is the only ordering needed.
+//! `cascade_rt::govern`), the executor publishes a word-wise FNV-1a
+//! digest (`cascade_core::fnv64_words`) of its chunk's committed write
+//! footprint, inside the verification packet, *before* the `try_advance`
+//! Release, so the downstream claimant's Acquire through the claim CAS
+//! makes the packet visible before the next chunk executes. The packet
+//! slot is a mutex, its own synchronization; the token's Release/Acquire
+//! edge orders its publication before the claim.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;

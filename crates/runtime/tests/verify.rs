@@ -10,7 +10,8 @@ use std::time::Duration;
 
 use cascade_rt::{
     try_run_governed, try_run_governed_sequence, FaultEvent, FaultKind, FaultPlan, FaultyKernel,
-    RealKernel, RtPolicy, RunConfig, RunError, RunnerConfig, SpecProgram, Tolerance, VerifyPolicy,
+    MemBudget, RealKernel, RtPolicy, RunConfig, RunError, RunnerConfig, SpecProgram, Tolerance,
+    VerifyPolicy,
 };
 use cascade_synth::{Synth, Variant};
 use cascade_wave5::{Parmvr, ParmvrParams};
@@ -341,4 +342,30 @@ fn sequence_repairs_corruption_and_stays_bitwise() {
         assert!(s.scrubs > 0, "loop {l}: no arena scrub ran");
     }
     assert_eq!(prog.checksum(), expected, "sequence diverged after repair");
+}
+
+/// Armed verification meters only the executors' steady-state undo
+/// journals. Publishing a verification packet must not hand the metered
+/// journal buffer away: the next capture would regrow it from nothing and
+/// reserve the growth again, so `used` would climb with the chunk count
+/// and a small budget would refuse a fault-free run part way through.
+#[test]
+fn armed_verification_meters_a_steady_state_not_the_chunk_count() {
+    const CHUNK: u64 = 1_024;
+    let run = |chunks: u64, budget: MemBudget| {
+        let s = Synth::build(chunks * CHUNK, Variant::Dense, 99);
+        let prog = SpecProgram::new(s.workload, s.arena).unwrap();
+        let mut cfg = cfg(2, Tolerance::retrying(WATCHDOG), VerifyPolicy::EveryChunk);
+        cfg.runner.iters_per_chunk = CHUNK;
+        cfg.budget = budget.clone();
+        try_run_governed(&prog.kernel(0), &cfg).map(|_| budget.used())
+    };
+    let used_16 = run(16, MemBudget::unlimited()).expect("16 chunks run");
+    let used_64 = run(64, MemBudget::unlimited()).expect("64 chunks run");
+    assert!(used_16 > 0, "the undo journals are metered");
+    assert_eq!(used_16, used_64, "metered bytes grew with the chunk count");
+    // 64 chunks of 1,024 iterations: two 4 KiB journals fit 64 KiB with
+    // room to spare, however many chunks the run commits.
+    let used = run(64, MemBudget::limited(64 << 10)).expect("fits its budget");
+    assert_eq!(used, used_64);
 }

@@ -32,15 +32,6 @@
 #     invariant 1), so the value itself needs no ordering. A missed
 #     pairing only drops a latency sample; it can never affect results.
 #
-#   release_digest (runner.rs): the checksummed-handoff digest. Stored
-#     before `try_advance`'s Release store publishes the commit, loaded
-#     by the claimant after its Acquire claim CAS observes it — exactly
-#     the release_ns pattern, ordered by the token edge (VerifyModel
-#     invariant: verification happens-before downstream commit
-#     visibility). The digest is advisory next to the VerifyPacket slot
-#     (a Mutex, its own synchronization); a stale read can only cause a
-#     redundant verify, never a missed one.
-#
 #   scrubs (runner.rs): the arena-scrub pass counter. Bumped only by the
 #     supervisor before any worker spawns (the first loop's baseline) or
 #     by an end-of-loop barrier leader, and read into RunStats after
@@ -56,7 +47,7 @@ RT=crates/runtime/src
 #   halt/unjournaled flags. The protocol is model-checked by
 #   DoAcrossModel in src/check.rs; the module uses no Relaxed orderings.
 ALLOWED_ATOMIC_FILES="barrier.rs govern.rs health.rs runner.rs sched.rs token.rs"
-ALLOW_RELAXED_RE='(release_ns|release_digest)\.(load|store)\(|scrubs\.(load|fetch_add)\('
+ALLOW_RELAXED_RE='release_ns\.(load|store)\(|scrubs\.(load|fetch_add)\('
 
 fail=0
 
