@@ -40,7 +40,7 @@
 //! | [`run_sequential`] | one loop on the calling thread: the baseline and bitwise oracle |
 //! | [`try_run_governed`] | one loop, cascaded — the sequence of one |
 //! | [`try_run_governed_sequence`] | loops back to back on one persistent pool: the cascade engine |
-//! | [`try_run_planned`] | a fissioned loop per its plan: DOALL, DOACROSS, cascaded residue |
+//! | [`try_run_planned`] | a fissioned loop per its plan, as stages of the same engine: DOALL, DOACROSS, cascaded residue |
 //!
 //! The three cascading ones return a typed [`RunError`] and never panic
 //! on a worker fault.
@@ -83,16 +83,17 @@
 //!
 //! The [`sched`] module executes a `cascade-analyze`
 //! [`TransformPlan`](cascade_analyze::plan::TransformPlan) instead of
-//! ignoring it: [`try_run_planned`] runs each `Parallel` sub-loop as a
-//! DOALL static range split, each `DoAcross { lag }` sub-loop as a
+//! ignoring it: [`try_run_planned`] hands the cascade engine one stage
+//! per sub-loop, all on the same worker pool and fenced by the same
+//! poisonable [`FtBarrier`] as a sequence's loops. Each `Parallel` stage
+//! is a DOALL static range split, each `DoAcross { lag }` stage a
 //! pipelined post/wait stage (one gate and one post per chunk) over
 //! padded per-worker committed-iteration counters (Release/Acquire
-//! publication), and cascades `Sequential`
-//! residues with the token runtime — in the plan's topological order,
-//! fenced by the poisonable [`FtBarrier`]. Governance, journaled
-//! rollback, and sequential salvage compose per stage; the DOACROSS
-//! post/wait protocol is modeled and exhaustively explored in
-//! [`check`].
+//! publication), and each `Sequential` residue cascades with the token
+//! runtime. A stage fault poisons the stage's token like a cascade
+//! fault, so governance, journaled rollback and sequential salvage take
+//! the engine's one path; the DOACROSS post/wait protocol is modeled and
+//! exhaustively explored in [`check`].
 //!
 //! ## Durable runs
 //!
@@ -156,7 +157,5 @@ pub use runner::{
     run_sequential, try_run_governed, try_run_governed_sequence, FaultEvent, RetryAbandon,
     RetryPolicy, RtPolicy, RunError, RunStats, RunnerConfig, ThreadStats, Tolerance,
 };
-pub use sched::{
-    doacross_order, fission_specs, try_run_planned, PlannedStats, PlannedThread, SubLoopStats,
-};
+pub use sched::{doacross_order, fission_specs, try_run_planned, PlannedStats, SubLoopStats};
 pub use token::{PoisonCause, Token, TokenView, WaitOutcome, EXEC_BIT, POISONED};

@@ -93,6 +93,22 @@ impl NsStats {
         self.sum_ns += v as u128;
     }
 
+    /// Fold another sample set in, as if its samples had been recorded
+    /// here.
+    pub fn merge(&mut self, other: &NsStats) {
+        if other.count == 0 {
+            return;
+        }
+        if self.count == 0 {
+            *self = *other;
+            return;
+        }
+        self.count += other.count;
+        self.sum_ns += other.sum_ns;
+        self.min_ns = self.min_ns.min(other.min_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+    }
+
     /// Convert to the cross-engine [`LatencyStats`] shape.
     pub fn to_latency(self) -> LatencyStats {
         LatencyStats {

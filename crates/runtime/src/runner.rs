@@ -1,9 +1,11 @@
 //! The cascade runner: real threads rotating execution of one sequential
 //! loop, exactly as in Figure 1(b) of the paper.
 //!
-//! There is one engine, [`try_run_governed_sequence`]: a persistent pool
-//! runs a sequence of loops back to back, and a single loop
-//! ([`try_run_governed`]) is the sequence of one.
+//! There is one engine: a persistent pool runs a list of stages back to
+//! back, each a loop and its schedule. [`try_run_governed_sequence`] is
+//! that engine over cascaded loops, a single loop ([`try_run_governed`])
+//! is the sequence of one, and [`try_run_planned`](crate::try_run_planned)
+//! adds the DOALL and DOACROSS stages of [`crate::sched`].
 //!
 //! Thread `t` owns chunks `t, t+T, t+2T, ...`. While waiting for the token
 //! it runs its helper (prefetch or pack) for its next chunk, polling the
@@ -94,6 +96,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use cascade_analyze::plan::Schedule;
 use cascade_core::{
     fnv64_words, CascadeMetrics, ChunkPlan, MetricsSource, PhaseKind, PhaseSample, WorkerMetrics,
     FNV64_BASIS,
@@ -105,6 +108,7 @@ use crate::govern::{CancelKind, CancelState, CancelToken, Governor, RunConfig};
 use crate::health::{HealthConfig, HealthRegistry, StrikeVerdict};
 use crate::kernel::RealKernel;
 use crate::metrics::{NsStats, PhaseEventNs, PhaseRecorder};
+use crate::sched::{self, SplitState};
 use crate::token::{lock_recover, PoisonCause, Token, TokenView, EXEC_BIT, POISONED};
 
 /// Helper policy of the real-thread runtime.
@@ -205,8 +209,9 @@ pub struct Tolerance {
     /// the kernel promises fail-stop panics
     /// ([`RealKernel::panics_before_mutation`]) or its undo journal was
     /// rolled back ([`RealKernel::journal_capture`]) — gated per fault.
-    /// `None` (the default) climbs straight to salvage/error, exactly
-    /// PR 1 behavior.
+    /// Cascaded stages only: a fault in a plan's DOALL or DOACROSS stage
+    /// goes straight to salvage/error. `None` (the default) climbs
+    /// straight to salvage/error, exactly PR 1 behavior.
     pub retry: Option<RetryPolicy>,
     /// After a fault, finish the remaining iteration range sequentially on
     /// the calling thread (bitwise-identical result, `degraded` stats)
@@ -405,7 +410,7 @@ impl RunError {
     /// Lift a loop-local resume point onto an enclosing sequence: add the
     /// `prior` iterations of the loops that completed before this one to
     /// `committed_iters`. Errors that carry no resume point pass through.
-    pub(crate) fn rebased(mut self, prior: u64) -> RunError {
+    fn rebased(mut self, prior: u64) -> RunError {
         if let RunError::Cancelled {
             committed_iters, ..
         }
@@ -799,7 +804,7 @@ pub fn run_sequential<K: RealKernel>(kernel: &K) -> Duration {
     start.elapsed()
 }
 
-pub(crate) fn validate(cfg: &RunnerConfig) -> Result<(), RunError> {
+fn validate(cfg: &RunnerConfig) -> Result<(), RunError> {
     if cfg.nthreads < 1 {
         return Err(RunError::InvalidConfig("need at least one thread".into()));
     }
@@ -854,7 +859,7 @@ fn run_error_from(cause: &PoisonCause) -> RunError {
 /// the first worker (or waiter) that acts on the cancel flag. Stamps the
 /// cancel latency; the poison itself is first-cause-wins, so a cancel
 /// racing a real fault never masks it.
-fn poison_cancelled(run: &FtRun, cancel: &CancelToken) {
+pub(crate) fn poison_cancelled(run: &FtRun, cancel: &CancelToken) {
     cancel.note_observed();
     let reason = cancel
         .state()
@@ -866,7 +871,7 @@ fn poison_cancelled(run: &FtRun, cancel: &CancelToken) {
 /// Map a cancelled run to its typed error, carrying the exact sequential
 /// resume point. The kind comes from the run's [`CancelToken`], whose
 /// state is installed before its flag: every caller has seen the flag.
-pub(crate) fn cancel_error(cancel: &CancelToken, committed_iters: u64) -> RunError {
+fn cancel_error(cancel: &CancelToken, committed_iters: u64) -> RunError {
     match cancel.state() {
         Some(CancelState {
             kind: CancelKind::Deadline { after },
@@ -1081,9 +1086,9 @@ impl Recovery {
     }
 }
 
-/// Shared fault-handling state of one cascaded loop run.
-struct FtRun {
-    token: Token,
+/// Shared fault-handling state of one stage of an engine run.
+pub(crate) struct FtRun {
+    pub(crate) token: Token,
     /// `fetch_max(j + 1)` after chunk `j`'s body: chunks `0..completed`
     /// executed exactly once. Token serialization completes chunks in
     /// order, so this is the exact salvage resume point.
@@ -1092,7 +1097,7 @@ struct FtRun {
     /// Set when a chunk body was interrupted mid-flight by a kernel that
     /// makes no fail-stop promise — re-running it could double-apply
     /// writes, so salvage must be refused.
-    salvage_unsound: AtomicBool,
+    pub(crate) salvage_unsound: AtomicBool,
     /// Chunk ownership map (static round-robin until a quarantine remaps
     /// it).
     roster: Roster,
@@ -1134,6 +1139,9 @@ struct FtRun {
     /// ends of a healthy loop's [`RunStats::elapsed`].
     started: Mutex<Option<Instant>>,
     ended: Mutex<Option<Instant>>,
+    /// The committed frontiers and retained journals of a `Parallel` or
+    /// `DoAcross` stage (unused by a `Sequential` one).
+    pub(crate) split: SplitState,
 }
 
 /// Everything a verifier needs to re-check one committed chunk: the
@@ -1158,7 +1166,7 @@ struct VerifyPacket {
 }
 
 impl FtRun {
-    fn new(nthreads: usize) -> Self {
+    fn new(nthreads: usize, origin: Instant) -> Self {
         FtRun {
             token: Token::default(),
             completed: AtomicU64::new(0),
@@ -1167,7 +1175,7 @@ impl FtRun {
             roster: Roster::new(nthreads),
             retry_from: Mutex::new(HashMap::new()),
             claimant: AtomicU64::new(0),
-            origin: Instant::now(),
+            origin,
             release_ns: AtomicU64::new(0),
             release_chunk: AtomicU64::new(u64::MAX),
             verify_slot: Mutex::new(None),
@@ -1175,6 +1183,7 @@ impl FtRun {
             scrub_base: Mutex::new(None),
             started: Mutex::new(None),
             ended: Mutex::new(None),
+            split: SplitState::new(nthreads),
         }
     }
 
@@ -1196,7 +1205,7 @@ impl FtRun {
         *lock_recover(&self.scrub_base) = d;
     }
 
-    fn record(&self, ev: FaultEvent) {
+    pub(crate) fn record(&self, ev: FaultEvent) {
         lock_recover(&self.faults).push(ev);
     }
 
@@ -1257,6 +1266,23 @@ pub fn try_run_governed_sequence<K: RealKernel>(
     kernels: &[K],
     cfg: &RunConfig,
 ) -> Result<Vec<RunStats>, RunError> {
+    run_stages(kernels, &vec![Schedule::Sequential; kernels.len()], cfg)
+}
+
+/// The engine behind every run: stage `l` runs `kernels[l]` under
+/// `schedules[l]`, all stages on the same pool of workers and between the
+/// same barriers. A `Sequential` stage cascades ([`ft_worker`]); a
+/// `Parallel` or `DoAcross` stage splits its chunks across the pool
+/// ([`sched::run_stage`]). Every stage fault poisons the stage's token,
+/// so one degraded path handles them all: a cancelled stage drains to a
+/// clean prefix, and a faulted one is salvaged — its uncommitted chunks,
+/// then every later stage, sequentially on the calling thread — or maps
+/// to its typed error. Returns one [`RunStats`] per stage.
+pub(crate) fn run_stages<K: RealKernel>(
+    kernels: &[K],
+    schedules: &[Schedule],
+    cfg: &RunConfig,
+) -> Result<Vec<RunStats>, RunError> {
     cfg.try_validate()?;
     if kernels.len() > 1 && cfg.ckpt != CkptPolicy::Off {
         // A checkpoint manifest describes exactly one loop's committed
@@ -1283,7 +1309,12 @@ pub fn try_run_governed_sequence<K: RealKernel>(
         .iter()
         .map(|k| ChunkPlan::by_iterations(k.iters(), cfg.runner.iters_per_chunk))
         .collect();
-    let runs: Vec<FtRun> = kernels.iter().map(|_| FtRun::new(nthreads)).collect();
+    // One clock for every stage's phase events.
+    let origin = Instant::now();
+    let runs: Vec<FtRun> = kernels
+        .iter()
+        .map(|_| FtRun::new(nthreads, origin))
+        .collect();
     // One recovery state for the whole sequence: a worker quarantined in
     // loop l stays out of every later loop's roster, and the retry budget
     // is shared.
@@ -1310,11 +1341,16 @@ pub fn try_run_governed_sequence<K: RealKernel>(
                             }
                             BarrierOutcome::Follower => {}
                         }
-                        // A quarantined worker executes nothing (ft_worker
-                        // drains immediately) but keeps pacing the
-                        // barriers, so the surviving cascade stays in
-                        // lockstep.
-                        let mut stats = ft_worker(kernel, cfg, &plans[l], &runs[l], rec, t);
+                        // A quarantined worker executes nothing in a
+                        // cascaded stage (ft_worker drains immediately)
+                        // but keeps pacing the barriers, so the surviving
+                        // cascade stays in lockstep.
+                        let mut stats = match schedules[l] {
+                            Schedule::Sequential => {
+                                ft_worker(kernel, cfg, &plans[l], &runs[l], rec, t)
+                            }
+                            split => sched::run_stage(kernel, cfg, &runs[l], t, split),
+                        };
                         let mut poisoned = runs[l].token.poison_cause().is_some();
                         if !poisoned {
                             match barrier.wait() {
@@ -1324,6 +1360,9 @@ pub fn try_run_governed_sequence<K: RealKernel>(
                                 }
                                 BarrierOutcome::Leader => {
                                     *lock_recover(&runs[l].ended) = Some(Instant::now());
+                                    // The stage completed: nothing rolls
+                                    // it back any more.
+                                    runs[l].split.release(&cfg.budget);
                                     if cfg.verify.armed() {
                                         // SAFETY: every other worker is parked at
                                         // the next loop's start barrier (or
@@ -1393,10 +1432,10 @@ pub fn try_run_governed_sequence<K: RealKernel>(
 
     let Some(l0) = runs.iter().position(|r| r.token.poison_cause().is_some()) else {
         debug_assert!(
-            runs.iter()
-                .zip(&plans)
-                .all(|(r, p)| r.token.current() == p.num_chunks()),
-            "every token must end one past its loop's last chunk"
+            runs.iter().zip(&plans).zip(schedules).all(
+                |((r, p), s)| *s != Schedule::Sequential || r.token.current() == p.num_chunks()
+            ),
+            "every cascaded stage's token must end one past its last chunk"
         );
         return (0..kernels.len()).map(healthy_stats).collect();
     };
@@ -1406,32 +1445,52 @@ pub fn try_run_governed_sequence<K: RealKernel>(
         .token
         .poison_cause()
         .expect("position found a cause");
-    // Global sequential resume point: every iteration of loops before `l`
-    // plus the committed prefix within `l` — the first iteration of its
-    // first uncommitted chunk (completion is in token order).
     let iters_before = |l: usize| -> u64 { kernels[..l].iter().map(|k| k.iters()).sum() };
-    let committed_global = |l: usize, done: u64| -> u64 {
-        let within = if done < plans[l].num_chunks() {
-            plans[l].range(done).start
-        } else {
-            kernels[l].iters()
-        };
-        iters_before(l) + within
-    };
     let torn = runs
         .iter()
         .any(|r| r.salvage_unsound.load(Ordering::Acquire));
+    let cancelled = matches!(cause, PoisonCause::Cancelled { .. });
+    // The chunks of stage `l` no worker committed, ascending: a cascaded
+    // stage's suffix past its last completed chunk (completion is in
+    // token order), a split stage's chunks past their owners' frontiers.
+    let pending = |l: usize| -> Vec<u64> {
+        match schedules[l] {
+            Schedule::Sequential => {
+                (runs[l].completed.load(Ordering::Acquire)..plans[l].num_chunks()).collect()
+            }
+            split => runs[l].split.uncommitted(&plans[l], split),
+        }
+    };
+    let pending0 = pending(l0);
+    let committed0 = plans[l0].num_chunks() - pending0.len() as u64;
+    // A cancelled split stage rolls back to its entry when it journaled
+    // every chunk it committed. Either way its journals go now.
+    // SAFETY: every worker has joined.
+    let rolled_back = cancelled
+        && !torn
+        && schedules[l0] != Schedule::Sequential
+        && unsafe { runs[l0].split.roll_back(&kernels[l0], committed0) };
+    runs[l0].split.release(&cfg.budget);
 
     // --- cancelled path: drained clean, never salvaged ---
-    if matches!(cause, PoisonCause::Cancelled { .. }) {
+    if cancelled {
         if torn {
             // The in-flight chunk tore while the run drained: the resume
             // guarantee is broken, report the tear instead.
             let all: Vec<FaultEvent> = runs.iter().flat_map(|r| r.take_faults()).collect();
             return Err(torn_fallback(&all));
         }
-        let done = runs[l0].completed.load(Ordering::Acquire);
-        return Err(cancel_error(&cfg.cancel, committed_global(l0, done)));
+        if rolled_back {
+            return Err(cancel_error(&cfg.cancel, iters_before(l0)));
+        }
+        if schedules[l0] == Schedule::Sequential {
+            let within = pending0
+                .first()
+                .map_or(kernels[l0].iters(), |&c| plans[l0].range(c).start);
+            return Err(cancel_error(&cfg.cancel, iters_before(l0) + within));
+        }
+        // An unjournalable split stage completes instead (below): the
+        // cascade's unjournalable-chunk rule, lifted to a stage.
     }
 
     // --- a worker panicked, the cascade stalled, or corruption ---
@@ -1445,46 +1504,73 @@ pub fn try_run_governed_sequence<K: RealKernel>(
     // rolled-back undo journal. Journaled chunks were restored bitwise by
     // their faulting worker before it drained, so salvage re-executes
     // pristine state.
-    if matches!(cause, PoisonCause::Corrupted { .. }) || !cfg.tolerance.salvage || torn {
+    if !cancelled
+        && (matches!(cause, PoisonCause::Corrupted { .. }) || !cfg.tolerance.salvage || torn)
+    {
         return Err(err);
     }
-    let mut out: Vec<RunStats> = (0..l0).map(healthy_stats).collect::<Result<_, _>>()?;
-    // Finish loop l0 from its last completed chunk, then run every later
-    // loop start-to-end, all sequentially on this thread. Every worker has
-    // joined, so exclusivity and happens-before hold.
-    for l in l0..kernels.len() {
+    let mut out: Vec<RunStats> = if cancelled {
+        Vec::new()
+    } else {
+        (0..l0).map(healthy_stats).collect::<Result<_, _>>()?
+    };
+    // Finish on this thread, sequentially: after a fault, stage l0's
+    // uncommitted chunks and then every later stage; after a cancel, the
+    // unjournalable stage l0's. Ascending order honours every schedule's
+    // dependences, and every worker has joined, so exclusivity and
+    // happens-before hold.
+    let last = if cancelled { l0 } else { kernels.len() - 1 };
+    for l in l0..=last {
         let mut faults = runs[l].take_faults();
-        let m = plans[l].num_chunks();
-        let iters = kernels[l].iters();
-        let mut done = runs[l].completed.load(Ordering::Acquire);
+        let pending = pending(l);
         let began = (*lock_recover(&runs[l].started)).unwrap_or_else(Instant::now);
-        if done < m {
-            let salvage_from = done;
-            let resume = plans[l].range(salvage_from).start;
-            // Chunk at a time so a cancellation arriving mid-salvage
-            // still stops at an exact chunk boundary with an accurate
-            // (global) resume point.
-            while done < m {
-                if cfg.cancel.is_cancelled() {
-                    cfg.cancel.note_observed();
-                    return Err(cancel_error(&cfg.cancel, committed_global(l, done)));
-                }
-                let r = plans[l].range(done);
-                // SAFETY: all workers joined; single-threaded remainder.
-                let salvage = catch_unwind(AssertUnwindSafe(|| unsafe { kernels[l].execute(r) }));
-                if salvage.is_err() {
-                    // The kernel fails even sequentially: report the
-                    // original fault.
-                    return Err(err);
-                }
-                done += 1;
+        // A cancellation arriving mid-salvage stops at the first chunk
+        // with every chunk below it committed and none above, so the
+        // (global) resume point is exact; a stage being completed for a
+        // cancel is never stopped.
+        let mut clean_from = plans[l].num_chunks();
+        for &c in pending.iter().rev() {
+            if cancelled || c + 1 != clean_from {
+                break;
             }
+            clean_from = c;
+        }
+        for &c in &pending {
+            if !cancelled && c >= clean_from && cfg.cancel.is_cancelled() {
+                cfg.cancel.note_observed();
+                let resume = iters_before(l) + plans[l].range(c).start;
+                return Err(cancel_error(&cfg.cancel, resume));
+            }
+            let r = plans[l].range(c);
+            // SAFETY: all workers joined; single-threaded remainder.
+            let salvage = catch_unwind(AssertUnwindSafe(|| unsafe { kernels[l].execute(r) }));
+            if salvage.is_err() {
+                // The kernel fails even sequentially: report the original
+                // fault (while completing a cancelled stage, this one).
+                return Err(if cancelled {
+                    RunError::WorkerPanicked {
+                        thread: nthreads as u64,
+                        chunk: c,
+                    }
+                } else {
+                    err
+                });
+            }
+        }
+        if let Some(&from_chunk) = pending.first() {
+            let iters = pending.iter().map(|&c| {
+                let r = plans[l].range(c);
+                r.end - r.start
+            });
             faults.push(FaultEvent::Salvaged {
-                from_chunk: salvage_from,
-                iters: iters - resume,
+                from_chunk,
+                iters: iters.sum(),
             });
         }
         out.push(stats_for(l, began.elapsed(), true, faults));
+    }
+    if cancelled {
+        return Err(cancel_error(&cfg.cancel, iters_before(l0 + 1)));
     }
     Ok(out)
 }
@@ -1749,7 +1835,7 @@ enum ChunkClaim {
 }
 
 /// What a waiter should do after declaring a stall.
-enum StallAction {
+pub(crate) enum StallAction {
     /// Keep waiting this much longer (a strike backoff, or recovery by
     /// another detector is underway).
     Wait(Duration),
@@ -1760,7 +1846,7 @@ enum StallAction {
 /// Poison the token with a stall cause; the winning poisoner alone
 /// records the event (and, when the retry ladder gave up, why it fell
 /// through).
-fn poison_stalled(
+pub(crate) fn poison_stalled(
     run: &FtRun,
     stuck: u64,
     waited: Duration,

@@ -1,7 +1,10 @@
 //! Plan-driven execution: run a [`TransformPlan`]'s partition on real
-//! threads — DOALL sub-loops as a static range split across the worker
-//! pool, DOACROSS sub-loops as a pipelined post/wait stage, and
-//! `Sequential` residues cascaded with the existing token runtime.
+//! threads. Every sub-loop is one stage of the cascade engine
+//! ([`crate::runner`]), on the same workers and between the same
+//! barriers as the loops of a sequence: DOALL sub-loops as a static range
+//! split across the pool, DOACROSS sub-loops as a pipelined post/wait
+//! stage (`run_stage` runs both), and `Sequential` residues cascaded
+//! with the token runtime exactly as a sequence's loops are.
 //!
 //! ## The DOACROSS post/wait protocol
 //!
@@ -11,7 +14,9 @@
 //! *committed frontier* in a cache-line-padded `AtomicU64`: `posts[w] =
 //! f` means every iteration owned by `w` below `f` is committed (workers
 //! commit in order, so one counter suffices). The store is `Release`,
-//! issued once per chunk, after the chunk's writes.
+//! issued once per chunk, after the chunk's writes. DOALL workers post
+//! the same way: no gate reads their frontiers, but after a fault they
+//! name the chunks left to salvage.
 //!
 //! Iteration `j` of a sub-loop with carried lag `L` may only start once
 //! **every** iteration `≤ j − L` is committed (all carried dependences
@@ -40,15 +45,13 @@
 //!
 //! Governance (cancel/deadline/budget) is polled inside gate spins and
 //! at chunk boundaries; a watchdog window declares a stall when a gate
-//! sees no frontier movement for the whole window. Faults roll back the
-//! interrupted chunk via its undo journal and drain the stage; the
-//! supervisor then salvages the uncommitted remainder sequentially
-//! (ascending order satisfies every lag trivially).
-//!
-//! Sub-loop order is the plan's topological order, enforced with the
-//! poisonable [`FtBarrier`]: the supervisor and all workers rendezvous
-//! before and after every sub-loop, and a terminal error poisons the
-//! barrier so the pool drains instead of hanging.
+//! sees no frontier movement for the whole window. A fault rolls back
+//! the interrupted chunk via its undo journal and poisons the stage's
+//! token with the same [`PoisonCause`] a cascaded chunk's fault uses, so
+//! the pool drains and the engine's one degraded path takes over: it
+//! salvages the uncommitted remainder, then every later stage,
+//! sequentially (ascending order satisfies every lag trivially), or
+//! returns the typed error.
 //!
 //! ## Journaling in plan mode
 //!
@@ -62,31 +65,31 @@
 //! independent, and concurrent DOACROSS iterations sit closer than `L`
 //! while aliasing write sets lie at least `L` apart, so a capture never
 //! races a writer.
-//! Journals are retained for the whole stage: a cancelled stage is
+//! Journals are retained until the stage ends: a cancelled stage is
 //! rolled back entry-by-entry in descending order, restoring the exact
 //! stage-entry state so `committed_iters` stays a clean prefix of the
-//! fissioned sequence. Unjournalable stages fall back to *completing*
-//! on cancellation (mirroring the cascade's unjournalable chunk rule).
+//! fissioned sequence. A stage with a committed chunk it could not
+//! journal *completes* on cancellation instead (mirroring the cascade's
+//! unjournalable chunk rule).
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cascade_analyze::plan::{Schedule, TransformPlan};
-use cascade_core::CascadeMetrics;
+use cascade_core::{CascadeMetrics, ChunkPlan};
 use cascade_trace::LoopSpec;
 
-use crate::barrier::{BarrierOutcome, FtBarrier};
 use crate::ckpt::CkptPolicy;
-use crate::govern::{CancelKind, Governor, RunConfig};
+use crate::govern::{CancelKind, MemBudget, RunConfig};
 use crate::kernel::RealKernel;
-use crate::metrics::NsStats;
 use crate::runner::{
-    cancel_error, try_run_governed, validate, FaultEvent, RunError, RunStats, ThreadStats,
+    panic_message, poison_cancelled, poison_stalled, run_stages, FaultEvent, FtRun, RunError,
+    RunStats, ThreadStats,
 };
-use crate::token::lock_recover;
+use crate::token::{lock_recover, PoisonCause};
 
 /// A committed-iteration frontier on its own cache line, so DOACROSS
 /// post stores never false-share with a neighbour's gate spins.
@@ -196,31 +199,6 @@ pub fn doacross_order(iters: u64, iters_per_chunk: u64, workers: usize, window: 
     order
 }
 
-/// Per-worker statistics of one planned (DOALL or DOACROSS) stage.
-#[derive(Debug, Default, Clone)]
-pub struct PlannedThread {
-    /// Chunks this worker fully committed.
-    pub chunks: u64,
-    /// Nanoseconds inside kernel execution.
-    pub exec_ns: u128,
-    /// Nanoseconds blocked in post/wait gate spins (0 for DOALL).
-    pub stall_ns: u128,
-    /// Whole wall time of this worker's stage share.
-    pub wall_ns: u128,
-    /// Iterations of the gated chunks whose dependence iteration lies
-    /// in a *different* chunk — the structural post/wait count the
-    /// chunks' gates stand for, independent of timing.
-    pub post_waits: u64,
-    /// Bytes captured into retained undo journals.
-    pub journal_bytes: u64,
-    /// Nanoseconds capturing (and, on fault, rolling back) journals.
-    pub journal_ns: u128,
-    /// Journal entries rolled back after a mid-body fault.
-    pub rollbacks: u64,
-    /// Per-chunk execution durations (count == `chunks`).
-    pub chunk_exec: NsStats,
-}
-
 /// Statistics of one executed sub-loop of the plan.
 #[derive(Debug, Clone)]
 pub struct SubLoopStats {
@@ -230,17 +208,20 @@ pub struct SubLoopStats {
     pub schedule: Schedule,
     /// Iterations executed (the full loop trip count).
     pub iters: u64,
-    /// Chunks committed by the worker pool (or the token runtime for a
-    /// `Sequential` sub-loop). Salvaged iterations are not chunked.
+    /// Chunks committed by the worker pool (through the token runtime
+    /// for a `Sequential` sub-loop). Salvaged iterations are not chunked.
     pub chunks: u64,
-    /// Structural post/wait gate count (DOACROSS stages only).
+    /// Structural post/wait count of a DOACROSS sub-loop: the iterations
+    /// whose lag dependence lies in an earlier chunk, which the chunks'
+    /// gates stand for (0 for the other schedules).
     pub post_waits: u64,
-    /// Nanoseconds all workers spent blocked in gate spins.
-    pub post_wait_stall_ns: u128,
     /// Whether a fault degraded this sub-loop to sequential salvage.
     pub degraded: bool,
-    /// Per-worker stage statistics (empty for `Sequential` sub-loops).
-    pub threads: Vec<PlannedThread>,
+    /// Per-worker statistics of a `Parallel` or `DoAcross` sub-loop:
+    /// chunk bodies are Execute, post/wait gate spins are Spin, the rest
+    /// is Other, and `wall_ns` is the worker's whole stage share. Empty
+    /// for a `Sequential` sub-loop, whose workers report in `run`.
+    pub threads: Vec<ThreadStats>,
     /// The token runtime's stats for a `Sequential` sub-loop.
     pub run: Option<RunStats>,
 }
@@ -266,20 +247,6 @@ pub struct PlannedStats {
     pub budget_high_water: u64,
 }
 
-fn merge_ns(into: &mut NsStats, from: &NsStats) {
-    if from.count == 0 {
-        return;
-    }
-    if into.count == 0 {
-        *into = *from;
-        return;
-    }
-    into.count += from.count;
-    into.sum_ns += from.sum_ns;
-    into.min_ns = into.min_ns.min(from.min_ns);
-    into.max_ns = into.max_ns.max(from.max_ns);
-}
-
 impl PlannedStats {
     /// Total structural post/wait gate count across all sub-loops.
     pub fn post_waits(&self) -> u64 {
@@ -288,75 +255,28 @@ impl PlannedStats {
 
     /// Total nanoseconds blocked in post/wait gate spins.
     pub fn post_wait_stall_ns(&self) -> u128 {
-        self.sub_loops.iter().map(|s| s.post_wait_stall_ns).sum()
+        self.sub_loops
+            .iter()
+            .flat_map(|s| &s.threads)
+            .map(|t| t.spin_ns)
+            .sum()
     }
 
     /// The observability report, in the same [`CascadeMetrics`] schema
-    /// as cascaded and simulated runs: planned stages map execution to
-    /// the Execute phase and gate spins to the Spin phase (everything
-    /// else is Other, keeping the exact phase partition), `Sequential`
-    /// sub-loops merge the token runtime's per-thread stats, and the
-    /// planned side counters (`sub_loops`, `post_waits`,
-    /// `post_wait_stall`) ride alongside.
+    /// as cascaded and simulated runs: each worker's stats summed over
+    /// every sub-loop (so the exact phase partition
+    /// `helper + spin + exec + retry + other == wall` carries over), with
+    /// the planned side counters (`sub_loops`, `post_waits`,
+    /// `post_wait_stall`) alongside.
     pub fn metrics(&self) -> CascadeMetrics {
-        let nthreads = self
-            .sub_loops
-            .iter()
-            .map(|s| {
-                s.threads
-                    .len()
-                    .max(s.run.as_ref().map_or(0, |r| r.threads.len()))
-            })
-            .max()
-            .unwrap_or(0);
-        let mut threads = vec![ThreadStats::default(); nthreads];
+        let mut threads: Vec<ThreadStats> = Vec::new();
         for sub in &self.sub_loops {
-            for (t, pt) in sub.threads.iter().enumerate() {
-                let ts = &mut threads[t];
-                ts.chunks += pt.chunks;
-                ts.exec_ns += pt.exec_ns;
-                ts.spin_ns += pt.stall_ns;
-                // Carve the remainder as Other so the exact partition
-                // helper+spin+exec+retry+other == wall holds by
-                // construction.
-                let other = pt.wall_ns.saturating_sub(pt.exec_ns + pt.stall_ns);
-                ts.other_ns += other;
-                ts.wall_ns += pt.exec_ns + pt.stall_ns + other;
-                ts.journal_bytes += pt.journal_bytes;
-                ts.journal_ns += pt.journal_ns;
-                ts.rollbacks += pt.rollbacks;
-                merge_ns(&mut ts.chunk_exec, &pt.chunk_exec);
+            let lanes = sub.run.as_ref().map_or(&sub.threads, |r| &r.threads);
+            if threads.len() < lanes.len() {
+                threads.resize_with(lanes.len(), ThreadStats::default);
             }
-            if let Some(run) = &sub.run {
-                for (t, s) in run.threads.iter().enumerate() {
-                    let ts = &mut threads[t];
-                    ts.chunks += s.chunks;
-                    ts.helper_iters += s.helper_iters;
-                    ts.helper_complete += s.helper_complete;
-                    ts.exec_ns += s.exec_ns;
-                    ts.helper_ns += s.helper_ns;
-                    ts.spin_ns += s.spin_ns;
-                    ts.retry_ns += s.retry_ns;
-                    ts.other_ns += s.other_ns;
-                    ts.wall_ns += s.wall_ns;
-                    ts.jump_outs += s.jump_outs;
-                    ts.horizon_stalls += s.horizon_stalls;
-                    ts.packed_bytes += s.packed_bytes;
-                    ts.prefetched_bytes += s.prefetched_bytes;
-                    ts.handoffs += s.handoffs;
-                    ts.rollbacks += s.rollbacks;
-                    ts.journal_bytes += s.journal_bytes;
-                    ts.journal_ns += s.journal_ns;
-                    ts.ckpt_count += s.ckpt_count;
-                    ts.ckpt_bytes += s.ckpt_bytes;
-                    ts.ckpt_ns += s.ckpt_ns;
-                    ts.verified_chunks += s.verified_chunks;
-                    ts.verify_ns += s.verify_ns;
-                    ts.events_dropped += s.events_dropped;
-                    ts.events.extend_from_slice(&s.events);
-                    merge_ns(&mut ts.takeover, &s.takeover);
-                    merge_ns(&mut ts.chunk_exec, &s.chunk_exec);
-                }
+            for (ts, s) in threads.iter_mut().zip(lanes) {
+                merge(ts, s);
             }
         }
         let rs = RunStats {
@@ -365,7 +285,7 @@ impl PlannedStats {
             iters: self.iters,
             threads,
             degraded: self.degraded,
-            faults: self.faults.clone(),
+            faults: Vec::new(),
             retries: 0,
             quarantined: 0,
             cancel_latency_ns: self.cancel_latency_ns,
@@ -385,64 +305,114 @@ impl PlannedStats {
     }
 }
 
+/// Add one worker's stats for a sub-loop into its run-wide total.
+fn merge(into: &mut ThreadStats, s: &ThreadStats) {
+    into.chunks += s.chunks;
+    into.helper_iters += s.helper_iters;
+    into.helper_complete += s.helper_complete;
+    into.exec_ns += s.exec_ns;
+    into.helper_ns += s.helper_ns;
+    into.spin_ns += s.spin_ns;
+    into.retry_ns += s.retry_ns;
+    into.other_ns += s.other_ns;
+    into.wall_ns += s.wall_ns;
+    into.jump_outs += s.jump_outs;
+    into.horizon_stalls += s.horizon_stalls;
+    into.packed_bytes += s.packed_bytes;
+    into.prefetched_bytes += s.prefetched_bytes;
+    into.handoffs += s.handoffs;
+    into.rollbacks += s.rollbacks;
+    into.journal_bytes += s.journal_bytes;
+    into.journal_ns += s.journal_ns;
+    into.ckpt_count += s.ckpt_count;
+    into.ckpt_bytes += s.ckpt_bytes;
+    into.ckpt_ns += s.ckpt_ns;
+    into.verified_chunks += s.verified_chunks;
+    into.verify_ns += s.verify_ns;
+    into.events_dropped += s.events_dropped;
+    into.events.extend_from_slice(&s.events);
+    into.takeover.merge(&s.takeover);
+    into.chunk_exec.merge(&s.chunk_exec);
+}
+
 /// A retained undo-journal entry of a planned stage.
 struct JournalEntry {
     range: Range<u64>,
     buf: Vec<u8>,
-    reserved: u64,
 }
 
-/// First fault observed in a stage (first cause wins).
-struct StageFault {
-    thread: u64,
-    chunk: u64,
-    message: String,
-    /// The interrupted range could not be rolled back and the kernel
-    /// makes no fail-stop promise: partial writes may remain.
-    torn: bool,
-    /// `Some(waited)` for a watchdog-declared gate stall.
-    stall: Option<Duration>,
-}
-
-/// What one worker hands the supervisor at a stage's end barrier.
-#[derive(Default)]
-struct WorkerStage {
-    committed: Vec<Range<u64>>,
-    journals: Vec<JournalEntry>,
-    events: Vec<FaultEvent>,
-    stats: PlannedThread,
-}
-
-/// Shared per-stage coordination state, reset by the supervisor between
-/// sub-loops (the barrier provides the happens-before edge).
-struct StageShared {
-    halt: AtomicBool,
-    /// A journaling-enabled stage hit an uncapturable range: the
-    /// stage-wide rollback guarantee is void, cancel must complete
-    /// instead.
-    unjournaled: AtomicBool,
+/// What the workers of a `Parallel` or `DoAcross` stage share: their
+/// committed frontiers, and the journals the stage keeps until it ends.
+pub(crate) struct SplitState {
+    /// `posts[w] = f`: every chunk worker `w` owns below iteration `f`
+    /// is committed.
     posts: Vec<PadCounter>,
-    fault: Mutex<Option<StageFault>>,
-    slots: Vec<Mutex<Option<WorkerStage>>>,
+    /// Undo journals of the stage's committed chunks, handed over by
+    /// each worker as it leaves the stage.
+    journals: Mutex<Vec<JournalEntry>>,
 }
 
-impl StageShared {
-    fn new(n: usize) -> Self {
-        StageShared {
-            halt: AtomicBool::new(false),
-            unjournaled: AtomicBool::new(false),
-            posts: (0..n).map(|_| PadCounter::default()).collect(),
-            fault: Mutex::new(None),
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
+impl SplitState {
+    pub(crate) fn new(nthreads: usize) -> Self {
+        SplitState {
+            posts: (0..nthreads).map(|_| PadCounter::default()).collect(),
+            journals: Mutex::new(Vec::new()),
         }
     }
 
-    fn record_fault(&self, f: StageFault) {
-        let mut slot = lock_recover(&self.fault);
-        if slot.is_none() {
-            *slot = Some(f);
+    /// The chunks of `plan` no worker committed, ascending: those beyond
+    /// their owner's frontier under the stage's `schedule`. Exact once
+    /// every worker has left the stage.
+    pub(crate) fn uncommitted(&self, plan: &ChunkPlan, schedule: Schedule) -> Vec<u64> {
+        let n = self.posts.len() as u64;
+        let m = plan.num_chunks();
+        let doacross = matches!(schedule, Schedule::DoAcross { .. });
+        let mut chunks: Vec<u64> = (0..n)
+            .flat_map(|w| {
+                let frontier = self.posts[w as usize].0.load(Ordering::Acquire);
+                owned_chunks(w, n, m, doacross).filter(move |&c| plan.range(c).end > frontier)
+            })
+            .collect();
+        chunks.sort_unstable();
+        chunks
+    }
+
+    /// Roll the stage back to its entry state, newest journal first —
+    /// when the kernel journals range-exactly and every one of the
+    /// stage's `committed` chunks has a journal. Returns whether it did.
+    ///
+    /// # Safety
+    ///
+    /// No worker is in the stage any more, so the restores are exclusive.
+    pub(crate) unsafe fn roll_back<K: RealKernel>(&self, kernel: &K, committed: u64) -> bool {
+        let mut journals = lock_recover(&self.journals);
+        if !kernel.journal_range_exact() || journals.len() as u64 != committed {
+            return false;
         }
-        self.halt.store(true, Ordering::Release);
+        journals.sort_by_key(|e| e.range.start);
+        for e in journals.iter().rev() {
+            // SAFETY: exclusive access (the caller's guarantee).
+            unsafe { kernel.journal_rollback(e.range.clone(), &e.buf) };
+        }
+        true
+    }
+
+    /// Drop the retained journals, returning their bytes to `budget`.
+    pub(crate) fn release(&self, budget: &MemBudget) {
+        for e in lock_recover(&self.journals).drain(..) {
+            budget.release(e.buf.len() as u64);
+        }
+    }
+}
+
+/// The chunks worker `w` of `n` owns among `m`, in execution order:
+/// every `n`-th chunk from `w` under DOACROSS (`doacross`), a contiguous
+/// slice of the DOALL split otherwise.
+fn owned_chunks(w: u64, n: u64, m: u64, doacross: bool) -> std::iter::StepBy<Range<u64>> {
+    if doacross {
+        (w..m).step_by(n as usize)
+    } else {
+        (w * m / n..(w + 1) * m / n).step_by(1)
     }
 }
 
@@ -496,25 +466,26 @@ fn gate_target(w: u64, d: u64, c: u64, n: u64, iters: u64) -> u64 {
     }
 }
 
-/// Worker context for one planned stage.
-struct StageCtx<'a> {
-    me: usize,
-    nthreads: usize,
-    shared: &'a StageShared,
+/// One worker's share of a split stage: its context, and the stats and
+/// journals it has gathered so far.
+struct Share<'a> {
+    run: &'a FtRun,
     cfg: &'a RunConfig,
-    journaling: bool,
+    t: u64,
+    stats: ThreadStats,
+    journals: Vec<JournalEntry>,
 }
 
-impl StageCtx<'_> {
+impl Share<'_> {
     /// Poll governance at a boundary: returns `true` when the stage
-    /// must halt (cancelled externally or by a peer's fault).
-    fn should_halt(&self) -> bool {
-        if self.shared.halt.load(Ordering::Acquire) {
+    /// must halt — its token is poisoned (a peer's fault or a cancel), or
+    /// a cancel arrived, which this worker then poisons the token with.
+    fn halted(&self) -> bool {
+        if self.run.token.is_poisoned() {
             return true;
         }
         if self.cfg.cancel.is_cancelled() {
-            self.cfg.cancel.note_observed();
-            self.shared.halt.store(true, Ordering::Release);
+            poison_cancelled(self.run, &self.cfg.cancel);
             return true;
         }
         false
@@ -523,12 +494,12 @@ impl StageCtx<'_> {
     /// A DOACROSS chunk's gate: spin with `Acquire` loads until the
     /// frontiers prove every iteration `≤ d` committed. Returns `false`
     /// when the stage must halt instead (cancel, a peer's fault, or a
-    /// watchdog-declared stall, which this gate records).
-    fn wait_committed(&self, d: u64, chunk: u64, iters: u64, ws: &mut WorkerStage) -> bool {
-        let posts = &self.shared.posts;
+    /// watchdog-declared stall, which poisons the token).
+    fn wait_committed(&mut self, d: u64, chunk: u64, iters: u64) -> bool {
+        let posts = &self.run.split.posts;
         let frontier = |w: u64| posts[w as usize].0.load(Ordering::Acquire);
         let c = self.cfg.runner.iters_per_chunk;
-        let n = self.nthreads as u64;
+        let n = self.cfg.runner.nthreads as u64;
         if gate_open(d, c, iters, n, frontier) {
             return true;
         }
@@ -549,58 +520,40 @@ impl StageCtx<'_> {
             }
             spins = spins.wrapping_add(1);
             if spins.is_multiple_of(64) {
-                if self.should_halt() {
+                if self.halted() {
                     break false;
                 }
                 std::thread::yield_now();
                 if let Some(w) = self.cfg.tolerance.watchdog {
                     if window_start.elapsed() >= w {
-                        self.shared.record_fault(StageFault {
-                            thread: self.me as u64,
-                            chunk,
-                            message: format!(
-                                "post/wait gate for chunk {chunk} saw no frontier movement \
-                                 for {w:?}"
-                            ),
-                            torn: false,
-                            stall: Some(w),
-                        });
+                        poison_stalled(self.run, chunk, w, None);
                         break false;
                     }
                 }
             }
             std::hint::spin_loop();
         };
-        ws.stats.stall_ns += t0.elapsed().as_nanos();
-        open && !self.shared.halt.load(Ordering::Acquire)
+        self.stats.spin_ns += t0.elapsed().as_nanos();
+        open && !self.run.token.is_poisoned()
     }
 
-    /// Capture the undo journal for `range`, metering the buffer
-    /// against the run's memory budget. `None` means the stage must
-    /// halt (the reservation was refused and the run is now cancelled).
+    /// Capture and retain the undo journal for `range`, metering the
+    /// buffer against the run's memory budget. `Some(false)` when the
+    /// range could not be captured; `None` means the stage must halt
+    /// (the reservation was refused and the run is now cancelled).
     ///
     /// # Safety
     ///
     /// `range` must be a chunk owned by this worker under the stage's
     /// schedule, so no concurrent writer overlaps the range-exact
     /// footprint being read.
-    unsafe fn capture<K: RealKernel>(
-        &self,
-        kernel: &K,
-        range: Range<u64>,
-        ws: &mut WorkerStage,
-    ) -> Option<bool> {
-        if !self.journaling {
-            return Some(false);
-        }
+    unsafe fn capture<K: RealKernel>(&mut self, kernel: &K, range: Range<u64>) -> Option<bool> {
         let t0 = Instant::now();
         let mut buf = Vec::new();
         // SAFETY: forwarded under the caller's ownership guarantee.
         let ok = unsafe { kernel.journal_capture(range.clone(), &mut buf) };
-        ws.stats.journal_ns += t0.elapsed().as_nanos();
+        self.stats.journal_ns += t0.elapsed().as_nanos();
         if !ok {
-            // The stage can no longer promise a full rollback.
-            self.shared.unjournaled.store(true, Ordering::Release);
             return Some(false);
         }
         let bytes = buf.len() as u64;
@@ -612,262 +565,192 @@ impl StageCtx<'_> {
                 },
                 "journal reservation refused by the memory budget",
             );
-            self.cfg.cancel.note_observed();
-            self.shared.halt.store(true, Ordering::Release);
+            poison_cancelled(self.run, &self.cfg.cancel);
             return None;
         }
-        ws.stats.journal_bytes += bytes;
-        ws.journals.push(JournalEntry {
-            range,
-            buf,
-            reserved: bytes,
-        });
+        self.stats.journal_bytes += bytes;
+        self.journals.push(JournalEntry { range, buf });
         Some(true)
     }
 
-    /// Roll back the most recent journal entry (the interrupted range)
-    /// and drop it from the retained set. Returns the restored byte
-    /// count when a rollback happened.
+    /// Roll back the most recent journal entry (the interrupted chunk
+    /// `c_idx`) and drop it from the retained set.
     ///
     /// # Safety
     ///
     /// Caller still "holds" the interrupted range: no other worker
     /// executes or journals it, and its range-exact footprint is
     /// disjoint from every concurrently active range.
-    unsafe fn rollback_last<K: RealKernel>(
-        &self,
-        kernel: &K,
-        ws: &mut WorkerStage,
-        range: &Range<u64>,
-    ) -> Option<u64> {
-        let last = ws.journals.last()?;
-        if last.range != *range {
-            return None;
-        }
-        let entry = ws.journals.pop().expect("just observed");
-        let bytes = entry.buf.len() as u64;
+    unsafe fn rollback_last<K: RealKernel>(&mut self, kernel: &K, c_idx: u64) {
+        let entry = self
+            .journals
+            .pop()
+            .expect("the interrupted chunk's journal");
         let t0 = Instant::now();
         // SAFETY: forwarded under the caller's ownership guarantee.
         unsafe { kernel.journal_rollback(entry.range.clone(), &entry.buf) };
-        ws.stats.journal_ns += t0.elapsed().as_nanos();
-        ws.stats.rollbacks += 1;
-        self.cfg.budget.release(entry.reserved);
-        Some(bytes)
+        self.stats.journal_ns += t0.elapsed().as_nanos();
+        self.stats.rollbacks += 1;
+        self.cfg.budget.release(entry.buf.len() as u64);
+        self.run.record(FaultEvent::ChunkRolledBack {
+            thread: self.t,
+            chunk: c_idx,
+            bytes: entry.buf.len() as u64,
+        });
     }
-}
 
-/// One worker's share of a planned stage, chunk by chunk.
-///
-/// - DOALL (`lag == None`): a contiguous slice of the global chunk
-///   list, executed with no synchronization beyond the stage barriers.
-/// - DOACROSS (`Some(lag)`): its round-robin chunks in ascending order,
-///   each behind one gate ([`chunk_gate_dep`]) and each followed by one
-///   `Release` post of the worker's committed frontier.
-fn run_stage<K: RealKernel>(ctx: &StageCtx<'_>, kernel: &K, lag: Option<u64>) -> WorkerStage {
-    let mut ws = WorkerStage::default();
-    let t_stage = Instant::now();
-    let iters = kernel.iters();
-    let c = ctx.cfg.runner.iters_per_chunk;
-    let m = iters.div_ceil(c);
-    let n = ctx.nthreads as u64;
-    let t = ctx.me as u64;
-    let (first, last, step) = match lag {
-        None => (t * m / n, (t + 1) * m / n, 1),
-        Some(_) => (t, m, ctx.nthreads),
-    };
-    for c_idx in (first..last).step_by(step) {
-        if ctx.should_halt() {
-            break;
-        }
-        let range = chunk_range(c_idx, c, iters);
-        if let Some(lag) = lag {
-            ws.stats.post_waits += crossing_deps(&range, lag);
-            if let Some(d) = chunk_gate_dep(&range, lag) {
-                if !ctx.wait_committed(d, c_idx, iters, &mut ws) {
+    /// This worker's chunks, in order, until the stage ends or halts.
+    fn run_chunks<K: RealKernel>(&mut self, kernel: &K, lag: Option<u64>) {
+        let iters = kernel.iters();
+        let c = self.cfg.runner.iters_per_chunk;
+        let n = self.cfg.runner.nthreads as u64;
+        let journaling = kernel.journal_range_exact();
+        for c_idx in owned_chunks(self.t, n, iters.div_ceil(c), lag.is_some()) {
+            if self.halted() {
+                break;
+            }
+            let range = chunk_range(c_idx, c, iters);
+            if let Some(d) = lag.and_then(|lag| chunk_gate_dep(&range, lag)) {
+                if !self.wait_committed(d, c_idx, iters) {
                     break;
                 }
             }
-        }
-        // SAFETY: chunk ranges are disjoint across workers, and any
-        // iteration running concurrently with a DOACROSS chunk is fewer
-        // than `lag` from all of it, so no write aliases the chunk's
-        // footprint; the journaling gate guarantees range-exact
-        // footprints.
-        let journaled = match unsafe { ctx.capture(kernel, range.clone(), &mut ws) } {
-            Some(j) => j,
-            None => break, // budget refusal cancelled the run
-        };
-        let t0 = Instant::now();
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            // SAFETY: no other worker executes this range. Previous
-            // stages' writes are visible through the stage-start
-            // barrier; the gate's Acquire loads give happens-before
-            // from every committed dependence outside the chunk.
-            unsafe { kernel.execute(range.clone()) }
-        }));
-        let exec = t0.elapsed().as_nanos();
-        match r {
-            Ok(()) => {
-                if lag.is_some() {
-                    // Publish the committed frontier: every iteration we
-                    // own below the chunk's end is now visible.
-                    ctx.shared.posts[ctx.me]
-                        .0
-                        .store(range.end, Ordering::Release);
+            let journaled = if journaling {
+                // SAFETY: chunk ranges are disjoint across workers, and
+                // any iteration running concurrently with a DOACROSS
+                // chunk is fewer than `lag` from all of it, so no write
+                // aliases the chunk's range-exact footprint.
+                match unsafe { self.capture(kernel, range.clone()) } {
+                    Some(j) => j,
+                    None => break, // budget refusal cancelled the run
                 }
-                ws.stats.exec_ns += exec;
-                ws.stats.chunks += 1;
-                ws.stats.chunk_exec.record(exec as u64);
-                ws.committed.push(range);
-            }
-            Err(payload) => {
-                ws.stats.exec_ns += exec;
-                let rolled = if journaled {
+            } else {
+                false
+            };
+            let t0 = Instant::now();
+            let r = catch_unwind(AssertUnwindSafe(|| {
+                // SAFETY: no other worker executes this range. Previous
+                // stages' writes are visible through the stage-start
+                // barrier; the gate's Acquire loads give happens-before
+                // from every committed dependence outside the chunk.
+                unsafe { kernel.execute(range.clone()) }
+            }));
+            let exec = t0.elapsed().as_nanos();
+            self.stats.exec_ns += exec;
+            if let Err(payload) = r {
+                if journaled {
                     // SAFETY: the interrupted chunk is still exclusively
                     // ours; its footprint is disjoint from live chunks.
-                    unsafe { ctx.rollback_last(kernel, &mut ws, &range) }
-                } else {
-                    None
-                };
-                if let Some(bytes) = rolled {
-                    ws.events.push(FaultEvent::ChunkRolledBack {
-                        thread: t,
-                        chunk: c_idx,
-                        bytes,
-                    });
+                    unsafe { self.rollback_last(kernel, c_idx) };
+                } else if !kernel.panics_before_mutation() {
+                    // Torn: partial writes may remain, so neither
+                    // salvage nor a cancel's resume may re-run it.
+                    self.run.salvage_unsound.store(true, Ordering::Release);
                 }
-                let torn = rolled.is_none() && !kernel.panics_before_mutation();
-                ctx.shared.record_fault(StageFault {
-                    thread: t,
-                    chunk: c_idx,
-                    message: crate::runner::panic_message(payload.as_ref()),
-                    torn,
-                    stall: None,
-                });
+                stage_panicked(self.run, self.t, c_idx, payload);
                 break;
             }
+            // Publish the committed frontier: every iteration we own
+            // below the chunk's end is now visible.
+            self.run.split.posts[self.t as usize]
+                .0
+                .store(range.end, Ordering::Release);
+            self.stats.chunks += 1;
+            self.stats.chunk_exec.record(exec as u64);
         }
     }
-    ws.stats.wall_ns = t_stage.elapsed().as_nanos();
-    ws
 }
 
-/// Execute `gaps` (ascending) on the supervisor thread with per-gap
-/// undo capture and a single retry, so a second pending injected fault
-/// degrades to a typed error instead of unwinding through the scope.
-/// Ascending order satisfies every carried lag trivially: all of a
-/// gap's dependences are committed or salvaged before it runs.
-fn salvage_ranges<K: RealKernel>(
+/// A split stage's chunk panicked: record it and poison the stage's
+/// token, as a cascaded chunk's panic does.
+fn stage_panicked(run: &FtRun, t: u64, chunk: u64, payload: Box<dyn std::any::Any + Send>) {
+    let message = panic_message(payload.as_ref());
+    run.record(FaultEvent::WorkerPanicked {
+        thread: t,
+        chunk,
+        message: message.clone(),
+    });
+    run.token.poison_with(PoisonCause::Panicked {
+        thread: t,
+        chunk,
+        message,
+    });
+}
+
+/// Worker `t`'s share of a `Parallel` or `DoAcross` stage of the
+/// engine: its chunks ([`owned_chunks`]) in ascending order, each
+/// DOACROSS chunk behind one gate ([`chunk_gate_dep`]), and each
+/// committed chunk followed by one `Release` post of the worker's
+/// frontier. A panic outside a chunk body leaves the stage torn.
+pub(crate) fn run_stage<K: RealKernel>(
     kernel: &K,
-    gaps: &[Range<u64>],
-    supervisor: u64,
-    iters_per_chunk: u64,
-    faults: &mut Vec<FaultEvent>,
-) -> Result<(), RunError> {
-    for gap in gaps {
-        let mut attempts = 0u32;
-        loop {
-            let mut buf = Vec::new();
-            // SAFETY: every worker joined the end barrier — the
-            // supervisor is the only executor, so a transient capture
-            // of the gap's footprint cannot race anything.
-            let captured = unsafe { kernel.journal_capture(gap.clone(), &mut buf) };
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                // SAFETY: exclusive access (see above).
-                unsafe { kernel.execute(gap.clone()) }
-            }));
-            match r {
-                Ok(()) => break,
-                Err(payload) => {
-                    let chunk = gap.start / iters_per_chunk;
-                    faults.push(FaultEvent::WorkerPanicked {
-                        thread: supervisor,
-                        chunk,
-                        message: crate::runner::panic_message(payload.as_ref()),
-                    });
-                    if captured {
-                        // SAFETY: exclusive access (see above).
-                        unsafe { kernel.journal_rollback(gap.clone(), &buf) };
-                        faults.push(FaultEvent::ChunkRolledBack {
-                            thread: supervisor,
-                            chunk,
-                            bytes: buf.len() as u64,
-                        });
-                    } else if !kernel.panics_before_mutation() {
-                        return Err(RunError::WorkerPanicked {
-                            thread: supervisor,
-                            chunk,
-                        });
-                    }
-                    attempts += 1;
-                    if attempts > 1 {
-                        return Err(RunError::WorkerPanicked {
-                            thread: supervisor,
-                            chunk,
-                        });
-                    }
-                }
-            }
-        }
+    cfg: &RunConfig,
+    run: &FtRun,
+    t: u64,
+    schedule: Schedule,
+) -> ThreadStats {
+    let lag = match schedule {
+        Schedule::DoAcross { lag } => Some(lag),
+        _ => None,
+    };
+    let started = Instant::now();
+    let mut share = Share {
+        run,
+        cfg,
+        t,
+        stats: ThreadStats::default(),
+        journals: Vec::new(),
+    };
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| share.run_chunks(kernel, lag))) {
+        run.salvage_unsound.store(true, Ordering::Release);
+        stage_panicked(run, t, 0, payload);
     }
-    Ok(())
-}
-
-/// Ascending complement of `committed` within `0..iters`.
-fn uncommitted_gaps(committed: &mut [Range<u64>], iters: u64) -> Vec<Range<u64>> {
-    committed.sort_by_key(|r| r.start);
-    let mut gaps = Vec::new();
-    let mut cur = 0u64;
-    for r in committed.iter() {
-        if r.start > cur {
-            gaps.push(cur..r.start);
-        }
-        cur = cur.max(r.end);
-    }
-    if cur < iters {
-        gaps.push(cur..iters);
-    }
-    gaps
+    lock_recover(&run.split.journals).append(&mut share.journals);
+    let s = &mut share.stats;
+    // Whatever is neither a chunk body nor a gate spin is Other, so the
+    // phases tile the worker's wall time exactly.
+    s.other_ns = started
+        .elapsed()
+        .as_nanos()
+        .saturating_sub(s.exec_ns + s.spin_ns);
+    s.wall_ns = s.exec_ns + s.spin_ns + s.other_ns;
+    share.stats
 }
 
 /// Execute a [`TransformPlan`]'s partition on real threads: one kernel
 /// per sub-loop (in partition order, e.g. from [`fission_specs`]
-/// materialized through [`crate::SpecProgram`]), with `Parallel`
-/// sub-loops run as DOALL, `DoAcross` sub-loops as pipelined post/wait
-/// stages, and `Sequential` sub-loops cascaded via
-/// [`try_run_governed`]. The result is bitwise-identical to running
-/// the sub-loops sequentially in plan order — which the plan's replay
-/// oracle has already proved bitwise-identical to the original loop.
+/// materialized through [`crate::SpecProgram`]), each a stage of the
+/// cascade engine, with `Parallel` sub-loops run as DOALL, `DoAcross`
+/// sub-loops as pipelined post/wait stages, and `Sequential` sub-loops
+/// cascaded as in [`crate::try_run_governed_sequence`]. The result is
+/// bitwise-identical to running the sub-loops sequentially in plan
+/// order — which the plan's replay oracle has already proved
+/// bitwise-identical to the original loop.
 ///
 /// Governance composes: the shared
 /// [`CancelToken`](crate::govern::CancelToken) and deadline drain
 /// the pool at post/wait and chunk boundaries with journaled rollback
 /// of the in-flight sub-loop, so governance errors carry a clean
 /// `committed_iters` prefix **of the fissioned sequence** (completed
-/// sub-loops count their full trip; the cancelled sub-loop is rolled
-/// back to its start, or completed when unjournalable). Faults inside
-/// a stage roll back the interrupted range and degrade the sub-loop to
-/// sequential salvage under a salvaging/retrying
-/// [`Tolerance`](crate::runner::Tolerance), or
-/// surface as typed errors under fail-fast.
+/// sub-loops count their full trip; a cancelled split sub-loop is rolled
+/// back to its start, or completed when unjournalable). A fault inside a
+/// stage ends the run as a fault ends a sequence: under a salvaging
+/// [`Tolerance`](crate::runner::Tolerance) the uncommitted remainder and
+/// every later sub-loop run sequentially, otherwise it surfaces as a
+/// typed error.
 ///
 /// Durable checkpoints are not supported in plan mode
-/// (`InvalidConfig`); helper policies are inapplicable (planned stages
-/// have no token waits) and ignored.
+/// (`InvalidConfig`); helper policies apply to `Sequential` sub-loops
+/// only (split stages have no token waits).
 pub fn try_run_planned<K: RealKernel>(
     kernels: &[K],
     plan: &TransformPlan,
     cfg: &RunConfig,
 ) -> Result<PlannedStats, RunError> {
-    cfg.try_validate()?;
-    validate(&cfg.runner)?;
     if !matches!(cfg.ckpt, CkptPolicy::Off) {
         return Err(RunError::InvalidConfig(
             "durable checkpoints are not supported in plan mode; use --mode cascade".into(),
         ));
-    }
-    if kernels.is_empty() {
-        return Err(RunError::InvalidConfig("no sub-loop kernels".into()));
     }
     if kernels.len() != plan.partition.len() {
         return Err(RunError::InvalidConfig(format!(
@@ -886,288 +769,51 @@ pub fn try_run_planned<K: RealKernel>(
         }
     }
 
-    let _governor = cfg.deadline.map(|d| Governor::arm(&cfg.cancel, d));
-    let n = cfg.runner.nthreads;
-    let shared = StageShared::new(n);
-    let barrier = FtBarrier::new(n + 1);
     let schedules: Vec<Schedule> = plan.partition.iter().map(|s| s.schedule).collect();
-    let journaling: Vec<bool> = kernels.iter().map(|k| k.journal_range_exact()).collect();
     let start = Instant::now();
-
-    std::thread::scope(|scope| {
-        for me in 0..n {
-            let shared = &shared;
-            let barrier = &barrier;
-            let schedules = &schedules;
-            let journaling = &journaling;
-            scope.spawn(move || {
-                for (g, sched) in schedules.iter().enumerate() {
-                    if barrier.wait() == BarrierOutcome::Poisoned {
-                        return;
-                    }
-                    let ctx = StageCtx {
-                        me,
-                        nthreads: n,
-                        shared,
-                        cfg,
-                        journaling: journaling[g],
-                    };
-                    let ws = if *sched == Schedule::Sequential {
-                        WorkerStage::default()
-                    } else {
-                        let lag = match sched {
-                            Schedule::DoAcross { lag } => Some(*lag),
-                            _ => None,
-                        };
-                        let r =
-                            catch_unwind(AssertUnwindSafe(|| run_stage(&ctx, &kernels[g], lag)));
-                        r.unwrap_or_else(|payload| {
-                            shared.record_fault(StageFault {
-                                thread: me as u64,
-                                chunk: 0,
-                                message: crate::runner::panic_message(payload.as_ref()),
-                                torn: true,
-                                stall: None,
-                            });
-                            WorkerStage::default()
-                        })
-                    };
-                    *lock_recover(&shared.slots[me]) = Some(ws);
-                    if barrier.wait() == BarrierOutcome::Poisoned {
-                        return;
-                    }
-                }
-            });
-        }
-
-        // ------------------------- supervisor -------------------------
-        let mut sub_stats: Vec<SubLoopStats> = Vec::with_capacity(kernels.len());
-        let mut faults: Vec<FaultEvent> = Vec::new();
-        let mut degraded = false;
-        let mut prior_iters = 0u64;
-
-        let fail = |e: RunError| -> Result<PlannedStats, RunError> {
-            barrier.poison();
-            Err(e)
-        };
-
-        for (g, sched) in schedules.iter().enumerate() {
-            let kernel = &kernels[g];
-            let iters = kernel.iters();
-            // Governance check between sub-loops.
-            if cfg.cancel.is_cancelled() {
-                cfg.cancel.note_observed();
-                return fail(cancel_error(&cfg.cancel, prior_iters));
-            }
-            // Reset stage state; the start barrier publishes it.
-            for p in &shared.posts {
-                p.0.store(0, Ordering::Release);
-            }
-            shared.halt.store(false, Ordering::Release);
-            shared.unjournaled.store(false, Ordering::Release);
-            *lock_recover(&shared.fault) = None;
-            if barrier.wait() == BarrierOutcome::Poisoned {
-                return Err(RunError::InvalidConfig("barrier poisoned".into()));
-            }
-
-            if matches!(sched, Schedule::Sequential) {
-                // Cascade the residue with the token runtime, under this
-                // run's whole configuration but for the deadline, which
-                // the planned-level governor owns (checkpoints are off,
-                // validated above). Verification rides the token cascade:
-                // the residue's handoffs are verified; DOALL/DOACROSS
-                // stages have no sequential handoff to checksum.
-                let sub_cfg = RunConfig {
-                    deadline: None,
-                    ..cfg.clone()
-                };
-                let sub_start_ns = start.elapsed().as_nanos() as u64;
-                let res = try_run_governed(kernel, &sub_cfg);
-                if barrier.wait() == BarrierOutcome::Poisoned {
-                    return Err(RunError::InvalidConfig("barrier poisoned".into()));
-                }
-                // Drain worker slots (they are empty for Sequential).
-                for s in &shared.slots {
-                    lock_recover(s).take();
-                }
-                match res {
-                    Ok(mut stats) => {
-                        // The residue stamps its events from its own start:
-                        // move them onto the planned run's clock.
-                        for e in stats.threads.iter_mut().flat_map(|t| &mut t.events) {
-                            e.start_ns += sub_start_ns;
-                            e.end_ns += sub_start_ns;
-                        }
-                        degraded |= stats.degraded;
-                        faults.extend(stats.faults.iter().cloned());
-                        sub_stats.push(SubLoopStats {
-                            index: g,
-                            schedule: *sched,
-                            iters,
-                            chunks: stats.chunks,
-                            post_waits: 0,
-                            post_wait_stall_ns: 0,
-                            degraded: stats.degraded,
-                            threads: Vec::new(),
-                            run: Some(stats),
-                        });
-                        prior_iters += iters;
-                        continue;
-                    }
-                    Err(e) => return fail(e.rebased(prior_iters)),
-                }
-            }
-
-            // Parallel / DoAcross: the pool executed while we waited.
-            if barrier.wait() == BarrierOutcome::Poisoned {
-                return Err(RunError::InvalidConfig("barrier poisoned".into()));
-            }
-            let mut stages: Vec<WorkerStage> = shared
-                .slots
-                .iter()
-                .map(|s| lock_recover(s).take().unwrap_or_default())
-                .collect();
-            let fault = lock_recover(&shared.fault).take();
-            let mut committed: Vec<Range<u64>> =
-                stages.iter().flat_map(|ws| ws.committed.clone()).collect();
-            // Worker-local events (rollbacks) precede the outcome ones.
-            for ws in &mut stages {
-                faults.append(&mut ws.events);
-            }
-            let release_stage_journals = |stages: &mut Vec<WorkerStage>| {
-                for ws in stages.iter_mut() {
-                    for e in ws.journals.drain(..) {
-                        cfg.budget.release(e.reserved);
-                    }
-                }
+    let runs = run_stages(kernels, &schedules, cfg)?;
+    let elapsed = start.elapsed();
+    let ipc = cfg.runner.iters_per_chunk;
+    let faults: Vec<FaultEvent> = runs.iter().flat_map(|r| r.faults.clone()).collect();
+    let sub_loops: Vec<SubLoopStats> = runs
+        .into_iter()
+        .zip(schedules)
+        .enumerate()
+        .map(|(index, (mut run, schedule))| {
+            let iters = run.iters;
+            let post_waits = match schedule {
+                Schedule::DoAcross { lag } => (0..iters.div_ceil(ipc))
+                    .map(|c| crossing_deps(&chunk_range(c, ipc, iters), lag))
+                    .sum(),
+                _ => 0,
             };
-
-            let mut stage_degraded = false;
-            if let Some(f) = fault {
-                let typed = match f.stall {
-                    Some(waited) => {
-                        faults.push(FaultEvent::StallDeclared {
-                            chunk: f.chunk,
-                            waited,
-                        });
-                        RunError::Stalled {
-                            chunk: f.chunk,
-                            waited,
-                        }
-                    }
-                    None => {
-                        faults.push(FaultEvent::WorkerPanicked {
-                            thread: f.thread,
-                            chunk: f.chunk,
-                            message: f.message.clone(),
-                        });
-                        RunError::WorkerPanicked {
-                            thread: f.thread,
-                            chunk: f.chunk,
-                        }
-                    }
-                };
-                if f.torn {
-                    release_stage_journals(&mut stages);
-                    return fail(typed);
-                }
-                let tol = &cfg.tolerance;
-                if !(tol.salvage || tol.retry.is_some()) {
-                    release_stage_journals(&mut stages);
-                    return fail(typed);
-                }
-                // Sequential salvage of the uncommitted remainder, in
-                // ascending order: every remaining iteration's
-                // dependences are committed or salvaged before it.
-                let gaps = uncommitted_gaps(&mut committed, iters);
-                let salvaged: u64 = gaps.iter().map(|r| r.end - r.start).sum();
-                if salvaged > 0 {
-                    let from_chunk = gaps[0].start / cfg.runner.iters_per_chunk;
-                    if let Err(e) = salvage_ranges(
-                        kernel,
-                        &gaps,
-                        n as u64,
-                        cfg.runner.iters_per_chunk,
-                        &mut faults,
-                    ) {
-                        release_stage_journals(&mut stages);
-                        return fail(e);
-                    }
-                    faults.push(FaultEvent::Salvaged {
-                        from_chunk,
-                        iters: salvaged,
-                    });
-                }
-                stage_degraded = true;
-                degraded = true;
-            } else if cfg.cancel.is_cancelled() {
-                cfg.cancel.note_observed();
-                if journaling[g] && !shared.unjournaled.load(Ordering::Acquire) {
-                    // Roll the whole stage back, newest range first:
-                    // the arena returns to the exact sub-loop entry
-                    // state, and committed_iters stays the prefix of
-                    // completed sub-loops.
-                    let mut entries: Vec<JournalEntry> = stages
-                        .iter_mut()
-                        .flat_map(|ws| ws.journals.drain(..))
-                        .collect();
-                    entries.sort_by_key(|e| e.range.start);
-                    for e in entries.iter().rev() {
-                        // SAFETY: all workers joined via the barrier;
-                        // exclusive access, descending restore order.
-                        unsafe { kernel.journal_rollback(e.range.clone(), &e.buf) };
-                    }
-                    for e in entries {
-                        cfg.budget.release(e.reserved);
-                    }
-                    return fail(cancel_error(&cfg.cancel, prior_iters));
-                }
-                // Unjournalable stage: complete it instead (the
-                // cascade's unjournalable-chunk rule, lifted to a
-                // stage), then report the cancel with the stage
-                // counted as committed.
-                let gaps = uncommitted_gaps(&mut committed, iters);
-                if let Err(e) = salvage_ranges(
-                    kernel,
-                    &gaps,
-                    n as u64,
-                    cfg.runner.iters_per_chunk,
-                    &mut faults,
-                ) {
-                    release_stage_journals(&mut stages);
-                    return fail(e);
-                }
-                release_stage_journals(&mut stages);
-                return fail(cancel_error(&cfg.cancel, prior_iters + iters));
-            }
-
-            release_stage_journals(&mut stages);
-            let threads: Vec<PlannedThread> = stages.iter().map(|ws| ws.stats.clone()).collect();
-            sub_stats.push(SubLoopStats {
-                index: g,
-                schedule: *sched,
+            let chunks = run.threads.iter().map(|t| t.chunks).sum();
+            let degraded = run.degraded;
+            let (threads, run) = match schedule {
+                Schedule::Sequential => (Vec::new(), Some(run)),
+                _ => (std::mem::take(&mut run.threads), None),
+            };
+            SubLoopStats {
+                index,
+                schedule,
                 iters,
-                chunks: threads.iter().map(|t| t.chunks).sum(),
-                post_waits: threads.iter().map(|t| t.post_waits).sum(),
-                post_wait_stall_ns: threads.iter().map(|t| t.stall_ns).sum(),
-                degraded: stage_degraded,
+                chunks,
+                post_waits,
+                degraded,
                 threads,
-                run: None,
-            });
-            prior_iters += iters;
-        }
-
-        let chunks = sub_stats.iter().map(|s| s.chunks).sum();
-        Ok(PlannedStats {
-            elapsed: start.elapsed(),
-            iters: prior_iters,
-            chunks,
-            sub_loops: sub_stats,
-            faults,
-            degraded,
-            cancel_latency_ns: cfg.cancel.latency().map_or(0, |d| d.as_nanos() as u64),
-            budget_high_water: cfg.budget.high_water(),
+                run,
+            }
         })
+        .collect();
+    Ok(PlannedStats {
+        elapsed,
+        iters: sub_loops.iter().map(|s| s.iters).sum(),
+        chunks: sub_loops.iter().map(|s| s.chunks).sum(),
+        faults,
+        degraded: sub_loops.iter().any(|s| s.degraded),
+        cancel_latency_ns: cfg.cancel.latency().map_or(0, |d| d.as_nanos() as u64),
+        budget_high_water: cfg.budget.high_water(),
+        sub_loops,
     })
 }
 
@@ -1176,18 +822,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn doall_split_covers_every_chunk_exactly_once() {
-        for n in 1..=5usize {
-            for m in [0u64, 1, 3, 7, 16] {
-                let mut seen = vec![0u32; m as usize];
-                for t in 0..n as u64 {
-                    let lo = t * m / n as u64;
-                    let hi = (t + 1) * m / n as u64;
-                    for c in lo..hi {
-                        seen[c as usize] += 1;
+    fn both_splits_cover_every_chunk_exactly_once_in_order() {
+        for doacross in [false, true] {
+            for n in 1..=5u64 {
+                for m in [0u64, 1, 3, 7, 16] {
+                    let mut seen = vec![0u32; m as usize];
+                    for w in 0..n {
+                        let owned: Vec<u64> = owned_chunks(w, n, m, doacross).collect();
+                        assert!(owned.windows(2).all(|p| p[0] < p[1]), "{owned:?}");
+                        for c in owned {
+                            seen[c as usize] += 1;
+                        }
                     }
+                    let label = format!("doacross={doacross} n={n} m={m}: {seen:?}");
+                    assert!(seen.iter().all(|&s| s == 1), "{label}");
                 }
-                assert!(seen.iter().all(|&s| s == 1), "n={n} m={m}: {seen:?}");
             }
         }
     }

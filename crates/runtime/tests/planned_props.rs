@@ -21,9 +21,9 @@ use std::time::Duration;
 
 use cascade_analyze::plan::{plan_loop, Schedule};
 use cascade_rt::{
-    doacross_order, fission_specs, try_run_planned, CancelToken, FaultKind, FaultPlan,
-    FaultyKernel, Observe, RealKernel, RtPolicy, RunConfig, RunError, RunnerConfig, SpecProgram,
-    Tolerance, VerifyPolicy,
+    doacross_order, fission_specs, try_run_planned, CancelToken, FaultEvent, FaultKind, FaultPlan,
+    FaultyKernel, Observe, RealKernel, RetryPolicy, RtPolicy, RunConfig, RunError, RunnerConfig,
+    SpecProgram, Tolerance, VerifyPolicy,
 };
 use cascade_trace::{
     AddressSpace, Arena, IndexStore, LoopSpec, Mode, Pattern, StreamRef, Workload,
@@ -289,6 +289,19 @@ proptest! {
             "salvaged planned run diverged (degraded: {}, faults: {:?})",
             stats.degraded, stats.faults
         );
+        prop_assert_eq!(stats.sub_loops.len(), groups);
+        // A fault degrades its own sub-loop and the ones after it, never
+        // an earlier one.
+        prop_assert!(
+            stats.sub_loops[..target_g].iter().all(|s| !s.degraded),
+            "a sub-loop before the faulted one {} is degraded", target_g
+        );
+        if stats.degraded {
+            prop_assert!(
+                stats.faults.iter().any(|f| matches!(f, FaultEvent::Salvaged { .. })),
+                "a degraded run without a Salvaged event: {:?}", stats.faults
+            );
+        }
     }
 
     /// Cancellation storms: a cancel token fired mid-run either loses
@@ -391,6 +404,100 @@ fn lag2_recurrence_plans_doacross_and_runs_bitwise() {
         "DOACROSS pipeline never crossed a chunk boundary: {stats:?}"
     );
     assert_eq!(prog.checksum(), expected, "DOACROSS execution diverged");
+}
+
+/// Salvage is `Tolerance::salvage` alone, as in cascade mode: a stage
+/// fault under a retrying tolerance that does not salvage is a typed
+/// error (the retry ladder has no survivors to hand a split stage's
+/// chunk to).
+#[test]
+fn stage_fault_without_salvage_is_typed_even_when_retrying() {
+    let s = lag2_scenario();
+    let (w, arena) = build(&s);
+    let (prog, plan) = fissioned_program(&w, arena);
+    assert!(matches!(
+        plan.partition[0].schedule,
+        Schedule::DoAcross { lag: 2 }
+    ));
+    let kernels: Vec<_> = (0..plan.partition.len())
+        .map(|g| {
+            let mut fp = FaultPlan::new(s.chunk);
+            if g == 0 {
+                fp = fp.inject(5, FaultKind::Panic);
+            }
+            FaultyKernel::new(prog.kernel(g), fp)
+        })
+        .collect();
+    let cfg = RunConfig {
+        runner: runner(&s),
+        tolerance: Tolerance {
+            retry: Some(RetryPolicy::default()),
+            salvage: false,
+            ..Tolerance::default()
+        },
+        ..RunConfig::default()
+    };
+    let result = try_run_planned(&kernels, &plan, &cfg);
+    assert!(
+        matches!(result, Err(RunError::WorkerPanicked { chunk: 5, .. })),
+        "expected a typed panic on chunk 5, got {result:?}"
+    );
+}
+
+/// `PlannedStats::metrics` over a plan with all three schedules: each
+/// worker's phases tile its wall time exactly, the chunk total is the
+/// sum over sub-loops, and `post_waits` is the structural count of the
+/// DOACROSS sub-loop's chunking.
+#[test]
+fn planned_metrics_partition_wall_time_exactly() {
+    let s = Scenario {
+        scatter: Some(3),
+        threads: 3,
+        ..lag2_scenario()
+    };
+    let (w, arena) = build(&s);
+    let (prog, plan) = fissioned_program(&w, arena);
+    let schedules: Vec<_> = plan.partition.iter().map(|p| p.schedule).collect();
+    for want in [
+        Schedule::Parallel,
+        Schedule::DoAcross { lag: 2 },
+        Schedule::Sequential,
+    ] {
+        assert!(
+            schedules.contains(&want),
+            "{want:?} missing from {schedules:?}"
+        );
+    }
+    let kernels: Vec<_> = (0..plan.partition.len()).map(|g| prog.kernel(g)).collect();
+    let cfg = RunConfig {
+        runner: runner(&s),
+        ..RunConfig::default()
+    };
+    let stats = try_run_planned(&kernels, &plan, &cfg).expect("planned run must succeed");
+    let m = stats.metrics();
+    assert_eq!(m.workers.len(), s.threads);
+    for wm in &m.workers {
+        let parts = wm.helper_time + wm.spin_time + wm.exec_time + wm.retry_time + wm.other_time;
+        assert_eq!(
+            parts, wm.wall_time,
+            "worker {}: phases must tile wall time exactly",
+            wm.worker
+        );
+    }
+    let sub_chunks: u64 = stats.sub_loops.iter().map(|s| s.chunks).sum();
+    assert_eq!(stats.chunks, sub_chunks);
+    assert_eq!(m.chunks, sub_chunks);
+    assert_eq!(
+        sub_chunks,
+        s.iters.div_ceil(s.chunk) * schedules.len() as u64
+    );
+    // Brute force: iterations whose lag-2 dependence lies in an earlier
+    // chunk.
+    let structural = (2..s.iters)
+        .filter(|&j| (j - 2) / s.chunk != j / s.chunk)
+        .count() as u64;
+    assert_eq!(stats.post_waits(), structural);
+    assert_eq!(m.post_waits, structural);
 }
 
 /// A caller's `Observe::with_events()` reaches the sequential residue: its
