@@ -83,7 +83,8 @@
 //! abandons retry (nobody can roll back a possibly-live writer), but
 //! post-join salvage stays sound: by the fault model stalls are finite,
 //! so the holder wakes and either completes late or panics and rolls
-//! back itself before draining.
+//! back itself before draining. A plan's split stages run the same
+//! transaction: `journal_chunk`, `roll_back_chunk`, `chunk_panicked`.
 //!
 //! The protocol state machine (token values, claims, poison, retry
 //! hand-backs, journal/rollback ordering) is modeled and exhaustively
@@ -91,9 +92,10 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use cascade_analyze::plan::Schedule;
@@ -923,7 +925,7 @@ fn torn_fallback(faults: &[FaultEvent]) -> RunError {
         })
 }
 
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -1110,7 +1112,7 @@ pub(crate) struct FtRun {
     claimant: AtomicU64,
     /// Time zero of the run: every recorder timestamp and handoff stamp
     /// is an offset from here.
-    origin: Instant,
+    pub(crate) origin: Instant,
     /// Handoff stamp: when the grant of `release_chunk` was published
     /// (ns since `origin`). Written by the releaser *before* its
     /// `try_advance`; the next claimant reads it after winning the claim
@@ -1333,6 +1335,9 @@ pub(crate) fn run_stages<K: RealKernel>(
                 let (plans, runs, rec, barrier) = (&plans, &runs, &rec, &barrier);
                 s.spawn(move || {
                     let mut all = Vec::with_capacity(kernels.len());
+                    // The worker's pack arena and undo-journal buffer, lent
+                    // to every cascaded stage of the run.
+                    let (mut buf, mut jbuf) = (Vec::new(), Vec::new());
                     for (l, kernel) in kernels.iter().enumerate() {
                         match barrier.wait() {
                             BarrierOutcome::Poisoned => break,
@@ -1346,9 +1351,9 @@ pub(crate) fn run_stages<K: RealKernel>(
                         // but keeps pacing the barriers, so the surviving
                         // cascade stays in lockstep.
                         let mut stats = match schedules[l] {
-                            Schedule::Sequential => {
-                                ft_worker(kernel, cfg, &plans[l], &runs[l], rec, t)
-                            }
+                            Schedule::Sequential => ft_worker(
+                                kernel, cfg, &plans[l], &runs[l], rec, t, &mut buf, &mut jbuf,
+                            ),
                             split => sched::run_stage(kernel, cfg, &runs[l], t, split),
                         };
                         let mut poisoned = runs[l].token.poison_cause().is_some();
@@ -1446,9 +1451,6 @@ pub(crate) fn run_stages<K: RealKernel>(
         .poison_cause()
         .expect("position found a cause");
     let iters_before = |l: usize| -> u64 { kernels[..l].iter().map(|k| k.iters()).sum() };
-    let torn = runs
-        .iter()
-        .any(|r| r.salvage_unsound.load(Ordering::Acquire));
     let cancelled = matches!(cause, PoisonCause::Cancelled { .. });
     // The chunks of stage `l` no worker committed, ascending: a cascaded
     // stage's suffix past its last completed chunk (completion is in
@@ -1464,13 +1466,20 @@ pub(crate) fn run_stages<K: RealKernel>(
     let pending0 = pending(l0);
     let committed0 = plans[l0].num_chunks() - pending0.len() as u64;
     // A cancelled split stage rolls back to its entry when it journaled
-    // every chunk it committed. Either way its journals go now.
+    // every chunk it committed; a restore that panics tears it. Either way
+    // its journals go now.
     // SAFETY: every worker has joined.
     let rolled_back = cancelled
-        && !torn
         && schedules[l0] != Schedule::Sequential
-        && unsafe { runs[l0].split.roll_back(&kernels[l0], committed0) };
+        && unsafe {
+            runs[l0]
+                .split
+                .roll_back(&kernels[l0], &runs[l0], committed0)
+        };
     runs[l0].split.release(&cfg.budget);
+    let torn = runs
+        .iter()
+        .any(|r| r.salvage_unsound.load(Ordering::Acquire));
 
     // --- cancelled path: drained clean, never salvaged ---
     if cancelled {
@@ -1666,8 +1675,9 @@ unsafe fn publish_ckpt<K: RealKernel>(
             chunks,
             iters,
             |c| plan.range(c).start,
-            // SAFETY: the caller's exclusivity, and capture only reads.
-            |r, buf| unsafe { kernel.journal_capture(r, buf) },
+            // SAFETY: the caller's exclusivity, and capture only reads. A
+            // capture that panics skips this checkpoint, as the sink's do.
+            |r, buf| unsafe { capture(kernel, r, buf) }.unwrap_or_else(|p| resume_unwind(p)),
         )
     }))
     .unwrap_or(None);
@@ -2020,11 +2030,11 @@ fn wait_to_claim(
 /// Handle a worker panic at chunk `j` (`claimed` = during the execution
 /// phase, i.e. we hold the claim; `pristine` = the chunk's shared state
 /// is bitwise pre-chunk — the body never started, the kernel promises
-/// fail-stop panics, or the undo journal was rolled back). Climbs the
-/// recovery ladder; returns `true` when the fault was absorbed
-/// in-cascade (self-quarantine, roster remap, claimed chunk handed back
-/// for a survivor to retry) and `false` when it fell through to token
-/// poisoning.
+/// fail-stop panics, or the undo journal was rolled back). Records the
+/// panic ([`chunk_panicked`]) and climbs the recovery ladder; returns
+/// `true` when the fault was absorbed in-cascade (self-quarantine, roster
+/// remap, claimed chunk handed back for a survivor to retry) and `false`
+/// when it fell through to token poisoning.
 fn recover_from_panic(
     run: &FtRun,
     rec: &Recovery,
@@ -2034,21 +2044,10 @@ fn recover_from_panic(
     pristine: bool,
     payload: Box<dyn std::any::Any + Send>,
 ) -> bool {
-    let message = panic_message(payload.as_ref());
-    run.record(FaultEvent::WorkerPanicked {
-        thread: t,
-        chunk: j,
-        message: message.clone(),
-    });
-    if claimed && !pristine {
-        // The chunk body was interrupted and is torn: no fail-stop
-        // promise and no rolled-back journal, so part of its writes may
-        // have landed and neither retry nor salvage may re-run it.
-        run.salvage_unsound.store(true, Ordering::Release);
-    }
+    let cause = chunk_panicked(run, t, j, pristine, payload);
     let mut abandon = None;
     if rec.enabled() {
-        if claimed && !pristine {
+        if !pristine {
             abandon = Some(RetryAbandon::KernelNotFailStop);
         } else if !rec.try_consume_budget() {
             abandon = Some(RetryAbandon::BudgetExhausted);
@@ -2079,12 +2078,134 @@ fn recover_from_panic(
             run.record(FaultEvent::RetryAbandoned { chunk: j, reason });
         }
     }
-    run.token.poison_with(PoisonCause::Panicked {
+    run.token.poison_with(cause);
+    false
+}
+
+/// The one record of worker `t` panicking on chunk `j`, in any stage: a
+/// [`FaultEvent::WorkerPanicked`], the torn mark unless the chunk is
+/// `pristine` (part of its writes may have landed, so neither retry,
+/// salvage nor a cancel's resume may re-run it), and the
+/// [`PoisonCause::Panicked`] the caller poisons the token with.
+pub(crate) fn chunk_panicked(
+    run: &FtRun,
+    t: u64,
+    j: u64,
+    pristine: bool,
+    payload: Box<dyn std::any::Any + Send>,
+) -> PoisonCause {
+    let message = panic_message(payload.as_ref());
+    run.record(FaultEvent::WorkerPanicked {
+        thread: t,
+        chunk: j,
+        message: message.clone(),
+    });
+    if !pristine {
+        run.salvage_unsound.store(true, Ordering::Release);
+    }
+    PoisonCause::Panicked {
         thread: t,
         chunk: j,
         message,
+    }
+}
+
+/// Reserve a worker buffer's capacity growth `needed` from the run's
+/// memory budget. A refusal cancels the run with [`CancelKind::Budget`]
+/// and poisons `run` instead of allocating on: `false` means drain.
+fn reserve_growth(cfg: &RunConfig, run: &FtRun, needed: u64, what: &str) -> bool {
+    let refused = !cfg.budget.try_reserve(needed);
+    if refused {
+        let limit = cfg.budget.limit().unwrap_or(0);
+        let reason = format!("{what} exceeds the memory budget");
+        cfg.cancel
+            .cancel_with(CancelKind::Budget { needed, limit }, &reason);
+        poison_cancelled(run, &cfg.cancel);
+    }
+    !refused
+}
+
+/// The one call of [`RealKernel::journal_capture`], under its contract;
+/// `Err` carries the payload of a capture that panicked.
+unsafe fn capture<K: RealKernel>(k: &K, r: Range<u64>, buf: &mut Vec<u8>) -> thread::Result<bool> {
+    // SAFETY: forwarded under the caller's guarantee.
+    catch_unwind(AssertUnwindSafe(|| unsafe { k.journal_capture(r, buf) }))
+}
+
+/// The one call of [`RealKernel::journal_rollback`], under its contract;
+/// `Err` carries the payload of a restore that panicked.
+unsafe fn restore<K: RealKernel>(k: &K, r: Range<u64>, bytes: &[u8]) -> thread::Result<()> {
+    // SAFETY: forwarded under the caller's guarantee.
+    catch_unwind(AssertUnwindSafe(|| unsafe { k.journal_rollback(r, bytes) }))
+}
+
+/// A chunk transaction's first step, in every stage: capture `range`'s
+/// undo journal into `buf`, count its time and bytes, and reserve the
+/// buffer's capacity growth (capture allocates whether or not it
+/// succeeds). `Ok(false)`: unjournalable. `Err(Some(payload))`: the
+/// capture panicked, leaving the chunk pristine (capture only reads).
+/// `Err(None)`: the budget refused, and the run is cancelled.
+///
+/// # Safety
+///
+/// The caller holds chunk `range` exclusively.
+pub(crate) unsafe fn journal_chunk<K: RealKernel>(
+    kernel: &K,
+    cfg: &RunConfig,
+    run: &FtRun,
+    range: Range<u64>,
+    buf: &mut Vec<u8>,
+    stats: &mut ThreadStats,
+) -> Result<bool, Option<Box<dyn std::any::Any + Send>>> {
+    let (t0, cap0) = (Instant::now(), buf.capacity());
+    // SAFETY: the caller's exclusivity.
+    let captured = unsafe { capture(kernel, range, buf) }.map_err(Some)?;
+    let grown = buf.capacity().saturating_sub(cap0) as u64;
+    if !reserve_growth(cfg, run, grown, "undo-journal capture") {
+        return Err(None);
+    }
+    if captured {
+        stats.journal_ns += t0.elapsed().as_nanos();
+        stats.journal_bytes += buf.len() as u64;
+    }
+    Ok(captured)
+}
+
+/// Roll chunk `j` back to `jbuf`, its journal of `range`, counting
+/// `rollbacks`, `journal_ns` and a [`FaultEvent::ChunkRolledBack`]. A
+/// restore that panics tears the chunk: worker `t`'s panic on `j` poisons
+/// the stage ([`chunk_panicked`]), and the result is `false`.
+///
+/// # Safety
+///
+/// The caller still holds chunk `j` exclusively — in a cascaded stage,
+/// its claim, so the restore happens-before any survivor's re-execution
+/// claim — and `jbuf` is the unmodified capture of `range`.
+pub(crate) unsafe fn roll_back_chunk<K: RealKernel>(
+    kernel: &K,
+    run: &FtRun,
+    t: u64,
+    j: u64,
+    range: Range<u64>,
+    jbuf: &[u8],
+    stats: &mut ThreadStats,
+) -> bool {
+    let t0 = Instant::now();
+    // SAFETY: forwarded under the caller's guarantee.
+    let restored = unsafe { restore(kernel, range, jbuf) };
+    stats.journal_ns += t0.elapsed().as_nanos();
+    if let Err(payload) = restored {
+        run.token
+            .poison_with(chunk_panicked(run, t, j, false, payload));
+        return false;
+    }
+    stats.rollbacks += 1;
+    run.record(FaultEvent::ChunkRolledBack {
+        thread: t,
+        chunk: j,
+        bytes: jbuf.len() as u64,
     });
-    false
+    true
 }
 
 /// The checksummed handoff's digest of a chunk's write-footprint bytes
@@ -2145,10 +2266,7 @@ fn verify_committed<K: RealKernel>(
     // SAFETY: the caller holds the downstream claim (or the end-of-loop
     // quiescence), so no execute overlaps `p.range`'s footprint, and capture
     // only reads.
-    let ok = catch_unwind(AssertUnwindSafe(|| unsafe {
-        kernel.journal_capture(p.range.clone(), &mut committed)
-    }))
-    .unwrap_or(false);
+    let ok = unsafe { capture(kernel, p.range.clone(), &mut committed) }.unwrap_or(false);
     if !ok {
         // The kernel lost its footprint bound mid-run: nothing to check
         // against (the executor could not have published a packet either
@@ -2264,12 +2382,9 @@ fn convict<K: RealKernel>(
     if rec.enabled() || tol.salvage {
         // Install the verified replay bytes: rollback and re-execution
         // in one restore — bitwise what a clean execution left behind.
-        let installed = catch_unwind(AssertUnwindSafe(|| unsafe {
-            // SAFETY: caller's exclusivity (downstream claim or
-            // end-of-loop quiescence); `verified` is in journal layout over `p.range`.
-            kernel.journal_rollback(p.range.clone(), verified)
-        }))
-        .is_ok();
+        // SAFETY: caller's exclusivity (downstream claim or end-of-loop
+        // quiescence); `verified` is in journal layout over `p.range`.
+        let installed = unsafe { restore(kernel, p.range.clone(), verified) }.is_ok();
         if installed {
             run.record(FaultEvent::CorruptionDetected {
                 chunk: p.chunk,
@@ -2309,10 +2424,7 @@ fn fail_rollback<K: RealKernel>(
     let rolled_back = match p.pre_image.as_deref() {
         // SAFETY: caller's exclusivity; `pre` is the unmodified capture
         // of this same range taken before the chunk executed.
-        Some(pre) => catch_unwind(AssertUnwindSafe(|| unsafe {
-            kernel.journal_rollback(p.range.clone(), pre)
-        }))
-        .is_ok(),
+        Some(pre) => unsafe { restore(kernel, p.range.clone(), pre) }.is_ok(),
         None => false,
     };
     if !rolled_back {
@@ -2331,43 +2443,11 @@ fn fail_rollback<K: RealKernel>(
     VerifyVerdict::Failed
 }
 
-/// Roll chunk `j` back to its undo journal `jbuf` and record the rollback.
-/// `Err` carries the payload of a rollback that itself panicked: the chunk
-/// is then torn, which the ladder treats exactly like an unjournalable
-/// kernel.
-///
-/// # Safety
-///
-/// The caller still holds the claim on `j` — so the restore is exclusive
-/// and happens-before any survivor's re-execution claim, and no torn
-/// write-set is ever observable — and `jbuf` is the unmodified capture of
-/// `range`.
-unsafe fn rollback_chunk<K: RealKernel>(
-    kernel: &K,
-    run: &FtRun,
-    t: u64,
-    j: u64,
-    range: &Range<u64>,
-    jbuf: &[u8],
-    stats: &mut ThreadStats,
-) -> std::thread::Result<()> {
-    let t0 = Instant::now();
-    // SAFETY: forwarded under the caller's guarantee.
-    let rb = catch_unwind(AssertUnwindSafe(|| unsafe {
-        kernel.journal_rollback(range.clone(), jbuf)
-    }));
-    stats.journal_ns += t0.elapsed().as_nanos();
-    if rb.is_ok() {
-        stats.rollbacks += 1;
-        run.record(FaultEvent::ChunkRolledBack {
-            thread: t,
-            chunk: j,
-            bytes: jbuf.len() as u64,
-        });
-    }
-    rb
-}
-
+/// Worker `t`'s share of a cascaded stage. `buf` (the pack arena) and
+/// `jbuf` (the undo-journal buffer) are the worker's for the whole run:
+/// refilled chunk after chunk, they amortize to a steady state, and their
+/// metered capacity growth is the peak they pin.
+#[allow(clippy::too_many_arguments)] // a stage share is parameterized by all of these
 fn ft_worker<K: RealKernel>(
     kernel: &K,
     cfg: &RunConfig,
@@ -2375,6 +2455,8 @@ fn ft_worker<K: RealKernel>(
     run: &FtRun,
     rec: &Recovery,
     t: u64,
+    buf: &mut Vec<u8>,
+    jbuf: &mut Vec<u8>,
 ) -> ThreadStats {
     let (tol, cancel, policy) = (&cfg.tolerance, &cfg.cancel, cfg.runner.policy);
     // The recorder's transitions replace ad-hoc `Instant` pairs: one
@@ -2383,11 +2465,6 @@ fn ft_worker<K: RealKernel>(
     let mut phases = PhaseRecorder::new(run.origin, &cfg.observe);
     run.roster.sync_with(&rec.health);
     let mut stats = ThreadStats::default();
-    let mut buf: Vec<u8> = Vec::new();
-    // Reusable undo-journal buffer (capture clears and refills it per
-    // chunk, so like `buf` it amortizes to zero allocations at steady
-    // state).
-    let mut jbuf: Vec<u8> = Vec::new();
     let m = plan.num_chunks();
     let mut cursor = 0u64;
     loop {
@@ -2432,7 +2509,7 @@ fn ft_worker<K: RealKernel>(
         phases.transition(PhaseKind::Helper, Some(j));
         let buf_cap0 = buf.capacity();
         let helper = catch_unwind(AssertUnwindSafe(|| {
-            helper_phase(kernel, cfg, run, plan, j, epoch, &range, &mut buf)
+            helper_phase(kernel, cfg, run, plan, j, epoch, &range, buf)
         }));
         let helper = match helper {
             Ok(out) => out,
@@ -2446,19 +2523,9 @@ fn ft_worker<K: RealKernel>(
                 return phases.finish(stats);
             }
         };
-        // Meter the pack arena's capacity growth (the buffer is long-lived
-        // and amortizes to a steady state, so `used` tracks the peak bytes
-        // it pins). A refusal cancels the run instead of allocating on.
+        // Meter the pack arena's capacity growth.
         let buf_growth = buf.capacity().saturating_sub(buf_cap0) as u64;
-        if !cfg.budget.try_reserve(buf_growth) {
-            cancel.cancel_with(
-                CancelKind::Budget {
-                    needed: buf_growth,
-                    limit: cfg.budget.limit().unwrap_or(0),
-                },
-                "helper pack-arena growth exceeds the memory budget",
-            );
-            poison_cancelled(run, cancel);
+        if !reserve_growth(cfg, run, buf_growth, "helper pack-arena growth") {
             return phases.finish(stats);
         }
         stats.helper_iters += helper.helped_iters;
@@ -2545,38 +2612,14 @@ fn ft_worker<K: RealKernel>(
         // counter (`journal_ns`), so the exact phase partition is
         // untouched.
         let journaled = if rec.enabled() || tol.salvage || cfg.verify.armed() {
-            let t0 = Instant::now();
-            let jbuf_cap0 = jbuf.capacity();
             // SAFETY: we hold the claim — the same exclusivity contract
             // as `execute` — and capture only reads.
-            let cap = catch_unwind(AssertUnwindSafe(|| unsafe {
-                kernel.journal_capture(range.clone(), &mut jbuf)
-            }));
-            match cap {
-                Ok(captured) => {
-                    // Meter the journal arena's capacity growth (capture
-                    // allocates whether or not it ultimately succeeds).
-                    // The chunk body has not started, so a refusal drains
-                    // with the chunk pristine and uncommitted.
-                    let jbuf_growth = jbuf.capacity().saturating_sub(jbuf_cap0) as u64;
-                    if !cfg.budget.try_reserve(jbuf_growth) {
-                        cancel.cancel_with(
-                            CancelKind::Budget {
-                                needed: jbuf_growth,
-                                limit: cfg.budget.limit().unwrap_or(0),
-                            },
-                            "undo-journal capture exceeds the memory budget",
-                        );
-                        poison_cancelled(run, cancel);
-                        return phases.finish(stats);
-                    }
-                    if captured {
-                        stats.journal_ns += t0.elapsed().as_nanos();
-                        stats.journal_bytes += jbuf.len() as u64;
-                    }
-                    captured
-                }
-                Err(payload) => {
+            match unsafe { journal_chunk(kernel, cfg, run, range.clone(), jbuf, &mut stats) } {
+                Ok(captured) => captured,
+                // Refused: the body has not started, so the run drains
+                // with the chunk pristine and uncommitted.
+                Err(None) => return phases.finish(stats),
+                Err(Some(payload)) => {
                     // Capture only reads, so the chunk body never started:
                     // the chunk is pristine and the full ladder applies.
                     phases.transition(PhaseKind::Retry, Some(j));
@@ -2594,7 +2637,7 @@ fn ft_worker<K: RealKernel>(
             // Release/Acquire edges making prior chunks' writes visible.
             unsafe {
                 if helper.packed_iters > 0 {
-                    kernel.execute_packed(range.start..packed_end, &buf);
+                    kernel.execute_packed(range.start..packed_end, buf);
                     if packed_end < range.end {
                         kernel.execute(packed_end..range.end);
                     }
@@ -2606,57 +2649,40 @@ fn ft_worker<K: RealKernel>(
         if let Err(payload) = exec {
             phases.transition(PhaseKind::Retry, Some(j));
             // Roll the journal back *before* any recovery hand-back.
-            // SAFETY: claim still held; `jbuf` is the unmodified capture
-            // of this same range.
-            let rolled_back = journaled
-                && unsafe { rollback_chunk(kernel, run, t, j, &range, &jbuf, &mut stats) }.is_ok();
-            let pristine = rolled_back || kernel.panics_before_mutation();
+            let pristine = if journaled {
+                // SAFETY: claim still held; `jbuf` is the unmodified
+                // capture of this same range.
+                unsafe { roll_back_chunk(kernel, run, t, j, range, jbuf, &mut stats) }
+            } else {
+                kernel.panics_before_mutation()
+            };
             recover_from_panic(run, rec, t, j, true, pristine, payload);
             return phases.finish(stats);
         }
         let (_, exec_ns) = phases.transition(PhaseKind::Other, Some(j));
-        if cancel.is_cancelled() {
-            // Cancellation raced the chunk body. We still hold the claim,
-            // so abort-must-be-unobservable can hold: roll the journal
-            // back (the chunk reverts to uncommitted, bitwise) or, when
-            // unjournalable, commit the finished chunk — never leave a
-            // half-observed state. The rollback happens *before* the
-            // poison drains the claim (the model checker's seeded
-            // unclaim-before-cancel-rollback bug shows why the order
-            // matters).
-            if journaled {
-                // SAFETY: claim still held; `jbuf` is the unmodified
-                // capture of this same range. Rolled back, the chunk is
-                // uncommitted again: not counted.
-                let rb = unsafe { rollback_chunk(kernel, run, t, j, &range, &jbuf, &mut stats) };
-                if let Err(payload) = rb {
-                    // The rollback itself tore the chunk: resuming from
-                    // `completed` could double-apply writes, so the
-                    // supervisor must report the tear instead of a clean
-                    // cancel.
-                    run.record(FaultEvent::WorkerPanicked {
-                        thread: t,
-                        chunk: j,
-                        message: format!(
-                            "journal rollback panicked during cancellation abort: {}",
-                            panic_message(payload.as_ref())
-                        ),
-                    });
-                    run.salvage_unsound.store(true, Ordering::Release);
-                }
-            } else {
-                // Unjournalable: the finished chunk cannot be reverted,
-                // so it commits and the resume point moves past it.
-                stats.chunk_exec.record(exec_ns);
-                stats.chunks += 1;
-                run.completed.fetch_max(j + 1, Ordering::AcqRel);
-            }
+        // Cancellation may have raced the chunk body. We still hold the
+        // claim, so abort-must-be-unobservable can hold: roll the journal
+        // back (the chunk reverts to uncommitted, bitwise, and is not
+        // counted) or, when unjournalable, commit the finished chunk and
+        // move the resume point past it — never leave a half-observed
+        // state. The rollback happens *before* the poison drains the
+        // claim (the model checker's seeded unclaim-before-cancel-rollback
+        // bug shows why the order matters); a restore that panics tears
+        // the chunk, and the supervisor reports the tear, not a cancel.
+        let cancelled = cancel.is_cancelled();
+        if cancelled && journaled {
+            // SAFETY: claim still held; `jbuf` is the unmodified capture
+            // of this same range.
+            unsafe { roll_back_chunk(kernel, run, t, j, range.clone(), jbuf, &mut stats) };
+        } else {
+            stats.chunk_exec.record(exec_ns);
+            stats.chunks += 1;
+            run.completed.fetch_max(j + 1, Ordering::AcqRel);
+        }
+        if cancelled {
             poison_cancelled(run, cancel);
             return phases.finish(stats);
         }
-        stats.chunk_exec.record(exec_ns);
-        stats.chunks += 1;
-        run.completed.fetch_max(j + 1, Ordering::AcqRel);
         rec.health.heartbeat(t);
         if let Some(from) = lock_recover(&run.retry_from).remove(&j) {
             if from != t {
@@ -2695,11 +2721,7 @@ fn ft_worker<K: RealKernel>(
             let mut committed_bytes = Vec::new();
             // SAFETY: claim still held — the same exclusivity contract
             // as `execute` — and capture only reads.
-            let ok = catch_unwind(AssertUnwindSafe(|| unsafe {
-                kernel.journal_capture(range.clone(), &mut committed_bytes)
-            }))
-            .unwrap_or(false);
-            if ok {
+            if unsafe { capture(kernel, range.clone(), &mut committed_bytes) }.unwrap_or(false) {
                 *lock_recover(&run.verify_slot) = Some(VerifyPacket {
                     chunk: j,
                     range: range.clone(),

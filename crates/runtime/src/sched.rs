@@ -45,32 +45,37 @@
 //!
 //! Governance (cancel/deadline/budget) is polled inside gate spins and
 //! at chunk boundaries; a watchdog window declares a stall when a gate
-//! sees no frontier movement for the whole window. A fault rolls back
-//! the interrupted chunk via its undo journal and poisons the stage's
-//! token with the same [`PoisonCause`] a cascaded chunk's fault uses, so
-//! the pool drains and the engine's one degraded path takes over: it
-//! salvages the uncommitted remainder, then every later stage,
+//! sees no frontier movement for the whole window.
+//!
+//! ## One chunk transaction
+//!
+//! A split chunk runs the cascade's chunk transaction, through the same
+//! functions of [`crate::runner`]: a guarded, budget-metered journal
+//! capture, the body, and on a panic a guarded restore and the one panic
+//! record, which names the chunk and poisons the stage's token as a
+//! cascaded fault does. The pool drains and the engine's one degraded
+//! path salvages the uncommitted remainder, then every later stage,
 //! sequentially (ascending order satisfies every lag trivially), or
-//! returns the typed error.
+//! returns the typed error. The phase clock is a cascaded worker's too:
+//! capture and body are Execute, a gate wait is Spin, fault handling is
+//! Retry and the rest Other, and `Observe` events cover split stages.
 //!
-//! ## Journaling in plan mode
-//!
-//! Cascaded chunks are journaled per chunk while exactly one thread
-//! runs; planned stages execute concurrently, so a chunk-granular
-//! capture could read bytes another worker is writing. Stages journal
-//! only when the kernel's write footprints are *range-exact*
+//! Planned stages execute concurrently, so a chunk-granular capture could
+//! read bytes another worker is writing. Stages journal only when the
+//! kernel's write footprints are *range-exact*
 //! ([`RealKernel::journal_range_exact`]): each footprint covers exactly
 //! the bytes the range writes, so disjoint ranges have disjoint
 //! journals. Both stage kinds capture per chunk: DOALL iterations are
 //! independent, and concurrent DOACROSS iterations sit closer than `L`
 //! while aliasing write sets lie at least `L` apart, so a capture never
-//! races a writer.
-//! Journals are retained until the stage ends: a cancelled stage is
-//! rolled back entry-by-entry in descending order, restoring the exact
-//! stage-entry state so `committed_iters` stays a clean prefix of the
-//! fissioned sequence. A stage with a committed chunk it could not
-//! journal *completes* on cancellation instead (mirroring the cascade's
-//! unjournalable chunk rule).
+//! races a writer. Unlike a cascaded chunk's journal, which reuses the
+//! worker's run-long buffer, a split chunk's journal is retained until
+//! the stage ends, its bytes reserved from the budget until then: a
+//! cancelled stage is rolled back entry by entry in descending order,
+//! restoring the exact stage-entry state so `committed_iters` stays a
+//! clean prefix of the fissioned sequence. A stage with a committed chunk
+//! it could not journal *completes* on cancellation instead (mirroring
+//! the cascade's unjournalable chunk rule).
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -79,17 +84,18 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cascade_analyze::plan::{Schedule, TransformPlan};
-use cascade_core::{CascadeMetrics, ChunkPlan};
+use cascade_core::{CascadeMetrics, ChunkPlan, PhaseKind};
 use cascade_trace::LoopSpec;
 
 use crate::ckpt::CkptPolicy;
-use crate::govern::{CancelKind, MemBudget, RunConfig};
+use crate::govern::{MemBudget, RunConfig};
 use crate::kernel::RealKernel;
+use crate::metrics::PhaseRecorder;
 use crate::runner::{
-    panic_message, poison_cancelled, poison_stalled, run_stages, FaultEvent, FtRun, RunError,
-    RunStats, ThreadStats,
+    chunk_panicked, journal_chunk, poison_cancelled, poison_stalled, roll_back_chunk, run_stages,
+    FaultEvent, FtRun, RunError, RunStats, ThreadStats,
 };
-use crate::token::{lock_recover, PoisonCause};
+use crate::token::lock_recover;
 
 /// A committed-iteration frontier on its own cache line, so DOACROSS
 /// post stores never false-share with a neighbour's gate spins.
@@ -217,10 +223,12 @@ pub struct SubLoopStats {
     pub post_waits: u64,
     /// Whether a fault degraded this sub-loop to sequential salvage.
     pub degraded: bool,
-    /// Per-worker statistics of a `Parallel` or `DoAcross` sub-loop:
-    /// chunk bodies are Execute, post/wait gate spins are Spin, the rest
-    /// is Other, and `wall_ns` is the worker's whole stage share. Empty
-    /// for a `Sequential` sub-loop, whose workers report in `run`.
+    /// Per-worker statistics of a `Parallel` or `DoAcross` sub-loop, on
+    /// the same phase clock as a cascaded stage's workers: journal capture
+    /// and chunk body are Execute, post/wait gate spins are Spin, fault
+    /// handling is Retry, the rest is Other, and `wall_ns` is the worker's
+    /// whole stage share. Empty for a `Sequential` sub-loop, whose workers
+    /// report in `run`.
     pub threads: Vec<ThreadStats>,
     /// The token runtime's stats for a `Sequential` sub-loop.
     pub run: Option<RunStats>,
@@ -335,8 +343,10 @@ fn merge(into: &mut ThreadStats, s: &ThreadStats) {
     into.chunk_exec.merge(&s.chunk_exec);
 }
 
-/// A retained undo-journal entry of a planned stage.
+/// A retained undo-journal entry of a planned stage: chunk `chunk`'s
+/// capture of `range`.
 struct JournalEntry {
+    chunk: u64,
     range: Range<u64>,
     buf: Vec<u8>,
 }
@@ -369,7 +379,7 @@ impl SplitState {
         let doacross = matches!(schedule, Schedule::DoAcross { .. });
         let mut chunks: Vec<u64> = (0..n)
             .flat_map(|w| {
-                let frontier = self.posts[w as usize].0.load(Ordering::Acquire);
+                let frontier = self.frontier(w);
                 owned_chunks(w, n, m, doacross).filter(move |&c| plan.range(c).end > frontier)
             })
             .collect();
@@ -377,30 +387,43 @@ impl SplitState {
         chunks
     }
 
-    /// Roll the stage back to its entry state, newest journal first —
-    /// when the kernel journals range-exactly and every one of the
-    /// stage's `committed` chunks has a journal. Returns whether it did.
+    /// Worker `w`'s committed frontier.
+    fn frontier(&self, w: u64) -> u64 {
+        self.posts[w as usize].0.load(Ordering::Acquire)
+    }
+
+    /// Roll the stage (`run`'s) back to its entry state, newest journal
+    /// first — when the kernel journals range-exactly and every one of
+    /// the stage's `committed` chunks has a journal. Returns whether it
+    /// did; a restore that panics tears the stage instead.
     ///
     /// # Safety
     ///
     /// No worker is in the stage any more, so the restores are exclusive.
-    pub(crate) unsafe fn roll_back<K: RealKernel>(&self, kernel: &K, committed: u64) -> bool {
+    pub(crate) unsafe fn roll_back<K: RealKernel>(
+        &self,
+        kernel: &K,
+        run: &FtRun,
+        committed: u64,
+    ) -> bool {
         let mut journals = lock_recover(&self.journals);
         if !kernel.journal_range_exact() || journals.len() as u64 != committed {
             return false;
         }
         journals.sort_by_key(|e| e.range.start);
-        for e in journals.iter().rev() {
+        // The supervisor restores under the thread id past the workers',
+        // as it salvages; no report carries its tally.
+        let (t, mut tally) = (self.posts.len() as u64, ThreadStats::default());
+        journals.iter().rev().all(|e| {
             // SAFETY: exclusive access (the caller's guarantee).
-            unsafe { kernel.journal_rollback(e.range.clone(), &e.buf) };
-        }
-        true
+            unsafe { roll_back_chunk(kernel, run, t, e.chunk, e.range.clone(), &e.buf, &mut tally) }
+        })
     }
 
     /// Drop the retained journals, returning their bytes to `budget`.
     pub(crate) fn release(&self, budget: &MemBudget) {
         for e in lock_recover(&self.journals).drain(..) {
-            budget.release(e.buf.len() as u64);
+            budget.release(e.buf.capacity() as u64);
         }
     }
 }
@@ -466,222 +489,66 @@ fn gate_target(w: u64, d: u64, c: u64, n: u64, iters: u64) -> u64 {
     }
 }
 
-/// One worker's share of a split stage: its context, and the stats and
-/// journals it has gathered so far.
-struct Share<'a> {
-    run: &'a FtRun,
-    cfg: &'a RunConfig,
-    t: u64,
-    stats: ThreadStats,
-    journals: Vec<JournalEntry>,
+/// Poll governance at a boundary: returns `true` when the stage must
+/// halt — its token is poisoned (a peer's fault or a cancel), or a cancel
+/// arrived, which this worker then poisons the token with.
+fn halted(run: &FtRun, cfg: &RunConfig) -> bool {
+    if run.token.is_poisoned() {
+        return true;
+    }
+    if cfg.cancel.is_cancelled() {
+        poison_cancelled(run, &cfg.cancel);
+        return true;
+    }
+    false
 }
 
-impl Share<'_> {
-    /// Poll governance at a boundary: returns `true` when the stage
-    /// must halt — its token is poisoned (a peer's fault or a cancel), or
-    /// a cancel arrived, which this worker then poisons the token with.
-    fn halted(&self) -> bool {
-        if self.run.token.is_poisoned() {
-            return true;
-        }
-        if self.cfg.cancel.is_cancelled() {
-            poison_cancelled(self.run, &self.cfg.cancel);
-            return true;
-        }
-        false
-    }
-
-    /// A DOACROSS chunk's gate: spin with `Acquire` loads until the
-    /// frontiers prove every iteration `≤ d` committed. Returns `false`
-    /// when the stage must halt instead (cancel, a peer's fault, or a
-    /// watchdog-declared stall, which poisons the token).
-    fn wait_committed(&mut self, d: u64, chunk: u64, iters: u64) -> bool {
-        let posts = &self.run.split.posts;
-        let frontier = |w: u64| posts[w as usize].0.load(Ordering::Acquire);
-        let c = self.cfg.runner.iters_per_chunk;
-        let n = self.cfg.runner.nthreads as u64;
+/// A DOACROSS chunk's gate: spin with `Acquire` loads until the frontiers
+/// prove every iteration `≤ d` committed. Returns `false` when the stage
+/// must halt instead (cancel, a peer's fault, or a watchdog-declared
+/// stall, which poisons the token).
+fn wait_committed(run: &FtRun, cfg: &RunConfig, d: u64, chunk: u64, iters: u64) -> bool {
+    let frontier = |w: u64| run.split.frontier(w);
+    let c = cfg.runner.iters_per_chunk;
+    let n = cfg.runner.nthreads as u64;
+    let mut window_start = Instant::now();
+    let mut last_snapshot: Option<u64> = None;
+    let mut spins = 0u32;
+    let open = loop {
         if gate_open(d, c, iters, n, frontier) {
-            return true;
+            break true;
         }
-        let t0 = Instant::now();
-        let mut window_start = t0;
-        let mut last_snapshot: Option<u64> = None;
-        let mut spins = 0u32;
-        let open = loop {
-            if gate_open(d, c, iters, n, frontier) {
-                break true;
+        // Any frontier movement resets the watchdog window; a whole
+        // window with frozen frontiers is a stall.
+        let snapshot = (0..n).map(frontier).fold(0, u64::wrapping_add);
+        if last_snapshot != Some(snapshot) {
+            last_snapshot = Some(snapshot);
+            window_start = Instant::now();
+        }
+        spins = spins.wrapping_add(1);
+        if spins.is_multiple_of(64) {
+            if halted(run, cfg) {
+                break false;
             }
-            // Any frontier movement resets the watchdog window; a whole
-            // window with frozen frontiers is a stall.
-            let snapshot = (0..n).map(frontier).fold(0, u64::wrapping_add);
-            if last_snapshot != Some(snapshot) {
-                last_snapshot = Some(snapshot);
-                window_start = Instant::now();
-            }
-            spins = spins.wrapping_add(1);
-            if spins.is_multiple_of(64) {
-                if self.halted() {
+            std::thread::yield_now();
+            if let Some(w) = cfg.tolerance.watchdog {
+                if window_start.elapsed() >= w {
+                    poison_stalled(run, chunk, w, None);
                     break false;
                 }
-                std::thread::yield_now();
-                if let Some(w) = self.cfg.tolerance.watchdog {
-                    if window_start.elapsed() >= w {
-                        poison_stalled(self.run, chunk, w, None);
-                        break false;
-                    }
-                }
             }
-            std::hint::spin_loop();
-        };
-        self.stats.spin_ns += t0.elapsed().as_nanos();
-        open && !self.run.token.is_poisoned()
-    }
-
-    /// Capture and retain the undo journal for `range`, metering the
-    /// buffer against the run's memory budget. `Some(false)` when the
-    /// range could not be captured; `None` means the stage must halt
-    /// (the reservation was refused and the run is now cancelled).
-    ///
-    /// # Safety
-    ///
-    /// `range` must be a chunk owned by this worker under the stage's
-    /// schedule, so no concurrent writer overlaps the range-exact
-    /// footprint being read.
-    unsafe fn capture<K: RealKernel>(&mut self, kernel: &K, range: Range<u64>) -> Option<bool> {
-        let t0 = Instant::now();
-        let mut buf = Vec::new();
-        // SAFETY: forwarded under the caller's ownership guarantee.
-        let ok = unsafe { kernel.journal_capture(range.clone(), &mut buf) };
-        self.stats.journal_ns += t0.elapsed().as_nanos();
-        if !ok {
-            return Some(false);
         }
-        let bytes = buf.len() as u64;
-        if !self.cfg.budget.try_reserve(bytes) {
-            self.cfg.cancel.cancel_with(
-                CancelKind::Budget {
-                    needed: bytes,
-                    limit: self.cfg.budget.limit().unwrap_or(0),
-                },
-                "journal reservation refused by the memory budget",
-            );
-            poison_cancelled(self.run, &self.cfg.cancel);
-            return None;
-        }
-        self.stats.journal_bytes += bytes;
-        self.journals.push(JournalEntry { range, buf });
-        Some(true)
-    }
-
-    /// Roll back the most recent journal entry (the interrupted chunk
-    /// `c_idx`) and drop it from the retained set.
-    ///
-    /// # Safety
-    ///
-    /// Caller still "holds" the interrupted range: no other worker
-    /// executes or journals it, and its range-exact footprint is
-    /// disjoint from every concurrently active range.
-    unsafe fn rollback_last<K: RealKernel>(&mut self, kernel: &K, c_idx: u64) {
-        let entry = self
-            .journals
-            .pop()
-            .expect("the interrupted chunk's journal");
-        let t0 = Instant::now();
-        // SAFETY: forwarded under the caller's ownership guarantee.
-        unsafe { kernel.journal_rollback(entry.range.clone(), &entry.buf) };
-        self.stats.journal_ns += t0.elapsed().as_nanos();
-        self.stats.rollbacks += 1;
-        self.cfg.budget.release(entry.buf.len() as u64);
-        self.run.record(FaultEvent::ChunkRolledBack {
-            thread: self.t,
-            chunk: c_idx,
-            bytes: entry.buf.len() as u64,
-        });
-    }
-
-    /// This worker's chunks, in order, until the stage ends or halts.
-    fn run_chunks<K: RealKernel>(&mut self, kernel: &K, lag: Option<u64>) {
-        let iters = kernel.iters();
-        let c = self.cfg.runner.iters_per_chunk;
-        let n = self.cfg.runner.nthreads as u64;
-        let journaling = kernel.journal_range_exact();
-        for c_idx in owned_chunks(self.t, n, iters.div_ceil(c), lag.is_some()) {
-            if self.halted() {
-                break;
-            }
-            let range = chunk_range(c_idx, c, iters);
-            if let Some(d) = lag.and_then(|lag| chunk_gate_dep(&range, lag)) {
-                if !self.wait_committed(d, c_idx, iters) {
-                    break;
-                }
-            }
-            let journaled = if journaling {
-                // SAFETY: chunk ranges are disjoint across workers, and
-                // any iteration running concurrently with a DOACROSS
-                // chunk is fewer than `lag` from all of it, so no write
-                // aliases the chunk's range-exact footprint.
-                match unsafe { self.capture(kernel, range.clone()) } {
-                    Some(j) => j,
-                    None => break, // budget refusal cancelled the run
-                }
-            } else {
-                false
-            };
-            let t0 = Instant::now();
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                // SAFETY: no other worker executes this range. Previous
-                // stages' writes are visible through the stage-start
-                // barrier; the gate's Acquire loads give happens-before
-                // from every committed dependence outside the chunk.
-                unsafe { kernel.execute(range.clone()) }
-            }));
-            let exec = t0.elapsed().as_nanos();
-            self.stats.exec_ns += exec;
-            if let Err(payload) = r {
-                if journaled {
-                    // SAFETY: the interrupted chunk is still exclusively
-                    // ours; its footprint is disjoint from live chunks.
-                    unsafe { self.rollback_last(kernel, c_idx) };
-                } else if !kernel.panics_before_mutation() {
-                    // Torn: partial writes may remain, so neither
-                    // salvage nor a cancel's resume may re-run it.
-                    self.run.salvage_unsound.store(true, Ordering::Release);
-                }
-                stage_panicked(self.run, self.t, c_idx, payload);
-                break;
-            }
-            // Publish the committed frontier: every iteration we own
-            // below the chunk's end is now visible.
-            self.run.split.posts[self.t as usize]
-                .0
-                .store(range.end, Ordering::Release);
-            self.stats.chunks += 1;
-            self.stats.chunk_exec.record(exec as u64);
-        }
-    }
+        std::hint::spin_loop();
+    };
+    open && !run.token.is_poisoned()
 }
 
-/// A split stage's chunk panicked: record it and poison the stage's
-/// token, as a cascaded chunk's panic does.
-fn stage_panicked(run: &FtRun, t: u64, chunk: u64, payload: Box<dyn std::any::Any + Send>) {
-    let message = panic_message(payload.as_ref());
-    run.record(FaultEvent::WorkerPanicked {
-        thread: t,
-        chunk,
-        message: message.clone(),
-    });
-    run.token.poison_with(PoisonCause::Panicked {
-        thread: t,
-        chunk,
-        message,
-    });
-}
-
-/// Worker `t`'s share of a `Parallel` or `DoAcross` stage of the
-/// engine: its chunks ([`owned_chunks`]) in ascending order, each
-/// DOACROSS chunk behind one gate ([`chunk_gate_dep`]), and each
-/// committed chunk followed by one `Release` post of the worker's
-/// frontier. A panic outside a chunk body leaves the stage torn.
+/// Worker `t`'s share of a `Parallel` or `DoAcross` stage of the engine:
+/// its chunks ([`owned_chunks`]) in ascending order, each DOACROSS chunk
+/// behind one gate ([`chunk_gate_dep`]), each run as the cascade's chunk
+/// transaction ([`journal_chunk`], the body, [`roll_back_chunk`] and
+/// [`chunk_panicked`] on a panic) and followed by one `Release` post of
+/// the worker's frontier.
 pub(crate) fn run_stage<K: RealKernel>(
     kernel: &K,
     cfg: &RunConfig,
@@ -693,28 +560,87 @@ pub(crate) fn run_stage<K: RealKernel>(
         Schedule::DoAcross { lag } => Some(lag),
         _ => None,
     };
-    let started = Instant::now();
-    let mut share = Share {
-        run,
-        cfg,
-        t,
-        stats: ThreadStats::default(),
-        journals: Vec::new(),
-    };
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| share.run_chunks(kernel, lag))) {
-        run.salvage_unsound.store(true, Ordering::Release);
-        stage_panicked(run, t, 0, payload);
+    let iters = kernel.iters();
+    let c = cfg.runner.iters_per_chunk;
+    let n = cfg.runner.nthreads as u64;
+    let journaling = kernel.journal_range_exact();
+    let mut phases = PhaseRecorder::new(run.origin, &cfg.observe);
+    let mut stats = ThreadStats::default();
+    let mut journals = Vec::new();
+    for c_idx in owned_chunks(t, n, iters.div_ceil(c), lag.is_some()) {
+        if halted(run, cfg) {
+            break;
+        }
+        let range = chunk_range(c_idx, c, iters);
+        let gate = lag.and_then(|lag| chunk_gate_dep(&range, lag));
+        if let Some(d) = gate.filter(|&d| !gate_open(d, c, iters, n, |w| run.split.frontier(w))) {
+            phases.transition(PhaseKind::Spin, Some(c_idx));
+            let open = wait_committed(run, cfg, d, c_idx, iters);
+            phases.transition(PhaseKind::Other, Some(c_idx));
+            if !open {
+                break;
+            }
+        }
+        phases.transition(PhaseKind::Execute, Some(c_idx));
+        let mut buf = Vec::new();
+        let journal = if journaling {
+            // SAFETY: chunk ranges are disjoint across workers, and any
+            // iteration running concurrently with a DOACROSS chunk is
+            // fewer than `lag` from all of it, so no write aliases the
+            // chunk's range-exact footprint.
+            unsafe { journal_chunk(kernel, cfg, run, range.clone(), &mut buf, &mut stats) }
+        } else {
+            Ok(false)
+        };
+        let journaled = match journal {
+            Ok(journaled) => journaled,
+            Err(None) => break, // budget refusal cancelled the run
+            Err(Some(payload)) => {
+                // Capture only reads: the chunk is pristine.
+                phases.transition(PhaseKind::Retry, Some(c_idx));
+                run.token
+                    .poison_with(chunk_panicked(run, t, c_idx, true, payload));
+                break;
+            }
+        };
+        let r = catch_unwind(AssertUnwindSafe(|| {
+            // SAFETY: no other worker executes this range. Previous
+            // stages' writes are visible through the stage-start barrier;
+            // the gate's Acquire loads give happens-before from every
+            // committed dependence outside the chunk.
+            unsafe { kernel.execute(range.clone()) }
+        }));
+        if let Err(payload) = r {
+            phases.transition(PhaseKind::Retry, Some(c_idx));
+            let pristine = if journaled {
+                // SAFETY: the interrupted chunk is still exclusively ours;
+                // its footprint is disjoint from live chunks.
+                unsafe { roll_back_chunk(kernel, run, t, c_idx, range, &buf, &mut stats) }
+            } else {
+                kernel.panics_before_mutation()
+            };
+            run.token
+                .poison_with(chunk_panicked(run, t, c_idx, pristine, payload));
+            cfg.budget.release(buf.capacity() as u64);
+            break;
+        }
+        let (_, exec) = phases.transition(PhaseKind::Other, Some(c_idx));
+        if journaled {
+            let (chunk, range) = (c_idx, range.clone());
+            journals.push(JournalEntry { chunk, range, buf });
+        } else {
+            cfg.budget.release(buf.capacity() as u64);
+        }
+        // Publish the committed frontier: every iteration we own below
+        // the chunk's end is now visible.
+        run.split.posts[t as usize]
+            .0
+            .store(range.end, Ordering::Release);
+        stats.chunks += 1;
+        stats.chunk_exec.record(exec);
     }
-    lock_recover(&run.split.journals).append(&mut share.journals);
-    let s = &mut share.stats;
-    // Whatever is neither a chunk body nor a gate spin is Other, so the
-    // phases tile the worker's wall time exactly.
-    s.other_ns = started
-        .elapsed()
-        .as_nanos()
-        .saturating_sub(s.exec_ns + s.spin_ns);
-    s.wall_ns = s.exec_ns + s.spin_ns + s.other_ns;
-    share.stats
+    lock_recover(&run.split.journals).append(&mut journals);
+    phases.finish(stats)
 }
 
 /// Execute a [`TransformPlan`]'s partition on real threads: one kernel

@@ -17,6 +17,7 @@
 //! the lag (`doacross_order` with `window = lag + 1`) really corrupts
 //! the result.
 
+use std::ops::Range;
 use std::time::Duration;
 
 use cascade_analyze::plan::{plan_loop, Schedule};
@@ -444,6 +445,103 @@ fn stage_fault_without_salvage_is_typed_even_when_retrying() {
     );
 }
 
+/// A range-exact kernel whose undo-journal capture (`capture`) or restore
+/// (otherwise) panics on the chunk starting at iteration `at`.
+struct JournalPanics<K> {
+    inner: K,
+    at: u64,
+    capture: bool,
+}
+
+impl<K: RealKernel> RealKernel for JournalPanics<K> {
+    fn iters(&self) -> u64 {
+        self.inner.iters()
+    }
+    unsafe fn execute(&self, range: Range<u64>) {
+        // SAFETY: forwarded under the caller's exclusivity.
+        unsafe { self.inner.execute(range) }
+    }
+    fn panics_before_mutation(&self) -> bool {
+        self.inner.panics_before_mutation()
+    }
+    fn journal_range_exact(&self) -> bool {
+        self.inner.journal_range_exact()
+    }
+    unsafe fn journal_capture(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
+        assert!(!self.capture || range.start != self.at, "capture panics");
+        // SAFETY: forwarded under the caller's exclusivity.
+        unsafe { self.inner.journal_capture(range, buf) }
+    }
+    unsafe fn journal_rollback(&self, range: Range<u64>, buf: &[u8]) {
+        assert!(self.capture || range.start != self.at, "restore panics");
+        // SAFETY: forwarded under the caller's exclusivity.
+        unsafe { self.inner.journal_rollback(range, buf) }
+    }
+}
+
+/// A split stage's journal faults name the chunk they hit. A capture that
+/// panics leaves its chunk pristine (capture only reads), so a salvaging
+/// run recovers bitwise; a restore that panics after a mid-mutation panic
+/// leaves its chunk torn, which is a typed error naming that chunk.
+#[test]
+fn split_stage_journal_faults_name_their_chunk() {
+    let s = Scenario {
+        lag: None,
+        yw: true,
+        ..lag2_scenario()
+    };
+    let (w, arena) = build(&s);
+    let expected = sequential_checksum(&w, arena.clone());
+    let chunk = 5;
+    for capture in [true, false] {
+        let (mut prog, plan) = fissioned_program(&w, arena.clone());
+        assert!(plan
+            .partition
+            .iter()
+            .all(|p| p.schedule == Schedule::Parallel));
+        let result = {
+            let kernels: Vec<_> = (0..plan.partition.len())
+                .map(|g| {
+                    let mut fp = FaultPlan::new(s.chunk);
+                    if g == 0 && !capture {
+                        let kind = FaultKind::PanicMidMutation { after_iters: 3 };
+                        fp = fp.inject(chunk, kind);
+                    }
+                    let inner = FaultyKernel::new(prog.kernel(g), fp);
+                    assert!(inner.journal_range_exact());
+                    let at = if g == 0 { chunk * s.chunk } else { u64::MAX };
+                    JournalPanics { inner, at, capture }
+                })
+                .collect();
+            let cfg = RunConfig {
+                runner: runner(&s),
+                tolerance: Tolerance::resilient(Duration::from_millis(500)),
+                ..RunConfig::default()
+            };
+            try_run_planned(&kernels, &plan, &cfg)
+        };
+        if !capture {
+            assert!(
+                matches!(result, Err(RunError::WorkerPanicked { chunk: c, .. }) if c == chunk),
+                "a torn chunk {chunk} must be a typed error naming it, got {result:?}"
+            );
+            continue;
+        }
+        let stats = result.expect("a pristine chunk salvages");
+        let panicked: Vec<u64> = stats
+            .faults
+            .iter()
+            .filter_map(|f| match f {
+                FaultEvent::WorkerPanicked { chunk, .. } => Some(*chunk),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(panicked, [chunk], "{:?}", stats.faults);
+        assert!(stats.sub_loops[0].degraded);
+        assert_eq!(prog.checksum(), expected, "salvage diverged");
+    }
+}
+
 /// `PlannedStats::metrics` over a plan with all three schedules: each
 /// worker's phases tile its wall time exactly, the chunk total is the
 /// sum over sub-loops, and `post_waits` is the structural count of the
@@ -500,44 +598,55 @@ fn planned_metrics_partition_wall_time_exactly() {
     assert_eq!(m.post_waits, structural);
 }
 
-/// A caller's `Observe::with_events()` reaches the sequential residue: its
-/// worker lanes come back in the planned result on the planned run's
-/// clock, and the default (no events) stays empty.
+/// A caller's `Observe::with_events()` reaches every stage of a plan — a
+/// cascaded residue and split (DOALL, DOACROSS) stages alike: each worker
+/// lane of each sub-loop comes back non-empty, on the planned run's clock,
+/// and the default (no events) leaves every lane empty.
 #[test]
 fn planned_residue_records_events_when_asked() {
-    let s = Scenario {
-        lag: Some(1),
-        threads: 2,
-        ..lag2_scenario()
-    };
-    let (w, arena) = build(&s);
-    for observe in [Observe::default(), Observe::with_events()] {
-        let (prog, plan) = fissioned_program(&w, arena.clone());
-        assert_eq!(plan.partition[0].schedule, Schedule::Sequential);
-        let kernels: Vec<_> = (0..plan.partition.len()).map(|g| prog.kernel(g)).collect();
-        let cfg = RunConfig {
-            runner: runner(&s),
-            observe: observe.clone(),
-            ..RunConfig::default()
+    for lag in [1, 2] {
+        let s = Scenario {
+            lag: Some(lag),
+            threads: 2,
+            ..lag2_scenario()
         };
-        let stats = try_run_planned(&kernels, &plan, &cfg).expect("planned run must succeed");
-        let residue = stats.sub_loops[0]
-            .run
-            .as_ref()
-            .expect("token-cascaded residue");
-        let lanes: Vec<_> = residue.threads.iter().map(|t| t.events.len()).collect();
-        let merged = stats.metrics().events;
-        if !observe.events {
-            assert_eq!((lanes.iter().sum::<usize>(), merged.len()), (0, 0));
-            continue;
+        let (w, arena) = build(&s);
+        for observe in [Observe::default(), Observe::with_events()] {
+            let (prog, plan) = fissioned_program(&w, arena.clone());
+            let schedules: Vec<_> = plan.partition.iter().map(|p| p.schedule).collect();
+            let first = if lag == 1 {
+                Schedule::Sequential
+            } else {
+                Schedule::DoAcross { lag }
+            };
+            assert_eq!(schedules, [first, Schedule::Parallel]);
+            let kernels: Vec<_> = (0..plan.partition.len()).map(|g| prog.kernel(g)).collect();
+            let cfg = RunConfig {
+                runner: runner(&s),
+                observe: observe.clone(),
+                ..RunConfig::default()
+            };
+            let stats = try_run_planned(&kernels, &plan, &cfg).expect("planned run must succeed");
+            let lanes: Vec<usize> = stats
+                .sub_loops
+                .iter()
+                .flat_map(|sub| sub.run.as_ref().map_or(&sub.threads, |r| &r.threads))
+                .map(|t| t.events.len())
+                .collect();
+            assert_eq!(lanes.len(), s.threads * schedules.len());
+            let merged = stats.metrics().events;
+            if !observe.events {
+                assert_eq!((lanes.iter().sum::<usize>(), merged.len()), (0, 0));
+                continue;
+            }
+            assert!(
+                lanes.iter().all(|&n| n > 0),
+                "lag {lag}: a worker lane is empty: {lanes:?}"
+            );
+            assert_eq!(merged.len(), lanes.iter().sum::<usize>());
+            let wall = stats.elapsed.as_nanos() as f64;
+            assert!(merged.iter().all(|e| e.start <= e.end && e.end <= wall));
         }
-        assert!(
-            lanes.iter().all(|&n| n > 0),
-            "a worker lane is empty: {lanes:?}"
-        );
-        assert_eq!(merged.len(), lanes.iter().sum::<usize>());
-        let wall = stats.elapsed.as_nanos() as f64;
-        assert!(merged.iter().all(|e| e.start <= e.end && e.end <= wall));
     }
 }
 

@@ -369,3 +369,24 @@ fn armed_verification_meters_a_steady_state_not_the_chunk_count() {
     let used = run(64, MemBudget::limited(64 << 10)).expect("fits its budget");
     assert_eq!(used, used_64);
 }
+
+/// A worker's pack arena and undo-journal buffer live for the whole run,
+/// so a sequence meters one loop's steady state, not one per loop: eight
+/// copies of a loop reserve exactly what the loop alone reserves, and run
+/// under that budget.
+#[test]
+fn sequence_meters_one_steady_state_not_one_per_loop() {
+    let s = Synth::build(1 << 16, Variant::Sparse, 7);
+    let prog = SpecProgram::new(s.workload, s.arena).unwrap();
+    let run = |loops: usize, budget: MemBudget| {
+        let mut cfg = cfg(2, Tolerance::retrying(WATCHDOG), VerifyPolicy::Off);
+        cfg.runner.iters_per_chunk = 1_024;
+        cfg.budget = budget.clone();
+        let kernels: Vec<_> = (0..loops).map(|_| prog.kernel(0)).collect();
+        try_run_governed_sequence(&kernels, &cfg).map(|_| budget.used())
+    };
+    let single = run(1, MemBudget::unlimited()).expect("one loop runs");
+    assert!(single > 0, "the undo journals are metered");
+    assert_eq!(run(8, MemBudget::unlimited()), Ok(single));
+    assert_eq!(run(8, MemBudget::limited(single)), Ok(single));
+}

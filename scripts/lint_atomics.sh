@@ -45,7 +45,8 @@ RT=crates/runtime/src
 # sched.rs: the split-stage committed frontiers (padded per-worker
 #   `posts`, Release on post / Acquire in the DOACROSS gate and in the
 #   post-join salvage). A stage halts on its token's poison, which lives
-#   in token.rs. The gate protocol is model-checked by DoAcrossModel in
+#   in token.rs; its chunk transaction (the torn mark, the budget) is
+#   runner.rs's. The gate protocol is model-checked by DoAcrossModel in
 #   src/check.rs; the module uses no Relaxed orderings.
 ALLOWED_ATOMIC_FILES="barrier.rs govern.rs health.rs runner.rs sched.rs token.rs"
 ALLOW_RELAXED_RE='release_ns\.(load|store)\(|scrubs\.(load|fetch_add)\('
