@@ -289,19 +289,24 @@ fn elem_hull(w: &Workload, pattern: &Pattern, range: Range<u64>) -> Option<(u64,
             ibase,
             istride,
         } => {
-            let len = w.index.len_of(index)? as i64;
-            let mut lo = u64::MAX;
-            let mut hi = 0u64;
-            for i in range {
-                let p = ibase + istride * i as i64;
-                if p < 0 || p >= len {
-                    return None;
-                }
-                let e = w.index.get(index, p as u64) as u64;
-                lo = lo.min(e);
-                hi = hi.max(e);
+            let table = w.index.table(index)?;
+            // Index positions `ibase + istride·i` are affine in `i`, so the
+            // two ends bound every position in between: check those in
+            // closed form, then fold the entries they span.
+            let pos = |i: u64| ibase.checked_add(istride.checked_mul(i as i64)?);
+            let (first, last) = (pos(range.start)?, pos(range.end - 1)?);
+            let (lo, hi) = (first.min(last), first.max(last));
+            if lo < 0 || hi >= table.len() as i64 {
+                return None;
             }
-            Some((lo, hi))
+            let span = table[lo as usize..=hi as usize].iter();
+            let hull = |(lo, hi): (u32, u32), &e: &u32| (lo.min(e), hi.max(e));
+            let (lo, hi) = match istride.unsigned_abs() {
+                // Every entry of the span, in a plain slice fold.
+                0 | 1 => span.fold((u32::MAX, 0), hull),
+                step => span.step_by(step as usize).fold((u32::MAX, 0), hull),
+            };
+            Some((lo as u64, hi as u64))
         }
     }
 }
@@ -1079,6 +1084,102 @@ mod tests {
                 "every scattered element lies inside the journal bound"
             );
         }
+    }
+
+    /// The per-element scan `elem_hull`'s indirect arm replaced: one
+    /// checked lookup per iteration. Kept as the reference the closed-form
+    /// end checks and the slice fold must agree with.
+    fn indirect_hull_reference(w: &Workload, p: &Pattern, range: Range<u64>) -> Option<(u64, u64)> {
+        let Pattern::Indirect {
+            index,
+            ibase,
+            istride,
+        } = *p
+        else {
+            unreachable!("the reference covers indirect patterns only")
+        };
+        if range.is_empty() {
+            return None;
+        }
+        let len = w.index.len_of(index)? as i64;
+        let mut lo = u64::MAX;
+        let mut hi = 0u64;
+        for i in range {
+            let p = ibase + istride * i as i64;
+            if p < 0 || p >= len {
+                return None;
+            }
+            let e = w.index.get(index, p as u64) as u64;
+            lo = lo.min(e);
+            hi = hi.max(e);
+        }
+        Some((lo, hi))
+    }
+
+    #[test]
+    fn indirect_hull_matches_the_per_element_scan() {
+        let mut s = AddressSpace::new();
+        let x = s.alloc("x", 8, 1024);
+        let ij = s.alloc("ij", 4, 200);
+        let mut index = IndexStore::new();
+        index.set(ij, (0..200u32).map(|i| (i * 7919 + 13) % 1024).collect());
+        let ranges = [0..1, 0..10, 3..17, 10..30, 24..25, 40..66, 0..200, 7..7];
+        let (mut bounded, mut refused) = (0, 0);
+        for istride in [-3i64, -1, 0, 1, 8] {
+            for ibase in [-4i64, 0, 5, 37, 199, 250] {
+                let pattern = Pattern::Indirect {
+                    index: ij,
+                    ibase,
+                    istride,
+                };
+                let scatter = StreamRef {
+                    mode: Mode::Modify,
+                    ..wr("x(ij(i))", x, pattern)
+                };
+                let w = workload(vec![scatter], s.clone(), index.clone());
+                let bare = workload(w.loops[0].refs.clone(), s.clone(), IndexStore::new());
+                for range in ranges.clone() {
+                    let want = indirect_hull_reference(&w, &pattern, range.clone());
+                    let case = format!("istride {istride}, ibase {ibase}, range {range:?}");
+                    assert_eq!(elem_hull(&w, &pattern, range.clone()), want, "{case}");
+                    let set = write_set(&w, &w.loops[0], range.clone());
+                    let elems = set.map(|fps| (fps[0].elem_lo, fps[0].elem_hi - 1));
+                    assert_eq!(elems, want, "write_set, {case}");
+                    match want {
+                        Some(_) => bounded += 1,
+                        None => refused += 1,
+                    }
+                    // No table installed: never bounded, by either.
+                    assert_eq!(elem_hull(&bare, &pattern, range.clone()), None, "{case}");
+                    assert_eq!(indirect_hull_reference(&bare, &pattern, range), None);
+                }
+            }
+        }
+        // Both outcomes occur: ends inside the table, and either end
+        // (first or last position) outside it.
+        assert!(
+            bounded > 40 && refused > 40,
+            "{bounded} bounded, {refused} refused"
+        );
+        let ends = |ibase, istride, range: Range<u64>| {
+            let pattern = Pattern::Indirect {
+                index: ij,
+                ibase,
+                istride,
+            };
+            let w = workload(vec![wr("x(ij(i))", x, pattern)], s.clone(), index.clone());
+            elem_hull(&w, &pattern, range)
+        };
+        assert!(ends(0, 1, 0..200).is_some(), "the whole table");
+        assert_eq!(ends(0, 1, 0..201), None, "last position one past the end");
+        assert_eq!(ends(-1, 1, 0..10), None, "first position negative");
+        assert_eq!(ends(199, -1, 0..201), None, "descending past position 0");
+        assert_eq!(
+            ends(10, 8, 0..25),
+            None,
+            "strided last position past the end"
+        );
+        assert!(ends(10, 8, 0..24).is_some(), "strided, last position 194");
     }
 
     #[test]

@@ -352,6 +352,13 @@ impl<K: RealKernel> RealKernel for FaultyKernel<K> {
         unsafe { self.inner.journal_rollback(range, buf) }
     }
 
+    unsafe fn visit_footprint(&self, range: Range<u64>, visit: &mut dyn FnMut(&[u8])) -> bool {
+        // Forwarded for the same reason as `journal_capture`, and so the
+        // inner kernel's slices (the digest's boundaries) carry over.
+        // SAFETY: forwarded under the caller's exclusivity guarantee.
+        unsafe { self.inner.visit_footprint(range, visit) }
+    }
+
     unsafe fn replay_footprint(&self, range: Range<u64>, pre_image: &[u8]) -> Option<Vec<u8>> {
         // Forwarded to the *inner* kernel, bypassing `trip` entirely:
         // replays are the verification read path and must be clean even

@@ -29,7 +29,10 @@
 //! generic over the element type (`Elem`) and over where operands come
 //! from (`Operands`: the arena, a packed record, or the replay overlay);
 //! `execute`, `execute_packed` and `replay_footprint` differ in the operand
-//! source alone. A dispatch table over the loop's (reads, writes) counts
+//! source alone. The replay has two: `Rebased` fixes each op's base once
+//! per chunk (the arena, or the overlay segment its hull lies in), so a
+//! replay runs at `execute` speed; `Replay` looks every access up in the
+//! overlay, for chunks whose ops cannot be fixed that way. A dispatch table over the loop's (reads, writes) counts
 //! (`for_shape!`) hands that body, and the pack and prefetch walks, the
 //! ops as fixed-length arrays for the counts the workloads have, so the
 //! per-op loops unroll, and as slices for any other count: the same code
@@ -59,11 +62,12 @@ use std::cell::UnsafeCell;
 use std::mem::size_of;
 use std::ops::Range;
 use std::slice::ChunksExact;
+use std::sync::Mutex;
 
 use cascade_analyze::{analyze_workload, AnalysisError, Footprint, LoopReport, WorkloadReport};
 use cascade_core::{fnv64_words, FNV64_BASIS};
 use cascade_trace::diag::{DiagCode, Diagnostic, Severity};
-use cascade_trace::{AddressSpace, Arena, LoopSpec, Mode, Pattern, Workload};
+use cascade_trace::{AddressSpace, Arena, LoopSpec, Mode, Pattern, StreamRef, Workload};
 
 use crate::kernel::RealKernel;
 use crate::prefetch;
@@ -75,8 +79,14 @@ pub struct SpecProgram {
     report: WorkloadReport,
     /// One compiled op table per loop, in `workload.loops` order.
     code: Vec<LoopCode>,
+    /// Per loop, the write footprints last asked for
+    /// ([`SpecKernel::write_footprints`]).
+    footprints: Vec<FootprintMemo>,
     arena: UnsafeCell<Arena>,
 }
+
+/// One range and its write footprints.
+type FootprintMemo = Mutex<Option<(Range<u64>, Vec<Footprint>)>>;
 
 // SAFETY: all mutation of `arena` flows through `RealKernel::execute*`,
 // whose contract requires external serialization with happens-before
@@ -113,10 +123,12 @@ impl SpecProgram {
             .iter()
             .map(|spec| LoopCode::compile(&workload.space, spec))
             .collect();
+        let footprints = workload.loops.iter().map(|_| Mutex::default()).collect();
         Ok(SpecProgram {
             workload,
             report,
             code,
+            footprints,
             arena: UnsafeCell::new(arena),
         })
     }
@@ -143,6 +155,7 @@ impl SpecProgram {
             spec: &self.workload.loops[idx],
             report: &self.report.loops[idx],
             code: &self.code[idx],
+            footprints: &self.footprints[idx],
         }
     }
 
@@ -402,8 +415,7 @@ macro_rules! for_shape {
 /// each source overrides what differs and holds only what that takes.
 ///
 /// # Safety (every method): the caller upholds the contract of the
-/// [`RealKernel`] method the source serves, and `at` is an offset
-/// [`Operands::target`] returned.
+/// [`RealKernel`] method the source serves.
 trait Operands {
     /// Called once before each iteration's accesses, in iteration order.
     #[inline(always)]
@@ -419,27 +431,26 @@ trait Operands {
 
     /// The arena byte offset ref `op` addresses at iteration `i`.
     #[inline(always)]
-    unsafe fn target(&self, arena: *mut u8, op: &Op, i: u64) -> usize {
+    unsafe fn offset(&self, arena: *mut u8, op: &Op, i: u64) -> usize {
         match op.gather {
             None => op.at(i),
             Some(g) => g.element(self.index(arena, op, i)),
         }
     }
 
+    /// Where the `T`-wide access of ref `op` at iteration `i` reads and
+    /// writes. `k` is the op's slot, its place in the loop's reads and
+    /// then its writes, for a source that resolves each op once per call.
     #[inline(always)]
-    unsafe fn load<T: Elem>(&self, arena: *mut u8, at: usize) -> T {
-        read(arena.add(at))
+    unsafe fn target<T: Elem>(&self, arena: *mut u8, op: &Op, k: usize, i: u64) -> *mut u8 {
+        let _ = k;
+        arena.add(self.offset(arena, op, i))
     }
 
+    /// The value of read ref `op` (slot `k`) at iteration `i`.
     #[inline(always)]
-    unsafe fn store<T: Elem>(&mut self, arena: *mut u8, at: usize, v: T) {
-        arena.add(at).cast::<T>().write_unaligned(v)
-    }
-
-    /// The value of read ref `op` at iteration `i`.
-    #[inline(always)]
-    unsafe fn operand<T: Elem>(&self, arena: *mut u8, op: &Op, i: u64) -> T {
-        self.load(arena, self.target(arena, op, i))
+    unsafe fn operand<T: Elem>(&self, arena: *mut u8, op: &Op, k: usize, i: u64) -> T {
+        read(self.target::<T>(arena, op, k, i))
     }
 }
 
@@ -479,38 +490,140 @@ impl Operands for Packed<'_> {
     }
 
     #[inline(always)]
-    unsafe fn operand<T: Elem>(&self, _arena: *mut u8, op: &Op, _i: u64) -> T {
+    unsafe fn operand<T: Elem>(&self, _arena: *mut u8, op: &Op, _k: usize, _i: u64) -> T {
         self.field(op)
     }
 }
 
-/// `replay_footprint`: addresses as in `execute`, but every access inside
-/// the chunk's write footprint goes to the private overlay, so a verifier
-/// never writes shared memory. Both accessors are inlined, like the
-/// defaults they replace: left as calls, they cost a dense replay about a
-/// quarter of its time.
-struct Replay<'o>(&'o mut Overlay);
+/// `replay_footprint`'s per-access path: addresses as in `execute`, but
+/// every access inside the chunk's write footprint goes to the private
+/// [`Overlay`], found by a segment lookup per access, so a verifier never
+/// writes shared memory. It replays a chunk whose ops cannot each be
+/// fixed to one base ([`Rebased`]), serves [`Rebased`]'s stray accesses,
+/// and is the oracle the rebased path is tested against. `target` is
+/// inlined, like the default it replaces: left as a call, it costs a
+/// dense replay about a quarter of its time.
+#[derive(Clone, Copy)]
+struct Replay<'o> {
+    /// The overlay's bytes ([`Overlay::bytes`]), written through this
+    /// pointer only while the replay runs.
+    bytes: *mut u8,
+    segs: &'o [Seg],
+}
 
-impl Operands for Replay<'_> {
+impl Replay<'_> {
+    /// Offset in the overlay's bytes of `[addr, addr + n)`, if covered. An
+    /// access is never split across a segment boundary: footprints cover
+    /// whole elements of the accessed array, arrays are disjoint in the
+    /// address space, and touching footprints share a segment.
+    fn locate(&self, addr: u64, n: u64) -> Option<usize> {
+        // `cmp` comparison result aliased so scripts/lint_atomics.sh
+        // (which pins atomics-using files by pattern-matching the
+        // memory-order path) does not mistake this pure binary search
+        // for an atomics site.
+        use std::cmp::Ordering as SegCmp;
+        let by_addr = |s: &Seg| {
+            if addr < s.lo {
+                SegCmp::Greater
+            } else if addr >= s.hi {
+                SegCmp::Less
+            } else {
+                SegCmp::Equal
+            }
+        };
+        let s = self.segs[self.segs.binary_search_by(by_addr).ok()?];
+        (addr + n <= s.hi).then(|| s.at + (addr - s.lo) as usize)
+    }
+
     /// Overlay first, shared arena for everything outside the footprint:
     /// the replayed range is committed and no `execute` runs concurrently
-    /// (the verifier holds the downstream claim), so the fallback read
-    /// cannot race a writer.
+    /// (the verifier holds the downstream claim), so an arena read cannot
+    /// race a writer. Every write ref's elements lie inside its own
+    /// footprint by construction, so a store that misses is an
+    /// interpreter bug, not a data condition.
+    ///
+    /// # Safety: as [`Operands`]; `at` is the arena offset of a
+    /// `n`-byte access of the replayed chunk.
     #[inline(always)]
-    unsafe fn load<T: Elem>(&self, arena: *mut u8, at: usize) -> T {
-        match self.0.get(at as u64, size_of::<T>() as u64) {
-            Some(bytes) => read(bytes.as_ptr()),
-            None => read(arena.add(at)),
+    unsafe fn resolve(&self, arena: *mut u8, store: bool, at: usize, n: usize) -> *mut u8 {
+        match self.locate(at as u64, n as u64) {
+            Some(off) => self.bytes.add(off),
+            None => {
+                assert!(!store, "replay store inside the write footprint");
+                arena.add(at)
+            }
         }
     }
 
-    /// Every write ref's elements lie inside its own footprint by
-    /// construction, so a miss is an interpreter bug, not a data condition.
+    /// [`Replay::resolve`] for the rare access [`Rebased`] cannot place.
+    /// Everything it takes is a copy: a reference into the replay's
+    /// locals would let the loop body's stores alias them, and the ops
+    /// would be reloaded after every store.
+    ///
+    /// # Safety: as [`Replay::resolve`].
+    #[cold]
+    #[inline(never)]
+    unsafe fn stray(self, arena: *mut u8, store: bool, at: usize, n: usize) -> *mut u8 {
+        self.resolve(arena, store, at, n)
+    }
+}
+
+impl Operands for Replay<'_> {
     #[inline(always)]
-    unsafe fn store<T: Elem>(&mut self, _arena: *mut u8, at: usize, v: T) {
-        let bytes = self.0.get_mut(at as u64, size_of::<T>() as u64);
-        let bytes = bytes.expect("replay store inside the write footprint");
-        bytes.as_mut_ptr().cast::<T>().write_unaligned(v)
+    unsafe fn target<T: Elem>(&self, arena: *mut u8, op: &Op, _k: usize, i: u64) -> *mut u8 {
+        let at = self.offset(arena, op, i);
+        self.resolve(arena, op.mode.writes(), at, size_of::<T>())
+    }
+}
+
+/// Most ops a [`Rebased`] replay places, with room to spare over the
+/// widest loop the workloads have (five refs). A wider loop replays per
+/// access ([`Replay`]).
+const MAX_SLOTS: usize = 15;
+
+/// Where one op's accesses go for the whole of a rebased replay.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    /// The element at arena offset `at` is at `base + at` (wrapping): the
+    /// arena itself, or an overlay segment's bytes shifted down by the
+    /// segment's address.
+    base: *mut u8,
+    /// First arena offset the slot covers, and how far past it an access
+    /// may start and still fit: checked for indirect ops only, whose
+    /// index words may have changed since the hull was taken. The arena's
+    /// slot admits every offset.
+    lo: usize,
+    reach: usize,
+}
+
+/// `replay_footprint` at `execute` speed. Over the chunk, every op's
+/// accesses stay inside one overlay segment or clear of all of them
+/// ([`SpecKernel::slots`] checks it on the op's hull), so each op reads
+/// and writes through a base fixed once per chunk: no lookup per access.
+/// An indirect op's element is still checked against its segment, and
+/// one that strays (its index word changed since the hull was taken)
+/// takes [`Replay`]'s lookup, so both paths place every access alike.
+struct Rebased<'o> {
+    /// One per op, in slot order (see [`Operands::target`]).
+    slots: [Slot; MAX_SLOTS],
+    view: Replay<'o>,
+}
+
+impl Operands for Rebased<'_> {
+    #[inline(always)]
+    unsafe fn target<T: Elem>(&self, arena: *mut u8, op: &Op, k: usize, i: u64) -> *mut u8 {
+        let s = self.slots[k];
+        match op.gather {
+            None => s.base.wrapping_add(op.at(i)),
+            Some(g) => {
+                let at = g.element(self.index(arena, op, i));
+                if at.wrapping_sub(s.lo) <= s.reach {
+                    s.base.wrapping_add(at)
+                } else {
+                    self.view.stray(arena, op.mode.writes(), at, size_of::<T>())
+                }
+            }
+        }
     }
 }
 
@@ -532,17 +645,17 @@ unsafe fn run_split<T: Elem, S: Operands>(
     for i in range {
         src.next_iteration();
         let mut acc = T::ZERO;
-        for op in reads {
-            acc = acc.fold(src.operand(arena, op, i));
+        for (k, op) in reads.iter().enumerate() {
+            acc = acc.fold(src.operand(arena, op, k, i));
         }
-        for op in writes {
-            let at = src.target(arena, op, i);
+        for (k, op) in writes.iter().enumerate() {
+            let at = src.target::<T>(arena, op, reads.len() + k, i);
             let v = if op.mode == Mode::Modify {
-                acc.modified(src.load(arena, at))
+                acc.modified(read(at))
             } else {
                 acc.written()
             };
-            src.store(arena, at, v);
+            at.cast::<T>().write_unaligned(v);
         }
         // A loop that stores nothing must still compute its reads.
         if writes.is_empty() {
@@ -552,8 +665,8 @@ unsafe fn run_split<T: Elem, S: Operands>(
 }
 
 /// Sort `(lo, hi)` byte intervals and merge overlaps/adjacency into a
-/// disjoint ascending list — the shape the replay overlay, the arena
-/// scrubber, and the out-of-footprint corruption targeter all share.
+/// disjoint ascending list — the shape the arena scrubber and the
+/// out-of-footprint corruption targeter share.
 fn merge_intervals(fps: &[Footprint]) -> Vec<(u64, u64)> {
     let mut ivals: Vec<(u64, u64)> = fps.iter().map(|f| (f.lo, f.hi)).collect();
     ivals.sort_unstable();
@@ -567,78 +680,114 @@ fn merge_intervals(fps: &[Footprint]) -> Vec<(u64, u64)> {
     merged
 }
 
-/// A private view of a committed chunk's write footprint: disjoint,
-/// sorted address intervals backed by owned bytes, seeded from the
+/// One run of overlay bytes: arena addresses `[lo, hi)` are held at
+/// `Overlay::bytes[at..at + (hi - lo)]`.
+#[derive(Debug, Clone, Copy)]
+struct Seg {
+    lo: u64,
+    hi: u64,
+    at: usize,
+}
+
+/// A private view of a committed chunk's write footprint, seeded from the
 /// chunk's undo journal. The verification replay
 /// ([`RealKernel::replay_footprint`]) routes every footprint access here,
-/// so shared memory is never written by a verifier.
+/// so a verifier never writes shared memory, and the replay's result is
+/// the overlay's bytes themselves: no readout copy.
+///
+/// The bytes are in journal layout (the byte order of
+/// [`RealKernel::journal_capture`]), so a footprint that touches no other
+/// one is its own segment, in place. Footprints that touch or overlap are
+/// merged into one segment, a scratch run past the journal, copied back
+/// into each footprint's piece when the replay ends.
 struct Overlay {
-    /// `(lo, hi, bytes)`, sorted by `lo`, pairwise disjoint.
-    segs: Vec<(u64, u64, Vec<u8>)>,
+    /// The journal layout, then any scratch runs.
+    bytes: Vec<u8>,
+    /// Sorted by `lo`, pairwise disjoint and not touching.
+    segs: Vec<Seg>,
+    /// `(piece, len, run)`: journal bytes `[piece, piece + len)` are held
+    /// at `run` during the replay.
+    shared: Vec<(usize, usize, usize)>,
+    /// Length of the journal layout.
+    journal_len: usize,
 }
 
 impl Overlay {
     /// Build the overlay for `fps` (journal order) seeded from
     /// `pre_image` (journal layout). Overlapping footprints captured the
-    /// same pre-chunk bytes, so double-seeding is consistent. `None` when
-    /// the pre-image does not match the footprints' total size.
+    /// same pre-chunk bytes, so seeding a shared run from each of them is
+    /// consistent. `None` when the pre-image does not match the
+    /// footprints' total size.
     fn seed(fps: &[Footprint], pre_image: &[u8]) -> Option<Overlay> {
-        let mut segs: Vec<(u64, u64, Vec<u8>)> = merge_intervals(fps)
-            .into_iter()
-            .map(|(lo, hi)| (lo, hi, vec![0u8; (hi - lo) as usize]))
+        // Each footprint's address interval and its piece of the journal.
+        let mut at = 0usize;
+        let mut pieces: Vec<Seg> = fps
+            .iter()
+            .map(|f| {
+                let seg = Seg {
+                    lo: f.lo,
+                    hi: f.hi,
+                    at,
+                };
+                at += (f.hi - f.lo) as usize;
+                seg
+            })
             .collect();
-        let mut cur = 0usize;
-        for f in fps {
-            let len = (f.hi - f.lo) as usize;
-            let src = pre_image.get(cur..cur + len)?;
-            let seg = segs
-                .iter_mut()
-                .find(|(lo, hi, _)| f.lo >= *lo && f.hi <= *hi)?;
-            let off = (f.lo - seg.0) as usize;
-            seg.2[off..off + len].copy_from_slice(src);
-            cur += len;
-        }
-        if cur != pre_image.len() {
+        if at != pre_image.len() {
             return None;
         }
-        Some(Overlay { segs })
-    }
-
-    /// Segment and offset within it of `[addr, addr + n)`, if covered. An
-    /// access is never split across a segment boundary: footprints cover
-    /// whole elements of the accessed array, and arrays are disjoint in
-    /// the address space.
-    fn locate(&self, addr: u64, n: u64) -> Option<(usize, Range<usize>)> {
-        // `cmp` comparison result aliased so scripts/lint_atomics.sh
-        // (which pins atomics-using files by pattern-matching the
-        // memory-order path) does not mistake this pure binary search
-        // for an atomics site.
-        use std::cmp::Ordering as SegCmp;
-        let by_addr = |&(lo, hi, _): &(u64, u64, Vec<u8>)| {
-            if addr < lo {
-                SegCmp::Greater
-            } else if addr >= hi {
-                SegCmp::Less
-            } else {
-                SegCmp::Equal
-            }
+        pieces.sort_unstable_by_key(|p| (p.lo, p.hi));
+        let mut ov = Overlay {
+            bytes: pre_image.to_vec(),
+            segs: Vec::with_capacity(pieces.len()),
+            shared: Vec::new(),
+            journal_len: at,
         };
-        let i = self.segs.binary_search_by(by_addr).ok()?;
-        let (lo, hi, _) = self.segs[i];
-        let off = (addr - lo) as usize;
-        (addr + n <= hi).then(|| (i, off..off + n as usize))
+        let mut rest = &pieces[..];
+        while let [first, ..] = rest {
+            // The pieces that touch or overlap `first`, transitively.
+            let (mut n, mut hi) = (1, first.hi);
+            while let Some(p) = rest.get(n).filter(|p| p.lo <= hi) {
+                hi = hi.max(p.hi);
+                n += 1;
+            }
+            let (group, tail) = rest.split_at(n);
+            if let [alone] = group {
+                ov.segs.push(*alone);
+            } else {
+                let run = ov.bytes.len();
+                ov.bytes.resize(run + (hi - first.lo) as usize, 0);
+                for p in group {
+                    let (off, len) = (run + (p.lo - first.lo) as usize, (p.hi - p.lo) as usize);
+                    ov.bytes.copy_within(p.at..p.at + len, off);
+                    ov.shared.push((p.at, len, off));
+                }
+                ov.segs.push(Seg {
+                    lo: first.lo,
+                    hi,
+                    at: run,
+                });
+            }
+            rest = tail;
+        }
+        Some(ov)
     }
 
-    /// The overlay bytes of `[addr, addr + n)`, if covered.
-    fn get(&self, addr: u64, n: u64) -> Option<&[u8]> {
-        let (i, bytes) = self.locate(addr, n)?;
-        Some(&self.segs[i].2[bytes])
+    /// The per-access view a replay runs against.
+    fn view(&mut self) -> Replay<'_> {
+        Replay {
+            bytes: self.bytes.as_mut_ptr(),
+            segs: &self.segs,
+        }
     }
 
-    /// Mutable counterpart of [`Overlay::get`].
-    fn get_mut(&mut self, addr: u64, n: u64) -> Option<&mut [u8]> {
-        let (i, bytes) = self.locate(addr, n)?;
-        Some(&mut self.segs[i].2[bytes])
+    /// The replayed write-set in journal layout.
+    fn finish(mut self) -> Vec<u8> {
+        for &(piece, len, run) in &self.shared {
+            self.bytes.copy_within(run..run + len, piece);
+        }
+        self.bytes.truncate(self.journal_len);
+        self.bytes
     }
 }
 
@@ -648,6 +797,7 @@ pub struct SpecKernel<'p> {
     spec: &'p LoopSpec,
     report: &'p LoopReport,
     code: &'p LoopCode,
+    footprints: &'p FootprintMemo,
 }
 
 impl<'p> SpecKernel<'p> {
@@ -687,8 +837,8 @@ impl<'p> SpecKernel<'p> {
         let arena = self.prog.base();
         for_shape!(ref self.code, |reads, writes| {
             for (i, rec) in range.zip(records.chunks_exact_mut(self.code.record_len)) {
-                for op in reads.iter() {
-                    let v: T = Direct.operand(arena, op, i);
+                for (k, op) in reads.iter().enumerate() {
+                    let v: T = Direct.operand(arena, op, k, i);
                     v.to_field(&mut rec[op.field..op.field + size_of::<T>()]);
                 }
                 for op in writes.iter().filter(|op| op.gather.is_some()) {
@@ -719,8 +869,86 @@ impl<'p> SpecKernel<'p> {
     /// The write-ref footprints of `range` in journal order (the byte
     /// layout of [`RealKernel::journal_capture`]), or `None` when any is
     /// unresolvable.
+    ///
+    /// A verified chunk asks for one range four times in a row (its
+    /// pre-image capture, commit digest, replay and comparison), and an
+    /// indirect write's footprint is a scan of the chunk's index words,
+    /// so a loop with one keeps the last answer. It depends on the range
+    /// alone: the spec and the index contents are fixed for the
+    /// program's life. Affine footprints are closed form, cheaper than
+    /// the memo's lock and copy. A memo another thread holds is passed
+    /// by, not waited for: split stages journal their chunks
+    /// concurrently.
     fn write_footprints(&self, range: Range<u64>) -> Option<Vec<Footprint>> {
-        cascade_analyze::write_set(&self.prog.workload, self.spec, range)
+        let scans = self
+            .spec
+            .refs
+            .iter()
+            .any(|r| r.mode.writes() && !r.pattern.is_affine());
+        let Some(mut last) = scans.then(|| self.footprints.try_lock().ok()).flatten() else {
+            return cascade_analyze::write_set(&self.prog.workload, self.spec, range);
+        };
+        if let Some((_, fps)) = last.as_ref().filter(|(r, _)| *r == range) {
+            return Some(fps.clone());
+        }
+        let fps = cascade_analyze::write_set(&self.prog.workload, self.spec, range.clone())?;
+        *last = Some((range, fps.clone()));
+        Some(fps)
+    }
+
+    /// Every op's [`Slot`] for replaying `range` against `view`, whose
+    /// segments hold `fps` (the write footprints, in `writes` order).
+    /// An op on an array the loop never writes reads the arena: no write
+    /// footprint reaches into it. Any other op is placed by its hull over
+    /// `range`: inside one segment, rebased into it; an affine hull clear
+    /// of every segment, the arena. `None` sends the chunk down the
+    /// per-access path: a hull that straddles a segment boundary, an
+    /// indirect hull outside the footprint (its index words decide per
+    /// access), or more ops than slots.
+    fn slots(
+        &self,
+        range: Range<u64>,
+        fps: &[Footprint],
+        view: &Replay<'_>,
+    ) -> Option<[Slot; MAX_SLOTS]> {
+        let refs = &self.spec.refs;
+        if refs.len() > MAX_SLOTS {
+            return None;
+        }
+        let arena = Slot {
+            base: self.prog.base(),
+            lo: 0,
+            reach: usize::MAX,
+        };
+        let mut slots = [arena; MAX_SLOTS];
+        let written = |r: &StreamRef| refs.iter().any(|w| w.mode.writes() && w.array == r.array);
+        // Slot order: the reads, then the writes, each in `refs` order. A
+        // read of an array no write reaches needs no hull (`None`), and
+        // one whose hull cannot be resolved (`Some(None)`) is not placed.
+        let reads = refs.iter().filter(|r| r.mode == Mode::Read);
+        let hulls = reads.map(|r| {
+            written(r)
+                .then(|| cascade_analyze::ref_footprint(&self.prog.workload, r, range.clone()))
+        });
+        for (slot, hull) in slots
+            .iter_mut()
+            .zip(hulls.chain(fps.iter().map(|f| Some(Some(*f)))))
+        {
+            let Some(hull) = hull else { continue };
+            let hull = hull?;
+            match view.segs.iter().find(|s| hull.lo < s.hi && s.lo < hull.hi) {
+                Some(s) if s.lo <= hull.lo && hull.hi <= s.hi => {
+                    *slot = Slot {
+                        base: view.bytes.wrapping_add(s.at).wrapping_sub(s.lo as usize),
+                        lo: s.lo as usize,
+                        reach: (s.hi - s.lo) as usize - self.code.width,
+                    }
+                }
+                None if hull.exact => {}
+                _ => return None,
+            }
+        }
+        Some(slots)
     }
 }
 
@@ -849,8 +1077,7 @@ impl<'p> RealKernel for SpecKernel<'p> {
             .all(|r| matches!(r.pattern, Pattern::Affine { stride, .. } if stride.abs() == 1))
     }
 
-    unsafe fn journal_capture(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
-        buf.clear();
+    unsafe fn visit_footprint(&self, range: Range<u64>, visit: &mut dyn FnMut(&[u8])) -> bool {
         // Unresolvable write footprint: no journal bound exists. Loops
         // `SpecProgram::new` admits never hit this (rt_ok rejects unsafe
         // write verdicts), but the contract allows it, so degrade to the
@@ -860,18 +1087,23 @@ impl<'p> RealKernel for SpecKernel<'p> {
         };
         for fp in &fps {
             // SAFETY: the footprint is analyzer-bounded inside the arena
-            // (past-the-end streams are rejected at construction), and we
-            // hold the chunk's claim, so no concurrent writer exists while
-            // these bytes are read.
-            let bytes = unsafe {
+            // (past-the-end streams are rejected at construction), and the
+            // caller holds the chunk's claim, so no concurrent writer
+            // exists while these bytes are read.
+            visit(unsafe {
                 std::slice::from_raw_parts(
                     self.prog.base().add(fp.lo as usize),
                     (fp.hi - fp.lo) as usize,
                 )
-            };
-            buf.extend_from_slice(bytes);
+            });
         }
         true
+    }
+
+    unsafe fn journal_capture(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
+        buf.clear();
+        // SAFETY: forwarded under the caller's exclusivity guarantee.
+        unsafe { self.visit_footprint(range, &mut |bytes| buf.extend_from_slice(bytes)) }
     }
 
     unsafe fn journal_rollback(&self, range: Range<u64>, buf: &[u8]) {
@@ -900,14 +1132,12 @@ impl<'p> RealKernel for SpecKernel<'p> {
     unsafe fn replay_footprint(&self, range: Range<u64>, pre_image: &[u8]) -> Option<Vec<u8>> {
         let fps = self.write_footprints(range.clone())?;
         let mut ov = Overlay::seed(&fps, pre_image)?;
-        self.run(range, &mut Replay(&mut ov));
-        // Read the replayed bytes back out in journal layout, mirroring
-        // what `journal_capture` over the committed state would return.
-        let mut out = Vec::with_capacity(pre_image.len());
-        for f in &fps {
-            out.extend_from_slice(ov.get(f.lo, f.hi - f.lo).expect("seeded footprint"));
+        let view = ov.view();
+        match self.slots(range.clone(), &fps, &view) {
+            Some(slots) => self.run(range, &mut Rebased { slots, view }),
+            None => self.run(range, &mut { view }),
         }
-        Some(out)
+        Some(ov.finish())
     }
 
     unsafe fn corrupt_byte(
@@ -1586,5 +1816,262 @@ mod tests {
             stats.faults
         );
         assert_eq!(prog.checksum(), expected, "salvaged run must be bitwise");
+    }
+
+    /// One loop over `arrays` (name, element bytes, length, padding
+    /// after it), their data filled deterministically, with the index
+    /// contents `index` installs.
+    fn one_loop(
+        arrays: &[(&str, u32, u64, u64)],
+        refs: impl Fn(&[cascade_trace::ArrayId]) -> Vec<StreamRef>,
+        iters: u64,
+        index: impl Fn(&[cascade_trace::ArrayId], &mut IndexStore),
+    ) -> SpecProgram {
+        let mut space = AddressSpace::new();
+        let ids: Vec<_> = arrays
+            .iter()
+            .map(|&(name, elem, len, pad)| {
+                let id = space.alloc(name, elem, len);
+                if pad > 0 {
+                    space.alloc("pad", 1, pad);
+                }
+                id
+            })
+            .collect();
+        let mut idx = IndexStore::new();
+        index(&ids, &mut idx);
+        let w = Workload {
+            space,
+            index: idx,
+            loops: vec![LoopSpec {
+                name: "l".into(),
+                iters,
+                refs: refs(&ids),
+                compute: 1.0,
+                hoistable_compute: 0.0,
+                hoist_result_bytes: 0,
+            }],
+        };
+        let mut arena = Arena::new(&w.space);
+        for (&id, &(_, elem, len, _)) in ids.iter().zip(arrays) {
+            for i in 0..len {
+                let v = (i * 2_654_435_761 % 1_000_003) as u32;
+                match elem {
+                    8 => arena.set_f64(&w.space, id, i, v as f64 * 0.125),
+                    _ => arena.set_u32(&w.space, id, i, v),
+                }
+            }
+        }
+        arena.install_indices(&w.space, &w.index);
+        SpecProgram::new(w, arena).expect("an admitted loop")
+    }
+
+    fn stream(
+        name: &'static str,
+        array: cascade_trace::ArrayId,
+        mode: Mode,
+        pattern: Pattern,
+    ) -> StreamRef {
+        StreamRef {
+            name,
+            array,
+            pattern,
+            mode,
+            bytes: 8,
+            hoistable: false,
+        }
+    }
+
+    fn affine(base: i64) -> Pattern {
+        Pattern::Affine { base, stride: 1 }
+    }
+
+    /// What [`replay_both_ways`] saw, over all chunks.
+    #[derive(Debug, Default, PartialEq)]
+    struct Replays {
+        /// Chunks `slots` placed, so `replay_footprint` ran rebased.
+        rebased: u64,
+        /// Chunks whose replay reproduced the committed bytes.
+        matched: u64,
+        /// Most overlay segments in one chunk.
+        segs: usize,
+        /// Chunks with a scratch run (touching or overlapping footprints).
+        shared: u64,
+    }
+
+    /// Execute `prog`'s loop chunk by chunk; after each chunk, let
+    /// `tamper` change the arena, then replay the chunk both ways —
+    /// `replay_footprint` (rebased wherever `slots` places every op) and
+    /// the per-access [`Replay`] source over the same overlay — and
+    /// require the same bytes from both.
+    fn replay_both_ways(
+        prog: &SpecProgram,
+        chunk: u64,
+        tamper: impl Fn(&SpecKernel<'_>, Range<u64>),
+    ) -> Replays {
+        let k = prog.kernel(0);
+        let (mut pre, mut post, mut seen) = (Vec::new(), Vec::new(), Replays::default());
+        let mut start = 0;
+        while start < k.iters() {
+            let range = start..(start + chunk).min(k.iters());
+            start = range.end;
+            let fps = k.write_footprints(range.clone()).unwrap();
+            // SAFETY (here and below): single-threaded, so every call is
+            // exclusive and `range` is committed once executed.
+            unsafe {
+                assert!(k.journal_capture(range.clone(), &mut pre));
+                k.execute(range.clone());
+                assert!(k.journal_capture(range.clone(), &mut post));
+            }
+            tamper(&k, range.clone());
+            let rebased = unsafe { k.replay_footprint(range.clone(), &pre) }.unwrap();
+            let mut ov = Overlay::seed(&fps, &pre).unwrap();
+            seen.segs = seen.segs.max(ov.segs.len());
+            seen.shared += !ov.shared.is_empty() as u64;
+            let view = ov.view();
+            seen.rebased += k.slots(range.clone(), &fps, &view).is_some() as u64;
+            unsafe { k.run(range.clone(), &mut { view }) };
+            let per_access = ov.finish();
+            assert_eq!(rebased, per_access, "chunk {range:?}: the two paths differ");
+            seen.matched += (rebased == post) as u64;
+        }
+        seen
+    }
+
+    #[test]
+    fn rebased_replay_matches_the_per_access_path() {
+        let untouched = |_: &SpecKernel<'_>, _| {};
+        let all = |chunks, segs, shared| Replays {
+            rebased: chunks,
+            matched: chunks,
+            segs,
+            shared,
+        };
+        // The guarded_dense shape: unwritten affine reads, one scatter
+        // segment (a permuted index, so the scatter really scatters).
+        let s = cascade_synth::Synth::build(4_096, cascade_synth::Variant::Dense, 5);
+        let mut w = s.workload;
+        let Pattern::Indirect { index: ij, .. } = w.loops[0].refs[2].pattern else {
+            unreachable!("Synth's third ref is the scatter")
+        };
+        w.index
+            .set(ij, (0..4_096u32).map(|i| (i * 1_237) % 4_096).collect());
+        let mut arena = s.arena;
+        arena.install_indices(&w.space, &w.index);
+        let prog = SpecProgram::new(w, arena).unwrap();
+        assert_eq!(replay_both_ways(&prog, 500, untouched), all(9, 1, 0));
+
+        // Two write refs on two arrays: two segments, each op in one.
+        let prog = one_loop(
+            &[("a", 8, 600, 64), ("b", 8, 600, 64), ("c", 8, 600, 0)],
+            |id| {
+                vec![
+                    stream("a(i)", id[0], Mode::Read, affine(0)),
+                    stream("b(i)", id[1], Mode::Write, affine(0)),
+                    stream("c(i)", id[2], Mode::Modify, affine(0)),
+                ]
+            },
+            600,
+            |_, _| {},
+        );
+        assert_eq!(replay_both_ways(&prog, 64, untouched), all(10, 2, 0));
+
+        // Overlapping write footprints on one array share a scratch run,
+        // and a read of the written array inside it is rebased too.
+        let prog = one_loop(
+            &[("a", 8, 602, 0)],
+            |id| {
+                vec![
+                    stream("a(i+1)", id[0], Mode::Read, affine(1)),
+                    stream("a(i)", id[0], Mode::Write, affine(0)),
+                    stream("a(i+2)", id[0], Mode::Modify, affine(2)),
+                ]
+            },
+            600,
+            |_, _| {},
+        );
+        assert_eq!(replay_both_ways(&prog, 64, untouched), all(10, 1, 10));
+
+        // Read a(i), write a(i+2): the read's hull straddles the write
+        // footprint's start, so every chunk takes the per-access path.
+        let prog = one_loop(
+            &[("a", 8, 602, 0)],
+            |id| {
+                vec![
+                    stream("a(i)", id[0], Mode::Read, affine(0)),
+                    stream("a(i+2)", id[0], Mode::Write, affine(2)),
+                ]
+            },
+            600,
+            |_, _| {},
+        );
+        let straddled = replay_both_ways(&prog, 64, untouched);
+        assert_eq!(
+            straddled,
+            Replays {
+                rebased: 0,
+                ..all(10, 1, 0)
+            }
+        );
+    }
+
+    #[test]
+    fn a_stray_gather_replays_alike_on_both_paths() {
+        // Each 256-iteration chunk scatters over all of x[0..256) and
+        // gathers from inside it, so both ops rebase into the one
+        // segment. Then an index word of the gather is changed to reach
+        // x[256..): the rebased path must send that access where the
+        // per-access lookup does (the arena), not into the segment.
+        let prog = one_loop(
+            &[("x", 8, 1_024, 0), ("ij", 4, 1_024, 0)],
+            |id| {
+                let gather = |ibase| Pattern::Indirect {
+                    index: id[1],
+                    ibase,
+                    istride: 1,
+                };
+                vec![
+                    stream("x(ij(i+512))", id[0], Mode::Read, gather(512)),
+                    stream("x(ij(i))", id[0], Mode::Modify, gather(0)),
+                ]
+            },
+            512,
+            |id, idx| {
+                let scatter = (0..512u32).map(|i| (i * 97) % 256);
+                let gather = (0..512u32).map(|i| 16 + (i * 31) % 224);
+                idx.set(id[1], scatter.chain(gather).collect());
+            },
+        );
+        let w = prog.workload();
+        let ij = w.space.iter().find(|(_, d)| d.name == "ij").unwrap().1.base;
+        let clean = replay_both_ways(&prog, 256, |_, _| {});
+        assert_eq!((clean.rebased, clean.matched), (2, 2));
+        let stray = |k: &SpecKernel<'_>, r: Range<u64>| {
+            // Byte 1 of the gather's index word for the chunk's tenth
+            // iteration: +256 keeps it inside x, outside the segment.
+            let at = ij + 4 * (512 + r.start + 10) + 1;
+            // SAFETY: single-threaded; the byte is outside every write
+            // footprint, and nothing runs concurrently.
+            assert!(unsafe { k.corrupt_byte(r, at, 0x01, false) });
+        };
+        let seen = replay_both_ways(&prog, 256, stray);
+        assert_eq!((seen.rebased, seen.matched), (2, 0), "{seen:?}");
+    }
+
+    #[test]
+    fn the_footprint_memo_answers_as_write_set_does() {
+        let (w, arena) = scatter_workload(2_048);
+        let prog = SpecProgram::new(w, arena).unwrap();
+        let k = prog.kernel(0);
+        let fresh = |r: Range<u64>| cascade_analyze::write_set(prog.workload(), k.spec(), r);
+        for r in [0..512, 0..512, 512..1024, 0..512, 100..101, 100..101, 7..7] {
+            assert_eq!(k.write_footprints(r.clone()), fresh(r.clone()), "{r:?}");
+        }
+        // Every kernel of the loop shares the memo. One held elsewhere is
+        // passed by, with the same answer.
+        let held = prog.kernel(0).footprints.lock().unwrap();
+        assert_eq!(k.write_footprints(0..64), fresh(0..64));
+        drop(held);
+        assert_eq!(k.write_footprints(0..64), fresh(0..64));
     }
 }

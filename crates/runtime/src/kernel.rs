@@ -163,6 +163,35 @@ pub trait RealKernel: Sync {
         unreachable!("journal_rollback without a successful journal_capture");
     }
 
+    /// Visit the *live* bytes of chunk `range`'s write-set where they lie:
+    /// `visit` sees one or more slices, in journal order, whose
+    /// concatenation is exactly what `journal_capture(range, ..)` would
+    /// copy out. Returns `false`, visiting nothing, when the write-set
+    /// cannot be bounded. This is how the runner's checksummed handoff
+    /// digests a committed chunk and how its verifier compares a replay
+    /// against it, with no copy of the footprint. The slices are the
+    /// digest's boundaries ([`cascade_core::fnv64_words`] is chained over
+    /// them), so a kernel must cut a given range the same way every time.
+    ///
+    /// The default captures the journal into a scratch buffer and visits
+    /// it as one slice. [`crate::SpecKernel`] visits one slice per write
+    /// footprint, in place.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as [`RealKernel::journal_capture`]: the caller holds
+    /// the chunk's claim (or the run's quiescence), so no writer overlaps
+    /// the footprint while `visit` reads it.
+    unsafe fn visit_footprint(&self, range: Range<u64>, visit: &mut dyn FnMut(&[u8])) -> bool {
+        let mut buf = Vec::new();
+        // SAFETY: forwarded under the caller's guarantee.
+        let bounded = unsafe { self.journal_capture(range, &mut buf) };
+        if bounded {
+            visit(&buf);
+        }
+        bounded
+    }
+
     /// Re-execute the *committed* chunk `range` against a journaled
     /// private view and return the resulting write-set bytes in
     /// journal layout (the byte order of [`RealKernel::journal_capture`]).
@@ -174,6 +203,13 @@ pub trait RealKernel: Sync {
     /// never writes), and returns the overlay. Shared memory is **never
     /// written** — this is the verification read path of the
     /// silent-data-corruption defense (`docs/ROBUSTNESS.md`).
+    ///
+    /// The replay sits on the critical path (the next chunk waits for
+    /// it), so it should run at execution speed. [`crate::SpecKernel`]
+    /// fixes, once per chunk, where each operand stream goes: the
+    /// arena, or one overlay segment it is rebased into. The loop body
+    /// then runs as in `execute`, with no lookup per access, and its
+    /// overlay, held in journal layout, is the result: no readout copy.
     ///
     /// Returns `None` when this kernel cannot replay (the conservative
     /// default; verification then degrades to digest comparison).

@@ -1157,8 +1157,8 @@ struct VerifyPacket {
     /// The worker that executed and committed it (blame target).
     executor: u64,
     /// [`footprint_digest`] of the committed write-footprint bytes,
-    /// captured by the executor after the chunk body ran, while it still
-    /// held the claim.
+    /// hashed in place by the executor after the chunk body ran, while it
+    /// still held the claim.
     digest: u64,
     /// The undo journal captured *before* the chunk ran: seeds the
     /// replay's private overlay, and doubles as the rollback image when
@@ -2208,12 +2208,74 @@ pub(crate) unsafe fn roll_back_chunk<K: RealKernel>(
     true
 }
 
-/// The checksummed handoff's digest of a chunk's write-footprint bytes
-/// (journal layout): one definition, so executor and verifier agree. An
+/// The one call of [`RealKernel::visit_footprint`], under its contract.
+/// `false` when the write-set is unbounded or the visit panicked: every
+/// in-place read of a committed footprint goes through here, so an
+/// unreadable footprint has one outcome wherever it is read.
+unsafe fn visit_live<K: RealKernel>(k: &K, r: Range<u64>, mut visit: impl FnMut(&[u8])) -> bool {
+    // SAFETY: forwarded under the caller's guarantee.
+    catch_unwind(AssertUnwindSafe(|| unsafe {
+        k.visit_footprint(r, &mut visit)
+    }))
+    .unwrap_or(false)
+}
+
+/// The checksummed handoff's digest of chunk `range`'s committed
+/// write-set, and its one definition: [`fnv64_words`] chained over the
+/// kernel's footprint slices ([`RealKernel::visit_footprint`]) in journal
+/// order, read where they lie. With `copy`, a journal-layout copy of the
+/// write-set (the verified replay bytes), the same-length pieces of
+/// `copy` are hashed in place of the live slices. So the executor's
+/// digest, the verifier's `found` and [`convict`]'s `expected` cut their
+/// bytes at the same boundaries, and equal bytes give equal digests. An
 /// in-memory comparison within one run, hence the word-wise
 /// [`fnv64_words`], which sees every single-byte change for certain.
-fn footprint_digest(bytes: &[u8]) -> u64 {
-    fnv64_words(FNV64_BASIS, bytes)
+/// `None` when the footprint cannot be read ([`visit_live`]) or `copy`
+/// is not its length.
+///
+/// # Safety
+///
+/// As [`RealKernel::visit_footprint`].
+unsafe fn footprint_digest<K: RealKernel>(
+    kernel: &K,
+    range: Range<u64>,
+    copy: Option<&[u8]>,
+) -> Option<u64> {
+    let (mut h, mut cur, mut fits) = (FNV64_BASIS, 0usize, true);
+    // SAFETY: forwarded under the caller's guarantee.
+    let read = unsafe {
+        visit_live(kernel, range, |live| {
+            match copy.map_or(Some(live), |c| c.get(cur..cur + live.len())) {
+                Some(piece) => h = fnv64_words(h, piece),
+                None => fits = false,
+            }
+            cur += live.len();
+        })
+    };
+    (read && fits && copy.is_none_or(|c| c.len() == cur)).then_some(h)
+}
+
+/// Whether `bytes`, a journal-layout write-set, equals chunk `range`'s
+/// committed one, compared where it lies. `None` when the footprint
+/// cannot be read ([`visit_live`]).
+///
+/// # Safety
+///
+/// As [`RealKernel::visit_footprint`].
+unsafe fn matches_committed<K: RealKernel>(
+    kernel: &K,
+    range: Range<u64>,
+    bytes: &[u8],
+) -> Option<bool> {
+    let (mut same, mut cur) = (true, 0usize);
+    // SAFETY: forwarded under the caller's guarantee.
+    let read = unsafe {
+        visit_live(kernel, range, |live| {
+            same = same && bytes.get(cur..cur + live.len()) == Some(live);
+            cur += live.len();
+        })
+    };
+    read.then_some(same && cur == bytes.len())
 }
 
 /// Outcome of verifying one committed chunk against its handoff packet.
@@ -2233,11 +2295,13 @@ enum VerifyVerdict {
 
 /// Verify committed chunk `p.chunk` against its handoff packet: under a
 /// replaying policy, re-execute the chunk against a journaled private
-/// view ([`RealKernel::replay_footprint`]) and compare bytes; otherwise
-/// recompute the write-footprint digest and compare it with the
-/// published one. The digest of the committed bytes is computed only
-/// where it decides something — that comparison, and the blame decision
-/// after a confirmed tiebreak — so a matching replay costs no hash.
+/// view ([`RealKernel::replay_footprint`]) and compare the result with
+/// the committed bytes; otherwise digest the committed bytes and compare
+/// with the published digest. The committed footprint is read where it
+/// lies ([`RealKernel::visit_footprint`]), never copied, and hashed only
+/// where the digest decides something — that comparison, and the blame
+/// decision after a confirmed tiebreak — so a matching replay costs the
+/// replay and one comparison pass.
 ///
 /// On a replay mismatch a *second* replay is the sequential tiebreak:
 /// only when both replays agree against the committed bytes is the
@@ -2249,6 +2313,14 @@ enum VerifyVerdict {
 /// the tolerance has any recovery path (retry or salvage); otherwise the
 /// chunk is rolled back to its pre-image and the token poisoned, so the
 /// typed error's committed prefix never contains a corrupted chunk.
+///
+/// A committed footprint that cannot be read — the kernel lost its
+/// bound, or a read of it panicked ([`visit_live`]) — leaves nothing to
+/// check against, at whichever read it happens: the chunk is
+/// [`VerifyVerdict::Verified`], unblamed and unrecorded. That is
+/// conservative, not wrong: the executor could not have published a
+/// packet for an unreadable footprint unless the loss is transient, and
+/// a reader's panic says nothing about the executor.
 ///
 /// The caller must hold the downstream chunk's claim (or, for a loop's
 /// final chunk, the end-of-loop quiescence): verification happens-before the downstream chunk's
@@ -2262,32 +2334,23 @@ fn verify_committed<K: RealKernel>(
     verifier: u64,
     p: VerifyPacket,
 ) -> VerifyVerdict {
-    let mut committed = Vec::new();
-    // SAFETY: the caller holds the downstream claim (or the end-of-loop
-    // quiescence), so no execute overlaps `p.range`'s footprint, and capture
-    // only reads.
-    let ok = unsafe { capture(kernel, p.range.clone(), &mut committed) }.unwrap_or(false);
-    if !ok {
-        // The kernel lost its footprint bound mid-run: nothing to check
-        // against (the executor could not have published a packet either
-        // unless this is transient; be conservative, not wrong).
-        return VerifyVerdict::Verified;
-    }
-
+    // SAFETY (every replay and read below): the caller holds the
+    // downstream claim (or the end-of-loop quiescence), so no execute
+    // overlaps `p.range`'s footprint; a replay routes every footprint
+    // access through a private overlay and never writes shared memory,
+    // and a read only reads.
+    let range = || p.range.clone();
     if cfg.verify.replays(p.chunk) {
         if let Some(pre) = p.pre_image.as_deref() {
             let replay = || -> Option<Vec<u8>> {
-                // SAFETY: same exclusivity as the capture above; replay
-                // routes every footprint access through a private
-                // overlay and never writes shared memory.
                 catch_unwind(AssertUnwindSafe(|| unsafe {
-                    kernel.replay_footprint(p.range.clone(), pre)
+                    kernel.replay_footprint(range(), pre)
                 }))
                 .ok()
                 .flatten()
             };
             if let Some(r1) = replay() {
-                if r1 == committed {
+                if unsafe { matches_committed(kernel, range(), &r1) } != Some(false) {
                     return VerifyVerdict::Verified;
                 }
                 let Some(r2) = replay() else {
@@ -2303,28 +2366,32 @@ fn verify_committed<K: RealKernel>(
                 // is to blame hangs on the published digest. If it
                 // matches the committed bytes, the executor *computed*
                 // them — guilty. If not, the corruption landed after the
-                // executor's own commit-time capture (a post-commit
+                // executor's own commit-time digest (a post-commit
                 // flip), and blaming the executor would convict an
                 // innocent worker — the single-fault attribution the
                 // model checker proves.
-                let found = footprint_digest(&committed);
-                let blamed = if found == p.digest {
-                    Some(p.executor)
-                } else {
-                    None
+                let found = unsafe { footprint_digest(kernel, range(), None) };
+                let expected = unsafe { footprint_digest(kernel, range(), Some(&r1)) };
+                let (Some(found), Some(expected)) = (found, expected) else {
+                    return VerifyVerdict::Verified;
                 };
+                let blamed = (found == p.digest).then_some(p.executor);
                 let tol = &cfg.tolerance;
-                return convict(kernel, run, rec, tol, verifier, &p, &r1, found, blamed);
+                return convict(
+                    kernel, run, rec, tol, verifier, &p, &r1, expected, found, blamed,
+                );
             }
         }
     }
 
     // Digest-only comparison (Checksum policy, unsampled chunks, or no
     // replay path): catches corruption that landed *after* the
-    // executor's own post-execution capture. No replay means no
+    // executor's own post-execution digest. No replay means no
     // tiebreak, so no blame — and no verified bytes to install, so
     // detection always fails the run.
-    let found = footprint_digest(&committed);
+    let Some(found) = (unsafe { footprint_digest(kernel, range(), None) }) else {
+        return VerifyVerdict::Verified;
+    };
     if found == p.digest {
         return VerifyVerdict::Verified;
     }
@@ -2342,7 +2409,8 @@ fn verify_committed<K: RealKernel>(
 /// post-commit flip the executor is innocent of), quarantine a repeat
 /// offender, and recover — install the verified replay bytes in place
 /// when the tolerance has a recovery path, or roll back to the pre-image
-/// and poison the token when it does not.
+/// and poison the token when it does not. `expected` and `found` are the
+/// [`footprint_digest`]s of `verified` and of the committed bytes.
 #[allow(clippy::too_many_arguments)] // a conviction is parameterized by the whole verify context
 fn convict<K: RealKernel>(
     kernel: &K,
@@ -2352,10 +2420,10 @@ fn convict<K: RealKernel>(
     verifier: u64,
     p: &VerifyPacket,
     verified: &[u8],
+    expected: u64,
     found: u64,
     blamed: Option<u64>,
 ) -> VerifyVerdict {
-    let expected = footprint_digest(verified);
     if let Some(guilty) = blamed {
         let quarantine_now = rec.health.corruption_strike(guilty);
         run.record(FaultEvent::WorkerBlamed {
@@ -2707,26 +2775,25 @@ fn ft_worker<K: RealKernel>(
         }
 
         // --- checksummed handoff (claim still held) ---
-        // Digest the chunk's *committed* write footprint and publish the
-        // verification packet before the advance: the downstream
-        // claimant's Acquire through its claim CAS sees the packet before
-        // chunk j + 1 can execute. A copy of the pre-image journal rides
-        // along to seed the verifier's replay overlay; `jbuf` itself stays
-        // here, so its metered capacity is reused by the next capture
-        // instead of being reserved again. Cost is a side counter
-        // (`verify_ns`) inside the Other phase; with `VerifyPolicy::Off`
-        // this is one branch.
+        // Digest the chunk's *committed* write footprint where it lies and
+        // publish the verification packet before the advance: the
+        // downstream claimant's Acquire through its claim CAS sees the
+        // packet before chunk j + 1 can execute. A copy of the pre-image
+        // journal rides along to seed the verifier's replay overlay;
+        // `jbuf` itself stays here, so its metered capacity is reused by
+        // the next capture instead of being reserved again. Cost is a side
+        // counter (`verify_ns`) inside the Other phase; with
+        // `VerifyPolicy::Off` this is one branch.
         if cfg.verify.armed() && journaled {
             let t0 = Instant::now();
-            let mut committed_bytes = Vec::new();
             // SAFETY: claim still held — the same exclusivity contract
-            // as `execute` — and capture only reads.
-            if unsafe { capture(kernel, range.clone(), &mut committed_bytes) }.unwrap_or(false) {
+            // as `execute` — and the digest only reads.
+            if let Some(digest) = unsafe { footprint_digest(kernel, range.clone(), None) } {
                 *lock_recover(&run.verify_slot) = Some(VerifyPacket {
                     chunk: j,
                     range: range.clone(),
                     executor: t,
-                    digest: footprint_digest(&committed_bytes),
+                    digest,
                     pre_image: Some(jbuf.clone()),
                 });
             }
@@ -3943,5 +4010,140 @@ mod tests {
             }
             other => panic!("expected Cancelled, got {other:?}"),
         }
+    }
+
+    /// `c(i)` read, `a(i)` modified and `b(i)` written, all f64: a chunk
+    /// of `r` iterations has a footprint of two `8 r`-byte slices.
+    fn two_write_program(n: u64) -> crate::SpecProgram {
+        use cascade_trace::{
+            AddressSpace, Arena, IndexStore, LoopSpec, Mode, Pattern, StreamRef, Workload,
+        };
+        let mut space = AddressSpace::new();
+        let ids = ["c", "a", "b"].map(|name| {
+            let id = space.alloc(name, 8, n);
+            space.alloc("pad", 1, 64);
+            id
+        });
+        let stream = |name, array, mode| StreamRef {
+            name,
+            array,
+            pattern: Pattern::Affine { base: 0, stride: 1 },
+            mode,
+            bytes: 8,
+            hoistable: false,
+        };
+        let refs = vec![
+            stream("c(i)", ids[0], Mode::Read),
+            stream("a(i)", ids[1], Mode::Modify),
+            stream("b(i)", ids[2], Mode::Write),
+        ];
+        let w = Workload {
+            space,
+            index: IndexStore::new(),
+            loops: vec![LoopSpec {
+                name: "two writes".into(),
+                iters: n,
+                refs,
+                compute: 1.0,
+                hoistable_compute: 0.0,
+                hoist_result_bytes: 0,
+            }],
+        };
+        let mut arena = Arena::new(&w.space);
+        for i in 0..n {
+            arena.set_f64(&w.space, ids[0], i, (i % 7) as f64 * 0.5 + 0.25);
+            arena.set_f64(&w.space, ids[1], i, (i % 5) as f64 * 0.75);
+        }
+        crate::SpecProgram::new(w, arena).unwrap()
+    }
+
+    #[test]
+    fn one_digest_definition_for_commit_found_and_convict() {
+        // Five iterations: two 40-byte slices, not multiples of the
+        // digest's 32-byte blocks, so their boundaries change the digest.
+        let prog = two_write_program(60);
+        let range = 20..25;
+        {
+            let k = prog.kernel(0);
+            // SAFETY (all calls in this block): single-threaded, so each
+            // is exclusive and `range` is committed once executed.
+            let mut pre = Vec::new();
+            unsafe {
+                k.execute(0..20);
+                assert!(k.journal_capture(range.clone(), &mut pre));
+                k.execute(range.clone());
+            }
+            let commit = unsafe { footprint_digest(&k, range.clone(), None) }.unwrap();
+            let found = unsafe { footprint_digest(&k, range.clone(), None) }.unwrap();
+            let replayed = unsafe { k.replay_footprint(range.clone(), &pre) }.unwrap();
+            let expected = unsafe { footprint_digest(&k, range.clone(), Some(&replayed)) };
+            assert_eq!(replayed.len(), 80);
+            assert_eq!((found, expected), (commit, Some(commit)));
+            assert_ne!(
+                fnv64_words(FNV64_BASIS, &replayed),
+                commit,
+                "chained and concatenated digests differ here"
+            );
+            // One flipped byte of the second slice: the in-place digests
+            // see it, and so does convict's over a copy of the bytes.
+            unsafe { assert!(k.corrupt_byte(range.clone(), 45, 0x08, true)) };
+            let mut now = Vec::new();
+            unsafe { assert!(k.journal_capture(range.clone(), &mut now)) };
+            let found = unsafe { footprint_digest(&k, range.clone(), None) }.unwrap();
+            assert_ne!(found, commit, "the verifier's digest sees the flip");
+            let copied = unsafe { footprint_digest(&k, range.clone(), Some(&now)) };
+            assert_eq!(copied, Some(found), "convict's digest sees it too");
+            let short = unsafe { footprint_digest(&k, range.clone(), Some(&now[..79])) };
+            assert_eq!(short, None, "a copy of another length has no digest");
+        }
+
+        // The same kernel under the runner: a flip before chunk 4's commit
+        // digest is blamed on its executor (so the verifier's `found` is
+        // the executor's digest), and `convict`'s `expected` is the
+        // in-place digest of the repaired bytes.
+        let mut prog = two_write_program(60);
+        let flip = FaultKind::SilentBitFlip {
+            after_iters: 5,
+            offset: 45,
+            xor: 0x08,
+            in_footprint: true,
+        };
+        let k = FaultyKernel::new(prog.kernel(0), FaultPlan::new(5).inject(4, flip));
+        let cfg = RunConfig {
+            runner: RunnerConfig {
+                nthreads: 2,
+                iters_per_chunk: 5,
+                policy: RtPolicy::None,
+                poll_batch: 4,
+            },
+            tolerance: Tolerance::retrying(Duration::from_secs(30)),
+            verify: crate::VerifyPolicy::EveryChunk,
+            ..RunConfig::default()
+        };
+        let stats = try_run_governed(&k, &cfg).expect("a repairable flip");
+        drop(k);
+        let blamed = stats
+            .faults
+            .iter()
+            .any(|f| matches!(f, FaultEvent::WorkerBlamed { chunk: 4, .. }));
+        assert!(blamed, "{:?}", stats.faults);
+        let digests = stats.faults.iter().find_map(|f| match *f {
+            FaultEvent::CorruptionDetected {
+                chunk: 4,
+                expected,
+                found,
+                repaired: true,
+            } => Some((expected, found)),
+            _ => None,
+        });
+        let (expected, found) = digests.expect("chunk 4 repaired");
+        // SAFETY: the run has returned; nothing runs concurrently.
+        let repaired = unsafe { footprint_digest(&prog.kernel(0), 20..25, None) };
+        assert_eq!(repaired, Some(expected));
+        assert_ne!(found, expected);
+        let mut seq = two_write_program(60);
+        // SAFETY: single-threaded.
+        unsafe { seq.kernel(0).execute(0..60) };
+        assert_eq!(prog.checksum(), seq.checksum(), "repaired run is bitwise");
     }
 }

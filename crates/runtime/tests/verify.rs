@@ -6,12 +6,14 @@
 //! place (recovery armed) or fail with a typed error whose committed
 //! prefix is bitwise clean.
 
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Duration;
 
 use cascade_rt::{
     try_run_governed, try_run_governed_sequence, FaultEvent, FaultKind, FaultPlan, FaultyKernel,
-    MemBudget, RealKernel, RtPolicy, RunConfig, RunError, RunnerConfig, SpecProgram, Tolerance,
-    VerifyPolicy,
+    MemBudget, RealKernel, RtPolicy, RunConfig, RunError, RunnerConfig, SpecKernel, SpecProgram,
+    Tolerance, VerifyPolicy,
 };
 use cascade_synth::{Synth, Variant};
 use cascade_wave5::{Parmvr, ParmvrParams};
@@ -389,4 +391,71 @@ fn sequence_meters_one_steady_state_not_one_per_loop() {
     assert!(single > 0, "the undo journals are metered");
     assert_eq!(run(8, MemBudget::unlimited()), Ok(single));
     assert_eq!(run(8, MemBudget::limited(single)), Ok(single));
+}
+
+/// A `SpecKernel` whose footprint visitor panics once, on its `nth` call,
+/// after the visit itself has run: mid-read, from the caller's side.
+struct PanickyVisitor<'p> {
+    inner: SpecKernel<'p>,
+    calls: AtomicU64,
+    nth: u64,
+}
+
+impl RealKernel for PanickyVisitor<'_> {
+    fn iters(&self) -> u64 {
+        self.inner.iters()
+    }
+    unsafe fn execute(&self, range: Range<u64>) {
+        // SAFETY (every forward below): under the caller's own guarantee.
+        unsafe { self.inner.execute(range) }
+    }
+    unsafe fn journal_capture(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
+        unsafe { self.inner.journal_capture(range, buf) }
+    }
+    unsafe fn journal_rollback(&self, range: Range<u64>, buf: &[u8]) {
+        unsafe { self.inner.journal_rollback(range, buf) }
+    }
+    unsafe fn visit_footprint(&self, range: Range<u64>, visit: &mut dyn FnMut(&[u8])) -> bool {
+        let bounded = unsafe { self.inner.visit_footprint(range, visit) };
+        if self.calls.fetch_add(1, AtomicOrdering::SeqCst) + 1 == self.nth {
+            panic!("footprint visitor panics after its visit");
+        }
+        bounded
+    }
+    unsafe fn replay_footprint(&self, range: Range<u64>, pre_image: &[u8]) -> Option<Vec<u8>> {
+        unsafe { self.inner.replay_footprint(range, pre_image) }
+    }
+}
+
+/// Every in-place read of a committed footprint is one guarded call, with
+/// one outcome when it panics: nothing to check against, so no blame and
+/// no event. The first visit is chunk 0's commit digest, and a panic
+/// there publishes no packet, so chunk 0 goes unverified. The second is
+/// chunk 1's claimant comparing its replay of chunk 0 with the committed
+/// bytes, and a panic there counts chunk 0 verified, as an unreadable
+/// capture always has. Either way the run stays bitwise sequential.
+#[test]
+fn a_panicking_footprint_read_verifies_unblamed_and_stays_bitwise() {
+    let expected = sequential_checksum(Variant::Dense);
+    let chunks = N.div_ceil(CHUNK_ITERS);
+    // The final chunk is verified by the supervisor, which counts none.
+    for (nth, verified) in [(1, chunks - 2), (2, chunks - 1)] {
+        let s = Synth::build(N, Variant::Dense, 99);
+        let mut prog = SpecProgram::new(s.workload, s.arena).unwrap();
+        let k = PanickyVisitor {
+            inner: prog.kernel(0),
+            calls: AtomicU64::new(0),
+            nth,
+        };
+        let stats = try_run_governed(
+            &k,
+            &cfg(2, Tolerance::retrying(WATCHDOG), VerifyPolicy::EveryChunk),
+        )
+        .expect("an unreadable footprint never fails the run");
+        assert!(k.calls.into_inner() >= nth, "visit {nth} never happened");
+        assert_eq!(stats.faults, vec![], "visit {nth} panicked");
+        let counted: u64 = stats.threads.iter().map(|t| t.verified_chunks).sum();
+        assert_eq!(counted, verified, "visit {nth} panicked");
+        assert_eq!(prog.checksum(), expected, "visit {nth} panicked");
+    }
 }

@@ -168,10 +168,14 @@ impl IndexStore {
     /// no contents. Lets analyses bound index scans without risking the
     /// panic in [`IndexStore::get`].
     pub fn len_of(&self, id: ArrayId) -> Option<usize> {
-        self.tables
-            .get(id.0 as usize)
-            .and_then(|t| t.as_ref())
-            .map(|t| t.len())
+        self.table(id).map(<[u32]>::len)
+    }
+
+    /// The installed contents of `id` as one slice, or `None` when the
+    /// array has none: what a scan over many elements folds, instead of
+    /// a checked [`IndexStore::get`] per element.
+    pub fn table(&self, id: ArrayId) -> Option<&[u32]> {
+        self.tables.get(id.0 as usize).and_then(|t| t.as_deref())
     }
 }
 
@@ -231,9 +235,12 @@ mod tests {
         let ij = s.alloc("ij", 4, 4);
         let mut idx = IndexStore::new();
         assert!(!idx.contains(ij));
+        assert_eq!(idx.table(ij), None);
         idx.set(ij, vec![3, 1, 4, 1]);
         assert!(idx.contains(ij));
         assert_eq!(idx.get(ij, 2), 4);
+        assert_eq!(idx.table(ij), Some(&[3, 1, 4, 1][..]));
+        assert_eq!(idx.len_of(ij), Some(4));
     }
 
     #[test]
