@@ -40,8 +40,8 @@
 //!    write.
 //!
 //! The model follows the runner's code paths step for step: `Seek`
-//! mirrors `Roster::next_owned`, `Claim`/`Advance` mirror
-//! `Token::try_claim`/`try_advance`, `Recover`/`HandBack` mirror
+//! calls the roster's own ownership rule (`owned_from`), `Claim`/`Advance`
+//! mirror `Token::try_claim`/`try_advance`, `Recover`/`HandBack` mirror
 //! `recover_from_panic` (remap under the roster lock, then the unclaim
 //! CAS as a separate step — the dangerous window in between is explored),
 //! and `DetectStall` mirrors `declare_stall` with the strike ladder
@@ -95,6 +95,8 @@
 //! exploration.
 
 use interleave::{explore, Exploration, Model};
+
+use crate::runner::owned_from;
 
 /// Modeled token word: the three decoded states of [`crate::TokenView`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -414,16 +416,11 @@ impl Protocol {
         Some(self.live[((chunk - self.base) % l) as usize])
     }
 
-    /// `Roster::next_owned`, modeled.
+    /// `Roster::next_owned`: the runtime's own ownership rule.
     fn next_owned(&self, t: u8, from: u8) -> Option<u8> {
-        let idx = self.live.iter().position(|&x| x == t)? as u8;
-        let l = self.live.len() as u8;
-        let start = from.max(self.base);
-        let first = self.base + idx;
-        if start <= first {
-            return Some(first);
-        }
-        Some(first + (start - first).div_ceil(l) * l)
+        let idx = self.live.iter().position(|&x| x == t)?;
+        let (len, base) = (self.live.len() as u64, u64::from(self.base));
+        Some(owned_from(idx as u64, len, base, u64::from(from)) as u8)
     }
 
     /// Move the token, tracking monotonicity for the invariant.
@@ -1537,13 +1534,7 @@ impl VerifyModel {
 
     /// Fixed round-robin ownership: the smallest `j >= from` owned by `t`.
     fn next_owned(&self, t: u8, from: u8) -> u8 {
-        let n = self.nthreads;
-        let r = from % n;
-        if r <= t {
-            from - r + t
-        } else {
-            from - r + n + t
-        }
+        owned_from(u64::from(t), u64::from(self.nthreads), 0, u64::from(from)) as u8
     }
 
     /// The runner's `verify_committed`, compressed to one atomic

@@ -16,13 +16,14 @@
 //!
 //! All state is atomics plus one timestamp mutex per worker; the hot path
 //! (a heartbeat per completed chunk, a quarantine check per poll batch)
-//! never takes a lock.
+//! never takes a lock. Each worker's entry has its own 128-byte block, so
+//! one worker's heartbeat never writes a line another worker reads.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use crate::token::lock_recover;
+use crate::token::{lock_recover, CachePadded};
 
 /// What a detector should do about a suspect worker after a strike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +94,7 @@ impl WorkerHealth {
 #[derive(Debug)]
 pub struct HealthRegistry {
     cfg: HealthConfig,
-    workers: Vec<WorkerHealth>,
+    workers: Vec<CachePadded<WorkerHealth>>,
 }
 
 impl HealthRegistry {
@@ -101,7 +102,9 @@ impl HealthRegistry {
     pub fn new(nthreads: usize, cfg: HealthConfig) -> Self {
         HealthRegistry {
             cfg,
-            workers: (0..nthreads).map(|_| WorkerHealth::new()).collect(),
+            workers: (0..nthreads)
+                .map(|_| CachePadded(WorkerHealth::new()))
+                .collect(),
         }
     }
 
@@ -213,6 +216,21 @@ mod tests {
             strike_limit: 2,
             base_backoff: Duration::from_millis(1),
         }
+    }
+
+    /// Layout pin: two workers' entries never share a 128-byte block, so
+    /// a heartbeat does not false-share with the other worker's reads.
+    #[test]
+    fn worker_entries_sit_on_their_own_blocks() {
+        use std::mem::align_of;
+        assert_eq!(align_of::<CachePadded<WorkerHealth>>(), 128);
+        let h = HealthRegistry::new(2, fast_cfg());
+        let at = |t: usize| &h.workers[t].heartbeats as *const AtomicU64 as usize;
+        assert!(
+            at(1) - at(0) >= 128,
+            "entries {} bytes apart",
+            at(1) - at(0)
+        );
     }
 
     #[test]

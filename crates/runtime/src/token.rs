@@ -187,8 +187,54 @@ pub enum WaitOutcome {
 /// A cascaded-execution token: the index of the chunk allowed to execute.
 #[derive(Debug, Default)]
 pub struct Token {
-    counter: CachePadded<AtomicU64>,
+    line: CachePadded<TokenLine>,
     cause: Mutex<Option<PoisonCause>>,
+}
+
+/// The token's own 128-byte block: the counter, plus the words the
+/// cascade runner writes at every handoff. A fault-free handoff then
+/// touches this one block and no other shared line — the executor
+/// already holds it for its claim and advance CASes, and the claimant
+/// spins on it.
+#[derive(Debug, Default)]
+struct TokenLine {
+    counter: AtomicU64,
+    handoff: Handoff,
+}
+
+/// The runner's per-handoff words, kept beside the token counter (see
+/// [`Token::handoff`]).
+#[derive(Debug)]
+pub(crate) struct Handoff {
+    /// Set to `j + 1` by chunk `j`'s claim holder after its body: chunks
+    /// `0..completed` executed exactly once. Token serialization completes
+    /// chunks in order, so this is the exact salvage resume point.
+    pub(crate) completed: AtomicU64,
+    /// The worker that last won a claim; stall attribution for a stuck
+    /// executor. Racy by design (claim CAS and this store are two steps),
+    /// and only ever used to pick a strike suspect.
+    pub(crate) claimant: AtomicU64,
+    /// Handoff stamp (ns since the run origin): the releaser's
+    /// execute-end boundary, or a fresh read when armed commit work ran
+    /// after it. Written by the releaser *before* its `try_advance`; the next claimant reads it after winning the claim
+    /// CAS, so the Release/Acquire edge through the token orders the
+    /// pair and the latency sample is exact.
+    pub(crate) release_ns: AtomicU64,
+    /// Which chunk `release_ns` stamps (`u64::MAX` = none yet: chunk 0's
+    /// grant predates the run, so it produces no handoff sample and a
+    /// fault-free cascade records exactly `chunks - 1` handoffs).
+    pub(crate) release_chunk: AtomicU64,
+}
+
+impl Default for Handoff {
+    fn default() -> Self {
+        Handoff {
+            completed: AtomicU64::new(0),
+            claimant: AtomicU64::new(0),
+            release_ns: AtomicU64::new(0),
+            release_chunk: AtomicU64::new(u64::MAX),
+        }
+    }
 }
 
 /// Counter value marking a poisoned token (a worker panicked or stalled
@@ -241,14 +287,20 @@ impl Token {
                 false
             }
         };
-        self.counter.store(POISONED, Ordering::Release);
+        self.line.counter.store(POISONED, Ordering::Release);
         installed
+    }
+
+    /// The runner's handoff words, on the counter's own block.
+    #[inline]
+    pub(crate) fn handoff(&self) -> &Handoff {
+        &self.line.handoff
     }
 
     /// Has the token been poisoned?
     #[inline]
     pub fn is_poisoned(&self) -> bool {
-        self.counter.load(Ordering::Acquire) == POISONED
+        self.line.counter.load(Ordering::Acquire) == POISONED
     }
 
     /// The poison diagnostic, if the token is poisoned.
@@ -267,7 +319,7 @@ impl Token {
     /// [`Token::release_to`] so the previous chunk's writes are visible).
     #[inline]
     pub fn current(&self) -> u64 {
-        self.counter.load(Ordering::Acquire)
+        self.line.counter.load(Ordering::Acquire)
     }
 
     /// Non-blocking check whether `chunk` may execute now.
@@ -334,7 +386,7 @@ impl Token {
     /// holding the token).
     #[inline]
     pub fn release_to(&self, next: u64) {
-        self.counter.store(next, Ordering::Release);
+        self.line.counter.store(next, Ordering::Release);
     }
 
     /// Pass control from `held` to `next` only if the token still grants
@@ -343,7 +395,8 @@ impl Token {
     /// resurrect the token by overwriting [`POISONED`] with a plain store.
     #[inline]
     pub fn try_release(&self, held: u64, next: u64) -> bool {
-        self.counter
+        self.line
+            .counter
             .compare_exchange(held, next, Ordering::Release, Ordering::Acquire)
             .is_ok()
     }
@@ -351,7 +404,7 @@ impl Token {
     /// The raw counter value (Acquire). Decode with [`Token::decode`].
     #[inline]
     pub fn raw(&self) -> u64 {
-        self.counter.load(Ordering::Acquire)
+        self.line.counter.load(Ordering::Acquire)
     }
 
     /// The chunk index encoded in a raw counter value, with the claim bit
@@ -392,7 +445,8 @@ impl Token {
     #[inline]
     pub fn try_claim(&self, chunk: u64) -> bool {
         debug_assert_eq!(chunk & EXEC_BIT, 0, "chunk index overflows claim bit");
-        self.counter
+        self.line
+            .counter
             .compare_exchange(chunk, chunk | EXEC_BIT, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
     }
@@ -404,7 +458,8 @@ impl Token {
     /// ([`crate::runner::FaultEvent::LateCompletion`]).
     #[inline]
     pub fn try_advance(&self, chunk: u64) -> bool {
-        self.counter
+        self.line
+            .counter
             .compare_exchange(
                 chunk | EXEC_BIT,
                 chunk + 1,
@@ -425,7 +480,8 @@ impl Token {
     /// token was poisoned in the meantime.
     #[inline]
     pub fn try_unclaim(&self, chunk: u64) -> bool {
-        self.counter
+        self.line
+            .counter
             .compare_exchange(chunk | EXEC_BIT, chunk, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
     }
@@ -434,6 +490,25 @@ impl Token {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Layout pin: the four handoff words share the counter's 128-byte
+    /// block, so a handoff never writes a second shared line.
+    #[test]
+    fn handoff_words_share_the_counters_block() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!(align_of::<CachePadded<TokenLine>>(), 128);
+        assert!(size_of::<TokenLine>() <= 128);
+        let block = |off: usize| off / 128;
+        let counter = offset_of!(Token, line.0.counter);
+        for word in [
+            offset_of!(Token, line.0.handoff.completed),
+            offset_of!(Token, line.0.handoff.claimant),
+            offset_of!(Token, line.0.handoff.release_ns),
+            offset_of!(Token, line.0.handoff.release_chunk),
+        ] {
+            assert_eq!(block(word), block(counter), "word at offset {word}");
+        }
+    }
 
     #[test]
     fn starts_at_chunk_zero() {

@@ -15,29 +15,43 @@ use std::time::Duration;
 use cascade_core::{CascadeMetrics, LatencyStats, MetricsSource, WorkerMetrics};
 use cascade_rt::{
     try_run_governed, NsStats, Observe, RtPolicy, RunConfig, RunStats, RunnerConfig, SpecProgram,
+    Tolerance, VerifyPolicy,
 };
 use cascade_synth::{Synth, Variant};
 use proptest::prelude::*;
 
 fn run_observed(n: u64, policy: RtPolicy, nthreads: usize, obs: &Observe) -> RunStats {
-    let s = Synth::build(n, Variant::Dense, 77);
-    let prog = SpecProgram::new(s.workload, s.arena).unwrap();
-    let k = prog.kernel(0);
-    let cfg = RunnerConfig {
-        nthreads,
-        iters_per_chunk: 512,
-        policy,
-        poll_batch: 32,
-    };
-    try_run_governed(
-        &k,
+    run_with(
+        n,
         &RunConfig {
-            runner: cfg,
+            runner: RunnerConfig {
+                nthreads,
+                iters_per_chunk: 512,
+                policy,
+                poll_batch: 32,
+            },
             observe: obs.clone(),
             ..Default::default()
         },
     )
-    .expect("fault-free run must succeed")
+}
+
+fn run_with(n: u64, cfg: &RunConfig) -> RunStats {
+    let s = Synth::build(n, Variant::Dense, 77);
+    let prog = SpecProgram::new(s.workload, s.arena).unwrap();
+    let k = prog.kernel(0);
+    try_run_governed(&k, cfg).expect("fault-free run must succeed")
+}
+
+/// `helper + spin + exec + retry + other == wall`, per worker, exactly.
+fn assert_partition(stats: &RunStats, what: &str) {
+    for (t, s) in stats.threads.iter().enumerate() {
+        let parts = s.helper_ns + s.spin_ns + s.exec_ns + s.retry_ns + s.other_ns;
+        assert_eq!(
+            parts, s.wall_ns,
+            "worker {t} ({what}): phases must tile wall time exactly"
+        );
+    }
 }
 
 #[test]
@@ -45,12 +59,8 @@ fn phase_durations_partition_wall_time_exactly() {
     for policy in [RtPolicy::None, RtPolicy::Prefetch, RtPolicy::Restructure] {
         let stats = run_observed(1 << 13, policy, 3, &Observe::with_events());
         assert!(!stats.threads.is_empty());
+        assert_partition(&stats, &format!("{policy:?}"));
         for (t, s) in stats.threads.iter().enumerate() {
-            let parts = s.helper_ns + s.spin_ns + s.exec_ns + s.retry_ns + s.other_ns;
-            assert_eq!(
-                parts, s.wall_ns,
-                "worker {t} ({policy:?}): phases must tile wall time exactly"
-            );
             // The event ring tiles the same interval: contiguous (each
             // interval starts where the previous ended), in order.
             for w in s.events.windows(2) {
@@ -69,6 +79,48 @@ fn phase_durations_partition_wall_time_exactly() {
             }
         }
         // The derived cross-engine report passes its own invariants.
+        stats.metrics().check();
+    }
+}
+
+/// Under armed verification and the retry ladder, a claim passes through
+/// Other (the predecessor's audit) before Execute, and the digest runs
+/// after the execute-end boundary: the partition still tiles the wall
+/// exactly, and the audit and digest time stays inside Other.
+#[test]
+fn verified_phases_partition_wall_time_and_audits_stay_in_other() {
+    for policy in [RtPolicy::None, RtPolicy::Restructure] {
+        let stats = run_with(
+            1 << 13,
+            &RunConfig {
+                runner: RunnerConfig {
+                    nthreads: 2,
+                    iters_per_chunk: 512,
+                    policy,
+                    poll_batch: 32,
+                },
+                tolerance: Tolerance::retrying(Duration::from_secs(30)),
+                verify: VerifyPolicy::EveryChunk,
+                observe: Observe::with_events(),
+                ..Default::default()
+            },
+        );
+        assert!(!stats.degraded, "{policy:?}: a fault-free run stays clean");
+        assert_partition(&stats, &format!("{policy:?}, verified"));
+        let verified: u64 = stats.threads.iter().map(|t| t.verified_chunks).sum();
+        assert_eq!(
+            verified,
+            stats.chunks - 1,
+            "{policy:?}: every handoff audited"
+        );
+        for (t, s) in stats.threads.iter().enumerate() {
+            assert!(
+                s.verify_ns <= s.other_ns,
+                "worker {t} ({policy:?}): verify {} ns outside Other {} ns",
+                s.verify_ns,
+                s.other_ns
+            );
+        }
         stats.metrics().check();
     }
 }
@@ -97,6 +149,15 @@ fn fault_free_handoffs_number_chunks_minus_one() {
         );
         // Exactly one execution sample per chunk, across all workers.
         assert_eq!(m.chunk_exec.count, stats.chunks);
+        // Both ends of every takeover sample lie inside the run.
+        for (t, s) in stats.threads.iter().enumerate() {
+            assert!(
+                u128::from(s.takeover.max_ns) <= stats.elapsed.as_nanos(),
+                "{nthreads} threads, worker {t}: takeover {} ns exceeds the run's {:?}",
+                s.takeover.max_ns,
+                stats.elapsed
+            );
+        }
     }
 }
 

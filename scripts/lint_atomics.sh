@@ -24,9 +24,10 @@
 # ---- Relaxed allowlist ------------------------------------------------
 # ALLOW_RELAXED_RE matches the *content* of an allowed line:
 #
-#   release_ns (runner.rs): the handoff-latency timestamp. The stamp is
-#     written before the Release store of `release_chunk` publishes the
-#     grant, and read after the claimant's Acquire load of
+#   release_ns (declared in token.rs, on the token counter's block;
+#     stored and loaded in runner.rs): the handoff-latency timestamp. The
+#     stamp is written before the Release store of `release_chunk`
+#     publishes the grant, and read after the claimant's Acquire load of
 #     `release_chunk` observes it — the pairing rides entirely on
 #     release_chunk's Release/Acquire edge (model-checked token handoff,
 #     invariant 1), so the value itself needs no ordering. A missed
