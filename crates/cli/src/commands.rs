@@ -76,7 +76,7 @@ USAGE:
                            cascade: the token-serialized runtime (as
                            `cascade rt`); plan: fission each loop under
                            its analyzer transformation plan and run
-                           DOALL sub-loops as a static range split,
+                           DOALL sub-loops as chunks claimed in order,
                            DOACROSS sub-loops as a post/wait pipeline,
                            and sequential residues cascaded — in plan
                            order. Opaque loops fall back to cascade.

@@ -73,9 +73,12 @@
 //! per chunk, and gates through the runtime's own gate functions: post
 //! happens-before wait-satisfied, no worker
 //! reads an iteration before its lag window is committed, exactly-once
-//! execution. Its seeded bugs ([`DaBug`]) invert the execute/publish
-//! order and shorten the gate window by one — both caught by
-//! exploration.
+//! execution. With a cancel step it also completes a cancelled stage as
+//! the runtime does, through `sched::uncommitted`, and checks that the
+//! executed iterations are then exactly the reported prefix. Its seeded
+//! bugs ([`DaBug`]) invert the execute/publish order, shorten the gate
+//! window by one and fill a cancelled stage's holes walking downward —
+//! all caught by exploration.
 //!
 //! A third state machine ([`VerifyModel`]) covers the verified-execution
 //! protocol (checksummed handoffs + blame, `docs/ROBUSTNESS.md` §"Silent
@@ -1059,6 +1062,11 @@ pub enum DaBug {
     /// so where a chunk is shorter than the lag a schedule exists in
     /// which iteration `j` runs while `j - lag` is still unexecuted.
     WaitTooShort,
+    /// After a cancel, walk the stage's uncommitted chunks in descending
+    /// order through the fill loop: it meets the uncommitted suffix
+    /// first, stops there, and reports a prefix with its holes still
+    /// unfilled.
+    FillDescending,
 }
 
 /// One atomic step of the DOACROSS model.
@@ -1072,6 +1080,14 @@ pub enum DaStep {
     },
     /// Publish the worker's committed frontier (the `Release` store).
     Post {
+        /// Acting worker.
+        worker: u8,
+    },
+    /// Fire the run's cancel token (once, [`DoAcrossModel::with_cancel`]).
+    Cancel,
+    /// A worker at a chunk boundary or gate observes the cancel and
+    /// leaves the stage.
+    Stop {
         /// Acting worker.
         worker: u8,
     },
@@ -1102,6 +1118,19 @@ pub enum DaStep {
 ///    `≤ j − lag` is still unexecuted (no worker reads an iteration
 ///    before its lag window is committed);
 /// 3. **At-most-once execution**, with exactly-once on acceptance.
+///
+/// With [`DoAcrossModel::with_cancel`] a `Cancel` step may fire at any
+/// point. A worker mid-chunk finishes its chunk and posts it; a worker at
+/// a chunk boundary or gate may `Stop`, or still start a chunk whose gate
+/// is open (its last poll raced the cancel). At quiescence the model
+/// completes the stage as the runtime's degraded path does, through the
+/// runtime's own functions: `sched::uncommitted` reads the frontiers and
+/// splits off the holes, which run in ascending order until the first
+/// chunk of the uncommitted suffix, the resume point. Then:
+///
+/// 4. **Exact prefix after a cancel** — every iteration below the resume
+///    point ran exactly once and none above it, and every filled
+///    iteration found its lag window executed.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct DoAcrossModel {
     nthreads: u8,
@@ -1109,6 +1138,11 @@ pub struct DoAcrossModel {
     chunk: u8,
     lag: u8,
     bug: DaBug,
+    /// Whether a `Cancel` step may fire, and whether it has.
+    cancellable: bool,
+    cancelled: bool,
+    /// Workers that left the stage on the cancel.
+    stopped: Vec<bool>,
     /// Published committed frontier per worker.
     posts: Vec<u8>,
     /// Times each iteration's body ran (ground truth).
@@ -1148,7 +1182,16 @@ impl DoAcrossModel {
             next,
             admitted: vec![false; nthreads as usize],
             pending: vec![None; nthreads as usize],
+            cancellable: false,
+            cancelled: false,
+            stopped: vec![false; nthreads as usize],
         }
+    }
+
+    /// Let a `Cancel` step fire at any point of the run.
+    pub fn with_cancel(mut self) -> Self {
+        self.cancellable = true;
+        self
     }
 
     /// Seed a protocol bug (negative tests).
@@ -1193,19 +1236,30 @@ impl Model for DoAcrossModel {
 
     fn actions(&self) -> Vec<DaStep> {
         let mut acts = Vec::new();
+        if self.cancellable && !self.cancelled {
+            acts.push(DaStep::Cancel);
+        }
         for w in 0..self.nthreads {
             let (i, j) = (w as usize, self.next[w as usize]);
+            if self.stopped[i] || (j == u8::MAX && self.pending[i].is_none()) {
+                continue;
+            }
             if self.pending[i].is_some() {
                 acts.push(DaStep::Post { worker: w });
-            } else if j == u8::MAX {
-                continue;
             } else if self.admitted[i] {
                 acts.push(DaStep::Exec { worker: w });
-            } else if self.gate(j) {
-                acts.push(match self.bug {
-                    DaBug::PostBeforeExec => DaStep::Post { worker: w },
-                    _ => DaStep::Exec { worker: w },
-                });
+            } else {
+                // At a chunk boundary or gate: the worker may observe the
+                // cancel here, or its last poll raced it.
+                if self.cancelled {
+                    acts.push(DaStep::Stop { worker: w });
+                }
+                if self.gate(j) {
+                    acts.push(match self.bug {
+                        DaBug::PostBeforeExec => DaStep::Post { worker: w },
+                        _ => DaStep::Exec { worker: w },
+                    });
+                }
             }
         }
         acts
@@ -1246,6 +1300,8 @@ impl Model for DoAcrossModel {
                     }
                 }
             }
+            DaStep::Cancel => s.cancelled = true,
+            DaStep::Stop { worker } => s.stopped[worker as usize] = true,
         }
         s
     }
@@ -1290,13 +1346,42 @@ impl Model for DoAcrossModel {
     }
 
     fn is_accepting(&self) -> bool {
-        self.next.iter().all(|&j| j == u8::MAX) && self.pending.iter().all(|p| p.is_none())
+        (0..self.nthreads as usize)
+            .all(|i| self.stopped[i] || (self.next[i] == u8::MAX && self.pending[i].is_none()))
     }
 
     fn final_check(&self) -> Result<(), String> {
-        for (j, &n) in self.executed.iter().enumerate() {
-            if n != 1 {
-                return Err(format!("iteration {j} executed {n} times"));
+        let mut executed = self.executed.clone();
+        let mut resume = self.iters as u64;
+        if self.cancelled {
+            // The degraded path: fill the holes, stop at the suffix.
+            let (c, n, lag) = (self.chunk as u64, self.nthreads as u64, self.lag as usize);
+            let plan = cascade_core::ChunkPlan::by_iterations(self.iters as u64, c);
+            let p = crate::sched::uncommitted(&plan, true, n, 0, |w| self.posts[w as usize] as u64);
+            let mut order: Vec<(usize, u64)> = p.chunks.into_iter().enumerate().collect();
+            if self.bug == DaBug::FillDescending {
+                order.reverse();
+            }
+            for (i, chunk) in order {
+                if i >= p.holes {
+                    resume = plan.range(chunk).start;
+                    break;
+                }
+                for j in plan.range(chunk).map(|j| j as usize) {
+                    if let Some(d) = (0..(j + 1).saturating_sub(lag)).find(|&d| executed[d] == 0) {
+                        return Err(format!(
+                            "filled iteration {j} before its lag-{lag} dependence {d}"
+                        ));
+                    }
+                    executed[j] += 1;
+                }
+            }
+        }
+        for (j, &n) in executed.iter().enumerate() {
+            if n != u8::from((j as u64) < resume) {
+                return Err(format!(
+                    "iteration {j} executed {n} times against a committed prefix of {resume}"
+                ));
             }
         }
         Ok(())
@@ -2230,6 +2315,47 @@ mod tests {
             .expect("the shortened gate window must be caught");
         assert!(
             v.message.contains("dependence"),
+            "unexpected violation: {}",
+            v.message
+        );
+    }
+
+    #[test]
+    fn cancelled_doacross_stages_keep_an_exact_prefix_across_shapes() {
+        // Chunks at least as long as the lag run one after another and
+        // leave no hole; shorter ones overlap and can leave holes below a
+        // committed chunk, which the fill must complete.
+        for (n, iters, c, lag) in [
+            (2, 6, 2, 2),
+            (3, 7, 1, 3),
+            (2, 7, 1, 3),
+            (2, 8, 2, 3),
+            (3, 6, 1, 2),
+        ] {
+            assert_doacross_verified(
+                DoAcrossModel::new(n, iters, c, lag).with_cancel(),
+                &format!("cancelled doacross n={n} iters={iters} c={c} lag={lag}"),
+            );
+        }
+    }
+
+    #[test]
+    fn seeded_fill_descending_bug_is_caught() {
+        // Lag 3 over one-iteration chunks on 3 workers: chunks 0..3 need
+        // no gate, so chunk 2 can commit while chunks 0 and 1 never start
+        // — two holes under an uncommitted suffix. Walking the uncommitted
+        // chunks downward meets the suffix first and stops there.
+        let result = verify_doacross(
+            DoAcrossModel::new(3, 6, 1, 3)
+                .with_cancel()
+                .with_bug(DaBug::FillDescending),
+            2_000_000,
+        );
+        let v = result
+            .violation
+            .expect("a descending fill must leave the holes unfilled");
+        assert!(
+            v.message.contains("committed prefix"),
             "unexpected violation: {}",
             v.message
         );

@@ -232,18 +232,17 @@ impl CancelToken {
 }
 
 /// A shared memory budget metering the runtime's elastic allocations:
-/// per-worker undo-journal buffers and helper pack arenas, and the
-/// journals a split plan stage retains. (Prefetch helpers issue cache
-/// hints and allocate nothing; sequential salvage re-executes in place
-/// and allocates nothing either — both are metered trivially at zero.)
+/// per-worker undo-journal buffers and helper pack arenas. (Prefetch
+/// helpers issue cache hints and allocate nothing; sequential salvage
+/// re-executes in place and allocates nothing either — both are metered
+/// trivially at zero.)
 ///
 /// Accounting is capacity-growth based: each worker creates its pack
-/// arena and journal buffer once per run, lends them to every cascaded
-/// loop of a sequence or plan, and reserves their *growth*; they amortize
-/// to a steady state, so `used` tracks the peak bytes those arenas pin
-/// for the run's lifetime, however many loops it runs. A split stage's
-/// retained journals are reserved per chunk and returned when the stage
-/// ends. A refused reservation cancels the run with
+/// arena and journal buffer once per run, lends them to every loop of a
+/// sequence or stage of a plan, and reserves their *growth*; they
+/// amortize to a steady state, so `used` tracks the peak bytes those
+/// arenas pin for the run's lifetime, however many loops or chunks it
+/// runs. A refused reservation cancels the run with
 /// [`CancelKind::Budget`], which surfaces as `RunError::BudgetExceeded`.
 #[derive(Debug, Clone)]
 pub struct MemBudget {

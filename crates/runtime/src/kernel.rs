@@ -134,14 +134,15 @@ pub trait RealKernel: Sync {
     /// `execute(range)` writes — no padding bytes, no gap bytes between
     /// strided elements — so disjoint iteration ranges always have
     /// disjoint journal footprints. The plan-driven scheduler
-    /// ([`crate::sched::try_run_planned`]) only journals DOALL and
-    /// DOACROSS stages under this promise: concurrent workers capture
+    /// ([`crate::sched::try_run_planned`]) only lets DOALL and DOACROSS
+    /// chunks capture under this promise: concurrent workers capture
     /// and write disjoint ranges, and a non-exact footprint (e.g. an
     /// interval over a stride-2 write whose gap bytes another chunk
-    /// owns) would make the capture itself a data race. The
-    /// conservative default (`false`) disables stage journaling; the
-    /// stage then falls back to the fail-stop gate on faults and to
-    /// *completing* on cancellation.
+    /// owns) would make the capture itself a data race. The promise
+    /// gates concurrent capture only. With the conservative default
+    /// (`false`) a split chunk that panics falls back to the fail-stop
+    /// gate; a cancel treats every split stage alike, keeping its
+    /// committed prefix.
     fn journal_range_exact(&self) -> bool {
         false
     }

@@ -86,14 +86,15 @@
 //! ignoring it: [`try_run_planned`] hands the cascade engine one stage
 //! per sub-loop, all on the same worker pool and fenced by the same
 //! poisonable [`FtBarrier`] as a sequence's loops. Each `Parallel` stage
-//! is a DOALL static range split, each `DoAcross { lag }` stage a
-//! pipelined post/wait stage (one gate and one post per chunk) over
-//! padded per-worker committed-iteration counters (Release/Acquire
-//! publication), and each `Sequential` residue cascades with the token
-//! runtime. A stage fault poisons the stage's token like a cascade
-//! fault, so governance, journaled rollback and sequential salvage take
-//! the engine's one path; the DOACROSS post/wait protocol is modeled and
-//! exhaustively explored in [`check`].
+//! is a DOALL stage whose chunks the pool claims in ascending order from
+//! one cursor, each `DoAcross { lag }` stage a pipelined post/wait stage
+//! (one gate and one post per chunk) over padded per-worker
+//! committed-iteration counters (Release/Acquire publication), and each
+//! `Sequential` residue cascades with the token runtime. A stage fault
+//! poisons the stage's token like a cascade fault, so governance,
+//! journaled rollback and sequential salvage take the engine's one path;
+//! the DOACROSS post/wait protocol is modeled and exhaustively explored
+//! in [`check`].
 //!
 //! ## Durable runs
 //!

@@ -110,7 +110,7 @@ use crate::govern::{CancelKind, CancelState, CancelToken, Governor, RunConfig};
 use crate::health::{HealthConfig, HealthRegistry, StrikeVerdict};
 use crate::kernel::RealKernel;
 use crate::metrics::{NsStats, PhaseEventNs, PhaseRecorder};
-use crate::sched::{self, SplitState};
+use crate::sched::{self, Pending, SplitState};
 use crate::token::{lock_recover, PoisonCause, Token, TokenView, EXEC_BIT, POISONED};
 
 /// Helper policy of the real-thread runtime.
@@ -1174,7 +1174,7 @@ pub(crate) struct FtRun {
     /// ends of a healthy loop's [`RunStats::elapsed`].
     started: Mutex<Option<Instant>>,
     ended: Mutex<Option<Instant>>,
-    /// The committed frontiers and retained journals of a `Parallel` or
+    /// The claim cursor and per-worker slots of a `Parallel` or
     /// `DoAcross` stage (unused by a `Sequential` one).
     pub(crate) split: SplitState,
 }
@@ -1364,8 +1364,9 @@ pub(crate) fn run_stages<K: RealKernel>(
                 let (plans, runs, rec, barrier) = (&plans, &runs, &rec, &barrier);
                 s.spawn(move || {
                     let mut all = Vec::with_capacity(kernels.len());
-                    // The worker's pack arena and undo-journal buffer, lent
-                    // to every cascaded stage of the run.
+                    // The worker's pack arena, lent to every cascaded stage
+                    // of the run, and its undo-journal buffer, lent to
+                    // every stage.
                     let (mut buf, mut jbuf) = (Vec::new(), Vec::new());
                     for (l, kernel) in kernels.iter().enumerate() {
                         match barrier.wait() {
@@ -1383,7 +1384,7 @@ pub(crate) fn run_stages<K: RealKernel>(
                             Schedule::Sequential => ft_worker(
                                 kernel, cfg, &plans[l], &runs[l], rec, t, &mut buf, &mut jbuf,
                             ),
-                            split => sched::run_stage(kernel, cfg, &runs[l], t, split),
+                            split => sched::run_stage(kernel, cfg, &runs[l], t, split, &mut jbuf),
                         };
                         let mut poisoned = runs[l].token.poison_cause().is_some();
                         if !poisoned {
@@ -1394,9 +1395,6 @@ pub(crate) fn run_stages<K: RealKernel>(
                                 }
                                 BarrierOutcome::Leader => {
                                     *lock_recover(&runs[l].ended) = Some(Instant::now());
-                                    // The stage completed: nothing rolls
-                                    // it back any more.
-                                    runs[l].split.release(&cfg.budget);
                                     if cfg.verify.armed() {
                                         // SAFETY: every other worker is parked at
                                         // the next loop's start barrier (or
@@ -1483,53 +1481,25 @@ pub(crate) fn run_stages<K: RealKernel>(
     let cancelled = matches!(cause, PoisonCause::Cancelled { .. });
     // The chunks of stage `l` no worker committed, ascending: a cascaded
     // stage's suffix past its last completed chunk (completion is in
-    // token order), a split stage's chunks past their owners' frontiers.
-    let pending = |l: usize| -> Vec<u64> {
+    // token order), a split stage's from its cursor and slots.
+    let pending = |l: usize| -> Pending {
+        let m = plans[l].num_chunks();
         match schedules[l] {
             Schedule::Sequential => {
                 let done = runs[l].token.handoff().completed.load(Ordering::Acquire);
-                (done..plans[l].num_chunks()).collect()
+                Pending::new((done..m).collect(), m)
             }
             split => runs[l].split.uncommitted(&plans[l], split),
         }
     };
-    let pending0 = pending(l0);
-    let committed0 = plans[l0].num_chunks() - pending0.len() as u64;
-    // A cancelled split stage rolls back to its entry when it journaled
-    // every chunk it committed; a restore that panics tears it. Either way
-    // its journals go now.
-    // SAFETY: every worker has joined.
-    let rolled_back = cancelled
-        && schedules[l0] != Schedule::Sequential
-        && unsafe {
-            runs[l0]
-                .split
-                .roll_back(&kernels[l0], &runs[l0], committed0)
-        };
-    runs[l0].split.release(&cfg.budget);
     let torn = runs
         .iter()
         .any(|r| r.salvage_unsound.load(Ordering::Acquire));
-
-    // --- cancelled path: drained clean, never salvaged ---
-    if cancelled {
-        if torn {
-            // The in-flight chunk tore while the run drained: the resume
-            // guarantee is broken, report the tear instead.
-            let all: Vec<FaultEvent> = runs.iter().flat_map(|r| r.take_faults()).collect();
-            return Err(torn_fallback(&all));
-        }
-        if rolled_back {
-            return Err(cancel_error(&cfg.cancel, iters_before(l0)));
-        }
-        if schedules[l0] == Schedule::Sequential {
-            let within = pending0
-                .first()
-                .map_or(kernels[l0].iters(), |&c| plans[l0].range(c).start);
-            return Err(cancel_error(&cfg.cancel, iters_before(l0) + within));
-        }
-        // An unjournalable split stage completes instead (below): the
-        // cascade's unjournalable-chunk rule, lifted to a stage.
+    if cancelled && torn {
+        // The in-flight chunk tore while the run drained: the resume
+        // guarantee is broken, report the tear instead.
+        let all: Vec<FaultEvent> = runs.iter().flat_map(|r| r.take_faults()).collect();
+        return Err(torn_fallback(&all));
     }
 
     // --- a worker panicked, the cascade stalled, or corruption ---
@@ -1554,28 +1524,20 @@ pub(crate) fn run_stages<K: RealKernel>(
         (0..l0).map(healthy_stats).collect::<Result<_, _>>()?
     };
     // Finish on this thread, sequentially: after a fault, stage l0's
-    // uncommitted chunks and then every later stage; after a cancel, the
-    // unjournalable stage l0's. Ascending order honours every schedule's
-    // dependences, and every worker has joined, so exclusivity and
-    // happens-before hold.
+    // uncommitted chunks and then every later stage; after a cancel, stage
+    // l0's holes. Ascending order honours every schedule's dependences,
+    // and every worker has joined, so exclusivity and happens-before hold.
     let last = if cancelled { l0 } else { kernels.len() - 1 };
     for l in l0..=last {
         let mut faults = runs[l].take_faults();
         let pending = pending(l);
         let began = (*lock_recover(&runs[l].started)).unwrap_or_else(Instant::now);
-        // A cancellation arriving mid-salvage stops at the first chunk
-        // with every chunk below it committed and none above, so the
-        // (global) resume point is exact; a stage being completed for a
-        // cancel is never stopped.
-        let mut clean_from = plans[l].num_chunks();
-        for &c in pending.iter().rev() {
-            if cancelled || c + 1 != clean_from {
-                break;
-            }
-            clean_from = c;
-        }
-        for &c in &pending {
-            if !cancelled && c >= clean_from && cfg.cancel.is_cancelled() {
+        for (i, &c) in pending.chunks.iter().enumerate() {
+            // Past the holes, the uncommitted chunks run to the stage's
+            // end: a cancel stops at the first of them with every chunk
+            // below it committed and none above, so the (global) resume
+            // point is exact.
+            if i >= pending.holes && (cancelled || cfg.cancel.is_cancelled()) {
                 cfg.cancel.note_observed();
                 let resume = iters_before(l) + plans[l].range(c).start;
                 return Err(cancel_error(&cfg.cancel, resume));
@@ -1585,7 +1547,7 @@ pub(crate) fn run_stages<K: RealKernel>(
             let salvage = catch_unwind(AssertUnwindSafe(|| unsafe { kernels[l].execute(r) }));
             if salvage.is_err() {
                 // The kernel fails even sequentially: report the original
-                // fault (while completing a cancelled stage, this one).
+                // fault (while filling a cancelled stage's holes, this one).
                 return Err(if cancelled {
                     RunError::WorkerPanicked {
                         thread: nthreads as u64,
@@ -1596,8 +1558,8 @@ pub(crate) fn run_stages<K: RealKernel>(
                 });
             }
         }
-        if let Some(&from_chunk) = pending.first() {
-            let iters = pending.iter().map(|&c| {
+        if let Some(&from_chunk) = pending.chunks.first() {
+            let iters = pending.chunks.iter().map(|&c| {
                 let r = plans[l].range(c);
                 r.end - r.start
             });
@@ -2170,6 +2132,13 @@ unsafe fn restore<K: RealKernel>(k: &K, r: Range<u64>, bytes: &[u8]) -> thread::
     catch_unwind(AssertUnwindSafe(|| unsafe { k.journal_rollback(r, bytes) }))
 }
 
+/// Whether a chunk captures its undo journal before its body, in every
+/// stage: when a recovery path could want it re-executed (retry or
+/// salvage), or online verification needs a pre-image to replay from.
+pub(crate) fn captures(cfg: &RunConfig) -> bool {
+    cfg.tolerance.retry.is_some() || cfg.tolerance.salvage || cfg.verify.armed()
+}
+
 /// A chunk transaction's first step, in every stage: capture `range`'s
 /// undo journal into `buf`, count its time and bytes, and reserve the
 /// buffer's capacity growth (capture allocates whether or not it
@@ -2714,14 +2683,12 @@ fn ft_worker<K: RealKernel>(
         }
 
         // --- execution phase (we hold the claim: unique executor) ---
-        // Chunk transaction: when any recovery path could want this chunk
-        // re-executed (retry or salvage), or online verification needs a
-        // pre-image to seed its replay overlay, capture the chunk's undo
-        // journal — the analyzer-bounded write-set bytes — before the
+        // Chunk transaction: when the run `captures`, take the chunk's
+        // undo journal — the analyzer-bounded write-set bytes — before the
         // body runs. The timing rides inside the Execute phase as a side
         // counter (`journal_ns`), so the exact phase partition is
         // untouched.
-        let journaled = if rec.enabled() || tol.salvage || cfg.verify.armed() {
+        let journaled = if captures(cfg) {
             // SAFETY: we hold the claim — the same exclusivity contract
             // as `execute` — and capture only reads.
             match unsafe { journal_chunk(kernel, cfg, run, range.clone(), jbuf, &mut stats) } {

@@ -1,22 +1,31 @@
 //! Plan-driven execution: run a [`TransformPlan`]'s partition on real
 //! threads. Every sub-loop is one stage of the cascade engine
 //! ([`crate::runner`]), on the same workers and between the same
-//! barriers as the loops of a sequence: DOALL sub-loops as a static range
-//! split across the pool, DOACROSS sub-loops as a pipelined post/wait
-//! stage (`run_stage` runs both), and `Sequential` residues cascaded
-//! with the token runtime exactly as a sequence's loops are.
+//! barriers as the loops of a sequence: DOALL sub-loops as chunks the
+//! pool claims in ascending order, DOACROSS sub-loops as a pipelined
+//! post/wait stage (`run_stage` runs both), and `Sequential` residues
+//! cascaded with the token runtime exactly as a sequence's loops are.
+//!
+//! ## DOALL: chunks claimed in order
+//!
+//! A DOALL worker claims its next chunk with one `fetch_add` on the
+//! stage's padded claim cursor, so whichever worker is free takes the
+//! lowest unclaimed chunk (a descheduled worker holds up one chunk, not
+//! a static share), and posts nothing. It finishes every chunk it
+//! claims, unless it *abandons* one (a budget refusal, or a panic in its
+//! capture or body), which it records in its padded slot: the stage's
+//! uncommitted chunks are the abandoned ones plus those from the cursor
+//! on (`uncommitted`).
 //!
 //! ## The DOACROSS post/wait protocol
 //!
 //! Chunks are assigned round-robin (chunk `c` belongs to worker
 //! `c % nthreads`); each worker executes its own chunks in ascending
 //! order, each chunk as one `execute` call. Every worker publishes a
-//! *committed frontier* in a cache-line-padded `AtomicU64`: `posts[w] =
+//! *committed frontier* in a cache-line-padded `AtomicU64`: `slots[w] =
 //! f` means every iteration owned by `w` below `f` is committed (workers
 //! commit in order, so one counter suffices). The store is `Release`,
-//! issued once per chunk, after the chunk's writes. DOALL workers post
-//! the same way: no gate reads their frontiers, but after a fault they
-//! name the chunks left to salvage.
+//! issued once per chunk, after the chunk's writes.
 //!
 //! Iteration `j` of a sub-loop with carried lag `L` may only start once
 //! **every** iteration `≤ j − L` is committed (all carried dependences
@@ -26,7 +35,7 @@
 //! read of the chunk's last iteration, and the part of any iteration's
 //! window that lies inside the chunk runs earlier in the same call. The
 //! gate spins with `Acquire` loads until, for every worker `w`,
-//! `posts[w]` covers the last `w`-owned iteration at or below that
+//! `slots[w]` covers the last `w`-owned iteration at or below that
 //! dependence (`gate_open`) — checking only the single counter owning
 //! it would admit the chunk while an *older* chunk's tail is still
 //! uncommitted (the classic DOACROSS off-by-a-chunk bug; the model in
@@ -44,43 +53,45 @@
 //! apart, so no dependence of any kind connects them.
 //!
 //! Governance (cancel/deadline/budget) is polled inside gate spins and
-//! at chunk boundaries; a watchdog window declares a stall when a gate
-//! sees no frontier movement for the whole window.
+//! at chunk boundaries, never inside a chunk: a worker finishes every
+//! chunk it starts. A watchdog window declares a stall when a gate sees
+//! no frontier movement for the whole window.
 //!
 //! ## One chunk transaction
 //!
 //! A split chunk runs the cascade's chunk transaction, through the same
-//! functions of [`crate::runner`]: a guarded, budget-metered journal
-//! capture, the body, and on a panic a guarded restore and the one panic
-//! record, which names the chunk and poisons the stage's token as a
-//! cascaded fault does. The pool drains and the engine's one degraded
-//! path salvages the uncommitted remainder, then every later stage,
-//! sequentially (ascending order satisfies every lag trivially), or
-//! returns the typed error. The phase clock is a cascaded worker's too:
-//! capture and body are Execute, a gate wait is Spin, fault handling is
-//! Retry and the rest Other, and `Observe` events cover split stages.
+//! functions of [`crate::runner`]: under the cascade's capture rule
+//! (`captures`), a guarded, budget-metered journal capture into the
+//! worker's run-long buffer, the body, and on a panic a guarded restore
+//! and the one panic record, which names the chunk and poisons the
+//! stage's token as a cascaded fault does. The pool drains and the engine's one degraded path
+//! salvages the uncommitted chunks, then every later stage, sequentially
+//! (ascending order satisfies every lag trivially), or returns the typed
+//! error. The phase clock is a cascaded worker's too: capture and body
+//! are Execute, a gate wait is Spin, fault handling is Retry and the rest
+//! Other, and `Observe` events cover split stages.
 //!
 //! Planned stages execute concurrently, so a chunk-granular capture could
-//! read bytes another worker is writing. Stages journal only when the
-//! kernel's write footprints are *range-exact*
+//! read bytes another worker is writing. Split chunks capture only when
+//! the kernel's write footprints are *range-exact*
 //! ([`RealKernel::journal_range_exact`]): each footprint covers exactly
 //! the bytes the range writes, so disjoint ranges have disjoint
 //! journals. Both stage kinds capture per chunk: DOALL iterations are
 //! independent, and concurrent DOACROSS iterations sit closer than `L`
 //! while aliasing write sets lie at least `L` apart, so a capture never
-//! races a writer. Unlike a cascaded chunk's journal, which reuses the
-//! worker's run-long buffer, a split chunk's journal is retained until
-//! the stage ends, its bytes reserved from the budget until then: a
-//! cancelled stage is rolled back entry by entry in descending order,
-//! restoring the exact stage-entry state so `committed_iters` stays a
-//! clean prefix of the fissioned sequence. A stage with a committed chunk
-//! it could not journal *completes* on cancellation instead (mirroring
-//! the cascade's unjournalable chunk rule).
+//! races a writer. The journal serves only the chunk's own rollback.
+//!
+//! A cancelled split stage keeps what it committed. Its uncommitted
+//! chunks below its highest committed one are *holes* (`Pending`): the
+//! degraded path runs them in ascending order on the calling thread, and
+//! the error's prefix ends at the first chunk above them. A DOALL stage
+//! leaves a hole only where a worker abandoned a chunk, a DOACROSS stage
+//! only when `L` exceeds the chunk length, and then every hole lies above
+//! each committed chunk's gate dependence: no dependence links the two.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use cascade_analyze::plan::{Schedule, TransformPlan};
@@ -88,22 +99,21 @@ use cascade_core::{CascadeMetrics, ChunkPlan, PhaseKind};
 use cascade_trace::LoopSpec;
 
 use crate::ckpt::CkptPolicy;
-use crate::govern::{MemBudget, RunConfig};
+use crate::govern::RunConfig;
 use crate::kernel::RealKernel;
 use crate::metrics::PhaseRecorder;
 use crate::runner::{
-    chunk_panicked, journal_chunk, poison_cancelled, poison_stalled, roll_back_chunk, run_stages,
-    FaultEvent, FtRun, RunError, RunStats, ThreadStats,
+    captures, chunk_panicked, journal_chunk, poison_cancelled, poison_stalled, roll_back_chunk,
+    run_stages, FaultEvent, FtRun, RunError, RunStats, ThreadStats,
 };
-use crate::token::lock_recover;
 
-/// A committed-iteration frontier on its own cache line, so DOACROSS
-/// post stores never false-share with a neighbour's gate spins.
-// Atomics justification (scripts/lint_atomics.sh): the post/wait
-// protocol publishes each worker's committed frontier with `Release`
-// stores and reads it with `Acquire` loads — the pair is the
-// happens-before edge that makes committed writes visible to gated
-// readers. No Relaxed orderings are used in this module.
+/// A counter on its own cache line, so one worker's stores never
+/// false-share with a neighbour's loads.
+// Atomics justification (scripts/lint_atomics.sh): slots are stored
+// with `Release` and loaded with `Acquire`, the happens-before edge that
+// makes a DOACROSS chunk's writes visible to gated readers. The DOALL
+// claim cursor's `fetch_add` is `Relaxed`: it only hands out indices,
+// and the stage's end barrier or the join orders the chunks' writes.
 #[repr(align(128))]
 #[derive(Debug, Default)]
 struct PadCounter(AtomicU64);
@@ -343,100 +353,84 @@ fn merge(into: &mut ThreadStats, s: &ThreadStats) {
     into.chunk_exec.merge(&s.chunk_exec);
 }
 
-/// A retained undo-journal entry of a planned stage: chunk `chunk`'s
-/// capture of `range`.
-struct JournalEntry {
-    chunk: u64,
-    range: Range<u64>,
-    buf: Vec<u8>,
-}
-
-/// What the workers of a `Parallel` or `DoAcross` stage share: their
-/// committed frontiers, and the journals the stage keeps until it ends.
+/// What the workers of a `Parallel` or `DoAcross` stage share.
 pub(crate) struct SplitState {
-    /// `posts[w] = f`: every chunk worker `w` owns below iteration `f`
-    /// is committed.
-    posts: Vec<PadCounter>,
-    /// Undo journals of the stage's committed chunks, handed over by
-    /// each worker as it leaves the stage.
-    journals: Mutex<Vec<JournalEntry>>,
+    /// Per worker: under DOACROSS its committed frontier (`slots[w] = f`:
+    /// every chunk `w` owns below iteration `f` is committed); under DOALL
+    /// one past the chunk it claimed and abandoned (0: none).
+    slots: Vec<PadCounter>,
+    /// DOALL: the next chunk to claim.
+    cursor: PadCounter,
 }
 
 impl SplitState {
     pub(crate) fn new(nthreads: usize) -> Self {
         SplitState {
-            posts: (0..nthreads).map(|_| PadCounter::default()).collect(),
-            journals: Mutex::new(Vec::new()),
+            slots: (0..nthreads).map(|_| PadCounter::default()).collect(),
+            cursor: PadCounter::default(),
         }
     }
 
-    /// The chunks of `plan` no worker committed, ascending: those beyond
-    /// their owner's frontier under the stage's `schedule`. Exact once
-    /// every worker has left the stage.
-    pub(crate) fn uncommitted(&self, plan: &ChunkPlan, schedule: Schedule) -> Vec<u64> {
-        let n = self.posts.len() as u64;
-        let m = plan.num_chunks();
+    /// The chunks of `plan` no worker committed under the stage's
+    /// `schedule` ([`uncommitted`]). Exact once every worker has left the
+    /// stage.
+    pub(crate) fn uncommitted(&self, plan: &ChunkPlan, schedule: Schedule) -> Pending {
         let doacross = matches!(schedule, Schedule::DoAcross { .. });
-        let mut chunks: Vec<u64> = (0..n)
-            .flat_map(|w| {
-                let frontier = self.frontier(w);
-                owned_chunks(w, n, m, doacross).filter(move |&c| plan.range(c).end > frontier)
-            })
-            .collect();
-        chunks.sort_unstable();
-        chunks
+        let n = self.slots.len() as u64;
+        let cursor = self.cursor.0.load(Ordering::Acquire);
+        uncommitted(plan, doacross, n, cursor, |w| self.slot(w))
     }
 
-    /// Worker `w`'s committed frontier.
-    fn frontier(&self, w: u64) -> u64 {
-        self.posts[w as usize].0.load(Ordering::Acquire)
-    }
-
-    /// Roll the stage (`run`'s) back to its entry state, newest journal
-    /// first — when the kernel journals range-exactly and every one of
-    /// the stage's `committed` chunks has a journal. Returns whether it
-    /// did; a restore that panics tears the stage instead.
-    ///
-    /// # Safety
-    ///
-    /// No worker is in the stage any more, so the restores are exclusive.
-    pub(crate) unsafe fn roll_back<K: RealKernel>(
-        &self,
-        kernel: &K,
-        run: &FtRun,
-        committed: u64,
-    ) -> bool {
-        let mut journals = lock_recover(&self.journals);
-        if !kernel.journal_range_exact() || journals.len() as u64 != committed {
-            return false;
-        }
-        journals.sort_by_key(|e| e.range.start);
-        // The supervisor restores under the thread id past the workers',
-        // as it salvages; no report carries its tally.
-        let (t, mut tally) = (self.posts.len() as u64, ThreadStats::default());
-        journals.iter().rev().all(|e| {
-            // SAFETY: exclusive access (the caller's guarantee).
-            unsafe { roll_back_chunk(kernel, run, t, e.chunk, e.range.clone(), &e.buf, &mut tally) }
-        })
-    }
-
-    /// Drop the retained journals, returning their bytes to `budget`.
-    pub(crate) fn release(&self, budget: &MemBudget) {
-        for e in lock_recover(&self.journals).drain(..) {
-            budget.release(e.buf.capacity() as u64);
-        }
+    /// Worker `w`'s slot.
+    fn slot(&self, w: u64) -> u64 {
+        self.slots[w as usize].0.load(Ordering::Acquire)
     }
 }
 
-/// The chunks worker `w` of `n` owns among `m`, in execution order:
-/// every `n`-th chunk from `w` under DOACROSS (`doacross`), a contiguous
-/// slice of the DOALL split otherwise.
-fn owned_chunks(w: u64, n: u64, m: u64, doacross: bool) -> std::iter::StepBy<Range<u64>> {
-    if doacross {
-        (w..m).step_by(n as usize)
-    } else {
-        (w * m / n..(w + 1) * m / n).step_by(1)
+/// A stage's uncommitted chunks, ascending, split at its highest
+/// committed chunk: the first `holes` lie below it, the rest are the
+/// suffix that runs to the stage's last chunk.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Pending {
+    /// The uncommitted chunks, ascending.
+    pub(crate) chunks: Vec<u64>,
+    /// How many of `chunks` lie below a committed chunk.
+    pub(crate) holes: usize,
+}
+
+impl Pending {
+    /// Split `chunks`, the ascending uncommitted chunks of a stage of `m`.
+    pub(crate) fn new(chunks: Vec<u64>, m: u64) -> Self {
+        let top = chunks.iter().rev().zip((0..m).rev());
+        let suffix = top.take_while(|&(&c, k)| c == k).count();
+        let holes = chunks.len() - suffix;
+        Pending { chunks, holes }
     }
+}
+
+/// The chunks of a split stage over `plan` that none of its `n` workers
+/// committed, from what they left behind: under DOACROSS (`doacross`)
+/// the chunks past their owners' frontiers (`slot(w)`); under DOALL the
+/// chunks at or past the claim `cursor`, plus each worker's abandoned one
+/// (`slot(w) = chunk + 1`).
+pub(crate) fn uncommitted(
+    plan: &ChunkPlan,
+    doacross: bool,
+    n: u64,
+    cursor: u64,
+    slot: impl Fn(u64) -> u64,
+) -> Pending {
+    let m = plan.num_chunks();
+    let mut chunks: Vec<u64> = if doacross {
+        (0..m)
+            .filter(|&k| plan.range(k).end > slot(k % n))
+            .collect()
+    } else {
+        let abandoned = (0..n).filter_map(|w| slot(w).checked_sub(1));
+        abandoned.chain(cursor.min(m)..m).collect()
+    };
+    chunks.sort_unstable();
+    Pending::new(chunks, m)
 }
 
 pub(crate) fn chunk_range(c_idx: u64, c: u64, iters: u64) -> Range<u64> {
@@ -473,7 +467,7 @@ pub(crate) fn gate_open(d: u64, c: u64, iters: u64, n: u64, frontier: impl Fn(u6
     (0..n).all(|w| frontier(w) >= gate_target(w, d, c, n, iters))
 }
 
-/// The frontier `posts[w]` must reach before every `w`-owned iteration
+/// The frontier `slots[w]` must reach before every `w`-owned iteration
 /// `≤ d` is known committed, under round-robin chunk ownership.
 fn gate_target(w: u64, d: u64, c: u64, n: u64, iters: u64) -> u64 {
     let e = d / c; // chunk containing the dependence iteration
@@ -508,7 +502,7 @@ fn halted(run: &FtRun, cfg: &RunConfig) -> bool {
 /// must halt instead (cancel, a peer's fault, or a watchdog-declared
 /// stall, which poisons the token).
 fn wait_committed(run: &FtRun, cfg: &RunConfig, d: u64, chunk: u64, iters: u64) -> bool {
-    let frontier = |w: u64| run.split.frontier(w);
+    let frontier = |w: u64| run.split.slot(w);
     let c = cfg.runner.iters_per_chunk;
     let n = cfg.runner.nthreads as u64;
     let mut window_start = Instant::now();
@@ -543,18 +537,21 @@ fn wait_committed(run: &FtRun, cfg: &RunConfig, d: u64, chunk: u64, iters: u64) 
     open && !run.token.is_poisoned()
 }
 
-/// Worker `t`'s share of a `Parallel` or `DoAcross` stage of the engine:
-/// its chunks ([`owned_chunks`]) in ascending order, each DOACROSS chunk
-/// behind one gate ([`chunk_gate_dep`]), each run as the cascade's chunk
-/// transaction ([`journal_chunk`], the body, [`roll_back_chunk`] and
-/// [`chunk_panicked`] on a panic) and followed by one `Release` post of
-/// the worker's frontier.
+/// Worker `t`'s share of a `Parallel` or `DoAcross` stage of the engine,
+/// in ascending chunk order: DOALL chunks claimed from the stage's cursor,
+/// DOACROSS chunks round-robin, each behind one gate ([`chunk_gate_dep`]).
+/// Each chunk runs the cascade's chunk transaction ([`journal_chunk`]
+/// into `jbuf`, the worker's run-long journal buffer; the body;
+/// [`roll_back_chunk`] and [`chunk_panicked`] on a panic). A DOACROSS
+/// chunk ends with one `Release` post of the worker's frontier; a DOALL
+/// chunk the worker claimed but dropped is recorded in its slot.
 pub(crate) fn run_stage<K: RealKernel>(
     kernel: &K,
     cfg: &RunConfig,
     run: &FtRun,
     t: u64,
     schedule: Schedule,
+    jbuf: &mut Vec<u8>,
 ) -> ThreadStats {
     let lag = match schedule {
         Schedule::DoAcross { lag } => Some(lag),
@@ -563,17 +560,28 @@ pub(crate) fn run_stage<K: RealKernel>(
     let iters = kernel.iters();
     let c = cfg.runner.iters_per_chunk;
     let n = cfg.runner.nthreads as u64;
-    let journaling = kernel.journal_range_exact();
+    let m = iters.div_ceil(c);
+    let journaling = captures(cfg) && kernel.journal_range_exact();
+    let slot = &run.split.slots[t as usize].0;
+    let mut owned = (t..m).step_by(n as usize);
     let mut phases = PhaseRecorder::new(run.origin, &cfg.observe);
     let mut stats = ThreadStats::default();
-    let mut journals = Vec::new();
-    for c_idx in owned_chunks(t, n, iters.div_ceil(c), lag.is_some()) {
+    // The chunk in flight until it commits: a DOALL chunk the worker drops
+    // past its claim is named in its slot for the degraded path (a
+    // DOACROSS one lies past its owner's frontier).
+    let mut dropped = None;
+    loop {
         if halted(run, cfg) {
             break;
         }
+        let next = match lag {
+            Some(_) => owned.next(),
+            None => Some(run.split.cursor.0.fetch_add(1, Ordering::Relaxed)).filter(|&k| k < m),
+        };
+        let Some(c_idx) = next else { break };
         let range = chunk_range(c_idx, c, iters);
         let gate = lag.and_then(|lag| chunk_gate_dep(&range, lag));
-        if let Some(d) = gate.filter(|&d| !gate_open(d, c, iters, n, |w| run.split.frontier(w))) {
+        if let Some(d) = gate.filter(|&d| !gate_open(d, c, iters, n, |w| run.split.slot(w))) {
             phases.transition(PhaseKind::Spin, Some(c_idx));
             let open = wait_committed(run, cfg, d, c_idx, iters);
             phases.transition(PhaseKind::Other, Some(c_idx));
@@ -582,13 +590,13 @@ pub(crate) fn run_stage<K: RealKernel>(
             }
         }
         phases.transition(PhaseKind::Execute, Some(c_idx));
-        let mut buf = Vec::new();
+        dropped = Some(c_idx);
         let journal = if journaling {
             // SAFETY: chunk ranges are disjoint across workers, and any
             // iteration running concurrently with a DOACROSS chunk is
             // fewer than `lag` from all of it, so no write aliases the
             // chunk's range-exact footprint.
-            unsafe { journal_chunk(kernel, cfg, run, range.clone(), &mut buf, &mut stats) }
+            unsafe { journal_chunk(kernel, cfg, run, range.clone(), jbuf, &mut stats) }
         } else {
             Ok(false)
         };
@@ -614,32 +622,29 @@ pub(crate) fn run_stage<K: RealKernel>(
             phases.transition(PhaseKind::Retry, Some(c_idx));
             let pristine = if journaled {
                 // SAFETY: the interrupted chunk is still exclusively ours;
-                // its footprint is disjoint from live chunks.
-                unsafe { roll_back_chunk(kernel, run, t, c_idx, range, &buf, &mut stats) }
+                // its footprint is disjoint from live chunks, and `jbuf`
+                // is the unmodified capture of this same range.
+                unsafe { roll_back_chunk(kernel, run, t, c_idx, range, jbuf, &mut stats) }
             } else {
                 kernel.panics_before_mutation()
             };
             run.token
                 .poison_with(chunk_panicked(run, t, c_idx, pristine, payload));
-            cfg.budget.release(buf.capacity() as u64);
             break;
         }
         let (_, exec) = phases.transition(PhaseKind::Other, Some(c_idx));
-        if journaled {
-            let (chunk, range) = (c_idx, range.clone());
-            journals.push(JournalEntry { chunk, range, buf });
-        } else {
-            cfg.budget.release(buf.capacity() as u64);
+        dropped = None;
+        if lag.is_some() {
+            // Publish the committed frontier: every iteration we own
+            // below the chunk's end is now visible.
+            slot.store(range.end, Ordering::Release);
         }
-        // Publish the committed frontier: every iteration we own below
-        // the chunk's end is now visible.
-        run.split.posts[t as usize]
-            .0
-            .store(range.end, Ordering::Release);
         stats.chunks += 1;
         stats.chunk_exec.record(exec);
     }
-    lock_recover(&run.split.journals).append(&mut journals);
+    if let (None, Some(k)) = (lag, dropped) {
+        slot.store(k + 1, Ordering::Release);
+    }
     phases.finish(stats)
 }
 
@@ -655,11 +660,12 @@ pub(crate) fn run_stage<K: RealKernel>(
 ///
 /// Governance composes: the shared
 /// [`CancelToken`](crate::govern::CancelToken) and deadline drain
-/// the pool at post/wait and chunk boundaries with journaled rollback
-/// of the in-flight sub-loop, so governance errors carry a clean
-/// `committed_iters` prefix **of the fissioned sequence** (completed
-/// sub-loops count their full trip; a cancelled split sub-loop is rolled
-/// back to its start, or completed when unjournalable). A fault inside a
+/// the pool at post/wait and chunk boundaries, and governance errors
+/// carry a clean `committed_iters` prefix **of the fissioned sequence**.
+/// Completed sub-loops count their full trip. A cancelled split sub-loop
+/// keeps the chunks it committed: its holes, the uncommitted chunks below
+/// its highest committed one, run on the calling thread, and the prefix
+/// ends at its first chunk still uncommitted. A fault inside a
 /// stage ends the run as a fault ends a sequence: under a salvaging
 /// [`Tolerance`](crate::runner::Tolerance) the uncommitted remainder and
 /// every later sub-loop run sequentially, otherwise it surfaces as a
@@ -747,21 +753,97 @@ pub fn try_run_planned<K: RealKernel>(
 mod tests {
     use super::*;
 
+    /// `p` lists exactly the chunks `committed` leaves uncommitted, and
+    /// its holes are exactly those below the highest committed chunk.
+    fn assert_matches_bitmap(p: &Pending, committed: &[bool], label: &str) {
+        let want: Vec<u64> = (0..committed.len() as u64)
+            .filter(|&k| !committed[k as usize])
+            .collect();
+        assert_eq!(p.chunks, want, "{label}");
+        let top = committed.iter().rposition(|&b| b);
+        let holes = want.iter().filter(|&&k| top.is_some_and(|t| k < t as u64));
+        assert_eq!(p.holes, holes.count(), "{label}");
+    }
+
     #[test]
-    fn both_splits_cover_every_chunk_exactly_once_in_order() {
-        for doacross in [false, true] {
-            for n in 1..=5u64 {
-                for m in [0u64, 1, 3, 7, 16] {
-                    let mut seen = vec![0u32; m as usize];
-                    for w in 0..n {
-                        let owned: Vec<u64> = owned_chunks(w, n, m, doacross).collect();
-                        assert!(owned.windows(2).all(|p| p[0] < p[1]), "{owned:?}");
-                        for c in owned {
-                            seen[c as usize] += 1;
+    fn doall_uncommitted_is_the_abandoned_chunks_and_the_unclaimed_tail() {
+        for c in 1u64..=6 {
+            for n in 1u64..=4 {
+                for iters in 0u64..=10 {
+                    let plan = ChunkPlan::by_iterations(iters, c);
+                    let m = plan.num_chunks();
+                    for cursor in 0..m + n {
+                        let claimed = cursor.min(m);
+                        // Every set of at most `n` abandoned chunks, one
+                        // per worker, among the claimed ones.
+                        for set in 0u64..1 << claimed {
+                            if set.count_ones() as u64 > n {
+                                continue;
+                            }
+                            let abandoned: Vec<u64> =
+                                (0..claimed).filter(|k| set >> k & 1 == 1).collect();
+                            let slot = |w: u64| abandoned.get(w as usize).map_or(0, |&k| k + 1);
+                            let committed: Vec<bool> =
+                                (0..m).map(|k| k < cursor && set >> k & 1 == 0).collect();
+                            let p = uncommitted(&plan, false, n, cursor, slot);
+                            let label = format!(
+                                "c={c} n={n} iters={iters} cursor={cursor} abandoned={abandoned:?}"
+                            );
+                            assert_matches_bitmap(&p, &committed, &label);
                         }
                     }
-                    let label = format!("doacross={doacross} n={n} m={m}: {seen:?}");
-                    assert!(seen.iter().all(|&s| s == 1), "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn doacross_uncommitted_follows_the_frontiers_and_holes_stay_above_every_gate() {
+        for c in 1u64..=6 {
+            for lag in 2u64..=8 {
+                for n in 1u64..=4 {
+                    let iters = 7 * c - c / 2;
+                    let plan = ChunkPlan::by_iterations(iters, c);
+                    let m = plan.num_chunks();
+                    let owned = |w: u64| (w..m).step_by(n as usize).count() as u64;
+                    // Every combination of per-worker committed counts:
+                    // each worker commits its owned chunks in order.
+                    let combos: u64 = (0..n).map(|w| owned(w) + 1).product();
+                    for mut code in 0..combos {
+                        let mut done = vec![0u64; n as usize];
+                        for w in 0..n {
+                            done[w as usize] = code % (owned(w) + 1);
+                            code /= owned(w) + 1;
+                        }
+                        let slot = |w: u64| match done[w as usize] {
+                            0 => 0,
+                            k => plan.range(w + (k - 1) * n).end,
+                        };
+                        let committed: Vec<bool> =
+                            (0..m).map(|k| k / n < done[(k % n) as usize]).collect();
+                        let p = uncommitted(&plan, true, n, 0, slot);
+                        let label = format!("c={c} lag={lag} n={n} done={done:?}");
+                        assert_matches_bitmap(&p, &committed, &label);
+                        // Reachable states only: every committed chunk's
+                        // gate holds against what is committed now.
+                        let deps: Vec<u64> = (0..m)
+                            .filter(|&k| committed[k as usize])
+                            .filter_map(|k| chunk_gate_dep(&plan.range(k), lag))
+                            .collect();
+                        if !deps.iter().all(|&d| gate_open(d, c, iters, n, slot)) {
+                            continue;
+                        }
+                        if lag <= c {
+                            assert_eq!(p.holes, 0, "serialised chunks left a hole: {label}");
+                        }
+                        for &h in &p.chunks[..p.holes] {
+                            let start = plan.range(h).start;
+                            assert!(
+                                deps.iter().all(|&d| start > d),
+                                "hole {h} under a gate: {label}"
+                            );
+                        }
+                    }
                 }
             }
         }

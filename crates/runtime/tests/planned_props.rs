@@ -18,13 +18,14 @@
 //! the result.
 
 use std::ops::Range;
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 use cascade_analyze::plan::{plan_loop, Schedule};
 use cascade_rt::{
     doacross_order, fission_specs, try_run_planned, CancelToken, FaultEvent, FaultKind, FaultPlan,
-    FaultyKernel, Observe, RealKernel, RetryPolicy, RtPolicy, RunConfig, RunError, RunnerConfig,
-    SpecProgram, Tolerance, VerifyPolicy,
+    FaultyKernel, MemBudget, Observe, RealKernel, RetryPolicy, RtPolicy, RunConfig, RunError,
+    RunnerConfig, SpecProgram, Tolerance, VerifyPolicy,
 };
 use cascade_trace::{
     AddressSpace, Arena, IndexStore, LoopSpec, Mode, Pattern, StreamRef, Workload,
@@ -42,7 +43,8 @@ use common::splitmix64;
 #[derive(Debug, Clone)]
 struct Scenario {
     iters: u64,
-    /// Carried recurrence `a(i+lag) = f(a(i))`; `None` drops it.
+    /// Carried recurrence `a(i+lag) = f(a(i))` (lag 1..=5); `None` drops
+    /// it.
     lag: Option<u64>,
     /// Independent affine writer `x(i)`.
     xw: bool,
@@ -94,7 +96,7 @@ fn build(s: &Scenario) -> (Workload, Arena) {
     let n = s.iters;
     let mut space = AddressSpace::new();
     let src = space.alloc("src", 8, n);
-    let a = space.alloc("a", 8, n + 4);
+    let a = space.alloc("a", 8, n + 5);
     let x = space.alloc("x", 8, n);
     let y = space.alloc("y", 8, n);
     let sc_elems = (n / 3).max(4);
@@ -112,7 +114,7 @@ fn build(s: &Scenario) -> (Workload, Arena) {
     let mut refs = vec![aff("src(i)", src, 0, Mode::Read)];
     if let Some(lag) = s.lag {
         refs.push(aff("a(i)", a, 0, Mode::Read));
-        const A_NAMES: [&str; 3] = ["a(i+1)", "a(i+2)", "a(i+3)"];
+        const A_NAMES: [&str; 5] = ["a(i+1)", "a(i+2)", "a(i+3)", "a(i+4)", "a(i+5)"];
         refs.push(aff(A_NAMES[lag as usize - 1], a, lag as i64, Mode::Write));
     }
     if s.xw {
@@ -160,7 +162,7 @@ fn build(s: &Scenario) -> (Workload, Arena) {
     for i in 0..n {
         arena.set_f64(&w.space, src, i, ((i ^ s.salt) % 31) as f64 * 0.375 + 0.5);
     }
-    for i in 0..n + 4 {
+    for i in 0..n + 5 {
         arena.set_f64(
             &w.space,
             a,
@@ -779,4 +781,323 @@ fn corrupted_residue_reports_a_sequence_global_resume_point() {
         expected,
         "resume from the reported prefix is not bitwise"
     );
+}
+
+/// A kernel that fires the run's cancel token as it starts executing the
+/// chunk at iteration `at`, sleeps through the chunk at iteration `slow.0`
+/// first, and counts how often each iteration runs.
+struct CancelsAt<K> {
+    inner: K,
+    token: CancelToken,
+    at: u64,
+    slow: Option<(u64, Duration)>,
+    runs: Vec<AtomicU32>,
+}
+
+impl<K: RealKernel> CancelsAt<K> {
+    fn new(inner: K, token: CancelToken, at: u64, slow: Option<(u64, Duration)>) -> Self {
+        let runs = (0..inner.iters()).map(|_| AtomicU32::new(0)).collect();
+        CancelsAt {
+            inner,
+            token,
+            at,
+            slow,
+            runs,
+        }
+    }
+
+    /// Whether iterations `..prefix` ran exactly once each and the rest
+    /// never.
+    fn ran_exactly(&self, prefix: u64) -> bool {
+        let runs = self.runs.iter().map(|r| r.load(Ordering::Relaxed));
+        runs.enumerate()
+            .all(|(i, n)| n == u32::from((i as u64) < prefix))
+    }
+}
+
+impl<K: RealKernel> RealKernel for CancelsAt<K> {
+    fn iters(&self) -> u64 {
+        self.inner.iters()
+    }
+    unsafe fn execute(&self, range: Range<u64>) {
+        if let Some((_, nap)) = self.slow.filter(|&(at, _)| at == range.start) {
+            std::thread::sleep(nap);
+        }
+        if range.start == self.at {
+            self.token.cancel("cancelled mid-chunk");
+        }
+        for i in range.clone() {
+            self.runs[i as usize].fetch_add(1, Ordering::Relaxed);
+        }
+        // SAFETY: forwarded under the caller's exclusivity.
+        unsafe { self.inner.execute(range) }
+    }
+    fn panics_before_mutation(&self) -> bool {
+        self.inner.panics_before_mutation()
+    }
+    fn journal_range_exact(&self) -> bool {
+        self.inner.journal_range_exact()
+    }
+    unsafe fn journal_capture(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
+        // SAFETY: forwarded under the caller's exclusivity.
+        unsafe { self.inner.journal_capture(range, buf) }
+    }
+    unsafe fn journal_rollback(&self, range: Range<u64>, buf: &[u8]) {
+        // SAFETY: forwarded under the caller's exclusivity.
+        unsafe { self.inner.journal_rollback(range, buf) }
+    }
+}
+
+/// Run the plan of `w` with sub-loop `g` cancelling as it starts chunk
+/// `k` (and sleeping through chunk `slow`, when given), check that the
+/// run stops at an exact prefix that resumes bitwise, and return the
+/// prefix's part inside sub-loop `g`. Sub-loop `g` must have run exactly
+/// that part, once per iteration: a cancelled split stage keeps what it
+/// committed and fills its holes.
+fn cancel_inside_stage(
+    w: &Workload,
+    arena: Arena,
+    s: &Scenario,
+    tolerance: Tolerance,
+    (g, k): (usize, u64),
+    slow: Option<(u64, Duration)>,
+) -> u64 {
+    let expected = sequential_checksum(w, arena.clone());
+    let (mut prog, plan) = fissioned_program(w, arena);
+    let trip = prog.kernel(g).iters();
+    let before = g as u64 * trip;
+    let token = CancelToken::new();
+    let result = {
+        let kernels: Vec<_> = (0..plan.partition.len())
+            .map(|l| {
+                let (at, slow) = if l == g {
+                    (k * s.chunk, slow.map(|(c, nap)| (c * s.chunk, nap)))
+                } else {
+                    (u64::MAX, None)
+                };
+                CancelsAt::new(prog.kernel(l), token.clone(), at, slow)
+            })
+            .collect();
+        let cfg = RunConfig {
+            runner: runner(s),
+            tolerance,
+            cancel: token,
+            ..RunConfig::default()
+        };
+        let result = try_run_planned(&kernels, &plan, &cfg);
+        if let Err(RunError::Cancelled {
+            committed_iters, ..
+        }) = result
+        {
+            let within = committed_iters - before;
+            assert!(
+                kernels[g].ran_exactly(within),
+                "sub-loop {g} did not run exactly its prefix of {within}"
+            );
+        }
+        result
+    };
+    let Err(RunError::Cancelled {
+        committed_iters, ..
+    }) = result
+    else {
+        panic!("expected a cancel inside sub-loop {g}, got {result:?}");
+    };
+    let mut rem = committed_iters;
+    for l in 0..plan.partition.len() {
+        let k = prog.kernel(l);
+        let done = rem.min(k.iters());
+        rem -= done;
+        if done < k.iters() {
+            // SAFETY: the run drained before returning.
+            unsafe { k.execute(done..k.iters()) };
+        }
+    }
+    assert_eq!(prog.checksum(), expected, "resume is not bitwise");
+    let within = committed_iters - before;
+    assert!(
+        within >= (k + 1) * s.chunk && within < trip,
+        "prefix {within} of sub-loop {g} is not inside it past chunk {k}"
+    );
+    within
+}
+
+/// A cancel inside a DOALL stage keeps the chunks the stage committed: the
+/// chunk being executed finishes, the prefix lies strictly inside the
+/// stage past it, and a resume from it is bitwise, with or without chunk
+/// journals.
+#[test]
+fn cancelled_doall_stage_keeps_its_committed_prefix() {
+    let s = Scenario {
+        lag: None,
+        yw: true,
+        threads: 3,
+        ..lag2_scenario()
+    };
+    let (w, arena) = build(&s);
+    let plan = plan_loop(&w, &w.loops[0]);
+    let schedules: Vec<_> = plan.partition.iter().map(|p| p.schedule).collect();
+    assert_eq!(schedules, [Schedule::Parallel, Schedule::Parallel]);
+    for tolerance in [
+        Tolerance::fail_fast(),
+        Tolerance::resilient(Duration::from_secs(5)),
+    ] {
+        for g in [0, 1] {
+            cancel_inside_stage(&w, arena.clone(), &s, tolerance.clone(), (g, 3), None);
+        }
+    }
+}
+
+/// A DOACROSS stage whose lag exceeds the chunk leaves a hole when a
+/// worker stops below a committed chunk. Lag 5 over one-iteration chunks
+/// on 3 workers: chunk 5's gate waits for chunk 0 only, so it commits
+/// (and cancels) while chunk 1 sleeps and chunk 4, queued behind chunk 1
+/// on the same worker, never starts. The hole is filled, the prefix is
+/// exact and past chunk 5, and the resume is bitwise.
+#[test]
+fn cancelled_doacross_stage_fills_its_holes() {
+    let s = Scenario {
+        iters: 96,
+        lag: Some(5),
+        threads: 3,
+        chunk: 1,
+        ..lag2_scenario()
+    };
+    let (w, arena) = build(&s);
+    let plan = plan_loop(&w, &w.loops[0]);
+    assert!(
+        matches!(plan.partition[0].schedule, Schedule::DoAcross { lag: 5 }),
+        "{:?}",
+        plan.partition
+    );
+    let nap = Some((1, Duration::from_millis(50)));
+    for tolerance in [
+        Tolerance::fail_fast(),
+        Tolerance::resilient(Duration::from_secs(5)),
+    ] {
+        cancel_inside_stage(&w, arena.clone(), &s, tolerance, (0, 5), nap);
+    }
+}
+
+/// A split stage whose kernel cannot journal range-exactly (a stride-2
+/// write) stops at its prefix on a cancel, like any split stage, instead
+/// of completing the stage.
+#[test]
+fn cancelled_unjournalable_split_stage_stops_at_its_prefix() {
+    let n = 1024;
+    let mut space = AddressSpace::new();
+    let src = space.alloc("src", 8, n);
+    let x = space.alloc("x", 8, 2 * n);
+    let sref = |name: &'static str, array, stride, mode| StreamRef {
+        name,
+        array,
+        pattern: Pattern::Affine { base: 0, stride },
+        mode,
+        bytes: 8,
+        hoistable: false,
+    };
+    let w = Workload {
+        space,
+        index: IndexStore::new(),
+        loops: vec![LoopSpec {
+            name: "stride-2 writer".into(),
+            iters: n,
+            refs: vec![
+                sref("src(i)", src, 1, Mode::Read),
+                sref("x(2i)", x, 2, Mode::Write),
+            ],
+            compute: 2.0,
+            hoistable_compute: 0.0,
+            hoist_result_bytes: 0,
+        }],
+    };
+    let mut arena = Arena::new(&w.space);
+    for i in 0..n {
+        arena.set_f64(&w.space, src, i, (i % 13) as f64 * 0.5 + 0.25);
+    }
+    let (prog, plan) = fissioned_program(&w, arena.clone());
+    assert_eq!(plan.partition.len(), 1);
+    assert_eq!(plan.partition[0].schedule, Schedule::Parallel);
+    assert!(!prog.kernel(0).journal_range_exact());
+    let s = Scenario {
+        iters: n,
+        threads: 3,
+        ..lag2_scenario()
+    };
+    for tolerance in [
+        Tolerance::fail_fast(),
+        Tolerance::resilient(Duration::from_secs(5)),
+    ] {
+        cancel_inside_stage(&w, arena.clone(), &s, tolerance, (0, 3), None);
+    }
+}
+
+/// Split chunks capture into each worker's run-long journal buffer, and
+/// only when the run could want a rollback: a planned run under a
+/// salvaging tolerance meters one chunk journal per worker that captured,
+/// for 16 chunks as for 64, a budget of a few chunk journals per worker
+/// carries a 64-chunk DOALL stage, and a fail-fast run captures nothing.
+#[test]
+fn planned_runs_meter_a_steady_state_not_the_chunk_count() {
+    const CHUNK: u64 = 64;
+    const THREADS: usize = 2;
+    let journal = CHUNK * 8; // one 8-byte write per iteration
+    let run = |chunks: u64, tolerance: Tolerance, budget: MemBudget| {
+        let s = Scenario {
+            iters: chunks * CHUNK,
+            lag: None,
+            yw: true,
+            threads: THREADS,
+            chunk: CHUNK,
+            ..lag2_scenario()
+        };
+        let (w, arena) = build(&s);
+        let (prog, plan) = fissioned_program(&w, arena);
+        assert!(plan
+            .partition
+            .iter()
+            .all(|p| p.schedule == Schedule::Parallel));
+        let kernels: Vec<_> = (0..plan.partition.len()).map(|g| prog.kernel(g)).collect();
+        let cfg = RunConfig {
+            runner: runner(&s),
+            tolerance,
+            budget,
+            ..RunConfig::default()
+        };
+        try_run_planned(&kernels, &plan, &cfg)
+    };
+    // Claiming is dynamic, so a short stage may run on one worker only.
+    let capturing = |stats: &cascade_rt::PlannedStats| {
+        (0..THREADS)
+            .filter(|&t| {
+                stats
+                    .sub_loops
+                    .iter()
+                    .any(|s| s.threads[t].journal_bytes > 0)
+            })
+            .count() as u64
+    };
+    let resilient = Tolerance::resilient(Duration::from_secs(5));
+    for chunks in [16, 64] {
+        let stats = run(chunks, resilient.clone(), MemBudget::unlimited()).expect("a clean run");
+        let workers = capturing(&stats);
+        assert!(workers >= 1, "the chunk journals are metered");
+        assert_eq!(
+            stats.budget_high_water,
+            workers * journal,
+            "{chunks} chunks: metered bytes are not one journal per capturing worker"
+        );
+    }
+    let few = MemBudget::limited(4 * journal * THREADS as u64);
+    let stats = run(64, resilient, few).expect("a few chunk journals per worker suffice");
+    assert!(stats.budget_high_water <= journal * THREADS as u64);
+
+    let stats = run(64, Tolerance::fail_fast(), MemBudget::unlimited()).expect("a clean run");
+    let captured: u64 = stats
+        .sub_loops
+        .iter()
+        .flat_map(|sub| &sub.threads)
+        .map(|t| t.journal_bytes)
+        .sum();
+    assert_eq!((captured, stats.budget_high_water), (0, 0));
 }

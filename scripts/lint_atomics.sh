@@ -39,18 +39,28 @@
 #     `thread::scope` joins — every reader is already ordered after
 #     every writer, so the counter itself needs no ordering. Pure
 #     statistics; no protocol decision reads it.
+#
+#   cursor (sched.rs): a DOALL plan stage's claim cursor. Its one
+#     `fetch_add` only hands out chunk indices — the read-modify-write
+#     alone makes every claim unique, whatever the ordering — and no
+#     chunk's data is published through it: DOALL chunks are independent,
+#     and the stage's end barrier (or the workers' join, before the
+#     degraded path reads the cursor with Acquire) orders every worker's
+#     writes before anything that reads them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RT=crates/runtime/src
-# sched.rs: the split-stage committed frontiers (padded per-worker
-#   `posts`, Release on post / Acquire in the DOACROSS gate and in the
-#   post-join salvage). A stage halts on its token's poison, which lives
-#   in token.rs; its chunk transaction (the torn mark, the budget) is
-#   runner.rs's. The gate protocol is model-checked by DoAcrossModel in
-#   src/check.rs; the module uses no Relaxed orderings.
+# sched.rs: the split-stage per-worker slots (padded; a DOACROSS
+#   worker's committed frontier, Release on post / Acquire in the gate and
+#   in the post-join salvage, or a DOALL worker's abandoned chunk, stored
+#   and read the same way) and the DOALL claim cursor (allowlisted below).
+#   A stage halts on its token's poison, which lives in token.rs; its
+#   chunk transaction (the torn mark, the budget) is runner.rs's. The gate
+#   protocol and the cancel's hole fill are model-checked by DoAcrossModel
+#   in src/check.rs.
 ALLOWED_ATOMIC_FILES="barrier.rs govern.rs health.rs runner.rs sched.rs token.rs"
-ALLOW_RELAXED_RE='release_ns\.(load|store)\(|scrubs\.(load|fetch_add)\('
+ALLOW_RELAXED_RE='release_ns\.(load|store)\(|scrubs\.(load|fetch_add)\(|cursor\.0\.fetch_add\('
 
 fail=0
 
