@@ -1,10 +1,12 @@
 //! A minimal JSON reader for the bench harness.
 //!
-//! `bench_diff` has to parse the `BENCH_runtime.json` snapshots this repo
-//! emits, and the offline build vendors no serde — so this is a small
-//! recursive-descent parser over the full JSON grammar. Object key order
-//! is preserved (the snapshots are written with fixed field order and the
-//! diff reports in that order).
+//! The exact-counter test (`tests/exact_counters.rs`) reads the golden
+//! `BENCH_runtime.json` with it, and the offline build vendors no serde
+//! — so this is a small recursive-descent parser over the full JSON
+//! grammar. Object key order is preserved (the golden file lists its
+//! counters in a fixed order and the test reports in that order). To
+//! update the golden after an intended change, paste the computed block
+//! the failing test prints over the file's `exact` block.
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -259,7 +261,7 @@ mod tests {
         let doc = r#"{
             "schema": "cascade-bench-v1",
             "exact": {"rt_cascade.chunks": 16, "neg": -2},
-            "timing_ns": {"token_pass.per_transfer": 123.5},
+            "nested": {"token_pass.per_transfer": 123.5},
             "flags": [true, false, null],
             "note": "a \"quoted\" value\n"
         }"#;
@@ -269,7 +271,7 @@ mod tests {
         assert_eq!(exact.get("rt_cascade.chunks").unwrap().as_f64(), Some(16.0));
         assert_eq!(exact.get("neg").unwrap().as_f64(), Some(-2.0));
         assert_eq!(
-            v.get("timing_ns")
+            v.get("nested")
                 .unwrap()
                 .get("token_pass.per_transfer")
                 .unwrap()

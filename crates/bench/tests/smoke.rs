@@ -153,73 +153,3 @@ smoke!(
     "0.005",
     "Extra A: unbounded-processor speedups"
 );
-
-/// The perf-snapshot pipeline end to end: `bench_suite` emits a snapshot
-/// that parses, self-diffs clean, and `bench_diff` catches both a
-/// tampered exact counter (exit 1) and a scale mismatch (exit 2).
-#[test]
-fn bench_suite_and_diff_smoke() {
-    let dir = std::env::temp_dir().join("cascade-bench-smoke");
-    std::fs::create_dir_all(&dir).unwrap();
-    let snap = dir.join("snap.json");
-    let snap_s = snap.to_str().unwrap();
-
-    let suite = env!("CARGO_BIN_EXE_bench_suite");
-    let out = Command::new(suite)
-        .env("CASCADE_SCALE", "0.02")
-        .args(["--out", snap_s])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "bench_suite failed:\n{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("Bench suite"), "{stdout}");
-    assert!(stdout.contains("exact counters"), "{stdout}");
-
-    let text = std::fs::read_to_string(&snap).unwrap();
-    let doc = cascade_bench::json::parse(&text).expect("snapshot must be valid JSON");
-    assert_eq!(
-        doc.get("schema").and_then(|s| s.as_str()),
-        Some("cascade-bench-v1")
-    );
-    for section in ["exact", "timing_ns"] {
-        let members = doc.get(section).and_then(|s| s.as_obj()).unwrap();
-        assert!(!members.is_empty(), "{section} must not be empty");
-    }
-
-    let diff = env!("CARGO_BIN_EXE_bench_diff");
-    let ok = Command::new(diff).args([snap_s, snap_s]).output().unwrap();
-    assert!(ok.status.success(), "self-diff must pass");
-
-    // Tamper with one exact counter: the diff must fail with exit 1.
-    let tampered = dir.join("tampered.json");
-    let line = text
-        .lines()
-        .find(|l| l.contains("wave5.chunks"))
-        .expect("snapshot has wave5.chunks");
-    let bad = text.replace(line, "    \"wave5.chunks\": 999999999,");
-    assert_ne!(bad, text);
-    std::fs::write(&tampered, bad).unwrap();
-    let fail = Command::new(diff)
-        .args([snap_s, tampered.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(fail.status.code(), Some(1), "tampered diff must exit 1");
-    assert!(String::from_utf8_lossy(&fail.stdout).contains("CHANGED"));
-
-    // A snapshot at a different scale is not comparable: exit 2.
-    let rescaled = dir.join("rescaled.json");
-    std::fs::write(
-        &rescaled,
-        text.replace("\"scale\": 0.02", "\"scale\": 0.04"),
-    )
-    .unwrap();
-    let refuse = Command::new(diff)
-        .args([snap_s, rescaled.to_str().unwrap()])
-        .output()
-        .unwrap();
-    assert_eq!(refuse.status.code(), Some(2), "scale mismatch must exit 2");
-}

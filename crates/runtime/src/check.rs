@@ -251,7 +251,9 @@ pub enum Step {
     /// A waiter's watchdog verdict against a suspect (strike ladder
     /// compressed to its final outcome).
     DetectStall {
-        /// The waiting thread whose watchdog fired.
+        /// The waiting thread whose watchdog fired. Only counterexample
+        /// traces read it, through `Debug`.
+        #[allow(dead_code)]
         detector: usize,
         /// The thread it blames.
         suspect: usize,

@@ -6,7 +6,7 @@
 //! one that is *gone* (crashed, wedged). The [`HealthRegistry`] makes that
 //! call: each time a watchdog window expires on a suspect worker the
 //! detector records a **strike**, and the suspect is granted an
-//! exponentially growing backoff window (`base_backoff * 2^strikes`) to
+//! exponentially growing backoff window (`backoff * 2^strikes`) to
 //! show progress. A worker whose **heartbeat** (completed-chunk counter)
 //! advances between strikes is healed — its strikes reset. Only when
 //! `strike_limit` consecutive no-progress strikes accumulate is the worker
@@ -23,6 +23,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
+use crate::runner::RetryPolicy;
 use crate::token::{lock_recover, CachePadded};
 
 /// What a detector should do about a suspect worker after a strike.
@@ -40,24 +41,6 @@ pub enum StrikeVerdict {
     },
     /// The strike limit is exhausted: quarantine the suspect.
     Quarantine,
-}
-
-/// Tuning knobs of the strike/quarantine ladder.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthConfig {
-    /// Consecutive no-progress strikes before quarantine.
-    pub strike_limit: u32,
-    /// First backoff window; doubles per strike.
-    pub base_backoff: Duration,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            strike_limit: 3,
-            base_backoff: Duration::from_millis(10),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -93,13 +76,16 @@ impl WorkerHealth {
 /// Per-run (or per-sequence) health state of every worker thread.
 #[derive(Debug)]
 pub struct HealthRegistry {
-    cfg: HealthConfig,
+    /// The strike ladder's knobs: `strike_limit` and `backoff`.
+    cfg: RetryPolicy,
     workers: Vec<CachePadded<WorkerHealth>>,
 }
 
 impl HealthRegistry {
-    /// A registry for `nthreads` workers, all healthy.
-    pub fn new(nthreads: usize, cfg: HealthConfig) -> Self {
+    /// A registry for `nthreads` workers, all healthy, striking under
+    /// `cfg`'s `strike_limit` and `backoff` (its `budget` is the
+    /// runner's, not the registry's).
+    pub fn new(nthreads: usize, cfg: RetryPolicy) -> Self {
         HealthRegistry {
             cfg,
             workers: (0..nthreads)
@@ -148,7 +134,7 @@ impl HealthRegistry {
         }
         let backoff = self
             .cfg
-            .base_backoff
+            .backoff
             .saturating_mul(1u32 << (strikes - 1).min(16));
         *until = Some(now + backoff);
         StrikeVerdict::Backoff {
@@ -211,10 +197,11 @@ impl HealthRegistry {
 mod tests {
     use super::*;
 
-    fn fast_cfg() -> HealthConfig {
-        HealthConfig {
+    fn fast_cfg() -> RetryPolicy {
+        RetryPolicy {
             strike_limit: 2,
-            base_backoff: Duration::from_millis(1),
+            backoff: Duration::from_millis(1),
+            ..RetryPolicy::default()
         }
     }
 
@@ -316,9 +303,10 @@ mod tests {
     fn concurrent_strikes_within_backoff_count_once() {
         let h = HealthRegistry::new(
             1,
-            HealthConfig {
+            RetryPolicy {
                 strike_limit: 2,
-                base_backoff: Duration::from_millis(50),
+                backoff: Duration::from_millis(50),
+                ..RetryPolicy::default()
             },
         );
         assert!(matches!(

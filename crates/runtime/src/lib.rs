@@ -61,8 +61,9 @@
 //! strikes with exponential backoff), and its remaining chunks are
 //! remapped across survivors so the run finishes cascaded instead of
 //! `degraded`. The token/poison/retry protocol backing this is modeled as
-//! an explicit state machine in [`check`] and exhaustively explored with
-//! the `interleave` shim — the eight invariants (exactly-one executor,
+//! an explicit state machine in the test-only `check` module
+//! (`src/check.rs`) and exhaustively explored with the `interleave`
+//! shim — the eight invariants (exactly-one executor,
 //! no lost or resurrected token, first-cause-wins poisoning, no chunk
 //! re-executed after mutation, no torn state observable after rollback,
 //! cancellation never observable as torn state, exactly one terminal
@@ -94,7 +95,7 @@
 //! poisons the stage's token like a cascade fault, so governance,
 //! journaled rollback and sequential salvage take the engine's one path;
 //! the DOACROSS post/wait protocol is modeled and exhaustively explored
-//! in [`check`].
+//! in the test-only `check` module.
 //!
 //! ## Durable runs
 //!
@@ -122,17 +123,16 @@
 //! rolled back via its undo journal and repaired in place, and the run
 //! continues bitwise-correct. Between loops an arena scrubber checksums
 //! bytes *outside* every footprint. The protocol's ordering claims are
-//! model-checked ([`check`]): verification happens-before downstream
-//! commit visibility, a corrupted chunk is never part of a committed
-//! prefix, and blame never quarantines an innocent worker under a
-//! single-fault assumption. `cascade chaos --corrupt` gates detection
-//! end to end; `VerifyPolicy::Off` (the default) costs one never-true
-//! branch per commit and claim.
+//! model-checked (the test-only `check` module): verification
+//! happens-before downstream commit visibility, a corrupted chunk is
+//! never part of a committed prefix, and blame never quarantines an
+//! innocent worker under a single-fault assumption. `cascade chaos
+//! --corrupt` gates detection end to end; `VerifyPolicy::Off` (the
+//! default) costs one never-true branch per commit and claim.
 
 #![warn(missing_docs)]
 
 pub mod barrier;
-pub mod check;
 pub mod ckpt;
 pub mod fault;
 pub mod govern;
@@ -149,7 +149,7 @@ pub use barrier::{BarrierOutcome, FtBarrier};
 pub use ckpt::{Checkpoint, CkptError, CkptMeta, CkptPolicy, CkptSink, CkptWriter};
 pub use fault::{FaultKind, FaultPlan, FaultyKernel};
 pub use govern::{CancelKind, CancelState, CancelToken, MemBudget, RunConfig, VerifyPolicy};
-pub use health::{HealthConfig, HealthRegistry, StrikeVerdict};
+pub use health::{HealthRegistry, StrikeVerdict};
 pub use interp::{SpecKernel, SpecProgram};
 pub use kernel::RealKernel;
 pub use metrics::{NsStats, Observe, PhaseEventNs};
@@ -159,4 +159,8 @@ pub use runner::{
     RetryPolicy, RtPolicy, RunError, RunStats, RunnerConfig, ThreadStats, Tolerance,
 };
 pub use sched::{doacross_order, fission_specs, try_run_planned, PlannedStats, SubLoopStats};
-pub use token::{PoisonCause, Token, TokenView, WaitOutcome, EXEC_BIT, POISONED};
+pub use token::{PoisonCause, Token, TokenView, EXEC_BIT, POISONED};
+
+// The model checker: unit tests only, with `interleave` a dev-dependency.
+#[cfg(test)]
+mod check;

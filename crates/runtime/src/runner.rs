@@ -24,7 +24,7 @@
 //! * with a watchdog window set, waiters use bounded token waits and
 //!   declare a stall — poisoning the token with [`PoisonCause::Stalled`] —
 //!   when the token does not move for a whole window;
-//! * token hand-off is a compare-and-swap ([`Token::try_release`]), so a
+//! * token hand-off is a compare-and-swap ([`Token::try_advance`]), so a
 //!   worker the watchdog declared dead can finish late ([`
 //!   FaultEvent::LateCompletion`]) but can never resurrect a poisoned
 //!   token;
@@ -88,7 +88,7 @@
 //!
 //! The protocol state machine (token values, claims, poison, retry
 //! hand-backs, journal/rollback ordering) is modeled and exhaustively
-//! explored in [`crate::check`].
+//! explored in the test-only `check` module (`src/check.rs`).
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -107,7 +107,7 @@ use cascade_core::{
 use crate::barrier::{BarrierOutcome, FtBarrier};
 use crate::ckpt::CkptPolicy;
 use crate::govern::{CancelKind, CancelState, CancelToken, Governor, RunConfig};
-use crate::health::{HealthConfig, HealthRegistry, StrikeVerdict};
+use crate::health::{HealthRegistry, StrikeVerdict};
 use crate::kernel::RealKernel;
 use crate::metrics::{NsStats, PhaseEventNs, PhaseRecorder};
 use crate::sched::{self, Pending, SplitState};
@@ -1109,15 +1109,8 @@ struct Recovery {
 
 impl Recovery {
     fn new(nthreads: usize, tol: &Tolerance) -> Self {
-        let health_cfg = match &tol.retry {
-            Some(r) => HealthConfig {
-                strike_limit: r.strike_limit,
-                base_backoff: r.backoff,
-            },
-            None => HealthConfig::default(),
-        };
         Recovery {
-            health: HealthRegistry::new(nthreads, health_cfg),
+            health: HealthRegistry::new(nthreads, tol.retry.unwrap_or_default()),
             budget: AtomicU64::new(tol.retry.as_ref().map_or(0, |r| r.budget)),
             policy: tol.retry,
         }

@@ -39,8 +39,8 @@
 //! dependence (`gate_open`) — checking only the single counter owning
 //! it would admit the chunk while an *older* chunk's tail is still
 //! uncommitted (the classic DOACROSS off-by-a-chunk bug; the model in
-//! [`crate::check`] calls the same two functions and catches exactly
-//! this family). The Release store / Acquire load pair makes every
+//! the test-only `check` module calls the same two functions and
+//! catches exactly this family). The Release store / Acquire load pair makes every
 //! committed chunk's writes visible before the gated chunk reads them.
 //!
 //! When `L` is at most the chunk length the gate asks for the whole

@@ -15,10 +15,10 @@
 //! `docs/ROBUSTNESS.md`). A token can be **poisoned** — set to a reserved
 //! counter value no real chunk index reaches — carrying a structured
 //! [`PoisonCause`] diagnostic (who poisoned it, at which chunk, why).
-//! Waits come in two flavours: the classic unbounded [`Token::wait_for`]
-//! (panics on poison), and the bounded [`Token::wait_for_deadline`] that
-//! returns a [`WaitOutcome`] so callers can implement watchdogs instead of
-//! spinning forever behind a dead token holder.
+//! Every waiter checks for poison on each spin: the plain
+//! [`Token::wait_for`] panics on it, and the runner's bounded wait
+//! decodes the counter ([`Token::decode`]) so its watchdog can declare a
+//! stall instead of spinning forever behind a dead token holder.
 //!
 //! ## Claimed execution (the recovery protocol)
 //!
@@ -35,7 +35,7 @@
 //! [`Token::try_unclaim`] so a healthy worker re-claims the chunk. Every transition is a CAS, so exactly one
 //! executor exists per chunk, a poisoned token can never be resurrected,
 //! and remapping races are benign by construction. The state machine is
-//! exhaustively model-checked in `cascade_rt::check`.
+//! exhaustively model-checked by the crate's test-only `check` module.
 //!
 //! ## Checksummed handoffs
 //!
@@ -50,7 +50,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Lock a mutex, recovering the guard when the mutex was poisoned by a
 /// panicking holder. Every runtime-internal mutex guards plain data whose
@@ -167,23 +167,6 @@ impl std::fmt::Display for PoisonCause {
     }
 }
 
-/// Result of a bounded wait ([`Token::wait_for_deadline`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WaitOutcome {
-    /// The chunk was granted; carries the spin count (contention metric).
-    Granted {
-        /// Spin iterations before the grant was observed.
-        spins: u64,
-    },
-    /// The token was poisoned; carries the diagnostic.
-    Poisoned(PoisonCause),
-    /// The deadline passed without grant or poison.
-    TimedOut {
-        /// Time actually spent waiting.
-        waited: Duration,
-    },
-}
-
 /// A cascaded-execution token: the index of the chunk allowed to execute.
 #[derive(Debug, Default)]
 pub struct Token {
@@ -266,7 +249,7 @@ impl Token {
     }
 
     /// Mark the token poisoned: every current and future waiter panics (or
-    /// observes [`WaitOutcome::Poisoned`]) instead of spinning forever.
+    /// observes [`TokenView::Poisoned`]) instead of spinning forever.
     /// Called when a worker panics mid-chunk, so the failure propagates
     /// instead of deadlocking the remaining workers.
     pub fn poison(&self) {
@@ -322,12 +305,6 @@ impl Token {
         self.line.counter.load(Ordering::Acquire)
     }
 
-    /// Non-blocking check whether `chunk` may execute now.
-    #[inline]
-    pub fn is_granted(&self, chunk: u64) -> bool {
-        self.current() == chunk
-    }
-
     /// Spin until `chunk` is granted. Returns the number of spin
     /// iterations (a coarse contention metric).
     ///
@@ -336,47 +313,23 @@ impl Token {
     /// Panics if the token is poisoned (another worker panicked or was
     /// declared stalled) — spinning forever would deadlock the pool.
     pub fn wait_for(&self, chunk: u64) -> u64 {
-        match self.wait_for_deadline(chunk, None) {
-            WaitOutcome::Granted { spins } => spins,
-            WaitOutcome::Poisoned(cause) => {
-                panic!("cascade token poisoned: {cause}")
-            }
-            WaitOutcome::TimedOut { .. } => unreachable!("no deadline given"),
-        }
-    }
-
-    /// Spin until `chunk` is granted, the token is poisoned, or `deadline`
-    /// (when given) passes — the bounded wait underlying the runtime's
-    /// progress watchdog. Never panics.
-    pub fn wait_for_deadline(&self, chunk: u64, deadline: Option<Instant>) -> WaitOutcome {
         debug_assert_ne!(chunk, POISONED, "reserved chunk index");
-        let started = deadline.map(|_| Instant::now());
         let mut spins = 0u64;
         loop {
             let cur = self.current();
             if cur == chunk {
-                return WaitOutcome::Granted { spins };
+                return spins;
             }
             if cur == POISONED {
-                return WaitOutcome::Poisoned(
-                    self.poison_cause().unwrap_or(PoisonCause::Unspecified),
-                );
+                let cause = self.poison_cause().unwrap_or(PoisonCause::Unspecified);
+                panic!("cascade token poisoned: {cause}");
             }
             std::hint::spin_loop();
             spins += 1;
             // On oversubscribed hosts (for instance this crate's tests on a
             // single-CPU machine) pure spinning would starve the token
-            // holder; yield periodically. The deadline is also only
-            // checked here: Instant::now() per spin would dominate.
+            // holder; yield periodically.
             if spins.is_multiple_of(1024) {
-                if let (Some(deadline), Some(started)) = (deadline, started) {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        return WaitOutcome::TimedOut {
-                            waited: now.duration_since(started),
-                        };
-                    }
-                }
                 std::thread::yield_now();
             }
         }
@@ -387,18 +340,6 @@ impl Token {
     #[inline]
     pub fn release_to(&self, next: u64) {
         self.line.counter.store(next, Ordering::Release);
-    }
-
-    /// Pass control from `held` to `next` only if the token still grants
-    /// `held` — fails (returning `false`) when the token was poisoned in
-    /// the meantime, so a worker declared dead by the watchdog can never
-    /// resurrect the token by overwriting [`POISONED`] with a plain store.
-    #[inline]
-    pub fn try_release(&self, held: u64, next: u64) -> bool {
-        self.line
-            .counter
-            .compare_exchange(held, next, Ordering::Release, Ordering::Acquire)
-            .is_ok()
     }
 
     /// The raw counter value (Acquire). Decode with [`Token::decode`].
@@ -513,8 +454,8 @@ mod tests {
     #[test]
     fn starts_at_chunk_zero() {
         let t = Token::new();
-        assert!(t.is_granted(0));
-        assert!(!t.is_granted(1));
+        assert_eq!(t.current(), 0);
+        assert_eq!(Token::decode(t.raw()), TokenView::Granted(0));
     }
 
     #[test]
@@ -522,59 +463,12 @@ mod tests {
         let t = Token::new();
         t.release_to(1);
         assert_eq!(t.current(), 1);
-        assert!(t.is_granted(1));
     }
 
     #[test]
     fn wait_for_returns_immediately_when_granted() {
         let t = Token::new();
         assert_eq!(t.wait_for(0), 0);
-    }
-
-    #[test]
-    fn bounded_wait_times_out() {
-        let t = Token::new();
-        let deadline = Instant::now() + Duration::from_millis(20);
-        match t.wait_for_deadline(5, Some(deadline)) {
-            WaitOutcome::TimedOut { waited } => {
-                assert!(
-                    waited >= Duration::from_millis(20),
-                    "returned early: {waited:?}"
-                )
-            }
-            other => panic!("expected timeout, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn bounded_wait_reports_poison_cause() {
-        let t = Token::new();
-        t.poison_with(PoisonCause::Stalled {
-            chunk: 3,
-            waited: Duration::from_millis(7),
-        });
-        match t.wait_for_deadline(5, None) {
-            WaitOutcome::Poisoned(PoisonCause::Stalled { chunk: 3, .. }) => {}
-            other => panic!("expected stall diagnostic, got {other:?}"),
-        }
-        // First cause wins.
-        t.poison_with(PoisonCause::Unspecified);
-        assert!(matches!(
-            t.poison_cause(),
-            Some(PoisonCause::Stalled { .. })
-        ));
-    }
-
-    #[test]
-    fn try_release_refuses_poisoned_token() {
-        let t = Token::new();
-        assert!(t.try_release(0, 1));
-        t.poison();
-        assert!(
-            !t.try_release(1, 2),
-            "CAS release must not resurrect a poisoned token"
-        );
-        assert!(t.is_poisoned());
     }
 
     #[test]

@@ -16,6 +16,26 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Drop the messages of panics whose message starts with
+/// `injected fault:` (the fault plans' panics, which the runtime catches
+/// and recovers from), and forward every other panic to the hook that
+/// was installed before. A storm's log then shows only real panics.
+/// Installs once per test binary, however many tests call it.
+pub fn quiet_injected_panics() {
+    static INSTALL: std::sync::Once = std::sync::Once::new();
+    INSTALL.call_once(|| {
+        let previous = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload_as_str()
+                .is_some_and(|m| m.starts_with("injected fault:"));
+            if !injected {
+                previous(info);
+            }
+        }));
+    });
+}
+
 /// Vector length of the Synth loop the fault, verify and soak suites run.
 pub const N: u64 = 1 << 12;
 

@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 mod common;
-use common::{sequential_checksum, N};
+use common::{quiet_injected_panics, sequential_checksum, N};
 
 const CHUNK_ITERS: u64 = 64;
 const WATCHDOG: Duration = Duration::from_millis(25);
@@ -66,6 +66,7 @@ fn tolerance_for(case: u64) -> Tolerance {
 /// the harness scales from a 2 s smoke run to a CI soak without edits.
 #[test]
 fn governance_storm_never_corrupts_and_always_resumes() {
+    quiet_injected_panics();
     let secs: u64 = std::env::var("CASCADE_SOAK_SECS")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -202,6 +203,7 @@ fn governance_storm_never_corrupts_and_always_resumes() {
 /// spurious errors, documenting exactly where the detection boundary is.
 #[test]
 fn corruption_storm_detects_iff_the_policy_replays() {
+    quiet_injected_panics();
     const SAMPLE_K: u64 = 3;
     let mut rng = StdRng::seed_from_u64(0xC0DE);
     let policies = [
@@ -315,6 +317,7 @@ fn corruption_storm_detects_iff_the_policy_replays() {
 /// and resuming from it converges bitwise.
 #[test]
 fn kill_during_verify_never_persists_an_unverified_chunk() {
+    quiet_injected_panics();
     let expected = sequential_checksum(Variant::Dense);
     let flip = FaultKind::SilentBitFlip {
         after_iters: CHUNK_ITERS,
@@ -414,6 +417,7 @@ fn kill_during_verify_never_persists_an_unverified_chunk() {
 /// checkpoint then covers the whole verified run and restores bitwise.
 #[test]
 fn repaired_run_checkpoints_the_whole_verified_prefix() {
+    quiet_injected_panics();
     let expected = sequential_checksum(Variant::Dense);
     let dir =
         std::env::temp_dir().join(format!("cascade-soak-verify-repair-{}", std::process::id()));

@@ -2,14 +2,14 @@
 //! poison/grant races must never admit two executors for one chunk, never
 //! lose a grant, and never let a completed-late worker resurrect a
 //! poisoned token. These pin the same invariants the exhaustive model
-//! checker (`cascade_rt::check`) proves on the modeled state machine, but
-//! against the *real* `Token` under randomized operation sequences and
-//! real-thread races.
+//! checker (`src/check.rs`, compiled only into the unit tests) proves on
+//! the modeled state machine, but against the *real* `Token` under
+//! randomized operation sequences and real-thread races.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cascade_rt::{PoisonCause, Token, TokenView, WaitOutcome};
+use cascade_rt::{PoisonCause, Token, TokenView};
 use proptest::prelude::*;
 
 /// One operation of a randomized single-threaded protocol drive. The
@@ -23,10 +23,6 @@ enum Op {
     Advance,
     /// `try_unclaim(current)` — wins iff the current chunk is claimed.
     Unclaim,
-    /// `try_release(current + delta, current + delta + 1)` — the legacy
-    /// CAS hand-off; only an exact `held` match (`delta == 0` on a
-    /// granted token) may win.
-    Release { delta: u64 },
     /// `poison_with(..)` — always final.
     Poison,
 }
@@ -36,7 +32,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..3).prop_map(|delta| Op::Claim { delta }),
         Just(Op::Advance),
         Just(Op::Unclaim),
-        (0u64..3).prop_map(|delta| Op::Release { delta }),
         Just(Op::Poison),
     ]
 }
@@ -100,15 +95,6 @@ proptest! {
                         model = Model::Granted(position);
                     }
                 }
-                Op::Release { delta } => {
-                    let held = position + delta;
-                    let won = t.try_release(held, held + 1);
-                    let expect = delta == 0 && matches!(model, Model::Granted(_));
-                    prop_assert_eq!(won, expect, "op {}: release(+{})", i, delta);
-                    if won {
-                        model = Model::Granted(held + 1);
-                    }
-                }
                 Op::Poison => {
                     t.poison_with(PoisonCause::Panicked {
                         thread: 0,
@@ -123,8 +109,8 @@ proptest! {
     }
 
     /// First cause wins: whatever the op sequence, the diagnostic behind a
-    /// poisoned token is the first one installed, and `try_release` /
-    /// `try_advance` never resurrect it.
+    /// poisoned token is the first one installed, and no CAS transition
+    /// (`try_claim` / `try_advance` / `try_unclaim`) resurrects it.
     #[test]
     fn poison_is_final_and_first_cause_wins(
         first_chunk in 0u64..100,
@@ -143,7 +129,6 @@ proptest! {
                 message: "late".into(),
             });
             prop_assert!(!displaced, "a later cause must not displace the first");
-            prop_assert!(!t.try_release(c, c + 1));
             prop_assert!(!t.try_advance(c));
             prop_assert!(!t.try_claim(c));
             prop_assert!(!t.try_unclaim(c));
@@ -198,52 +183,5 @@ proptest! {
             prop_assert_eq!(e.load(Ordering::Relaxed), 1, "chunk {} executor count", j);
         }
         prop_assert_eq!(t.current(), chunks, "final grant lost or duplicated");
-    }
-
-    /// `WaitOutcome` ordering under a grant/poison race: a releaser walks
-    /// the token to `poison_at` then poisons it. A waiter for chunk `c`
-    /// must observe `Granted` exactly when `c` precedes the poison point
-    /// and `Poisoned` otherwise — never `TimedOut` (the deadline is far)
-    /// and never a grant that the poison ordering forbids.
-    #[test]
-    fn wait_outcome_orders_grant_before_poison(
-        poison_at in 0u64..30,
-        target_delta in 0u64..10,
-        release_last in any::<bool>(),
-    ) {
-        let t = Token::new();
-        let target = if release_last { poison_at + target_delta } else { target_delta.min(poison_at) };
-        let outcome = std::thread::scope(|s| {
-            let waiter = s.spawn(|| {
-                t.wait_for_deadline(target, Some(Instant::now() + Duration::from_secs(20)))
-            });
-            s.spawn(|| {
-                for j in 0..poison_at {
-                    assert!(t.try_release(j, j + 1), "unpoisoned hand-off must win");
-                }
-                t.poison_with(PoisonCause::Stalled {
-                    chunk: poison_at,
-                    waited: Duration::ZERO,
-                });
-            });
-            waiter.join().expect("waiter must not panic")
-        });
-        if target <= poison_at {
-            // The grant precedes the poison in the release order (the
-            // token holds `poison_at` momentarily before the poison
-            // lands), but the waiter may legitimately observe either: it
-            // can be descheduled past the grant and wake to the poison.
-            prop_assert!(
-                matches!(outcome, WaitOutcome::Granted { .. } | WaitOutcome::Poisoned(_)),
-                "target {} <= poison {}: got {:?}", target, poison_at, outcome
-            );
-        } else {
-            // The token never grants `target`: poison is the only legal
-            // outcome — a grant here would be a resurrected token.
-            prop_assert!(
-                matches!(outcome, WaitOutcome::Poisoned(PoisonCause::Stalled { .. })),
-                "target {} > poison {}: got {:?}", target, poison_at, outcome
-            );
-        }
     }
 }
