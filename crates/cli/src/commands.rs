@@ -79,7 +79,10 @@ USAGE:
                            DOALL sub-loops as chunks claimed in order,
                            DOACROSS sub-loops as a post/wait pipeline,
                            and sequential residues cascaded — in plan
-                           order. Opaque loops fall back to cascade.
+                           order. A serial sub-loop right before a DOALL
+                           one runs plain on one worker with the DOALL
+                           one behind its frontier. Opaque loops fall
+                           back to cascade.
         --workload/--scale/--n/--seed   as above
         --threads/--chunk-iters/--poll/--policy/--verify   as `rt`
                            (verification rides sequential/cascaded
@@ -544,11 +547,13 @@ pub fn rt(args: &Args) -> Result<String, ArgError> {
 /// `--mode cascade` is the token-serialized runtime (identical to
 /// `cascade rt`); `--mode plan` consumes the analyzer's per-loop
 /// [`TransformPlan`] and executes each sub-loop of the fissioned
-/// partition under its planned schedule — DOALL sub-loops as a static
-/// range split across the worker pool, DOACROSS sub-loops as a
+/// partition under its planned schedule — DOALL sub-loops as chunks
+/// claimed in order across the worker pool, DOACROSS sub-loops as a
 /// pipelined post/wait stage over per-worker committed-iteration
 /// counters, sequential residues cascaded with the token runtime — in
-/// the plan's topological order. The final arena state is gated on
+/// the plan's topological order. A serial sub-loop directly before a
+/// DOALL one runs plain on one worker while the pool runs the DOALL one
+/// behind its frontier; its line reports the overlap. The final arena state is gated on
 /// bitwise equality with straight sequential execution; opaque loops
 /// (no usable plan) fall back to the cascaded runtime.
 pub fn run(args: &Args) -> Result<String, ArgError> {
@@ -617,8 +622,12 @@ pub fn run(args: &Args) -> Result<String, ArgError> {
             if stats.degraded { ", degraded" } else { "" }
         ));
         for s in &stats.sub_loops {
+            let pipelined = s.pipelined_after.map_or(String::new(), |p| {
+                let overlap = s.overlap.as_secs_f64() * 1e3;
+                format!(", pipelined after sub-loop {p} ({overlap:.2} ms overlap)")
+            });
             out.push_str(&format!(
-                "    sub-loop {}: {:<12} {} iters, {} chunks, {} post/waits\n",
+                "    sub-loop {}: {:<12} {} iters, {} chunks, {} post/waits{pipelined}\n",
                 s.index,
                 schedule_str(s.schedule),
                 s.iters,

@@ -626,6 +626,13 @@ mod tests {
         assert!(out.contains("sub-loop 0: sequential"), "{out}");
         assert!(out.contains("sub-loop 1: parallel"), "{out}");
         assert!(out.contains("bitwise identical"), "{out}");
+        // The residue's helper has nothing to do, so it runs plain and
+        // the consumer rides behind it.
+        let consumer = out.lines().find(|l| l.contains("sub-loop 1:")).unwrap();
+        assert!(
+            consumer.contains("pipelined after sub-loop 0") && consumer.contains("ms overlap"),
+            "{out}"
+        );
     }
 
     #[test]

@@ -59,6 +59,11 @@ impl FtBarrier {
     }
 
     /// Block until all `n` participants arrive or the barrier is poisoned.
+    /// A generation that completed stays complete: a waiter it released
+    /// returns `Follower` even if a participant that left first poisoned
+    /// the barrier before the waiter woke, so every participant of a
+    /// released generation enters the work behind it (a pipelined pair's
+    /// producer depends on it) and meets the poison at its next wait.
     pub fn wait(&self) -> BarrierOutcome {
         let mut st = self.state.lock().unwrap();
         if st.poisoned {
@@ -74,18 +79,18 @@ impl FtBarrier {
         let gen = st.generation;
         loop {
             st = self.cv.wait(st).unwrap();
-            if st.poisoned {
-                return BarrierOutcome::Poisoned;
-            }
             if st.generation != gen {
                 return BarrierOutcome::Follower;
+            }
+            if st.poisoned {
+                return BarrierOutcome::Poisoned;
             }
         }
     }
 
-    /// Poison the barrier: wake every waiter with
-    /// [`BarrierOutcome::Poisoned`] and make all future waits return it
-    /// immediately.
+    /// Poison the barrier: wake every waiter of an incomplete generation
+    /// with [`BarrierOutcome::Poisoned`] and make all future waits return
+    /// it immediately.
     pub fn poison(&self) {
         let mut st = self.state.lock().unwrap();
         st.poisoned = true;
@@ -153,6 +158,25 @@ mod tests {
             BarrierOutcome::Poisoned,
             "future waits return immediately"
         );
+    }
+
+    #[test]
+    fn a_completed_generation_survives_a_poison_before_its_waiter_wakes() {
+        for _ in 0..20 {
+            let b = FtBarrier::new(2);
+            std::thread::scope(|s| {
+                let waiter = s.spawn(|| b.wait());
+                // Arrive second, so this thread completes the generation,
+                // and poison before the waiter can wake.
+                while b.state.lock().unwrap().arrived == 0 {
+                    std::thread::yield_now();
+                }
+                assert_eq!(b.wait(), BarrierOutcome::Leader);
+                b.poison();
+                assert_eq!(waiter.join().unwrap(), BarrierOutcome::Follower);
+            });
+            assert_eq!(b.wait(), BarrierOutcome::Poisoned, "the next wait sees it");
+        }
     }
 
     #[test]

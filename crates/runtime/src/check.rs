@@ -1069,6 +1069,13 @@ pub enum DaBug {
     /// first, stops there, and reports a prefix with its holes still
     /// unfilled.
     FillDescending,
+    /// Gate a pipelined consumer's chunk on its producer's iteration
+    /// `end − 2` instead of its last, `end − 1`: with one-iteration chunks
+    /// a consumer iteration runs before the producer iteration it reads.
+    ConsumerGateShort,
+    /// Report a cancelled pair's prefix inside the producer even after
+    /// the consumer committed a chunk, which the resume then runs again.
+    PrefixInProducer,
 }
 
 /// One atomic step of the DOACROSS model.
@@ -1090,6 +1097,23 @@ pub enum DaStep {
     /// A worker at a chunk boundary or gate observes the cancel and
     /// leaves the stage.
     Stop {
+        /// Acting worker.
+        worker: u8,
+    },
+    /// A pipelined consumer worker claims the next chunk from the cursor.
+    Claim {
+        /// Acting worker.
+        worker: u8,
+    },
+    /// A pipelined consumer worker whose gate is open executes and
+    /// commits its claimed chunk.
+    Consume {
+        /// Acting worker.
+        worker: u8,
+    },
+    /// A pipelined consumer worker observes the cancel at a chunk
+    /// boundary or gate and leaves, abandoning a claimed chunk.
+    Leave {
         /// Acting worker.
         worker: u8,
     },
@@ -1133,6 +1157,22 @@ pub enum DaStep {
 /// 4. **Exact prefix after a cancel** — every iteration below the resume
 ///    point ran exactly once and none above it, and every filled
 ///    iteration found its lag window executed.
+///
+/// [`DoAcrossModel::pipelined`] adds the two-stage shape of a pipelined
+/// pair: the DOACROSS stage above is the producer, with worker 0 its one
+/// owner, and a DOALL consumer over the same iterations claims its chunks
+/// in order from a cursor, each gated through `sched::gate_open` with one
+/// owner on the producer's frontier at `sched::consumer_gate_dep`. Worker
+/// 0 joins the consumer once its producer share is done. Then:
+///
+/// 5. **Pair lag safety** — no consumer iteration runs before every
+///    producer iteration at or below it, and none runs twice;
+/// 6. **The pair's cancel rule** — the degraded path runs as the
+///    runtime's: `sched::uncommitted` for each stage, and
+///    `sched::prefix_in_consumer` decides whether the producer runs to its
+///    end and the prefix lies in the consumer, past its holes. Every
+///    iteration of the fissioned pair below the prefix ran exactly once,
+///    and none above it.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct DoAcrossModel {
     nthreads: u8,
@@ -1156,6 +1196,24 @@ pub struct DoAcrossModel {
     /// `Some(end)` once the current chunk has executed and awaits its
     /// post (faithful order only).
     pending: Vec<Option<u8>>,
+    /// The pipelined consumer of the two-stage shape.
+    consumer: Option<Consumer>,
+}
+
+/// A pipelined pair's DOALL consumer in [`DoAcrossModel`].
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+struct Consumer {
+    /// The next chunk to claim.
+    cursor: u8,
+    /// Per worker: the chunk it claimed and has not yet executed.
+    held: Vec<Option<u8>>,
+    /// Per worker: one past the chunk it abandoned (0: none), the
+    /// runtime's DOALL slot.
+    slots: Vec<u8>,
+    /// Workers that left on the cancel.
+    left: Vec<bool>,
+    /// Times each consumer iteration's body ran.
+    executed: Vec<u8>,
 }
 
 impl DoAcrossModel {
@@ -1187,7 +1245,24 @@ impl DoAcrossModel {
             cancellable: false,
             cancelled: false,
             stopped: vec![false; nthreads as usize],
+            consumer: None,
         }
+    }
+
+    /// The two-stage shape: a producer of carried lag `lag ≤ chunk` run by
+    /// worker 0 alone, and a DOALL consumer over the same `iters` on
+    /// `workers` workers behind its frontier.
+    pub fn pipelined(workers: u8, iters: u8, chunk: u8, lag: u8) -> Self {
+        assert!(workers >= 1 && lag <= chunk);
+        let mut s = DoAcrossModel::new(1, iters, chunk, lag);
+        s.consumer = Some(Consumer {
+            cursor: 0,
+            held: vec![None; workers as usize],
+            slots: vec![0; workers as usize],
+            left: vec![false; workers as usize],
+            executed: vec![0; iters as usize],
+        });
+        s
     }
 
     /// Let a `Cancel` step fire at any point of the run.
@@ -1231,6 +1306,42 @@ impl DoAcrossModel {
             crate::sched::gate_open(d, c, iters, n, |w| self.posts[w as usize] as u64)
         })
     }
+
+    /// Whether worker `w` ran its producer share to the end (a worker
+    /// that owns no producer chunk has none). A worker that stopped on the
+    /// cancel stopped short of it, and never joins the consumer.
+    fn produced(&self, w: usize) -> bool {
+        w >= self.next.len() || (self.next[w] == u8::MAX && self.pending[w].is_none())
+    }
+
+    /// The consumer gate of chunk `k`, on the producer's frontier.
+    fn consumer_gate(&self, k: u8) -> bool {
+        let (c, iters) = (self.chunk as u64, self.iters as u64);
+        let range = crate::sched::chunk_range(k as u64, c, iters);
+        let d = match self.bug {
+            DaBug::ConsumerGateShort => range.end.checked_sub(2),
+            _ => Some(crate::sched::consumer_gate_dep(&range)),
+        };
+        d.is_none_or(|d| crate::sched::gate_open(d, c, iters, 1, |_| self.posts[0] as u64))
+    }
+
+    /// The consumer actions of worker `w`, which joins once it ran its
+    /// producer share to the end.
+    fn consumer_actions(&self, cs: &Consumer, w: u8, acts: &mut Vec<DaStep>) {
+        let i = w as usize;
+        let m = (self.iters as u64).div_ceil(self.chunk as u64) as u8;
+        if cs.left[i] || !self.produced(i) || (cs.held[i].is_none() && cs.cursor >= m) {
+            return;
+        }
+        if self.cancelled {
+            acts.push(DaStep::Leave { worker: w });
+        }
+        match cs.held[i] {
+            None => acts.push(DaStep::Claim { worker: w }),
+            Some(k) if self.consumer_gate(k) => acts.push(DaStep::Consume { worker: w }),
+            Some(_) => {}
+        }
+    }
 }
 
 impl Model for DoAcrossModel {
@@ -1262,6 +1373,11 @@ impl Model for DoAcrossModel {
                         _ => DaStep::Exec { worker: w },
                     });
                 }
+            }
+        }
+        if let Some(cs) = &self.consumer {
+            for w in 0..cs.held.len() as u8 {
+                self.consumer_actions(cs, w, &mut acts);
             }
         }
         acts
@@ -1304,6 +1420,27 @@ impl Model for DoAcrossModel {
             }
             DaStep::Cancel => s.cancelled = true,
             DaStep::Stop { worker } => s.stopped[worker as usize] = true,
+            DaStep::Claim { worker } => {
+                let cs = s.consumer.as_mut().expect("a consumer step");
+                cs.held[worker as usize] = Some(cs.cursor);
+                cs.cursor += 1;
+            }
+            DaStep::Consume { worker } => {
+                let (c, iters) = (s.chunk as u64, s.iters as u64);
+                let cs = s.consumer.as_mut().expect("a consumer step");
+                let k = cs.held[worker as usize].take().expect("a claimed chunk");
+                for j in crate::sched::chunk_range(k as u64, c, iters) {
+                    cs.executed[j as usize] += 1;
+                }
+            }
+            DaStep::Leave { worker } => {
+                let cs = s.consumer.as_mut().expect("a consumer step");
+                let i = worker as usize;
+                cs.left[i] = true;
+                if let Some(k) = cs.held[i].take() {
+                    cs.slots[i] = k + 1;
+                }
+            }
         }
         s
     }
@@ -1344,28 +1481,65 @@ impl Model for DoAcrossModel {
                 return Err(format!("iteration {j} executed {n} times"));
             }
         }
+        // 5. Pair lag safety: a consumer iteration proves every producer
+        //    iteration at or below it executed first.
+        if let Some(cs) = &self.consumer {
+            for (j, &n) in cs.executed.iter().enumerate() {
+                if n > 1 {
+                    return Err(format!("consumer iteration {j} executed {n} times"));
+                }
+                if let Some(i) = (0..=j).find(|&i| n > 0 && self.executed[i] == 0) {
+                    return Err(format!(
+                        "consumer iteration {j} executed before producer iteration {i}"
+                    ));
+                }
+            }
+        }
         Ok(())
     }
 
     fn is_accepting(&self) -> bool {
-        (0..self.nthreads as usize)
-            .all(|i| self.stopped[i] || (self.next[i] == u8::MAX && self.pending[i].is_none()))
+        let m = (self.iters as u64).div_ceil(self.chunk as u64) as u8;
+        (0..self.nthreads as usize).all(|i| self.stopped[i] || self.produced(i))
+            && self.consumer.as_ref().is_none_or(|cs| {
+                (0..cs.held.len()).all(|i| {
+                    cs.left[i]
+                        || self.stopped.get(i).copied().unwrap_or(false)
+                        || (cs.held[i].is_none() && cs.cursor >= m)
+                })
+            })
     }
 
     fn final_check(&self) -> Result<(), String> {
+        let (c, lag) = (self.chunk as u64, self.lag as usize);
+        let plan = cascade_core::ChunkPlan::by_iterations(self.iters as u64, c);
         let mut executed = self.executed.clone();
-        let mut resume = self.iters as u64;
+        let mut consumed = self.consumer.as_ref().map(|cs| cs.executed.clone());
+        // The committed prefix per stage, each the whole stage unless the
+        // cancel stops inside it.
+        let (mut resume, mut consumer_resume) = (self.iters as u64, self.iters as u64);
         if self.cancelled {
             // The degraded path: fill the holes, stop at the suffix.
-            let (c, n, lag) = (self.chunk as u64, self.nthreads as u64, self.lag as usize);
-            let plan = cascade_core::ChunkPlan::by_iterations(self.iters as u64, c);
+            let n = self.nthreads as u64;
             let p = crate::sched::uncommitted(&plan, true, n, 0, |w| self.posts[w as usize] as u64);
+            let cp = self.consumer.as_ref().map(|cs| {
+                let n = cs.slots.len() as u64;
+                crate::sched::uncommitted(&plan, false, n, cs.cursor as u64, |w| {
+                    cs.slots[w as usize] as u64
+                })
+            });
+            // A pair reports its prefix in the consumer once it committed
+            // a chunk: the producer then runs to its end.
+            let through = cp.as_ref().is_some_and(|cp| {
+                self.bug != DaBug::PrefixInProducer
+                    && crate::sched::prefix_in_consumer(cp, plan.num_chunks())
+            });
             let mut order: Vec<(usize, u64)> = p.chunks.into_iter().enumerate().collect();
             if self.bug == DaBug::FillDescending {
                 order.reverse();
             }
             for (i, chunk) in order {
-                if i >= p.holes {
+                if i >= p.holes && !through {
                     resume = plan.range(chunk).start;
                     break;
                 }
@@ -1378,12 +1552,32 @@ impl Model for DoAcrossModel {
                     executed[j] += 1;
                 }
             }
+            match (cp, consumed.as_mut()) {
+                (Some(cp), Some(consumed)) if through => {
+                    for (i, &chunk) in cp.chunks.iter().enumerate() {
+                        if i >= cp.holes {
+                            consumer_resume = plan.range(chunk).start;
+                            break;
+                        }
+                        for j in plan.range(chunk).map(|j| j as usize) {
+                            consumed[j] += 1;
+                        }
+                    }
+                }
+                _ => consumer_resume = 0,
+            }
         }
-        for (j, &n) in executed.iter().enumerate() {
-            if n != u8::from((j as u64) < resume) {
-                return Err(format!(
-                    "iteration {j} executed {n} times against a committed prefix of {resume}"
-                ));
+        let stages = [(&executed, resume, "iteration")];
+        let pair = consumed
+            .as_ref()
+            .map(|c| (c, consumer_resume, "consumer iteration"));
+        for (runs, prefix, what) in stages.into_iter().chain(pair) {
+            for (j, &n) in runs.iter().enumerate() {
+                if n != u8::from((j as u64) < prefix) {
+                    return Err(format!(
+                        "{what} {j} executed {n} times against a committed prefix of {prefix}"
+                    ));
+                }
             }
         }
         Ok(())
@@ -2358,6 +2552,67 @@ mod tests {
             .expect("a descending fill must leave the holes unfilled");
         assert!(
             v.message.contains("committed prefix"),
+            "unexpected violation: {}",
+            v.message
+        );
+    }
+
+    #[test]
+    fn pipelined_pairs_verify_across_shapes() {
+        // (workers, iters, chunk, lag): a lag-1 producer (a `Sequential`
+        // residue) and DOACROSS producers whose lag fits a chunk, with
+        // one or two consumer workers beside worker 0, and a ragged last
+        // chunk.
+        for (n, iters, c, lag) in [
+            (2, 6, 1, 1),
+            (3, 5, 1, 1),
+            (2, 7, 2, 2),
+            (3, 6, 2, 1),
+            (2, 8, 3, 2),
+        ] {
+            for cancel in [false, true] {
+                let m = DoAcrossModel::pipelined(n, iters, c, lag);
+                assert_doacross_verified(
+                    if cancel { m.with_cancel() } else { m },
+                    &format!("pair n={n} iters={iters} c={c} lag={lag} cancel={cancel}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_consumer_gate_short_bug_is_caught() {
+        // One-iteration chunks: gating consumer chunk [s, s + 1) on
+        // producer iteration s − 1 lets it run beside producer iteration s.
+        let result = verify_doacross(
+            DoAcrossModel::pipelined(2, 5, 1, 1).with_bug(DaBug::ConsumerGateShort),
+            2_000_000,
+        );
+        let v = result
+            .violation
+            .expect("a consumer gate one iteration short must be caught");
+        assert!(
+            v.message.contains("before producer iteration"),
+            "unexpected violation: {}",
+            v.message
+        );
+    }
+
+    #[test]
+    fn seeded_prefix_in_producer_bug_is_caught() {
+        // A cancel after the consumer committed a chunk, reported inside
+        // the producer: the resume would run that chunk a second time.
+        let result = verify_doacross(
+            DoAcrossModel::pipelined(2, 5, 1, 1)
+                .with_cancel()
+                .with_bug(DaBug::PrefixInProducer),
+            2_000_000,
+        );
+        let v = result
+            .violation
+            .expect("a pair's prefix inside the producer must be caught");
+        assert!(
+            v.message.contains("consumer iteration") && v.message.contains("committed prefix"),
             "unexpected violation: {}",
             v.message
         );

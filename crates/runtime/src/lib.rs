@@ -40,7 +40,7 @@
 //! | [`run_sequential`] | one loop on the calling thread: the baseline and bitwise oracle |
 //! | [`try_run_governed`] | one loop, cascaded — the sequence of one |
 //! | [`try_run_governed_sequence`] | loops back to back on one persistent pool: the cascade engine |
-//! | [`try_run_planned`] | a fissioned loop per its plan, as stages of the same engine: DOALL, DOACROSS, cascaded residue |
+//! | [`try_run_planned`] | a fissioned loop per its plan, as stages of the same engine: DOALL, DOACROSS, cascaded residue, pipelined pairs |
 //!
 //! The three cascading ones return a typed [`RunError`] and never panic
 //! on a worker fault.
@@ -91,11 +91,14 @@
 //! one cursor, each `DoAcross { lag }` stage a pipelined post/wait stage
 //! (one gate and one post per chunk) over padded per-worker
 //! committed-iteration counters (Release/Acquire publication), and each
-//! `Sequential` residue cascades with the token runtime. A stage fault
+//! `Sequential` residue cascades with the token runtime. A serial stage
+//! right before a `Parallel` one instead runs plain on one worker while
+//! the pool runs the `Parallel` one behind its committed frontier, with
+//! no barrier between the two (a *pipelined pair*). A stage fault
 //! poisons the stage's token like a cascade fault, so governance,
 //! journaled rollback and sequential salvage take the engine's one path;
-//! the DOACROSS post/wait protocol is modeled and exhaustively explored
-//! in the test-only `check` module.
+//! the DOACROSS post/wait protocol and the pipelined pair are modeled and
+//! exhaustively explored in the test-only `check` module.
 //!
 //! ## Durable runs
 //!

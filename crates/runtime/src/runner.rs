@@ -200,9 +200,10 @@ pub struct Tolerance {
     /// cascade has no waiters and therefore no stall detection (it cannot
     /// deadlock on the token either — it always holds it). Progress
     /// moves once per chunk — the token here, a DOACROSS frontier under
-    /// [`try_run_planned`](crate::try_run_planned) — so the window must
-    /// exceed one chunk's execution time, or a healthy peer's chunk
-    /// reads as a stall.
+    /// [`try_run_planned`](crate::try_run_planned), whose waiters include
+    /// a pipelined consumer's gate on its producer's frontier — so the
+    /// window must exceed one chunk's execution time, or a healthy peer's
+    /// chunk reads as a stall.
     pub watchdog: Option<Duration>,
     /// In-cascade recovery: re-execute a faulted chunk on a healthy
     /// worker, quarantining the failed thread and remapping its chunks
@@ -212,7 +213,9 @@ pub struct Tolerance {
     /// ([`RealKernel::panics_before_mutation`]) or its undo journal was
     /// rolled back ([`RealKernel::journal_capture`]) — gated per fault.
     /// Cascaded stages only: a fault in a plan's DOALL or DOACROSS stage
-    /// goes straight to salvage/error. `None` (the default) climbs
+    /// goes straight to salvage/error. Arming it also keeps a plan's
+    /// serial residues cascaded rather than pipelined beside their DOALL
+    /// consumers, so the ladder covers them. `None` (the default) climbs
     /// straight to salvage/error, exactly PR 1 behavior.
     pub retry: Option<RetryPolicy>,
     /// After a fault, finish the remaining iteration range sequentially on
@@ -654,6 +657,11 @@ pub struct ThreadStats {
     /// phases — the exact phase partition
     /// `helper + spin + exec + retry + other == wall` is untouched.
     pub verify_ns: u128,
+    /// Nanoseconds of this worker's Execute time in a pipelined
+    /// consumer's chunks that committed while their producer was still
+    /// running ([`SubLoopStats::overlap`](crate::SubLoopStats::overlap));
+    /// part of `exec_ns`, not a phase of its own. Zero outside a pair.
+    pub overlap_ns: u128,
     /// Timestamped phase events this worker *dropped* after its event
     /// ring reached
     /// [`Observe::max_events`](crate::metrics::Observe::max_events) (0
@@ -1194,7 +1202,9 @@ struct VerifyPacket {
 }
 
 impl FtRun {
-    fn new(nthreads: usize, origin: Instant) -> Self {
+    /// A stage's state for a pool of `nthreads`, `owners` of whom own its
+    /// chunks if it splits as DOACROSS.
+    fn new(nthreads: usize, owners: usize, origin: Instant) -> Self {
         FtRun {
             token: Token::default(),
             faults: Mutex::new(Vec::new()),
@@ -1207,7 +1217,7 @@ impl FtRun {
             scrub_base: Mutex::new(None),
             started: Mutex::new(None),
             ended: Mutex::new(None),
-            split: SplitState::new(nthreads),
+            split: SplitState::new(owners),
         }
     }
 
@@ -1290,21 +1300,29 @@ pub fn try_run_governed_sequence<K: RealKernel>(
     kernels: &[K],
     cfg: &RunConfig,
 ) -> Result<Vec<RunStats>, RunError> {
-    run_stages(kernels, &vec![Schedule::Sequential; kernels.len()], cfg)
+    // Every loop cascades: with no `Parallel` stage, none can pair.
+    let n = kernels.len();
+    let (schedules, producer) = (vec![Schedule::Sequential; n], vec![false; n]);
+    run_stages(kernels, &schedules, &producer, cfg)
 }
 
 /// The engine behind every run: stage `l` runs `kernels[l]` under
 /// `schedules[l]`, all stages on the same pool of workers and between the
 /// same barriers. A `Sequential` stage cascades ([`ft_worker`]); a
 /// `Parallel` or `DoAcross` stage splits its chunks across the pool
-/// ([`sched::run_stage`]). Every stage fault poisons the stage's token,
-/// so one degraded path handles them all: a cancelled stage drains to a
-/// clean prefix, and a faulted one is salvaged — its uncommitted chunks,
-/// then every later stage, sequentially on the calling thread — or maps
-/// to its typed error. Returns one [`RunStats`] per stage.
+/// ([`sched::run_stage`]). Where `producer[l]` ([`sched::pipelined`]),
+/// stages `l` and `l + 1` are a pipelined pair, sharing one start and one
+/// end barrier: worker 0 runs the producer plain, then joins the consumer
+/// the others started on. Every stage fault poisons
+/// the stage's token, so one degraded path handles them all: a cancelled
+/// stage drains to a clean prefix, and a faulted one is salvaged — its
+/// uncommitted chunks, then every later stage, sequentially on the
+/// calling thread — or maps to its typed error. Returns one [`RunStats`]
+/// per stage.
 pub(crate) fn run_stages<K: RealKernel>(
     kernels: &[K],
     schedules: &[Schedule],
+    producer: &[bool],
     cfg: &RunConfig,
 ) -> Result<Vec<RunStats>, RunError> {
     cfg.try_validate()?;
@@ -1333,11 +1351,15 @@ pub(crate) fn run_stages<K: RealKernel>(
         .iter()
         .map(|k| ChunkPlan::by_iterations(k.iters(), cfg.runner.iters_per_chunk))
         .collect();
+    // producer[l]: stage l runs plain on worker 0 while the pool runs
+    // stage l + 1 behind its frontier, and no barrier parts the two.
+    let cascades = |l: usize| sched::cascades(schedules[l], producer[l]);
+    let consumer = |l: usize| l > 0 && producer[l - 1];
     // One clock for every stage's phase events.
     let origin = Instant::now();
-    let runs: Vec<FtRun> = kernels
+    let runs: Vec<FtRun> = producer
         .iter()
-        .map(|_| FtRun::new(nthreads, origin))
+        .map(|&p| FtRun::new(nthreads, if p { 1 } else { nthreads }, origin))
         .collect();
     // One recovery state for the whole sequence: a worker quarantined in
     // loop l stays out of every later loop's roster, and the retry budget
@@ -1362,24 +1384,55 @@ pub(crate) fn run_stages<K: RealKernel>(
                     // every stage.
                     let (mut buf, mut jbuf) = (Vec::new(), Vec::new());
                     for (l, kernel) in kernels.iter().enumerate() {
-                        match barrier.wait() {
-                            BarrierOutcome::Poisoned => break,
-                            BarrierOutcome::Leader => {
-                                *lock_recover(&runs[l].started) = Some(Instant::now());
+                        // A pair's consumer starts with its producer.
+                        let first = l - usize::from(consumer(l));
+                        if first == l {
+                            match barrier.wait() {
+                                BarrierOutcome::Poisoned => break,
+                                BarrierOutcome::Leader => {
+                                    let now = Some(Instant::now());
+                                    for r in &runs[l..=l + usize::from(producer[l])] {
+                                        *lock_recover(&r.started) = now;
+                                    }
+                                }
+                                BarrierOutcome::Follower => {}
                             }
-                            BarrierOutcome::Follower => {}
                         }
                         // A quarantined worker executes nothing in a
                         // cascaded stage (ft_worker drains immediately)
                         // but keeps pacing the barriers, so the surviving
                         // cascade stays in lockstep.
-                        let mut stats = match schedules[l] {
-                            Schedule::Sequential => ft_worker(
+                        let mut stats = if cascades(l) {
+                            ft_worker(
                                 kernel, cfg, &plans[l], &runs[l], rec, t, &mut buf, &mut jbuf,
-                            ),
-                            split => sched::run_stage(kernel, cfg, &runs[l], t, split, &mut jbuf),
+                            )
+                        } else {
+                            // A pipelined consumer gates on its producer.
+                            let feeder = (first < l).then(|| &runs[first]);
+                            sched::run_stage(
+                                kernel,
+                                cfg,
+                                &runs[l],
+                                t,
+                                schedules[l],
+                                feeder,
+                                &mut jbuf,
+                            )
                         };
-                        let mut poisoned = runs[l].token.poison_cause().is_some();
+                        if producer[l] {
+                            // Straight on to the consumer: worker 0 stamps
+                            // the producer's end as it joins.
+                            if t == 0 {
+                                *lock_recover(&runs[l].ended) = Some(Instant::now());
+                            }
+                            all.push(stats);
+                            continue;
+                        }
+                        // A fault in a pair's producer drains its consumer
+                        // too (a consumer's leaves the producer running,
+                        // and a cancel reaches both).
+                        let cause = || runs[first..=l].iter().find_map(|r| r.token.poison_cause());
+                        let mut poisoned = cause().is_some();
                         if !poisoned {
                             match barrier.wait() {
                                 BarrierOutcome::Poisoned => {
@@ -1408,8 +1461,8 @@ pub(crate) fn run_stages<K: RealKernel>(
                             // Propagate the fault: no worker may block on a
                             // loop that will never start, and the poisoned
                             // barrier wakes everyone already waiting.
-                            if let Some(cause) = runs[l].token.poison_cause() {
-                                for later in &runs[l + 1..] {
+                            if let Some(cause) = cause() {
+                                for later in &runs[l..] {
                                     later.token.poison_with(cause.clone());
                                 }
                             }
@@ -1457,9 +1510,8 @@ pub(crate) fn run_stages<K: RealKernel>(
 
     let Some(l0) = runs.iter().position(|r| r.token.poison_cause().is_some()) else {
         debug_assert!(
-            runs.iter().zip(&plans).zip(schedules).all(
-                |((r, p), s)| *s != Schedule::Sequential || r.token.current() == p.num_chunks()
-            ),
+            (0..kernels.len())
+                .all(|l| !cascades(l) || runs[l].token.current() == plans[l].num_chunks()),
             "every cascaded stage's token must end one past its last chunk"
         );
         return (0..kernels.len()).map(healthy_stats).collect();
@@ -1477,13 +1529,17 @@ pub(crate) fn run_stages<K: RealKernel>(
     // token order), a split stage's from its cursor and slots.
     let pending = |l: usize| -> Pending {
         let m = plans[l].num_chunks();
-        match schedules[l] {
-            Schedule::Sequential => {
-                let done = runs[l].token.handoff().completed.load(Ordering::Acquire);
-                Pending::new((done..m).collect(), m)
-            }
-            split => runs[l].split.uncommitted(&plans[l], split),
+        if cascades(l) {
+            let done = runs[l].token.handoff().completed.load(Ordering::Acquire);
+            Pending::new((done..m).collect(), m)
+        } else {
+            runs[l].split.uncommitted(&plans[l], schedules[l])
         }
+    };
+    // A pair's producer runs to its end once its consumer has committed a
+    // chunk, and the prefix lies in the consumer (`prefix_in_consumer`).
+    let runs_through = |l: usize| {
+        producer[l] && sched::prefix_in_consumer(&pending(l + 1), plans[l + 1].num_chunks())
     };
     let torn = runs
         .iter()
@@ -1520,17 +1576,22 @@ pub(crate) fn run_stages<K: RealKernel>(
     // uncommitted chunks and then every later stage; after a cancel, stage
     // l0's holes. Ascending order honours every schedule's dependences,
     // and every worker has joined, so exclusivity and happens-before hold.
-    let last = if cancelled { l0 } else { kernels.len() - 1 };
+    let last = if cancelled {
+        l0 + usize::from(runs_through(l0))
+    } else {
+        kernels.len() - 1
+    };
     for l in l0..=last {
         let mut faults = runs[l].take_faults();
         let pending = pending(l);
+        let through = runs_through(l);
         let began = (*lock_recover(&runs[l].started)).unwrap_or_else(Instant::now);
         for (i, &c) in pending.chunks.iter().enumerate() {
             // Past the holes, the uncommitted chunks run to the stage's
             // end: a cancel stops at the first of them with every chunk
             // below it committed and none above, so the (global) resume
             // point is exact.
-            if i >= pending.holes && (cancelled || cfg.cancel.is_cancelled()) {
+            if i >= pending.holes && !through && (cancelled || cfg.cancel.is_cancelled()) {
                 cfg.cancel.note_observed();
                 let resume = iters_before(l) + plans[l].range(c).start;
                 return Err(cancel_error(&cfg.cancel, resume));
@@ -1564,7 +1625,7 @@ pub(crate) fn run_stages<K: RealKernel>(
         out.push(stats_for(l, began.elapsed(), true, faults));
     }
     if cancelled {
-        return Err(cancel_error(&cfg.cancel, iters_before(l0 + 1)));
+        return Err(cancel_error(&cfg.cancel, iters_before(last + 1)));
     }
     Ok(out)
 }

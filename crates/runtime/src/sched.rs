@@ -4,7 +4,9 @@
 //! barriers as the loops of a sequence: DOALL sub-loops as chunks the
 //! pool claims in ascending order, DOACROSS sub-loops as a pipelined
 //! post/wait stage (`run_stage` runs both), and `Sequential` residues
-//! cascaded with the token runtime exactly as a sequence's loops are.
+//! cascaded with the token runtime exactly as a sequence's loops are —
+//! except where a serial stage feeds a DOALL one, and the two run as a
+//! pipelined pair with no barrier between them.
 //!
 //! ## DOALL: chunks claimed in order
 //!
@@ -57,6 +59,53 @@
 //! chunk it starts. A watchdog window declares a stall when a gate sees
 //! no frontier movement for the whole window.
 //!
+//! ## Pipelined pairs
+//!
+//! Plan order puts a stage after every stage it depends on, so a
+//! barrier between two stages is always safe, but it idles the pool
+//! while a serial stage runs: a lag-1 residue whose helper has nothing
+//! to do runs no faster cascaded than on one worker. So
+//! `try_run_planned` decides once at entry (`pipelined`) to run a
+//! *serial* stage and the `Parallel` stage right after it as a pair,
+//! when the run arms neither retry nor verification (neither has a
+//! protocol for a stage that shares its time with another), and hands the
+//! decision to the engine (`run_stages`). A stage is serial when one worker can run it
+//! at the pool's speed: a `Sequential` stage whose helper has nothing to
+//! do (policy `None`, or a helper horizon of at most one chunk, which no
+//! helper can look past), or a `DoAcross` stage whose lag is at most one
+//! chunk, whose every gate already asks for the whole prefix.
+//!
+//! Worker 0 runs the producer plain, through the same chunk transaction,
+//! as a DOACROSS stage with one owner: it posts its frontier (`Release`)
+//! after every chunk, and no token passes. Every other worker goes
+//! straight on to the consumer and claims its chunks from the DOALL
+//! cursor; worker 0 joins when the producer is done, and the pair ends at
+//! one barrier. A consumer chunk `[s, e)` waits in the gate for the
+//! producer's frontier to reach `e` (`consumer_gate_dep` = `e − 1`,
+//! through `gate_open` with one owner). The gate distance is 0 because
+//! every cross-partition edge runs forward: consumer iteration `i`
+//! depends only on producer iterations `≤ i` (a dependence from a
+//! consumer iteration to a later producer one would be a backward edge
+//! the plan's topological order excludes). For the same reason a
+//! producer chunk and the consumer chunks running beside it — all below
+//! its start — touch no common byte, and both journal per chunk as split
+//! stages do. The gate spins, polls governance, yields and runs the
+//! watchdog as a DOACROSS gate does, and also halts when the producer is
+//! poisoned.
+//!
+//! A fault in the producer drains both stages; one in the consumer
+//! drains the consumer and lets the producer run to its end, and a cancel
+//! reaches both. The degraded path salvages in ascending order: the
+//! producer's uncommitted chunks, then the consumer's, then every later
+//! stage. A cancel keeps the single `committed_iters` contract: a
+//! consumer may read-modify-write, so once it has committed a chunk
+//! (`prefix_in_consumer`), the calling thread runs the producer's
+//! uncommitted chunks and then the consumer's holes, and the prefix lies
+//! at the consumer's first uncommitted suffix chunk; otherwise it lies in
+//! the producer. The model in the test-only `check` module explores the
+//! pair through `gate_open`, `consumer_gate_dep`, `uncommitted` and
+//! `prefix_in_consumer`.
+//!
 //! ## One chunk transaction
 //!
 //! A split chunk runs the cascade's chunk transaction, through the same
@@ -104,16 +153,17 @@ use crate::kernel::RealKernel;
 use crate::metrics::PhaseRecorder;
 use crate::runner::{
     captures, chunk_panicked, journal_chunk, poison_cancelled, poison_stalled, roll_back_chunk,
-    run_stages, FaultEvent, FtRun, RunError, RunStats, ThreadStats,
+    run_stages, FaultEvent, FtRun, RtPolicy, RunError, RunStats, ThreadStats,
 };
 
 /// A counter on its own cache line, so one worker's stores never
 /// false-share with a neighbour's loads.
 // Atomics justification (scripts/lint_atomics.sh): slots are stored
 // with `Release` and loaded with `Acquire`, the happens-before edge that
-// makes a DOACROSS chunk's writes visible to gated readers. The DOALL
-// claim cursor's `fetch_add` is `Relaxed`: it only hands out indices,
-// and the stage's end barrier or the join orders the chunks' writes.
+// makes a DOACROSS chunk's writes (and a pipelined producer's) visible
+// to gated readers. The DOALL claim cursor's `fetch_add` is `Relaxed`: it
+// only hands out indices, and the stage's end barrier or the join orders
+// the chunks' writes.
 #[repr(align(128))]
 #[derive(Debug, Default)]
 struct PadCounter(AtomicU64);
@@ -233,15 +283,27 @@ pub struct SubLoopStats {
     pub post_waits: u64,
     /// Whether a fault degraded this sub-loop to sequential salvage.
     pub degraded: bool,
-    /// Per-worker statistics of a `Parallel` or `DoAcross` sub-loop, on
-    /// the same phase clock as a cascaded stage's workers: journal capture
-    /// and chunk body are Execute, post/wait gate spins are Spin, fault
-    /// handling is Retry, the rest is Other, and `wall_ns` is the worker's
-    /// whole stage share. Empty for a `Sequential` sub-loop, whose workers
-    /// report in `run`.
+    /// Per-worker statistics of a sub-loop that ran split — `Parallel`,
+    /// `DoAcross`, or a `Sequential` one run plain as a pipelined
+    /// producer — on the same phase clock as a cascaded stage's workers:
+    /// journal capture and chunk body are Execute, gate spins are Spin,
+    /// fault handling is Retry, the rest is Other, and `wall_ns` is the
+    /// worker's whole stage share. A pipelined producer's chunks are all
+    /// worker 0's. Empty for a cascaded sub-loop, whose workers report in
+    /// `run`.
     pub threads: Vec<ThreadStats>,
-    /// The token runtime's stats for a `Sequential` sub-loop.
+    /// The token runtime's stats for a cascaded `Sequential` sub-loop
+    /// (`None` for one run plain as a pipelined producer).
     pub run: Option<RunStats>,
+    /// The producer sub-loop this one ran beside as a pipelined consumer
+    /// (`None` when it ran between barriers).
+    pub pipelined_after: Option<usize>,
+    /// A pipelined consumer's Execute time before its producer finished,
+    /// over its workers, at chunk granularity: a chunk that committed
+    /// while the producer was still running counts whole, one that
+    /// straddles its end not at all. Its gate waits are its workers' Spin
+    /// ([`PlannedStats::post_wait_stall_ns`]). Zero outside a pair.
+    pub overlap: Duration,
 }
 
 /// Whole-run statistics of a plan-driven execution.
@@ -271,7 +333,8 @@ impl PlannedStats {
         self.sub_loops.iter().map(|s| s.post_waits).sum()
     }
 
-    /// Total nanoseconds blocked in post/wait gate spins.
+    /// Total nanoseconds blocked in gate spins: DOACROSS post/wait gates
+    /// and pipelined consumers' gates on their producers.
     pub fn post_wait_stall_ns(&self) -> u128 {
         self.sub_loops
             .iter()
@@ -347,35 +410,38 @@ fn merge(into: &mut ThreadStats, s: &ThreadStats) {
     into.ckpt_ns += s.ckpt_ns;
     into.verified_chunks += s.verified_chunks;
     into.verify_ns += s.verify_ns;
+    into.overlap_ns += s.overlap_ns;
     into.events_dropped += s.events_dropped;
     into.events.extend_from_slice(&s.events);
     into.takeover.merge(&s.takeover);
     into.chunk_exec.merge(&s.chunk_exec);
 }
 
-/// What the workers of a `Parallel` or `DoAcross` stage share.
+/// What the workers of a split stage share.
 pub(crate) struct SplitState {
-    /// Per worker: under DOACROSS its committed frontier (`slots[w] = f`:
+    /// Per owner: under DOACROSS its committed frontier (`slots[w] = f`:
     /// every chunk `w` owns below iteration `f` is committed); under DOALL
-    /// one past the chunk it claimed and abandoned (0: none).
+    /// one past the chunk it claimed and abandoned (0: none). A DOACROSS
+    /// stage has one owner per worker, a pipelined producer one in all.
     slots: Vec<PadCounter>,
     /// DOALL: the next chunk to claim.
     cursor: PadCounter,
 }
 
 impl SplitState {
-    pub(crate) fn new(nthreads: usize) -> Self {
+    pub(crate) fn new(owners: usize) -> Self {
         SplitState {
-            slots: (0..nthreads).map(|_| PadCounter::default()).collect(),
+            slots: (0..owners).map(|_| PadCounter::default()).collect(),
             cursor: PadCounter::default(),
         }
     }
 
     /// The chunks of `plan` no worker committed under the stage's
-    /// `schedule` ([`uncommitted`]). Exact once every worker has left the
-    /// stage.
+    /// `schedule` ([`uncommitted`]; a `Sequential` stage here is a
+    /// pipelined producer, DOACROSS with one owner). Exact once every
+    /// worker has left the stage.
     pub(crate) fn uncommitted(&self, plan: &ChunkPlan, schedule: Schedule) -> Pending {
-        let doacross = matches!(schedule, Schedule::DoAcross { .. });
+        let doacross = schedule != Schedule::Parallel;
         let n = self.slots.len() as u64;
         let cursor = self.cursor.0.load(Ordering::Acquire);
         uncommitted(plan, doacross, n, cursor, |w| self.slot(w))
@@ -450,6 +516,64 @@ pub(crate) fn chunk_gate_dep(range: &Range<u64>, lag: u64) -> Option<u64> {
     Some((range.end - 1 - lag).min(range.start - 1))
 }
 
+/// The dependence iteration the gate of a pipelined consumer's chunk
+/// `range` waits for in its producer: the chunk's last iteration. The
+/// plan's cross-partition edges run forward, so consumer iteration `i`
+/// needs exactly the producer iterations `≤ i`.
+pub(crate) fn consumer_gate_dep(range: &Range<u64>) -> u64 {
+    range.end - 1
+}
+
+/// Whether a cancelled pipelined pair reports its prefix in the consumer,
+/// from the consumer's uncommitted chunks `consumer` out of `m`: it does
+/// once the consumer has committed any chunk. A consumer may
+/// read-modify-write, so a prefix inside the producer would have a resume
+/// apply the consumer's committed chunks a second time; the degraded path
+/// runs the producer to its end first instead.
+pub(crate) fn prefix_in_consumer(consumer: &Pending, m: u64) -> bool {
+    (consumer.chunks.len() as u64) < m
+}
+
+/// The pipelined pairs of a run, decided once at its start: `out[l]` is
+/// whether stage `l` produces for stage `l + 1`. A pair is a *serial*
+/// stage directly before a `Parallel` one of the same trip count, in a run
+/// that arms neither retry nor verification. A stage is serial when one
+/// worker could run it as fast as the pool: a `Sequential` stage whose
+/// helper has nothing to do (policy `None`, or a helper horizon no longer
+/// than a chunk, which no helper can look past), or a `DoAcross` stage
+/// whose lag is at most a chunk, so every gate asks for the whole prefix.
+pub(crate) fn pipelined<K: RealKernel>(
+    kernels: &[K],
+    schedules: &[Schedule],
+    cfg: &RunConfig,
+) -> Vec<bool> {
+    let c = cfg.runner.iters_per_chunk;
+    let armed = cfg.tolerance.retry.is_some() || cfg.verify.armed();
+    let serial = |l: usize| match schedules[l] {
+        Schedule::Sequential => {
+            cfg.runner.policy == RtPolicy::None
+                || kernels[l].helper_horizon().is_some_and(|lag| lag <= c)
+        }
+        Schedule::DoAcross { lag } => lag <= c,
+        Schedule::Parallel => false,
+    };
+    (0..kernels.len())
+        .map(|l| {
+            !armed
+                && schedules.get(l + 1) == Some(&Schedule::Parallel)
+                && kernels[l].iters() == kernels[l + 1].iters()
+                && serial(l)
+        })
+        .collect()
+}
+
+/// Whether a stage under `schedule` cascades through the token runtime:
+/// a `Sequential` one that is not a pipelined `producer`. Every other
+/// stage runs split ([`run_stage`]) and reports per-worker stats.
+pub(crate) fn cascades(schedule: Schedule, producer: bool) -> bool {
+    schedule == Schedule::Sequential && !producer
+}
+
 /// Iterations of chunk `range` whose lag-`lag` dependence lies in an
 /// earlier chunk: the structural post/wait count its gate stands for.
 fn crossing_deps(range: &Range<u64>, lag: u64) -> u64 {
@@ -484,10 +608,11 @@ fn gate_target(w: u64, d: u64, c: u64, n: u64, iters: u64) -> u64 {
 }
 
 /// Poll governance at a boundary: returns `true` when the stage must
-/// halt — its token is poisoned (a peer's fault or a cancel), or a cancel
-/// arrived, which this worker then poisons the token with.
-fn halted(run: &FtRun, cfg: &RunConfig) -> bool {
-    if run.token.is_poisoned() {
+/// halt — its token or its `producer`'s is poisoned (a peer's fault or a
+/// cancel), or a cancel arrived, which this worker then poisons the token
+/// with.
+fn halted(run: &FtRun, producer: Option<&FtRun>, cfg: &RunConfig) -> bool {
+    if run.token.is_poisoned() || producer.is_some_and(|p| p.token.is_poisoned()) {
         return true;
     }
     if cfg.cancel.is_cancelled() {
@@ -497,14 +622,24 @@ fn halted(run: &FtRun, cfg: &RunConfig) -> bool {
     false
 }
 
-/// A DOACROSS chunk's gate: spin with `Acquire` loads until the frontiers
-/// prove every iteration `≤ d` committed. Returns `false` when the stage
-/// must halt instead (cancel, a peer's fault, or a watchdog-declared
-/// stall, which poisons the token).
-fn wait_committed(run: &FtRun, cfg: &RunConfig, d: u64, chunk: u64, iters: u64) -> bool {
-    let frontier = |w: u64| run.split.slot(w);
+/// A chunk's gate: spin with `Acquire` loads until the frontiers of
+/// `source` (the stage's own, or a consumer's producer's) prove every
+/// iteration `≤ d` committed. Returns `false` when the stage must halt
+/// instead (cancel, a fault in it or in its `producer`, or a
+/// watchdog-declared stall, which poisons the token).
+#[allow(clippy::too_many_arguments)] // a gate is parameterized by all of these
+fn wait_committed(
+    run: &FtRun,
+    producer: Option<&FtRun>,
+    source: &SplitState,
+    cfg: &RunConfig,
+    d: u64,
+    chunk: u64,
+    iters: u64,
+) -> bool {
+    let frontier = |w: u64| source.slot(w);
     let c = cfg.runner.iters_per_chunk;
-    let n = cfg.runner.nthreads as u64;
+    let n = source.slots.len() as u64;
     let mut window_start = Instant::now();
     let mut last_snapshot: Option<u64> = None;
     let mut spins = 0u32;
@@ -521,7 +656,7 @@ fn wait_committed(run: &FtRun, cfg: &RunConfig, d: u64, chunk: u64, iters: u64) 
         }
         spins = spins.wrapping_add(1);
         if spins.is_multiple_of(64) {
-            if halted(run, cfg) {
+            if halted(run, producer, cfg) {
                 break false;
             }
             std::thread::yield_now();
@@ -534,36 +669,41 @@ fn wait_committed(run: &FtRun, cfg: &RunConfig, d: u64, chunk: u64, iters: u64) 
         }
         std::hint::spin_loop();
     };
-    open && !run.token.is_poisoned()
+    open && !run.token.is_poisoned() && !producer.is_some_and(|p| p.token.is_poisoned())
 }
 
-/// Worker `t`'s share of a `Parallel` or `DoAcross` stage of the engine,
-/// in ascending chunk order: DOALL chunks claimed from the stage's cursor,
-/// DOACROSS chunks round-robin, each behind one gate ([`chunk_gate_dep`]).
-/// Each chunk runs the cascade's chunk transaction ([`journal_chunk`]
-/// into `jbuf`, the worker's run-long journal buffer; the body;
-/// [`roll_back_chunk`] and [`chunk_panicked`] on a panic). A DOACROSS
-/// chunk ends with one `Release` post of the worker's frontier; a DOALL
-/// chunk the worker claimed but dropped is recorded in its slot.
+/// Worker `t`'s share of a split stage of the engine, in ascending chunk
+/// order: DOALL chunks claimed from the stage's cursor, DOACROSS chunks
+/// round-robin over the stage's owners (a pipelined producer, `Sequential`
+/// or `DoAcross`, has worker 0 as its one owner), each behind one gate
+/// ([`chunk_gate_dep`]; a pipelined consumer's is [`consumer_gate_dep`]
+/// on the frontier of its `producer` stage). Each chunk runs the
+/// cascade's chunk transaction ([`journal_chunk`] into `jbuf`, the
+/// worker's run-long journal buffer; the body; [`roll_back_chunk`] and
+/// [`chunk_panicked`] on a panic). A DOACROSS chunk ends with one `Release` post of the
+/// owner's frontier; a DOALL chunk the worker claimed but dropped is
+/// recorded in its slot.
 pub(crate) fn run_stage<K: RealKernel>(
     kernel: &K,
     cfg: &RunConfig,
     run: &FtRun,
     t: u64,
     schedule: Schedule,
+    producer: Option<&FtRun>,
     jbuf: &mut Vec<u8>,
 ) -> ThreadStats {
     let lag = match schedule {
         Schedule::DoAcross { lag } => Some(lag),
-        _ => None,
+        Schedule::Sequential => Some(1),
+        Schedule::Parallel => None,
     };
     let iters = kernel.iters();
     let c = cfg.runner.iters_per_chunk;
-    let n = cfg.runner.nthreads as u64;
+    let n = run.split.slots.len() as u64;
     let m = iters.div_ceil(c);
     let journaling = captures(cfg) && kernel.journal_range_exact();
-    let slot = &run.split.slots[t as usize].0;
-    let mut owned = (t..m).step_by(n as usize);
+    let post = |v: u64| run.split.slots[t as usize].0.store(v, Ordering::Release);
+    let mut owned = (if t < n { t } else { m }..m).step_by(n as usize);
     let mut phases = PhaseRecorder::new(run.origin, &cfg.observe);
     let mut stats = ThreadStats::default();
     // The chunk in flight until it commits: a DOALL chunk the worker drops
@@ -571,7 +711,7 @@ pub(crate) fn run_stage<K: RealKernel>(
     // DOACROSS one lies past its owner's frontier).
     let mut dropped = None;
     loop {
-        if halted(run, cfg) {
+        if halted(run, producer, cfg) {
             break;
         }
         let next = match lag {
@@ -579,23 +719,31 @@ pub(crate) fn run_stage<K: RealKernel>(
             None => Some(run.split.cursor.0.fetch_add(1, Ordering::Relaxed)).filter(|&k| k < m),
         };
         let Some(c_idx) = next else { break };
+        dropped = Some(c_idx);
         let range = chunk_range(c_idx, c, iters);
-        let gate = lag.and_then(|lag| chunk_gate_dep(&range, lag));
-        if let Some(d) = gate.filter(|&d| !gate_open(d, c, iters, n, |w| run.split.slot(w))) {
+        let gate = match producer {
+            Some(p) => Some((consumer_gate_dep(&range), &p.split)),
+            None => lag.and_then(|lag| chunk_gate_dep(&range, lag).map(|d| (d, &run.split))),
+        };
+        if let Some((d, source)) =
+            gate.filter(|&(d, s)| !gate_open(d, c, iters, s.slots.len() as u64, |w| s.slot(w)))
+        {
             phases.transition(PhaseKind::Spin, Some(c_idx));
-            let open = wait_committed(run, cfg, d, c_idx, iters);
+            let open = wait_committed(run, producer, source, cfg, d, c_idx, iters);
             phases.transition(PhaseKind::Other, Some(c_idx));
             if !open {
                 break;
             }
         }
         phases.transition(PhaseKind::Execute, Some(c_idx));
-        dropped = Some(c_idx);
         let journal = if journaling {
-            // SAFETY: chunk ranges are disjoint across workers, and any
+            // SAFETY: chunk ranges are disjoint across workers; any
             // iteration running concurrently with a DOACROSS chunk is
-            // fewer than `lag` from all of it, so no write aliases the
-            // chunk's range-exact footprint.
+            // fewer than `lag` from all of it; and a pipelined consumer
+            // runs only below its producer's frontier, where only a
+            // backward edge, which plan order excludes, could link its
+            // iterations to the producer's chunk in flight. So no write
+            // aliases the chunk's range-exact footprint.
             unsafe { journal_chunk(kernel, cfg, run, range.clone(), jbuf, &mut stats) }
         } else {
             Ok(false)
@@ -637,13 +785,18 @@ pub(crate) fn run_stage<K: RealKernel>(
         if lag.is_some() {
             // Publish the committed frontier: every iteration we own
             // below the chunk's end is now visible.
-            slot.store(range.end, Ordering::Release);
+            post(range.end);
+        }
+        if producer.is_some_and(|p| p.split.slot(0) < iters) {
+            // Execute time the pair overlapped: the chunk committed while
+            // its producer was still running.
+            stats.overlap_ns += u128::from(exec);
         }
         stats.chunks += 1;
         stats.chunk_exec.record(exec);
     }
     if let (None, Some(k)) = (lag, dropped) {
-        slot.store(k + 1, Ordering::Release);
+        post(k + 1);
     }
     phases.finish(stats)
 }
@@ -653,10 +806,17 @@ pub(crate) fn run_stage<K: RealKernel>(
 /// materialized through [`crate::SpecProgram`]), each a stage of the
 /// cascade engine, with `Parallel` sub-loops run as DOALL, `DoAcross`
 /// sub-loops as pipelined post/wait stages, and `Sequential` sub-loops
-/// cascaded as in [`crate::try_run_governed_sequence`]. The result is
-/// bitwise-identical to running the sub-loops sequentially in plan
-/// order — which the plan's replay oracle has already proved
-/// bitwise-identical to the original loop.
+/// cascaded as in [`crate::try_run_governed_sequence`]. A serial
+/// sub-loop directly before a `Parallel` one of the same trip count —
+/// `Sequential` with nothing for its helper to do, or `DoAcross` with a
+/// lag of at most a chunk — instead runs plain on worker 0 while the
+/// rest of the pool runs the `Parallel` one behind its committed
+/// frontier, unless the run arms retry or verification (see the module
+/// docs, "Pipelined pairs"); [`SubLoopStats::pipelined_after`] and
+/// [`SubLoopStats::overlap`] report it. The result is bitwise-identical
+/// to running the sub-loops sequentially in plan order — which the
+/// plan's replay oracle has already proved bitwise-identical to the
+/// original loop.
 ///
 /// Governance composes: the shared
 /// [`CancelToken`](crate::govern::CancelToken) and deadline drain
@@ -665,15 +825,17 @@ pub(crate) fn run_stage<K: RealKernel>(
 /// Completed sub-loops count their full trip. A cancelled split sub-loop
 /// keeps the chunks it committed: its holes, the uncommitted chunks below
 /// its highest committed one, run on the calling thread, and the prefix
-/// ends at its first chunk still uncommitted. A fault inside a
+/// ends at its first chunk still uncommitted. In a pipelined pair whose
+/// consumer has committed a chunk, the producer is first run to its end,
+/// and the prefix lies in the consumer. A fault inside a
 /// stage ends the run as a fault ends a sequence: under a salvaging
 /// [`Tolerance`](crate::runner::Tolerance) the uncommitted remainder and
 /// every later sub-loop run sequentially, otherwise it surfaces as a
 /// typed error.
 ///
 /// Durable checkpoints are not supported in plan mode
-/// (`InvalidConfig`); helper policies apply to `Sequential` sub-loops
-/// only (split stages have no token waits).
+/// (`InvalidConfig`); helper policies apply to cascaded `Sequential`
+/// sub-loops only (split stages have no token waits).
 pub fn try_run_planned<K: RealKernel>(
     kernels: &[K],
     plan: &TransformPlan,
@@ -702,8 +864,9 @@ pub fn try_run_planned<K: RealKernel>(
     }
 
     let schedules: Vec<Schedule> = plan.partition.iter().map(|s| s.schedule).collect();
+    let producer = pipelined(kernels, &schedules, cfg);
     let start = Instant::now();
-    let runs = run_stages(kernels, &schedules, cfg)?;
+    let runs = run_stages(kernels, &schedules, &producer, cfg)?;
     let elapsed = start.elapsed();
     let ipc = cfg.runner.iters_per_chunk;
     let faults: Vec<FaultEvent> = runs.iter().flat_map(|r| r.faults.clone()).collect();
@@ -721,9 +884,12 @@ pub fn try_run_planned<K: RealKernel>(
             };
             let chunks = run.threads.iter().map(|t| t.chunks).sum();
             let degraded = run.degraded;
-            let (threads, run) = match schedule {
-                Schedule::Sequential => (Vec::new(), Some(run)),
-                _ => (std::mem::take(&mut run.threads), None),
+            let overlap = run.threads.iter().map(|t| t.overlap_ns).sum::<u128>();
+            let pipelined_after = index.checked_sub(1).filter(|&p| producer[p]);
+            let (threads, run) = if cascades(schedule, producer[index]) {
+                (Vec::new(), Some(run))
+            } else {
+                (std::mem::take(&mut run.threads), None)
             };
             SubLoopStats {
                 index,
@@ -734,6 +900,8 @@ pub fn try_run_planned<K: RealKernel>(
                 degraded,
                 threads,
                 run,
+                pipelined_after,
+                overlap: Duration::from_nanos(overlap as u64),
             }
         })
         .collect();

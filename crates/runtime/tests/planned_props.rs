@@ -4,7 +4,7 @@
 //! (lag 1 → sequential residue, lag ≥ 2 → DOACROSS pipeline), affine
 //! DOALL writers, and colliding indirect scatters — are fissioned under
 //! their real `cascade-analyze` transformation plans and executed on
-//! 2–4 real threads. The oracle is always the same: the final arena
+//! 1–4 real threads. The oracle is always the same: the final arena
 //! checksum must be **bitwise identical** to straight sequential
 //! execution of the unfissioned loop. Fault-injection and cancellation
 //! properties additionally pin the recovery contract: a salvaged run is
@@ -19,7 +19,8 @@
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use cascade_analyze::plan::{plan_loop, Schedule};
 use cascade_rt::{
@@ -67,7 +68,9 @@ fn scenario() -> impl Strategy<Value = Scenario> {
         any::<bool>(),
         any::<bool>(),
         prop_oneof![Just(None), any::<u64>().prop_map(Some)],
-        2usize..=4,
+        // One thread runs a pipelined pair's producer and then its
+        // consumer on the same worker.
+        1usize..=4,
         // Chunks shorter than the lag overlap DOACROSS chunks on real
         // threads; longer ones run them one after another.
         prop_oneof![1u64..=3, 8u64..=96],
@@ -223,9 +226,10 @@ fn runner(s: &Scenario) -> RunnerConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Plan-driven execution on 2–4 real threads — DOALL range splits,
-    /// DOACROSS post/wait pipelines, cascaded sequential residues, in
-    /// plan order — is bitwise identical to sequential execution.
+    /// Plan-driven execution on 1–4 real threads — DOALL range splits,
+    /// DOACROSS post/wait pipelines, sequential residues cascaded or run
+    /// plain beside their consumer — is bitwise identical to sequential
+    /// execution.
     #[test]
     fn planned_execution_matches_sequential_bitwise(s in scenario()) {
         let (w, arena) = build(&s);
@@ -832,6 +836,9 @@ impl<K: RealKernel> RealKernel for CancelsAt<K> {
         // SAFETY: forwarded under the caller's exclusivity.
         unsafe { self.inner.execute(range) }
     }
+    fn helper_horizon(&self) -> Option<u64> {
+        self.inner.helper_horizon()
+    }
     fn panics_before_mutation(&self) -> bool {
         self.inner.panics_before_mutation()
     }
@@ -845,6 +852,21 @@ impl<K: RealKernel> RealKernel for CancelsAt<K> {
     unsafe fn journal_rollback(&self, range: Range<u64>, buf: &[u8]) {
         // SAFETY: forwarded under the caller's exclusivity.
         unsafe { self.inner.journal_rollback(range, buf) }
+    }
+}
+
+/// Finish the fissioned sequence sequentially, in plan order, from the
+/// global prefix `committed_iters` a stopped run reported.
+fn resume(prog: &SpecProgram, groups: usize, committed_iters: u64) {
+    let mut rem = committed_iters;
+    for g in 0..groups {
+        let k = prog.kernel(g);
+        let done = rem.min(k.iters());
+        rem -= done;
+        if done < k.iters() {
+            // SAFETY: the run drained before returning.
+            unsafe { k.execute(done..k.iters()) };
+        }
     }
 }
 
@@ -903,16 +925,7 @@ fn cancel_inside_stage(
     else {
         panic!("expected a cancel inside sub-loop {g}, got {result:?}");
     };
-    let mut rem = committed_iters;
-    for l in 0..plan.partition.len() {
-        let k = prog.kernel(l);
-        let done = rem.min(k.iters());
-        rem -= done;
-        if done < k.iters() {
-            // SAFETY: the run drained before returning.
-            unsafe { k.execute(done..k.iters()) };
-        }
-    }
+    resume(&prog, plan.partition.len(), committed_iters);
     assert_eq!(prog.checksum(), expected, "resume is not bitwise");
     let within = committed_iters - before;
     assert!(
@@ -1100,4 +1113,252 @@ fn planned_runs_meter_a_steady_state_not_the_chunk_count() {
         .map(|t| t.journal_bytes)
         .sum();
     assert_eq!((captured, stats.budget_high_water), (0, 0));
+}
+
+/// A pipelined pair's stage, watched: a consumer counts the chunks it
+/// committed into `commits`; a producer records that count as each of its
+/// chunks starts, and before the chunk at iteration `hold_at` waits (up to
+/// a few seconds) for a consumer chunk to commit. Behind a barrier none
+/// ever does, so the wait times out and records 0.
+struct Watched<K> {
+    inner: K,
+    consumer: bool,
+    commits: Arc<AtomicU32>,
+    hold_at: u64,
+    seen: Mutex<Vec<u32>>,
+}
+
+impl<K: RealKernel> Watched<K> {
+    fn new(inner: K, consumer: bool, commits: &Arc<AtomicU32>, hold_at: u64) -> Self {
+        Watched {
+            inner,
+            consumer,
+            commits: Arc::clone(commits),
+            hold_at,
+            seen: Mutex::new(Vec::new()),
+        }
+    }
+}
+
+impl<K: RealKernel> RealKernel for Watched<K> {
+    fn iters(&self) -> u64 {
+        self.inner.iters()
+    }
+    unsafe fn execute(&self, range: Range<u64>) {
+        if !self.consumer {
+            if range.start == self.hold_at {
+                let give_up = Instant::now() + Duration::from_secs(5);
+                while self.commits.load(Ordering::Acquire) == 0 && Instant::now() < give_up {
+                    std::thread::yield_now();
+                }
+            }
+            let seen = self.commits.load(Ordering::Acquire);
+            self.seen.lock().unwrap().push(seen);
+        }
+        // SAFETY: forwarded under the caller's exclusivity.
+        unsafe { self.inner.execute(range) };
+        if self.consumer {
+            self.commits.fetch_add(1, Ordering::Release);
+        }
+    }
+    fn helper_horizon(&self) -> Option<u64> {
+        self.inner.helper_horizon()
+    }
+    fn panics_before_mutation(&self) -> bool {
+        self.inner.panics_before_mutation()
+    }
+    fn journal_range_exact(&self) -> bool {
+        self.inner.journal_range_exact()
+    }
+    unsafe fn journal_capture(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
+        // SAFETY: forwarded under the caller's exclusivity.
+        unsafe { self.inner.journal_capture(range, buf) }
+    }
+    unsafe fn journal_rollback(&self, range: Range<u64>, buf: &[u8]) {
+        // SAFETY: forwarded under the caller's exclusivity.
+        unsafe { self.inner.journal_rollback(range, buf) }
+    }
+}
+
+/// A lag-1 recurrence feeding a read-modify-write consumer: the plan is
+/// `[Sequential, Parallel]`, a pipelined pair under a run that arms
+/// neither retry nor verification.
+fn pair_scenario() -> Scenario {
+    Scenario {
+        lag: Some(1),
+        xw: false,
+        yw: true,
+        threads: 2,
+        ..lag2_scenario()
+    }
+}
+
+/// A pipelined pair's consumer runs beside its producer, not after it:
+/// some consumer chunk commits before the producer's last chunk starts.
+/// The producer ran plain and reports as a split stage does: no token
+/// stats, one lane per worker, every chunk counted on worker 0, and the
+/// consumer names it and reports the overlap.
+#[test]
+fn pipelined_consumer_runs_beside_its_producer() {
+    let s = pair_scenario();
+    let (w, arena) = build(&s);
+    let expected = sequential_checksum(&w, arena.clone());
+    let (mut prog, plan) = fissioned_program(&w, arena);
+    let schedules: Vec<_> = plan.partition.iter().map(|p| p.schedule).collect();
+    assert_eq!(schedules, [Schedule::Sequential, Schedule::Parallel]);
+    let m = s.iters.div_ceil(s.chunk);
+    let (stats, seen) = {
+        let commits = Arc::new(AtomicU32::new(0));
+        let last = (m - 1) * s.chunk;
+        let kernels = [
+            Watched::new(prog.kernel(0), false, &commits, last),
+            Watched::new(prog.kernel(1), true, &commits, u64::MAX),
+        ];
+        let cfg = RunConfig {
+            runner: runner(&s),
+            ..RunConfig::default()
+        };
+        let stats = try_run_planned(&kernels, &plan, &cfg).expect("a clean planned run");
+        let seen = kernels[0].seen.lock().unwrap().clone();
+        (stats, seen)
+    };
+    assert_eq!(prog.checksum(), expected, "pipelined pair diverged");
+    assert_eq!(seen.len() as u64, m);
+    assert!(
+        seen[seen.len() - 1] > 0,
+        "no consumer chunk committed before the producer's last chunk: {seen:?}"
+    );
+    let (producer, consumer) = (&stats.sub_loops[0], &stats.sub_loops[1]);
+    assert!(
+        producer.run.is_none(),
+        "a plain producer has no token stats"
+    );
+    assert_eq!(producer.threads.len(), s.threads);
+    assert_eq!((producer.chunks, producer.threads[0].chunks), (m, m));
+    assert_eq!(
+        (producer.pipelined_after, consumer.pipelined_after),
+        (None, Some(0))
+    );
+    assert_eq!(consumer.chunks, m);
+    assert!(consumer.overlap > Duration::ZERO, "{consumer:?}");
+}
+
+/// A cancel inside a pipelined pair's producer, fired after a consumer
+/// chunk committed: the consumer read-modify-writes `y`, so the prefix
+/// lies in the consumer, past every chunk it committed, with the producer
+/// run to its end on the calling thread. Each stage ran exactly its part
+/// of the prefix, once, and a resume from it is bitwise.
+#[test]
+fn cancelled_pipelined_pair_resumes_from_the_consumer() {
+    let s = pair_scenario();
+    let (w, arena) = build(&s);
+    let expected = sequential_checksum(&w, arena.clone());
+    let k = 9;
+    for tolerance in [
+        Tolerance::fail_fast(),
+        Tolerance::resilient(Duration::from_secs(5)),
+    ] {
+        let (mut prog, plan) = fissioned_program(&w, arena.clone());
+        let trip = prog.kernel(0).iters();
+        let token = CancelToken::new();
+        let commits = Arc::new(AtomicU32::new(0));
+        let result = {
+            let kernels: Vec<_> = (0..2)
+                .map(|l| {
+                    let at = if l == 0 { k * s.chunk } else { u64::MAX };
+                    let inner = CancelsAt::new(prog.kernel(l), token.clone(), at, None);
+                    Watched::new(inner, l == 1, &commits, at)
+                })
+                .collect();
+            let cfg = RunConfig {
+                runner: runner(&s),
+                tolerance,
+                cancel: token,
+                ..RunConfig::default()
+            };
+            let result = try_run_planned(&kernels, &plan, &cfg);
+            if let Err(RunError::Cancelled {
+                committed_iters, ..
+            }) = result
+            {
+                assert!(
+                    kernels[0].inner.ran_exactly(trip),
+                    "the producer ran to its end once"
+                );
+                let within = committed_iters.saturating_sub(trip);
+                assert!(
+                    kernels[1].inner.ran_exactly(within),
+                    "the consumer did not run exactly its prefix of {within}"
+                );
+            }
+            result
+        };
+        let Err(RunError::Cancelled {
+            committed_iters, ..
+        }) = result
+        else {
+            panic!("expected a cancel, got {result:?}");
+        };
+        assert!(
+            committed_iters >= trip + s.chunk && committed_iters < 2 * trip,
+            "prefix {committed_iters} is not inside the consumer past a committed chunk"
+        );
+        resume(&prog, plan.partition.len(), committed_iters);
+        assert_eq!(prog.checksum(), expected, "resume is not bitwise");
+    }
+}
+
+/// A panic in a pipelined pair's producer: a salvaging run finishes the
+/// producer's uncommitted chunks, then the consumer's, bitwise; a
+/// fail-fast run names the producer's chunk; and a retrying run keeps the
+/// cascaded residue (token stats present) and recovers in-cascade.
+#[test]
+fn producer_fault_in_a_pair() {
+    let s = pair_scenario();
+    let (w, arena) = build(&s);
+    let expected = sequential_checksum(&w, arena.clone());
+    let chunk = 7;
+    for tolerance in [
+        Tolerance::resilient(Duration::from_secs(5)),
+        Tolerance::fail_fast(),
+        Tolerance::retrying(Duration::from_secs(5)),
+    ] {
+        let (mut prog, plan) = fissioned_program(&w, arena.clone());
+        let result = {
+            let kernels: Vec<_> = (0..2)
+                .map(|g| {
+                    let mut fp = FaultPlan::new(s.chunk);
+                    if g == 0 {
+                        fp = fp.inject(chunk, FaultKind::Panic);
+                    }
+                    FaultyKernel::new(prog.kernel(g), fp)
+                })
+                .collect();
+            let cfg = RunConfig {
+                runner: runner(&s),
+                tolerance: tolerance.clone(),
+                ..RunConfig::default()
+            };
+            try_run_planned(&kernels, &plan, &cfg)
+        };
+        if tolerance.retry.is_some() {
+            let stats = result.expect("the retry ladder recovers a fail-stop panic");
+            assert!(
+                stats.sub_loops[0].run.is_some(),
+                "retry keeps the cascaded path"
+            );
+            assert_eq!(stats.sub_loops[1].pipelined_after, None);
+        } else if tolerance.salvage {
+            let stats = result.expect("a salvaging run recovers");
+            assert!(stats.sub_loops[0].degraded && stats.sub_loops[1].degraded);
+            assert!(stats.sub_loops[0].run.is_none());
+        } else {
+            assert!(
+                matches!(result, Err(RunError::WorkerPanicked { thread: 0, chunk: c }) if c == chunk),
+                "expected a typed panic on producer chunk {chunk}, got {result:?}"
+            );
+            continue;
+        }
+        assert_eq!(prog.checksum(), expected, "{tolerance:?}: diverged");
+    }
 }

@@ -53,8 +53,9 @@ cd "$(dirname "$0")/.."
 RT=crates/runtime/src
 # sched.rs: the split-stage per-worker slots (padded; a DOACROSS
 #   worker's committed frontier, Release on post / Acquire in the gate and
-#   in the post-join salvage, or a DOALL worker's abandoned chunk, stored
-#   and read the same way) and the DOALL claim cursor (allowlisted below).
+#   in the post-join salvage — a pipelined producer's frontier is its one
+#   slot, which its consumer's gate loads the same way — or a DOALL
+#   worker's abandoned chunk, stored and read the same way) and the DOALL claim cursor (allowlisted below).
 #   A stage halts on its token's poison, which lives in token.rs; its
 #   chunk transaction (the torn mark, the budget) is runner.rs's. The gate
 #   protocol and the cancel's hole fill are model-checked by DoAcrossModel
