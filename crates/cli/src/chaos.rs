@@ -913,8 +913,7 @@ pub fn ckpt_run(args: &Args) -> Result<String, ArgError> {
             poll_batch: 8,
         },
         tolerance: recovery.tol,
-        ckpt: CkptPolicy::EveryChunks(every),
-        ckpt_sink: Some(CkptSink::new(writer)),
+        ckpt_sink: Some(CkptSink::new(writer, CkptPolicy::EveryChunks(every))),
         ..RunConfig::default()
     };
     let stats = try_run_governed(&kernel, &cfg)

@@ -832,8 +832,7 @@ mod tests {
                 policy: RtPolicy::Restructure,
                 poll_batch: 8,
             },
-            ckpt: CkptPolicy::EveryChunks(1),
-            ckpt_sink: Some(CkptSink::new(writer)),
+            ckpt_sink: Some(CkptSink::new(writer, CkptPolicy::EveryChunks(1))),
             ..RunConfig::default()
         };
         cascade_rt::try_run_governed(&prog.kernel(0), &cfg).unwrap();

@@ -65,12 +65,10 @@ const WORKLOAD: &str = "workload.txt";
 /// Name of the full base arena snapshot.
 const BASE: &str = "base.bin";
 
-/// When (if ever) the leader captures a checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// When a [`CkptSink`] captures a checkpoint. A run without a sink
+/// checkpoints nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CkptPolicy {
-    /// No checkpointing (the default): zero durability overhead.
-    #[default]
-    Off,
     /// Checkpoint once every N committed chunks (N ≥ 1).
     EveryChunks(u64),
     /// Checkpoint when at least T milliseconds have elapsed since the
@@ -620,6 +618,7 @@ fn parse_hex(s: Option<&str>) -> Option<u64> {
 #[derive(Clone)]
 pub struct CkptSink {
     state: Arc<Mutex<CkptState>>,
+    policy: CkptPolicy,
 }
 
 struct CkptState {
@@ -635,6 +634,7 @@ impl fmt::Debug for CkptSink {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = lock_recover(&self.state);
         f.debug_struct("CkptSink")
+            .field("policy", &self.policy)
             .field("dir", &s.writer.dir)
             .field("committed_chunks", &s.writer.committed_chunks)
             .field("committed_iters", &s.writer.committed_iters)
@@ -644,8 +644,8 @@ impl fmt::Debug for CkptSink {
 }
 
 impl CkptSink {
-    /// Wrap a freshly created writer.
-    pub fn new(writer: CkptWriter) -> CkptSink {
+    /// Wrap a freshly created writer that checkpoints under `policy`.
+    pub fn new(writer: CkptWriter, policy: CkptPolicy) -> CkptSink {
         CkptSink {
             state: Arc::new(Mutex::new(CkptState {
                 writer,
@@ -653,7 +653,13 @@ impl CkptSink {
                 scratch: Vec::new(),
                 error: None,
             })),
+            policy,
         }
+    }
+
+    /// When this sink captures a checkpoint.
+    pub(crate) fn policy(&self) -> CkptPolicy {
+        self.policy
     }
 
     /// Leader commit hook. `committed_chunks`/`committed_iters` describe
@@ -666,7 +672,6 @@ impl CkptSink {
     /// checkpointing.
     pub fn on_commit(
         &self,
-        policy: CkptPolicy,
         committed_chunks: u64,
         committed_iters: u64,
         chunk_start: impl FnOnce(u64) -> u64,
@@ -676,8 +681,7 @@ impl CkptSink {
         if s.error.is_some() || committed_chunks <= s.writer.committed_chunks {
             return None;
         }
-        let due = match policy {
-            CkptPolicy::Off => false,
+        let due = match self.policy {
             CkptPolicy::EveryChunks(n) => committed_chunks - s.writer.committed_chunks >= n,
             CkptPolicy::EveryMillis(t) => s.last_write.elapsed() >= Duration::from_millis(t),
         };
@@ -846,28 +850,19 @@ mod tests {
     fn sink_honours_every_chunks_policy() {
         let dir = tmpdir("policy");
         let w = CkptWriter::create(&dir, "w", META, &[0; 8]).unwrap();
-        let sink = CkptSink::new(w);
+        let sink = CkptSink::new(w, CkptPolicy::EveryChunks(2));
         let cap = |_r: Range<u64>, buf: &mut Vec<u8>| {
             buf.clear();
             buf.extend_from_slice(&[1, 2]);
             true
         };
         // Not due after one chunk under EveryChunks(2).
-        assert_eq!(
-            sink.on_commit(CkptPolicy::EveryChunks(2), 1, 4, |_| 0, cap),
-            None
-        );
+        assert_eq!(sink.on_commit(1, 4, |_| 0, cap), None);
         // Due after the second.
-        assert_eq!(
-            sink.on_commit(CkptPolicy::EveryChunks(2), 2, 8, |_| 0, cap),
-            Some(2)
-        );
+        assert_eq!(sink.on_commit(2, 8, |_| 0, cap), Some(2));
         assert_eq!(sink.committed(), (2, 8));
         // Re-delivery of an already-covered commit is a no-op.
-        assert_eq!(
-            sink.on_commit(CkptPolicy::EveryChunks(1), 2, 8, |_| 8, cap),
-            None
-        );
+        assert_eq!(sink.on_commit(2, 8, |_| 8, cap), None);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -875,16 +870,12 @@ mod tests {
     fn sink_disables_itself_on_unjournalable_capture() {
         let dir = tmpdir("disable");
         let w = CkptWriter::create(&dir, "w", META, &[0; 8]).unwrap();
-        let sink = CkptSink::new(w);
-        assert_eq!(
-            sink.on_commit(CkptPolicy::EveryChunks(1), 1, 4, |_| 0, |_, _| false),
-            None
-        );
+        let sink = CkptSink::new(w, CkptPolicy::EveryChunks(1));
+        assert_eq!(sink.on_commit(1, 4, |_| 0, |_, _| false), None);
         assert!(sink.error().unwrap().contains("unjournalable"));
         // Permanently disabled, even for a journalable later capture.
         assert_eq!(
             sink.on_commit(
-                CkptPolicy::EveryChunks(1),
                 2,
                 8,
                 |_| 0,

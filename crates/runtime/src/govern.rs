@@ -351,10 +351,9 @@ pub struct RunConfig {
     pub cancel: CancelToken,
     /// Observability options (event ring).
     pub observe: Observe,
-    /// When the leader captures durable checkpoints ([`CkptPolicy::Off`]
-    /// by default: zero durability overhead).
-    pub ckpt: CkptPolicy,
-    /// Where checkpoints go; required iff `ckpt` is not `Off`.
+    /// Where durable checkpoints go, and when they are captured (the
+    /// sink's [`CkptPolicy`]). `None` by default: zero durability
+    /// overhead.
     pub ckpt_sink: Option<CkptSink>,
     /// Silent-data-corruption defense: when committed chunk bytes are
     /// verified ([`VerifyPolicy::Off`] by default: one branch per chunk).
@@ -377,37 +376,20 @@ impl RunConfig {
                 )));
             }
         }
-        match self.ckpt {
-            CkptPolicy::Off => {
-                if self.ckpt_sink.is_some() {
-                    return Err(RunError::InvalidConfig(
-                        "a checkpoint sink is configured but the policy is Off: \
-                         nothing would ever be written; set a policy or drop the sink"
-                            .into(),
-                    ));
-                }
-            }
-            CkptPolicy::EveryChunks(0) => {
+        match self.ckpt_sink.as_ref().map(CkptSink::policy) {
+            Some(CkptPolicy::EveryChunks(0)) => {
                 return Err(RunError::InvalidConfig(
                     "CkptPolicy::EveryChunks(0) can never be due; use at least 1".into(),
                 ));
             }
-            CkptPolicy::EveryMillis(0) => {
+            Some(CkptPolicy::EveryMillis(0)) => {
                 return Err(RunError::InvalidConfig(
                     "CkptPolicy::EveryMillis(0) degenerates to every-chunk; \
                      use EveryChunks(1) to say that, or a real interval"
                         .into(),
                 ));
             }
-            _ => {
-                if self.ckpt_sink.is_none() {
-                    return Err(RunError::InvalidConfig(format!(
-                        "checkpoint policy {:?} has no sink: the run would silently \
-                         lose its durability guarantee; attach a CkptSink",
-                        self.ckpt
-                    )));
-                }
-            }
+            _ => {}
         }
         if self.verify == VerifyPolicy::Sampled(0) {
             return Err(RunError::InvalidConfig(
@@ -630,9 +612,18 @@ mod tests {
 
     #[test]
     fn validate_rejects_degenerate_checkpoint_policies() {
+        let dir =
+            std::env::temp_dir().join(format!("cascade-govern-validate-{}", std::process::id()));
         for ckpt in [CkptPolicy::EveryChunks(0), CkptPolicy::EveryMillis(0)] {
+            let _ = std::fs::remove_dir_all(&dir);
+            let meta = crate::ckpt::CkptMeta {
+                loop_index: 0,
+                iters: 8,
+                iters_per_chunk: 2,
+            };
+            let writer = crate::ckpt::CkptWriter::create(&dir, "w", meta, &[0; 4]).unwrap();
             let cfg = RunConfig {
-                ckpt,
+                ckpt_sink: Some(CkptSink::new(writer, ckpt)),
                 ..RunConfig::default()
             };
             assert!(
@@ -640,6 +631,7 @@ mod tests {
                 "{ckpt:?} must be refused"
             );
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -671,41 +663,5 @@ mod tests {
             !VerifyPolicy::Sampled(0).replays(0),
             "degenerate k never divides"
         );
-    }
-
-    #[test]
-    fn validate_rejects_policy_without_sink_and_sink_without_policy() {
-        let cfg = RunConfig {
-            ckpt: CkptPolicy::EveryChunks(1),
-            ..RunConfig::default()
-        };
-        match cfg.try_validate() {
-            Err(RunError::InvalidConfig(m)) => assert!(m.contains("sink"), "{m}"),
-            other => panic!("policy without sink must be refused, got {other:?}"),
-        }
-
-        let dir =
-            std::env::temp_dir().join(format!("cascade-govern-validate-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let writer = crate::ckpt::CkptWriter::create(
-            &dir,
-            "w",
-            crate::ckpt::CkptMeta {
-                loop_index: 0,
-                iters: 8,
-                iters_per_chunk: 2,
-            },
-            &[0; 4],
-        )
-        .unwrap();
-        let cfg = RunConfig {
-            ckpt_sink: Some(CkptSink::new(writer)),
-            ..RunConfig::default()
-        };
-        match cfg.try_validate() {
-            Err(RunError::InvalidConfig(m)) => assert!(m.contains("Off"), "{m}"),
-            other => panic!("sink without policy must be refused, got {other:?}"),
-        }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -21,9 +21,10 @@
 //!
 //! * every worker catches its own panics per chunk and poisons the token
 //!   with a [`PoisonCause::Panicked`] diagnostic (thread, chunk, message);
-//! * with a watchdog window set, waiters use bounded token waits and
-//!   declare a stall — poisoning the token with [`PoisonCause::Stalled`] —
-//!   when the token does not move for a whole window;
+//! * with a watchdog window set, every waiter — a claimant, or a helper
+//!   caught up with its horizon — declares a stall, poisoning the token
+//!   with [`PoisonCause::Stalled`], when the token does not move for a
+//!   whole window (one wait, `governed_wait`, serves them all);
 //! * token hand-off is a compare-and-swap ([`Token::try_advance`]), so a
 //!   worker the watchdog declared dead can finish late ([`
 //!   FaultEvent::LateCompletion`]) but can never resurrect a poisoned
@@ -105,7 +106,6 @@ use cascade_core::{
 };
 
 use crate::barrier::{BarrierOutcome, FtBarrier};
-use crate::ckpt::CkptPolicy;
 use crate::govern::{CancelKind, CancelState, CancelToken, Governor, RunConfig};
 use crate::health::{HealthRegistry, StrikeVerdict};
 use crate::kernel::RealKernel;
@@ -193,17 +193,19 @@ impl Default for RetryPolicy {
 /// performance knobs stay orthogonal to the failure-handling ones.
 #[derive(Debug, Clone, Default)]
 pub struct Tolerance {
-    /// Progress-watchdog window: when set, a waiter that sees no token
-    /// movement at all for a whole window declares a stall and poisons the
-    /// token. `None` (the default) waits unboundedly, like the original
-    /// runtime. Note the watchdog is waiter-driven: a single-thread
-    /// cascade has no waiters and therefore no stall detection (it cannot
-    /// deadlock on the token either — it always holds it). Progress
-    /// moves once per chunk — the token here, a DOACROSS frontier under
-    /// [`try_run_planned`](crate::try_run_planned), whose waiters include
-    /// a pipelined consumer's gate on its producer's frontier — so the
-    /// window must exceed one chunk's execution time, or a healthy peer's
-    /// chunk reads as a stall.
+    /// Progress-watchdog window: when set, a waiter that sees no progress
+    /// at all for a whole window declares a stall and poisons the token.
+    /// A waiter is any worker that waits on another's progress: a
+    /// claimant waiting for its chunk, a helper caught up with its
+    /// kernel's [`RealKernel::helper_horizon`], or, under
+    /// [`try_run_planned`](crate::try_run_planned), a split stage's gate
+    /// (a DOACROSS chunk's, or a pipelined consumer's on its producer's
+    /// frontier). `None` (the default) waits unboundedly. The watchdog is
+    /// waiter-driven: a single-thread cascade has no waiters and therefore
+    /// no stall detection (it cannot deadlock on the token either — it
+    /// always holds it). Progress moves once per chunk — the token, or a
+    /// frontier — so the window must exceed one chunk's execution time, or
+    /// a healthy peer's chunk reads as a stall.
     pub watchdog: Option<Duration>,
     /// In-cascade recovery: re-execute a faulted chunk on a healthy
     /// worker, quarantining the failed thread and remapping its chunks
@@ -617,8 +619,9 @@ pub struct ThreadStats {
     /// Helper phases abandoned before covering their chunk (token
     /// arrival, jump-out, or roster remap).
     pub jump_outs: u64,
-    /// Helper poll batches that stalled waiting for the dependence
-    /// horizon to grow (horizon-gated kernels only).
+    /// Helper poll batches that waited for the dependence horizon to
+    /// grow, one per wait however long it lasted (horizon-gated kernels
+    /// only).
     pub horizon_stalls: u64,
     /// Bytes packed into the sequential buffer by restructure helpers.
     pub packed_bytes: u64,
@@ -856,11 +859,6 @@ fn run_error_from(cause: &PoisonCause) -> RunError {
             thread: *thread,
             chunk: *chunk,
             committed_iters: *resume_at,
-        },
-        // Unreachable for tokens this module creates, but kept total.
-        PoisonCause::Unspecified => RunError::WorkerPanicked {
-            thread: 0,
-            chunk: 0,
         },
     }
 }
@@ -1108,7 +1106,7 @@ impl Roster {
 /// Recovery state shared across a whole run — or a whole loop *sequence*,
 /// so a worker quarantined in loop `l` stays quarantined in loop `l + 1`
 /// and the retry budget is global.
-struct Recovery {
+pub(crate) struct Recovery {
     health: HealthRegistry,
     /// Remaining chunk re-executions (see [`RetryPolicy::budget`]).
     budget: AtomicU64,
@@ -1326,7 +1324,7 @@ pub(crate) fn run_stages<K: RealKernel>(
     cfg: &RunConfig,
 ) -> Result<Vec<RunStats>, RunError> {
     cfg.try_validate()?;
-    if kernels.len() > 1 && cfg.ckpt != CkptPolicy::Off {
+    if kernels.len() > 1 && cfg.ckpt_sink.is_some() {
         // A checkpoint manifest describes exactly one loop's committed
         // prefix; silently checkpointing only part of a sequence would
         // hand back a resume point that skips later loops. Refuse until
@@ -1717,7 +1715,6 @@ unsafe fn publish_ckpt<K: RealKernel>(
     let t0 = Instant::now();
     let written = catch_unwind(AssertUnwindSafe(|| {
         sink.on_commit(
-            cfg.ckpt,
             chunks,
             iters,
             |c| plan.range(c).start,
@@ -1751,19 +1748,6 @@ fn loop_stamps(
     Some((s, e))
 }
 
-/// Should the helper for chunk `j` stop and go claim? True when the token
-/// has reached (or passed) `j`, is poisoned, the run was cancelled, or
-/// the roster was remapped — in the last case `j` may no longer be ours
-/// to help for.
-#[inline]
-fn helper_jump_out(run: &FtRun, cancel: &CancelToken, j: u64, epoch: u64) -> bool {
-    let raw = run.token.raw();
-    raw == POISONED
-        || Token::chunk_index(raw) >= j
-        || run.roster.epoch() != epoch
-        || cancel.is_cancelled()
-}
-
 /// What one helper phase accomplished.
 #[derive(Debug, Default, Clone, Copy)]
 struct HelperOut {
@@ -1772,7 +1756,7 @@ struct HelperOut {
     /// Iterations covered by helper work (prefetched or packed).
     helped_iters: u64,
     /// Poll batches that found no headroom below the dependence horizon
-    /// and spun waiting for the token to commit more chunks.
+    /// and waited for the token to commit more chunks.
     horizon_stalls: u64,
     /// The phase was abandoned (token arrival / jump-out / remap) before
     /// covering its whole range.
@@ -1789,20 +1773,28 @@ struct HelperOut {
 /// the chunk the token currently licenses: every value such an `i` reads
 /// was produced by an already-committed chunk and is visible through the
 /// token's Acquire load. The horizon *grows* as the token advances, so
-/// the helper re-reads it each poll batch and spins (still watching for
-/// jump-out) while it has caught up with the horizon.
+/// the helper re-reads it each poll batch; a batch that has caught up
+/// with it waits in the [`governed_wait`] until the horizon grows or the
+/// helper must jump out, so a stalled executor ahead of it is declared
+/// stalled as it would be at the claim.
 #[allow(clippy::too_many_arguments)] // a phase is naturally parameterized by all of these
 fn helper_phase<K: RealKernel>(
     kernel: &K,
     cfg: &RunConfig,
     run: &FtRun,
+    rec: &Recovery,
     plan: &ChunkPlan,
+    t: u64,
     j: u64,
     epoch: u64,
     range: &Range<u64>,
     buf: &mut Vec<u8>,
 ) -> HelperOut {
     let mut out = HelperOut::default();
+    let policy = cfg.runner.policy;
+    if policy == RtPolicy::None {
+        return out;
+    }
     let horizon = kernel.helper_horizon();
     let m = plan.num_chunks();
     // Cap a batch end at the current helper horizon. The token read is
@@ -1826,50 +1818,50 @@ fn helper_phase<K: RealKernel>(
             }
         }
     };
-    let poll_batch = cfg.runner.poll_batch;
-    match cfg.runner.policy {
-        RtPolicy::None => {}
-        RtPolicy::Prefetch => {
-            let mut i = range.start;
-            while !helper_jump_out(run, &cfg.cancel, j, epoch) && i < range.end {
-                let batch_end = horizon_cap((i + poll_batch).min(range.end));
-                if batch_end <= i {
-                    // Caught up with the horizon: wait for the token to
-                    // commit more chunks (or arrive, via jump-out).
-                    out.horizon_stalls += 1;
-                    std::hint::spin_loop();
-                    continue;
-                }
-                kernel.prefetch_range(i..batch_end);
-                out.helped_iters += batch_end - i;
-                i = batch_end;
+    // Stop and go claim once the token has reached (or passed) `j`, is
+    // poisoned, the run was cancelled, or the roster was remapped — then
+    // `j` may no longer be ours to help for.
+    let jump_out = || {
+        let raw = run.token.raw();
+        raw == POISONED
+            || Token::chunk_index(raw) >= j
+            || run.roster.epoch() != epoch
+            || cfg.cancel.is_cancelled()
+    };
+    buf.clear();
+    let mut i = range.start;
+    let mut supported = true;
+    while supported && i < range.end && !jump_out() {
+        let want = (i + cfg.runner.poll_batch).min(range.end);
+        let batch_end = horizon_cap(want);
+        if batch_end <= i {
+            // Caught up with the horizon: wait for the token to commit
+            // more chunks (or arrive, via jump-out).
+            out.horizon_stalls += 1;
+            let grown = || (jump_out() || horizon_cap(want) > i).then_some(());
+            let waiter = Waiter::Cascade { rec, t };
+            if governed_wait(run, None, cfg, waiter, grown, || run.token.raw()).is_none() {
+                break;
             }
-            out.jumped_out = i < range.end;
+            continue;
         }
-        RtPolicy::Restructure => {
-            buf.clear();
-            let mut i = range.start;
-            let mut supported = true;
-            while supported && !helper_jump_out(run, &cfg.cancel, j, epoch) && i < range.end {
-                let batch_end = horizon_cap((i + poll_batch).min(range.end));
-                if batch_end <= i {
-                    out.horizon_stalls += 1;
-                    std::hint::spin_loop();
-                    continue;
-                }
-                supported = kernel.pack_range(i..batch_end, buf);
-                i = batch_end;
-            }
-            if supported {
-                out.packed_iters = i - range.start;
-            } else {
-                // Kernel cannot pack: degrade to nothing packed.
-                buf.clear();
-            }
-            out.helped_iters = out.packed_iters;
-            out.jumped_out = supported && i < range.end;
+        if policy == RtPolicy::Prefetch {
+            kernel.prefetch_range(i..batch_end);
+        } else {
+            supported = kernel.pack_range(i..batch_end, buf);
         }
+        i = batch_end;
     }
+    if !supported {
+        // Kernel cannot pack: degrade to nothing packed.
+        buf.clear();
+        return out;
+    }
+    out.helped_iters = i - range.start;
+    if policy == RtPolicy::Restructure {
+        out.packed_iters = out.helped_iters;
+    }
+    out.jumped_out = i < range.end;
     out
 }
 
@@ -1884,10 +1876,9 @@ enum ChunkClaim {
     /// The roster epoch moved while we waited: our ownership of `j` may be
     /// stale, recompute.
     Remapped,
-    /// The token is poisoned: drain.
-    Poisoned,
-    /// We were quarantined while waiting: drain.
-    Quarantined,
+    /// The wait halted: the token is poisoned, the run was cancelled, or
+    /// we were quarantined. Drain.
+    Halted,
 }
 
 /// What a waiter should do after declaring a stall.
@@ -1927,7 +1918,7 @@ pub(crate) fn poison_stalled(
 }
 
 /// A full watchdog window elapsed with no token movement at all. Without
-/// retry, poison immediately (PR 1 behavior). With retry, strike the
+/// retry, poison immediately. With retry, strike the
 /// suspect — the stuck chunk's roster owner, or the recorded claimant
 /// when an executor went quiet mid-body — granting exponential backoff;
 /// on a quarantine verdict either remap the chunk to survivors (it was
@@ -2003,75 +1994,127 @@ fn declare_stall(
     }
 }
 
-/// Wait for chunk `j` and claim it. With a watchdog window, the waiter
-/// re-arms its deadline every time the raw token value moves (grants and
-/// claims both count as progress); a full window with no movement climbs
-/// the stall ladder in [`declare_stall`]. Only an armed watchdog reads
-/// the clock: one read stamps the wait's start and its first deadline.
+/// Spins between two polls of a [`governed_wait`]. Counted on the
+/// `dense_handoff`, `planned_mix` and `zoo_prefetch` benchmark workloads,
+/// at least 98 % of the claim, gate and horizon-stall waits end sooner
+/// (EXPERIMENTS.md has the counts), so a fault-free wait seldom polls.
+const POLL_SPINS: u32 = 1024;
+
+/// Who waits in a [`governed_wait`], and what a stall means to it.
+#[derive(Clone, Copy)]
+pub(crate) enum Waiter<'a> {
+    /// Worker `t` of a cascaded stage, at its claim or at its helper's
+    /// horizon: it also stops once quarantined, and a stall climbs the
+    /// recovery ladder ([`declare_stall`]).
+    Cascade { rec: &'a Recovery, t: u64 },
+    /// The gate of a split stage's `chunk`: a stall poisons the stage
+    /// ([`poison_stalled`]).
+    Gate { chunk: u64 },
+}
+
+/// Whether a worker of `run` must stop: its token, or that of the stage
+/// `feeding` it (a pipelined consumer's producer), is poisoned, or a
+/// cancel arrived, which the worker then poisons the token with.
+pub(crate) fn halted(run: &FtRun, feeding: Option<&FtRun>, cancel: &CancelToken) -> bool {
+    if run.token.is_poisoned() || feeding.is_some_and(|f| f.token.is_poisoned()) {
+        return true;
+    }
+    if cancel.is_cancelled() {
+        poison_cancelled(run, cancel);
+        return true;
+    }
+    false
+}
+
+/// The one wait of the runtime: spin until `ready` yields a value. Every
+/// [`POLL_SPINS`] spins the wait polls governance and yields: it returns
+/// `None` when the worker must stop ([`halted`], or a quarantined
+/// [`Waiter::Cascade`]). With a watchdog window armed, the first poll
+/// reads the clock and the `progress` word and opens the window; every
+/// later poll re-arms it if the word moved, and once a whole window has
+/// passed without movement the waiter's stall verdict decides: keep
+/// waiting (a strike backoff) or stop. Without a watchdog the wait never
+/// reads the clock.
+pub(crate) fn governed_wait<T>(
+    run: &FtRun,
+    feeding: Option<&FtRun>,
+    cfg: &RunConfig,
+    waiter: Waiter<'_>,
+    mut ready: impl FnMut() -> Option<T>,
+    progress: impl Fn() -> u64,
+) -> Option<T> {
+    // (last movement seen, deadline, progress word then)
+    let mut window: Option<(Instant, Instant, u64)> = None;
+    let mut spins = 0u32;
+    loop {
+        if let Some(v) = ready() {
+            return Some(v);
+        }
+        std::hint::spin_loop();
+        spins = spins.wrapping_add(1);
+        if !spins.is_multiple_of(POLL_SPINS) {
+            continue;
+        }
+        let quarantined = match waiter {
+            Waiter::Cascade { rec, t } => rec.health.is_quarantined(t),
+            Waiter::Gate { .. } => false,
+        };
+        // Poisoning on a cancel while another executor holds a claim is
+        // safe: its `completed` store precedes the advance the poison
+        // refuses, so the resume point stays exact.
+        if quarantined || halted(run, feeding, &cfg.cancel) {
+            return None;
+        }
+        if let Some(w) = cfg.tolerance.watchdog {
+            let (now, seen) = (Instant::now(), progress());
+            match window {
+                Some((moved, deadline, observed)) if seen == observed => {
+                    if now >= deadline {
+                        let waited = now - moved;
+                        let action = match waiter {
+                            Waiter::Cascade { rec, t } => {
+                                declare_stall(run, rec, t, seen, waited, w)
+                            }
+                            Waiter::Gate { chunk } => poison_stalled(run, chunk, waited, None),
+                        };
+                        match action {
+                            StallAction::Wait(extra) => window = Some((moved, now + extra, seen)),
+                            StallAction::Poisoned => return None,
+                        }
+                    }
+                }
+                _ => window = Some((now, now + w, seen)),
+            }
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// Wait for chunk `j` and claim it, in the [`governed_wait`]. Grants and
+/// claims both move the token, so both count as progress; a whole window
+/// with no movement climbs the stall ladder in [`declare_stall`].
 fn wait_to_claim(
     run: &FtRun,
     rec: &Recovery,
-    watchdog: Option<Duration>,
-    cancel: &CancelToken,
+    cfg: &RunConfig,
     t: u64,
     j: u64,
     epoch: u64,
 ) -> ChunkClaim {
-    let started = watchdog.map(|w| (Instant::now(), w));
-    let mut observed = run.token.raw();
-    let mut deadline = started.map(|(at, w)| at + w);
-    let mut spins = 0u64;
-    loop {
-        let raw = run.token.raw();
-        match Token::decode(raw) {
-            TokenView::Poisoned => return ChunkClaim::Poisoned,
-            TokenView::Granted(p) | TokenView::Claimed(p) if p > j => {
-                return ChunkClaim::Superseded
-            }
-            TokenView::Granted(p) if p == j && run.token.try_claim(j) => {
-                run.token.handoff().claimant.store(t, Ordering::Release);
-                return ChunkClaim::Claimed;
-                // A claimant that loses the CAS falls to `_` instead and
-                // re-observes the token (Superseded soon).
-            }
-            _ => {}
+    let claim = || match Token::decode(run.token.raw()) {
+        TokenView::Poisoned => Some(ChunkClaim::Halted),
+        TokenView::Granted(p) | TokenView::Claimed(p) if p > j => Some(ChunkClaim::Superseded),
+        TokenView::Granted(p) if p == j && run.token.try_claim(j) => {
+            run.token.handoff().claimant.store(t, Ordering::Release);
+            Some(ChunkClaim::Claimed)
+            // A claimant that loses the CAS falls through instead and
+            // re-observes the token (Superseded soon).
         }
-        if run.roster.epoch() != epoch {
-            return ChunkClaim::Remapped;
-        }
-        std::hint::spin_loop();
-        spins += 1;
-        if spins.is_multiple_of(1024) {
-            if rec.health.is_quarantined(t) {
-                return ChunkClaim::Quarantined;
-            }
-            if cancel.is_cancelled() {
-                // Poisoning while another executor holds a claim is safe:
-                // its `completed` bump precedes the advance the poison
-                // refuses, so the resume point stays exact
-                // (LateCompletion, like a watchdog poison).
-                poison_cancelled(run, cancel);
-                return ChunkClaim::Poisoned;
-            }
-            if let (Some((at, window)), Some(d)) = (started, deadline) {
-                let now = Instant::now();
-                let raw_now = run.token.raw();
-                if raw_now != observed {
-                    observed = raw_now;
-                    deadline = Some(now + window);
-                } else if now >= d {
-                    if raw_now == POISONED {
-                        return ChunkClaim::Poisoned;
-                    }
-                    match declare_stall(run, rec, t, raw_now, at.elapsed(), window) {
-                        StallAction::Wait(extra) => deadline = Some(now + extra),
-                        StallAction::Poisoned => return ChunkClaim::Poisoned,
-                    }
-                }
-            }
-            std::thread::yield_now();
-        }
-    }
+        _ if run.roster.epoch() != epoch => Some(ChunkClaim::Remapped),
+        _ => None,
+    };
+    let waiter = Waiter::Cascade { rec, t };
+    governed_wait(run, None, cfg, waiter, claim, || run.token.raw()).unwrap_or(ChunkClaim::Halted)
 }
 
 /// Handle a worker panic at chunk `j` (`claimed` = during the execution
@@ -2580,7 +2623,7 @@ fn ft_worker<K: RealKernel>(
     buf: &mut Vec<u8>,
     jbuf: &mut Vec<u8>,
 ) -> ThreadStats {
-    let (tol, cancel, policy) = (&cfg.tolerance, &cfg.cancel, cfg.runner.policy);
+    let (cancel, policy) = (&cfg.cancel, cfg.runner.policy);
     // The recorder's transitions replace ad-hoc `Instant` pairs: one
     // timestamp both closes the outgoing phase and opens the incoming
     // one, so the per-phase totals tile this worker's wall time exactly.
@@ -2634,7 +2677,7 @@ fn ft_worker<K: RealKernel>(
         phases.transition(PhaseKind::Helper, Some(j));
         let buf_cap0 = buf.capacity();
         let helper = catch_unwind(AssertUnwindSafe(|| {
-            helper_phase(kernel, cfg, run, plan, j, epoch, &range, buf)
+            helper_phase(kernel, cfg, run, rec, plan, t, j, epoch, &range, buf)
         }));
         let helper = match helper {
             Ok(out) => out,
@@ -2670,7 +2713,7 @@ fn ft_worker<K: RealKernel>(
 
         // --- wait for the token and claim the chunk ---
         phases.transition(PhaseKind::Spin, Some(j));
-        let claim = wait_to_claim(run, rec, tol.watchdog, cancel, t, j, epoch);
+        let claim = wait_to_claim(run, rec, cfg, t, j, epoch);
         // A won claim goes straight to Execute, with no clock read between
         // the claim and the body, unless the predecessor's handoff is
         // verified first: that audit's time stays in Other.
@@ -2683,7 +2726,7 @@ fn ft_worker<K: RealKernel>(
         match claim {
             ChunkClaim::Claimed => {}
             ChunkClaim::Superseded | ChunkClaim::Remapped => continue,
-            ChunkClaim::Poisoned | ChunkClaim::Quarantined => return phases.finish(stats),
+            ChunkClaim::Halted => return phases.finish(stats),
         }
         if cancel.is_cancelled() {
             // We hold the claim but the body never started: the chunk is
@@ -3323,7 +3366,7 @@ mod tests {
         .expect("stall must salvage");
         assert!(stats.degraded);
         // A stall is declared only after a whole window without token
-        // movement, measured from the wait's own start.
+        // movement, measured from the waiter's first look at the token.
         assert!(
             stats.faults.iter().any(|f| matches!(
                 f,
@@ -3341,6 +3384,117 @@ mod tests {
             stats.faults
         );
         assert_eq!(k.into_inner().into_data(), expected);
+    }
+
+    /// `y(i + 1) = f(y(i), x(i))` over `n` iterations: a carried read one
+    /// iteration back, so the analyzer gives its helpers a horizon of 1.
+    fn recurrence_program(n: u64) -> crate::SpecProgram {
+        use cascade_trace::{
+            AddressSpace, Arena, IndexStore, LoopSpec, Mode, Pattern, StreamRef, Workload,
+        };
+        let mut space = AddressSpace::new();
+        let x = space.alloc("x", 8, n);
+        let y = space.alloc("y", 8, n + 1);
+        let stream = |name, array, base, mode| StreamRef {
+            name,
+            array,
+            pattern: Pattern::Affine { base, stride: 1 },
+            mode,
+            bytes: 8,
+            hoistable: false,
+        };
+        let refs = vec![
+            stream("x(i)", x, 0, Mode::Read),
+            stream("y(i)", y, 0, Mode::Read),
+            stream("y(i+1)", y, 1, Mode::Write),
+        ];
+        let w = Workload {
+            space,
+            index: IndexStore::new(),
+            loops: vec![LoopSpec {
+                name: "recurrence".into(),
+                iters: n,
+                refs,
+                compute: 2.0,
+                hoistable_compute: 0.0,
+                hoist_result_bytes: 0,
+            }],
+        };
+        let mut arena = Arena::new(&w.space);
+        for i in 0..n {
+            arena.set_f64(&w.space, x, i, (i % 17) as f64 * 0.25 - 1.0);
+        }
+        arena.set_f64(&w.space, y, 0, 0.75);
+        crate::SpecProgram::new(w, arena).unwrap()
+    }
+
+    /// A helper that has caught up with its kernel's horizon waits for the
+    /// token like a claimant does, so a stalled executor ahead of it is
+    /// declared stalled. Two workers: while worker 0 sleeps through chunk
+    /// 4, worker 1's helper for chunk 5 waits at the horizon (one
+    /// iteration into chunk 4) and is the only waiter. The declared chunk
+    /// is not pinned: a host that takes a worker's core for a whole window
+    /// can make a healthy chunk the first one declared, through the same
+    /// wait.
+    #[test]
+    fn horizon_gated_helper_declares_a_stalled_executor() {
+        const N: u64 = 4096;
+        const CHUNK: u64 = 256;
+        let window = Duration::from_millis(25);
+        let expected = {
+            let mut prog = recurrence_program(N);
+            // SAFETY: single-threaded.
+            unsafe { prog.kernel(0).execute(0..N) };
+            prog.checksum()
+        };
+        for policy in [RtPolicy::Prefetch, RtPolicy::Restructure] {
+            for tolerance in [
+                Tolerance {
+                    watchdog: Some(window),
+                    ..Tolerance::fail_fast()
+                },
+                Tolerance::resilient(window),
+            ] {
+                let mut prog = recurrence_program(N);
+                let stall = FaultKind::Stall(Duration::from_millis(80));
+                let k = FaultyKernel::new(prog.kernel(0), FaultPlan::new(CHUNK).inject(4, stall));
+                assert_eq!(k.helper_horizon(), Some(1));
+                let cfg = RunConfig {
+                    runner: RunnerConfig {
+                        nthreads: 2,
+                        iters_per_chunk: CHUNK,
+                        policy,
+                        poll_batch: 8,
+                    },
+                    tolerance: tolerance.clone(),
+                    ..RunConfig::default()
+                };
+                let result = try_run_governed(&k, &cfg);
+                drop(k);
+                if !tolerance.salvage {
+                    assert!(
+                        matches!(result, Err(RunError::Stalled { waited, .. }) if waited >= window),
+                        "{policy:?}: expected a declared stall, got {result:?}"
+                    );
+                    continue;
+                }
+                let stats = result.expect("a stall is salvaged");
+                assert!(stats.degraded, "{policy:?}: the run waited the stall out");
+                assert!(
+                    stats
+                        .faults
+                        .iter()
+                        .any(|f| matches!(f, FaultEvent::StallDeclared { .. })),
+                    "{policy:?}: missing stall event: {:?}",
+                    stats.faults
+                );
+                assert_eq!(
+                    prog.checksum(),
+                    expected,
+                    "{policy:?}: salvage is not bitwise"
+                );
+            }
+        }
     }
 
     #[test]

@@ -147,13 +147,12 @@ use cascade_analyze::plan::{Schedule, TransformPlan};
 use cascade_core::{CascadeMetrics, ChunkPlan, PhaseKind};
 use cascade_trace::LoopSpec;
 
-use crate::ckpt::CkptPolicy;
 use crate::govern::RunConfig;
 use crate::kernel::RealKernel;
 use crate::metrics::PhaseRecorder;
 use crate::runner::{
-    captures, chunk_panicked, journal_chunk, poison_cancelled, poison_stalled, roll_back_chunk,
-    run_stages, FaultEvent, FtRun, RtPolicy, RunError, RunStats, ThreadStats,
+    captures, chunk_panicked, governed_wait, halted, journal_chunk, roll_back_chunk, run_stages,
+    FaultEvent, FtRun, RtPolicy, RunError, RunStats, ThreadStats, Waiter,
 };
 
 /// A counter on its own cache line, so one worker's stores never
@@ -607,27 +606,12 @@ fn gate_target(w: u64, d: u64, c: u64, n: u64, iters: u64) -> u64 {
     }
 }
 
-/// Poll governance at a boundary: returns `true` when the stage must
-/// halt — its token or its `producer`'s is poisoned (a peer's fault or a
-/// cancel), or a cancel arrived, which this worker then poisons the token
-/// with.
-fn halted(run: &FtRun, producer: Option<&FtRun>, cfg: &RunConfig) -> bool {
-    if run.token.is_poisoned() || producer.is_some_and(|p| p.token.is_poisoned()) {
-        return true;
-    }
-    if cfg.cancel.is_cancelled() {
-        poison_cancelled(run, &cfg.cancel);
-        return true;
-    }
-    false
-}
-
-/// A chunk's gate: spin with `Acquire` loads until the frontiers of
+/// A chunk's gate: wait, in the [`governed_wait`], until the frontiers of
 /// `source` (the stage's own, or a consumer's producer's) prove every
-/// iteration `≤ d` committed. Returns `false` when the stage must halt
-/// instead (cancel, a fault in it or in its `producer`, or a
-/// watchdog-declared stall, which poisons the token).
-#[allow(clippy::too_many_arguments)] // a gate is parameterized by all of these
+/// iteration `≤ d` committed. Any frontier movement re-arms the watchdog
+/// window. Returns `false` when the stage must halt instead (cancel, a
+/// fault in it or in its `producer`, or a watchdog-declared stall, which
+/// poisons the token).
 fn wait_committed(
     run: &FtRun,
     producer: Option<&FtRun>,
@@ -638,38 +622,13 @@ fn wait_committed(
     iters: u64,
 ) -> bool {
     let frontier = |w: u64| source.slot(w);
-    let c = cfg.runner.iters_per_chunk;
-    let n = source.slots.len() as u64;
-    let mut window_start = Instant::now();
-    let mut last_snapshot: Option<u64> = None;
-    let mut spins = 0u32;
-    let open = loop {
-        if gate_open(d, c, iters, n, frontier) {
-            break true;
-        }
-        // Any frontier movement resets the watchdog window; a whole
-        // window with frozen frontiers is a stall.
-        let snapshot = (0..n).map(frontier).fold(0, u64::wrapping_add);
-        if last_snapshot != Some(snapshot) {
-            last_snapshot = Some(snapshot);
-            window_start = Instant::now();
-        }
-        spins = spins.wrapping_add(1);
-        if spins.is_multiple_of(64) {
-            if halted(run, producer, cfg) {
-                break false;
-            }
-            std::thread::yield_now();
-            if let Some(w) = cfg.tolerance.watchdog {
-                if window_start.elapsed() >= w {
-                    poison_stalled(run, chunk, w, None);
-                    break false;
-                }
-            }
-        }
-        std::hint::spin_loop();
-    };
-    open && !run.token.is_poisoned() && !producer.is_some_and(|p| p.token.is_poisoned())
+    let (c, n) = (cfg.runner.iters_per_chunk, source.slots.len() as u64);
+    let open = || gate_open(d, c, iters, n, frontier).then_some(());
+    let progress = || (0..n).map(frontier).fold(0, u64::wrapping_add);
+    let waiter = Waiter::Gate { chunk };
+    governed_wait(run, producer, cfg, waiter, open, progress).is_some()
+        && !run.token.is_poisoned()
+        && !producer.is_some_and(|p| p.token.is_poisoned())
 }
 
 /// Worker `t`'s share of a split stage of the engine, in ascending chunk
@@ -711,7 +670,7 @@ pub(crate) fn run_stage<K: RealKernel>(
     // DOACROSS one lies past its owner's frontier).
     let mut dropped = None;
     loop {
-        if halted(run, producer, cfg) {
+        if halted(run, producer, &cfg.cancel) {
             break;
         }
         let next = match lag {
@@ -841,7 +800,7 @@ pub fn try_run_planned<K: RealKernel>(
     plan: &TransformPlan,
     cfg: &RunConfig,
 ) -> Result<PlannedStats, RunError> {
-    if !matches!(cfg.ckpt, CkptPolicy::Off) {
+    if cfg.ckpt_sink.is_some() {
         return Err(RunError::InvalidConfig(
             "durable checkpoints are not supported in plan mode; use --mode cascade".into(),
         ));

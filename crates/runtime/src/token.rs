@@ -120,8 +120,6 @@ pub enum PoisonCause {
         /// every iteration below it is committed and uncorrupted.
         resume_at: u64,
     },
-    /// Poisoned via the legacy diagnostic-free [`Token::poison`].
-    Unspecified,
 }
 
 impl std::fmt::Display for PoisonCause {
@@ -162,7 +160,6 @@ impl std::fmt::Display for PoisonCause {
                      (clean through iteration {resume_at})"
                 ),
             },
-            PoisonCause::Unspecified => write!(f, "poisoned without diagnostic"),
         }
     }
 }
@@ -248,18 +245,15 @@ impl Token {
         Token::default()
     }
 
-    /// Mark the token poisoned: every current and future waiter panics (or
-    /// observes [`TokenView::Poisoned`]) instead of spinning forever.
-    /// Called when a worker panics mid-chunk, so the failure propagates
-    /// instead of deadlocking the remaining workers.
-    pub fn poison(&self) {
-        self.poison_with(PoisonCause::Unspecified);
-    }
-
-    /// Poison with a diagnostic. The first cause wins; later callers (for
+    /// Mark the token poisoned with a diagnostic: every current and
+    /// future waiter panics (or observes [`TokenView::Poisoned`]) instead
+    /// of spinning forever, so a worker's failure propagates instead of
+    /// deadlocking the others. The first cause wins; later callers (for
     /// instance several waiters declaring the same stall concurrently)
-    /// keep the original diagnostic. Returns `true` when `cause` was the
-    /// one installed — lets the winning caller alone record a fault event.
+    /// keep the original diagnostic. The cause is installed before the
+    /// counter's Release store, so whoever sees the poison finds it.
+    /// Returns `true` when `cause` was the one installed — lets the
+    /// winning caller alone record a fault event.
     pub fn poison_with(&self, cause: PoisonCause) -> bool {
         let installed = {
             let mut slot = lock_recover(&self.cause);
@@ -291,11 +285,7 @@ impl Token {
         if !self.is_poisoned() {
             return None;
         }
-        Some(
-            lock_recover(&self.cause)
-                .clone()
-                .unwrap_or(PoisonCause::Unspecified),
-        )
+        lock_recover(&self.cause).clone()
     }
 
     /// The chunk currently licensed to execute (Acquire: pairs with
@@ -321,8 +311,10 @@ impl Token {
                 return spins;
             }
             if cur == POISONED {
-                let cause = self.poison_cause().unwrap_or(PoisonCause::Unspecified);
-                panic!("cascade token poisoned: {cause}");
+                match self.poison_cause() {
+                    Some(cause) => panic!("cascade token poisoned: {cause}"),
+                    None => panic!("cascade token poisoned"),
+                }
             }
             std::hint::spin_loop();
             spins += 1;
@@ -499,7 +491,9 @@ mod tests {
     fn poison_defeats_every_cas_transition() {
         let t = Token::new();
         assert!(t.try_claim(0));
-        t.poison();
+        t.poison_with(PoisonCause::Cancelled {
+            reason: "test".into(),
+        });
         assert!(!t.try_advance(0), "advance must not resurrect poison");
         assert!(!t.try_unclaim(0), "unclaim must not resurrect poison");
         assert!(!t.try_claim(0));

@@ -195,7 +195,7 @@ fn governed_checkpointed_run_restores_bitwise_from_disk() {
         &base,
     )
     .expect("writer creation");
-    let sink = CkptSink::new(writer);
+    let sink = CkptSink::new(writer, CkptPolicy::EveryChunks(1));
     let cfg = RunConfig {
         runner: RunnerConfig {
             nthreads: 3,
@@ -203,7 +203,6 @@ fn governed_checkpointed_run_restores_bitwise_from_disk() {
             policy: RtPolicy::Restructure,
             poll_batch: 8,
         },
-        ckpt: CkptPolicy::EveryChunks(1),
         ckpt_sink: Some(sink.clone()),
         ..RunConfig::default()
     };
@@ -236,7 +235,10 @@ fn sequence_checkpoint_gate_admits_exactly_one_loop() {
             iters: s.iters,
             iters_per_chunk: s.chunk_iters,
         };
-        let sink = CkptSink::new(CkptWriter::create(&dir, &text, meta, &base).expect("writer"));
+        let sink = CkptSink::new(
+            CkptWriter::create(&dir, &text, meta, &base).expect("writer"),
+            CkptPolicy::EveryChunks(1),
+        );
         let cfg = RunConfig {
             runner: RunnerConfig {
                 nthreads: 2,
@@ -244,7 +246,6 @@ fn sequence_checkpoint_gate_admits_exactly_one_loop() {
                 policy: RtPolicy::None,
                 poll_batch: 8,
             },
-            ckpt: CkptPolicy::EveryChunks(1),
             ckpt_sink: Some(sink.clone()),
             ..RunConfig::default()
         };
@@ -307,8 +308,7 @@ fn every_millis_policy_resumes_bitwise_from_the_last_checkpoint() {
             policy: RtPolicy::Restructure,
             poll_batch: 8,
         },
-        ckpt: CkptPolicy::EveryMillis(1),
-        ckpt_sink: Some(CkptSink::new(writer)),
+        ckpt_sink: Some(CkptSink::new(writer, CkptPolicy::EveryMillis(1))),
         ..RunConfig::default()
     };
     {

@@ -788,8 +788,10 @@ fn corrupted_residue_reports_a_sequence_global_resume_point() {
 }
 
 /// A kernel that fires the run's cancel token as it starts executing the
-/// chunk at iteration `at`, sleeps through the chunk at iteration `slow.0`
-/// first, and counts how often each iteration runs.
+/// chunk at iteration `at`, holds every chunk past it until the cancel has
+/// fired (so the cancelling chunk is never the stage's last to run,
+/// however the workers are scheduled), sleeps through the chunk at
+/// iteration `slow.0` first, and counts how often each iteration runs.
 struct CancelsAt<K> {
     inner: K,
     token: CancelToken,
@@ -829,6 +831,13 @@ impl<K: RealKernel> RealKernel for CancelsAt<K> {
         }
         if range.start == self.at {
             self.token.cancel("cancelled mid-chunk");
+        }
+        if range.start > self.at {
+            // Bounded: a run that never reaches `at` still finishes.
+            let hold = Instant::now() + Duration::from_secs(10);
+            while !self.token.is_cancelled() && Instant::now() < hold {
+                std::thread::yield_now();
+            }
         }
         for i in range.clone() {
             self.runs[i as usize].fetch_add(1, Ordering::Relaxed);

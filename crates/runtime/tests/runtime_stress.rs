@@ -237,9 +237,11 @@ fn a_panicking_kernel_propagates_instead_of_deadlocking() {
 
 #[test]
 fn poisoned_token_panics_waiters() {
-    use cascade_rt::Token;
+    use cascade_rt::{PoisonCause, Token};
     let t = Token::new();
-    t.poison();
+    t.poison_with(PoisonCause::Cancelled {
+        reason: "stop".into(),
+    });
     assert!(t.is_poisoned());
     let r = std::panic::catch_unwind(|| t.wait_for(3));
     assert!(r.is_err(), "waiting on a poisoned token must panic");

@@ -344,7 +344,7 @@ fn kill_during_verify_never_persists_an_unverified_chunk() {
         &base,
     )
     .expect("writer creation");
-    let sink = CkptSink::new(writer);
+    let sink = CkptSink::new(writer, CkptPolicy::EveryChunks(1));
     let run_cfg = RunConfig {
         runner: RunnerConfig {
             nthreads: 3,
@@ -360,7 +360,6 @@ fn kill_during_verify_never_persists_an_unverified_chunk() {
             salvage: false,
         },
         verify: VerifyPolicy::EveryChunk,
-        ckpt: CkptPolicy::EveryChunks(1),
         ckpt_sink: Some(sink.clone()),
         ..RunConfig::default()
     };
@@ -439,7 +438,7 @@ fn repaired_run_checkpoints_the_whole_verified_prefix() {
         &base,
     )
     .expect("writer creation");
-    let sink = CkptSink::new(writer);
+    let sink = CkptSink::new(writer, CkptPolicy::EveryChunks(1));
     let run_cfg = RunConfig {
         runner: RunnerConfig {
             nthreads: 3,
@@ -449,7 +448,6 @@ fn repaired_run_checkpoints_the_whole_verified_prefix() {
         },
         tolerance: Tolerance::retrying(Duration::from_millis(200)),
         verify: VerifyPolicy::EveryChunk,
-        ckpt: CkptPolicy::EveryChunks(1),
         ckpt_sink: Some(sink.clone()),
         ..RunConfig::default()
     };
