@@ -379,9 +379,13 @@ impl<K: RealKernel> RealKernel for FaultyKernel<K> {
         unsafe { self.inner.corrupt_byte(range, offset, xor, in_footprint) }
     }
 
-    unsafe fn scrub_digest(&self) -> Option<u64> {
+    fn scrub_blocks(&self) -> Option<usize> {
+        self.inner.scrub_blocks()
+    }
+
+    unsafe fn scrub_block(&self, b: usize) -> (Range<u64>, u64) {
         // SAFETY: forwarded under the caller's quiescence guarantee.
-        unsafe { self.inner.scrub_digest() }
+        unsafe { self.inner.scrub_block(b) }
     }
 }
 

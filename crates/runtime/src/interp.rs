@@ -62,7 +62,7 @@ use std::cell::UnsafeCell;
 use std::mem::size_of;
 use std::ops::Range;
 use std::slice::ChunksExact;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 use cascade_analyze::{analyze_workload, AnalysisError, Footprint, LoopReport, WorkloadReport};
 use cascade_core::{fnv64_words, FNV64_BASIS};
@@ -79,14 +79,67 @@ pub struct SpecProgram {
     report: WorkloadReport,
     /// One compiled op table per loop, in `workload.loops` order.
     code: Vec<LoopCode>,
-    /// Per loop, the write footprints last asked for
-    /// ([`SpecKernel::write_footprints`]).
-    footprints: Vec<FootprintMemo>,
+    /// Per loop, what its kernels remember of its footprints.
+    memos: Vec<Memo>,
     arena: UnsafeCell<Arena>,
 }
 
-/// One range and its write footprints.
-type FootprintMemo = Mutex<Option<(Range<u64>, Vec<Footprint>)>>;
+/// What a loop's kernels remember of its footprints.
+#[derive(Debug, Default)]
+struct Memo {
+    /// One range and its write footprints, the last asked for
+    /// ([`SpecKernel::write_footprints`]).
+    footprints: Mutex<Option<(Range<u64>, Vec<Footprint>)>>,
+    /// The unwritten gaps cut into scrub blocks, computed on the first
+    /// scrub ([`SpecKernel::gaps`]).
+    gaps: OnceLock<Option<Gaps>>,
+}
+
+/// Bytes per arena-scrub block: a loop's unwritten gaps are cut at every
+/// multiple of this arena offset, and each block is hashed on its own
+/// ([`RealKernel::scrub_block`]), one share of the work the runner's
+/// workers split.
+pub const SCRUB_BLOCK: u64 = 1 << 20;
+
+/// A loop's unwritten gaps, cut at every multiple of [`SCRUB_BLOCK`].
+#[derive(Debug)]
+struct Gaps {
+    /// The gap pieces, ascending; none crosses a block boundary.
+    pieces: Vec<(u64, u64)>,
+    /// Block `b` holds `pieces[starts[b]..starts[b + 1]]`.
+    starts: Box<[usize]>,
+}
+
+impl Gaps {
+    /// Cut `gaps` (disjoint, ascending) at the block boundaries. A block
+    /// is the gap bytes of one [`SCRUB_BLOCK`]-aligned window; a window
+    /// with no gap byte is no block.
+    fn cut(gaps: Vec<(u64, u64)>) -> Self {
+        let (mut pieces, mut starts) = (Vec::new(), Vec::new());
+        for (mut lo, hi) in gaps {
+            while lo < hi {
+                let window = lo / SCRUB_BLOCK;
+                let end = hi.min((window + 1) * SCRUB_BLOCK);
+                if pieces
+                    .last()
+                    .is_none_or(|&(prev, _)| prev / SCRUB_BLOCK != window)
+                {
+                    starts.push(pieces.len());
+                }
+                pieces.push((lo, end));
+                lo = end;
+            }
+        }
+        starts.push(pieces.len());
+        let starts = starts.into_boxed_slice();
+        Gaps { pieces, starts }
+    }
+
+    /// Block `b`'s pieces, ascending.
+    fn block(&self, b: usize) -> &[(u64, u64)] {
+        &self.pieces[self.starts[b]..self.starts[b + 1]]
+    }
+}
 
 // SAFETY: all mutation of `arena` flows through `RealKernel::execute*`,
 // whose contract requires external serialization with happens-before
@@ -123,12 +176,14 @@ impl SpecProgram {
             .iter()
             .map(|spec| LoopCode::compile(&workload.space, spec))
             .collect();
-        let footprints = workload.loops.iter().map(|_| Mutex::default()).collect();
+        let memos = std::iter::repeat_with(Memo::default)
+            .take(workload.loops.len())
+            .collect();
         Ok(SpecProgram {
             workload,
             report,
             code,
-            footprints,
+            memos,
             arena: UnsafeCell::new(arena),
         })
     }
@@ -155,7 +210,7 @@ impl SpecProgram {
             spec: &self.workload.loops[idx],
             report: &self.report.loops[idx],
             code: &self.code[idx],
-            footprints: &self.footprints[idx],
+            memo: &self.memos[idx],
         }
     }
 
@@ -797,7 +852,7 @@ pub struct SpecKernel<'p> {
     spec: &'p LoopSpec,
     report: &'p LoopReport,
     code: &'p LoopCode,
-    footprints: &'p FootprintMemo,
+    memo: &'p Memo,
 }
 
 impl<'p> SpecKernel<'p> {
@@ -852,7 +907,7 @@ impl<'p> SpecKernel<'p> {
     /// The arena's byte intervals outside every write footprint of the
     /// whole loop, ascending, or `None` when a footprint is unresolvable.
     fn unwritten(&self) -> Option<Vec<(u64, u64)>> {
-        let fps = self.write_footprints(0..self.spec.iters)?;
+        let fps = cascade_analyze::write_set(&self.prog.workload, self.spec, 0..self.spec.iters)?;
         let mut gaps = Vec::new();
         let mut cursor = 0u64;
         // A sentinel footprint at the arena's end closes the last gap.
@@ -864,6 +919,16 @@ impl<'p> SpecKernel<'p> {
             cursor = cursor.max(hi);
         }
         Some(gaps)
+    }
+
+    /// This loop's unwritten gaps cut into scrub blocks, or `None` when a
+    /// footprint is unresolvable. Computed once, by the first caller: the
+    /// spec and the index contents are fixed for the program's life.
+    fn gaps(&self) -> Option<&'p Gaps> {
+        self.memo
+            .gaps
+            .get_or_init(|| self.unwritten().map(Gaps::cut))
+            .as_ref()
     }
 
     /// The write-ref footprints of `range` in journal order (the byte
@@ -885,7 +950,10 @@ impl<'p> SpecKernel<'p> {
             .refs
             .iter()
             .any(|r| r.mode.writes() && !r.pattern.is_affine());
-        let Some(mut last) = scans.then(|| self.footprints.try_lock().ok()).flatten() else {
+        let Some(mut last) = scans
+            .then(|| self.memo.footprints.try_lock().ok())
+            .flatten()
+        else {
             return cascade_analyze::write_set(&self.prog.workload, self.spec, range);
         };
         if let Some((_, fps)) = last.as_ref().filter(|(r, _)| *r == range) {
@@ -1173,14 +1241,15 @@ impl<'p> RealKernel for SpecKernel<'p> {
         } else {
             // Target a byte *outside* every write footprint of the whole
             // loop — corruption no per-chunk verifier can see.
-            let Some(gaps) = self.unwritten() else {
+            let Some(gaps) = self.gaps() else {
                 return false;
             };
-            let Some(&(first, _)) = gaps.first() else {
+            let Some(&(first, _)) = gaps.pieces.first() else {
                 return false; // footprints cover the whole arena
             };
             let start = offset % self.prog.workload.space.extent();
             let addr = gaps
+                .pieces
                 .iter()
                 .find(|(_, hi)| *hi > start)
                 .map_or(first, |(lo, _)| start.max(*lo)); // else wrap around
@@ -1193,17 +1262,26 @@ impl<'p> RealKernel for SpecKernel<'p> {
         }
     }
 
-    unsafe fn scrub_digest(&self) -> Option<u64> {
-        let mut h = FNV64_BASIS;
-        for (lo, hi) in self.unwritten()? {
+    fn scrub_blocks(&self) -> Option<usize> {
+        self.gaps().map(|g| g.starts.len() - 1)
+    }
+
+    unsafe fn scrub_block(&self, b: usize) -> (Range<u64>, u64) {
+        let pieces = self
+            .gaps()
+            .expect("scrub_blocks resolved the gaps")
+            .block(b);
+        let first = pieces.first().expect("every block holds a piece");
+        let last = pieces.last().expect("every block holds a piece");
+        let digest = pieces.iter().fold(FNV64_BASIS, |h, &(lo, hi)| {
             // SAFETY: `[lo, hi)` is inside the arena and outside every
             // write footprint; the quiescence contract rules out
             // concurrent writers anyway.
-            h = fnv64_words(h, unsafe {
+            fnv64_words(h, unsafe {
                 std::slice::from_raw_parts(self.prog.base().add(lo as usize), (hi - lo) as usize)
-            });
-        }
-        Some(h)
+            })
+        });
+        (first.0..last.1, digest)
     }
 }
 
@@ -2069,7 +2147,7 @@ mod tests {
         }
         // Every kernel of the loop shares the memo. One held elsewhere is
         // passed by, with the same answer.
-        let held = prog.kernel(0).footprints.lock().unwrap();
+        let held = prog.kernel(0).memo.footprints.lock().unwrap();
         assert_eq!(k.write_footprints(0..64), fresh(0..64));
         drop(held);
         assert_eq!(k.write_footprints(0..64), fresh(0..64));

@@ -2,6 +2,8 @@
 
 use std::ops::Range;
 
+use cascade_core::{fnv64_words, FNV64_BASIS};
+
 /// A loop body executable under cascaded execution on real threads.
 ///
 /// Implementations typically keep their mutable state behind an
@@ -251,26 +253,55 @@ pub trait RealKernel: Sync {
         false
     }
 
-    /// A digest over the bytes *outside* the loop's whole write footprint
-    /// — the arena scrubber of the silent-data-corruption defense. Any
-    /// drift between two scrubs brackets an out-of-footprint corruption:
-    /// no iteration of the loop may write there. `None` (the default)
-    /// when the kernel cannot bound its footprint; the scrubber is then
-    /// disabled.
-    ///
-    /// Only two scrubs of one run are ever compared, so the digest is the
-    /// in-memory [`cascade_core::fnv64_words`]. [`crate::SpecKernel`]
-    /// chains it over the unwritten gaps in ascending address order,
-    /// hashing each gap in place: no copy of the arena, no allocation
-    /// beyond the gap list, and any single-byte drift changes the digest.
+    /// How many blocks the arena scrub cuts this loop's *unwritten gaps*
+    /// into: the bytes outside the loop's whole write footprint, which no
+    /// iteration of the loop may write, so any drift between two scrubs
+    /// brackets an out-of-footprint corruption. Blocks are numbered in
+    /// ascending address order, and each is hashed on its own
+    /// ([`RealKernel::scrub_block`]), so the runner can share one scrub
+    /// among its workers. `None` (the default) when the kernel cannot
+    /// bound its footprint; the scrubber is then disabled.
+    fn scrub_blocks(&self) -> Option<usize> {
+        None
+    }
+
+    /// Block `b`'s bytes (the span from its first gap byte to its last)
+    /// and its digest, for `b < scrub_blocks()`. Only two scrubs of one
+    /// run are ever compared, so the digest is the in-memory
+    /// [`cascade_core::fnv64_words`]. [`crate::SpecKernel`] cuts its gaps
+    /// at every multiple of [`crate::interp::SCRUB_BLOCK`] of arena
+    /// offset and chains the digest over the block's pieces, hashing each
+    /// in place: no copy of the arena, and any single-byte drift inside
+    /// the block changes its digest.
     ///
     /// # Safety
     ///
-    /// The caller must guarantee quiescence: no `execute` /
-    /// `execute_packed` call may be concurrent with the scrub (the
-    /// runner scrubs from the supervisor, outside worker lifetimes).
+    /// The caller must guarantee quiescence of the gaps: nothing may
+    /// write outside this loop's write footprint during the call, so no
+    /// `execute` / `execute_packed` call of any loop may be concurrent
+    /// with it. Concurrent `scrub_block` calls are fine: they only read.
+    /// The runner hashes blocks from its workers between a loop's
+    /// barriers, each worker its own share.
+    unsafe fn scrub_block(&self, b: usize) -> (Range<u64>, u64) {
+        let _ = b;
+        unreachable!("scrub_block without scrub_blocks")
+    }
+
+    /// A digest of the whole arena scrub: the in-order fold of every
+    /// block's digest ([`RealKernel::scrub_block`]) on the calling
+    /// thread, so a drift in any one block changes it. `None` when
+    /// [`RealKernel::scrub_blocks`] is.
+    ///
+    /// # Safety
+    ///
+    /// As [`RealKernel::scrub_block`].
     unsafe fn scrub_digest(&self) -> Option<u64> {
-        None
+        let blocks = self.scrub_blocks()?;
+        Some((0..blocks).fold(FNV64_BASIS, |h, b| {
+            // SAFETY: forwarded under the caller's quiescence guarantee.
+            let (_, d) = unsafe { self.scrub_block(b) };
+            fnv64_words(h, &d.to_le_bytes())
+        }))
     }
 }
 

@@ -124,8 +124,10 @@
 //! tiebreak re-execution convicts the guilty worker (corruption strikes
 //! in [`HealthRegistry`], roster quarantine on repeat), the chunk is
 //! rolled back via its undo journal and repaired in place, and the run
-//! continues bitwise-correct. Between loops an arena scrubber checksums
-//! bytes *outside* every footprint. The protocol's ordering claims are
+//! continues bitwise-correct. Between loops the pool's workers scrub the
+//! arena: each hashes its share of the blocks of bytes *outside* every
+//! footprint, before the loop's start barrier and after its end barrier.
+//! The protocol's ordering claims are
 //! model-checked (the test-only `check` module): verification
 //! happens-before downstream commit visibility, a corrupted chunk is
 //! never part of a committed prefix, and blame never quarantines an

@@ -540,6 +540,11 @@ pub enum FaultEvent {
         /// (recovery); `false` when the chunk was rolled back to its
         /// pre-image and the run failed with [`RunError::Corrupted`].
         repaired: bool,
+        /// For scrubber drift, the arena bytes of the first drifted scrub
+        /// block ([`RealKernel::scrub_block`]); `expected` and `found`
+        /// are then that block's digests. Empty (`0..0`) for a chunk's
+        /// detection.
+        bytes: Range<u64>,
     },
     /// The sequential tiebreak re-execution confirmed the detected
     /// mismatch twice over and assigned blame to the executor that
@@ -1160,15 +1165,12 @@ pub(crate) struct FtRun {
     /// executor before its `try_advance`; taken by the downstream
     /// claimant (or, for the final chunk, the end-of-loop leader).
     verify_slot: Mutex<Option<VerifyPacket>>,
-    /// Arena scrubs performed against this run's kernel (baseline +
-    /// compare); surfaced as [`RunStats::scrubs`].
-    scrubs: AtomicU64,
-    /// Arena-scrub baseline: a digest over the bytes *outside* this
-    /// loop's whole write footprint, taken in a quiescent window before
-    /// the loop starts ([`FtRun::take_scrub_base`]). Drift against the
-    /// end-of-loop scrub brackets an out-of-footprint corruption no
-    /// chunk-level verification can attribute.
-    scrub_base: Mutex<Option<u64>>,
+    /// The stage's arena scrub: a baseline over the bytes *outside* its
+    /// kernel's whole write footprint, taken before the stage starts,
+    /// and the compare after it ends ([`scrub_share`]). Drift between the
+    /// two brackets an out-of-footprint corruption no chunk-level
+    /// verification can attribute.
+    scrub: Mutex<Scrub>,
     /// The leader's stamps at the loop's start and end barriers: the two
     /// ends of a healthy loop's [`RunStats::elapsed`].
     started: Mutex<Option<Instant>>,
@@ -1176,6 +1178,23 @@ pub(crate) struct FtRun {
     /// The claim cursor and per-worker slots of a `Parallel` or
     /// `DoAcross` stage (unused by a `Sequential` one).
     pub(crate) split: SplitState,
+}
+
+/// One stage's arena scrub, shared by the workers that hash it.
+#[derive(Default)]
+struct Scrub {
+    /// The baseline's digest of every scrub block; `None` until it is
+    /// taken, and for a kernel that cannot bound its footprint.
+    base: Option<Vec<u64>>,
+    /// The workers sharing the baseline (`[0]`) and the compare (`[1]`):
+    /// the health registry's live set, read once by the first of them to
+    /// start, so every worker cuts the same shares.
+    crews: [Option<Vec<u64>>; 2],
+    /// The compare's lowest drifted block: its index, its bytes, and its
+    /// baseline and current digests.
+    drift: Option<(usize, Range<u64>, u64, u64)>,
+    /// Scrubs performed (baseline + compare): [`RunStats::scrubs`].
+    count: u64,
 }
 
 /// Everything a verifier needs to re-check one committed chunk: the
@@ -1211,30 +1230,11 @@ impl FtRun {
             retry_from: Mutex::new(HashMap::new()),
             origin,
             verify_slot: Mutex::new(None),
-            scrubs: AtomicU64::new(0),
-            scrub_base: Mutex::new(None),
+            scrub: Mutex::default(),
             started: Mutex::new(None),
             ended: Mutex::new(None),
             split: SplitState::new(owners),
         }
-    }
-
-    /// Take this loop's arena-scrub baseline. Other loops of a sequence
-    /// legitimately mutate bytes outside *this* loop's footprints, so the
-    /// baseline cannot be taken until every earlier loop has finished:
-    /// the first loop's before any worker spawns, each later loop's in
-    /// the end-of-loop leader window of its predecessor.
-    ///
-    /// # Safety
-    ///
-    /// No execute may overlap the call (the caller has quiescence).
-    unsafe fn take_scrub_base<K: RealKernel>(&self, kernel: &K) {
-        // SAFETY: forwarded under the caller's quiescence guarantee.
-        let d = unsafe { kernel.scrub_digest() };
-        if d.is_some() {
-            self.scrubs.fetch_add(1, Ordering::Relaxed);
-        }
-        *lock_recover(&self.scrub_base) = d;
     }
 
     pub(crate) fn record(&self, ev: FaultEvent) {
@@ -1364,10 +1364,6 @@ pub(crate) fn run_stages<K: RealKernel>(
     // is shared.
     let rec = Recovery::new(nthreads, &cfg.tolerance);
     let barrier = FtBarrier::new(nthreads);
-    if cfg.verify.armed() {
-        // SAFETY: no worker spawned yet; trivially quiescent.
-        unsafe { runs[0].take_scrub_base(&kernels[0]) };
-    }
 
     // per_thread[t][l] = stats of thread t on loop l (may stop short when
     // a fault drained the pool).
@@ -1385,6 +1381,17 @@ pub(crate) fn run_stages<K: RealKernel>(
                         // A pair's consumer starts with its producer.
                         let first = l - usize::from(consumer(l));
                         if first == l {
+                            if cfg.verify.armed() {
+                                // The stage's scrub baseline, before its
+                                // start barrier. Other stages legitimately
+                                // write outside *this* stage's footprint,
+                                // so it waits for every earlier one.
+                                // SAFETY: every worker is past the last
+                                // stage's scrub barrier (its final repair
+                                // came before it), and none starts this
+                                // stage before its start barrier.
+                                unsafe { scrub_share(kernel, &runs[l], rec, t, false) };
+                            }
                             match barrier.wait() {
                                 BarrierOutcome::Poisoned => break,
                                 BarrierOutcome::Leader => {
@@ -1440,16 +1447,31 @@ pub(crate) fn run_stages<K: RealKernel>(
                                 BarrierOutcome::Leader => {
                                     *lock_recover(&runs[l].ended) = Some(Instant::now());
                                     if cfg.verify.armed() {
-                                        // SAFETY: every other worker is parked at
-                                        // the next loop's start barrier (or
-                                        // exiting after the last loop), so the
-                                        // leader has quiescence.
-                                        poisoned = !unsafe {
-                                            audit_loop(
-                                                kernels, cfg, plans, runs, rec, l, &mut stats,
-                                            )
-                                        };
+                                        poisoned = !verify_last_chunk(
+                                            kernel, cfg, &plans[l], &runs[l], rec,
+                                        );
                                     }
+                                }
+                                BarrierOutcome::Follower => {}
+                            }
+                        }
+                        if cfg.verify.armed() && !poisoned {
+                            // SAFETY: every worker is past the end barrier,
+                            // and only the leader's final-chunk repair
+                            // writes, inside the stage's footprint.
+                            unsafe { scrub_share(kernel, &runs[l], rec, t, true) };
+                            match barrier.wait() {
+                                BarrierOutcome::Poisoned => {
+                                    all.push(stats);
+                                    break;
+                                }
+                                BarrierOutcome::Leader => {
+                                    // SAFETY: every worker is past the scrub
+                                    // barrier; no stage runs before the next
+                                    // start barrier, which waits for us.
+                                    poisoned = !unsafe {
+                                        audit_loop(kernel, cfg, &plans[l], &runs[l], &mut stats)
+                                    };
                                 }
                                 BarrierOutcome::Follower => {}
                             }
@@ -1496,7 +1518,7 @@ pub(crate) fn run_stages<K: RealKernel>(
             quarantined,
             cancel_latency_ns: cfg.cancel.latency().map_or(0, |d| d.as_nanos() as u64),
             budget_high_water: cfg.budget.high_water(),
-            scrubs: runs[l].scrubs.load(Ordering::Relaxed),
+            scrubs: lock_recover(&runs[l].scrub).count,
         }
     };
     let healthy_stats = |l: usize| -> Result<RunStats, RunError> {
@@ -1628,63 +1650,122 @@ pub(crate) fn run_stages<K: RealKernel>(
     Ok(out)
 }
 
-/// The end-of-loop leader's window on loop `l`, under armed verification:
-/// verify the loop's final chunk (it has no downstream claimant), compare
-/// the arena scrub with the loop's baseline, publish the final deferred
-/// checkpoint installment (workers only publish through their own claims,
-/// which stop one chunk short of the end; the whole loop is verified and
-/// scrubbed only now), and take the next loop's scrub baseline — every
-/// earlier loop's writes are in and the next loop's have not begun, the
-/// only sound moment for it. Still before the run returns, so detection
-/// stays online. Returns `false` when corruption poisoned the loop.
+/// The end barrier's leader on a stage, under armed verification: verify
+/// its final chunk, which has no downstream claimant. Returns `false`
+/// when corruption poisoned the stage.
+fn verify_last_chunk<K: RealKernel>(
+    kernel: &K,
+    cfg: &RunConfig,
+    plan: &ChunkPlan,
+    run: &FtRun,
+    rec: &Recovery,
+) -> bool {
+    let packet = lock_recover(&run.verify_slot).take();
+    match packet {
+        Some(p) if p.chunk + 1 == plan.num_chunks() => {
+            verify_committed(kernel, run, rec, cfg, p.executor, p) != VerifyVerdict::Failed
+        }
+        _ => true,
+    }
+}
+
+/// Worker `t`'s share of a stage's arena scrub: the baseline, or with
+/// `compare` the compare against it. The crew (the workers the health
+/// registry had live when the first of them started) hashes alternate
+/// scrub blocks by rank, so a quarantined worker takes no share; the
+/// first of the crew counts the scrub. A compare keeps the lowest
+/// drifted block, which the scrub barrier's leader reports
+/// ([`audit_loop`]).
 ///
 /// # Safety
 ///
-/// The caller has quiescence on every kernel of the sequence: loop `l`
-/// completed and no worker has started loop `l + 1`.
-unsafe fn audit_loop<K: RealKernel>(
-    kernels: &[K],
-    cfg: &RunConfig,
-    plans: &[ChunkPlan],
-    runs: &[FtRun],
+/// As [`RealKernel::scrub_block`]: nothing may write outside `kernel`'s
+/// write footprint until every worker has passed the barrier that
+/// follows the call.
+unsafe fn scrub_share<K: RealKernel>(
+    kernel: &K,
+    run: &FtRun,
     rec: &Recovery,
-    l: usize,
+    t: u64,
+    compare: bool,
+) {
+    let Some(blocks) = kernel.scrub_blocks() else {
+        return;
+    };
+    let (rank, crew) = {
+        let mut s = lock_recover(&run.scrub);
+        if compare && s.base.is_none() {
+            return;
+        }
+        let crew = s.crews[usize::from(compare)].get_or_insert_with(|| rec.health.live());
+        let Some(rank) = crew.iter().position(|&w| w == t) else {
+            return;
+        };
+        (rank, crew.len())
+    };
+    let mine: Vec<_> = (rank..blocks)
+        .step_by(crew)
+        .map(|b| {
+            // SAFETY: forwarded under the caller's guarantee.
+            let (bytes, d) = unsafe { kernel.scrub_block(b) };
+            (b, bytes, d)
+        })
+        .collect();
+    let s = &mut *lock_recover(&run.scrub);
+    s.count += u64::from(rank == 0);
+    if !compare {
+        let base = s.base.get_or_insert_with(|| vec![0; blocks]);
+        for (b, _, d) in mine {
+            base[b] = d;
+        }
+        return;
+    }
+    let base = s.base.as_deref().unwrap_or_default();
+    let drift = mine.into_iter().find(|&(b, _, d)| base[b] != d);
+    if let Some((b, bytes, d)) = drift {
+        if s.drift.as_ref().is_none_or(|&(first, ..)| b < first) {
+            s.drift = Some((b, bytes, base[b], d));
+        }
+    }
+}
+
+/// The scrub barrier's leader on a stage, under armed verification: fail
+/// the stage if its scrub compare found drift, else publish the final
+/// deferred checkpoint installment (workers only publish through their
+/// own claims, which stop one chunk short of the end; the whole stage is
+/// verified and scrubbed only now). Still before the run returns, so
+/// detection stays online. Returns `false` when corruption poisoned the
+/// stage.
+///
+/// # Safety
+///
+/// The caller has quiescence on `kernel`: the stage completed and no
+/// worker starts the next one before the caller reaches its barrier.
+unsafe fn audit_loop<K: RealKernel>(
+    kernel: &K,
+    cfg: &RunConfig,
+    plan: &ChunkPlan,
+    run: &FtRun,
     stats: &mut ThreadStats,
 ) -> bool {
-    let (kernel, plan, run) = (&kernels[l], &plans[l], &runs[l]);
-    if let Some(p) = lock_recover(&run.verify_slot).take() {
-        if p.chunk + 1 == plan.num_chunks()
-            && verify_committed(kernel, run, rec, cfg, p.executor, p) == VerifyVerdict::Failed
-        {
-            return false;
-        }
+    let drift = lock_recover(&run.scrub).drift.take();
+    if let Some((_, bytes, expected, found)) = drift {
+        run.record(FaultEvent::CorruptionDetected {
+            chunk: u64::MAX,
+            expected,
+            found,
+            repaired: false,
+            bytes,
+        });
+        run.token.poison_with(PoisonCause::Corrupted {
+            thread: None,
+            chunk: None,
+            resume_at: kernel.iters(),
+        });
+        return false;
     }
-    if let Some(base) = *lock_recover(&run.scrub_base) {
-        // SAFETY: quiescent (caller's guarantee).
-        if let Some(now_d) = unsafe { kernel.scrub_digest() } {
-            run.scrubs.fetch_add(1, Ordering::Relaxed);
-            if now_d != base {
-                run.record(FaultEvent::CorruptionDetected {
-                    chunk: u64::MAX,
-                    expected: base,
-                    found: now_d,
-                    repaired: false,
-                });
-                run.token.poison_with(PoisonCause::Corrupted {
-                    thread: None,
-                    chunk: None,
-                    resume_at: kernel.iters(),
-                });
-                return false;
-            }
-        }
-    }
-    // SAFETY: quiescent, and every chunk of the loop is committed.
+    // SAFETY: quiescent, and every chunk of the stage is committed.
     unsafe { publish_ckpt(kernel, cfg, plan, plan.num_chunks(), kernel.iters(), stats) };
-    if let Some(next) = runs.get(l + 1) {
-        // SAFETY: quiescent (caller's guarantee).
-        unsafe { next.take_scrub_base(&kernels[l + 1]) };
-    }
     true
 }
 
@@ -2497,6 +2578,7 @@ fn verify_committed<K: RealKernel>(
         expected: p.digest,
         found,
         repaired: false,
+        bytes: 0..0,
     });
     fail_rollback(kernel, run, &p, None)
 }
@@ -2556,6 +2638,7 @@ fn convict<K: RealKernel>(
                 expected,
                 found,
                 repaired: true,
+                bytes: 0..0,
             });
             if verifier != p.executor {
                 run.record(FaultEvent::ChunkRetried {
@@ -2572,6 +2655,7 @@ fn convict<K: RealKernel>(
         expected,
         found,
         repaired: false,
+        bytes: 0..0,
     });
     fail_rollback(kernel, run, p, blamed)
 }
@@ -4419,13 +4503,14 @@ mod tests {
             .iter()
             .any(|f| matches!(f, FaultEvent::WorkerBlamed { chunk: 4, .. }));
         assert!(blamed, "{:?}", stats.faults);
-        let digests = stats.faults.iter().find_map(|f| match *f {
+        let digests = stats.faults.iter().find_map(|f| match f {
             FaultEvent::CorruptionDetected {
                 chunk: 4,
                 expected,
                 found,
                 repaired: true,
-            } => Some((expected, found)),
+                bytes,
+            } if bytes.is_empty() => Some((*expected, *found)),
             _ => None,
         });
         let (expected, found) = digests.expect("chunk 4 repaired");
@@ -4437,5 +4522,65 @@ mod tests {
         // SAFETY: single-threaded.
         unsafe { seq.kernel(0).execute(0..60) };
         assert_eq!(prog.checksum(), seq.checksum(), "repaired run is bitwise");
+    }
+
+    /// A scrub compare that finds drift names the lowest drifted block's
+    /// bytes, and its digests, on a scrubber `CorruptionDetected`; the
+    /// crew's first member counts each scrub once.
+    #[test]
+    fn a_scrub_drift_names_its_first_drifted_block() {
+        let s = cascade_synth::Synth::build(1 << 17, cascade_synth::Variant::Dense, 5);
+        let prog = crate::SpecProgram::new(s.workload, s.arena).unwrap();
+        let k = prog.kernel(0);
+        let spans: Vec<Range<u64>> = (0..k.scrub_blocks().unwrap())
+            // SAFETY: single-threaded throughout.
+            .map(|b| unsafe { k.scrub_block(b) }.0)
+            .collect();
+        assert_eq!(spans.len(), 3, "{spans:?}");
+        let (run, rec) = (
+            FtRun::new(2, 2, Instant::now()),
+            Recovery::new(2, &Tolerance::default()),
+        );
+        let share = |compare| {
+            for t in [1, 0] {
+                // SAFETY: single-threaded.
+                unsafe { scrub_share(&k, &run, &rec, t, compare) };
+            }
+        };
+        share(false);
+        // One flip in each of the last two blocks: the second is named.
+        let flips = [spans[2].start + 5, spans[1].end - 1];
+        for &addr in &flips {
+            // SAFETY: single-threaded.
+            assert!(unsafe { k.corrupt_byte(0..1, addr, 0x04, false) });
+        }
+        share(true);
+        let plan = ChunkPlan::by_iterations(k.iters(), 4_096);
+        let mut stats = ThreadStats::default();
+        // SAFETY: single-threaded.
+        assert!(!unsafe { audit_loop(&k, &RunConfig::default(), &plan, &run, &mut stats) });
+        assert_eq!(lock_recover(&run.scrub).count, 2);
+        match &run.take_faults()[..] {
+            [FaultEvent::CorruptionDetected {
+                chunk: u64::MAX,
+                expected,
+                found,
+                repaired: false,
+                bytes,
+            }] => {
+                assert_eq!(*bytes, spans[1]);
+                assert!(bytes.contains(&flips[1]) && !bytes.contains(&flips[0]));
+                assert_ne!(expected, found);
+            }
+            other => panic!("expected one scrubber detection, got {other:?}"),
+        }
+        assert!(matches!(
+            run.token.poison_cause(),
+            Some(PoisonCause::Corrupted {
+                thread: None,
+                chunk: None,
+                ..
+            })
+        ));
     }
 }

@@ -12,6 +12,7 @@
 //! run; CI's soak-smoke job raises it) with a hard per-iteration shape
 //! that keeps a single pass well under a second.
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use cascade_rt::{
@@ -30,6 +31,18 @@ use common::{quiet_injected_panics, sequential_checksum, N};
 const CHUNK_ITERS: u64 = 64;
 const WATCHDOG: Duration = Duration::from_millis(25);
 const STALL: Duration = Duration::from_millis(40);
+
+/// Held for the whole of each storm test. The storms' watchdogs are short
+/// (25 ms), and two storms running side by side on a small host starve
+/// each other's healthy chunks into declared stalls: the harness runs the
+/// tests of one binary in parallel, so the storms take turns here.
+static STORM: Mutex<()> = Mutex::new(());
+
+/// This storm's turn. A storm that failed poisons the lock, which is no
+/// reason to fail the other.
+fn storm_turn() -> MutexGuard<'static, ()> {
+    STORM.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn random_plan(rng: &mut StdRng, num_chunks: u64) -> FaultPlan {
     let mut plan = FaultPlan::new(CHUNK_ITERS);
@@ -66,6 +79,7 @@ fn tolerance_for(case: u64) -> Tolerance {
 /// the harness scales from a 2 s smoke run to a CI soak without edits.
 #[test]
 fn governance_storm_never_corrupts_and_always_resumes() {
+    let _turn = storm_turn();
     quiet_injected_panics();
     let secs: u64 = std::env::var("CASCADE_SOAK_SECS")
         .ok()
@@ -203,6 +217,7 @@ fn governance_storm_never_corrupts_and_always_resumes() {
 /// spurious errors, documenting exactly where the detection boundary is.
 #[test]
 fn corruption_storm_detects_iff_the_policy_replays() {
+    let _turn = storm_turn();
     quiet_injected_panics();
     const SAMPLE_K: u64 = 3;
     let mut rng = StdRng::seed_from_u64(0xC0DE);

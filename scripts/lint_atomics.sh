@@ -33,13 +33,6 @@
 #     invariant 1), so the value itself needs no ordering. A missed
 #     pairing only drops a latency sample; it can never affect results.
 #
-#   scrubs (runner.rs): the arena-scrub pass counter. Bumped only by the
-#     supervisor before any worker spawns (the first loop's baseline) or
-#     by an end-of-loop barrier leader, and read into RunStats after
-#     `thread::scope` joins — every reader is already ordered after
-#     every writer, so the counter itself needs no ordering. Pure
-#     statistics; no protocol decision reads it.
-#
 #   cursor (sched.rs): a DOALL plan stage's claim cursor. Its one
 #     `fetch_add` only hands out chunk indices — the read-modify-write
 #     alone makes every claim unique, whatever the ordering — and no
@@ -61,7 +54,7 @@ RT=crates/runtime/src
 #   protocol and the cancel's hole fill are model-checked by DoAcrossModel
 #   in src/check.rs.
 ALLOWED_ATOMIC_FILES="barrier.rs govern.rs health.rs runner.rs sched.rs token.rs"
-ALLOW_RELAXED_RE='release_ns\.(load|store)\(|scrubs\.(load|fetch_add)\(|cursor\.0\.fetch_add\('
+ALLOW_RELAXED_RE='release_ns\.(load|store)\(|cursor\.0\.fetch_add\('
 
 fail=0
 
