@@ -739,6 +739,7 @@ impl Storm {
                 thread: None,
                 chunk: None,
                 committed_iters,
+                bytes: _,
             }) if c.outside => {
                 let text =
                     format!("scrubber caught out-of-footprint drift ({committed_iters} clean)");
@@ -758,6 +759,7 @@ impl Storm {
                 thread,
                 chunk,
                 committed_iters,
+                bytes: _,
             }) => {
                 if resumes_bitwise(c, committed_iters) {
                     let text = format!(

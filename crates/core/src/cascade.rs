@@ -1,4 +1,5 @@
-//! The bounded-processor cascade scheduler — the system of Figure 1(b).
+//! The cascade scheduler — the system of Figure 1(b), and the one chunk
+//! schedule behind both simulated cascades.
 //!
 //! Chunks of the iteration space rotate round-robin over `P` processors.
 //! Exactly one processor is in its execution phase at a time; control
@@ -17,15 +18,26 @@
 //! chunks' execution effects; this slightly favours the helper (it can see
 //! writes that temporally overlapped it), which we accept and document in
 //! DESIGN.md §6.3.
+//!
+//! The §3.4 unbounded model ([`crate::run_unbounded`]) is this schedule at one
+//! processor without jump-out and with `free_helpers`: a loop's cycles are
+//! its execution phases plus one transfer per chunk, its `nprocs` is
+//! [`UNBOUNDED_PROCS`], and it has no timeline. Nothing else differs.
 
 use cascade_mem::{MachineConfig, System};
 use cascade_trace::{Resolver, Workload};
 
 use crate::chunk::ChunkPlan;
 use crate::policy::HelperPolicy;
-use crate::report::{CascadeConfig, LoopReport, PhaseTotals, RunReport};
+use crate::report::{CascadeConfig, LoopReport, PhaseTotals, RunReport, UNBOUNDED_PROCS};
 use crate::timeline::{ChunkEvent, Timeline};
 use crate::walk::{exec_original, exec_restructured, helper_pack, helper_prefetch, HelperOutcome};
+
+/// A helper that did nothing: no policy, or a jump-out with no window.
+const IDLE: HelperOutcome = HelperOutcome {
+    cycles: 0.0,
+    iters_done: 0,
+};
 
 /// Simulate cascaded execution of the workload's loop sequence under `cfg`
 /// and report the final call.
@@ -33,6 +45,17 @@ pub fn run_cascaded(
     machine: &MachineConfig,
     workload: &Workload,
     cfg: &CascadeConfig,
+) -> RunReport {
+    drive(machine, workload, cfg, false)
+}
+
+/// The chunk schedule behind [`run_cascaded`] and, with
+/// `free_helpers`, [`crate::run_unbounded`].
+pub(crate) fn drive(
+    machine: &MachineConfig,
+    workload: &Workload,
+    cfg: &CascadeConfig,
+    free_helpers: bool,
 ) -> RunReport {
     assert!(cfg.nprocs >= 1, "cascade needs at least one processor");
     assert!(cfg.calls >= 1, "at least one call required");
@@ -43,12 +66,11 @@ pub fn run_cascaded(
     // model as everything else.
     let mut space = workload.space.clone();
     let hoist = cfg.policy.hoists();
+    let plan_of = |spec| ChunkPlan::new(spec, cfg.chunk_bytes, machine.l1.line as u64);
     let buffer_bases: Vec<u64> = if cfg.policy.packs() {
-        let mut buf_len = 1u64;
-        for spec in &workload.loops {
-            let plan = ChunkPlan::new(spec, cfg.chunk_bytes, machine.l1.line as u64);
-            buf_len = buf_len.max(plan.iters_per_chunk() * spec.packed_bytes_per_iter(hoist));
-        }
+        let buf_len = workload.loops.iter().fold(1, |len: u64, spec| {
+            len.max(plan_of(spec).iters_per_chunk() * spec.packed_bytes_per_iter(hoist))
+        });
         (0..cfg.nprocs)
             .map(|p| {
                 let id = space.alloc_aligned(&format!("packbuf{p}"), 1, buf_len, 64);
@@ -75,7 +97,7 @@ pub fn run_cascaded(
         }
         for spec in &workload.loops {
             sys.begin_region();
-            let plan = ChunkPlan::new(spec, cfg.chunk_bytes, machine.l1.line as u64);
+            let plan = plan_of(spec);
             let loop_start = now;
             let mut proc_free = vec![now; cfg.nprocs];
             let mut prev_end = now;
@@ -83,10 +105,12 @@ pub fn run_cascaded(
             let mut helper_tot = PhaseTotals::default();
             let mut helper_complete = 0u64;
             let mut helper_iters = 0u64;
+            let mut exec_sum = 0.0f64;
             let mut events: Vec<ChunkEvent> = Vec::new();
 
             for j in 0..plan.num_chunks() {
                 let p = (j as usize) % cfg.nprocs;
+                let buf = buffer_bases[p];
                 let range = plan.range(j);
                 let range_len = range.end - range.start;
                 let token_arrival = if j == 0 {
@@ -100,60 +124,30 @@ pub fn run_cascaded(
                 // --- helper phase ---
                 let s0 = sys.snapshot();
                 let helper = match cfg.policy {
-                    HelperPolicy::None => HelperOutcome {
-                        cycles: 0.0,
-                        iters_done: 0,
-                    },
+                    HelperPolicy::None => IDLE,
+                    _ if cfg.jump_out && window <= 0.0 => IDLE,
                     HelperPolicy::Prefetch => {
-                        if cfg.jump_out && window <= 0.0 {
-                            HelperOutcome {
-                                cycles: 0.0,
-                                iters_done: 0,
-                            }
-                        } else {
-                            helper_prefetch(&mut sys, p, res, spec, range.clone(), budget)
-                        }
+                        helper_prefetch(&mut sys, p, res, spec, range.clone(), budget)
                     }
                     HelperPolicy::Restructure { hoist } => {
-                        if cfg.jump_out && window <= 0.0 {
-                            HelperOutcome {
-                                cycles: 0.0,
-                                iters_done: 0,
-                            }
-                        } else {
-                            helper_pack(
-                                &mut sys,
-                                p,
-                                res,
-                                spec,
-                                range.clone(),
-                                buffer_bases[p],
-                                hoist,
-                                budget,
-                            )
-                        }
+                        helper_pack(&mut sys, p, res, spec, range.clone(), buf, hoist, budget)
                     }
                 };
                 let s1 = sys.snapshot();
 
                 // --- execution phase ---
                 let start = token_arrival.max(proc_free[p] + helper.cycles);
+                let packed = helper.iters_done;
                 let exec_cycles = match cfg.policy {
                     HelperPolicy::None | HelperPolicy::Prefetch => {
-                        exec_original(&mut sys, p, res, spec, range.clone())
+                        exec_original(&mut sys, p, res, spec, range)
                     }
-                    HelperPolicy::Restructure { hoist } => exec_restructured(
-                        &mut sys,
-                        p,
-                        res,
-                        spec,
-                        range.clone(),
-                        buffer_bases[p],
-                        hoist,
-                        helper.iters_done,
-                    ),
+                    HelperPolicy::Restructure { hoist } => {
+                        exec_restructured(&mut sys, p, res, spec, range, buf, hoist, packed)
+                    }
                 };
                 let end = start + exec_cycles;
+                exec_sum += exec_cycles;
                 let helper_start = proc_free[p];
                 proc_free[p] = end;
                 prev_end = end;
@@ -163,9 +157,8 @@ pub fn run_cascaded(
                     helper_tot.add_delta(&s1.since(&s0));
                     exec_tot.add_delta(&s2.since(&s1));
                     helper_iters += helper.iters_done.min(range_len);
-                    if helper.completed(range_len) && !matches!(cfg.policy, HelperPolicy::None) {
-                        helper_complete += 1;
-                    }
+                    // An idle helper covers no iteration of a (non-empty) chunk.
+                    helper_complete += u64::from(helper.completed(range_len));
                     events.push(ChunkEvent {
                         chunk: j,
                         proc: p,
@@ -187,16 +180,24 @@ pub fn run_cascaded(
             if measured {
                 loops.push(LoopReport {
                     name: spec.name.clone(),
-                    cycles: loop_end - loop_start,
+                    cycles: if free_helpers {
+                        exec_sum + plan.num_chunks() as f64 * transfer
+                    } else {
+                        loop_end - loop_start
+                    },
                     exec: exec_tot,
                     helper: helper_tot,
                     chunks: plan.num_chunks(),
                     helper_complete,
                     helper_iters,
                     iters: spec.iters,
-                    timeline: Timeline {
-                        events,
-                        nprocs: cfg.nprocs,
+                    timeline: if free_helpers {
+                        Timeline::default()
+                    } else {
+                        Timeline {
+                            events,
+                            nprocs: cfg.nprocs,
+                        }
                     },
                 });
             }
@@ -206,7 +207,11 @@ pub fn run_cascaded(
     RunReport {
         machine: machine.name.to_string(),
         policy: cfg.policy.label().to_string(),
-        nprocs: cfg.nprocs as u64,
+        nprocs: if free_helpers {
+            UNBOUNDED_PROCS
+        } else {
+            cfg.nprocs as u64
+        },
         chunk_bytes: cfg.chunk_bytes,
         loops,
     }

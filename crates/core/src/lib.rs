@@ -19,14 +19,15 @@
 //!   into the helper).
 //!
 //! Three simulators share the same walkers (so reference streams are
-//! identical by construction):
+//! identical by construction), and the two cascades share one schedule:
 //!
 //! * [`run_sequential`] — the single-processor baseline;
 //! * [`run_cascaded`] — the bounded-`P` schedule with per-chunk control
 //!   transfers, helper windows, and the paper's jump-out-of-helper
 //!   modification;
-//! * [`run_unbounded`] — the §3.4 methodology (helpers always complete)
-//!   used for the future-machine projections.
+//! * [`run_unbounded`] — the §3.4 methodology used for the future-machine
+//!   projections: the same schedule at one processor without jump-out, so
+//!   helpers always complete, with helper time off the critical path.
 //!
 //! ## Example
 //!

@@ -69,8 +69,9 @@ pub struct LoopReport {
     pub helper_iters: u64,
     /// Total iterations of the loop.
     pub iters: u64,
-    /// Per-chunk schedule events (empty for the sequential baseline and
-    /// the unbounded model, which have no multi-processor schedule).
+    /// Per-chunk schedule events of a bounded cascade. Empty for the
+    /// sequential baseline (no chunks) and the unbounded model, whose
+    /// free helpers make no valid one-processor timeline.
     pub timeline: Timeline,
 }
 

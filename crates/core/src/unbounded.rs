@@ -8,17 +8,16 @@
 //! summing the time spent in the execution phases and adding in the cost
 //! of control transfers (one transfer per chunk)."
 //!
-//! This module reproduces that methodology exactly: one hierarchy, helper
-//! and execution alternating per chunk, helper cycles excluded from the
-//! makespan, `chunks x transfer_cost` added at the end.
+//! That is the bounded cascade schedule of [`crate::cascade`] at one
+//! processor, without jump-out (so every helper completes), with helper
+//! time left off the critical path: a loop's cycles are the sum of its
+//! execution phases plus `chunks x transfer_cost`.
 
-use cascade_mem::{MachineConfig, System};
-use cascade_trace::{Resolver, Workload};
+use cascade_mem::MachineConfig;
+use cascade_trace::Workload;
 
-use crate::chunk::ChunkPlan;
 use crate::policy::HelperPolicy;
-use crate::report::{LoopReport, PhaseTotals, RunReport, UNBOUNDED_PROCS};
-use crate::walk::{exec_original, exec_restructured, helper_pack, helper_prefetch};
+use crate::report::{CascadeConfig, RunReport};
 
 /// Parameters of an unbounded-model run.
 #[derive(Debug, Clone)]
@@ -51,131 +50,23 @@ pub fn run_unbounded(
     workload: &Workload,
     cfg: &UnboundedConfig,
 ) -> RunReport {
-    assert!(cfg.calls >= 1, "at least one call required");
-    workload.validate();
-
-    let mut space = workload.space.clone();
-    let hoist = cfg.policy.hoists();
-    let buffer_base = if cfg.policy.packs() {
-        let mut buf_len = 1u64;
-        for spec in &workload.loops {
-            let plan = ChunkPlan::new(spec, cfg.chunk_bytes, machine.l1.line as u64);
-            buf_len = buf_len.max(plan.iters_per_chunk() * spec.packed_bytes_per_iter(hoist));
-        }
-        let id = space.alloc_aligned("packbuf", 1, buf_len, 64);
-        space.array(id).base
-    } else {
-        0
-    };
-
-    let res = Resolver::new(&space, &workload.index);
-    let mut sys = System::new(machine.clone(), 1);
-    let transfer = machine.transfer_cost as f64;
-    let mut loops = Vec::new();
-
-    for call in 0..cfg.calls {
-        if call > 0 && cfg.flush_between_calls {
-            sys.flush_all();
-        }
-        let measured = call == cfg.calls - 1;
-        if measured {
-            loops.clear();
-        }
-        for spec in &workload.loops {
-            sys.begin_region();
-            let plan = ChunkPlan::new(spec, cfg.chunk_bytes, machine.l1.line as u64);
-            let mut exec_tot = PhaseTotals::default();
-            let mut helper_tot = PhaseTotals::default();
-            let mut makespan = 0.0f64;
-
-            for j in 0..plan.num_chunks() {
-                let range = plan.range(j);
-                let range_len = range.end - range.start;
-                let s0 = sys.snapshot();
-                match cfg.policy {
-                    HelperPolicy::None => {}
-                    HelperPolicy::Prefetch => {
-                        let h = helper_prefetch(&mut sys, 0, res, spec, range.clone(), None);
-                        debug_assert!(h.completed(range_len));
-                    }
-                    HelperPolicy::Restructure { hoist } => {
-                        let h = helper_pack(
-                            &mut sys,
-                            0,
-                            res,
-                            spec,
-                            range.clone(),
-                            buffer_base,
-                            hoist,
-                            None,
-                        );
-                        debug_assert!(h.completed(range_len));
-                    }
-                }
-                let s1 = sys.snapshot();
-                let exec_cycles = match cfg.policy {
-                    HelperPolicy::None | HelperPolicy::Prefetch => {
-                        exec_original(&mut sys, 0, res, spec, range.clone())
-                    }
-                    HelperPolicy::Restructure { hoist } => exec_restructured(
-                        &mut sys,
-                        0,
-                        res,
-                        spec,
-                        range.clone(),
-                        buffer_base,
-                        hoist,
-                        range_len,
-                    ),
-                };
-                makespan += exec_cycles;
-                if measured {
-                    let s2 = sys.snapshot();
-                    helper_tot.add_delta(&s1.since(&s0));
-                    exec_tot.add_delta(&s2.since(&s1));
-                }
-            }
-
-            makespan += plan.num_chunks() as f64 * transfer;
-            if measured {
-                loops.push(LoopReport {
-                    name: spec.name.clone(),
-                    cycles: makespan,
-                    exec: exec_tot,
-                    helper: helper_tot,
-                    chunks: plan.num_chunks(),
-                    helper_complete: if matches!(cfg.policy, HelperPolicy::None) {
-                        0
-                    } else {
-                        plan.num_chunks()
-                    },
-                    helper_iters: if matches!(cfg.policy, HelperPolicy::None) {
-                        0
-                    } else {
-                        spec.iters
-                    },
-                    iters: spec.iters,
-                    timeline: crate::timeline::Timeline::default(),
-                });
-            }
-        }
-    }
-
-    RunReport {
-        machine: machine.name.to_string(),
-        policy: cfg.policy.label().to_string(),
-        nprocs: UNBOUNDED_PROCS,
+    let bounded = CascadeConfig {
+        nprocs: 1,
         chunk_bytes: cfg.chunk_bytes,
-        loops,
-    }
+        policy: cfg.policy,
+        jump_out: false,
+        calls: cfg.calls,
+        flush_between_calls: cfg.flush_between_calls,
+    };
+    crate::cascade::drive(machine, workload, &bounded, true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::CascadeConfig;
+    use crate::report::UNBOUNDED_PROCS;
     use crate::seq::run_sequential;
-    use cascade_mem::machines::{future, pentium_pro};
+    use cascade_mem::machines::{future, pentium_pro, r10000};
     use cascade_trace::{AddressSpace, IndexStore, LoopSpec, Mode, Pattern, StreamRef};
 
     /// The paper's synthetic loop: X(IJ(i)) = X(IJ(i)) + A(i) + B(i),
@@ -337,5 +228,49 @@ mod tests {
         let r = run_unbounded(&pentium_pro(), &w, &UnboundedConfig::default());
         assert_eq!(r.nprocs, UNBOUNDED_PROCS);
         assert_eq!(r.loops[0].helper_complete, r.loops[0].chunks);
+    }
+
+    /// §3.4's definition: a loop's time is its execution phases plus one
+    /// transfer per chunk, every helper completes, and there is no
+    /// one-processor timeline.
+    #[test]
+    fn cycles_are_execution_phases_plus_one_transfer_per_chunk() {
+        let policies = [
+            HelperPolicy::None,
+            HelperPolicy::Prefetch,
+            HelperPolicy::Restructure { hoist: false },
+            HelperPolicy::Restructure { hoist: true },
+        ];
+        for k in [1, 8] {
+            let w = synthetic(32 << 10, k);
+            for m in [pentium_pro(), r10000()] {
+                for policy in policies {
+                    for chunk_bytes in [4 << 10, 16 << 10, 64 << 10] {
+                        let cfg = UnboundedConfig {
+                            chunk_bytes,
+                            policy,
+                            calls: 2,
+                            flush_between_calls: true,
+                        };
+                        let r = run_unbounded(&m, &w, &cfg);
+                        let case = format!("{} k={k} {} {chunk_bytes}B", m.name, policy.label());
+                        for l in &r.loops {
+                            let want = l.exec.cycles + l.chunks as f64 * m.transfer_cost as f64;
+                            assert!(
+                                ((l.cycles - want) / want).abs() < 1e-10,
+                                "{case}: {} cycles, want {want}",
+                                l.cycles
+                            );
+                            let helped = !matches!(policy, HelperPolicy::None);
+                            let (complete, iters) =
+                                if helped { (l.chunks, l.iters) } else { (0, 0) };
+                            assert_eq!(l.helper_complete, complete, "{case}");
+                            assert_eq!(l.helper_iters, iters, "{case}");
+                            assert!(l.timeline.events.is_empty(), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }

@@ -104,9 +104,10 @@
 //!
 //! The [`ckpt`] module makes the resume point survive process death: the
 //! leader's commit path persists crash-consistent checkpoints (full base
-//! arena snapshot plus write-set deltas from the PR 5 journaling
-//! machinery, all fsync'd and atomically renamed) under a [`CkptPolicy`]
-//! on [`RunConfig`]. A SIGKILLed run restores bitwise via
+//! arena snapshot plus write-set deltas from the undo-journal
+//! machinery, all fsync'd and atomically renamed) through the sink on
+//! [`RunConfig::ckpt_sink`], which holds its [`CkptPolicy`]:
+//! [`CkptSink::new`]`(writer, policy)`. A SIGKILLed run restores bitwise via
 //! [`ckpt::load`] / [`Checkpoint::into_program`] and finishes from
 //! `committed_iters` — `cascade chaos --kill` gates this end to end.
 //!

@@ -340,6 +340,11 @@ pub enum RunError {
         /// Exact sequential resume point (global, for a sequence): every
         /// iteration below it is committed exactly once and uncorrupted.
         committed_iters: u64,
+        /// For out-of-footprint drift, the arena bytes of the lowest
+        /// drifted scrub block ([`RealKernel::scrub_block`]); empty
+        /// (`0..0`) for a chunk's detection, as in
+        /// [`FaultEvent::CorruptionDetected`].
+        bytes: Range<u64>,
     },
 }
 
@@ -395,6 +400,7 @@ impl std::fmt::Display for RunError {
                 thread,
                 chunk,
                 committed_iters,
+                bytes,
             } => match (thread, chunk) {
                 (Some(t), Some(c)) => write!(
                     f,
@@ -403,8 +409,9 @@ impl std::fmt::Display for RunError {
                 ),
                 _ => write!(
                     f,
-                    "silent corruption detected outside every chunk's write footprint; \
-                     committed prefix of {committed_iters} iterations is clean"
+                    "silent corruption detected outside every chunk's write footprint, \
+                     first drifted block at arena bytes {bytes:?}; committed prefix of \
+                     {committed_iters} iterations is clean"
                 ),
             },
         }
@@ -860,10 +867,12 @@ fn run_error_from(cause: &PoisonCause) -> RunError {
             thread,
             chunk,
             resume_at,
+            bytes,
         } => RunError::Corrupted {
             thread: *thread,
             chunk: *chunk,
             committed_iters: *resume_at,
+            bytes: bytes.clone(),
         },
     }
 }
@@ -1755,12 +1764,13 @@ unsafe fn audit_loop<K: RealKernel>(
             expected,
             found,
             repaired: false,
-            bytes,
+            bytes: bytes.clone(),
         });
         run.token.poison_with(PoisonCause::Corrupted {
             thread: None,
             chunk: None,
             resume_at: kernel.iters(),
+            bytes,
         });
         return false;
     }
@@ -2688,6 +2698,7 @@ fn fail_rollback<K: RealKernel>(
         thread: blamed,
         chunk: Some(p.chunk),
         resume_at,
+        bytes: 0..0,
     });
     VerifyVerdict::Failed
 }
@@ -4574,13 +4585,17 @@ mod tests {
             }
             other => panic!("expected one scrubber detection, got {other:?}"),
         }
-        assert!(matches!(
-            run.token.poison_cause(),
-            Some(PoisonCause::Corrupted {
+        match run.token.poison_cause().as_ref().map(run_error_from) {
+            Some(RunError::Corrupted {
                 thread: None,
                 chunk: None,
-                ..
-            })
-        ));
+                committed_iters,
+                bytes,
+            }) => {
+                assert_eq!(committed_iters, k.iters());
+                assert_eq!(bytes, spans[1]);
+            }
+            other => panic!("expected a scrubber verdict, got {other:?}"),
+        }
     }
 }

@@ -48,6 +48,7 @@
 //! slot is a mutex, its own synchronization; the token's Release/Acquire
 //! edge orders its publication before the claim.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -119,6 +120,9 @@ pub enum PoisonCause {
         /// Exact loop-local sequential resume point after the rollback:
         /// every iteration below it is committed and uncorrupted.
         resume_at: u64,
+        /// For out-of-footprint drift, the arena bytes of the lowest
+        /// drifted scrub block; empty (`0..0`) for a chunk's detection.
+        bytes: Range<u64>,
     },
 }
 
@@ -148,6 +152,7 @@ impl std::fmt::Display for PoisonCause {
                 thread,
                 chunk,
                 resume_at,
+                bytes,
             } => match (thread, chunk) {
                 (Some(t), Some(c)) => write!(
                     f,
@@ -156,8 +161,8 @@ impl std::fmt::Display for PoisonCause {
                 ),
                 _ => write!(
                     f,
-                    "silent corruption outside every chunk's write footprint \
-                     (clean through iteration {resume_at})"
+                    "silent corruption outside every chunk's write footprint, \
+                     first in arena bytes {bytes:?} (clean through iteration {resume_at})"
                 ),
             },
         }

@@ -760,8 +760,12 @@ fn corrupted_residue_reports_a_sequence_global_resume_point() {
         Err(RunError::Corrupted {
             chunk: Some(c),
             committed_iters,
+            bytes,
             ..
-        }) if c == flipped_chunk => committed_iters,
+        }) if c == flipped_chunk => {
+            assert_eq!(bytes, 0..0, "a chunk's detection names no arena range");
+            committed_iters
+        }
         other => panic!("expected Corrupted on chunk {flipped_chunk}, got {other:?}"),
     };
     assert_eq!(

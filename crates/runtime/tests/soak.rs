@@ -304,8 +304,10 @@ fn corruption_storm_detects_iff_the_policy_replays() {
                         thread,
                         chunk: Some(c),
                         committed_iters,
+                        bytes,
                     }) if replays && !recovers => {
                         assert_eq!(c, chunk, "{ctx}: blamed the wrong chunk");
+                        assert_eq!(bytes, 0..0, "{ctx}: a chunk's detection names no range");
                         assert!(thread.is_some(), "{ctx}: in-footprint flip has an executor");
                         assert_eq!(committed_iters, chunk * CHUNK_ITERS, "{ctx}");
                         assert!(c < num_chunks, "{ctx}");
@@ -384,8 +386,12 @@ fn kill_during_verify_never_persists_an_unverified_chunk() {
         Err(RunError::Corrupted {
             chunk: Some(5),
             committed_iters,
+            bytes,
             ..
-        }) => committed_iters,
+        }) => {
+            assert_eq!(bytes, 0..0, "a chunk's detection names no arena range");
+            committed_iters
+        }
         other => panic!("expected online corruption detection, got {other:?}"),
     };
     drop(faulty);

@@ -147,9 +147,11 @@ fn fail_fast_flip_poisons_with_an_exact_clean_resume_point() {
             thread: Some(t),
             chunk: Some(5),
             committed_iters,
+            bytes,
         }) => {
             // chunk 5 of 2 workers ran on thread 1.
             assert_eq!(t, 1, "blame names the executor");
+            assert_eq!(bytes, 0..0, "a chunk's detection names no arena range");
             committed_iters
         }
         other => panic!("expected Corrupted on chunk 5, got {other:?}"),
@@ -264,9 +266,11 @@ fn out_of_footprint_flip_is_caught_by_the_arena_scrubber() {
             thread: None,
             chunk: None,
             committed_iters,
+            bytes,
         }) => {
             // Every chunk committed clean; the drift lies outside them.
             assert_eq!(committed_iters, iters);
+            assert!(!bytes.is_empty(), "a scrubber verdict names its block");
         }
         other => panic!("expected scrubber-detected Corrupted, got {other:?}"),
     }
@@ -671,7 +675,11 @@ fn out_of_footprint_flips_are_caught_in_every_scrub_block() {
                     thread: None,
                     chunk: None,
                     committed_iters,
-                }) => assert_eq!(committed_iters, iters),
+                    bytes,
+                }) => {
+                    assert_eq!(committed_iters, iters);
+                    assert_eq!(bytes, spans[block], "{nthreads} threads, flip at {addr}");
+                }
                 other => panic!("{nthreads} threads, flip at {addr}: got {other:?}"),
             }
             let log = k.into_log();
@@ -761,7 +769,11 @@ fn a_worker_quarantined_in_loop_0_takes_no_share_of_loop_1s_scrub() {
                 thread: None,
                 chunk: None,
                 committed_iters,
-            }) => assert_eq!(committed_iters, 2 * iters),
+                bytes,
+            }) => {
+                assert_eq!(committed_iters, 2 * iters);
+                assert!(bytes.contains(&addr), "{bytes:?} misses {addr}");
+            }
             other => panic!("flip at {addr}: got {other:?}"),
         }
         let (base, now) = two_scrubs(&log, blocks, 1);

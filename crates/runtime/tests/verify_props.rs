@@ -135,8 +135,10 @@ proptest! {
                 thread,
                 chunk: c,
                 committed_iters,
+                bytes,
             }) => {
                 prop_assert!(!recovers, "a recovering run must repair, not fail");
+                prop_assert_eq!(bytes, 0..0, "a chunk's detection names no arena range");
                 prop_assert_eq!(c, Some(chunk));
                 prop_assert_eq!(thread, Some(guilty), "blame must name the executor");
                 prop_assert_eq!(committed_iters, chunk * CHUNK_ITERS);
@@ -223,8 +225,9 @@ proptest! {
                 expected,
                 "an out-of-footprint flip is never overwritten — it must survive"
             ),
-            Err(RunError::Corrupted { thread, chunk: c, committed_iters }) => {
+            Err(RunError::Corrupted { thread, chunk: c, committed_iters, bytes }) => {
                 prop_assert!(armed, "nothing can report corruption with verification off");
+                prop_assert!(!bytes.is_empty(), "a scrubber verdict names its block");
                 prop_assert_eq!(thread, None, "unassignable blame must stay unassigned");
                 prop_assert_eq!(c, None);
                 prop_assert_eq!(committed_iters, iters, "scrub runs post-join");
