@@ -507,6 +507,7 @@ pub fn rt(args: &Args) -> Result<String, ArgError> {
     let mut helped = 0u64;
     let mut iters = 0u64;
     let mut verified = 0u64;
+    let mut helper_audits = 0u64;
     let mut scrubs = 0u64;
     for i in 0..prog.num_loops() {
         let k = prog.kernel(i);
@@ -516,6 +517,7 @@ pub fn rt(args: &Args) -> Result<String, ArgError> {
         iters += stats.iters;
         helped += stats.threads.iter().map(|t| t.helper_iters).sum::<u64>();
         verified += stats.threads.iter().map(|t| t.verified_chunks).sum::<u64>();
+        helper_audits += stats.threads.iter().map(|t| t.helper_audits).sum::<u64>();
         scrubs += stats.scrubs;
     }
     let elapsed = t0.elapsed();
@@ -531,7 +533,7 @@ pub fn rt(args: &Args) -> Result<String, ArgError> {
     );
     if r.cfg.verify.armed() {
         out.push_str(&format!(
-            "  verification: {verified} chunks replay-verified, {scrubs} arena scrubs, no corruption\n",
+            "  verification: {verified} chunks replay-verified ({helper_audits} in a helper phase), {scrubs} arena scrubs, no corruption\n",
         ));
     }
     if prog.checksum() != r.expected {

@@ -81,21 +81,25 @@
 //! all caught by exploration.
 //!
 //! A third state machine ([`VerifyModel`]) covers the verified-execution
-//! protocol (checksummed handoffs + blame, `docs/ROBUSTNESS.md` §"Silent
-//! data corruption") with three invariants: **verification
-//! happens-before downstream commit visibility** when a `VerifyPolicy`
-//! is armed (the claimant of chunk `j` verifies chunk `j-1`'s packet
-//! before its own execute phase), **a corrupted chunk is never part of
-//! the committed prefix** a typed error reports (the fail path rolls the
-//! chunk back to its pre-image before poisoning), and **blame never
-//! convicts an innocent worker** under a single-fault assumption
-//! (conviction requires the sequential tiebreak — two agreeing replays —
-//! *and* the published digest matching the committed bytes, which proves
-//! the executor computed them). Its seeded bugs ([`VBug`]) verify after
+//! protocol (checksummed handoffs into a verify window + blame,
+//! `docs/ROBUSTNESS.md` §"Silent data corruption") with three
+//! invariants: **no chunk that depends on chunk `c` executes, and no
+//! checkpoint covers `c`, before `c`'s audit completes** when a
+//! `VerifyPolicy` is armed (the claimant of chunk `j` settles the window
+//! before its own execute phase, and a packet `j` is independent of may
+//! stay pending for a helper phase to audit when the run repairs in
+//! place), **a corrupted chunk is never part of the committed prefix** a
+//! typed error reports (the fail path rolls the chunk back to its
+//! pre-image before poisoning), and **blame never convicts an innocent
+//! worker** under a single-fault assumption (conviction requires the
+//! sequential tiebreak — two agreeing replays — *and* the published
+//! digest matching the committed bytes, which proves the executor
+//! computed them). Its seeded bugs ([`VBug`]) settle the window after
 //! the downstream execute instead of before
-//! ([`VBug::VerifyAfterHandoff`]) and blame on a lone mismatch without
-//! the tiebreak ([`VBug::BlameWithoutTiebreak`]) — both caught by
-//! exploration.
+//! ([`VBug::VerifyAfterHandoff`]), execute past a pending packet the
+//! chunk depends on ([`VBug::DeferDependent`]) and blame on a lone
+//! mismatch without the tiebreak ([`VBug::BlameWithoutTiebreak`]) — all
+//! caught by exploration.
 
 use interleave::{explore, Exploration, Model};
 
@@ -1649,15 +1653,23 @@ pub enum VBug {
     /// The faithful protocol.
     #[default]
     None,
-    /// The claimant executes its own chunk *before* verifying the
-    /// predecessor's packet: the downstream body consumes bytes nobody
-    /// has checked yet, breaking verification-happens-before-downstream
-    /// commit visibility.
+    /// The claimant executes its own chunk *before* settling the verify
+    /// window: the body consumes bytes of a chunk it depends on that
+    /// nobody has checked yet, breaking invariant 1.
     VerifyAfterHandoff,
     /// Blame the executor on a lone replay mismatch — no second replay,
     /// no digest guard. A verifier-side glitch or a post-commit flip
     /// then convicts an innocent worker.
     BlameWithoutTiebreak,
+    /// The claimant settles the window ignoring dependence: it executes
+    /// past a pending packet its chunk depends on (only the window's
+    /// bound still makes it audit), so the body consumes bytes nobody
+    /// has checked yet.
+    DeferDependent,
+    /// The claimant defers a digest-only audit, which cannot repair:
+    /// when it detects a flip after a later chunk committed, the chunk
+    /// can no longer be rolled back under a clean prefix.
+    DeferUnrepairable,
 }
 
 /// What a chunk's committed bytes look like, abstractly.
@@ -1681,16 +1693,24 @@ enum VData {
 enum VTh {
     /// About to compute its next owned chunk.
     Idle { cursor: u8 },
+    /// In the helper phase for its owned `chunk`: it may audit deferred
+    /// packets other workers executed, until the token reaches `chunk`.
+    Helping { chunk: u8 },
     /// Polling the token for its owned chunk.
     Waiting { chunk: u8 },
-    /// Won the claim; the predecessor's packet is pending — the faithful
-    /// order verifies it *before* the execute phase.
-    Verifying { chunk: u8 },
+    /// Won the claim; settling the verify window before the body
+    /// (`late`: the seeded [`VBug::VerifyAfterHandoff`] settles after it).
+    Settling { chunk: u8, late: bool },
+    /// Auditing the window's packet of chunk `of`, taken as the claimant
+    /// of `chunk` or (`helper`) in the helper phase for it.
+    Auditing {
+        chunk: u8,
+        of: u8,
+        helper: bool,
+        late: bool,
+    },
     /// Inside the chunk body.
     Executing { chunk: u8 },
-    /// Seeded-bug tail ([`VBug::VerifyAfterHandoff`]): body already run,
-    /// the predecessor's packet verified only now.
-    LateVerifying { chunk: u8 },
     /// Body done; about to publish the handoff packet and advance.
     Releasing { chunk: u8 },
     /// Drained.
@@ -1702,53 +1722,91 @@ enum VTh {
 pub enum VStep {
     /// Compute the next owned chunk (or drain).
     Seek(usize),
+    /// Take the oldest deferred packet another worker executed, in the
+    /// helper phase.
+    HelpTake(usize),
+    /// End the helper phase and wait for the token.
+    EndHelp(usize),
     /// Notice poisoning while waiting.
     Observe(usize),
-    /// The claim CAS; the faithful claimant then verifies the
-    /// predecessor's packet before executing.
+    /// The claim CAS; the faithful claimant then settles the window
+    /// before executing.
     Claim(usize),
-    /// Verify the pending packet: digest compare, replay, tiebreak,
-    /// blame, repair-or-fail — the runner's `verify_committed`.
-    Verify(usize),
+    /// One round of the claimant's settle: take the first packet it must
+    /// audit (one it depends on, or the oldest past the window's bound),
+    /// or, with none left, defer the rest, publish the checkpoint up to
+    /// the verified watermark and go on.
+    Settle(usize),
+    /// Audit a taken packet: digest compare, replay, tiebreak, blame,
+    /// repair-or-fail — the runner's `verify_committed` — and retire it.
+    Audit(usize),
     /// Run the chunk body.
     Execute(usize),
-    /// Publish the handoff packet (digest + pre-image) and advance the
-    /// token — the checksummed handoff.
+    /// Publish the handoff packet (digest + pre-image) into the window
+    /// and advance the token — the checksummed handoff.
     Advance(usize),
     /// The scripted post-commit flip lands (only while the victim
-    /// chunk's packet is outstanding — the window the protocol claims
+    /// chunk's packet is in the window — the span the protocol claims
     /// detection over).
     Flip,
-    /// The supervisor verifies the final chunk's packet after the last
-    /// handoff (post-join in the runner, quiescent by construction).
-    FinalVerify,
+    /// The end barrier's leader audits the window's oldest packet after
+    /// the last handoff, or the supervisor after a poison (quiescent:
+    /// every worker has drained).
+    Drain,
+}
+
+/// One packet of the verify window.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+struct VPacket {
+    chunk: u8,
+    executor: u8,
+    /// A claimant executed past it: helpers may audit it.
+    deferred: bool,
+    /// Its audit is running.
+    taken: bool,
 }
 
 /// Explicit-state model of the verified-execution protocol
-/// ([`crate::runner`]'s `verify_committed` / `convict` / `fail_rollback`
-/// under an armed `VerifyPolicy`): every commit publishes a packet
-/// (digest + pre-image) with the token handoff, the claimant of chunk
-/// `j` verifies chunk `j-1` before its own execute phase, a mismatch is
-/// confirmed by the sequential tiebreak (two agreeing private replays),
-/// blame additionally requires the published digest to match the
-/// committed bytes, and the fail path rolls the corrupted chunk back to
-/// its pre-image before poisoning.
+/// ([`crate::runner`]'s verify window, `verify_committed` / `convict` /
+/// `fail_rollback` under an armed `VerifyPolicy`): every commit publishes
+/// a packet (digest + pre-image) into the window with the token handoff.
+/// The claimant of chunk `j` settles the window before its body: it
+/// audits every packet `j` depends on, waiting for one another worker is
+/// auditing, and the oldest ones past the bound of `nthreads` packets. A
+/// packet `j` is independent of may stay pending past the claim, when
+/// the run repairs in place; a helper phase of any other worker then
+/// audits it beside later executions. A mismatch is confirmed by the
+/// sequential tiebreak (two agreeing private replays), blame
+/// additionally requires the published digest to match the committed
+/// bytes, and the fail path rolls the corrupted chunk back to its
+/// pre-image before poisoning. A digest-only audit
+/// ([`VerifyModel::digest_only_where`]) has no replay: it detects only a
+/// post-commit flip, blames nobody and always fails, so its packet is
+/// never deferred. A checkpoint due at a claim
+/// ([`VerifyModel::checkpoint_every`]) makes the claimant audit the whole
+/// window first and publishes only when it is empty; the end barrier,
+/// or the supervisor after a poison, drains the window.
 ///
 /// Ownership is a fixed round-robin with no roster dynamics: quarantine
 /// remaps, stalls and panics are [`Protocol`]'s concern — this model
 /// isolates the three verification claims so their state space stays
-/// exhaustively explorable:
+/// exhaustively explorable. Which pairs of chunks are independent is a
+/// scenario parameter ([`VerifyModel::independent_where`]).
 ///
-/// 1. **Verification happens-before downstream commit visibility** — in
-///    no reachable state is a chunk's body executing (or executed,
-///    unreleased) while its predecessor's packet is still unverified;
+/// 1. **No chunk that depends on chunk `c` executes, and no checkpoint
+///    covers `c`, before `c`'s audit completes** — in no reachable state
+///    is a body running (or run, unreleased) while a packet it depends
+///    on is in the window, nor a checkpoint published past the lowest
+///    packet in it; the window never holds more than `nthreads + 1`;
 /// 2. **A corrupted chunk is never part of the committed prefix** — in
 ///    every poisoned state the blamed chunk is rolled back to its
 ///    pre-image and every chunk before the resume point is bitwise
-///    good, so the typed error's `committed_iters` is trustworthy;
+///    good, so the typed error's `committed_iters` is trustworthy, with
+///    audits running beside later executions and digest-only audits,
+///    which cannot repair, among them;
 /// 3. **Blame never convicts an innocent worker** (single-fault
 ///    assumption) — a conviction implies the convicted executor really
-///    computed the wrong bytes.
+///    computed the wrong bytes, whichever worker audits and when.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct VerifyModel {
     // Scenario (constant across a run, varied across tests).
@@ -1757,14 +1815,25 @@ pub struct VerifyModel {
     recover: bool,
     bug: VBug,
     fault: Option<VFault>,
+    /// `indep[c * chunks + j]`: chunk `j > c` may execute while `c`'s
+    /// audit is pending.
+    indep: Vec<bool>,
+    /// `replays[c]`: chunk `c`'s audit replays it; otherwise it only
+    /// compares the committed bytes with the executor's digest.
+    replays: Vec<bool>,
+    /// A checkpoint is due every this many chunks (`EveryChunks`); 0
+    /// when the run has no sink.
+    ckpt_every: u8,
     // Dynamic state.
     fault_fired: bool,
     token: Tok,
     threads: Vec<VTh>,
     data: Vec<VData>,
     executed: Vec<u8>,
-    /// The outstanding handoff packet: `(chunk, executor)`.
-    packet: Option<(u8, u8)>,
+    /// The verify window, ascending by chunk.
+    window: Vec<VPacket>,
+    /// Chunks the published checkpoint covers (a prefix).
+    ckpt: u8,
     /// The chunk a corruption poison named (the typed error's blame).
     poisoned_chunk: Option<u8>,
     /// A worker that did not corrupt anything was blamed.
@@ -1773,7 +1842,8 @@ pub struct VerifyModel {
 
 impl VerifyModel {
     /// A faithful verified run over `nthreads` workers and `chunks`
-    /// chunks with recovery on (convictions repair in place).
+    /// chunks with recovery on (convictions repair in place), every
+    /// chunk depending on every earlier one.
     pub fn new(nthreads: u8, chunks: u8) -> Self {
         assert!(nthreads >= 1 && chunks >= 1);
         VerifyModel {
@@ -1782,12 +1852,16 @@ impl VerifyModel {
             recover: true,
             bug: VBug::None,
             fault: None,
+            indep: vec![false; usize::from(chunks) * usize::from(chunks)],
+            replays: vec![true; usize::from(chunks)],
+            ckpt_every: 0,
             fault_fired: false,
             token: Tok::Granted(0),
             threads: vec![VTh::Idle { cursor: 0 }; nthreads as usize],
             data: vec![VData::Fresh; chunks as usize],
             executed: vec![0; chunks as usize],
-            packet: None,
+            window: Vec::new(),
+            ckpt: 0,
             poisoned_chunk: None,
             blamed_innocent: false,
         }
@@ -1801,7 +1875,8 @@ impl VerifyModel {
     }
 
     /// Disable recovery: a confirmed corruption rolls back and poisons
-    /// instead of repairing in place (the fail-fast tolerance).
+    /// instead of repairing in place (the fail-fast tolerance), and no
+    /// audit is deferred.
     pub fn without_recovery(mut self) -> Self {
         self.recover = false;
         self
@@ -1813,18 +1888,86 @@ impl VerifyModel {
         self
     }
 
+    /// Declare chunk `j` independent of an earlier chunk `c` wherever
+    /// `indep(c, j)` holds ([`crate::RealKernel::independent`]).
+    pub fn independent_where(mut self, indep: impl Fn(u8, u8) -> bool) -> Self {
+        let m = self.chunks;
+        for c in 0..m {
+            for j in c + 1..m {
+                self.indep[usize::from(c) * usize::from(m) + usize::from(j)] = indep(c, j);
+            }
+        }
+        self
+    }
+
+    /// Audit chunk `c` by digest alone wherever `digest_only(c)` holds
+    /// (`VerifyPolicy::Checksum`, or the unsampled chunks of
+    /// `VerifyPolicy::Sampled`).
+    pub fn digest_only_where(mut self, digest_only: impl Fn(u8) -> bool) -> Self {
+        for c in 0..self.chunks {
+            self.replays[usize::from(c)] = !digest_only(c);
+        }
+        self
+    }
+
+    /// Give the run a checkpoint sink that is due every `n` chunks.
+    pub fn checkpoint_every(mut self, n: u8) -> Self {
+        assert!(n >= 1);
+        self.ckpt_every = n;
+        self
+    }
+
+    /// Whether a checkpoint is due at the claim of chunk `j`.
+    fn ckpt_due(&self, j: u8) -> bool {
+        self.ckpt_every > 0 && j.saturating_sub(self.ckpt) >= self.ckpt_every
+    }
+
+    /// Whether chunk `j` must wait for the audit of an earlier chunk `c`.
+    fn depends(&self, c: u8, j: u8) -> bool {
+        !self.indep[usize::from(c) * usize::from(self.chunks) + usize::from(j)]
+    }
+
     /// Fixed round-robin ownership: the smallest `j >= from` owned by `t`.
     fn next_owned(&self, t: u8, from: u8) -> u8 {
         owned_from(u64::from(t), u64::from(self.nthreads), 0, u64::from(from)) as u8
     }
 
-    /// The runner's `verify_committed`, compressed to one atomic
-    /// decision (the interleavings that matter — packet vs. downstream
-    /// claim vs. flip — are between steps, not inside the comparison).
-    /// Returns `true` when the run poisoned.
-    fn run_verify(&mut self) -> bool {
-        let (c, _e) = self.packet.take().expect("verify requires a packet");
+    /// The window index the claimant of `j` must audit next, if any:
+    /// every packet when a checkpoint is due; a packet whose audit cannot
+    /// repair in place (fail-fast, or digest-only, unless the seeded
+    /// [`VBug::DeferUnrepairable`] ignores that); a packet `j` depends on
+    /// (unless the seeded [`VBug::DeferDependent`] ignores the
+    /// dependence); or the oldest untaken one past the bound.
+    fn due(&self, j: u8) -> Option<usize> {
+        let over = self.window.len() > usize::from(self.nthreads);
+        let ckpt = self.ckpt_due(j);
+        self.window.iter().position(|p| {
+            let replays = self.replays[usize::from(p.chunk)];
+            let repairs = self.recover && (replays || self.bug == VBug::DeferUnrepairable);
+            let dep = self.depends(p.chunk, j) && self.bug != VBug::DeferDependent;
+            ckpt || !repairs || dep || (over && !p.taken)
+        })
+    }
+
+    /// The runner's `verify_committed` of the window's packet of chunk
+    /// `c`, compressed to one atomic decision (the interleavings that
+    /// matter — audit vs. downstream claims, executions and the flip —
+    /// are between steps, not inside the comparison), then its retirement
+    /// from the window. Returns `true` when the run poisoned.
+    fn run_verify(&mut self, c: u8) -> bool {
+        let at = self
+            .window
+            .iter()
+            .position(|p| p.chunk == c)
+            .expect("verify requires a packet");
+        self.window.remove(at);
         let ci = c as usize;
+        if !self.replays[ci] {
+            // Digest-only: the committed bytes against the executor's
+            // digest. Only a post-commit flip shows, and with no replay
+            // there is no tiebreak, no blame and nothing to install.
+            return self.data[ci] == VData::Flipped && self.resolve(ci, false);
+        }
         // First private replay: wrong only under a pending glitch.
         let glitch = matches!(self.fault, Some(VFault::ReplayGlitch { chunk }) if chunk == c)
             && !self.fault_fired;
@@ -1847,7 +1990,7 @@ impl VerifyModel {
             if self.data[ci] != VData::Wrong {
                 self.blamed_innocent = true;
             }
-            return self.resolve(ci);
+            return self.resolve(ci, self.recover);
         }
         if r1_matches {
             return false;
@@ -1864,24 +2007,33 @@ impl VerifyModel {
         if digest_matches && self.data[ci] != VData::Wrong {
             self.blamed_innocent = true;
         }
-        self.resolve(ci)
+        self.resolve(ci, self.recover)
     }
 
-    /// Repair in place (recovery armed) or roll back and poison.
-    fn resolve(&mut self, ci: usize) -> bool {
-        if self.recover {
+    /// Repair in place (`repair`: recovery armed and verified replay
+    /// bytes to install) or roll back and poison.
+    fn resolve(&mut self, ci: usize, repair: bool) -> bool {
+        if repair {
             // Install the verified replay bytes: bitwise what a clean
             // execution would have left.
             self.data[ci] = VData::Good;
-            false
-        } else {
-            // Fail path: pre-image rollback first, then poison — the
-            // committed prefix of the typed error stays clean.
-            self.data[ci] = VData::RolledBack;
-            self.token = Tok::Poisoned;
-            self.poisoned_chunk = Some(ci as u8);
-            true
+            return false;
         }
+        // Fail path: pre-image rollback first, then poison — the
+        // committed prefix of the typed error stays clean. Once a later
+        // chunk has committed, the runner cannot roll back under a
+        // prefix (`fail_rollback` marks the run unsound and reports the
+        // chunk's end), and the chunk stays corrupted in place.
+        let later =
+            matches!(self.token, Tok::Granted(p) | Tok::Claimed(p) if usize::from(p) > ci + 1);
+        if !later {
+            self.data[ci] = VData::RolledBack;
+        }
+        self.token = Tok::Poisoned;
+        // The error with the shorter clean prefix is reported.
+        let pc = self.poisoned_chunk.map_or(ci as u8, |pc| pc.min(ci as u8));
+        self.poisoned_chunk = Some(pc);
+        true
     }
 }
 
@@ -1893,6 +2045,17 @@ impl Model for VerifyModel {
         for (i, th) in self.threads.iter().enumerate() {
             match *th {
                 VTh::Idle { .. } => acts.push(VStep::Seek(i)),
+                VTh::Helping { chunk } => {
+                    let reached = match self.token {
+                        Tok::Granted(p) | Tok::Claimed(p) => p >= chunk,
+                        Tok::Poisoned => true,
+                    };
+                    let other = |p: &VPacket| p.deferred && !p.taken && p.executor != i as u8;
+                    if !reached && self.window.iter().any(other) {
+                        acts.push(VStep::HelpTake(i));
+                    }
+                    acts.push(VStep::EndHelp(i));
+                }
                 VTh::Waiting { chunk } => {
                     if self.token == Tok::Granted(chunk) {
                         acts.push(VStep::Claim(i));
@@ -1901,7 +2064,13 @@ impl Model for VerifyModel {
                         acts.push(VStep::Observe(i));
                     }
                 }
-                VTh::Verifying { .. } | VTh::LateVerifying { .. } => acts.push(VStep::Verify(i)),
+                // Blocked while another worker audits the packet due.
+                VTh::Settling { chunk, .. } => {
+                    if self.due(chunk).is_none_or(|d| !self.window[d].taken) {
+                        acts.push(VStep::Settle(i));
+                    }
+                }
+                VTh::Auditing { .. } => acts.push(VStep::Audit(i)),
                 VTh::Executing { .. } => acts.push(VStep::Execute(i)),
                 VTh::Releasing { .. } => acts.push(VStep::Advance(i)),
                 VTh::Done => {}
@@ -1909,14 +2078,16 @@ impl Model for VerifyModel {
         }
         if let Some(VFault::PostCommitFlip { chunk }) = self.fault {
             // The flip may land at any point while the victim's packet
-            // is outstanding — the window the protocol claims detection
+            // is in the window — the span the protocol claims detection
             // over (later flips are the arena scrubber's concern).
-            if !self.fault_fired && self.packet.is_some_and(|(c, _)| c == chunk) {
+            if !self.fault_fired && self.window.iter().any(|p| p.chunk == chunk) {
                 acts.push(VStep::Flip);
             }
         }
-        if self.token == Tok::Granted(self.chunks) && self.packet.is_some() {
-            acts.push(VStep::FinalVerify);
+        let quiescent = self.threads.iter().all(|t| *t == VTh::Done);
+        let ended = matches!(self.token, Tok::Poisoned) || self.token == Tok::Granted(self.chunks);
+        if ended && quiescent && !self.window.is_empty() {
+            acts.push(VStep::Drain);
         }
         acts
     }
@@ -1934,10 +2105,34 @@ impl Model for VerifyModel {
                 }
                 let j = s.next_owned(i as u8, cursor);
                 s.threads[i] = if j < s.chunks {
-                    VTh::Waiting { chunk: j }
+                    VTh::Helping { chunk: j }
                 } else {
                     VTh::Done
                 };
+            }
+            VStep::HelpTake(i) => {
+                let VTh::Helping { chunk } = s.threads[i] else {
+                    unreachable!("HelpTake from non-Helping")
+                };
+                let p = s
+                    .window
+                    .iter_mut()
+                    .find(|p| p.deferred && !p.taken && p.executor != i as u8)
+                    .expect("enabled only with a deferred packet");
+                p.taken = true;
+                let of = p.chunk;
+                s.threads[i] = VTh::Auditing {
+                    chunk,
+                    of,
+                    helper: true,
+                    late: false,
+                };
+            }
+            VStep::EndHelp(i) => {
+                let VTh::Helping { chunk } = s.threads[i] else {
+                    unreachable!("EndHelp from non-Helping")
+                };
+                s.threads[i] = VTh::Waiting { chunk };
             }
             VStep::Observe(i) => {
                 s.threads[i] = VTh::Done;
@@ -1947,29 +2142,62 @@ impl Model for VerifyModel {
                     unreachable!("Claim from non-Waiting")
                 };
                 s.token = Tok::Claimed(chunk);
-                let pending_pred = s.packet.is_some_and(|(c, _)| c + 1 == chunk);
-                s.threads[i] = if pending_pred && s.bug != VBug::VerifyAfterHandoff {
-                    // Faithful order: verify the predecessor while
-                    // holding the downstream claim, before executing.
-                    VTh::Verifying { chunk }
-                } else {
-                    // No packet (chunk 0), or the seeded bug defers the
-                    // verification until after the body.
+                s.threads[i] = if s.bug == VBug::VerifyAfterHandoff {
+                    // Seeded bug: the body runs first, the window is
+                    // settled only afterwards.
                     VTh::Executing { chunk }
+                } else {
+                    VTh::Settling { chunk, late: false }
                 };
             }
-            VStep::Verify(i) => {
-                let late = matches!(s.threads[i], VTh::LateVerifying { .. });
-                let (VTh::Verifying { chunk } | VTh::LateVerifying { chunk }) = s.threads[i] else {
-                    unreachable!("Verify from non-verifying state")
+            VStep::Settle(i) => {
+                let VTh::Settling { chunk, late } = s.threads[i] else {
+                    unreachable!("Settle from non-Settling")
                 };
-                let failed = s.run_verify();
+                match s.due(chunk) {
+                    Some(d) => {
+                        s.window[d].taken = true;
+                        s.threads[i] = VTh::Auditing {
+                            chunk,
+                            of: s.window[d].chunk,
+                            helper: false,
+                            late,
+                        };
+                    }
+                    None => {
+                        for p in &mut s.window {
+                            p.deferred = true;
+                        }
+                        // Publish the prefix below `chunk` when it is due
+                        // and every chunk in it is audited.
+                        if s.window.is_empty() && s.ckpt_due(chunk) {
+                            s.ckpt = chunk;
+                        }
+                        s.threads[i] = if late {
+                            VTh::Releasing { chunk }
+                        } else {
+                            VTh::Executing { chunk }
+                        };
+                    }
+                }
+            }
+            VStep::Audit(i) => {
+                let VTh::Auditing {
+                    chunk,
+                    of,
+                    helper,
+                    late,
+                } = s.threads[i]
+                else {
+                    unreachable!("Audit from non-Auditing")
+                };
+                let failed = s.run_verify(of);
                 s.threads[i] = if failed {
                     VTh::Done
-                } else if late {
-                    VTh::Releasing { chunk }
+                } else if helper {
+                    VTh::Helping { chunk }
                 } else {
-                    VTh::Executing { chunk }
+                    VTh::Settling { chunk, late }
                 };
             }
             VStep::Execute(i) => {
@@ -1983,12 +2211,10 @@ impl Model for VerifyModel {
                     s.fault_fired = true;
                 }
                 s.data[chunk as usize] = if wrong { VData::Wrong } else { VData::Good };
-                let pending_pred = s.packet.is_some_and(|(c, _)| c + 1 == chunk);
-                s.threads[i] = if pending_pred {
-                    // Only reachable under VerifyAfterHandoff: the
-                    // deferred verification lands now, after the body
-                    // already consumed unverified bytes.
-                    VTh::LateVerifying { chunk }
+                s.threads[i] = if s.bug == VBug::VerifyAfterHandoff {
+                    // The deferred settle lands now, after the body
+                    // already consumed unaudited bytes.
+                    VTh::Settling { chunk, late: true }
                 } else {
                     VTh::Releasing { chunk }
                 };
@@ -2001,7 +2227,12 @@ impl Model for VerifyModel {
                     // The checksummed handoff: digest + pre-image packet
                     // published, then the advance CAS — program order
                     // within one worker, so modeled as one step.
-                    s.packet = Some((chunk, i as u8));
+                    s.window.push(VPacket {
+                        chunk,
+                        executor: i as u8,
+                        deferred: false,
+                        taken: false,
+                    });
                     s.token = Tok::Granted(chunk + 1);
                     s.threads[i] = VTh::Idle { cursor: chunk + 1 };
                 } else {
@@ -2015,10 +2246,11 @@ impl Model for VerifyModel {
                 s.fault_fired = true;
                 s.data[chunk as usize] = VData::Flipped;
             }
-            VStep::FinalVerify => {
-                // Post-join supervisor verification of the last packet;
-                // quiescent by construction.
-                s.run_verify();
+            VStep::Drain => {
+                // The end barrier's leader, or the supervisor after a
+                // poison; quiescent by construction.
+                let c = s.window[0].chunk;
+                s.run_verify(c);
             }
         }
         s
@@ -2029,19 +2261,33 @@ impl Model for VerifyModel {
         if self.blamed_innocent {
             return Err("an innocent worker was blamed for corruption".into());
         }
-        // 1. Verification happens-before downstream commit visibility:
-        //    no chunk's body runs while its predecessor is unverified.
+        // 1. No chunk that depends on chunk c executes before c's audit
+        //    completes ...
         for th in &self.threads {
-            if let VTh::Executing { chunk }
-            | VTh::LateVerifying { chunk }
-            | VTh::Releasing { chunk } = th
-            {
-                if self.packet.is_some_and(|(c, _)| c + 1 == *chunk) {
-                    return Err(format!(
-                        "chunk {chunk} executed before its predecessor was verified"
-                    ));
-                }
+            let j = match *th {
+                VTh::Executing { chunk } | VTh::Releasing { chunk } => chunk,
+                VTh::Settling { chunk, late: true }
+                | VTh::Auditing {
+                    chunk, late: true, ..
+                } => chunk,
+                _ => continue,
+            };
+            if let Some(p) = self.window.iter().find(|p| self.depends(p.chunk, j)) {
+                return Err(format!(
+                    "chunk {j} executed before chunk {}, which it depends on, was audited",
+                    p.chunk
+                ));
             }
+        }
+        //    ... and no checkpoint covers c before then.
+        if let Some(p) = self.window.iter().find(|p| p.chunk < self.ckpt) {
+            return Err(format!(
+                "checkpoint of {} chunks covers unaudited chunk {}",
+                self.ckpt, p.chunk
+            ));
+        }
+        if self.window.len() > usize::from(self.nthreads) + 1 {
+            return Err(format!("{} packets pending", self.window.len()));
         }
         // 2. A corrupted chunk is never part of the committed prefix.
         if let Some(pc) = self.poisoned_chunk {
@@ -2065,7 +2311,7 @@ impl Model for VerifyModel {
     }
 
     fn is_accepting(&self) -> bool {
-        self.threads.iter().all(|t| matches!(t, VTh::Done)) && self.packet.is_none()
+        self.threads.iter().all(|t| matches!(t, VTh::Done)) && self.window.is_empty()
     }
 
     fn final_check(&self) -> Result<(), String> {
@@ -2655,6 +2901,159 @@ mod tests {
         }
     }
 
+    /// A named independence of chunks ([`VerifyModel::independent_where`]).
+    type Independence = (&'static str, fn(u8, u8) -> bool);
+
+    /// Independence of chunks: none (every chunk depends on every
+    /// earlier one), all, and a mix where a chunk depends only on the
+    /// one two before it.
+    fn independence() -> [Independence; 3] {
+        [
+            ("dependent", |_, _| false),
+            ("independent", |_, _| true),
+            ("mixed", |c, j| j != c + 2),
+        ]
+    }
+
+    #[test]
+    fn deferred_audits_keep_the_three_invariants_under_every_fault() {
+        // Audits run beside later executions wherever the chunks are
+        // independent: every schedule still audits each chunk before a
+        // dependent one executes and before a checkpoint covers it, and
+        // detects, repairs and blames as when every audit ran first.
+        let faults = [
+            None,
+            Some(VFault::WrongBytes { chunk: 0 }),
+            Some(VFault::WrongBytes { chunk: 3 }),
+            Some(VFault::PostCommitFlip { chunk: 1 }),
+            Some(VFault::ReplayGlitch { chunk: 2 }),
+        ];
+        for (name, indep) in independence() {
+            for fault in faults {
+                for n in [2u8, 3] {
+                    let mut m = VerifyModel::new(n, 4).independent_where(indep);
+                    if let Some(f) = fault {
+                        m = m.with_fault(f);
+                    }
+                    assert_verify_verified(m, &format!("{name} n={n} {fault:?}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn digest_only_audits_are_never_deferred_and_keep_a_clean_prefix() {
+        // A digest-only audit cannot repair, so even a repairing run
+        // audits it before the next chunk executes: a flip it detects is
+        // rolled back under a clean prefix. Every chunk digest-only
+        // (`Checksum`) and every other one (`Sampled(2)`).
+        type DigestOnly = (&'static str, fn(u8) -> bool);
+        let policies: [DigestOnly; 2] = [("checksum", |_| true), ("sampled", |c| c % 2 == 1)];
+        for (name, indep) in [independence()[1], independence()[2]] {
+            for (policy, digest_only) in policies {
+                for chunk in 0..4 {
+                    let m = VerifyModel::new(2, 4)
+                        .independent_where(indep)
+                        .digest_only_where(digest_only)
+                        .with_fault(VFault::PostCommitFlip { chunk });
+                    assert_verify_verified(m, &format!("{name} {policy} flip chunk={chunk}"));
+                }
+            }
+        }
+        assert_verify_verified(
+            VerifyModel::new(3, 4)
+                .independent_where(|_, _| true)
+                .digest_only_where(|c| c % 2 == 1)
+                .with_fault(VFault::PostCommitFlip { chunk: 1 }),
+            "independent sampled n=3",
+        );
+    }
+
+    #[test]
+    fn seeded_defer_unrepairable_bug_is_caught() {
+        // Deferring a digest-only audit past an independent chunk: the
+        // flip is found after the later chunk committed, too late to
+        // roll back under a clean prefix.
+        let result = verify_verification(
+            VerifyModel::new(2, 4)
+                .independent_where(|_, _| true)
+                .digest_only_where(|_| true)
+                .with_fault(VFault::PostCommitFlip { chunk: 0 })
+                .with_bug(VBug::DeferUnrepairable),
+            2_000_000,
+        );
+        let v = result
+            .violation
+            .expect("deferring a digest-only audit must be caught");
+        assert!(
+            v.message.contains("still corrupted in place"),
+            "unexpected violation: {}",
+            v.message
+        );
+    }
+
+    #[test]
+    fn a_due_checkpoint_covers_only_audited_chunks() {
+        // A checkpoint due at a claim makes the claimant audit the whole
+        // window first: every other claim under `EveryChunks(2)`, every
+        // claim under `EveryChunks(1)`.
+        let faults = [
+            None,
+            Some(VFault::WrongBytes { chunk: 1 }),
+            Some(VFault::PostCommitFlip { chunk: 2 }),
+        ];
+        for (name, indep) in independence() {
+            for every in [1u8, 2] {
+                for fault in faults {
+                    let mut m = VerifyModel::new(2, 4)
+                        .independent_where(indep)
+                        .checkpoint_every(every);
+                    if let Some(f) = fault {
+                        m = m.with_fault(f);
+                    }
+                    assert_verify_verified(m, &format!("{name} every={every} {fault:?}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fail_fast_defers_nothing_and_keeps_a_clean_prefix() {
+        for (name, indep) in independence() {
+            for chunk in 0..4 {
+                assert_verify_verified(
+                    VerifyModel::new(2, 4)
+                        .independent_where(indep)
+                        .with_fault(VFault::WrongBytes { chunk })
+                        .without_recovery(),
+                    &format!("{name} fail-fast chunk={chunk}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn seeded_defer_dependent_bug_is_caught() {
+        // Executing past a pending packet the chunk depends on: caught
+        // with no fault scripted, wherever a dependence exists.
+        for (name, indep) in [independence()[0], independence()[2]] {
+            let result = verify_verification(
+                VerifyModel::new(2, 4)
+                    .independent_where(indep)
+                    .with_bug(VBug::DeferDependent),
+                2_000_000,
+            );
+            let v = result
+                .violation
+                .unwrap_or_else(|| panic!("{name}: deferring a dependent audit must be caught"));
+            assert!(
+                v.message.contains("which it depends on, was audited"),
+                "{name}: unexpected violation: {}",
+                v.message
+            );
+        }
+    }
+
     #[test]
     fn wrong_bytes_are_detected_and_repaired_under_every_schedule() {
         // A miscomputing executor at any chunk: every interleaving must
@@ -2718,18 +3117,18 @@ mod tests {
 
     #[test]
     fn seeded_verify_after_handoff_bug_is_caught() {
-        // Deferring the predecessor's verification until after the body
-        // breaks verification-happens-before-downstream-execution even
-        // with no fault scripted — the ordering violation is structural.
+        // Settling the window only after the body breaks invariant 1
+        // when the chunk depends on a pending packet, even with no
+        // fault scripted — the ordering violation is structural.
         let result = verify_verification(
             VerifyModel::new(2, 3).with_bug(VBug::VerifyAfterHandoff),
             2_000_000,
         );
         let v = result
             .violation
-            .expect("executing before the predecessor is verified must be caught");
+            .expect("executing before a packet it depends on is audited must be caught");
         assert!(
-            v.message.contains("before its predecessor was verified"),
+            v.message.contains("which it depends on, was audited"),
             "unexpected violation: {}",
             v.message
         );

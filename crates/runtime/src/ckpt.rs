@@ -678,14 +678,7 @@ impl CkptSink {
         capture: impl FnOnce(Range<u64>, &mut Vec<u8>) -> bool,
     ) -> Option<u64> {
         let mut s = lock_recover(&self.state);
-        if s.error.is_some() || committed_chunks <= s.writer.committed_chunks {
-            return None;
-        }
-        let due = match self.policy {
-            CkptPolicy::EveryChunks(n) => committed_chunks - s.writer.committed_chunks >= n,
-            CkptPolicy::EveryMillis(t) => s.last_write.elapsed() >= Duration::from_millis(t),
-        };
-        if !due {
+        if !self.due_in(&s, committed_chunks) {
             return None;
         }
         let from_chunk = s.writer.committed_chunks;
@@ -717,6 +710,24 @@ impl CkptSink {
                 None
             }
         }
+    }
+
+    /// Whether [`CkptSink::on_commit`] with `committed_chunks` would take
+    /// a checkpoint now. The verified runner asks before it claims a
+    /// prefix whose audits are still pending, so it audits them all
+    /// first only when something will be published.
+    pub(crate) fn due(&self, committed_chunks: u64) -> bool {
+        self.due_in(&lock_recover(&self.state), committed_chunks)
+    }
+
+    /// Not disabled, past the published prefix, and due under the policy.
+    fn due_in(&self, s: &CkptState, committed_chunks: u64) -> bool {
+        s.error.is_none()
+            && committed_chunks > s.writer.committed_chunks
+            && match self.policy {
+                CkptPolicy::EveryChunks(n) => committed_chunks - s.writer.committed_chunks >= n,
+                CkptPolicy::EveryMillis(t) => s.last_write.elapsed() >= Duration::from_millis(t),
+            }
     }
 
     /// The first failure that disabled checkpointing, if any.

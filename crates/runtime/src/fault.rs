@@ -368,6 +368,15 @@ impl<K: RealKernel> RealKernel for FaultyKernel<K> {
         unsafe { self.inner.replay_footprint(range, pre_image) }
     }
 
+    fn write_spans(&self, range: Range<u64>) -> Option<Vec<Range<u64>>> {
+        self.inner.write_spans(range)
+    }
+
+    fn independent(&self, committed: &[Range<u64>], next: &[Range<u64>]) -> bool {
+        // Injection changes no read or write set.
+        self.inner.independent(committed, next)
+    }
+
     unsafe fn corrupt_byte(
         &self,
         range: Range<u64>,

@@ -59,6 +59,7 @@
 //! panics into the runner's `catch_unwind` ladder (`WorkerPanicked`).
 
 use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::mem::size_of;
 use std::ops::Range;
 use std::slice::ChunksExact;
@@ -87,13 +88,17 @@ pub struct SpecProgram {
 /// What a loop's kernels remember of its footprints.
 #[derive(Debug, Default)]
 struct Memo {
-    /// One range and its write footprints, the last asked for
-    /// ([`SpecKernel::write_footprints`]).
-    footprints: Mutex<Option<(Range<u64>, Vec<Footprint>)>>,
+    /// The last [`MEMO_WAYS`] ranges asked for and their write
+    /// footprints, oldest first ([`SpecKernel::write_footprints`]).
+    footprints: Mutex<VecDeque<(Range<u64>, Vec<Footprint>)>>,
     /// The unwritten gaps cut into scrub blocks, computed on the first
     /// scrub ([`SpecKernel::gaps`]).
     gaps: OnceLock<Option<Gaps>>,
 }
+
+/// Ranges a loop's footprint memo keeps: a chunk's executor and the
+/// audit of an earlier chunk, running beside it, each find their own.
+const MEMO_WAYS: usize = 4;
 
 /// Bytes per arena-scrub block: a loop's unwritten gaps are cut at every
 /// multiple of this arena offset, and each block is hashed on its own
@@ -935,32 +940,37 @@ impl<'p> SpecKernel<'p> {
     /// layout of [`RealKernel::journal_capture`]), or `None` when any is
     /// unresolvable.
     ///
-    /// A verified chunk asks for one range four times in a row (its
-    /// pre-image capture, commit digest, replay and comparison), and an
-    /// indirect write's footprint is a scan of the chunk's index words,
-    /// so a loop with one keeps the last answer. It depends on the range
-    /// alone: the spec and the index contents are fixed for the
-    /// program's life. Affine footprints are closed form, cheaper than
-    /// the memo's lock and copy. A memo another thread holds is passed
-    /// by, not waited for: split stages journal their chunks
-    /// concurrently.
+    /// A verified chunk asks for one range up to five times (its
+    /// executor's write spans, pre-image capture and commit digest, its
+    /// auditor's replay and comparison), and an indirect write's
+    /// footprint is a scan of the chunk's index words, so a loop with
+    /// one keeps the last few answers. An audit that runs beside later
+    /// chunks' executions then usually finds its chunk's answer, and
+    /// evicts none of theirs. It depends on the range alone: the spec
+    /// and the index contents are fixed for the program's life. Affine
+    /// footprints are closed form, cheaper than the memo's lock and
+    /// copy. A memo another thread holds is passed by, not waited for:
+    /// split stages journal their chunks concurrently.
     fn write_footprints(&self, range: Range<u64>) -> Option<Vec<Footprint>> {
         let scans = self
             .spec
             .refs
             .iter()
             .any(|r| r.mode.writes() && !r.pattern.is_affine());
-        let Some(mut last) = scans
+        let Some(mut kept) = scans
             .then(|| self.memo.footprints.try_lock().ok())
             .flatten()
         else {
             return cascade_analyze::write_set(&self.prog.workload, self.spec, range);
         };
-        if let Some((_, fps)) = last.as_ref().filter(|(r, _)| *r == range) {
+        if let Some((_, fps)) = kept.iter().find(|(r, _)| *r == range) {
             return Some(fps.clone());
         }
         let fps = cascade_analyze::write_set(&self.prog.workload, self.spec, range.clone())?;
-        *last = Some((range, fps.clone()));
+        if kept.len() == MEMO_WAYS {
+            kept.pop_front();
+        }
+        kept.push_back((range, fps.clone()));
         Some(fps)
     }
 
@@ -1206,6 +1216,24 @@ impl<'p> RealKernel for SpecKernel<'p> {
             None => self.run(range, &mut { view }),
         }
         Some(ov.finish())
+    }
+
+    fn write_spans(&self, range: Range<u64>) -> Option<Vec<Range<u64>>> {
+        let fps = self.write_footprints(range)?;
+        Some(fps.iter().map(|f| f.lo..f.hi).collect())
+    }
+
+    fn independent(&self, committed: &[Range<u64>], next: &[Range<u64>]) -> bool {
+        // Every read is of an array the loop never writes; a `Modify`
+        // reads only its own element, inside its write footprint. So the
+        // two chunks meet only where their write footprints do.
+        let refs = &self.spec.refs;
+        let written = |r: &StreamRef| refs.iter().any(|w| w.mode.writes() && w.array == r.array);
+        let disjoint = |a: &Range<u64>, b: &Range<u64>| a.end <= b.start || b.end <= a.start;
+        refs.iter().all(|r| r.mode != Mode::Read || !written(r))
+            && committed
+                .iter()
+                .all(|a| next.iter().all(|b| disjoint(a, b)))
     }
 
     unsafe fn corrupt_byte(

@@ -207,8 +207,9 @@ pub trait RealKernel: Sync {
     /// written** — this is the verification read path of the
     /// silent-data-corruption defense (`docs/ROBUSTNESS.md`).
     ///
-    /// The replay sits on the critical path (the next chunk waits for
-    /// it), so it should run at execution speed. [`crate::SpecKernel`]
+    /// The replay sits on the critical path of every chunk that depends
+    /// on this one ([`RealKernel::independent`]), so it should run at
+    /// execution speed. [`crate::SpecKernel`]
     /// fixes, once per chunk, where each operand stream goes: the
     /// arena, or one overlay segment it is rebased into. The loop body
     /// then runs as in `execute`, with no lookup per access, and its
@@ -225,6 +226,28 @@ pub trait RealKernel: Sync {
     unsafe fn replay_footprint(&self, range: Range<u64>, pre_image: &[u8]) -> Option<Vec<u8>> {
         let _ = (range, pre_image);
         None
+    }
+
+    /// Chunk `range`'s write footprint as byte spans of this kernel's
+    /// memory, in journal order: the pieces [`RealKernel::visit_footprint`]
+    /// visits. The runner takes them once per verified chunk, for
+    /// [`RealKernel::independent`]. `None` (the default) when the kernel
+    /// cannot name them: the chunk's audit is then never deferred.
+    fn write_spans(&self, range: Range<u64>) -> Option<Vec<Range<u64>>> {
+        let _ = range;
+        None
+    }
+
+    /// Whether a later chunk, writing `next`, may execute while the audit
+    /// of a committed chunk that wrote `committed` is still pending (both
+    /// from [`RealKernel::write_spans`]): neither chunk reads what the
+    /// other writes, and neither writes what the other writes, so the
+    /// audit, and a repair that installs verified bytes over `committed`,
+    /// commute with the later chunk's body. The default, `false`, keeps
+    /// every audit before the next chunk executes.
+    fn independent(&self, committed: &[Range<u64>], next: &[Range<u64>]) -> bool {
+        let _ = (committed, next);
+        false
     }
 
     /// Corrupt one byte of shared memory by XOR — the fault-injection hook

@@ -91,11 +91,11 @@
 //! hand-backs, journal/rollback ordering) is modeled and exhaustively
 //! explored in the test-only `check` module (`src/check.rs`).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -663,12 +663,18 @@ pub struct ThreadStats {
     /// lands after its phases closed) — the exact phase partition is
     /// untouched.
     pub ckpt_ns: u128,
-    /// Committed predecessor chunks this worker verified (digest check
-    /// or full journaled replay, per [`crate::govern::VerifyPolicy`]).
+    /// Committed chunks this worker audited (digest check or full
+    /// journaled replay, per [`crate::govern::VerifyPolicy`]). Every
+    /// chunk of a verified loop but its final one is counted once, on
+    /// the worker that audited it; the final one is the end barrier's.
     pub verified_chunks: u64,
+    /// Of `verified_chunks`, those audited in a helper phase, beside a
+    /// later chunk's execution, instead of by a claimant before its own
+    /// ([`RunStats::audit_coverage`]).
+    pub helper_audits: u64,
     /// Nanoseconds spent publishing verification packets (executor side)
-    /// and verifying committed chunks (claimant side). Like `journal_ns`
-    /// and `ckpt_ns`, a side counter riding inside the Execute/Other
+    /// and auditing committed chunks (claimant or helper). Like `journal_ns`
+    /// and `ckpt_ns`, a side counter riding inside the Helper/Other
     /// phases — the exact phase partition
     /// `helper + spin + exec + retry + other == wall` is untouched.
     pub verify_ns: u128,
@@ -736,6 +742,15 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// Fraction of audits run in a helper phase, off the critical path:
+    /// `helper_audits / verified_chunks` over the workers, in [0, 1]
+    /// (0 when nothing was audited).
+    pub fn audit_coverage(&self) -> f64 {
+        let audits: u64 = self.threads.iter().map(|t| t.verified_chunks).sum();
+        let helped: u64 = self.threads.iter().map(|t| t.helper_audits).sum();
+        helped as f64 / audits.max(1) as f64
+    }
+
     /// Fraction of iterations covered by helper work, in [0, 1].
     pub fn helper_coverage(&self) -> f64 {
         if self.iters == 0 {
@@ -1125,14 +1140,71 @@ pub(crate) struct Recovery {
     /// Remaining chunk re-executions (see [`RetryPolicy::budget`]).
     budget: AtomicU64,
     policy: Option<RetryPolicy>,
+    /// The verification packets' pre-image buffers, recycled for the
+    /// whole run.
+    pre_images: Mutex<PreImages>,
+}
+
+/// The run's pool of verification pre-image buffers. A packet copies its
+/// chunk's undo journal into one, and the audit that retires the packet
+/// hands it back, so a run allocates at most one buffer per window slot.
+/// The slots' bytes are reserved from the run's [`MemBudget`] before any
+/// is filled, as the journal buffers' growth is.
+///
+/// [`MemBudget`]: crate::govern::MemBudget
+struct PreImages {
+    spare: Vec<Vec<u8>>,
+    /// Resident pre-images at most: the deferral bound plus the packet
+    /// the claimant publishes past it ([`defers`]), or one.
+    slots: u64,
+    /// Bytes reserved per slot: the longest journal seen.
+    reserved: u64,
+}
+
+impl PreImages {
+    /// Reserve the slots for a journal of `len` bytes. A refusal cancels
+    /// the run with [`CancelKind::Budget`] and poisons `run`: `false`.
+    fn reserve(&mut self, cfg: &RunConfig, run: &FtRun, len: u64) -> bool {
+        if len <= self.reserved {
+            return true;
+        }
+        let grown = (len - self.reserved) * self.slots;
+        if !reserve_growth(cfg, run, grown, "verification pre-images") {
+            return false;
+        }
+        self.reserved = len;
+        true
+    }
+
+    /// A copy of `journal` in a recycled buffer.
+    fn copy(&mut self, journal: &[u8]) -> Vec<u8> {
+        let mut buf = self
+            .spare
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(self.reserved as usize));
+        buf.clear();
+        buf.extend_from_slice(journal);
+        buf
+    }
 }
 
 impl Recovery {
-    fn new(nthreads: usize, tol: &Tolerance) -> Self {
+    fn new(cfg: &RunConfig) -> Self {
+        let (nthreads, tol) = (cfg.runner.nthreads, &cfg.tolerance);
+        let slots = if defers(cfg, 0) {
+            nthreads as u64 + 1
+        } else {
+            1
+        };
         Recovery {
             health: HealthRegistry::new(nthreads, tol.retry.unwrap_or_default()),
             budget: AtomicU64::new(tol.retry.as_ref().map_or(0, |r| r.budget)),
             policy: tol.retry,
+            pre_images: Mutex::new(PreImages {
+                spare: Vec::new(),
+                slots,
+                reserved: 0,
+            }),
         }
     }
 
@@ -1169,11 +1241,14 @@ pub(crate) struct FtRun {
     /// Time zero of the run: every recorder timestamp and handoff stamp
     /// is an offset from here.
     pub(crate) origin: Instant,
-    /// The full verification packet of the most recently committed chunk
-    /// (digest + pre-image journal for replay). Published by the
-    /// executor before its `try_advance`; taken by the downstream
-    /// claimant (or, for the final chunk, the end-of-loop leader).
-    verify_slot: Mutex<Option<VerifyPacket>>,
+    /// The verify window: the packets of committed chunks whose audit is
+    /// pending or running. Published by each executor before its
+    /// `try_advance`; retired by a claimant, a helper phase, or the end
+    /// barrier's leader ([`drain_window`]).
+    window: Mutex<VecDeque<Unaudited>>,
+    /// Audits retired from `window`: the progress word of a claimant
+    /// waiting for another worker's audit.
+    audits: AtomicU64,
     /// The stage's arena scrub: a baseline over the bytes *outside* its
     /// kernel's whole write footprint, taken before the stage starts,
     /// and the compare after it ends ([`scrub_share`]). Drift between the
@@ -1208,7 +1283,8 @@ struct Scrub {
 
 /// Everything a verifier needs to re-check one committed chunk: the
 /// executor's advertised digest and the pre-image journal that seeds the
-/// replay overlay ([`RealKernel::replay_footprint`]).
+/// replay overlay ([`RealKernel::replay_footprint`]), plus the chunk's
+/// write footprint for the window's independence test.
 struct VerifyPacket {
     /// The committed chunk this packet describes.
     chunk: u64,
@@ -1220,11 +1296,25 @@ struct VerifyPacket {
     /// hashed in place by the executor after the chunk body ran, while it
     /// still held the claim.
     digest: u64,
-    /// The undo journal captured *before* the chunk ran: seeds the
-    /// replay's private overlay, and doubles as the rollback image when
-    /// a confirmed corruption has no recovery path. `None` when the
-    /// chunk was not journaled (replay degrades to digest comparison).
-    pre_image: Option<Vec<u8>>,
+    /// Its write footprint ([`RealKernel::write_spans`]), taken once by
+    /// its claimant: what [`settle_window`] tests later claims against.
+    /// `None` when the kernel names no spans.
+    spans: Option<Vec<Range<u64>>>,
+    /// The undo journal captured *before* the chunk ran, copied into a
+    /// recycled buffer ([`PreImages`]): seeds the replay's private
+    /// overlay, and doubles as the rollback image when a confirmed
+    /// corruption has no recovery path.
+    pre_image: Vec<u8>,
+}
+
+/// A packet in the verify window.
+struct Unaudited {
+    p: Arc<VerifyPacket>,
+    /// A claimant executed a later chunk past it, so any worker but its
+    /// executor may audit it in a helper phase.
+    deferred: bool,
+    /// Its audit is running.
+    taken: bool,
 }
 
 impl FtRun {
@@ -1238,7 +1328,8 @@ impl FtRun {
             roster: Roster::new(nthreads),
             retry_from: Mutex::new(HashMap::new()),
             origin,
-            verify_slot: Mutex::new(None),
+            window: Mutex::default(),
+            audits: AtomicU64::new(0),
             scrub: Mutex::default(),
             started: Mutex::new(None),
             ended: Mutex::new(None),
@@ -1371,7 +1462,7 @@ pub(crate) fn run_stages<K: RealKernel>(
     // One recovery state for the whole sequence: a worker quarantined in
     // loop l stays out of every later loop's roster, and the retry budget
     // is shared.
-    let rec = Recovery::new(nthreads, &cfg.tolerance);
+    let rec = Recovery::new(cfg);
     let barrier = FtBarrier::new(nthreads);
 
     // per_thread[t][l] = stats of thread t on loop l (may stop short when
@@ -1456,9 +1547,12 @@ pub(crate) fn run_stages<K: RealKernel>(
                                 BarrierOutcome::Leader => {
                                     *lock_recover(&runs[l].ended) = Some(Instant::now());
                                     if cfg.verify.armed() {
-                                        poisoned = !verify_last_chunk(
-                                            kernel, cfg, &plans[l], &runs[l], rec,
+                                        // The window's last packets,
+                                        // the final chunk's among them.
+                                        let drained = drain_window(
+                                            kernel, cfg, &plans[l], &runs[l], rec, &mut stats,
                                         );
+                                        poisoned = drained.is_err();
                                     }
                                 }
                                 BarrierOutcome::Follower => {}
@@ -1581,7 +1675,32 @@ pub(crate) fn run_stages<K: RealKernel>(
     }
 
     // --- a worker panicked, the cascade stalled, or corruption ---
-    let err = run_error_from(&cause).rebased(iters_before(l0));
+    let mut err = run_error_from(&cause).rebased(iters_before(l0));
+    if cfg.verify.armed() {
+        // Audit the faulted stage's pending packets before its prefix is
+        // reported or salvaged from, whatever the fault: every worker
+        // has joined, and a deferring run may have committed chunks past
+        // one whose audit never ran.
+        let (k, plan) = (&kernels[l0], &plans[l0]);
+        if let Err(c) = drain_window(k, cfg, plan, &runs[l0], &rec, &mut ThreadStats::default()) {
+            // As `fail_rollback`'s resume point: the chunk's start when
+            // it was rolled back. The error with the shorter clean prefix
+            // wins, so a reported prefix never holds a detected chunk.
+            let r = plan.range(c);
+            let unsound = runs[l0].salvage_unsound.load(Ordering::Acquire);
+            let committed_iters = iters_before(l0) + if unsound { r.end } else { r.start };
+            let earlier = matches!(err, RunError::Corrupted { committed_iters: e, .. } if e <= committed_iters);
+            if !earlier {
+                err = RunError::Corrupted {
+                    thread: None,
+                    chunk: Some(c),
+                    committed_iters,
+                    bytes: 0..0,
+                };
+            }
+            return Err(err);
+        }
+    }
     // Corruption is never salvaged: the chunk was rolled back to its
     // pre-image (or the drift lies outside every footprint), and the typed
     // error already carries the exact clean resume point — re-executing
@@ -1657,25 +1776,6 @@ pub(crate) fn run_stages<K: RealKernel>(
         return Err(cancel_error(&cfg.cancel, iters_before(last + 1)));
     }
     Ok(out)
-}
-
-/// The end barrier's leader on a stage, under armed verification: verify
-/// its final chunk, which has no downstream claimant. Returns `false`
-/// when corruption poisoned the stage.
-fn verify_last_chunk<K: RealKernel>(
-    kernel: &K,
-    cfg: &RunConfig,
-    plan: &ChunkPlan,
-    run: &FtRun,
-    rec: &Recovery,
-) -> bool {
-    let packet = lock_recover(&run.verify_slot).take();
-    match packet {
-        Some(p) if p.chunk + 1 == plan.num_chunks() => {
-            verify_committed(kernel, run, rec, cfg, p.executor, p) != VerifyVerdict::Failed
-        }
-        _ => true,
-    }
 }
 
 /// Worker `t`'s share of a stage's arena scrub: the baseline, or with
@@ -2327,6 +2427,23 @@ pub(crate) fn captures(cfg: &RunConfig) -> bool {
     cfg.tolerance.retry.is_some() || cfg.tolerance.salvage || cfg.verify.armed()
 }
 
+/// Whether the audit of verified `chunk` may stay pending while later
+/// chunks execute ([`settle_window`]): only when a confirmed corruption
+/// is repaired in place, so no later chunk has to be undone. That takes
+/// a replay, whose bytes the repair installs, and retry or salvage
+/// armed. A digest-only audit ([`VerifyPolicy::Checksum`], the unsampled
+/// chunks of [`VerifyPolicy::Sampled`]) can only roll back and poison,
+/// and a fail-fast run must: both audit the chunk before the next one
+/// executes, so the typed error keeps an exact committed prefix. Chunk 0
+/// replays under every policy that replays any chunk, so `defers(cfg, 0)`
+/// says whether the run defers at all.
+///
+/// [`VerifyPolicy::Checksum`]: crate::govern::VerifyPolicy::Checksum
+/// [`VerifyPolicy::Sampled`]: crate::govern::VerifyPolicy::Sampled
+fn defers(cfg: &RunConfig, chunk: u64) -> bool {
+    cfg.verify.replays(chunk) && (cfg.tolerance.retry.is_some() || cfg.tolerance.salvage)
+}
+
 /// A chunk transaction's first step, in every stage: capture `range`'s
 /// undo journal into `buf`, count its time and bytes, and reserve the
 /// buffer's capacity growth (capture allocates whether or not it
@@ -2510,65 +2627,66 @@ enum VerifyVerdict {
 /// packet for an unreadable footprint unless the loss is transient, and
 /// a reader's panic says nothing about the executor.
 ///
-/// The caller must hold the downstream chunk's claim (or, for a loop's
-/// final chunk, the end-of-loop quiescence): verification happens-before the downstream chunk's
-/// execution, so corruption is caught before the next handoff consumes
-/// it — never after the run.
+/// Nothing that executes while the audit runs may read or write
+/// `p.chunk`'s footprint, so the audit completes before any chunk that
+/// consumes its bytes executes: corruption is caught before a handoff
+/// passes it on, never after the run. The caller holds the claim of the
+/// chunk `p.chunk` precedes, or the window let every chunk executing
+/// beside the audit run past it ([`RealKernel::independent`]), or it has
+/// the end-of-loop quiescence.
 fn verify_committed<K: RealKernel>(
     kernel: &K,
     run: &FtRun,
     rec: &Recovery,
     cfg: &RunConfig,
     verifier: u64,
-    p: VerifyPacket,
+    p: &VerifyPacket,
 ) -> VerifyVerdict {
-    // SAFETY (every replay and read below): the caller holds the
-    // downstream claim (or the end-of-loop quiescence), so no execute
-    // overlaps `p.range`'s footprint; a replay routes every footprint
-    // access through a private overlay and never writes shared memory,
-    // and a read only reads.
+    // SAFETY (every replay and read below): no execute overlaps
+    // `p.range`'s footprint (the caller's guarantee); a replay routes
+    // every footprint access through a private overlay and never writes
+    // shared memory, and a read only reads.
     let range = || p.range.clone();
     if cfg.verify.replays(p.chunk) {
-        if let Some(pre) = p.pre_image.as_deref() {
-            let replay = || -> Option<Vec<u8>> {
-                catch_unwind(AssertUnwindSafe(|| unsafe {
-                    kernel.replay_footprint(range(), pre)
-                }))
-                .ok()
-                .flatten()
-            };
-            if let Some(r1) = replay() {
-                if unsafe { matches_committed(kernel, range(), &r1) } != Some(false) {
-                    return VerifyVerdict::Verified;
-                }
-                let Some(r2) = replay() else {
-                    // Tiebreak unavailable: a lone mismatch never blames.
-                    return VerifyVerdict::Verified;
-                };
-                if r2 != r1 {
-                    // The verifier's own replays disagree: the fault is
-                    // on our side, the committed bytes stand.
-                    return VerifyVerdict::Verified;
-                }
-                // Tiebreak confirmed: the committed bytes are wrong. Who
-                // is to blame hangs on the published digest. If it
-                // matches the committed bytes, the executor *computed*
-                // them — guilty. If not, the corruption landed after the
-                // executor's own commit-time digest (a post-commit
-                // flip), and blaming the executor would convict an
-                // innocent worker — the single-fault attribution the
-                // model checker proves.
-                let found = unsafe { footprint_digest(kernel, range(), None) };
-                let expected = unsafe { footprint_digest(kernel, range(), Some(&r1)) };
-                let (Some(found), Some(expected)) = (found, expected) else {
-                    return VerifyVerdict::Verified;
-                };
-                let blamed = (found == p.digest).then_some(p.executor);
-                let tol = &cfg.tolerance;
-                return convict(
-                    kernel, run, rec, tol, verifier, &p, &r1, expected, found, blamed,
-                );
+        let pre = &p.pre_image;
+        let replay = || -> Option<Vec<u8>> {
+            catch_unwind(AssertUnwindSafe(|| unsafe {
+                kernel.replay_footprint(range(), pre)
+            }))
+            .ok()
+            .flatten()
+        };
+        if let Some(r1) = replay() {
+            if unsafe { matches_committed(kernel, range(), &r1) } != Some(false) {
+                return VerifyVerdict::Verified;
             }
+            let Some(r2) = replay() else {
+                // Tiebreak unavailable: a lone mismatch never blames.
+                return VerifyVerdict::Verified;
+            };
+            if r2 != r1 {
+                // The verifier's own replays disagree: the fault is
+                // on our side, the committed bytes stand.
+                return VerifyVerdict::Verified;
+            }
+            // Tiebreak confirmed: the committed bytes are wrong. Who
+            // is to blame hangs on the published digest. If it
+            // matches the committed bytes, the executor *computed*
+            // them — guilty. If not, the corruption landed after the
+            // executor's own commit-time digest (a post-commit
+            // flip), and blaming the executor would convict an
+            // innocent worker — the single-fault attribution the
+            // model checker proves.
+            let found = unsafe { footprint_digest(kernel, range(), None) };
+            let expected = unsafe { footprint_digest(kernel, range(), Some(&r1)) };
+            let (Some(found), Some(expected)) = (found, expected) else {
+                return VerifyVerdict::Verified;
+            };
+            let blamed = (found == p.digest).then_some(p.executor);
+            let tol = &cfg.tolerance;
+            return convict(
+                kernel, run, rec, tol, verifier, p, &r1, expected, found, blamed,
+            );
         }
     }
 
@@ -2590,7 +2708,7 @@ fn verify_committed<K: RealKernel>(
         repaired: false,
         bytes: 0..0,
     });
-    fail_rollback(kernel, run, &p, None)
+    fail_rollback(kernel, run, p, None)
 }
 
 /// The tiebreak confirmed the corruption: assign blame (when the digest
@@ -2639,10 +2757,11 @@ fn convict<K: RealKernel>(
     if rec.enabled() || tol.salvage {
         // Install the verified replay bytes: rollback and re-execution
         // in one restore — bitwise what a clean execution left behind.
-        // SAFETY: caller's exclusivity (downstream claim or end-of-loop
-        // quiescence); `verified` is in journal layout over `p.range`.
-        let installed = unsafe { restore(kernel, p.range.clone(), verified) }.is_ok();
-        if installed {
+        // Nothing executing touches the footprint (the audit's
+        // guarantee), and no later chunk read the bad bytes.
+        // SAFETY: the caller's exclusivity over the footprint; `verified`
+        // is in journal layout over `p.range`.
+        if unsafe { restore(kernel, p.range.clone(), verified) }.is_ok() {
             run.record(FaultEvent::CorruptionDetected {
                 chunk: p.chunk,
                 expected,
@@ -2672,20 +2791,20 @@ fn convict<K: RealKernel>(
 
 /// Roll the corrupted chunk back to its pre-image and poison the token:
 /// the committed prefix carried by the typed error must never contain a
-/// corrupted chunk. A missing or panicking rollback additionally marks
-/// the run salvage-unsound (the state cannot be trusted at all).
+/// corrupted chunk. A panicking rollback, or one that cannot give a
+/// prefix because a later chunk already committed past the pending
+/// packet (a repair whose install panicked), additionally marks the run
+/// salvage-unsound (the state cannot be trusted at all).
 fn fail_rollback<K: RealKernel>(
     kernel: &K,
     run: &FtRun,
     p: &VerifyPacket,
     blamed: Option<u64>,
 ) -> VerifyVerdict {
-    let rolled_back = match p.pre_image.as_deref() {
-        // SAFETY: caller's exclusivity; `pre` is the unmodified capture
-        // of this same range taken before the chunk executed.
-        Some(pre) => unsafe { restore(kernel, p.range.clone(), pre) }.is_ok(),
-        None => false,
-    };
+    let later = run.token.handoff().completed.load(Ordering::Acquire) > p.chunk + 1;
+    // SAFETY: caller's exclusivity; the pre-image is the unmodified
+    // capture of this same range taken before the chunk executed.
+    let rolled_back = !later && unsafe { restore(kernel, p.range.clone(), &p.pre_image) }.is_ok();
     if !rolled_back {
         run.salvage_unsound.store(true, Ordering::Release);
     }
@@ -2701,6 +2820,163 @@ fn fail_rollback<K: RealKernel>(
         bytes: 0..0,
     });
     VerifyVerdict::Failed
+}
+
+/// Audit packet `p`, taken from `run`'s window, as `verifier`, and retire
+/// it: out of the window, its pre-image back to the run's pool.
+fn audit<K: RealKernel>(
+    kernel: &K,
+    run: &FtRun,
+    rec: &Recovery,
+    cfg: &RunConfig,
+    verifier: u64,
+    p: Arc<VerifyPacket>,
+) -> VerifyVerdict {
+    let verdict = verify_committed(kernel, run, rec, cfg, verifier, &p);
+    lock_recover(&run.window).retain(|e| e.p.chunk != p.chunk);
+    run.audits.fetch_add(1, Ordering::Release);
+    if let Ok(p) = Arc::try_unwrap(p) {
+        lock_recover(&rec.pre_images).spare.push(p.pre_image);
+    }
+    verdict
+}
+
+/// The claimant of chunk `j` (writing `spans`) settles the verify window
+/// before its body runs. Every pending packet `j` depends on is audited
+/// first, by us, or, when another worker's audit of it is running, by
+/// that worker while we wait. A packet may stay pending past the claim
+/// only when it [`defers`] and [`RealKernel::independent`] holds for it
+/// and `j`, and no checkpoint is due at this claim (`ckpt`: a checkpoint
+/// covers only audited chunks, so the whole window is audited first).
+/// Past the window's bound, the run's pool size, the oldest packets are
+/// audited too, so at most `nthreads + 1` are ever resident. Every
+/// packet left pending is then marked deferred, for a helper phase to
+/// audit. Returns the lowest chunk left pending, or `j`: the verified
+/// watermark. `None` when an audit failed or the wait halted: drain.
+#[allow(clippy::too_many_arguments)] // a settle is parameterized by the whole claim
+fn settle_window<K: RealKernel>(
+    kernel: &K,
+    cfg: &RunConfig,
+    run: &FtRun,
+    rec: &Recovery,
+    t: u64,
+    j: u64,
+    spans: Option<&[Range<u64>]>,
+    ckpt: bool,
+    stats: &mut ThreadStats,
+) -> Option<u64> {
+    let next = spans.filter(|_| !ckpt);
+    let bound = cfg.runner.nthreads;
+    loop {
+        let seen = run.audits.load(Ordering::Acquire);
+        let first = {
+            let mut w = lock_recover(&run.window);
+            let over = w.len() > bound;
+            let due = w.iter().position(|e| {
+                let free = next
+                    .zip(e.p.spans.as_deref())
+                    .filter(|_| defers(cfg, e.p.chunk));
+                !free.is_some_and(|(n, c)| kernel.independent(c, n)) || (over && !e.taken)
+            });
+            match due {
+                None => {
+                    for e in w.iter_mut() {
+                        e.deferred = true;
+                    }
+                    return Some(w.front().map_or(j, |e| e.p.chunk));
+                }
+                Some(i) if w[i].taken => None,
+                Some(i) => {
+                    w[i].taken = true;
+                    Some(w[i].p.clone())
+                }
+            }
+        };
+        match first {
+            Some(p) => {
+                stats.verified_chunks += 1;
+                if audit(kernel, run, rec, cfg, t, p) == VerifyVerdict::Failed {
+                    return None;
+                }
+            }
+            None => {
+                // Another worker is auditing a packet we depend on; we
+                // hold the claim, so only a halt, or a whole watchdog
+                // window without an audit retiring, ends the wait early.
+                let retired = || (run.audits.load(Ordering::Acquire) != seen).then_some(());
+                let progress = || run.audits.load(Ordering::Acquire);
+                let waiter = Waiter::Gate { chunk: j };
+                governed_wait(run, None, cfg, waiter, retired, progress)?;
+            }
+        }
+    }
+}
+
+/// Worker `t`'s audits in its helper phase for chunk `j`, before it packs
+/// or prefetches: the deferred packets another worker executed, oldest
+/// first, until none is left or the token reaches `j`. Each runs beside
+/// the executions the window let past it. `false` when an audit failed.
+fn helper_audits<K: RealKernel>(
+    kernel: &K,
+    cfg: &RunConfig,
+    run: &FtRun,
+    rec: &Recovery,
+    t: u64,
+    j: u64,
+    stats: &mut ThreadStats,
+) -> bool {
+    loop {
+        let raw = run.token.raw();
+        if raw == POISONED || Token::chunk_index(raw) >= j || cfg.cancel.is_cancelled() {
+            return true;
+        }
+        let p = {
+            let mut w = lock_recover(&run.window);
+            let Some(e) = w
+                .iter_mut()
+                .find(|e| e.deferred && !e.taken && e.p.executor != t)
+            else {
+                return true;
+            };
+            e.taken = true;
+            e.p.clone()
+        };
+        stats.verified_chunks += 1;
+        stats.helper_audits += 1;
+        if audit(kernel, run, rec, cfg, t, p) == VerifyVerdict::Failed {
+            return false;
+        }
+    }
+}
+
+/// Drain `run`'s verify window: audit every packet still in it, oldest
+/// first, each as its own executor's (a repair then records no retry).
+/// Run by the end barrier's leader on a healthy stage, and after the join
+/// on a degraded one; both are quiescent, so no audit is running. Every
+/// audit but that of the stage's final chunk, which no claimant could
+/// have audited, counts in `stats`. `Err` names the chunk whose audit
+/// failed, poisoning the stage.
+fn drain_window<K: RealKernel>(
+    kernel: &K,
+    cfg: &RunConfig,
+    plan: &ChunkPlan,
+    run: &FtRun,
+    rec: &Recovery,
+    stats: &mut ThreadStats,
+) -> Result<(), u64> {
+    loop {
+        let Some(p) = lock_recover(&run.window).front_mut().map(|e| {
+            e.taken = true;
+            e.p.clone()
+        }) else {
+            return Ok(());
+        };
+        let c = p.chunk;
+        stats.verified_chunks += u64::from(c + 1 < plan.num_chunks());
+        if audit(kernel, run, rec, cfg, p.executor, p) == VerifyVerdict::Failed {
+            return Err(c);
+        }
+    }
 }
 
 /// Worker `t`'s share of a cascaded stage. `buf` (the pack arena) and
@@ -2770,6 +3046,16 @@ fn ft_worker<K: RealKernel>(
 
         // --- helper phase (with jump-out at poll_batch granularity) ---
         phases.transition(PhaseKind::Helper, Some(j));
+        if defers(cfg, 0) {
+            // Audit first: the deferred packets other workers executed,
+            // beside the executions the window let past them.
+            let t0 = Instant::now();
+            let audited = helper_audits(kernel, cfg, run, rec, t, j, &mut stats);
+            stats.verify_ns += t0.elapsed().as_nanos();
+            if !audited {
+                return phases.finish(stats);
+            }
+        }
         let buf_cap0 = buf.capacity();
         let helper = catch_unwind(AssertUnwindSafe(|| {
             helper_phase(kernel, cfg, run, rec, plan, t, j, epoch, &range, buf)
@@ -2810,8 +3096,8 @@ fn ft_worker<K: RealKernel>(
         phases.transition(PhaseKind::Spin, Some(j));
         let claim = wait_to_claim(run, rec, cfg, t, j, epoch);
         // A won claim goes straight to Execute, with no clock read between
-        // the claim and the body, unless the predecessor's handoff is
-        // verified first: that audit's time stays in Other.
+        // the claim and the body, unless the verify window is settled
+        // first: that time stays in Other.
         let audit = cfg.verify.armed() && j > 0;
         let next = match claim {
             ChunkClaim::Claimed if !audit => PhaseKind::Execute,
@@ -2839,38 +3125,49 @@ fn ft_worker<K: RealKernel>(
             stats.takeover.record(claim_ns.saturating_sub(rel));
         }
 
-        // --- verify the predecessor's handoff (claim held) ---
-        // Verification happens-before this chunk's execution: while we
-        // hold the claim no execute can run anywhere, so the committed
-        // predecessor is checked *before* its bytes feed the downstream
-        // computation — corruption is caught at the handoff, never after
-        // the run. Cost rides inside the Other phase as a side counter
-        // (`verify_ns`); with `VerifyPolicy::Off` this is one branch.
+        // The chunk's write footprint, walked once when the run defers
+        // audits: it decides what the window may defer past this claim,
+        // and its packet carries it for later claims.
+        let mut spans = defers(cfg, 0)
+            .then(|| kernel.write_spans(range.clone()))
+            .flatten();
+
+        // --- settle the verify window (claim held) ---
+        // Every committed chunk this one depends on is audited before it
+        // executes: while we hold the claim no other execute runs, so
+        // corruption is caught before a handoff passes its bytes on,
+        // never after the run. Cost rides inside the Other phase as a
+        // side counter (`verify_ns`); with `VerifyPolicy::Off` this is
+        // one branch.
         if audit {
             let t0 = Instant::now();
-            if let Some(p) = lock_recover(&run.verify_slot).take() {
-                if p.chunk + 1 == j {
-                    stats.verified_chunks += 1;
-                    let verdict = verify_committed(kernel, run, rec, cfg, t, p);
-                    if verdict == VerifyVerdict::Failed {
-                        stats.verify_ns += t0.elapsed().as_nanos();
-                        return phases.finish(stats);
-                    }
-                }
-                // A packet for any other chunk is stale (a remap or a
-                // supersede raced the slot): drop it without blame —
-                // checking it against the wrong predecessor could
-                // accuse an innocent worker.
-            }
+            let ckpt = cfg.ckpt_sink.as_ref().is_some_and(|s| s.due(j));
+            let settled = settle_window(
+                kernel,
+                cfg,
+                run,
+                rec,
+                t,
+                j,
+                spans.as_deref(),
+                ckpt,
+                &mut stats,
+            );
             stats.verify_ns += t0.elapsed().as_nanos();
+            let Some(low) = settled else {
+                return phases.finish(stats);
+            };
             // Deferred durable checkpoint: with verification armed, the
-            // prefix through chunk j - 1 becomes persistable only now —
-            // the predecessor's handoff was just checked (or repaired)
-            // above, and every older chunk passed its own claimant's
-            // check (publication repeated after a retry is a no-op).
-            // SAFETY: we hold the claim — no executor is active anywhere
-            // — and every chunk below `j` is committed.
-            unsafe { publish_ckpt(kernel, cfg, plan, j, range.start, &mut stats) };
+            // prefix through chunk j - 1 becomes persistable only once
+            // every chunk in it is audited (or repaired), so only with
+            // the window empty, as a due checkpoint's settle leaves it
+            // (publication repeated after a retry is a no-op).
+            if low == j {
+                // SAFETY: we hold the claim — no executor is active
+                // anywhere — every chunk below `j` is committed, and with
+                // the window empty no audit is running.
+                unsafe { publish_ckpt(kernel, cfg, plan, j, range.start, &mut stats) };
+            }
             phases.transition(PhaseKind::Execute, Some(j));
         }
 
@@ -2884,6 +3181,14 @@ fn ft_worker<K: RealKernel>(
             // SAFETY: we hold the claim — the same exclusivity contract
             // as `execute` — and capture only reads.
             match unsafe { journal_chunk(kernel, cfg, run, range.clone(), jbuf, &mut stats) } {
+                // The packet's pre-image slots are reserved before the
+                // body runs: a refusal, too, leaves the chunk pristine.
+                Ok(true)
+                    if cfg.verify.armed()
+                        && !lock_recover(&rec.pre_images).reserve(cfg, run, jbuf.len() as u64) =>
+                {
+                    return phases.finish(stats)
+                }
                 Ok(captured) => captured,
                 // Refused: the body has not started, so the run drains
                 // with the chunk pristine and uncommitted.
@@ -2984,26 +3289,34 @@ fn ft_worker<K: RealKernel>(
 
         // --- checksummed handoff (claim still held) ---
         // Digest the chunk's *committed* write footprint where it lies and
-        // publish the verification packet before the advance: the
-        // downstream claimant's Acquire through its claim CAS sees the
-        // packet before chunk j + 1 can execute. A copy of the pre-image
-        // journal rides along to seed the verifier's replay overlay;
-        // `jbuf` itself stays here, so its metered capacity is reused by
-        // the next capture instead of being reserved again. Cost is a side
-        // counter (`verify_ns`) inside the Other phase; with
-        // `VerifyPolicy::Off` this is one branch.
+        // publish the verification packet into the window before the
+        // advance: the downstream claimant's Acquire through its claim CAS
+        // sees the packet before chunk j + 1 can execute. A copy of the
+        // pre-image journal, in a recycled buffer whose bytes were
+        // reserved before the body ran, rides along to seed the auditor's
+        // replay overlay; `jbuf` itself stays here, so its metered
+        // capacity is reused by the next capture. Cost is a side counter
+        // (`verify_ns`) inside the Other phase; with `VerifyPolicy::Off`
+        // this is one branch.
         let digested = cfg.verify.armed() && journaled;
         if digested {
             let t0 = Instant::now();
             // SAFETY: claim still held — the same exclusivity contract
             // as `execute` — and the digest only reads.
-            if let Some(digest) = unsafe { footprint_digest(kernel, range.clone(), None) } {
-                *lock_recover(&run.verify_slot) = Some(VerifyPacket {
+            let digest = unsafe { footprint_digest(kernel, range.clone(), None) };
+            if let Some(digest) = digest {
+                let p = VerifyPacket {
                     chunk: j,
                     range: range.clone(),
                     executor: t,
                     digest,
-                    pre_image: Some(jbuf.clone()),
+                    spans: spans.take(),
+                    pre_image: lock_recover(&rec.pre_images).copy(jbuf),
+                };
+                lock_recover(&run.window).push_back(Unaudited {
+                    p: Arc::new(p),
+                    deferred: false,
+                    taken: false,
                 });
             }
             stats.verify_ns += t0.elapsed().as_nanos();
@@ -4550,7 +4863,10 @@ mod tests {
         assert_eq!(spans.len(), 3, "{spans:?}");
         let (run, rec) = (
             FtRun::new(2, 2, Instant::now()),
-            Recovery::new(2, &Tolerance::default()),
+            Recovery::new(&RunConfig::from(RunnerConfig {
+                nthreads: 2,
+                ..RunnerConfig::default()
+            })),
         );
         let share = |compare| {
             for t in [1, 0] {

@@ -408,6 +408,7 @@ fn merge(into: &mut ThreadStats, s: &ThreadStats) {
     into.ckpt_bytes += s.ckpt_bytes;
     into.ckpt_ns += s.ckpt_ns;
     into.verified_chunks += s.verified_chunks;
+    into.helper_audits += s.helper_audits;
     into.verify_ns += s.verify_ns;
     into.overlap_ns += s.overlap_ns;
     into.events_dropped += s.events_dropped;

@@ -7,20 +7,21 @@
 //! prefix is bitwise clean.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Mutex;
 use std::thread::ThreadId;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use cascade_rt::interp::SCRUB_BLOCK;
 use cascade_rt::{
-    try_run_governed, try_run_governed_sequence, FaultEvent, FaultKind, FaultPlan, FaultyKernel,
-    MemBudget, RealKernel, RtPolicy, RunConfig, RunError, RunnerConfig, SpecKernel, SpecProgram,
-    Tolerance, VerifyPolicy,
+    ckpt, try_run_governed, try_run_governed_sequence, CancelKind, CancelToken, CkptMeta,
+    CkptPolicy, CkptSink, CkptWriter, FaultEvent, FaultKind, FaultPlan, FaultyKernel, MemBudget,
+    RealKernel, RetryPolicy, RtPolicy, RunConfig, RunError, RunStats, RunnerConfig, SpecKernel,
+    SpecProgram, Tolerance, VerifyPolicy,
 };
 use cascade_synth::{Synth, Variant};
 use cascade_trace::{
-    AddressSpace, Arena, IndexStore, LoopSpec, Mode, Pattern, StreamRef, Workload,
+    to_text, AddressSpace, Arena, IndexStore, LoopSpec, Mode, Pattern, StreamRef, Workload,
 };
 use cascade_wave5::{Parmvr, ParmvrParams};
 
@@ -782,5 +783,736 @@ fn a_worker_quarantined_in_loop_0_takes_no_share_of_loop_1s_scrub() {
         assert!(moved[0].1.contains(&addr), "{:?} misses {addr}", moved[0].1);
         // SAFETY: no run is in flight.
         assert!(unsafe { prog.kernel(0).corrupt_byte(0..1, addr, 0x10, false) });
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The verify window: audits deferred past independent chunks
+// ---------------------------------------------------------------------------
+
+/// The window's loop: the dense synthetic loop in 16 chunks of 4,096
+/// iterations, long enough that a helper phase audits beside the next
+/// execution.
+const WINDOW_N: u64 = 1 << 16;
+const WINDOW_CHUNK: u64 = 4_096;
+/// The first chunk, a middle one, and the last two.
+const WINDOW_FLIPS: [u64; 4] = [0, 7, 14, 15];
+
+fn window_program() -> SpecProgram {
+    let s = Synth::build(WINDOW_N, Variant::Dense, 99);
+    SpecProgram::new(s.workload, s.arena).unwrap()
+}
+
+fn window_expected() -> u64 {
+    let mut prog = window_program();
+    let k = prog.kernel(0);
+    // SAFETY: single-threaded.
+    unsafe { k.execute(0..k.iters()) };
+    prog.checksum()
+}
+
+fn window_cfg(nthreads: usize, tolerance: Tolerance) -> RunConfig {
+    let mut c = cfg(nthreads, tolerance, VerifyPolicy::EveryChunk);
+    c.runner.iters_per_chunk = WINDOW_CHUNK;
+    c
+}
+
+fn window_flip(chunk_iters: u64) -> FaultKind {
+    FaultKind::SilentBitFlip {
+        after_iters: chunk_iters,
+        offset: 17,
+        xor: 0x40,
+        in_footprint: true,
+    }
+}
+
+fn helper_audits(stats: &RunStats) -> u64 {
+    stats.threads.iter().map(|t| t.helper_audits).sum()
+}
+
+fn has(stats: &RunStats, want: impl Fn(&FaultEvent) -> bool) -> bool {
+    stats.faults.iter().any(want)
+}
+
+/// A run that repairs in place lets the dense loop's chunks execute past
+/// pending audits, and the helper phases audit them: every chunk but the
+/// final one is still counted once. A fail-fast run defers nothing.
+#[test]
+fn a_repairing_run_audits_in_helper_phases_and_a_fail_fast_one_does_not() {
+    let expected = window_expected();
+    for (tolerance, defers) in [
+        (Tolerance::retrying(WATCHDOG), true),
+        (Tolerance::fail_fast(), false),
+    ] {
+        let mut prog = window_program();
+        let stats = try_run_governed(&prog.kernel(0), &window_cfg(2, tolerance)).unwrap();
+        let verified: u64 = stats.threads.iter().map(|t| t.verified_chunks).sum();
+        assert_eq!(verified, stats.chunks - 1, "every chunk but the final one");
+        assert_eq!(helper_audits(&stats) > 0, defers, "{:?}", stats.threads);
+        assert!(stats.audit_coverage() <= 1.0);
+        assert_eq!(prog.checksum(), expected);
+    }
+}
+
+/// (a) Retry armed, every chunk replayed: a flip on the first chunk, a
+/// middle one or either of the last two is repaired and blamed on its
+/// executor, as when every audit ran before the next chunk, and the run
+/// ends bitwise sequential.
+#[test]
+fn deferred_audits_repair_and_blame_each_flip_bitwise() {
+    let expected = window_expected();
+    for c in WINDOW_FLIPS {
+        let mut prog = window_program();
+        let plan = FaultPlan::new(WINDOW_CHUNK).inject(c, window_flip(WINDOW_CHUNK));
+        let faulty = FaultyKernel::new(prog.kernel(0), plan);
+        let stats = try_run_governed(&faulty, &window_cfg(2, Tolerance::retrying(WATCHDOG)))
+            .unwrap_or_else(|e| panic!("flip on chunk {c}: {e:?}"));
+        drop(faulty);
+        assert!(!stats.degraded, "chunk {c}: {:?}", stats.faults);
+        assert!(
+            has(&stats, |f| matches!(
+                f,
+                FaultEvent::CorruptionDetected { chunk, repaired: true, .. } if *chunk == c
+            )),
+            "chunk {c}: {:?}",
+            stats.faults
+        );
+        assert!(
+            has(&stats, |f| matches!(
+                f,
+                FaultEvent::WorkerBlamed { thread, chunk, strikes: 1 }
+                    if *chunk == c && *thread == c % 2
+            )),
+            "chunk {c}: {:?}",
+            stats.faults
+        );
+        assert_eq!(prog.checksum(), expected, "flip on chunk {c}");
+    }
+}
+
+/// (d) The same flips under fail-fast: no audit is deferred, so each ends
+/// the run with the corrupted chunk named, its executor blamed and a
+/// committed prefix that stops at the chunk, from which a sequential
+/// resume converges bitwise.
+#[test]
+fn fail_fast_flips_keep_their_exact_typed_prefix() {
+    let expected = window_expected();
+    for c in WINDOW_FLIPS {
+        let mut prog = window_program();
+        let plan = FaultPlan::new(WINDOW_CHUNK).inject(c, window_flip(WINDOW_CHUNK));
+        let faulty = FaultyKernel::new(prog.kernel(0), plan);
+        let result = try_run_governed(&faulty, &window_cfg(2, Tolerance::fail_fast()));
+        drop(faulty);
+        match result {
+            Err(RunError::Corrupted {
+                thread: Some(thread),
+                chunk: Some(chunk),
+                committed_iters,
+                bytes,
+            }) => {
+                assert_eq!((thread, chunk), (c % 2, c));
+                assert_eq!(committed_iters, c * WINDOW_CHUNK);
+                assert_eq!(bytes, 0..0);
+            }
+            other => panic!("flip on chunk {c}: expected Corrupted, got {other:?}"),
+        }
+        let k = prog.kernel(0);
+        // SAFETY: the run drained before returning; single-threaded.
+        unsafe { k.execute(c * WINDOW_CHUNK..k.iters()) };
+        assert_eq!(prog.checksum(), expected, "resume after chunk {c}");
+    }
+}
+
+/// A run that fails on another fault still audits its pending packets
+/// before it reports. Retry is armed with an empty budget and salvage is
+/// off: chunk 4's executor flips a byte of its own chunk, whose audit the
+/// window defers past chunk 5's claim, and chunk 5 then panics. The
+/// panic fails the run, and the supervisor's drain after the join audits
+/// chunk 4 and repairs it, so every chunk below 5 is bitwise the
+/// sequential result.
+#[test]
+fn a_failed_run_audits_its_pending_packets_before_it_reports() {
+    let expected = window_expected();
+    let mut prog = window_program();
+    let plan = FaultPlan::new(WINDOW_CHUNK)
+        .inject(4, window_flip(WINDOW_CHUNK))
+        .inject(5, FaultKind::Panic);
+    let faulty = FaultyKernel::new(prog.kernel(0), plan);
+    let tolerance = Tolerance {
+        watchdog: Some(WATCHDOG),
+        retry: Some(RetryPolicy {
+            budget: 0,
+            ..RetryPolicy::default()
+        }),
+        salvage: false,
+    };
+    let result = try_run_governed(&faulty, &window_cfg(2, tolerance));
+    drop(faulty);
+    match result {
+        Err(RunError::WorkerPanicked {
+            thread: 1,
+            chunk: 5,
+        }) => {}
+        other => panic!("expected chunk 5's panic, got {other:?}"),
+    }
+    let k = prog.kernel(0);
+    // SAFETY: the run drained before returning; single-threaded.
+    unsafe { k.execute(5 * WINDOW_CHUNK..k.iters()) };
+    assert_eq!(prog.checksum(), expected, "chunk 4 left unrepaired");
+}
+
+/// The dense loop's kernel flipping a committed byte of chunk `victim`
+/// as the claimant of the next chunk takes that chunk's write spans,
+/// after `victim`'s commit digest and before its audit.
+struct FlipOnClaim<'p> {
+    inner: SpecKernel<'p>,
+    victim: u64,
+}
+
+impl RealKernel for FlipOnClaim<'_> {
+    fn iters(&self) -> u64 {
+        self.inner.iters()
+    }
+    unsafe fn execute(&self, range: Range<u64>) {
+        // SAFETY (every forward below): under the caller's own guarantee.
+        unsafe { self.inner.execute(range) }
+    }
+    unsafe fn journal_capture(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
+        unsafe { self.inner.journal_capture(range, buf) }
+    }
+    unsafe fn journal_rollback(&self, range: Range<u64>, buf: &[u8]) {
+        unsafe { self.inner.journal_rollback(range, buf) }
+    }
+    unsafe fn visit_footprint(&self, range: Range<u64>, visit: &mut dyn FnMut(&[u8])) -> bool {
+        unsafe { self.inner.visit_footprint(range, visit) }
+    }
+    unsafe fn replay_footprint(&self, range: Range<u64>, pre_image: &[u8]) -> Option<Vec<u8>> {
+        unsafe { self.inner.replay_footprint(range, pre_image) }
+    }
+    fn write_spans(&self, range: Range<u64>) -> Option<Vec<Range<u64>>> {
+        if range.start == (self.victim + 1) * WINDOW_CHUNK {
+            let victim = self.victim * WINDOW_CHUNK..range.start;
+            // SAFETY: the caller holds the next chunk's claim, so no
+            // chunk executes; the victim's executor never audits it, and
+            // the only other worker is the caller.
+            assert!(unsafe { self.inner.corrupt_byte(victim, 17, 0x40, true) });
+        }
+        self.inner.write_spans(range)
+    }
+    fn independent(&self, committed: &[Range<u64>], next: &[Range<u64>]) -> bool {
+        self.inner.independent(committed, next)
+    }
+}
+
+/// A digest-only audit cannot repair, so a repairing run never defers
+/// it. Under `Sampled(2)` with retry armed, a post-commit flip on an
+/// unsampled chunk is found by the next claimant before its chunk
+/// executes: the chunk is rolled back and the typed error's committed
+/// prefix stops at its start, from which a sequential resume converges
+/// bitwise. Under `Checksum` the run defers no audit at all.
+#[test]
+fn digest_only_audits_are_never_deferred() {
+    let expected = window_expected();
+    for c in [1, 7, 13] {
+        let mut prog = window_program();
+        let k = FlipOnClaim {
+            inner: prog.kernel(0),
+            victim: c,
+        };
+        let mut conf = window_cfg(2, Tolerance::retrying(WATCHDOG));
+        conf.verify = VerifyPolicy::Sampled(2);
+        match try_run_governed(&k, &conf) {
+            Err(RunError::Corrupted {
+                thread: None,
+                chunk: Some(chunk),
+                committed_iters,
+                ..
+            }) => {
+                assert_eq!(chunk, c);
+                assert_eq!(committed_iters, c * WINDOW_CHUNK, "flip on chunk {c}");
+            }
+            other => panic!("flip on chunk {c}: expected Corrupted, got {other:?}"),
+        }
+        let k = prog.kernel(0);
+        // SAFETY: the run drained before returning; single-threaded.
+        unsafe { k.execute(c * WINDOW_CHUNK..k.iters()) };
+        assert_eq!(prog.checksum(), expected, "resume after chunk {c}");
+    }
+    let mut prog = window_program();
+    let mut conf = window_cfg(2, Tolerance::retrying(WATCHDOG));
+    conf.verify = VerifyPolicy::Checksum;
+    let stats = try_run_governed(&prog.kernel(0), &conf).unwrap();
+    let verified: u64 = stats.threads.iter().map(|t| t.verified_chunks).sum();
+    assert_eq!(verified, stats.chunks - 1, "every chunk but the final one");
+    assert_eq!(helper_audits(&stats), 0, "{:?}", stats.threads);
+    assert_eq!(prog.checksum(), expected);
+}
+
+/// `y(i + 1) = f(y(i), x(i))`: each chunk reads what the one before it
+/// wrote.
+fn recurrence_program(n: u64) -> SpecProgram {
+    let mut space = AddressSpace::new();
+    let x = space.alloc("x", 8, n);
+    let y = space.alloc("y", 8, n + 1);
+    let stream = |name, array, base, mode| StreamRef {
+        name,
+        array,
+        pattern: Pattern::Affine { base, stride: 1 },
+        mode,
+        bytes: 8,
+        hoistable: false,
+    };
+    let refs = vec![
+        stream("x(i)", x, 0, Mode::Read),
+        stream("y(i)", y, 0, Mode::Read),
+        stream("y(i+1)", y, 1, Mode::Write),
+    ];
+    one_loop(
+        space,
+        IndexStore::new(),
+        "recurrence",
+        n,
+        refs,
+        |arena, space| {
+            for i in 0..n {
+                arena.set_f64(space, x, i, (i % 17) as f64 * 0.25 - 1.0);
+            }
+            arena.set_f64(space, y, 0, 0.75);
+        },
+    )
+}
+
+/// `rho(ij(i)) += f(pq(i))` with every chunk's indices spread over the
+/// whole of `rho`: chunks' write footprints overlap.
+fn scatter_add_program(n: u64) -> SpecProgram {
+    let mut space = AddressSpace::new();
+    let rho = space.alloc("rho", 8, n / 4);
+    let pq = space.alloc("pq", 8, n);
+    let ij = space.alloc("ij", 4, n);
+    let mut index = IndexStore::new();
+    index.set(ij, (0..n).map(|i| ((i * 7919) % (n / 4)) as u32).collect());
+    let refs = vec![
+        StreamRef {
+            name: "pq(i)",
+            array: pq,
+            pattern: Pattern::Affine { base: 0, stride: 1 },
+            mode: Mode::Read,
+            bytes: 8,
+            hoistable: false,
+        },
+        StreamRef {
+            name: "rho(ij(i))",
+            array: rho,
+            pattern: Pattern::Indirect {
+                index: ij,
+                ibase: 0,
+                istride: 1,
+            },
+            mode: Mode::Modify,
+            bytes: 8,
+            hoistable: false,
+        },
+    ];
+    one_loop(space, index, "scatter-add", n, refs, |arena, space| {
+        for i in 0..n {
+            arena.set_f64(space, pq, i, (i % 13) as f64 * 0.125 + 0.25);
+        }
+    })
+}
+
+fn one_loop(
+    space: AddressSpace,
+    index: IndexStore,
+    name: &str,
+    iters: u64,
+    refs: Vec<StreamRef>,
+    fill: impl FnOnce(&mut Arena, &AddressSpace),
+) -> SpecProgram {
+    let w = Workload {
+        space,
+        index,
+        loops: vec![LoopSpec {
+            name: name.into(),
+            iters,
+            refs,
+            compute: 2.0,
+            hoistable_compute: 0.0,
+            hoist_result_bytes: 0,
+        }],
+    };
+    let mut arena = Arena::new(&w.space);
+    fill(&mut arena, &w.space);
+    arena.install_indices(&w.space, &w.index);
+    SpecProgram::new(w, arena).unwrap()
+}
+
+/// (c) A lag-1 recurrence and a colliding scatter-add: every chunk
+/// depends on the one before it, so no audit is deferred (no helper
+/// phase audits), and each flip is caught before the next chunk runs,
+/// repaired and blamed, bitwise.
+#[test]
+fn dependent_loops_defer_nothing_and_catch_their_flips() {
+    const N: u64 = 1 << 13;
+    const CHUNK: u64 = 512;
+    let recurrence: fn(u64) -> SpecProgram = recurrence_program;
+    for (name, build) in [
+        ("recurrence", recurrence),
+        ("scatter-add", scatter_add_program),
+    ] {
+        let expected = {
+            let mut prog = build(N);
+            let k = prog.kernel(0);
+            // SAFETY: single-threaded.
+            unsafe { k.execute(0..k.iters()) };
+            prog.checksum()
+        };
+        let mut prog = build(N);
+        let plan = FaultPlan::new(CHUNK).inject(5, window_flip(CHUNK));
+        let faulty = FaultyKernel::new(prog.kernel(0), plan);
+        let mut c = cfg(2, Tolerance::retrying(WATCHDOG), VerifyPolicy::EveryChunk);
+        c.runner.iters_per_chunk = CHUNK;
+        let stats = try_run_governed(&faulty, &c).expect("the flip is repaired");
+        drop(faulty);
+        assert_eq!(helper_audits(&stats), 0, "{name}: an audit was deferred");
+        assert!(
+            has(&stats, |f| matches!(
+                f,
+                FaultEvent::CorruptionDetected {
+                    chunk: 5,
+                    repaired: true,
+                    ..
+                }
+            )),
+            "{name}: {:?}",
+            stats.faults
+        );
+        assert!(
+            has(&stats, |f| matches!(
+                f,
+                FaultEvent::WorkerBlamed {
+                    thread: 1,
+                    chunk: 5,
+                    strikes: 1
+                }
+            )),
+            "{name}: {:?}",
+            stats.faults
+        );
+        assert_eq!(prog.checksum(), expected, "{name}");
+    }
+}
+
+/// The dense loop's kernel, holding chunk `later`'s execution until chunk
+/// `audited`'s repair is installed, and chunk `audited`'s replay until
+/// chunk `later` executes: an audit of `audited` then lands while
+/// `later` runs. Each hold gives up after a few seconds, so a schedule
+/// that never meets cannot hang; `met` says whether it met.
+struct Held<'p> {
+    inner: SpecKernel<'p>,
+    audited: u64,
+    later: u64,
+    later_started: AtomicBool,
+    installed: AtomicBool,
+    met: AtomicBool,
+}
+
+impl Held<'_> {
+    fn is(range: &Range<u64>, chunk: u64) -> bool {
+        !range.is_empty() && range.start / WINDOW_CHUNK == chunk
+    }
+
+    fn hold(flag: &AtomicBool) -> bool {
+        let t0 = Instant::now();
+        while !flag.load(AtomicOrdering::SeqCst) {
+            if t0.elapsed() > Duration::from_secs(5) {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+}
+
+impl RealKernel for Held<'_> {
+    fn iters(&self) -> u64 {
+        self.inner.iters()
+    }
+    unsafe fn execute(&self, range: Range<u64>) {
+        if Held::is(&range, self.later) {
+            self.later_started.store(true, AtomicOrdering::SeqCst);
+            let met = Held::hold(&self.installed);
+            self.met.store(met, AtomicOrdering::SeqCst);
+        }
+        // SAFETY (every forward below): under the caller's own guarantee.
+        unsafe { self.inner.execute(range) }
+    }
+    unsafe fn journal_capture(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
+        unsafe { self.inner.journal_capture(range, buf) }
+    }
+    unsafe fn visit_footprint(&self, range: Range<u64>, visit: &mut dyn FnMut(&[u8])) -> bool {
+        unsafe { self.inner.visit_footprint(range, visit) }
+    }
+    unsafe fn corrupt_byte(&self, range: Range<u64>, offset: u64, xor: u8, inside: bool) -> bool {
+        unsafe { self.inner.corrupt_byte(range, offset, xor, inside) }
+    }
+    fn write_spans(&self, range: Range<u64>) -> Option<Vec<Range<u64>>> {
+        self.inner.write_spans(range)
+    }
+    fn independent(&self, committed: &[Range<u64>], next: &[Range<u64>]) -> bool {
+        self.inner.independent(committed, next)
+    }
+    unsafe fn replay_footprint(&self, range: Range<u64>, pre_image: &[u8]) -> Option<Vec<u8>> {
+        if Held::is(&range, self.audited) {
+            Held::hold(&self.later_started);
+        }
+        unsafe { self.inner.replay_footprint(range, pre_image) }
+    }
+    unsafe fn journal_rollback(&self, range: Range<u64>, buf: &[u8]) {
+        // A repair installs the verified replay bytes through here.
+        unsafe { self.inner.journal_rollback(range.clone(), buf) };
+        if Held::is(&range, self.audited) {
+            self.installed.store(true, AtomicOrdering::SeqCst);
+        }
+    }
+}
+
+/// (b) Worker 1 of 2 executed chunks 1 and 3, both flipped. Chunk 3's
+/// audit is deferred past the claims of chunks 4 and 5, so worker 0
+/// audits it in its helper phase for chunk 6, the only place it can.
+/// The second conviction quarantines worker 1 while it executes chunk 5;
+/// it commits chunk 5 and drains, worker 0 finishes, and the run ends
+/// bitwise.
+#[test]
+fn a_second_conviction_quarantines_a_worker_mid_chunk_and_the_run_stays_bitwise() {
+    let expected = window_expected();
+    let mut prog = window_program();
+    let plan = FaultPlan::new(WINDOW_CHUNK)
+        .inject(1, window_flip(WINDOW_CHUNK))
+        .inject(3, window_flip(WINDOW_CHUNK));
+    let held = Held {
+        inner: prog.kernel(0),
+        audited: 3,
+        later: 5,
+        later_started: AtomicBool::new(false),
+        installed: AtomicBool::new(false),
+        met: AtomicBool::new(false),
+    };
+    let faulty = FaultyKernel::new(held, plan);
+    let stats = try_run_governed(&faulty, &window_cfg(2, Tolerance::retrying(WATCHDOG)))
+        .expect("the survivor finishes after the quarantine");
+    let held = faulty.into_inner();
+    assert!(
+        held.met.load(AtomicOrdering::SeqCst),
+        "chunk 3's repair did not land while chunk 5 ran: {:?}",
+        stats.faults
+    );
+    assert!(!stats.degraded, "{:?}", stats.faults);
+    assert_eq!(stats.quarantined, 1, "{:?}", stats.faults);
+    assert!(has(&stats, |f| matches!(
+        f,
+        FaultEvent::WorkerQuarantined {
+            thread: 1,
+            chunk: 3
+        }
+    )));
+    assert!(has(&stats, |f| matches!(
+        f,
+        FaultEvent::WorkerBlamed {
+            thread: 1,
+            chunk: 3,
+            strikes: 2
+        }
+    )));
+    assert_eq!(prog.checksum(), expected);
+}
+
+/// The window's resident pre-images are reserved from the budget before
+/// the first packet is filled: a budget that holds one undo journal but
+/// not the window's `nthreads + 1` pre-images cancels the run at chunk 0,
+/// with the chunk pristine.
+#[test]
+fn a_budget_below_the_windows_pre_images_cancels_instead_of_allocating() {
+    let journal = WINDOW_CHUNK * 4;
+    let window = 3 * journal;
+    let budget = MemBudget::limited(journal + window - 1);
+    let mut c = window_cfg(2, Tolerance::retrying(WATCHDOG));
+    c.budget = budget.clone();
+    let prog = window_program();
+    match try_run_governed(&prog.kernel(0), &c) {
+        Err(RunError::BudgetExceeded {
+            needed,
+            committed_iters: 0,
+            ..
+        }) => assert_eq!(needed, window),
+        other => panic!("expected BudgetExceeded at chunk 0, got {other:?}"),
+    }
+    assert!(matches!(
+        c.cancel.state().map(|s| s.kind),
+        Some(CancelKind::Budget { needed, .. }) if needed == window
+    ));
+    assert!(budget.used() < journal + window);
+    // With room for them, the run fits.
+    let mut c = window_cfg(2, Tolerance::retrying(WATCHDOG));
+    c.budget = MemBudget::limited(2 * journal + window);
+    try_run_governed(&prog.kernel(0), &c).expect("two journals and the window fit");
+}
+
+/// `x(ij(i)) += f(a(i))` where chunk `c` of `chunk` iterations updates
+/// every element of region `c % 3` of `x`: a chunk's write footprint
+/// meets the chunk three before or after it, and no other.
+fn region_program(chunks: u64, chunk: u64) -> SpecProgram {
+    let n = chunks * chunk;
+    let mut space = AddressSpace::new();
+    let x = space.alloc("x", 8, 3 * chunk);
+    let a = space.alloc("a", 8, n);
+    let ij = space.alloc("ij", 4, n);
+    let mut index = IndexStore::new();
+    index.set(
+        ij,
+        (0..n)
+            .map(|i| ((i / chunk) % 3 * chunk + i % chunk) as u32)
+            .collect(),
+    );
+    let refs = vec![
+        StreamRef {
+            name: "a(i)",
+            array: a,
+            pattern: Pattern::Affine { base: 0, stride: 1 },
+            mode: Mode::Read,
+            bytes: 8,
+            hoistable: false,
+        },
+        StreamRef {
+            name: "x(ij(i))",
+            array: x,
+            pattern: Pattern::Indirect {
+                index: ij,
+                ibase: 0,
+                istride: 1,
+            },
+            mode: Mode::Modify,
+            bytes: 8,
+            hoistable: false,
+        },
+    ];
+    one_loop(space, index, "regions", n, refs, |arena, space| {
+        for i in 0..n {
+            arena.set_f64(space, a, i, (i % 11) as f64 * 0.5 - 2.0);
+        }
+    })
+}
+
+/// The dense loop's kernel cancelling its run as chunk `at` starts.
+struct CancelAt<'p> {
+    inner: SpecKernel<'p>,
+    chunk: u64,
+    at: u64,
+    cancel: CancelToken,
+}
+
+impl RealKernel for CancelAt<'_> {
+    fn iters(&self) -> u64 {
+        self.inner.iters()
+    }
+    unsafe fn execute(&self, range: Range<u64>) {
+        if range.start == self.at * self.chunk {
+            self.cancel.cancel("test: cancel mid-run");
+        }
+        // SAFETY (every forward below): under the caller's own guarantee.
+        unsafe { self.inner.execute(range) }
+    }
+    unsafe fn journal_capture(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
+        unsafe { self.inner.journal_capture(range, buf) }
+    }
+    unsafe fn journal_rollback(&self, range: Range<u64>, buf: &[u8]) {
+        unsafe { self.inner.journal_rollback(range, buf) }
+    }
+    unsafe fn visit_footprint(&self, range: Range<u64>, visit: &mut dyn FnMut(&[u8])) -> bool {
+        unsafe { self.inner.visit_footprint(range, visit) }
+    }
+    unsafe fn replay_footprint(&self, range: Range<u64>, pre_image: &[u8]) -> Option<Vec<u8>> {
+        unsafe { self.inner.replay_footprint(range, pre_image) }
+    }
+    fn write_spans(&self, range: Range<u64>) -> Option<Vec<Range<u64>>> {
+        self.inner.write_spans(range)
+    }
+    fn independent(&self, committed: &[Range<u64>], next: &[Range<u64>]) -> bool {
+        self.inner.independent(committed, next)
+    }
+}
+
+/// A deferring run publishes a checkpoint only with every chunk below it
+/// audited: a claim at which the sink is due audits the whole window
+/// first. A chunk of the region loop writes over the chunk three before
+/// it, and the window defers the chunks in between, so a checkpoint
+/// taken past a pending audit would capture bytes a later chunk
+/// overwrote. The cadence is the sink's: a run cancelled as chunk `at`
+/// starts has published every chunk below `at` under `EveryChunks(1)`
+/// and all but at most one under `EveryChunks(2)`, and resumes from
+/// there bitwise, for every cancel point and both policies.
+#[test]
+fn a_deferring_run_checkpoints_only_a_true_prefix() {
+    const CHUNKS: u64 = 24;
+    const CHUNK: u64 = 256;
+    let expected = {
+        let mut prog = region_program(CHUNKS, CHUNK);
+        let k = prog.kernel(0);
+        // SAFETY: single-threaded.
+        unsafe { k.execute(0..k.iters()) };
+        prog.arena_mut().bytes().to_vec()
+    };
+    for (p, at) in [1, 2]
+        .into_iter()
+        .flat_map(|p| [6, 11, 17, 23].map(|at| (p, at)))
+    {
+        let mut prog = region_program(CHUNKS, CHUNK);
+        let dir = std::env::temp_dir().join(format!(
+            "cascade-verify-watermark-{}-{p}-{at}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let meta = CkptMeta {
+            loop_index: 0,
+            iters: CHUNKS * CHUNK,
+            iters_per_chunk: CHUNK,
+        };
+        let text = to_text(prog.workload());
+        let base = prog.arena_mut().bytes().to_vec();
+        let writer = CkptWriter::create(&dir, &text, meta, &base).expect("writer creation");
+        let sink = CkptSink::new(writer, CkptPolicy::EveryChunks(p));
+        let mut c = cfg(2, Tolerance::retrying(WATCHDOG), VerifyPolicy::EveryChunk);
+        c.runner.iters_per_chunk = CHUNK;
+        c.ckpt_sink = Some(sink.clone());
+        let k = CancelAt {
+            inner: prog.kernel(0),
+            chunk: CHUNK,
+            at,
+            cancel: c.cancel.clone(),
+        };
+        match try_run_governed(&k, &c) {
+            Err(RunError::Cancelled { .. }) => {}
+            other => panic!("cancel at chunk {at}: got {other:?}"),
+        }
+        assert_eq!(sink.error(), None);
+        let (mut restored, from) = ckpt::load(&dir)
+            .expect("checkpoint loads")
+            .into_program()
+            .expect("restore");
+        let due = at / p * p * CHUNK;
+        assert_eq!(
+            from, due,
+            "every {p} chunks, cancel at chunk {at}: published up to iteration {from}"
+        );
+        {
+            let k = restored.kernel(0);
+            // SAFETY: single-threaded: the documented sequential resume.
+            unsafe { k.execute(from..k.iters()) };
+        }
+        assert_eq!(
+            restored.arena_mut().bytes(),
+            expected.as_slice(),
+            "every {p} chunks, cancel at chunk {at}: resume from iteration {from} diverged"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
