@@ -21,13 +21,6 @@ pub enum BarrierOutcome {
     Poisoned,
 }
 
-impl BarrierOutcome {
-    /// Convenience mirror of `std`'s `BarrierWaitResult::is_leader`.
-    pub fn is_leader(self) -> bool {
-        matches!(self, BarrierOutcome::Leader)
-    }
-}
-
 #[derive(Debug)]
 struct State {
     arrived: usize,
@@ -96,11 +89,6 @@ impl FtBarrier {
         st.poisoned = true;
         self.cv.notify_all();
     }
-
-    /// Has the barrier been poisoned?
-    pub fn is_poisoned(&self) -> bool {
-        self.state.lock().unwrap().poisoned
-    }
 }
 
 #[cfg(test)]
@@ -116,7 +104,7 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..10 {
-                        if b.wait().is_leader() {
+                        if b.wait() == BarrierOutcome::Leader {
                             leaders.fetch_add(1, Ordering::Relaxed);
                         }
                     }
@@ -182,7 +170,7 @@ mod tests {
     #[test]
     fn single_participant_always_leads() {
         let b = FtBarrier::new(1);
-        assert!(b.wait().is_leader());
-        assert!(b.wait().is_leader());
+        assert_eq!(b.wait(), BarrierOutcome::Leader);
+        assert_eq!(b.wait(), BarrierOutcome::Leader);
     }
 }

@@ -1738,7 +1738,7 @@ pub enum VStep {
     /// the verified watermark and go on.
     Settle(usize),
     /// Audit a taken packet: digest compare, replay, tiebreak, blame,
-    /// repair-or-fail — the runner's `verify_committed` — and retire it.
+    /// repair-or-fail — the auditor's `verify_committed` — and retire it.
     Audit(usize),
     /// Run the chunk body.
     Execute(usize),
@@ -1767,7 +1767,7 @@ struct VPacket {
 }
 
 /// Explicit-state model of the verified-execution protocol
-/// ([`crate::runner`]'s verify window, `verify_committed` / `convict` /
+/// (`crate::verify`'s verify window, `verify_committed` / `convict` /
 /// `fail_rollback` under an armed `VerifyPolicy`): every commit publishes
 /// a packet (digest + pre-image) into the window with the token handoff.
 /// The claimant of chunk `j` settles the window before its body: it
@@ -1932,24 +1932,25 @@ impl VerifyModel {
         owned_from(u64::from(t), u64::from(self.nthreads), 0, u64::from(from)) as u8
     }
 
-    /// The window index the claimant of `j` must audit next, if any:
-    /// every packet when a checkpoint is due; a packet whose audit cannot
-    /// repair in place (fail-fast, or digest-only, unless the seeded
-    /// [`VBug::DeferUnrepairable`] ignores that); a packet `j` depends on
-    /// (unless the seeded [`VBug::DeferDependent`] ignores the
-    /// dependence); or the oldest untaken one past the bound.
+    /// The window index the claimant of `j` must audit next, if any, by
+    /// the runtime's own rule ([`crate::verify::audit_due`]): every packet
+    /// when a checkpoint is due; a packet whose audit cannot repair in
+    /// place (fail-fast, or digest-only); a packet `j` depends on; or the
+    /// oldest untaken one past the bound. The seeded
+    /// [`VBug::DeferUnrepairable`] passes every audit as repairing, and
+    /// [`VBug::DeferDependent`] every chunk as independent.
     fn due(&self, j: u8) -> Option<usize> {
         let over = self.window.len() > usize::from(self.nthreads);
         let ckpt = self.ckpt_due(j);
         self.window.iter().position(|p| {
             let replays = self.replays[usize::from(p.chunk)];
             let repairs = self.recover && (replays || self.bug == VBug::DeferUnrepairable);
-            let dep = self.depends(p.chunk, j) && self.bug != VBug::DeferDependent;
-            ckpt || !repairs || dep || (over && !p.taken)
+            let independent = || !self.depends(p.chunk, j) || self.bug == VBug::DeferDependent;
+            crate::verify::audit_due(ckpt, repairs, over, p.taken, independent)
         })
     }
 
-    /// The runner's `verify_committed` of the window's packet of chunk
+    /// The auditor's `verify_committed` of the window's packet of chunk
     /// `c`, compressed to one atomic decision (the interleavings that
     /// matter — audit vs. downstream claims, executions and the flip —
     /// are between steps, not inside the comparison), then its retirement

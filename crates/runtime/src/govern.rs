@@ -361,11 +361,11 @@ pub struct RunConfig {
 }
 
 impl RunConfig {
-    /// Validate the cross-field governance invariants. The runner's own
-    /// geometry checks still run inside `try_run_governed`; this catches
-    /// the silent misconfiguration they cannot see: a watchdog window
-    /// longer than the run deadline would never fire — every stall would
-    /// surface as the blunter `DeadlineExceeded` instead of a diagnosed
+    /// Validate the configuration: the cross-field governance invariants
+    /// and the runner's geometry. Among them is the silent
+    /// misconfiguration no run could diagnose: a watchdog window longer
+    /// than the run deadline would never fire — every stall would surface
+    /// as the blunter `DeadlineExceeded` instead of a diagnosed
     /// `Stalled{chunk}` — so it is refused with a typed diagnostic.
     pub fn try_validate(&self) -> Result<(), RunError> {
         if let (Some(watchdog), Some(deadline)) = (self.tolerance.watchdog, self.deadline) {
@@ -397,6 +397,18 @@ impl RunConfig {
                  undefined); use Sampled(1) for every chunk or Checksum for \
                  digest-only"
                     .into(),
+            ));
+        }
+        let r = &self.runner;
+        if r.nthreads < 1 {
+            return Err(RunError::InvalidConfig("need at least one thread".into()));
+        }
+        if r.iters_per_chunk < 1 {
+            return Err(RunError::InvalidConfig("chunks must be non-empty".into()));
+        }
+        if r.poll_batch < 1 {
+            return Err(RunError::InvalidConfig(
+                "poll batch must be positive".into(),
             ));
         }
         Ok(())
@@ -649,6 +661,42 @@ mod tests {
             ..RunConfig::default()
         };
         assert!(ok.try_validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_a_degenerate_runner_geometry() {
+        let geometry = [
+            (
+                RunnerConfig {
+                    nthreads: 0,
+                    ..RunnerConfig::default()
+                },
+                "thread",
+            ),
+            (
+                RunnerConfig {
+                    iters_per_chunk: 0,
+                    ..RunnerConfig::default()
+                },
+                "chunks",
+            ),
+            (
+                RunnerConfig {
+                    poll_batch: 0,
+                    ..RunnerConfig::default()
+                },
+                "poll batch",
+            ),
+        ];
+        for (runner, says) in geometry {
+            match RunConfig::from(runner.clone()).try_validate() {
+                Err(RunError::InvalidConfig(m)) => assert!(m.contains(says), "{m}"),
+                other => panic!("{runner:?} must be refused, got {other:?}"),
+            }
+        }
+        assert!(RunConfig::from(RunnerConfig::default())
+            .try_validate()
+            .is_ok());
     }
 
     #[test]

@@ -57,7 +57,7 @@
 //!
 //! Above salvage sits a recovery ladder ([`Tolerance::retry`], see
 //! [`runner`] docs): a faulted chunk is re-executed on a healthy worker,
-//! the failed thread is quarantined in a [`HealthRegistry`] (heartbeats,
+//! the failed thread is quarantined in the run's health registry (heartbeats,
 //! strikes with exponential backoff), and its remaining chunks are
 //! remapped across survivors so the run finishes cascaded instead of
 //! `degraded`. The token/poison/retry protocol backing this is modeled as
@@ -86,7 +86,7 @@
 //! [`TransformPlan`](cascade_analyze::plan::TransformPlan) instead of
 //! ignoring it: [`try_run_planned`] hands the cascade engine one stage
 //! per sub-loop, all on the same worker pool and fenced by the same
-//! poisonable [`FtBarrier`] as a sequence's loops. Each `Parallel` stage
+//! poisonable barrier as a sequence's loops. Each `Parallel` stage
 //! is a DOALL stage whose chunks the pool claims in ascending order from
 //! one cursor, each `DoAcross { lag }` stage a pipelined post/wait stage
 //! (one gate and one post per chunk) over padded per-worker
@@ -123,7 +123,7 @@
 //! detected online, never after the run. A confirmed
 //! mismatch triggers the blame-and-recover protocol: a sequential
 //! tiebreak re-execution convicts the guilty worker (corruption strikes
-//! in [`HealthRegistry`], roster quarantine on repeat), the chunk is
+//! in the health registry, roster quarantine on repeat), the chunk is
 //! rolled back via its undo journal and repaired in place, and the run
 //! continues bitwise-correct. Between loops the pool's workers scrub the
 //! arena: each hashes its share of the blocks of bytes *outside* every
@@ -138,11 +138,11 @@
 
 #![warn(missing_docs)]
 
-pub mod barrier;
+mod barrier;
 pub mod ckpt;
 pub mod fault;
 pub mod govern;
-pub mod health;
+mod health;
 pub mod interp;
 pub mod kernel;
 pub mod metrics;
@@ -150,12 +150,11 @@ pub mod prefetch;
 pub mod runner;
 pub mod sched;
 pub mod token;
+mod verify;
 
-pub use barrier::{BarrierOutcome, FtBarrier};
 pub use ckpt::{Checkpoint, CkptError, CkptMeta, CkptPolicy, CkptSink, CkptWriter};
 pub use fault::{FaultKind, FaultPlan, FaultyKernel};
 pub use govern::{CancelKind, CancelState, CancelToken, MemBudget, RunConfig, VerifyPolicy};
-pub use health::{HealthRegistry, StrikeVerdict};
 pub use interp::{SpecKernel, SpecProgram};
 pub use kernel::RealKernel;
 pub use metrics::{NsStats, Observe, PhaseEventNs};

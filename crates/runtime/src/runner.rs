@@ -47,7 +47,7 @@
 //! 1. a worker whose interrupted chunk is *pristine* — the kernel
 //!    promises fail-stop panics ([`RealKernel::panics_before_mutation`]),
 //!    **or** the chunk's undo journal was rolled back (see below) —
-//!    quarantines itself in the [`HealthRegistry`], removes itself from
+//!    quarantines itself in the run's health registry, removes itself from
 //!    the roster (remapping its remaining chunks across survivors,
 //!    anchored at the token's current position so no unexecuted chunk is
 //!    orphaned), hands a claimed chunk back ([`Token::try_unclaim`]), and
@@ -91,18 +91,17 @@
 //! hand-backs, journal/rollback ordering) is modeled and exhaustively
 //! explored in the test-only `check` module (`src/check.rs`).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use cascade_analyze::plan::Schedule;
 use cascade_core::{
-    fnv64_words, CascadeMetrics, ChunkPlan, MetricsSource, PhaseKind, PhaseSample, WorkerMetrics,
-    FNV64_BASIS,
+    CascadeMetrics, ChunkPlan, MetricsSource, PhaseKind, PhaseSample, WorkerMetrics,
 };
 
 use crate::barrier::{BarrierOutcome, FtBarrier};
@@ -112,6 +111,7 @@ use crate::kernel::RealKernel;
 use crate::metrics::{NsStats, PhaseEventNs, PhaseRecorder};
 use crate::sched::{self, Pending, SplitState};
 use crate::token::{lock_recover, PoisonCause, Token, TokenView, EXEC_BIT, POISONED};
+use crate::verify::{Auditor, PreImages};
 
 /// Helper policy of the real-thread runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -844,21 +844,6 @@ pub fn run_sequential<K: RealKernel>(kernel: &K) -> Duration {
     start.elapsed()
 }
 
-fn validate(cfg: &RunnerConfig) -> Result<(), RunError> {
-    if cfg.nthreads < 1 {
-        return Err(RunError::InvalidConfig("need at least one thread".into()));
-    }
-    if cfg.iters_per_chunk < 1 {
-        return Err(RunError::InvalidConfig("chunks must be non-empty".into()));
-    }
-    if cfg.poll_batch < 1 {
-        return Err(RunError::InvalidConfig(
-            "poll batch must be positive".into(),
-        ));
-    }
-    Ok(())
-}
-
 fn run_error_from(cause: &PoisonCause) -> RunError {
     match cause {
         PoisonCause::Panicked { thread, chunk, .. } => RunError::WorkerPanicked {
@@ -971,7 +956,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Outcome of removing a worker from the [`Roster`].
-enum RemoveOutcome {
+pub(crate) enum RemoveOutcome {
     /// Removed; the survivors own the remaining chunks.
     Removed,
     /// The worker was already off the roster (a concurrent detector or
@@ -994,7 +979,7 @@ enum RemoveOutcome {
 /// the view when `epoch` moves, and re-checks the epoch while waiting.
 /// A worker acting on a stale epoch is benign: execution rights come from
 /// the token claim CAS, never from the roster.
-struct Roster {
+pub(crate) struct Roster {
     epoch: AtomicU64,
     synced: AtomicBool,
     inner: Mutex<RosterInner>,
@@ -1115,7 +1100,7 @@ impl Roster {
     /// Remove worker `t`, re-anchoring the round-robin at `anchor` (the
     /// token's current chunk) so every unexecuted chunk is remapped across
     /// the survivors.
-    fn remove(&self, t: u64, anchor: u64) -> RemoveOutcome {
+    pub(crate) fn remove(&self, t: u64, anchor: u64) -> RemoveOutcome {
         let mut inner = lock_recover(&self.inner);
         let Some(idx) = inner.live.iter().position(|&x| x == t) else {
             return RemoveOutcome::NotLive;
@@ -1140,71 +1125,15 @@ pub(crate) struct Recovery {
     /// Remaining chunk re-executions (see [`RetryPolicy::budget`]).
     budget: AtomicU64,
     policy: Option<RetryPolicy>,
-    /// The verification packets' pre-image buffers, recycled for the
-    /// whole run.
-    pre_images: Mutex<PreImages>,
-}
-
-/// The run's pool of verification pre-image buffers. A packet copies its
-/// chunk's undo journal into one, and the audit that retires the packet
-/// hands it back, so a run allocates at most one buffer per window slot.
-/// The slots' bytes are reserved from the run's [`MemBudget`] before any
-/// is filled, as the journal buffers' growth is.
-///
-/// [`MemBudget`]: crate::govern::MemBudget
-struct PreImages {
-    spare: Vec<Vec<u8>>,
-    /// Resident pre-images at most: the deferral bound plus the packet
-    /// the claimant publishes past it ([`defers`]), or one.
-    slots: u64,
-    /// Bytes reserved per slot: the longest journal seen.
-    reserved: u64,
-}
-
-impl PreImages {
-    /// Reserve the slots for a journal of `len` bytes. A refusal cancels
-    /// the run with [`CancelKind::Budget`] and poisons `run`: `false`.
-    fn reserve(&mut self, cfg: &RunConfig, run: &FtRun, len: u64) -> bool {
-        if len <= self.reserved {
-            return true;
-        }
-        let grown = (len - self.reserved) * self.slots;
-        if !reserve_growth(cfg, run, grown, "verification pre-images") {
-            return false;
-        }
-        self.reserved = len;
-        true
-    }
-
-    /// A copy of `journal` in a recycled buffer.
-    fn copy(&mut self, journal: &[u8]) -> Vec<u8> {
-        let mut buf = self
-            .spare
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(self.reserved as usize));
-        buf.clear();
-        buf.extend_from_slice(journal);
-        buf
-    }
 }
 
 impl Recovery {
     fn new(cfg: &RunConfig) -> Self {
         let (nthreads, tol) = (cfg.runner.nthreads, &cfg.tolerance);
-        let slots = if defers(cfg, 0) {
-            nthreads as u64 + 1
-        } else {
-            1
-        };
         Recovery {
             health: HealthRegistry::new(nthreads, tol.retry.unwrap_or_default()),
             budget: AtomicU64::new(tol.retry.as_ref().map_or(0, |r| r.budget)),
             policy: tol.retry,
-            pre_images: Mutex::new(PreImages {
-                spare: Vec::new(),
-                slots,
-                reserved: 0,
-            }),
         }
     }
 
@@ -1222,7 +1151,7 @@ impl Recovery {
 }
 
 /// Shared fault-handling state of one stage of an engine run.
-pub(crate) struct FtRun {
+pub(crate) struct FtRun<'a> {
     /// The cascade's token; its block also carries the handoff words
     /// (completion point, claimant, handoff stamp: [`Token::handoff`]).
     pub(crate) token: Token,
@@ -1233,7 +1162,7 @@ pub(crate) struct FtRun {
     pub(crate) salvage_unsound: AtomicBool,
     /// Chunk ownership map (static round-robin until a quarantine remaps
     /// it).
-    roster: Roster,
+    pub(crate) roster: Roster,
     /// Failed chunk → failed thread: retry attribution, consumed by
     /// whichever worker eventually executes the chunk. Written and read
     /// only when the retry ladder is armed.
@@ -1241,20 +1170,10 @@ pub(crate) struct FtRun {
     /// Time zero of the run: every recorder timestamp and handoff stamp
     /// is an offset from here.
     pub(crate) origin: Instant,
-    /// The verify window: the packets of committed chunks whose audit is
-    /// pending or running. Published by each executor before its
-    /// `try_advance`; retired by a claimant, a helper phase, or the end
-    /// barrier's leader ([`drain_window`]).
-    window: Mutex<VecDeque<Unaudited>>,
-    /// Audits retired from `window`: the progress word of a claimant
-    /// waiting for another worker's audit.
-    audits: AtomicU64,
-    /// The stage's arena scrub: a baseline over the bytes *outside* its
-    /// kernel's whole write footprint, taken before the stage starts,
-    /// and the compare after it ends ([`scrub_share`]). Drift between the
-    /// two brackets an out-of-footprint corruption no chunk-level
-    /// verification can attribute.
-    scrub: Mutex<Scrub>,
+    /// The stage's verification, built only under an armed
+    /// [`VerifyPolicy`](crate::VerifyPolicy): its verify window and arena
+    /// scrub.
+    pub(crate) verify: Option<Auditor<'a>>,
     /// The leader's stamps at the loop's start and end barriers: the two
     /// ends of a healthy loop's [`RunStats::elapsed`].
     started: Mutex<Option<Instant>>,
@@ -1264,63 +1183,15 @@ pub(crate) struct FtRun {
     pub(crate) split: SplitState,
 }
 
-/// One stage's arena scrub, shared by the workers that hash it.
-#[derive(Default)]
-struct Scrub {
-    /// The baseline's digest of every scrub block; `None` until it is
-    /// taken, and for a kernel that cannot bound its footprint.
-    base: Option<Vec<u64>>,
-    /// The workers sharing the baseline (`[0]`) and the compare (`[1]`):
-    /// the health registry's live set, read once by the first of them to
-    /// start, so every worker cuts the same shares.
-    crews: [Option<Vec<u64>>; 2],
-    /// The compare's lowest drifted block: its index, its bytes, and its
-    /// baseline and current digests.
-    drift: Option<(usize, Range<u64>, u64, u64)>,
-    /// Scrubs performed (baseline + compare): [`RunStats::scrubs`].
-    count: u64,
-}
-
-/// Everything a verifier needs to re-check one committed chunk: the
-/// executor's advertised digest and the pre-image journal that seeds the
-/// replay overlay ([`RealKernel::replay_footprint`]), plus the chunk's
-/// write footprint for the window's independence test.
-struct VerifyPacket {
-    /// The committed chunk this packet describes.
-    chunk: u64,
-    /// Its iteration range.
-    range: Range<u64>,
-    /// The worker that executed and committed it (blame target).
-    executor: u64,
-    /// [`footprint_digest`] of the committed write-footprint bytes,
-    /// hashed in place by the executor after the chunk body ran, while it
-    /// still held the claim.
-    digest: u64,
-    /// Its write footprint ([`RealKernel::write_spans`]), taken once by
-    /// its claimant: what [`settle_window`] tests later claims against.
-    /// `None` when the kernel names no spans.
-    spans: Option<Vec<Range<u64>>>,
-    /// The undo journal captured *before* the chunk ran, copied into a
-    /// recycled buffer ([`PreImages`]): seeds the replay's private
-    /// overlay, and doubles as the rollback image when a confirmed
-    /// corruption has no recovery path.
-    pre_image: Vec<u8>,
-}
-
-/// A packet in the verify window.
-struct Unaudited {
-    p: Arc<VerifyPacket>,
-    /// A claimant executed a later chunk past it, so any worker but its
-    /// executor may audit it in a helper phase.
-    deferred: bool,
-    /// Its audit is running.
-    taken: bool,
-}
-
-impl FtRun {
+impl<'a> FtRun<'a> {
     /// A stage's state for a pool of `nthreads`, `owners` of whom own its
-    /// chunks if it splits as DOACROSS.
-    fn new(nthreads: usize, owners: usize, origin: Instant) -> Self {
+    /// chunks if it splits as DOACROSS, verified by `verify`.
+    pub(crate) fn new(
+        nthreads: usize,
+        owners: usize,
+        origin: Instant,
+        verify: Option<Auditor<'a>>,
+    ) -> Self {
         FtRun {
             token: Token::default(),
             faults: Mutex::new(Vec::new()),
@@ -1328,9 +1199,7 @@ impl FtRun {
             roster: Roster::new(nthreads),
             retry_from: Mutex::new(HashMap::new()),
             origin,
-            window: Mutex::default(),
-            audits: AtomicU64::new(0),
-            scrub: Mutex::default(),
+            verify,
             started: Mutex::new(None),
             ended: Mutex::new(None),
             split: SplitState::new(owners),
@@ -1341,7 +1210,7 @@ impl FtRun {
         lock_recover(&self.faults).push(ev);
     }
 
-    fn take_faults(&self) -> Vec<FaultEvent> {
+    pub(crate) fn take_faults(&self) -> Vec<FaultEvent> {
         std::mem::take(&mut *lock_recover(&self.faults))
     }
 }
@@ -1380,7 +1249,7 @@ pub fn try_run_governed<K: RealKernel>(kernel: &K, cfg: &RunConfig) -> Result<Ru
 /// Execute a whole loop *sequence* (e.g. PARMVR's fifteen loops) under
 /// cascaded execution with one persistent pool of worker threads: one
 /// tolerance, one cancel token, one deadline, one budget across every
-/// loop. Loops are separated by a poisonable barrier ([`FtBarrier`]) — the
+/// loop. Loops are separated by a poisonable barrier — the
 /// analogue of the application code between unparallelized loops — which
 /// both orders the loops (helpers for loop `i+1` must not read operands
 /// loop `i` is still writing) and provides the happens-before edge between
@@ -1436,7 +1305,6 @@ pub(crate) fn run_stages<K: RealKernel>(
                 .into(),
         ));
     }
-    validate(&cfg.runner)?;
     if kernels.is_empty() {
         return Err(RunError::InvalidConfig("empty kernel sequence".into()));
     }
@@ -1453,16 +1321,22 @@ pub(crate) fn run_stages<K: RealKernel>(
     // stage l + 1 behind its frontier, and no barrier parts the two.
     let cascades = |l: usize| sched::cascades(schedules[l], producer[l]);
     let consumer = |l: usize| l > 0 && producer[l - 1];
-    // One clock for every stage's phase events.
-    let origin = Instant::now();
-    let runs: Vec<FtRun> = producer
-        .iter()
-        .map(|&p| FtRun::new(nthreads, if p { 1 } else { nthreads }, origin))
-        .collect();
     // One recovery state for the whole sequence: a worker quarantined in
     // loop l stays out of every later loop's roster, and the retry budget
-    // is shared.
+    // is shared. So is the verification pre-image pool.
     let rec = Recovery::new(cfg);
+    let pre_images = Mutex::new(PreImages::new(cfg));
+    // One clock for every stage's phase events.
+    let origin = Instant::now();
+    let verified = cfg.verify.armed();
+    let runs: Vec<FtRun> = (0..kernels.len())
+        .map(|l| {
+            let verify = verified
+                .then(|| Auditor::new(&kernels[l], &plans[l], cfg, &rec.health, &pre_images));
+            let owners = if producer[l] { 1 } else { nthreads };
+            FtRun::new(nthreads, owners, origin, verify)
+        })
+        .collect();
     let barrier = FtBarrier::new(nthreads);
 
     // per_thread[t][l] = stats of thread t on loop l (may stop short when
@@ -1481,7 +1355,7 @@ pub(crate) fn run_stages<K: RealKernel>(
                         // A pair's consumer starts with its producer.
                         let first = l - usize::from(consumer(l));
                         if first == l {
-                            if cfg.verify.armed() {
+                            if let Some(v) = &runs[l].verify {
                                 // The stage's scrub baseline, before its
                                 // start barrier. Other stages legitimately
                                 // write outside *this* stage's footprint,
@@ -1490,7 +1364,7 @@ pub(crate) fn run_stages<K: RealKernel>(
                                 // stage's scrub barrier (its final repair
                                 // came before it), and none starts this
                                 // stage before its start barrier.
-                                unsafe { scrub_share(kernel, &runs[l], rec, t, false) };
+                                unsafe { v.scrub_share(t, false) };
                             }
                             match barrier.wait() {
                                 BarrierOutcome::Poisoned => break,
@@ -1546,35 +1420,41 @@ pub(crate) fn run_stages<K: RealKernel>(
                                 }
                                 BarrierOutcome::Leader => {
                                     *lock_recover(&runs[l].ended) = Some(Instant::now());
-                                    if cfg.verify.armed() {
+                                    if let Some(v) = &runs[l].verify {
                                         // The window's last packets,
                                         // the final chunk's among them.
-                                        let drained = drain_window(
-                                            kernel, cfg, &plans[l], &runs[l], rec, &mut stats,
-                                        );
-                                        poisoned = drained.is_err();
+                                        poisoned = v.drain(&runs[l], &mut stats).is_err();
                                     }
                                 }
                                 BarrierOutcome::Follower => {}
                             }
                         }
-                        if cfg.verify.armed() && !poisoned {
+                        if let Some(v) = runs[l].verify.as_ref().filter(|_| !poisoned) {
                             // SAFETY: every worker is past the end barrier,
                             // and only the leader's final-chunk repair
                             // writes, inside the stage's footprint.
-                            unsafe { scrub_share(kernel, &runs[l], rec, t, true) };
+                            unsafe { v.scrub_share(t, true) };
                             match barrier.wait() {
                                 BarrierOutcome::Poisoned => {
                                     all.push(stats);
                                     break;
                                 }
                                 BarrierOutcome::Leader => {
-                                    // SAFETY: every worker is past the scrub
-                                    // barrier; no stage runs before the next
-                                    // start barrier, which waits for us.
-                                    poisoned = !unsafe {
-                                        audit_loop(kernel, cfg, &plans[l], &runs[l], &mut stats)
-                                    };
+                                    poisoned = !v.scrub_clean(&runs[l]);
+                                    if !poisoned {
+                                        // The final deferred checkpoint
+                                        // installment: claims publish only
+                                        // up to the chunk before their own.
+                                        // SAFETY: every worker is past the
+                                        // scrub barrier, no stage runs before
+                                        // the next start barrier, which waits
+                                        // for us, and every chunk is committed.
+                                        let m = plans[l].num_chunks();
+                                        let n = kernel.iters();
+                                        unsafe {
+                                            publish_ckpt(kernel, cfg, &plans[l], m, n, &mut stats)
+                                        };
+                                    }
                                 }
                                 BarrierOutcome::Follower => {}
                             }
@@ -1621,7 +1501,7 @@ pub(crate) fn run_stages<K: RealKernel>(
             quarantined,
             cancel_latency_ns: cfg.cancel.latency().map_or(0, |d| d.as_nanos() as u64),
             budget_high_water: cfg.budget.high_water(),
-            scrubs: lock_recover(&runs[l].scrub).count,
+            scrubs: runs[l].verify.as_ref().map_or(0, Auditor::scrubs),
         }
     };
     let healthy_stats = |l: usize| -> Result<RunStats, RunError> {
@@ -1675,30 +1555,12 @@ pub(crate) fn run_stages<K: RealKernel>(
     }
 
     // --- a worker panicked, the cascade stalled, or corruption ---
-    let mut err = run_error_from(&cause).rebased(iters_before(l0));
-    if cfg.verify.armed() {
-        // Audit the faulted stage's pending packets before its prefix is
-        // reported or salvaged from, whatever the fault: every worker
-        // has joined, and a deferring run may have committed chunks past
-        // one whose audit never ran.
-        let (k, plan) = (&kernels[l0], &plans[l0]);
-        if let Err(c) = drain_window(k, cfg, plan, &runs[l0], &rec, &mut ThreadStats::default()) {
-            // As `fail_rollback`'s resume point: the chunk's start when
-            // it was rolled back. The error with the shorter clean prefix
-            // wins, so a reported prefix never holds a detected chunk.
-            let r = plan.range(c);
-            let unsound = runs[l0].salvage_unsound.load(Ordering::Acquire);
-            let committed_iters = iters_before(l0) + if unsound { r.end } else { r.start };
-            let earlier = matches!(err, RunError::Corrupted { committed_iters: e, .. } if e <= committed_iters);
-            if !earlier {
-                err = RunError::Corrupted {
-                    thread: None,
-                    chunk: Some(c),
-                    committed_iters,
-                    bytes: 0..0,
-                };
-            }
-            return Err(err);
+    let err = run_error_from(&cause).rebased(iters_before(l0));
+    // Audit the faulted stage's pending packets before its prefix is
+    // reported or salvaged from.
+    if let Some(v) = &runs[l0].verify {
+        if let Some(failed) = v.drain_faulted(&runs[l0], iters_before(l0), &err) {
+            return Err(failed);
         }
     }
     // Corruption is never salvaged: the chunk was rolled back to its
@@ -1776,107 +1638,6 @@ pub(crate) fn run_stages<K: RealKernel>(
         return Err(cancel_error(&cfg.cancel, iters_before(last + 1)));
     }
     Ok(out)
-}
-
-/// Worker `t`'s share of a stage's arena scrub: the baseline, or with
-/// `compare` the compare against it. The crew (the workers the health
-/// registry had live when the first of them started) hashes alternate
-/// scrub blocks by rank, so a quarantined worker takes no share; the
-/// first of the crew counts the scrub. A compare keeps the lowest
-/// drifted block, which the scrub barrier's leader reports
-/// ([`audit_loop`]).
-///
-/// # Safety
-///
-/// As [`RealKernel::scrub_block`]: nothing may write outside `kernel`'s
-/// write footprint until every worker has passed the barrier that
-/// follows the call.
-unsafe fn scrub_share<K: RealKernel>(
-    kernel: &K,
-    run: &FtRun,
-    rec: &Recovery,
-    t: u64,
-    compare: bool,
-) {
-    let Some(blocks) = kernel.scrub_blocks() else {
-        return;
-    };
-    let (rank, crew) = {
-        let mut s = lock_recover(&run.scrub);
-        if compare && s.base.is_none() {
-            return;
-        }
-        let crew = s.crews[usize::from(compare)].get_or_insert_with(|| rec.health.live());
-        let Some(rank) = crew.iter().position(|&w| w == t) else {
-            return;
-        };
-        (rank, crew.len())
-    };
-    let mine: Vec<_> = (rank..blocks)
-        .step_by(crew)
-        .map(|b| {
-            // SAFETY: forwarded under the caller's guarantee.
-            let (bytes, d) = unsafe { kernel.scrub_block(b) };
-            (b, bytes, d)
-        })
-        .collect();
-    let s = &mut *lock_recover(&run.scrub);
-    s.count += u64::from(rank == 0);
-    if !compare {
-        let base = s.base.get_or_insert_with(|| vec![0; blocks]);
-        for (b, _, d) in mine {
-            base[b] = d;
-        }
-        return;
-    }
-    let base = s.base.as_deref().unwrap_or_default();
-    let drift = mine.into_iter().find(|&(b, _, d)| base[b] != d);
-    if let Some((b, bytes, d)) = drift {
-        if s.drift.as_ref().is_none_or(|&(first, ..)| b < first) {
-            s.drift = Some((b, bytes, base[b], d));
-        }
-    }
-}
-
-/// The scrub barrier's leader on a stage, under armed verification: fail
-/// the stage if its scrub compare found drift, else publish the final
-/// deferred checkpoint installment (workers only publish through their
-/// own claims, which stop one chunk short of the end; the whole stage is
-/// verified and scrubbed only now). Still before the run returns, so
-/// detection stays online. Returns `false` when corruption poisoned the
-/// stage.
-///
-/// # Safety
-///
-/// The caller has quiescence on `kernel`: the stage completed and no
-/// worker starts the next one before the caller reaches its barrier.
-unsafe fn audit_loop<K: RealKernel>(
-    kernel: &K,
-    cfg: &RunConfig,
-    plan: &ChunkPlan,
-    run: &FtRun,
-    stats: &mut ThreadStats,
-) -> bool {
-    let drift = lock_recover(&run.scrub).drift.take();
-    if let Some((_, bytes, expected, found)) = drift {
-        run.record(FaultEvent::CorruptionDetected {
-            chunk: u64::MAX,
-            expected,
-            found,
-            repaired: false,
-            bytes: bytes.clone(),
-        });
-        run.token.poison_with(PoisonCause::Corrupted {
-            thread: None,
-            chunk: None,
-            resume_at: kernel.iters(),
-            bytes,
-        });
-        return false;
-    }
-    // SAFETY: quiescent, and every chunk of the stage is committed.
-    unsafe { publish_ckpt(kernel, cfg, plan, plan.num_chunks(), kernel.iters(), stats) };
-    true
 }
 
 /// Offer the committed prefix — the first `chunks` chunks, ending at
@@ -2394,7 +2155,7 @@ pub(crate) fn chunk_panicked(
 /// Reserve a worker buffer's capacity growth `needed` from the run's
 /// memory budget. A refusal cancels the run with [`CancelKind::Budget`]
 /// and poisons `run` instead of allocating on: `false` means drain.
-fn reserve_growth(cfg: &RunConfig, run: &FtRun, needed: u64, what: &str) -> bool {
+pub(crate) fn reserve_growth(cfg: &RunConfig, run: &FtRun, needed: u64, what: &str) -> bool {
     let refused = !cfg.budget.try_reserve(needed);
     if refused {
         let limit = cfg.budget.limit().unwrap_or(0);
@@ -2415,7 +2176,11 @@ unsafe fn capture<K: RealKernel>(k: &K, r: Range<u64>, buf: &mut Vec<u8>) -> thr
 
 /// The one call of [`RealKernel::journal_rollback`], under its contract;
 /// `Err` carries the payload of a restore that panicked.
-unsafe fn restore<K: RealKernel>(k: &K, r: Range<u64>, bytes: &[u8]) -> thread::Result<()> {
+pub(crate) unsafe fn restore<K: RealKernel + ?Sized>(
+    k: &K,
+    r: Range<u64>,
+    bytes: &[u8],
+) -> thread::Result<()> {
     // SAFETY: forwarded under the caller's guarantee.
     catch_unwind(AssertUnwindSafe(|| unsafe { k.journal_rollback(r, bytes) }))
 }
@@ -2425,23 +2190,6 @@ unsafe fn restore<K: RealKernel>(k: &K, r: Range<u64>, bytes: &[u8]) -> thread::
 /// salvage), or online verification needs a pre-image to replay from.
 pub(crate) fn captures(cfg: &RunConfig) -> bool {
     cfg.tolerance.retry.is_some() || cfg.tolerance.salvage || cfg.verify.armed()
-}
-
-/// Whether the audit of verified `chunk` may stay pending while later
-/// chunks execute ([`settle_window`]): only when a confirmed corruption
-/// is repaired in place, so no later chunk has to be undone. That takes
-/// a replay, whose bytes the repair installs, and retry or salvage
-/// armed. A digest-only audit ([`VerifyPolicy::Checksum`], the unsampled
-/// chunks of [`VerifyPolicy::Sampled`]) can only roll back and poison,
-/// and a fail-fast run must: both audit the chunk before the next one
-/// executes, so the typed error keeps an exact committed prefix. Chunk 0
-/// replays under every policy that replays any chunk, so `defers(cfg, 0)`
-/// says whether the run defers at all.
-///
-/// [`VerifyPolicy::Checksum`]: crate::govern::VerifyPolicy::Checksum
-/// [`VerifyPolicy::Sampled`]: crate::govern::VerifyPolicy::Sampled
-fn defers(cfg: &RunConfig, chunk: u64) -> bool {
-    cfg.verify.replays(chunk) && (cfg.tolerance.retry.is_some() || cfg.tolerance.salvage)
 }
 
 /// A chunk transaction's first step, in every stage: capture `range`'s
@@ -2513,472 +2261,6 @@ pub(crate) unsafe fn roll_back_chunk<K: RealKernel>(
     true
 }
 
-/// The one call of [`RealKernel::visit_footprint`], under its contract.
-/// `false` when the write-set is unbounded or the visit panicked: every
-/// in-place read of a committed footprint goes through here, so an
-/// unreadable footprint has one outcome wherever it is read.
-unsafe fn visit_live<K: RealKernel>(k: &K, r: Range<u64>, mut visit: impl FnMut(&[u8])) -> bool {
-    // SAFETY: forwarded under the caller's guarantee.
-    catch_unwind(AssertUnwindSafe(|| unsafe {
-        k.visit_footprint(r, &mut visit)
-    }))
-    .unwrap_or(false)
-}
-
-/// The checksummed handoff's digest of chunk `range`'s committed
-/// write-set, and its one definition: [`fnv64_words`] chained over the
-/// kernel's footprint slices ([`RealKernel::visit_footprint`]) in journal
-/// order, read where they lie. With `copy`, a journal-layout copy of the
-/// write-set (the verified replay bytes), the same-length pieces of
-/// `copy` are hashed in place of the live slices. So the executor's
-/// digest, the verifier's `found` and [`convict`]'s `expected` cut their
-/// bytes at the same boundaries, and equal bytes give equal digests. An
-/// in-memory comparison within one run, hence the word-wise
-/// [`fnv64_words`], which sees every single-byte change for certain.
-/// `None` when the footprint cannot be read ([`visit_live`]) or `copy`
-/// is not its length.
-///
-/// # Safety
-///
-/// As [`RealKernel::visit_footprint`].
-unsafe fn footprint_digest<K: RealKernel>(
-    kernel: &K,
-    range: Range<u64>,
-    copy: Option<&[u8]>,
-) -> Option<u64> {
-    let (mut h, mut cur, mut fits) = (FNV64_BASIS, 0usize, true);
-    // SAFETY: forwarded under the caller's guarantee.
-    let read = unsafe {
-        visit_live(kernel, range, |live| {
-            match copy.map_or(Some(live), |c| c.get(cur..cur + live.len())) {
-                Some(piece) => h = fnv64_words(h, piece),
-                None => fits = false,
-            }
-            cur += live.len();
-        })
-    };
-    (read && fits && copy.is_none_or(|c| c.len() == cur)).then_some(h)
-}
-
-/// Whether `bytes`, a journal-layout write-set, equals chunk `range`'s
-/// committed one, compared where it lies. `None` when the footprint
-/// cannot be read ([`visit_live`]).
-///
-/// # Safety
-///
-/// As [`RealKernel::visit_footprint`].
-unsafe fn matches_committed<K: RealKernel>(
-    kernel: &K,
-    range: Range<u64>,
-    bytes: &[u8],
-) -> Option<bool> {
-    let (mut same, mut cur) = (true, 0usize);
-    // SAFETY: forwarded under the caller's guarantee.
-    let read = unsafe {
-        visit_live(kernel, range, |live| {
-            same = same && bytes.get(cur..cur + live.len()) == Some(live);
-            cur += live.len();
-        })
-    };
-    read.then_some(same && cur == bytes.len())
-}
-
-/// Outcome of verifying one committed chunk against its handoff packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum VerifyVerdict {
-    /// The committed bytes check out — or a lone replay mismatch failed
-    /// its own tiebreak, which indicts the verifier, not the executor.
-    Verified,
-    /// Corruption confirmed by the tiebreak and repaired in place by
-    /// installing the verified replay bytes; the run continues cascaded.
-    Repaired,
-    /// Corruption confirmed with no recovery path: the chunk was rolled
-    /// back to its pre-image and the token poisoned
-    /// ([`PoisonCause::Corrupted`]). The caller drains.
-    Failed,
-}
-
-/// Verify committed chunk `p.chunk` against its handoff packet: under a
-/// replaying policy, re-execute the chunk against a journaled private
-/// view ([`RealKernel::replay_footprint`]) and compare the result with
-/// the committed bytes; otherwise digest the committed bytes and compare
-/// with the published digest. The committed footprint is read where it
-/// lies ([`RealKernel::visit_footprint`]), never copied, and hashed only
-/// where the digest decides something — that comparison, and the blame
-/// decision after a confirmed tiebreak — so a matching replay costs the
-/// replay and one comparison pass.
-///
-/// On a replay mismatch a *second* replay is the sequential tiebreak:
-/// only when both replays agree against the committed bytes is the
-/// executor blamed (a lone mismatch could equally be the verifier's own
-/// fault — blame without the tiebreak is the seeded model-checker bug).
-/// A conviction is a corruption strike ([`HealthRegistry::corruption_strike`]): the first
-/// offense is repaired in place, the second quarantines the executor via
-/// the roster remap. Recovery installs the verified replay bytes whenever
-/// the tolerance has any recovery path (retry or salvage); otherwise the
-/// chunk is rolled back to its pre-image and the token poisoned, so the
-/// typed error's committed prefix never contains a corrupted chunk.
-///
-/// A committed footprint that cannot be read — the kernel lost its
-/// bound, or a read of it panicked ([`visit_live`]) — leaves nothing to
-/// check against, at whichever read it happens: the chunk is
-/// [`VerifyVerdict::Verified`], unblamed and unrecorded. That is
-/// conservative, not wrong: the executor could not have published a
-/// packet for an unreadable footprint unless the loss is transient, and
-/// a reader's panic says nothing about the executor.
-///
-/// Nothing that executes while the audit runs may read or write
-/// `p.chunk`'s footprint, so the audit completes before any chunk that
-/// consumes its bytes executes: corruption is caught before a handoff
-/// passes it on, never after the run. The caller holds the claim of the
-/// chunk `p.chunk` precedes, or the window let every chunk executing
-/// beside the audit run past it ([`RealKernel::independent`]), or it has
-/// the end-of-loop quiescence.
-fn verify_committed<K: RealKernel>(
-    kernel: &K,
-    run: &FtRun,
-    rec: &Recovery,
-    cfg: &RunConfig,
-    verifier: u64,
-    p: &VerifyPacket,
-) -> VerifyVerdict {
-    // SAFETY (every replay and read below): no execute overlaps
-    // `p.range`'s footprint (the caller's guarantee); a replay routes
-    // every footprint access through a private overlay and never writes
-    // shared memory, and a read only reads.
-    let range = || p.range.clone();
-    if cfg.verify.replays(p.chunk) {
-        let pre = &p.pre_image;
-        let replay = || -> Option<Vec<u8>> {
-            catch_unwind(AssertUnwindSafe(|| unsafe {
-                kernel.replay_footprint(range(), pre)
-            }))
-            .ok()
-            .flatten()
-        };
-        if let Some(r1) = replay() {
-            if unsafe { matches_committed(kernel, range(), &r1) } != Some(false) {
-                return VerifyVerdict::Verified;
-            }
-            let Some(r2) = replay() else {
-                // Tiebreak unavailable: a lone mismatch never blames.
-                return VerifyVerdict::Verified;
-            };
-            if r2 != r1 {
-                // The verifier's own replays disagree: the fault is
-                // on our side, the committed bytes stand.
-                return VerifyVerdict::Verified;
-            }
-            // Tiebreak confirmed: the committed bytes are wrong. Who
-            // is to blame hangs on the published digest. If it
-            // matches the committed bytes, the executor *computed*
-            // them — guilty. If not, the corruption landed after the
-            // executor's own commit-time digest (a post-commit
-            // flip), and blaming the executor would convict an
-            // innocent worker — the single-fault attribution the
-            // model checker proves.
-            let found = unsafe { footprint_digest(kernel, range(), None) };
-            let expected = unsafe { footprint_digest(kernel, range(), Some(&r1)) };
-            let (Some(found), Some(expected)) = (found, expected) else {
-                return VerifyVerdict::Verified;
-            };
-            let blamed = (found == p.digest).then_some(p.executor);
-            let tol = &cfg.tolerance;
-            return convict(
-                kernel, run, rec, tol, verifier, p, &r1, expected, found, blamed,
-            );
-        }
-    }
-
-    // Digest-only comparison (Checksum policy, unsampled chunks, or no
-    // replay path): catches corruption that landed *after* the
-    // executor's own post-execution digest. No replay means no
-    // tiebreak, so no blame — and no verified bytes to install, so
-    // detection always fails the run.
-    let Some(found) = (unsafe { footprint_digest(kernel, range(), None) }) else {
-        return VerifyVerdict::Verified;
-    };
-    if found == p.digest {
-        return VerifyVerdict::Verified;
-    }
-    run.record(FaultEvent::CorruptionDetected {
-        chunk: p.chunk,
-        expected: p.digest,
-        found,
-        repaired: false,
-        bytes: 0..0,
-    });
-    fail_rollback(kernel, run, p, None)
-}
-
-/// The tiebreak confirmed the corruption: assign blame (when the digest
-/// proves the executor computed the bytes — `blamed` is `None` for a
-/// post-commit flip the executor is innocent of), quarantine a repeat
-/// offender, and recover — install the verified replay bytes in place
-/// when the tolerance has a recovery path, or roll back to the pre-image
-/// and poison the token when it does not. `expected` and `found` are the
-/// [`footprint_digest`]s of `verified` and of the committed bytes.
-#[allow(clippy::too_many_arguments)] // a conviction is parameterized by the whole verify context
-fn convict<K: RealKernel>(
-    kernel: &K,
-    run: &FtRun,
-    rec: &Recovery,
-    tol: &Tolerance,
-    verifier: u64,
-    p: &VerifyPacket,
-    verified: &[u8],
-    expected: u64,
-    found: u64,
-    blamed: Option<u64>,
-) -> VerifyVerdict {
-    if let Some(guilty) = blamed {
-        let quarantine_now = rec.health.corruption_strike(guilty);
-        run.record(FaultEvent::WorkerBlamed {
-            thread: guilty,
-            chunk: p.chunk,
-            strikes: rec.health.corruption_strikes(guilty),
-        });
-        if quarantine_now {
-            // Repeat offender: remove from the roster (remapping its
-            // remaining chunks across survivors, anchored at the token's
-            // position so nothing is orphaned) — unless it is the last
-            // live worker, in which case refusing strands nobody.
-            let anchor = run.token.position().unwrap_or(p.chunk + 1);
-            if matches!(run.roster.remove(guilty, anchor), RemoveOutcome::Removed)
-                && rec.health.quarantine(guilty)
-            {
-                run.record(FaultEvent::WorkerQuarantined {
-                    thread: guilty,
-                    chunk: p.chunk,
-                });
-            }
-        }
-    }
-    if rec.enabled() || tol.salvage {
-        // Install the verified replay bytes: rollback and re-execution
-        // in one restore — bitwise what a clean execution left behind.
-        // Nothing executing touches the footprint (the audit's
-        // guarantee), and no later chunk read the bad bytes.
-        // SAFETY: the caller's exclusivity over the footprint; `verified`
-        // is in journal layout over `p.range`.
-        if unsafe { restore(kernel, p.range.clone(), verified) }.is_ok() {
-            run.record(FaultEvent::CorruptionDetected {
-                chunk: p.chunk,
-                expected,
-                found,
-                repaired: true,
-                bytes: 0..0,
-            });
-            if verifier != p.executor {
-                run.record(FaultEvent::ChunkRetried {
-                    chunk: p.chunk,
-                    from_thread: p.executor,
-                    by_thread: verifier,
-                });
-            }
-            return VerifyVerdict::Repaired;
-        }
-    }
-    run.record(FaultEvent::CorruptionDetected {
-        chunk: p.chunk,
-        expected,
-        found,
-        repaired: false,
-        bytes: 0..0,
-    });
-    fail_rollback(kernel, run, p, blamed)
-}
-
-/// Roll the corrupted chunk back to its pre-image and poison the token:
-/// the committed prefix carried by the typed error must never contain a
-/// corrupted chunk. A panicking rollback, or one that cannot give a
-/// prefix because a later chunk already committed past the pending
-/// packet (a repair whose install panicked), additionally marks the run
-/// salvage-unsound (the state cannot be trusted at all).
-fn fail_rollback<K: RealKernel>(
-    kernel: &K,
-    run: &FtRun,
-    p: &VerifyPacket,
-    blamed: Option<u64>,
-) -> VerifyVerdict {
-    let later = run.token.handoff().completed.load(Ordering::Acquire) > p.chunk + 1;
-    // SAFETY: caller's exclusivity; the pre-image is the unmodified
-    // capture of this same range taken before the chunk executed.
-    let rolled_back = !later && unsafe { restore(kernel, p.range.clone(), &p.pre_image) }.is_ok();
-    if !rolled_back {
-        run.salvage_unsound.store(true, Ordering::Release);
-    }
-    let resume_at = if rolled_back {
-        p.range.start
-    } else {
-        p.range.end
-    };
-    run.token.poison_with(PoisonCause::Corrupted {
-        thread: blamed,
-        chunk: Some(p.chunk),
-        resume_at,
-        bytes: 0..0,
-    });
-    VerifyVerdict::Failed
-}
-
-/// Audit packet `p`, taken from `run`'s window, as `verifier`, and retire
-/// it: out of the window, its pre-image back to the run's pool.
-fn audit<K: RealKernel>(
-    kernel: &K,
-    run: &FtRun,
-    rec: &Recovery,
-    cfg: &RunConfig,
-    verifier: u64,
-    p: Arc<VerifyPacket>,
-) -> VerifyVerdict {
-    let verdict = verify_committed(kernel, run, rec, cfg, verifier, &p);
-    lock_recover(&run.window).retain(|e| e.p.chunk != p.chunk);
-    run.audits.fetch_add(1, Ordering::Release);
-    if let Ok(p) = Arc::try_unwrap(p) {
-        lock_recover(&rec.pre_images).spare.push(p.pre_image);
-    }
-    verdict
-}
-
-/// The claimant of chunk `j` (writing `spans`) settles the verify window
-/// before its body runs. Every pending packet `j` depends on is audited
-/// first, by us, or, when another worker's audit of it is running, by
-/// that worker while we wait. A packet may stay pending past the claim
-/// only when it [`defers`] and [`RealKernel::independent`] holds for it
-/// and `j`, and no checkpoint is due at this claim (`ckpt`: a checkpoint
-/// covers only audited chunks, so the whole window is audited first).
-/// Past the window's bound, the run's pool size, the oldest packets are
-/// audited too, so at most `nthreads + 1` are ever resident. Every
-/// packet left pending is then marked deferred, for a helper phase to
-/// audit. Returns the lowest chunk left pending, or `j`: the verified
-/// watermark. `None` when an audit failed or the wait halted: drain.
-#[allow(clippy::too_many_arguments)] // a settle is parameterized by the whole claim
-fn settle_window<K: RealKernel>(
-    kernel: &K,
-    cfg: &RunConfig,
-    run: &FtRun,
-    rec: &Recovery,
-    t: u64,
-    j: u64,
-    spans: Option<&[Range<u64>]>,
-    ckpt: bool,
-    stats: &mut ThreadStats,
-) -> Option<u64> {
-    let next = spans.filter(|_| !ckpt);
-    let bound = cfg.runner.nthreads;
-    loop {
-        let seen = run.audits.load(Ordering::Acquire);
-        let first = {
-            let mut w = lock_recover(&run.window);
-            let over = w.len() > bound;
-            let due = w.iter().position(|e| {
-                let free = next
-                    .zip(e.p.spans.as_deref())
-                    .filter(|_| defers(cfg, e.p.chunk));
-                !free.is_some_and(|(n, c)| kernel.independent(c, n)) || (over && !e.taken)
-            });
-            match due {
-                None => {
-                    for e in w.iter_mut() {
-                        e.deferred = true;
-                    }
-                    return Some(w.front().map_or(j, |e| e.p.chunk));
-                }
-                Some(i) if w[i].taken => None,
-                Some(i) => {
-                    w[i].taken = true;
-                    Some(w[i].p.clone())
-                }
-            }
-        };
-        match first {
-            Some(p) => {
-                stats.verified_chunks += 1;
-                if audit(kernel, run, rec, cfg, t, p) == VerifyVerdict::Failed {
-                    return None;
-                }
-            }
-            None => {
-                // Another worker is auditing a packet we depend on; we
-                // hold the claim, so only a halt, or a whole watchdog
-                // window without an audit retiring, ends the wait early.
-                let retired = || (run.audits.load(Ordering::Acquire) != seen).then_some(());
-                let progress = || run.audits.load(Ordering::Acquire);
-                let waiter = Waiter::Gate { chunk: j };
-                governed_wait(run, None, cfg, waiter, retired, progress)?;
-            }
-        }
-    }
-}
-
-/// Worker `t`'s audits in its helper phase for chunk `j`, before it packs
-/// or prefetches: the deferred packets another worker executed, oldest
-/// first, until none is left or the token reaches `j`. Each runs beside
-/// the executions the window let past it. `false` when an audit failed.
-fn helper_audits<K: RealKernel>(
-    kernel: &K,
-    cfg: &RunConfig,
-    run: &FtRun,
-    rec: &Recovery,
-    t: u64,
-    j: u64,
-    stats: &mut ThreadStats,
-) -> bool {
-    loop {
-        let raw = run.token.raw();
-        if raw == POISONED || Token::chunk_index(raw) >= j || cfg.cancel.is_cancelled() {
-            return true;
-        }
-        let p = {
-            let mut w = lock_recover(&run.window);
-            let Some(e) = w
-                .iter_mut()
-                .find(|e| e.deferred && !e.taken && e.p.executor != t)
-            else {
-                return true;
-            };
-            e.taken = true;
-            e.p.clone()
-        };
-        stats.verified_chunks += 1;
-        stats.helper_audits += 1;
-        if audit(kernel, run, rec, cfg, t, p) == VerifyVerdict::Failed {
-            return false;
-        }
-    }
-}
-
-/// Drain `run`'s verify window: audit every packet still in it, oldest
-/// first, each as its own executor's (a repair then records no retry).
-/// Run by the end barrier's leader on a healthy stage, and after the join
-/// on a degraded one; both are quiescent, so no audit is running. Every
-/// audit but that of the stage's final chunk, which no claimant could
-/// have audited, counts in `stats`. `Err` names the chunk whose audit
-/// failed, poisoning the stage.
-fn drain_window<K: RealKernel>(
-    kernel: &K,
-    cfg: &RunConfig,
-    plan: &ChunkPlan,
-    run: &FtRun,
-    rec: &Recovery,
-    stats: &mut ThreadStats,
-) -> Result<(), u64> {
-    loop {
-        let Some(p) = lock_recover(&run.window).front_mut().map(|e| {
-            e.taken = true;
-            e.p.clone()
-        }) else {
-            return Ok(());
-        };
-        let c = p.chunk;
-        stats.verified_chunks += u64::from(c + 1 < plan.num_chunks());
-        if audit(kernel, run, rec, cfg, p.executor, p) == VerifyVerdict::Failed {
-            return Err(c);
-        }
-    }
-}
-
 /// Worker `t`'s share of a cascaded stage. `buf` (the pack arena) and
 /// `jbuf` (the undo-journal buffer) are the worker's for the whole run:
 /// refilled chunk after chunk, they amortize to a steady state, and their
@@ -3046,13 +2328,10 @@ fn ft_worker<K: RealKernel>(
 
         // --- helper phase (with jump-out at poll_batch granularity) ---
         phases.transition(PhaseKind::Helper, Some(j));
-        if defers(cfg, 0) {
+        if let Some(v) = &run.verify {
             // Audit first: the deferred packets other workers executed,
             // beside the executions the window let past them.
-            let t0 = Instant::now();
-            let audited = helper_audits(kernel, cfg, run, rec, t, j, &mut stats);
-            stats.verify_ns += t0.elapsed().as_nanos();
-            if !audited {
+            if !v.helper_audits(run, t, j, &mut stats) {
                 return phases.finish(stats);
             }
         }
@@ -3098,7 +2377,7 @@ fn ft_worker<K: RealKernel>(
         // A won claim goes straight to Execute, with no clock read between
         // the claim and the body, unless the verify window is settled
         // first: that time stays in Other.
-        let audit = cfg.verify.armed() && j > 0;
+        let audit = run.verify.is_some() && j > 0;
         let next = match claim {
             ChunkClaim::Claimed if !audit => PhaseKind::Execute,
             _ => PhaseKind::Other,
@@ -3125,36 +2404,15 @@ fn ft_worker<K: RealKernel>(
             stats.takeover.record(claim_ns.saturating_sub(rel));
         }
 
-        // The chunk's write footprint, walked once when the run defers
-        // audits: it decides what the window may defer past this claim,
-        // and its packet carries it for later claims.
-        let mut spans = defers(cfg, 0)
-            .then(|| kernel.write_spans(range.clone()))
-            .flatten();
-
         // --- settle the verify window (claim held) ---
         // Every committed chunk this one depends on is audited before it
         // executes: while we hold the claim no other execute runs, so
         // corruption is caught before a handoff passes its bytes on,
-        // never after the run. Cost rides inside the Other phase as a
-        // side counter (`verify_ns`); with `VerifyPolicy::Off` this is
-        // one branch.
-        if audit {
-            let t0 = Instant::now();
-            let ckpt = cfg.ckpt_sink.as_ref().is_some_and(|s| s.due(j));
-            let settled = settle_window(
-                kernel,
-                cfg,
-                run,
-                rec,
-                t,
-                j,
-                spans.as_deref(),
-                ckpt,
-                &mut stats,
-            );
-            stats.verify_ns += t0.elapsed().as_nanos();
-            let Some(low) = settled else {
+        // never after the run. With `VerifyPolicy::Off` this is one
+        // branch.
+        let mut settled = None;
+        if let Some(v) = &run.verify {
+            let Some(s) = v.settle(run, t, j, &mut stats) else {
                 return phases.finish(stats);
             };
             // Deferred durable checkpoint: with verification armed, the
@@ -3162,13 +2420,16 @@ fn ft_worker<K: RealKernel>(
             // every chunk in it is audited (or repaired), so only with
             // the window empty, as a due checkpoint's settle leaves it
             // (publication repeated after a retry is a no-op).
-            if low == j {
+            if s.verified {
                 // SAFETY: we hold the claim — no executor is active
                 // anywhere — every chunk below `j` is committed, and with
                 // the window empty no audit is running.
                 unsafe { publish_ckpt(kernel, cfg, plan, j, range.start, &mut stats) };
             }
-            phases.transition(PhaseKind::Execute, Some(j));
+            if audit {
+                phases.transition(PhaseKind::Execute, Some(j));
+            }
+            settled = Some(s);
         }
 
         // --- execution phase (we hold the claim: unique executor) ---
@@ -3184,8 +2445,10 @@ fn ft_worker<K: RealKernel>(
                 // The packet's pre-image slots are reserved before the
                 // body runs: a refusal, too, leaves the chunk pristine.
                 Ok(true)
-                    if cfg.verify.armed()
-                        && !lock_recover(&rec.pre_images).reserve(cfg, run, jbuf.len() as u64) =>
+                    if run
+                        .verify
+                        .as_ref()
+                        .is_some_and(|v| !v.reserve(run, jbuf.len() as u64)) =>
                 {
                     return phases.finish(stats)
                 }
@@ -3281,46 +2544,25 @@ fn ft_worker<K: RealKernel>(
         // chunk): this chunk enters the checkpoint only after its handoff
         // is verified, so a kill landing between commit and verification
         // can never persist bytes that verification would have rejected.
-        if !cfg.verify.armed() {
+        if run.verify.is_none() {
             // SAFETY: we hold the claim — the same exclusivity contract
             // as `execute` — and chunks `0..=j` are committed.
             unsafe { publish_ckpt(kernel, cfg, plan, j + 1, range.end, &mut stats) };
         }
 
         // --- checksummed handoff (claim still held) ---
-        // Digest the chunk's *committed* write footprint where it lies and
-        // publish the verification packet into the window before the
+        // Publish the verification packet into the window before the
         // advance: the downstream claimant's Acquire through its claim CAS
-        // sees the packet before chunk j + 1 can execute. A copy of the
-        // pre-image journal, in a recycled buffer whose bytes were
-        // reserved before the body ran, rides along to seed the auditor's
-        // replay overlay; `jbuf` itself stays here, so its metered
-        // capacity is reused by the next capture. Cost is a side counter
-        // (`verify_ns`) inside the Other phase; with `VerifyPolicy::Off`
-        // this is one branch.
-        let digested = cfg.verify.armed() && journaled;
-        if digested {
-            let t0 = Instant::now();
-            // SAFETY: claim still held — the same exclusivity contract
-            // as `execute` — and the digest only reads.
-            let digest = unsafe { footprint_digest(kernel, range.clone(), None) };
-            if let Some(digest) = digest {
-                let p = VerifyPacket {
-                    chunk: j,
-                    range: range.clone(),
-                    executor: t,
-                    digest,
-                    spans: spans.take(),
-                    pre_image: lock_recover(&rec.pre_images).copy(jbuf),
-                };
-                lock_recover(&run.window).push_back(Unaudited {
-                    p: Arc::new(p),
-                    deferred: false,
-                    taken: false,
-                });
+        // sees the packet before chunk j + 1 can execute. `jbuf` itself
+        // stays here, so its metered capacity is reused by the next
+        // capture. With `VerifyPolicy::Off` this is one branch.
+        let digested = match (&run.verify, settled) {
+            (Some(v), Some(s)) if journaled => {
+                v.publish(t, j, s, jbuf, &mut stats);
+                true
             }
-            stats.verify_ns += t0.elapsed().as_nanos();
-        }
+            _ => false,
+        };
 
         if j + 1 < m {
             // Stamp the grant of j + 1 *before* publishing it via the
@@ -3328,7 +2570,7 @@ fn ft_worker<K: RealKernel>(
             // release (the final advance grants no one: not a handoff).
             // The stamp is the execute-end boundary, unless armed commit
             // work (the digest, a checkpoint publish) ran since then.
-            let stamp_ns = if digested || (cfg.ckpt_sink.is_some() && !cfg.verify.armed()) {
+            let stamp_ns = if digested || (cfg.ckpt_sink.is_some() && run.verify.is_none()) {
                 Instant::now().duration_since(run.origin).as_nanos() as u64
             } else {
                 exec_end_ns
@@ -4709,209 +3951,6 @@ mod tests {
                 assert_eq!(committed_iters, 2_000 + 600);
             }
             other => panic!("expected Cancelled, got {other:?}"),
-        }
-    }
-
-    /// `c(i)` read, `a(i)` modified and `b(i)` written, all f64: a chunk
-    /// of `r` iterations has a footprint of two `8 r`-byte slices.
-    fn two_write_program(n: u64) -> crate::SpecProgram {
-        use cascade_trace::{
-            AddressSpace, Arena, IndexStore, LoopSpec, Mode, Pattern, StreamRef, Workload,
-        };
-        let mut space = AddressSpace::new();
-        let ids = ["c", "a", "b"].map(|name| {
-            let id = space.alloc(name, 8, n);
-            space.alloc("pad", 1, 64);
-            id
-        });
-        let stream = |name, array, mode| StreamRef {
-            name,
-            array,
-            pattern: Pattern::Affine { base: 0, stride: 1 },
-            mode,
-            bytes: 8,
-            hoistable: false,
-        };
-        let refs = vec![
-            stream("c(i)", ids[0], Mode::Read),
-            stream("a(i)", ids[1], Mode::Modify),
-            stream("b(i)", ids[2], Mode::Write),
-        ];
-        let w = Workload {
-            space,
-            index: IndexStore::new(),
-            loops: vec![LoopSpec {
-                name: "two writes".into(),
-                iters: n,
-                refs,
-                compute: 1.0,
-                hoistable_compute: 0.0,
-                hoist_result_bytes: 0,
-            }],
-        };
-        let mut arena = Arena::new(&w.space);
-        for i in 0..n {
-            arena.set_f64(&w.space, ids[0], i, (i % 7) as f64 * 0.5 + 0.25);
-            arena.set_f64(&w.space, ids[1], i, (i % 5) as f64 * 0.75);
-        }
-        crate::SpecProgram::new(w, arena).unwrap()
-    }
-
-    #[test]
-    fn one_digest_definition_for_commit_found_and_convict() {
-        // Five iterations: two 40-byte slices, not multiples of the
-        // digest's 32-byte blocks, so their boundaries change the digest.
-        let prog = two_write_program(60);
-        let range = 20..25;
-        {
-            let k = prog.kernel(0);
-            // SAFETY (all calls in this block): single-threaded, so each
-            // is exclusive and `range` is committed once executed.
-            let mut pre = Vec::new();
-            unsafe {
-                k.execute(0..20);
-                assert!(k.journal_capture(range.clone(), &mut pre));
-                k.execute(range.clone());
-            }
-            let commit = unsafe { footprint_digest(&k, range.clone(), None) }.unwrap();
-            let found = unsafe { footprint_digest(&k, range.clone(), None) }.unwrap();
-            let replayed = unsafe { k.replay_footprint(range.clone(), &pre) }.unwrap();
-            let expected = unsafe { footprint_digest(&k, range.clone(), Some(&replayed)) };
-            assert_eq!(replayed.len(), 80);
-            assert_eq!((found, expected), (commit, Some(commit)));
-            assert_ne!(
-                fnv64_words(FNV64_BASIS, &replayed),
-                commit,
-                "chained and concatenated digests differ here"
-            );
-            // One flipped byte of the second slice: the in-place digests
-            // see it, and so does convict's over a copy of the bytes.
-            unsafe { assert!(k.corrupt_byte(range.clone(), 45, 0x08, true)) };
-            let mut now = Vec::new();
-            unsafe { assert!(k.journal_capture(range.clone(), &mut now)) };
-            let found = unsafe { footprint_digest(&k, range.clone(), None) }.unwrap();
-            assert_ne!(found, commit, "the verifier's digest sees the flip");
-            let copied = unsafe { footprint_digest(&k, range.clone(), Some(&now)) };
-            assert_eq!(copied, Some(found), "convict's digest sees it too");
-            let short = unsafe { footprint_digest(&k, range.clone(), Some(&now[..79])) };
-            assert_eq!(short, None, "a copy of another length has no digest");
-        }
-
-        // The same kernel under the runner: a flip before chunk 4's commit
-        // digest is blamed on its executor (so the verifier's `found` is
-        // the executor's digest), and `convict`'s `expected` is the
-        // in-place digest of the repaired bytes.
-        let mut prog = two_write_program(60);
-        let flip = FaultKind::SilentBitFlip {
-            after_iters: 5,
-            offset: 45,
-            xor: 0x08,
-            in_footprint: true,
-        };
-        let k = FaultyKernel::new(prog.kernel(0), FaultPlan::new(5).inject(4, flip));
-        let cfg = RunConfig {
-            runner: RunnerConfig {
-                nthreads: 2,
-                iters_per_chunk: 5,
-                policy: RtPolicy::None,
-                poll_batch: 4,
-            },
-            tolerance: Tolerance::retrying(Duration::from_secs(30)),
-            verify: crate::VerifyPolicy::EveryChunk,
-            ..RunConfig::default()
-        };
-        let stats = try_run_governed(&k, &cfg).expect("a repairable flip");
-        drop(k);
-        let blamed = stats
-            .faults
-            .iter()
-            .any(|f| matches!(f, FaultEvent::WorkerBlamed { chunk: 4, .. }));
-        assert!(blamed, "{:?}", stats.faults);
-        let digests = stats.faults.iter().find_map(|f| match f {
-            FaultEvent::CorruptionDetected {
-                chunk: 4,
-                expected,
-                found,
-                repaired: true,
-                bytes,
-            } if bytes.is_empty() => Some((*expected, *found)),
-            _ => None,
-        });
-        let (expected, found) = digests.expect("chunk 4 repaired");
-        // SAFETY: the run has returned; nothing runs concurrently.
-        let repaired = unsafe { footprint_digest(&prog.kernel(0), 20..25, None) };
-        assert_eq!(repaired, Some(expected));
-        assert_ne!(found, expected);
-        let mut seq = two_write_program(60);
-        // SAFETY: single-threaded.
-        unsafe { seq.kernel(0).execute(0..60) };
-        assert_eq!(prog.checksum(), seq.checksum(), "repaired run is bitwise");
-    }
-
-    /// A scrub compare that finds drift names the lowest drifted block's
-    /// bytes, and its digests, on a scrubber `CorruptionDetected`; the
-    /// crew's first member counts each scrub once.
-    #[test]
-    fn a_scrub_drift_names_its_first_drifted_block() {
-        let s = cascade_synth::Synth::build(1 << 17, cascade_synth::Variant::Dense, 5);
-        let prog = crate::SpecProgram::new(s.workload, s.arena).unwrap();
-        let k = prog.kernel(0);
-        let spans: Vec<Range<u64>> = (0..k.scrub_blocks().unwrap())
-            // SAFETY: single-threaded throughout.
-            .map(|b| unsafe { k.scrub_block(b) }.0)
-            .collect();
-        assert_eq!(spans.len(), 3, "{spans:?}");
-        let (run, rec) = (
-            FtRun::new(2, 2, Instant::now()),
-            Recovery::new(&RunConfig::from(RunnerConfig {
-                nthreads: 2,
-                ..RunnerConfig::default()
-            })),
-        );
-        let share = |compare| {
-            for t in [1, 0] {
-                // SAFETY: single-threaded.
-                unsafe { scrub_share(&k, &run, &rec, t, compare) };
-            }
-        };
-        share(false);
-        // One flip in each of the last two blocks: the second is named.
-        let flips = [spans[2].start + 5, spans[1].end - 1];
-        for &addr in &flips {
-            // SAFETY: single-threaded.
-            assert!(unsafe { k.corrupt_byte(0..1, addr, 0x04, false) });
-        }
-        share(true);
-        let plan = ChunkPlan::by_iterations(k.iters(), 4_096);
-        let mut stats = ThreadStats::default();
-        // SAFETY: single-threaded.
-        assert!(!unsafe { audit_loop(&k, &RunConfig::default(), &plan, &run, &mut stats) });
-        assert_eq!(lock_recover(&run.scrub).count, 2);
-        match &run.take_faults()[..] {
-            [FaultEvent::CorruptionDetected {
-                chunk: u64::MAX,
-                expected,
-                found,
-                repaired: false,
-                bytes,
-            }] => {
-                assert_eq!(*bytes, spans[1]);
-                assert!(bytes.contains(&flips[1]) && !bytes.contains(&flips[0]));
-                assert_ne!(expected, found);
-            }
-            other => panic!("expected one scrubber detection, got {other:?}"),
-        }
-        match run.token.poison_cause().as_ref().map(run_error_from) {
-            Some(RunError::Corrupted {
-                thread: None,
-                chunk: None,
-                committed_iters,
-                bytes,
-            }) => {
-                assert_eq!(committed_iters, k.iters());
-                assert_eq!(bytes, spans[1]);
-            }
-            other => panic!("expected a scrubber verdict, got {other:?}"),
         }
     }
 }

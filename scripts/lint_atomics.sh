@@ -53,7 +53,13 @@ RT=crates/runtime/src
 #   chunk transaction (the torn mark, the budget) is runner.rs's. The gate
 #   protocol and the cancel's hole fill are model-checked by DoAcrossModel
 #   in src/check.rs.
-ALLOWED_ATOMIC_FILES="barrier.rs govern.rs health.rs runner.rs sched.rs token.rs"
+# verify.rs: the verify window's `audits` counter, the progress word of a
+#   claimant waiting for another worker's audit: Release when an audit
+#   retires its packet, Acquire in the waiting claimant's governed wait.
+#   VerifyModel in src/check.rs models the window's Acquire/Release retire
+#   edge (an audit's retirement happens-before the claimant's body); the
+#   torn mark and the completed word it reads are runner.rs's and token.rs's.
+ALLOWED_ATOMIC_FILES="barrier.rs govern.rs health.rs runner.rs sched.rs token.rs verify.rs"
 ALLOW_RELAXED_RE='release_ns\.(load|store)\(|cursor\.0\.fetch_add\('
 
 fail=0
