@@ -50,7 +50,8 @@
 //! (`HorizonSafe`) and the runner keeps helpers behind the committed
 //! horizon via [`RealKernel::helper_horizon`]. `prefetch_range` issues
 //! only architectural hints (plus index-array demand reads, which the
-//! analysis proves are never written).
+//! analysis proves are never written), and `pack_range` hints every
+//! write target the same way, as the simulator's `helper_pack` does.
 //!
 //! Affine addresses are proven in bounds at construction (AN008) and never
 //! re-checked. An indirect ref's address depends on index *contents*, which
@@ -363,6 +364,20 @@ impl Op {
     fn at(&self, i: u64) -> usize {
         (self.off0 + self.step * i as i64) as usize
     }
+
+    /// The arena byte offset of this ref's element at iteration `i`, for
+    /// a prefetch hint; `index` yields an indirect ref's index word, given
+    /// the word's offset. Unchecked, unlike [`Gather::element`]: a hint
+    /// never dereferences, so a corrupted index is left to the executor's
+    /// check, and panics there, not in a helper.
+    #[inline(always)]
+    fn hinted(&self, i: u64, index: impl FnOnce(usize) -> u32) -> usize {
+        let mut at = self.at(i);
+        if let Some(g) = self.gather {
+            at = (g.base + g.elem * index(at) as u64) as usize;
+        }
+        at
+    }
 }
 
 /// A loop compiled for the interpreter: what every [`RealKernel`] method
@@ -639,7 +654,7 @@ impl Operands for Replay<'_> {
 /// Most ops a [`Rebased`] replay places, with room to spare over the
 /// widest loop the workloads have (five refs). A wider loop replays per
 /// access ([`Replay`]).
-const MAX_SLOTS: usize = 15;
+const MAX_SLOTS: usize = 14;
 
 /// Where one op's accesses go for the whole of a rebased replay.
 #[derive(Debug, Clone, Copy)]
@@ -890,6 +905,8 @@ impl<'p> SpecKernel<'p> {
 
     /// Pack `range` into `records`, which holds one record per iteration:
     /// each read's value and each indirect write's index at the op's field.
+    /// Every write target stays in place and is hinted into the cache, so
+    /// the executor's stores find their lines warm.
     ///
     /// # Safety: as [`RealKernel::pack_range`]'s helper reads.
     #[inline(always)]
@@ -901,9 +918,13 @@ impl<'p> SpecKernel<'p> {
                     let v: T = Direct.operand(arena, op, k, i);
                     v.to_field(&mut rec[op.field..op.field + size_of::<T>()]);
                 }
-                for op in writes.iter().filter(|op| op.gather.is_some()) {
-                    let idx = Direct.index(arena, op, i);
-                    idx.to_field(&mut rec[op.field..op.field + size_of::<u32>()]);
+                for op in writes.iter() {
+                    let at = op.hinted(i, |word| {
+                        let idx: u32 = read(arena.add(word));
+                        idx.to_field(&mut rec[op.field..op.field + size_of::<u32>()]);
+                        idx
+                    });
+                    prefetch::prefetch_range(arena.wrapping_add(at), size_of::<T>());
                 }
             }
         })
@@ -1047,15 +1068,9 @@ impl<'p> RealKernel for SpecKernel<'p> {
     fn prefetch_range(&self, range: Range<u64>) {
         let (arena, width) = (self.prog.base() as *const u8, self.code.width);
         let hint = |op: &Op, i: u64| {
-            let mut at = op.at(i);
-            if let Some(g) = op.gather {
-                // SAFETY: reading the index value only (never written by
-                // this loop); the read brings its line in, so it takes no
-                // hint. The data target itself is merely hinted, so it
-                // needs no bounds check.
-                let idx = unsafe { read::<u32>(arena.wrapping_add(at)) };
-                at = (g.base + g.elem * idx as u64) as usize;
-            }
+            // SAFETY: reading the index value only (never written by this
+            // loop); the read brings its line in, so it takes no hint.
+            let at = op.hinted(i, |word| unsafe { read::<u32>(arena.wrapping_add(word)) });
             prefetch::prefetch_range(arena.wrapping_add(at), width);
         };
         for_shape!(ref self.code, |reads, writes| {
@@ -1108,6 +1123,7 @@ impl<'p> RealKernel for SpecKernel<'p> {
         // by the loop (Packable) or only by iterations the horizon gate has
         // already committed (HorizonSafe + runner-enforced
         // `helper_horizon`); index arrays are never written (validated).
+        // Write targets are only hinted, never demand-read.
         unsafe {
             if self.code.width == size_of::<f64>() {
                 self.pack_as::<f64>(range, records)
@@ -1458,6 +1474,84 @@ mod tests {
             k.prefetch_iter(i);
         }
         assert_eq!(prog.checksum(), before);
+    }
+
+    /// A scatter index past its array is packed word for word and its
+    /// target only hinted, so the helper neither checks nor panics; the
+    /// executor's check, reading the index from the record, does.
+    #[test]
+    fn a_wild_scatter_index_is_packed_unchecked_and_caught_by_the_executor() {
+        let (w, arena) = scatter_workload(64);
+        let (ij, _) = w.space.iter().find(|(_, d)| d.name == "ij").unwrap();
+        let mut prog = SpecProgram::new(w.clone(), arena).unwrap();
+        prog.arena_mut().set_u32(&w.space, ij, 5, u32::MAX);
+        let k = prog.kernel(0);
+        let mut buf = Vec::new();
+        assert!(k.pack_range(0..8, &mut buf));
+        let (len, field) = (k.code.record_len, k.code.writes[0].field);
+        assert_eq!(buf[5 * len + field..][..4], u32::MAX.to_ne_bytes());
+        let run = std::panic::AssertUnwindSafe(|| {
+            // SAFETY: single-threaded.
+            unsafe { k.execute_packed(0..8, &buf) }
+        });
+        let panicked = std::panic::catch_unwind(run);
+        let msg = *panicked.unwrap_err().downcast::<String>().unwrap();
+        assert_eq!(
+            msg,
+            "indirect index 4294967295 out of range for an array of 16 elements"
+        );
+    }
+
+    /// The runtime's helper warms the lines the simulated one prefetches:
+    /// for every write ref of the PARMVR loops and of both synthetic
+    /// variants, over one chunk, the hinted address (its index from the
+    /// packed record, as `pack_range` hints, or from the arena, as
+    /// `prefetch_range` does) is the simulator's `data_access` address.
+    #[test]
+    fn write_hints_match_the_simulated_helpers_prefetches() {
+        use cascade_synth::{Synth, Variant};
+        let parmvr = cascade_wave5::Parmvr::build(cascade_wave5::ParmvrParams {
+            scale: 0.005,
+            seed: 9,
+        });
+        let synth = [Variant::Dense, Variant::Sparse]
+            .map(|v| Synth::build(4_096, v, 5))
+            .map(|s| (s.workload, s.arena));
+        let mut refs = 0;
+        for (w, arena) in std::iter::once((parmvr.workload, parmvr.arena)).chain(synth) {
+            let prog = SpecProgram::new(w, arena).unwrap();
+            let w = prog.workload();
+            let res = cascade_trace::Resolver::new(&w.space, &w.index);
+            for l in 0..prog.num_loops() {
+                let k = prog.kernel(l);
+                let chunk = 0..k.iters().min(2_048);
+                let mut buf = Vec::new();
+                assert!(k.pack_range(chunk.clone(), &mut buf));
+                let len = k.code.record_len;
+                let written: Vec<_> = k.spec.refs.iter().filter(|r| r.mode.writes()).collect();
+                assert_eq!(k.code.writes.len(), written.len());
+                for (op, r) in k.code.writes.iter().zip(written) {
+                    for (n, i) in chunk.clone().enumerate() {
+                        let field = &buf[n * len + op.field..];
+                        let packed = op.hinted(i, |_| u32::from_field(&field[..4]));
+                        // SAFETY: single-threaded; an index word is in the arena.
+                        let direct = op.hinted(i, |word| unsafe { read(prog.base().add(word)) });
+                        let want = res.data_access(r, i).addr;
+                        assert_eq!(
+                            (packed as u64, direct as u64),
+                            (want, want),
+                            "{} {} at {i}",
+                            k.spec.name,
+                            r.name
+                        );
+                    }
+                    refs += 1;
+                }
+            }
+        }
+        // One write ref per PARMVR loop but L8 (a reduction), one per
+        // synthetic variant.
+        assert_eq!(refs, 14 + 2);
     }
 
     /// The old validator banned *any* read of a written array; the

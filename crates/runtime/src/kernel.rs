@@ -53,7 +53,9 @@ pub trait RealKernel: Sync {
     /// Append the packed (sequential-buffer) form of iteration `i`'s
     /// read-only operands to `buf`. Returns `false` when this kernel does
     /// not support restructuring (the runner then falls back to prefetch).
-    /// Must read only data that no iteration of the loop writes.
+    /// Must read only data that no iteration of the loop writes. It may
+    /// *hint* data the loop writes (warm a store target in place, as
+    /// [`RealKernel::prefetch_iter`] does) but never demand-read it.
     fn pack_iter(&self, i: u64, buf: &mut Vec<u8>) -> bool {
         let _ = (i, buf);
         false
@@ -64,6 +66,8 @@ pub trait RealKernel: Sync {
     /// the concatenation of [`RealKernel::pack_iter`] over `range`, which
     /// is what the default does. Returns `false` when the kernel cannot
     /// pack; `buf` then holds no usable prefix and the caller discards it.
+    /// The read rule of `pack_iter` holds: data the loop writes may be
+    /// hinted, never demand-read.
     fn pack_range(&self, range: Range<u64>, buf: &mut Vec<u8>) -> bool {
         range.into_iter().all(|i| self.pack_iter(i, buf))
     }

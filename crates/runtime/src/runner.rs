@@ -999,7 +999,8 @@ struct RosterView {
 }
 
 impl RosterView {
-    /// [`Roster::next_owned`], computed from the snapshot.
+    /// The smallest chunk `>= from` this snapshot's worker owns, by
+    /// [`owned_from`], the shared ownership rule; `None` off the roster.
     #[inline]
     fn next_owned(&self, from: u64) -> Option<u64> {
         let (idx, len, base) = self.slot?;
